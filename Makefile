@@ -1,6 +1,6 @@
 ENV := PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: test stress stress-lockwatch check bench bench-cluster bench-invalidation bench-fragments bench-obs bench-admission bench-hitpath differential results
+.PHONY: test stress stress-lockwatch check bench bench-e2e bench-cluster bench-invalidation bench-fragments bench-obs bench-admission bench-hitpath differential results
 
 # Tier-1: the full unit/integration/property suite (what CI gates on).
 test:
@@ -34,6 +34,14 @@ check:
 # Regenerate every paper figure + ablation (writes benchmarks/results/).
 bench:
 	$(ENV) python -m pytest benchmarks --benchmark-only -q
+
+# The repository benchmark (bench/README.md), smoke-sized: every
+# workload over real sockets incl. the traced round, then the checks on
+# the benchmark itself.  The traced round patches src/ attributes by
+# name (bench/tracing.py), so this is what notices a rename.
+bench-e2e:
+	python bench/run.py --quick
+	python -m pytest bench/test_bench.py -q
 
 # Cluster tier: consistency + node-kill failover stress, the strong
 # 1/2/4/8 curve and the replicated bounded-staleness 1..64-node curve

@@ -34,7 +34,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.cache.entry import QueryInstance
-from repro.sql.analysis_info import EqualityBinding, StatementInfo, extract_info
+from repro.sql.analysis_info import EqualityBinding, StatementInfo
 from repro.sql.lineage import Catalog, LineageInfo, compute_lineage
 from repro.sql.template import QueryTemplate
 
@@ -139,7 +139,6 @@ class QueryAnalysisEngine:
     """
 
     def __init__(self, catalog: Catalog | None = None) -> None:
-        self._info_cache: dict[str, StatementInfo] = {}
         self._lineage_cache: dict[str, LineageInfo] = {}
         self._column_rule_cache: dict[str, ColumnPruneRule] = {}
         self._catalog = catalog
@@ -158,14 +157,6 @@ class QueryAnalysisEngine:
         self.catalog_version += 1
         self._lineage_cache.clear()
         self._column_rule_cache.clear()
-
-    def info(self, template: QueryTemplate) -> StatementInfo:
-        """StatementInfo for ``template`` (memoised per template text)."""
-        cached = self._info_cache.get(template.text)
-        if cached is None:
-            cached = extract_info(template.statement)
-            self._info_cache[template.text] = cached
-        return cached
 
     def lineage(self, template: QueryTemplate) -> LineageInfo:
         """Column lineage for ``template`` under the current catalog."""
@@ -200,8 +191,8 @@ class QueryAnalysisEngine:
         column check).  The returned analysis also pre-computes the
         per-column run-time checks for policies 2 and 3.
         """
-        read_info = self.info(read)
-        write_info = self.info(write)
+        read_info = read.info
+        write_info = write.info
         shared_tables = read_info.tables & write_info.tables
         if not shared_tables:
             return PairAnalysis(possible=False)

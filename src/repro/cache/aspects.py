@@ -31,8 +31,7 @@ from repro.cache.api import Cache
 from repro.cache.consistency import ConsistencyCollector
 from repro.cache.entry import QueryInstance
 from repro.cache.flight import Flight
-from repro.sql import ast_nodes as ast
-from repro.sql.template import templateize
+from repro.sql.template import QueryTemplate, templateize
 from repro.web.http import HttpRequest, HttpResponse
 
 #: Pointcut capturing read-only request handlers (Figure 9/10).  The
@@ -300,25 +299,17 @@ class JdbcConsistencyAspect(Aspect):
     def _capture_pre_image(
         self,
         joinpoint: JoinPoint,
-        template: object,
+        template: QueryTemplate,
         values: tuple[object, ...],
     ) -> tuple[dict[str, object], ...] | None:
         """The paper's extra query: fetch the rows an UPDATE/DELETE will
         touch so missing column values can be tested at invalidation
-        time.  Issued through the same Statement (so it is a real
-        backend query), *before* the write executes -- necessary for
-        DELETE, whose rows are gone afterwards."""
-        statement = template.statement  # type: ignore[attr-defined]
-        if not isinstance(statement, (ast.Update, ast.Delete)):
+        time.  Issued against the Statement's own database (so it is a
+        real backend query), *before* the write executes -- necessary
+        for DELETE, whose rows are gone afterwards."""
+        select = template.pre_image_select
+        if select is None:
             return None
-        select = ast.Select(
-            items=(ast.SelectItem(ast.Star()),),
-            tables=(ast.TableRef(statement.table),),
-            where=statement.where,
-        )
-        # Execute the AST directly: the WHERE placeholders keep their
-        # indices into the *write's* value vector, which re-parsing the
-        # unparsed text would renumber.
         target = joinpoint.target  # the Statement instance
         try:
             database = target.connection.database  # type: ignore[attr-defined]

@@ -23,8 +23,7 @@ from repro.cache.entry import QueryInstance
 from repro.cache.result_cache import ResultCache
 from repro.db.dbapi import ResultSet, Statement
 from repro.errors import CacheError
-from repro.sql import ast_nodes as ast
-from repro.sql.template import templateize
+from repro.sql.template import QueryTemplate, templateize
 
 
 class ResultCacheAspect(Aspect):
@@ -61,17 +60,12 @@ class ResultCacheAspect(Aspect):
 
 
 def _capture_pre_image(
-    joinpoint: JoinPoint, template, values
+    joinpoint: JoinPoint, template: QueryTemplate, values: tuple[object, ...]
 ) -> tuple[dict[str, object], ...] | None:
     """Pre-image capture, as in the page cache's JDBC aspect."""
-    statement = template.statement
-    if not isinstance(statement, (ast.Update, ast.Delete)):
+    select = template.pre_image_select
+    if select is None:
         return None
-    select = ast.Select(
-        items=(ast.SelectItem(ast.Star()),),
-        tables=(ast.TableRef(statement.table),),
-        where=statement.where,
-    )
     target = joinpoint.target
     try:
         database = target.connection.database

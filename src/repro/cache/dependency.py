@@ -231,6 +231,7 @@ class DependencyTable:
             self._by_template.clear()
             self._templates_by_table.clear()
             self._value_index.clear()
+            self._unindexable.clear()
 
     @property
     def template_count(self) -> int:

@@ -181,9 +181,7 @@ class Invalidator:
         )
         if skipped:
             self._stats.record_index_pruning(templates_skipped=skipped)
-        write_info = (
-            self.engine.info(write.template) if self.lineage_pruning else None
-        )
+        write_info = write.template.info if self.lineage_pruning else None
         for read_template in candidates:
             if write_info is not None and self._lineage_skip(
                 read_template, write_info
@@ -251,7 +249,7 @@ class Invalidator:
         for write in dedupe_writes(writes) if use_index else writes:
             write_tables = write.template.tables if use_index else None
             write_info = (
-                self.engine.info(write.template)
+                write.template.info
                 if use_index and self.lineage_pruning
                 else None
             )

@@ -16,7 +16,7 @@ is built on:
 
 from repro.sql.lexer import Token, TokenType, tokenize
 from repro.sql.parser import parse_statement
-from repro.sql.template import QueryTemplate, templateize
+from repro.sql.template import PreparedStatement, QueryTemplate, prepare, templateize
 from repro.sql.analysis_info import StatementInfo, extract_info
 from repro.sql.lineage import Catalog, LineageInfo, OutputLineage, compute_lineage
 from repro.sql import ast_nodes
@@ -30,7 +30,9 @@ __all__ = [
     "TokenType",
     "tokenize",
     "parse_statement",
+    "PreparedStatement",
     "QueryTemplate",
+    "prepare",
     "templateize",
     "StatementInfo",
     "extract_info",

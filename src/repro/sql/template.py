@@ -1,33 +1,52 @@
-"""Query templateization.
+"""Query templateization: prepare once, bind per request.
 
 The paper's consistency analysis works on *query templates*: the static
 skeleton of a SQL statement with its dynamic values abstracted into ``?``
 placeholders, plus the *value vector* holding the concrete values of a
-particular instance (Section 3.1, Figure 3).
-
-:func:`templateize` converts any statement -- whether issued with inline
-literals or already parameterised -- into a canonical
-:class:`QueryTemplate` plus value vector.  Two textually different query
-strings that differ only in their literal values map to the *same*
+particular instance (Section 3.1, Figure 3).  Two textually different
+query strings that differ only in their literal values map to the *same*
 template, which is what lets the analysis-result cache (Figure 4)
 stabilise to a small fixed set of entries.
+
+All the static work happens once per statement *text*:
+:func:`prepare` parses the text, lifts its literals and returns a
+:class:`PreparedStatement` -- the interned :class:`QueryTemplate` plus a
+*bind plan* saying where each value-vector slot comes from.  The
+per-request work, :meth:`PreparedStatement.bind`, is one tuple build.
+:func:`templateize` is ``prepare(sql).bind(params)``.
+
+**The prepare memo.**  Prepared statements are memoised per process in
+two segments of at most :data:`_SEGMENT_LIMIT` texts each, and a full
+segment is emptied before the next text is admitted to it:
+
+- texts that spell no literal inline (every value is a ``?``) are the
+  application's own statements, a set bounded by its source code.  They
+  also include every template's canonical text, whose entry is what
+  interns the template: an inline-literal spelling and a ``?`` spelling
+  that normalise to one template share one :class:`QueryTemplate`.
+- texts that spell at least one literal inline are data-dependent (one
+  text per value), so their number has no bound.  Keeping them apart
+  means such traffic -- string-concatenated SQL, the differential
+  harness, property tests -- can only ever flush itself, never the
+  parameterised hot set.
+
+Hits take no lock (one or two ``dict.get``); admissions serialise on a
+lock so the bound is exact and racing first sightings of a text
+converge on one object (``dict.setdefault``).  Emptying a segment can
+let a later sighting mint a second template for a text that is still
+referenced elsewhere; templates therefore compare and hash by ``text``,
+and identity is only ever an optimisation.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.sql import ast_nodes as ast
 from repro.sql.analysis_info import StatementInfo, extract_info
 from repro.sql.parser import parse_statement
-
-#: Shared static-analysis memo keyed by canonical template text.  Equal
-#: templates are minted afresh on every request (templateize builds a
-#: new object per statement), so per-object caching would re-extract the
-#: same info over and over; keying by text makes ``QueryTemplate.info``
-#: O(1) after the first instance of each template.  Benign data race
-#: under threads: two extractions of the same text produce equal values.
-_INFO_CACHE: dict[str, StatementInfo] = {}
 
 
 @dataclass(frozen=True)
@@ -39,6 +58,12 @@ class QueryTemplate:
     Placeholder` nodes).  Templates hash and compare by ``text`` so they
     can key dictionaries such as the dependency table and the analysis
     cache.
+
+    :func:`prepare` interns templates, so the catalog-free static facts
+    below are computed once per template and shared by every instance.
+    Anything that depends on the schema catalog (column lineage) is
+    *not* here: a catalog can be swapped under a live template, so those
+    facts live in the analysis engine keyed by catalog version.
     """
 
     text: str
@@ -47,24 +72,20 @@ class QueryTemplate:
     def __hash__(self) -> int:  # pragma: no cover - trivial
         return hash(self.text)
 
-    @property
+    @cached_property
     def is_read(self) -> bool:
         return self.statement.is_read
 
-    @property
+    @cached_property
     def is_write(self) -> bool:
         return self.statement.is_write
 
-    @property
+    @cached_property
     def info(self) -> StatementInfo:
-        """Static read/write-set facts for this template (memoised by text)."""
-        cached = _INFO_CACHE.get(self.text)
-        if cached is None:
-            cached = extract_info(self.statement)
-            _INFO_CACHE[self.text] = cached
-        return cached
+        """Static read/write-set facts for this template."""
+        return extract_info(self.statement)
 
-    @property
+    @cached_property
     def tables(self) -> frozenset[str]:
         """Tables this template references (lower-cased).
 
@@ -75,7 +96,7 @@ class QueryTemplate:
         """
         return self.info.tables
 
-    @property
+    @cached_property
     def equality_columns(self) -> frozenset[tuple[str, str]]:
         """(table, column) pairs this template pins with ``column = value``.
 
@@ -87,7 +108,7 @@ class QueryTemplate:
             for binding in self.info.equality_bindings
         )
 
-    @property
+    @cached_property
     def indexable_positions(self) -> tuple[int, ...]:
         """Value-vector positions carrying an equality binding, sorted.
 
@@ -105,9 +126,91 @@ class QueryTemplate:
             )
         )
 
+    @cached_property
+    def pre_image_select(self) -> ast.Select | None:
+        """``SELECT *`` over the rows an UPDATE/DELETE template touches.
+
+        The paper's *extra query* (AC-extraQuery); ``None`` for other
+        statements.  Execute the AST itself: its WHERE placeholders keep
+        their indices into the *write's* value vector, which re-parsing
+        the unparsed text would renumber.
+        """
+        statement = self.statement
+        if not isinstance(statement, (ast.Update, ast.Delete)):
+            return None
+        return ast.Select(
+            items=(ast.SelectItem(ast.Star()),),
+            tables=(ast.TableRef(statement.table),),
+            where=statement.where,
+        )
+
     def bind(self, values: tuple[object, ...]) -> ast.Statement:
         """Return a literal AST with ``values`` substituted for placeholders."""
-        return _substitute(self.statement, values)
+        return _Binder(values).transform_statement(self.statement)
+
+
+#: One value-vector slot of a bind plan: ``(i, None)`` takes supplied
+#: parameter ``i``, ``(None, value)`` is a literal the text spelled inline.
+Slot = tuple[int | None, object]
+
+
+class PreparedStatement:
+    """One statement text, prepared: interned template + bind plan."""
+
+    __slots__ = ("template", "plan", "parameter_count", "_identity")
+
+    def __init__(self, template: QueryTemplate, plan: tuple[Slot, ...]) -> None:
+        self.template = template
+        self.plan = plan
+        indices = [index for index, _literal in plan if index is not None]
+        #: How many parameters :meth:`bind` requires.
+        self.parameter_count = max(indices) + 1 if indices else 0
+        # The common shape -- every slot a parameter, in order -- binds
+        # by slicing instead of walking the plan.
+        self._identity = indices == list(range(len(plan)))
+
+    def bind(
+        self, params: tuple[object, ...] | list[object] = ()
+    ) -> tuple[QueryTemplate, tuple[object, ...]]:
+        """(template, value vector) for one execution with ``params``."""
+        if not isinstance(params, tuple):
+            params = tuple(params)
+        supplied = len(params)
+        if supplied < self.parameter_count:
+            missing = next(
+                index
+                for index, _literal in self.plan
+                if index is not None and index >= supplied
+            )
+            raise ValueError(
+                f"statement references parameter {missing} but only "
+                f"{supplied} parameters were supplied"
+            )
+        if self._identity:
+            return self.template, params[: self.parameter_count]
+        return self.template, tuple(
+            [
+                literal if index is None else params[index]
+                for index, literal in self.plan
+            ]
+        )
+
+
+#: Most statement texts each memo segment holds (see the module docstring).
+_SEGMENT_LIMIT = 512
+_PARAMETERISED: dict[str, PreparedStatement] = {}
+_INLINE: dict[str, PreparedStatement] = {}
+_ADMIT_LOCK = threading.Lock()
+
+
+def prepare(sql: str) -> PreparedStatement:
+    """The prepared form of ``sql``, parsed at most once while memoised."""
+    prepared = _PARAMETERISED.get(sql)
+    if prepared is None:
+        prepared = _INLINE.get(sql)
+        if prepared is None:
+            prepared = _prepare_unseen(sql)
+    return prepared
 
 
 def templateize(
@@ -119,26 +222,55 @@ def templateize(
     vector in left-to-right order, merged with any explicitly supplied
     parameters at their placeholder positions.
     """
-    statement = parse_statement(sql)
-    supplied = tuple(params or ())
-    extractor = _LiteralLifter(supplied)
-    lifted = extractor.transform_statement(statement)
-    template = QueryTemplate(text=lifted.unparse(), statement=lifted)
-    return template, tuple(extractor.values)
+    return prepare(sql).bind(params or ())
+
+
+def _prepare_unseen(sql: str) -> PreparedStatement:
+    lifter = _LiteralLifter()
+    lifted = lifter.transform_statement(parse_statement(sql))
+    plan = tuple(lifter.plan)
+    text = lifted.unparse()
+    # The canonical text's own entry interns the template.
+    canonical = _PARAMETERISED.get(text)
+    if canonical is None:
+        canonical = _admit(
+            _PARAMETERISED,
+            text,
+            PreparedStatement(
+                QueryTemplate(text=text, statement=lifted),
+                tuple((index, None) for index in range(len(plan))),
+            ),
+        )
+    if sql == text:
+        return canonical
+    spells_literal = any(index is None for index, _literal in plan)
+    return _admit(
+        _INLINE if spells_literal else _PARAMETERISED,
+        sql,
+        PreparedStatement(canonical.template, plan),
+    )
+
+
+def _admit(
+    segment: dict[str, PreparedStatement], sql: str, prepared: PreparedStatement
+) -> PreparedStatement:
+    with _ADMIT_LOCK:
+        if len(segment) >= _SEGMENT_LIMIT:
+            segment.clear()
+        return segment.setdefault(sql, prepared)
 
 
 class _LiteralLifter:
     """AST transformer replacing literals with placeholders.
 
-    Existing placeholders keep their position and pull their value from
-    the supplied parameter vector; literals are appended in visit order.
-    The resulting placeholder indices are renumbered left-to-right so the
-    canonical template is independent of how the query was written.
+    Every non-NULL literal and every placeholder becomes one slot of
+    :attr:`plan`, in visit order; the resulting placeholder indices are
+    renumbered left-to-right so the canonical template is independent of
+    how the query was written.
     """
 
-    def __init__(self, supplied: tuple[object, ...]) -> None:
-        self._supplied = supplied
-        self.values: list[object] = []
+    def __init__(self) -> None:
+        self.plan: list[Slot] = []
 
     def transform_statement(self, node: ast.Statement) -> ast.Statement:
         if isinstance(node, ast.Select):
@@ -189,16 +321,9 @@ class _LiteralLifter:
         if isinstance(node, ast.Literal):
             if node.value is None:
                 return node  # NULL is structural, not a dynamic value
-            return self._new_placeholder(node.value)
+            return self._new_placeholder((None, node.value))
         if isinstance(node, ast.Placeholder):
-            try:
-                value = self._supplied[node.index]
-            except IndexError:
-                raise ValueError(
-                    f"statement references parameter {node.index} but only "
-                    f"{len(self._supplied)} parameters were supplied"
-                ) from None
-            return self._new_placeholder(value)
+            return self._new_placeholder((node.index, None))
         if isinstance(node, ast.BinaryOp):
             return ast.BinaryOp(node.op, self._expr(node.left), self._expr(node.right))
         if isinstance(node, ast.UnaryOp):
@@ -232,16 +357,9 @@ class _LiteralLifter:
             )
         return node
 
-    def _new_placeholder(self, value: object) -> ast.Placeholder:
-        index = len(self.values)
-        self.values.append(value)
-        return ast.Placeholder(index=index)
-
-
-def _substitute(node: ast.Statement, values: tuple[object, ...]) -> ast.Statement:
-    """Replace placeholders in ``node`` with literal values."""
-    binder = _Binder(values)
-    return binder.transform(node)
+    def _new_placeholder(self, slot: Slot) -> ast.Placeholder:
+        self.plan.append(slot)
+        return ast.Placeholder(index=len(self.plan) - 1)
 
 
 class _Binder(_LiteralLifter):
@@ -252,19 +370,17 @@ class _Binder(_LiteralLifter):
     """
 
     def __init__(self, values: tuple[object, ...]) -> None:
-        super().__init__(supplied=values)
-
-    def transform(self, node: ast.Statement) -> ast.Statement:
-        return self.transform_statement(node)
+        super().__init__()
+        self._values = values
 
     def _expr(self, node: ast.Expression) -> ast.Expression:
         if isinstance(node, ast.Placeholder):
             try:
-                return ast.Literal(value=self._supplied[node.index])
+                return ast.Literal(value=self._values[node.index])
             except IndexError:
                 raise ValueError(
                     f"template references value {node.index} but vector has "
-                    f"{len(self._supplied)} values"
+                    f"{len(self._values)} values"
                 ) from None
         if isinstance(node, ast.Literal):
             return node

@@ -44,7 +44,7 @@ from __future__ import annotations
 import ast
 
 from repro.sql.lineage import compute_lineage
-from repro.sql.template import templateize
+from repro.sql.template import prepare
 from repro.staticcheck.diagnostics import Diagnostic
 from repro.staticcheck.source import (
     ENTROPY_MODULES,
@@ -374,12 +374,10 @@ def _sql_of(call: ast.Call, constants: dict[str, str]) -> str | None:
 
 
 def _try_template(sql: str):
-    params = tuple(None for _ in range(sql.count("?")))
     try:
-        template, _values = templateize(sql, params)
+        return prepare(sql).template
     except Exception:
         return None
-    return template
 
 
 def _column_plan_exists(template, catalog) -> bool:

@@ -137,8 +137,10 @@ class _HttpConnection(asyncio.Protocol):
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport  # type: ignore[assignment]
         self.server.stats.connections += 1
+        self.server.open_transports.add(transport)
 
     def connection_lost(self, exc: Exception | None) -> None:
+        self.server.open_transports.discard(self.transport)
         self.transport = None
 
     def data_received(self, data: bytes) -> None:
@@ -268,7 +270,8 @@ class AsyncCachedServer:
             ...  # http://127.0.0.1:{server.port}/
 
     ``shutdown()`` is idempotent: closes the listening socket, drains
-    the executor, stops the loop and joins its thread.
+    the executor, closes the connections clients left open, stops the
+    loop and joins its thread.
     """
 
     def __init__(
@@ -284,6 +287,8 @@ class AsyncCachedServer:
         self.host = host
         self._requested_port = port
         self.stats = AsyncServerStats()
+        #: Transports of the live connections (loop thread only).
+        self.open_transports: set[asyncio.BaseTransport] = set()
         self.fast_path_enabled = cache is not None and container.sessions is None
         self.executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-async-worker"
@@ -325,16 +330,32 @@ class AsyncCachedServer:
         if self._closed:
             return
         self._closed = True
-        if self._server is not None:
-            self._server.close()
-            asyncio.run_coroutine_threadsafe(
-                self._server.wait_closed(), self.loop
-            ).result(timeout=10.0)
-        self.executor.shutdown(wait=True)
+        if self._server is None:
+            self.executor.shutdown(wait=True)
+        else:
+            asyncio.run_coroutine_threadsafe(self._close(), self.loop).result()
         if self._thread is not None:
             self.loop.call_soon_threadsafe(self.loop.stop)
             self._thread.join(timeout=10.0)
         self.loop.close()
+
+    async def _close(self) -> None:
+        """Stop serving, from the loop thread.
+
+        asyncio objects are not thread-safe: ``Server.close()`` called
+        from the thread that asked for the shutdown raced connection
+        teardown on the loop (both ran ``Server._wakeup``).  In-flight
+        renders finish and are answered while the executor drains; the
+        connections clients left open are closed after that, because
+        ``wait_closed()`` waits for every connection to be gone.  Only
+        that last wait is bounded: a render may take as long as it
+        takes, a peer that never reads must not hold the shutdown up.
+        """
+        self._server.close()
+        await self.loop.run_in_executor(None, self.executor.shutdown)
+        for transport in list(self.open_transports):
+            transport.close()
+        await asyncio.wait_for(self._server.wait_closed(), timeout=10.0)
 
     def __enter__(self) -> "AsyncCachedServer":
         return self

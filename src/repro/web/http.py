@@ -62,6 +62,10 @@ class HttpRequest:
     headers: dict[str, str] = field(default_factory=dict)
     #: Attached by the container when sessions are enabled.
     session: object | None = None
+    #: ``(uri, parameter items, key)`` of the last :meth:`cache_key`.
+    _key_memo: tuple[str, tuple, str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.method = self.method.upper()
@@ -93,9 +97,22 @@ class HttpRequest:
 
         This is the index of the paper's first cache table (Figure 3):
         ``readHandlerName + readHandlerArgs``.
+
+        A miss asks for the key half a dozen times (probe, check,
+        flight, collector, insert), so the sorted, quoted form is built
+        once and reused while ``uri`` and the parameter items still
+        equal the ones it was built from.  The comparison is what keeps
+        a request whose ``uri`` or ``params`` were rebound or mutated
+        from ever answering with its old key.
         """
+        items = tuple(self.params.items())
+        memo = self._key_memo
+        if memo is not None and memo[0] == self.uri and memo[1] == items:
+            return memo[2]
         query = encode_query_string(self.params)
-        return f"{self.uri}?{query}" if query else self.uri
+        key = f"{self.uri}?{query}" if query else self.uri
+        self._key_memo = (self.uri, items, key)
+        return key
 
 
 class HttpResponse:

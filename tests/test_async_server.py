@@ -299,6 +299,43 @@ class TestAsyncServerHttp:
         with socket.socket() as probe:
             assert probe.connect_ex(("127.0.0.1", port)) != 0
 
+    def test_shutdown_with_client_sockets_still_open(self):
+        """``shutdown()`` used to call ``Server.close()`` off the loop
+        thread, racing connection teardown on the loop: now and then
+        ``Server._wakeup`` ran twice and the second run raised
+        ``TypeError``.  Clients that are still connected (or closing at
+        that very moment) must not be able to break a shutdown, and the
+        server closes what they left open."""
+        db, container = build_notes_app()
+        loop_errors = []
+        for _round in range(50):
+            server = start_async_server(container)
+            server.loop.set_exception_handler(
+                lambda _loop, context: loop_errors.append(context)
+            )
+            clients = [
+                socket.create_connection(("127.0.0.1", server.port), timeout=10)
+                for _ in range(8)
+            ]
+            try:
+                for sock in clients:
+                    sock.sendall(
+                        b"GET /view_topic?topic=a HTTP/1.1\r\nHost: t\r\n\r\n"
+                    )
+                    assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+                # Six clients hang up as the shutdown starts; two stay.
+                for sock in clients[:6]:
+                    sock.close()
+                server.shutdown()
+                assert not server._thread.is_alive()
+                assert not server.open_transports
+                for sock in clients[6:]:
+                    assert sock.recv(65536) == b""  # closed by the server
+            finally:
+                for sock in clients:
+                    sock.close()
+        assert loop_errors == []
+
     def test_concurrent_load_all_served(self):
         db, container = build_notes_app()
         awc = AutoWebCache()

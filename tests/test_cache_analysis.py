@@ -240,8 +240,6 @@ class TestPolicyOrdering:
                 assert (not where) or col  # WHERE ⊆ COL
                 assert (not extra) or where  # EXTRA ⊆ WHERE
 
-    def test_info_memoised(self, engine):
+    def test_info_memoised(self):
         template, _ = templateize("SELECT a FROM t WHERE b = 1")
-        first = engine.info(template)
-        second = engine.info(template)
-        assert first is second
+        assert template.info is template.info

@@ -129,6 +129,21 @@ class TestValueIndex:
         # The full scan still sees everything.
         assert ("p0", (0,)) in table.instances_for(template)
 
+    def test_clear_forgets_the_demotion(self):
+        """An emptied table starts over: a template demoted by one bad
+        registration must be indexable again after ``clear()``."""
+        table = DependencyTable()
+        template, _ = templateize("SELECT name FROM users WHERE id = ?", (0,))
+        table.register("bad", (QueryInstance(template, ([1, 2],)),))
+        assert table.instances_for_values(template, 0, [0]) is None
+        table.clear()
+        table.register("p0", (QueryInstance(template, (0,)),))
+        table.register("p1", (QueryInstance(template, (1,)),))
+        assert table.instances_for_values(template, 0, [0]) == (
+            [("p0", (0,))],
+            1,
+        )
+
     def test_unhashable_probe_value_falls_back(self):
         table = DependencyTable()
         template, _ = templateize("SELECT name FROM users WHERE id = ?", (0,))

@@ -68,6 +68,44 @@ class TestHttpRequest:
         r2 = HttpRequest("GET", "/items", {"a": "2"})
         assert r1.cache_key() != r2.cache_key()
 
+    def test_cache_key_built_once_per_request(self, monkeypatch):
+        import repro.web.http as http
+
+        calls = []
+        encode = http.encode_query_string
+        monkeypatch.setattr(
+            http,
+            "encode_query_string",
+            lambda params: calls.append(1) or encode(params),
+        )
+        request = HttpRequest("GET", "/items", {"b": "2", "a": "1"})
+        assert request.cache_key() == request.cache_key() == "/items?a=1&b=2"
+        assert len(calls) == 1
+
+    def test_cache_key_never_stale_after_mutation(self):
+        request = HttpRequest("GET", "/items", {"a": "1"})
+        assert request.cache_key() == "/items?a=1"
+        request.params["a"] = "2"  # value changed in place
+        assert request.cache_key() == "/items?a=2"
+        request.params["b"] = "3"  # parameter added in place
+        assert request.cache_key() == "/items?a=2&b=3"
+        request.params.update({"b": "4"})
+        assert request.cache_key() == "/items?a=2&b=4"
+        del request.params["a"]
+        assert request.cache_key() == "/items?b=4"
+        request.params = {"c": "5"}  # rebound
+        assert request.cache_key() == "/items?c=5"
+        request.uri = "/other"
+        assert request.cache_key() == "/other?c=5"
+        request.params = {}
+        assert request.cache_key() == "/other"
+
+    def test_cache_key_memo_is_not_part_of_request_equality(self):
+        r1 = HttpRequest("GET", "/items", {"a": "1"})
+        r2 = HttpRequest("GET", "/items", {"a": "1"})
+        r1.cache_key()
+        assert r1 == r2
+
 
 class TestHttpResponse:
     def test_write_accumulates(self):
