@@ -3,7 +3,7 @@
 Meloca & Nunes's method-level caching-recommendation study (PAPERS.md)
 locates the sweet spot of application caching at the *method* boundary:
 a helper that turns arguments into data, called from many pages.  This
-aspect weaves the page cache's own check / coalesce / insert protocol
+aspect weaves the shared miss protocol (:mod:`repro.cache.computation`)
 around designated helper methods:
 
 - entries are keyed ``method://Class.method?arg0=..&..`` (the
@@ -34,16 +34,11 @@ it.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
 
-from repro.aop import Aspect, around
+from repro.aop import around
 from repro.aop.joinpoint import JoinPoint
+from repro.cache.computation import CachedComputation
 from repro.web.http import encode_query_string
-
-if TYPE_CHECKING:  # hint-only: keeps admission importable from cache.api
-    from repro.cache.consistency import ConsistencyCollector, RequestContext
-    from repro.cache.entry import PageEntry
-    from repro.cache.flight import Flight
 
 #: The repo's designated helper methods: RUBiS's shared category/region
 #: catalogue scans (full-table reads shared by several browse pages --
@@ -77,17 +72,15 @@ def method_stat_uri(qualname: str) -> str:
     return f"method://{qualname}"
 
 
-class MethodCacheAspect(Aspect):
-    """Result caching around designated app helper methods."""
+class MethodCacheAspect(CachedComputation):
+    """Result caching around designated app helper methods.
+
+    The protocol is the shared nested one (:meth:`CachedComputation.
+    cached_nested`); method-specific is only the body encoding -- the
+    return value as JSON.
+    """
 
     precedence = 25
-
-    #: Failed-flight rides before computing solo (page-aspect policy).
-    max_flight_attempts = 3
-
-    def __init__(self, cache, collector: ConsistencyCollector) -> None:
-        self.cache = cache
-        self.collector = collector
 
     @around(DEFAULT_METHOD_POINTCUT)
     def cache_method(self, joinpoint: JoinPoint):
@@ -95,113 +88,33 @@ class MethodCacheAspect(Aspect):
 
     def _cache_method(self, joinpoint: JoinPoint):
         qualname = str(joinpoint.signature)
-        key = method_key(qualname, joinpoint.args, joinpoint.kwargs)
-        stat_uri = method_stat_uri(qualname)
-        entry = self.cache.check_key(key, stat_uri)
-        if entry is not None:
-            return self._serve(key, entry)
-        if not self.cache.coalesce:
-            return self._compute_solo(joinpoint, key, stat_uri)
-        for _attempt in range(self.max_flight_attempts):
-            flight, is_leader = self.cache.join_flight(key)
-            if is_leader:
-                try:
-                    return self._compute_and_insert(joinpoint, key, stat_uri)
-                finally:
-                    self.cache.finish_flight(flight)
-            entry = self.cache.wait_flight(flight)
-            if entry is not None:
-                value = self._serve(key, entry)
-                self.cache.stats.record_coalesced(stat_uri)
-                return value
-            # Leader failed or the entry was invalidated in flight:
-            # re-join (a new leader may already exist).
-        return self._compute_solo(joinpoint, key, stat_uri)
+        return self.cached_nested(
+            method_key(qualname, joinpoint.args, joinpoint.kwargs),
+            method_stat_uri(qualname),
+            joinpoint.proceed,
+            encode=_encode,
+            decode=json.loads,
+        )
 
-    def _serve(self, key: str, entry: PageEntry):
-        """Decode a cached result and hand the enclosing computation the
-        entry's dependency set (complete by construction) plus the
-        containment edge, exactly as a fragment hit does."""
-        parent = self.collector.current()
-        if parent is not None and parent.is_read:
-            parent.fragment_keys.append(key)
-            parent.fragment_reads.extend(entry.dependencies)
-        return json.loads(entry.body)
 
-    def _compute_solo(self, joinpoint: JoinPoint, key: str, stat_uri: str):
-        window = self.cache.begin_window(key)
-        try:
-            return self._compute_and_insert(joinpoint, key, stat_uri, window)
-        finally:
-            self.cache.end_window(window)
-
-    def _compute_and_insert(
-        self,
-        joinpoint: JoinPoint,
-        key: str,
-        stat_uri: str,
-        window: Flight | None = None,
-    ):
-        """Miss path: run the method under a nested consistency context,
-        serialise its return value, insert, fold into the parent."""
-        context = self.collector.begin_fragment(key)
-        try:
-            value = joinpoint.proceed()
-        finally:
-            self.collector.end_fragment()
-        body = self._encode(value)
-        stored = False
-        if body is not None and not (
-            context.aborted or context.has_hole or context.writes
-        ):
-            _entry, stored = self.cache.insert_key(
-                key,
-                body,
-                context.reads + context.fragment_reads,
-                window=window,
-                ttl_uri=stat_uri,
-                fragments=tuple(context.fragment_keys),
-            )
-        self._merge(context, key, stored)
-        return value
-
-    def _encode(self, value) -> str | None:
-        """JSON body for ``value``, or None when it cannot round-trip
-        (the method result is then simply not cached)."""
-        try:
-            return json.dumps(value, sort_keys=True)
-        except (TypeError, ValueError):
-            return None
-
-    def _merge(self, context: RequestContext, key: str, stored: bool) -> None:
-        """Fragment-aspect merge semantics: stored results contribute a
-        containment edge plus guard reads; unstored results' reads
-        become the parent's own dependencies."""
-        parent = context.parent
-        if parent is None:
-            if context.writes:
-                self.cache.process_write_request(key, context.writes)
-            return
-        if stored:
-            parent.fragment_keys.append(key)
-            parent.fragment_reads.extend(context.reads)
-            parent.fragment_reads.extend(context.fragment_reads)
-        else:
-            parent.reads.extend(context.reads)
-            parent.fragment_reads.extend(context.fragment_reads)
-            parent.fragment_keys.extend(context.fragment_keys)
-        parent.writes.extend(context.writes)
-        if context.aborted:
-            parent.aborted = True
+def _encode(value) -> str | None:
+    """JSON body for ``value``, or None when it cannot round-trip (the
+    method result is then simply not cached)."""
+    try:
+        return json.dumps(value, sort_keys=True)
+    except (TypeError, ValueError):
+        return None
 
 
 def method_cache_aspect_class(pointcut: str) -> type[MethodCacheAspect]:
-    """A :class:`MethodCacheAspect` subclass advising ``pointcut``.
+    """The :class:`MethodCacheAspect` (sub)class advising ``pointcut``.
 
     The advice must be a *fresh* function: re-decorating the base
     class's method would append a second spec to the shared function
     object, weaving the default pointcut alongside the custom one.
     """
+    if pointcut == DEFAULT_METHOD_POINTCUT:
+        return MethodCacheAspect
 
     @around(pointcut)
     def cache_method(self, joinpoint: JoinPoint):

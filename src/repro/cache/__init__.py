@@ -17,6 +17,8 @@ to the paper's sections as follows:
   requests uncacheable (hidden state) and TTL windows such as TPC-W's
   BestSeller 30-second dirty-read allowance (Section 4.3);
 - :mod:`repro.cache.aspects` -- the weaving rules of Figures 10-12;
+- :mod:`repro.cache.computation` -- the miss protocol (lookup, coalesce,
+  compute, insert) every caching aspect shares, written once;
 - :mod:`repro.cache.autowebcache` -- the facade that installs the whole
   system onto an application with one call.
 """

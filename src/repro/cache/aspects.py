@@ -28,8 +28,9 @@ from repro.aop import Aspect, around
 from repro.aop.joinpoint import JoinPoint
 from repro.cache.analysis import InvalidationPolicy
 from repro.cache.api import Cache
+from repro.cache.computation import CachedComputation
 from repro.cache.consistency import ConsistencyCollector
-from repro.cache.entry import QueryInstance
+from repro.cache.entry import PageEntry, QueryInstance
 from repro.cache.flight import Flight
 from repro.sql.template import QueryTemplate, templateize
 from repro.web.http import HttpRequest, HttpResponse
@@ -57,26 +58,18 @@ COMMIT_POINTCUT = "call(Connection.commit(..))"
 ROLLBACK_POINTCUT = "call(Connection.rollback(..))"
 
 
-class ReadServletAspect(Aspect):
+class ReadServletAspect(CachedComputation):
     """Cache checks and inserts around read-only servlets (Figure 10).
 
-    On a miss the computation runs under single-flight coalescing:
-    concurrent misses on the same key join the first thread's
-    :class:`~repro.cache.flight.Flight` and serve the page it inserts,
-    so a hot key executes its servlet (and SQL) once per invalidation
-    instead of once per blocked client.  Waiters that wake to a failed
-    or stale flight retry; after a few failed rounds they compute the
-    page themselves so one crashing leader cannot starve the queue.
+    The page tier's adapter over the shared miss protocol
+    (:mod:`repro.cache.computation`): concurrent misses on one key
+    coalesce onto the first thread's flight, so a hot key executes its
+    servlet (and SQL) once per invalidation instead of once per blocked
+    client.  What is page-specific stays here: the cacheability rule,
+    the status rule, and the guard reads of embedded fragments.
     """
 
     precedence = 10
-
-    #: How many failed flights a waiter rides before computing solo.
-    max_flight_attempts = 3
-
-    def __init__(self, cache: Cache, collector: ConsistencyCollector) -> None:
-        self.cache = cache
-        self.collector = collector
 
     @around(READ_HANDLER_POINTCUT)
     def cache_check_and_insert(self, joinpoint: JoinPoint) -> None:
@@ -86,91 +79,51 @@ class ReadServletAspect(Aspect):
             self.cache.record_uncacheable(request)
             joinpoint.proceed()
             return
-        entry = self.cache.check(request)
-        if entry is not None:
-            # Hit: serve the cached document, bypass the servlet.
+        key = request.cache_key()
+
+        def serve(entry: PageEntry) -> None:
+            # Serve the cached document, bypassing the servlet.
             response.replace_body(entry.body)
             response.set_status(entry.status)
-            return
-        if not self.cache.coalesce:
-            self._execute_solo(joinpoint, request, response)
-            return
-        for _attempt in range(self.max_flight_attempts):
-            flight, is_leader = self.cache.join_flight(request.cache_key())
-            if is_leader:
-                try:
-                    self._execute_and_insert(joinpoint, request, response)
-                finally:
-                    self.cache.finish_flight(flight)
+
+        def compute(window: Flight | None) -> None:
+            context = self.collector.begin("read", key)
+            try:
+                joinpoint.proceed()
+            finally:
+                self.collector.end()
+            if context.aborted or response.status != 200:
+                return  # aborted read query or error page: do not cache
+            if context.writes:
+                # The handler wrote after all; keep the cache consistent
+                # and treat the page as uncacheable for this round.
+                self.cache.process_write_request(request.uri, context.writes)
                 return
-            entry = self.cache.wait_flight(flight)
-            if entry is not None:
-                # Coalesced: serve the page the leader just inserted.
-                response.replace_body(entry.body)
-                response.set_status(entry.status)
-                self.cache.stats.record_coalesced(request.uri)
+            if context.has_hole:
+                # A declared hole rendered into this body: it embeds
+                # per-request state, so the whole page must never be
+                # cached even if the URI was not marked uncacheable (the
+                # hidden-state trap fragment declarations now close).
+                # The fragments cached their own spans; only the
+                # stitched whole is discarded.
+                self.cache.stats.record_hole_skip()
                 return
-            # Leader failed, page uncacheable, or invalidated while in
-            # flight: loop -- re-join (a new leader may already exist).
-        self._execute_solo(joinpoint, request, response)
+            self.cache.insert(
+                request,
+                response.body,
+                context.reads,
+                response.status,
+                window=window,
+                fragments=tuple(context.fragment_keys),
+                guard_reads=tuple(context.fragment_reads),
+            )
 
-    def _execute_solo(
-        self,
-        joinpoint: JoinPoint,
-        request: HttpRequest,
-        response: HttpResponse,
-    ) -> None:
-        """Compute without a flight, under a staleness window.
-
-        Without the window a write landing between this thread's
-        database reads and its insert is invisible -- the page has no
-        dependency registrations yet and no flight buffers the write --
-        so the stale page would be stored and served until the *next*
-        write touching the same data.
-        """
-        window = self.cache.begin_window(request.cache_key())
-        try:
-            self._execute_and_insert(joinpoint, request, response, window)
-        finally:
-            self.cache.end_window(window)
-
-    def _execute_and_insert(
-        self,
-        joinpoint: JoinPoint,
-        request: HttpRequest,
-        response: HttpResponse,
-        window: Flight | None = None,
-    ) -> None:
-        """Miss path: execute the servlet, collect dependencies, insert."""
-        context = self.collector.begin("read", request.cache_key())
-        try:
-            joinpoint.proceed()
-        finally:
-            self.collector.end()
-        if context.aborted or response.status != 200:
-            return  # aborted read query or error page: do not cache
-        if context.writes:
-            # The handler wrote after all; keep the cache consistent and
-            # treat the page as uncacheable for this round.
-            self.cache.process_write_request(request.uri, context.writes)
-            return
-        if context.has_hole:
-            # A declared hole rendered into this body: it embeds
-            # per-request state, so the whole page must never be cached
-            # even if the URI was not marked uncacheable (the
-            # hidden-state trap fragment declarations now close).  The
-            # fragments cached their own spans; only the stitched whole
-            # is discarded.
-            self.cache.stats.record_hole_skip()
-            return
-        self.cache.insert(
-            request,
-            response.body,
-            context.reads,
-            response.status,
-            window=window,
-            fragments=tuple(context.fragment_keys),
-            guard_reads=tuple(context.fragment_reads),
+        self.cached(
+            key,
+            request.uri,
+            lambda: self.cache.check(request),
+            serve,
+            compute,
         )
 
 

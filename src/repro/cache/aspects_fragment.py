@@ -9,8 +9,8 @@ such pages into cacheable *fragments* and uncacheable *holes*:
 - servlets declare the structure through
   :class:`repro.apps.html.PageComposer` (pure pass-through unwoven);
 - :class:`FragmentCacheAspect` advises ``PageComposer.fragment`` with
-  the same check/coalesce/insert protocol
-  :class:`~repro.cache.aspects.ReadServletAspect` applies to pages,
+  the shared miss protocol of :mod:`repro.cache.computation` (the one
+  :class:`~repro.cache.aspects.ReadServletAspect` applies to pages),
   keyed by ``frag://name?params``, and advises ``PageComposer.hole`` to
   mark every enclosing context as hole-bearing (so nothing containing a
   hole is ever cached whole);
@@ -35,11 +35,9 @@ collector (20), and distinct from every registered precedence (PC03).
 
 from __future__ import annotations
 
-from repro.aop import Aspect, around
+from repro.aop import around
 from repro.aop.joinpoint import JoinPoint
-from repro.cache.consistency import ConsistencyCollector, RequestContext
-from repro.cache.entry import PageEntry
-from repro.cache.flight import Flight
+from repro.cache.computation import CachedComputation
 from repro.cache.fragments import fragment_key, fragment_stat_uri
 from repro.web.http import HttpResponse
 
@@ -50,141 +48,31 @@ FRAGMENT_POINTCUT = "execution(PageComposer.fragment(..))"
 HOLE_POINTCUT = "execution(PageComposer.hole(..))"
 
 
-class FragmentCacheAspect(Aspect):
-    """Cache checks and inserts around declared page fragments."""
+class FragmentCacheAspect(CachedComputation):
+    """Cache checks and inserts around declared page fragments.
+
+    The protocol is the shared nested one (:meth:`CachedComputation.
+    cached_nested`); fragment-specific is only the body encoding -- the
+    text the render wrote into the response since ``mark``.  A hit
+    writes body text only: a cached fragment must never replay response
+    headers or cookies into the assembling response (the PR-1 header
+    rule, re-applied at fragment granularity: Set-Cookie or trace
+    headers captured at fill time are per-request state).
+    """
 
     precedence = 15
-
-    #: How many failed flights a waiter rides before computing solo
-    #: (same policy as the page-level read aspect).
-    max_flight_attempts = 3
-
-    def __init__(self, cache, collector: ConsistencyCollector) -> None:
-        self.cache = cache
-        self.collector = collector
 
     @around(FRAGMENT_POINTCUT)
     def cache_fragment(self, joinpoint: JoinPoint) -> None:
         response, name, params = _fragment_args(joinpoint)
-        key = fragment_key(name, params)
-        stat_uri = fragment_stat_uri(name)
-        entry = self.cache.check_key(key, stat_uri)
-        if entry is not None:
-            self._serve(response, key, entry)
-            return
-        if not self.cache.coalesce:
-            self._render_solo(joinpoint, response, key, stat_uri)
-            return
-        for _attempt in range(self.max_flight_attempts):
-            flight, is_leader = self.cache.join_flight(key)
-            if is_leader:
-                try:
-                    self._render_and_insert(joinpoint, response, key, stat_uri)
-                finally:
-                    self.cache.finish_flight(flight)
-                return
-            entry = self.cache.wait_flight(flight)
-            if entry is not None:
-                self._serve(response, key, entry)
-                self.cache.stats.record_coalesced(stat_uri)
-                return
-            # Leader failed or the fragment was invalidated in flight:
-            # loop -- re-join (a new leader may already exist).
-        self._render_solo(joinpoint, response, key, stat_uri)
-
-    def _serve(self, response: HttpResponse, key: str, entry: PageEntry) -> None:
-        """Write a cached fragment into the page under construction.
-
-        Body text only -- a cached fragment must never replay response
-        headers or cookies into the assembling response (the PR-1
-        header rule, re-applied at fragment granularity: Set-Cookie or
-        trace headers captured at fill time are per-request state).
-        The enclosing computation absorbs the entry's dependencies --
-        complete by construction, nested fragments included -- as guard
-        information, plus the containment edge.
-        """
-        response.write(entry.body)
-        parent = self.collector.current()
-        if parent is not None and parent.is_read:
-            parent.fragment_keys.append(key)
-            parent.fragment_reads.extend(entry.dependencies)
-
-    def _render_solo(
-        self,
-        joinpoint: JoinPoint,
-        response: HttpResponse,
-        key: str,
-        stat_uri: str,
-    ) -> None:
-        """Compute without a flight, under a staleness window (the same
-        write-racing-computation hole the page path closes)."""
-        window = self.cache.begin_window(key)
-        try:
-            self._render_and_insert(joinpoint, response, key, stat_uri, window)
-        finally:
-            self.cache.end_window(window)
-
-    def _render_and_insert(
-        self,
-        joinpoint: JoinPoint,
-        response: HttpResponse,
-        key: str,
-        stat_uri: str,
-        window: Flight | None = None,
-    ) -> None:
-        """Miss path: render the fragment, collect its reads, insert."""
-        context = self.collector.begin_fragment(key)
         mark = response.mark()
-        try:
-            joinpoint.proceed()
-        finally:
-            self.collector.end_fragment()
-        stored = False
-        if not (context.aborted or context.has_hole or context.writes):
-            _entry, stored = self.cache.insert_key(
-                key,
-                response.body_since(mark),
-                context.reads + context.fragment_reads,
-                window=window,
-                ttl_uri=stat_uri,
-                fragments=tuple(context.fragment_keys),
-            )
-        elif context.has_hole:
-            self.cache.stats.record_hole_skip()
-        self._merge(context, key, stored)
-
-    def _merge(self, context: RequestContext, key: str, stored: bool) -> None:
-        """Fold a finished fragment computation into its enclosing one.
-
-        Stored: the parent needs the containment edge plus the entry's
-        full dependency set as guard information (a write landing while
-        the parent is still rendering dooms this text, so the parent's
-        insert-time staleness check must see it).
-
-        Not stored (aborted, hole-bearing, wrote, or discarded by the
-        staleness check): the fragment's text is part of the parent's
-        body with no entry of its own backing it, so its reads become
-        the parent's *own* dependencies -- and any nested containment
-        edges climb to the parent.
-        """
-        parent = context.parent
-        if parent is None:
-            if context.writes:
-                # Root fragment (uncacheable page, no enclosing
-                # context) that wrote: invalidation must still run.
-                self.cache.process_write_request(key, context.writes)
-            return
-        if stored:
-            parent.fragment_keys.append(key)
-            parent.fragment_reads.extend(context.reads)
-            parent.fragment_reads.extend(context.fragment_reads)
-        else:
-            parent.reads.extend(context.reads)
-            parent.fragment_reads.extend(context.fragment_reads)
-            parent.fragment_keys.extend(context.fragment_keys)
-        parent.writes.extend(context.writes)
-        if context.aborted:
-            parent.aborted = True
+        self.cached_nested(
+            fragment_key(name, params),
+            fragment_stat_uri(name),
+            joinpoint.proceed,
+            encode=lambda _rendered: response.body_since(mark),
+            decode=response.write,
+        )
 
     @around(HOLE_POINTCUT)
     def mark_hole(self, joinpoint: JoinPoint) -> None:

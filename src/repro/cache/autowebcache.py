@@ -20,11 +20,6 @@ from typing import Callable, Iterable
 
 import time
 
-from repro.admission.aspects import (
-    DEFAULT_METHOD_POINTCUT,
-    MethodCacheAspect,
-    method_cache_aspect_class,
-)
 from repro.admission.policy import AdmissionPolicy
 from repro.aop.weaver import WeaveReport, Weaver
 from repro.cache.analysis import InvalidationPolicy
@@ -42,7 +37,13 @@ from repro.errors import CacheError
 
 
 class AutoWebCache:
-    """Bundles cache, collector, aspects and weaver."""
+    """Bundles cache, collector, aspects and weaver.
+
+    The one installer: :class:`~repro.cluster.awc.ClusterAutoWebCache`
+    subclasses it and overrides only :meth:`_build_cache` (a router in
+    place of a :class:`Cache`), so every shared option below, the
+    aspect construction and the weaving lifecycle exist once.
+    """
 
     def __init__(
         self,
@@ -61,7 +62,8 @@ class AutoWebCache:
         method_cache_targets: Iterable[type] = (),
         method_cache_pointcut: str | None = None,
     ) -> None:
-        self.cache = Cache(
+        #: The facade object the aspects (and work meters) talk to.
+        self.cache = self._build_cache(
             invalidation_policy=policy,
             replacement=replacement,
             capacity=capacity,
@@ -93,15 +95,21 @@ class AutoWebCache:
         self.method_cache_targets = tuple(method_cache_targets)
         self.method_aspect = None
         if self.method_cache_targets:
-            aspect_cls = (
-                method_cache_aspect_class(method_cache_pointcut)
-                if method_cache_pointcut is not None
-                and method_cache_pointcut != DEFAULT_METHOD_POINTCUT
-                else MethodCacheAspect
+            # Imported here: admission.aspects builds on repro.cache.
+            from repro.admission.aspects import (
+                DEFAULT_METHOD_POINTCUT,
+                method_cache_aspect_class,
             )
-            self.method_aspect = aspect_cls(self.cache, self.collector)
+
+            self.method_aspect = method_cache_aspect_class(
+                method_cache_pointcut or DEFAULT_METHOD_POINTCUT
+            )(self.cache, self.collector)
         self._weaver: Weaver | None = None
         self.weave_report: WeaveReport | None = None
+
+    def _build_cache(self, **cache_kwargs):
+        """The facade object for ``cache_kwargs`` (:class:`Cache`'s)."""
+        return Cache(**cache_kwargs)
 
     @property
     def semantics(self) -> SemanticsRegistry:
@@ -135,7 +143,7 @@ class AutoWebCache:
         result cache).
         """
         if self._weaver is not None:
-            raise CacheError("AutoWebCache is already installed")
+            raise CacheError(f"{type(self).__name__} is already installed")
         weaver = Weaver()
         weaver.add_aspect(self.read_aspect)
         weaver.add_aspect(self.write_aspect)

@@ -1,0 +1,182 @@
+"""The cached-computation driver: the miss protocol, written once.
+
+Every caching tier -- whole pages (:class:`~repro.cache.aspects.
+ReadServletAspect`), fragments (:class:`~repro.cache.aspects_fragment.
+FragmentCacheAspect`) and method results (:class:`~repro.admission.
+aspects.MethodCacheAspect`) -- answers a request for ``key`` the same
+way:
+
+1. **lookup**: a hit is served and nothing else happens;
+2. **coalesce** (skipped when ``cache.coalesce`` is false): up to
+   ``max_flight_attempts`` rounds of ``join_flight`` -- the leader
+   computes and inserts (``finish_flight`` on every exit path), waiters
+   ``wait_flight`` and serve the leader's entry, recording a coalesced
+   serve; a failed, uncacheable or invalidated-in-flight leader sends
+   the waiter round again (a new leader may already exist);
+3. **solo**: compute under ``begin_window``/``end_window`` so a write
+   landing between the computation's database reads and its insert
+   still discards the insert -- without the window that write is
+   invisible (no dependency registrations yet, no flight buffering it)
+   and the stale entry would be served until the *next* write touching
+   the same data.  Also the fallback for a waiter out of attempts, so
+   one crashing leader cannot starve the queue.
+
+:meth:`CachedComputation.cached` is that protocol, parameterised only by
+what differs per tier: the key, the statistics bucket, how to look an
+entry up, how to ``serve(entry)`` and how to ``compute(window)`` (run
+the body and insert, passing ``window`` through to the insert).  The
+flight and window primitives themselves -- the synchronisation -- live
+on the facade (:class:`~repro.cache.api.Cache` /
+:class:`~repro.cluster.router.ClusterRouter`); this module is their
+only caller.
+
+The nested tiers (fragment, method) differ from each other only in how
+a body is encoded, so :meth:`CachedComputation.cached_nested` carries
+everything else for both: the nested consistency context, the
+``insert_key``, and folding the finished computation into whatever
+encloses it.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable
+
+from repro.aop import Aspect
+
+if TYPE_CHECKING:  # hint-only: keeps admission importable from cache.api
+    from repro.cache.consistency import ConsistencyCollector, RequestContext
+    from repro.cache.entry import PageEntry
+    from repro.cache.flight import Flight
+
+
+class CachedComputation(Aspect):
+    """Base of the tier aspects: state plus the shared protocol."""
+
+    #: How many failed flights a waiter rides before computing solo.
+    max_flight_attempts = 3
+
+    def __init__(self, cache, collector: ConsistencyCollector) -> None:
+        self.cache = cache
+        self.collector = collector
+
+    def cached(
+        self,
+        key: str,
+        stat_uri: str,
+        lookup: Callable[[], PageEntry | None],
+        serve: Callable[[PageEntry], object],
+        compute: Callable[[Flight | None], object],
+    ):
+        """Serve ``key`` from the cache, a concurrent computation of it,
+        or ``compute`` -- whichever comes first (module docstring)."""
+        cache = self.cache
+        entry = lookup()
+        if entry is not None:
+            return serve(entry)
+        if cache.coalesce:
+            for _attempt in range(self.max_flight_attempts):
+                flight, is_leader = cache.join_flight(key)
+                if is_leader:
+                    try:
+                        return compute(None)
+                    finally:
+                        cache.finish_flight(flight)
+                entry = cache.wait_flight(flight)
+                if entry is not None:
+                    result = serve(entry)
+                    cache.stats.record_coalesced(stat_uri)
+                    return result
+        window = cache.begin_window(key)
+        try:
+            return compute(window)
+        finally:
+            cache.end_window(window)
+
+    def cached_nested(
+        self,
+        key: str,
+        stat_uri: str,
+        proceed: Callable[[], object],
+        encode: Callable[[object], str | None],
+        decode: Callable[[str], object],
+    ):
+        """A computation nested inside another one (fragment, method).
+
+        ``encode(value)`` turns what ``proceed()`` returned into the
+        entry body (None: not cacheable); ``decode(body)`` is its
+        inverse, applied to hits.
+        """
+
+        def serve(entry: PageEntry):
+            # The enclosing computation absorbs the entry's dependencies
+            # -- complete by construction, nested entries included -- as
+            # guard information, plus the containment edge.
+            parent = self.collector.current()
+            if parent is not None and parent.is_read:
+                parent.fragment_keys.append(key)
+                parent.fragment_reads.extend(entry.dependencies)
+            return decode(entry.body)
+
+        def compute(window: Flight | None):
+            context = self.collector.begin_fragment(key)
+            try:
+                value = proceed()
+            finally:
+                self.collector.end_fragment()
+            stored = False
+            if context.has_hole:
+                # Per-request state inside: never cached whole.
+                self.cache.stats.record_hole_skip()
+            elif not (context.aborted or context.writes):
+                body = encode(value)
+                if body is not None:
+                    _entry, stored = self.cache.insert_key(
+                        key,
+                        body,
+                        context.reads + context.fragment_reads,
+                        window=window,
+                        ttl_uri=stat_uri,
+                        fragments=tuple(context.fragment_keys),
+                    )
+            self._merge(context, key, stored)
+            return value
+
+        return self.cached(
+            key,
+            stat_uri,
+            lambda: self.cache.check_key(key, stat_uri),
+            serve,
+            compute,
+        )
+
+    def _merge(self, context: RequestContext, key: str, stored: bool) -> None:
+        """Fold a finished nested computation into its enclosing one.
+
+        Stored: the parent needs the containment edge plus the entry's
+        full dependency set as guard information (a write landing while
+        the parent is still rendering dooms this entry, so the parent's
+        insert-time staleness check must see it).
+
+        Not stored (aborted, hole-bearing, wrote, unencodable, or
+        discarded by the staleness check): the result is part of the
+        parent's body with no entry of its own backing it, so its reads
+        become the parent's *own* dependencies -- and any nested
+        containment edges climb to the parent.
+        """
+        parent = context.parent
+        if parent is None:
+            if context.writes:
+                # Root computation (uncacheable page, no enclosing
+                # context) that wrote: invalidation must still run.
+                self.cache.process_write_request(key, context.writes)
+            return
+        if stored:
+            parent.fragment_keys.append(key)
+            parent.fragment_reads.extend(context.reads)
+        else:
+            parent.reads.extend(context.reads)
+            parent.fragment_keys.extend(context.fragment_keys)
+        parent.fragment_reads.extend(context.fragment_reads)
+        parent.writes.extend(context.writes)
+        if context.aborted:
+            parent.aborted = True

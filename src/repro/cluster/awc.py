@@ -1,11 +1,12 @@
 """The cluster facade: AutoWebCache over N sharded nodes.
 
-Mirrors :class:`~repro.cache.autowebcache.AutoWebCache` exactly -- same
-constructor knobs, same ``install``/``uninstall`` weaving lifecycle --
-but the aspects are bound to a :class:`~repro.cluster.router.
-ClusterRouter` instead of a single :class:`~repro.cache.api.Cache`.
-The woven application is unchanged either way: sharding, like caching
-itself, stays a crosscutting concern.
+*Is* an :class:`~repro.cache.autowebcache.AutoWebCache` -- its
+constructor options, aspect set and ``install``/``uninstall`` weaving
+lifecycle are inherited, not mirrored -- except that the aspects are
+bound to a :class:`~repro.cluster.router.ClusterRouter` instead of a
+single :class:`~repro.cache.api.Cache`.  The woven application is
+unchanged either way: sharding, like caching itself, stays a
+crosscutting concern.
 
 Typical use::
 
@@ -18,85 +19,42 @@ Typical use::
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Iterable
-
-from repro.admission.aspects import (
-    DEFAULT_METHOD_POINTCUT,
-    MethodCacheAspect,
-    method_cache_aspect_class,
-)
-from repro.admission.policy import AdmissionPolicy
-from repro.aop.weaver import WeaveReport, Weaver
-from repro.cache.analysis import InvalidationPolicy
-from repro.cache.aspects import (
-    JdbcConsistencyAspect,
-    ReadServletAspect,
-    WriteServletAspect,
-)
-from repro.cache.aspects_fragment import FragmentCacheAspect
-from repro.cache.consistency import ConsistencyCollector
+from repro.cache.autowebcache import AutoWebCache
 from repro.cache.semantics import SemanticsRegistry
 from repro.cluster.ring import DEFAULT_VNODES
 from repro.cluster.router import ClusterRouter, make_cache_factory
-from repro.db.dbapi import Statement
-from repro.errors import CacheError
 
 
 def default_node_names(n_nodes: int) -> list[str]:
     return [f"node-{i}" for i in range(n_nodes)]
 
 
-class ClusterAutoWebCache:
-    """Bundles router, collector, aspects and weaver for a cluster."""
+class ClusterAutoWebCache(AutoWebCache):
+    """AutoWebCache whose facade object is a cluster router.
+
+    Declares only the cluster's own options; every other keyword is
+    :class:`AutoWebCache`'s and configures each node's cache.
+    """
 
     def __init__(
         self,
         n_nodes: int = 4,
         node_names: list[str] | None = None,
-        policy: InvalidationPolicy = InvalidationPolicy.EXTRA_QUERY,
-        replacement: str = "unbounded",
-        capacity: int | None = None,
-        max_bytes: int | None = None,
-        semantics: SemanticsRegistry | None = None,
-        clock: Callable[[], float] = time.time,
-        forced_miss: bool = False,
-        coalesce: bool = True,
-        flight_timeout: float = 30.0,
         vnodes: int = DEFAULT_VNODES,
-        fragments: bool = True,
-        admission: AdmissionPolicy | None = None,
-        method_cache_targets: Iterable[type] = (),
-        method_cache_pointcut: str | None = None,
         bus_batching: bool = False,
         replication: int = 1,
         bus_mode: str = "strong",
         staleness_bound: float = 0.5,
         bus_queue_capacity: int = 512,
         bus_pump: bool = True,
+        **shared,
     ) -> None:
-        names = node_names if node_names is not None else default_node_names(n_nodes)
-        # One shared registry: cacheability and TTL windows are
-        # cluster-wide policy, identical on every shard.
-        shared_semantics = semantics or SemanticsRegistry()
-        # Likewise one shared admission policy: every shard consults the
-        # same cost model, so a class demoted on one node is demoted
-        # cluster-wide (admission is placement-independent policy).
-        factory = make_cache_factory(
-            invalidation_policy=policy,
-            replacement=replacement,
-            capacity=capacity,
-            max_bytes=max_bytes,
-            semantics=shared_semantics,
-            clock=clock,
-            forced_miss=forced_miss,
-            coalesce=coalesce,
-            flight_timeout=flight_timeout,
-            admission=admission,
-        )
-        self.router = ClusterRouter(
-            names,
-            factory,
+        self._router_kwargs = dict(
+            node_names=(
+                node_names
+                if node_names is not None
+                else default_node_names(n_nodes)
+            ),
             vnodes=vnodes,
             batched_bus=bus_batching,
             replication=replication,
@@ -105,95 +63,36 @@ class ClusterAutoWebCache:
             bus_queue_capacity=bus_queue_capacity,
             bus_pump=bus_pump,
         )
-        self.collector = ConsistencyCollector()
-        self.read_aspect = ReadServletAspect(self.router, self.collector)
-        self.write_aspect = WriteServletAspect(self.router, self.collector)
-        self.jdbc_aspect = JdbcConsistencyAspect(self.router, self.collector)
-        self.fragments_enabled = fragments
-        self.fragment_aspect = (
-            FragmentCacheAspect(self.router, self.collector) if fragments else None
+        super().__init__(**shared)
+
+    def _build_cache(self, **cache_kwargs) -> ClusterRouter:
+        # One shared registry and one shared admission policy (by
+        # reference, through the factory): cacheability, TTL windows
+        # and the admission cost model are cluster-wide policy,
+        # identical on every shard.
+        if cache_kwargs["semantics"] is None:
+            cache_kwargs["semantics"] = SemanticsRegistry()
+        return ClusterRouter(
+            cache_factory=make_cache_factory(**cache_kwargs),
+            **self._router_kwargs,
         )
-        self.method_cache_targets = tuple(method_cache_targets)
-        self.method_aspect = None
-        if self.method_cache_targets:
-            aspect_cls = (
-                method_cache_aspect_class(method_cache_pointcut)
-                if method_cache_pointcut is not None
-                and method_cache_pointcut != DEFAULT_METHOD_POINTCUT
-                else MethodCacheAspect
-            )
-            self.method_aspect = aspect_cls(self.router, self.collector)
-        self._weaver: Weaver | None = None
-        self.weave_report: WeaveReport | None = None
 
     @property
-    def cache(self) -> ClusterRouter:
-        """The facade the aspects (and work meters) talk to."""
-        return self.router
-
-    @property
-    def semantics(self) -> SemanticsRegistry:
-        return self.router.semantics
-
-    @property
-    def stats(self):
-        return self.router.stats
+    def router(self) -> ClusterRouter:
+        return self.cache
 
     @property
     def bus(self):
         return self.router.bus
-
-    @property
-    def installed(self) -> bool:
-        return self._weaver is not None
 
     def cluster_snapshot(self) -> dict:
         """Aggregate + per-node + bus accounting, one consistent read
         per node (see :meth:`repro.cache.stats.CacheStats.snapshot`)."""
         return self.router.snapshot()
 
-    def install(
-        self,
-        servlet_classes: Iterable[type],
-        driver_classes: Iterable[type] = (Statement,),
-        extra_aspects: Iterable[object] = (),
-    ) -> WeaveReport:
-        """Weave the caching aspects, bound to the cluster router."""
-        if self._weaver is not None:
-            raise CacheError("ClusterAutoWebCache is already installed")
-        weaver = Weaver()
-        weaver.add_aspect(self.read_aspect)
-        weaver.add_aspect(self.write_aspect)
-        weaver.add_aspect(self.jdbc_aspect)
-        targets = list(servlet_classes) + list(driver_classes)
-        if self.fragment_aspect is not None:
-            from repro.apps.html import PageComposer
-
-            weaver.add_aspect(self.fragment_aspect)
-            if PageComposer not in targets:
-                targets.append(PageComposer)
-        if self.method_aspect is not None:
-            weaver.add_aspect(self.method_aspect)
-            for owner in self.method_cache_targets:
-                if owner not in targets:
-                    targets.append(owner)
-        for aspect in extra_aspects:
-            weaver.add_aspect(aspect)
-        self.weave_report = weaver.weave(targets)
-        self._weaver = weaver
-        return self.weave_report
-
     def uninstall(self) -> None:
-        if self._weaver is None:
-            return
-        self._weaver.unweave()
-        self._weaver = None
-        # Stop the bounded-mode bus pump (a daemon thread) and deliver
-        # any queued residue; a no-op for the strong-mode bus.
-        self.router.close()
-
-    def __enter__(self) -> "ClusterAutoWebCache":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.uninstall()
+        if self.installed:
+            super().uninstall()
+            # Stop the bounded-mode bus pump (a daemon thread) and
+            # deliver any queued residue; a no-op for the strong bus.
+            self.router.close()

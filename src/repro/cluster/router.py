@@ -40,6 +40,7 @@ over to their surviving replicas.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Callable
 
@@ -80,44 +81,6 @@ class ClusterStats:
         for node in self._router.nodes():
             total += getattr(node.cache.stats, attribute)
         return total
-
-    # -- aggregated counters (the CacheStats read interface) -------------------------
-
-    lookups = property(lambda self: self._sum("lookups"))
-    hits = property(lambda self: self._sum("hits"))
-    semantic_hits = property(lambda self: self._sum("semantic_hits"))
-    misses_cold = property(lambda self: self._sum("misses_cold"))
-    misses_invalidation = property(
-        lambda self: self._sum("misses_invalidation")
-    )
-    misses_capacity = property(lambda self: self._sum("misses_capacity"))
-    misses_expired = property(lambda self: self._sum("misses_expired"))
-    uncacheable = property(lambda self: self._sum("uncacheable"))
-    inserts = property(lambda self: self._sum("inserts"))
-    evictions = property(lambda self: self._sum("evictions"))
-    invalidated_pages = property(lambda self: self._sum("invalidated_pages"))
-    write_requests = property(lambda self: self._sum("write_requests"))
-    pair_analyses = property(lambda self: self._sum("pair_analyses"))
-    intersection_tests = property(lambda self: self._sum("intersection_tests"))
-    templates_skipped_by_index = property(
-        lambda self: self._sum("templates_skipped_by_index")
-    )
-    instances_skipped_by_index = property(
-        lambda self: self._sum("instances_skipped_by_index")
-    )
-    templates_skipped_by_lineage = property(
-        lambda self: self._sum("templates_skipped_by_lineage")
-    )
-    column_plans_built = property(
-        lambda self: self._sum("column_plans_built")
-    )
-    extra_queries = property(lambda self: self._sum("extra_queries"))
-    coalesced_hits = property(lambda self: self._sum("coalesced_hits"))
-    stale_inserts = property(lambda self: self._sum("stale_inserts"))
-    hole_skips = property(lambda self: self._sum("hole_skips"))
-    admitted = property(lambda self: self._sum("admitted"))
-    denied = property(lambda self: self._sum("denied"))
-    shadow_denied = property(lambda self: self._sum("shadow_denied"))
 
     @property
     def misses(self) -> int:
@@ -198,6 +161,18 @@ class ClusterStats:
             },
             "membership": self._router.membership.snapshot(),
         }
+
+
+# The CacheStats read interface: every ``int`` counter reads as the
+# front-end ledger plus the per-node sum.  Generated from the dataclass,
+# so a counter added to CacheStats cannot be missing from this view.
+for _field in dataclasses.fields(CacheStats):
+    if _field.type in (int, "int"):
+        setattr(
+            ClusterStats,
+            _field.name,
+            property(lambda self, _name=_field.name: self._sum(_name)),
+        )
 
 
 class ClusterRouter:

@@ -1,9 +1,12 @@
 """The cluster router: sharded serving, broadcast invalidation,
 node lifecycle, and cluster-wide accounting."""
 
+import dataclasses
+
 import pytest
 
 from repro.cache.entry import QueryInstance
+from repro.cache.stats import CacheStats
 from repro.cluster import ClusterAutoWebCache, ClusterRouter, make_cache_factory
 from repro.errors import ClusterError
 from repro.sql.template import templateize
@@ -336,6 +339,31 @@ class TestClusterStats:
             stats.hits + stats.semantic_hits + stats.misses + stats.uncacheable
         )
         assert 0.0 < stats.hit_rate < 1.0
+
+    def test_every_int_counter_is_summed(self, cluster_notes_app):
+        """The cluster view is generated from ``CacheStats``' fields: a
+        counter added there can no longer be missing here."""
+        _db, container, awc = cluster_notes_app
+        populate(container)
+        warm(container)
+        container.post("/score", {"id": "1", "score": "9"})
+        warm(container)
+        stats = awc.stats
+        sources = [stats.frontend] + [
+            node.cache.stats for node in awc.router.nodes()
+        ]
+        counters = [
+            field.name
+            for field in dataclasses.fields(CacheStats)
+            if field.type in (int, "int")
+        ]
+        assert len(counters) >= 25
+        for name in counters:
+            assert getattr(stats, name) == sum(
+                getattr(source, name) for source in sources
+            ), name
+        # The burst really moved counters on the shards and the front end.
+        assert stats.hits and stats.invalidated_pages and stats.write_requests
 
     def test_write_requests_counted_once_not_per_node(self, cluster_notes_app):
         _db, container, awc = cluster_notes_app

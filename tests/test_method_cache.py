@@ -19,6 +19,7 @@ from repro.admission.aspects import (
     method_stat_uri,
 )
 from repro.admission.policy import AdaptiveAdmission
+from repro.apps.html import hole
 from repro.cache.autowebcache import AutoWebCache
 from repro.db import connect
 from repro.web.container import ServletContainer
@@ -37,6 +38,7 @@ class TopicCatalogue:
         self._connection = connection
         self.calls = 0
         self.set_calls = 0
+        self.banner_calls = 0
 
     def topics(self) -> list:
         self.calls += 1
@@ -52,6 +54,15 @@ class TopicCatalogue:
             "SELECT id, name FROM topics ORDER BY id"
         )
         return {row["name"] for row in result.all_dicts()}
+
+    def topics_with_banner(self) -> list:
+        """Renders a declared hole on the way: per-request state."""
+        self.banner_calls += 1
+        hole(HttpResponse(), "banner", lambda: None)
+        result = self._connection.create_statement().execute_query(
+            "SELECT id, name FROM topics ORDER BY id"
+        )
+        return result.all_dicts()
 
 
 class TopicsPageA(HttpServlet):
@@ -218,6 +229,30 @@ class TestMethodTier:
             assert catalogue.topics_set() == {"alpha"}
             assert catalogue.set_calls == 2
             assert method_keys(awc) == []
+        finally:
+            awc.uninstall()
+
+
+    def test_hole_bearing_method_not_cached_and_counted(self):
+        """The nested routine is shared with fragments, so the method
+        tier records the hole skip too (it used to skip silently)."""
+        db, container, catalogue = build_topics_app()
+        awc = AutoWebCache(
+            method_cache_targets=(TopicCatalogue,),
+            method_cache_pointcut=(
+                "execution(TopicCatalogue.topics_with_banner(..))"
+            ),
+        )
+        awc.install(container.servlet_classes)
+        try:
+            seed_topics(container, "alpha")
+            assert catalogue.topics_with_banner() == [
+                {"id": 1, "name": "alpha"}
+            ]
+            assert awc.stats.hole_skips == 1
+            assert method_keys(awc) == []
+            catalogue.topics_with_banner()
+            assert catalogue.banner_calls == 2  # recomputed, not served
         finally:
             awc.uninstall()
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.autowebcache import AutoWebCache
+from repro.cluster import ClusterAutoWebCache
 from repro.db import connect
 from repro.web.container import ServletContainer
 from repro.web.http import HttpRequest, HttpResponse
@@ -90,15 +91,18 @@ def _build_app():
     return db, container
 
 
-@pytest.fixture
-def txn_app():
+def _installed(awc):
     db, container = _build_app()
-    awc = AutoWebCache()
     awc.install(container.servlet_classes)
     try:
         yield db, container, awc
     finally:
         awc.uninstall()
+
+
+@pytest.fixture
+def txn_app():
+    yield from _installed(AutoWebCache())
 
 
 def test_rolled_back_write_invalidates_nothing(txn_app):
@@ -156,10 +160,13 @@ def test_read_context_transaction_rollback_aborts_caching(txn_app):
     back renders pre-transaction state -- cacheable in principle, but
     the protocol conservatively refuses to cache an aborted context."""
     _, container, awc = txn_app
+    container.get("/view_note", {"id": "1"})  # a page the write would doom
     response = container.get("/txn_peek", {"id": "1"})
     assert "hello|5" in response.body  # rollback really undid the write
-    assert len(awc.cache) == 0  # aborted context: never cached
+    assert len(awc.cache) == 1  # aborted context: the peek is never cached
+    # ...and the undone write is not invalidation information either.
     assert awc.stats.invalidated_pages == 0
+    assert awc.stats.write_requests == 0
 
 
 def test_autocommit_write_unaffected_by_staging(txn_app):
@@ -171,3 +178,34 @@ def test_autocommit_write_unaffected_by_staging(txn_app):
     container.post("/score", {"id": "1", "score": "11"})
     assert awc.stats.invalidated_pages == 1
     assert "hello|11" in container.get("/view_note", {"id": "1"}).body
+
+
+class TestOnTwoNodeRing:
+    """The same tests through ``ClusterAutoWebCache``: the installer is
+    shared, so ``Connection.commit``/``rollback`` are woven on a ring
+    too.  (The cluster facade used to weave ``Statement`` only: staged
+    writes were never discarded, and a rolled-back write doomed pages.)
+
+    A class overriding the fixture rather than a parametrized fixture,
+    so the single-node tests above keep their ids.
+    """
+
+    @pytest.fixture
+    def txn_app(self):
+        yield from _installed(ClusterAutoWebCache(n_nodes=2))
+
+    test_rolled_back_write_invalidates_nothing = staticmethod(
+        test_rolled_back_write_invalidates_nothing
+    )
+    test_committed_write_still_invalidates = staticmethod(
+        test_committed_write_still_invalidates
+    )
+    test_rollback_then_commit_promotes_only_committed_writes = staticmethod(
+        test_rollback_then_commit_promotes_only_committed_writes
+    )
+    test_read_context_transaction_rollback_aborts_caching = staticmethod(
+        test_read_context_transaction_rollback_aborts_caching
+    )
+    test_autocommit_write_unaffected_by_staging = staticmethod(
+        test_autocommit_write_unaffected_by_staging
+    )
