@@ -1,6 +1,6 @@
 ENV := PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: test stress stress-lockwatch check bench bench-e2e bench-cluster bench-invalidation bench-fragments bench-obs bench-admission bench-hitpath differential results
+.PHONY: test stress stress-lockwatch check bench bench-e2e profile bench-cluster bench-invalidation bench-fragments bench-obs bench-admission bench-hitpath differential results
 
 # Tier-1: the full unit/integration/property suite (what CI gates on).
 test:
@@ -42,6 +42,17 @@ bench:
 bench-e2e:
 	python bench/run.py --quick
 	python -m pytest bench/test_bench.py -q
+
+# Where the time goes, in-process: replays a bench workload's warm-up +
+# N closed-loop requests through the woven container and prints wall
+# time per request, the SELECT share and the top cProfile rows.  A
+# candidate finder (the numbers ROADMAP item 1 ranks layers by), not a
+# gate: confirm with the traced round of bench/run.py.
+WORKLOAD ?= rubis_browse_churn
+N ?= 6000
+SEED ?= 57
+profile:
+	python benchmarks/profile_requests.py --workload $(WORKLOAD) -n $(N) --seed $(SEED)
 
 # Cluster tier: consistency + node-kill failover stress, the strong
 # 1/2/4/8 curve and the replicated bounded-staleness 1..64-node curve

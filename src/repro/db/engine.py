@@ -1,15 +1,31 @@
 """The :class:`Database`: schema registry + statement execution.
 
-A :class:`Database` owns the tables and a parse cache (statement text ->
-AST), and exposes ``query``/``update`` entry points taking SQL text plus
+A :class:`Database` owns the tables and a bounded *plan cache*, and
+exposes ``query``/``update`` entry points taking SQL text plus
 positional parameters -- the same shape the DB-API driver and, above it,
 the JDBC-style interface use.
+
+**The plan cache.**  One dict holds, per statement, its parsed AST and
+the plan :meth:`Executor.compile` built from it.  ``execute(sql)`` finds
+the entry by statement *text*; ``execute_statement(ast)`` finds it by
+the AST's *identity* (callers such as ``QueryTemplate.pre_image_select``
+hand in one long-lived AST object, and hashing a frozen dataclass tree
+per call would cost what compiling saves).  A text is parsed at most
+once while its entry is resident; a plan is compiled lazily, at first
+execution, and again only after the *schema epoch* moved -- every
+``create_table`` / ``drop_table`` bumps it, because plans bake in table
+objects, column positions and index choices.  Row changes (including a
+rollback, which refills tables in place) never invalidate a plan.  The
+cache holds at most :data:`_PLAN_LIMIT` keys and is emptied when full
+(the policy of :mod:`repro.sql.template`'s prepare memo), so
+applications that spell literals inline cannot grow it without bound.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.db.executor import Executor, QueryResult, UpdateResult
 from repro.db.schema import Column, ColumnType, TableSchema
@@ -39,6 +55,25 @@ class DatabaseStats:
         )
 
 
+_WRITE_KINDS = {ast.Insert: "insert", ast.Update: "update", ast.Delete: "delete"}
+#: Most keys (statement texts + AST identities) the plan cache holds.
+_PLAN_LIMIT = 1024
+
+
+class _Plan:
+    """One plan-cache entry: a statement and its lazily compiled plan."""
+
+    __slots__ = ("statement", "epoch", "run", "pre_image")
+
+    def __init__(self, statement: ast.Statement) -> None:
+        self.statement = statement
+        #: Schema epoch ``run`` was compiled at (None: not compiled yet).
+        self.epoch: int | None = None
+        self.run: Callable[[tuple], QueryResult | UpdateResult] | None = None
+        #: Plan of the trigger pre-image SELECT (UPDATE/DELETE, on demand).
+        self.pre_image: Callable[[tuple], QueryResult] | None = None
+
+
 class Database:
     """An in-memory multi-table database."""
 
@@ -46,7 +81,9 @@ class Database:
         self.name = name
         self._tables: dict[str, Table] = {}
         self._executor = Executor(self._tables)
-        self._parse_cache: dict[str, ast.Statement] = {}
+        #: statement text | id(statement) -> entry (see module docstring).
+        self._plans: dict[str | int, _Plan] = {}
+        self._schema_epoch = 0
         self._lock = threading.RLock()
         self.stats = DatabaseStats()
         #: After-write triggers (Section 8's external-update hook).
@@ -62,6 +99,7 @@ class Database:
                 raise SchemaError(f"table {schema.name!r} already exists")
             table = Table(schema)
             self._tables[schema.name] = table
+            self._schema_epoch += 1
             return table
 
     def drop_table(self, name: str) -> None:
@@ -69,6 +107,7 @@ class Database:
             if name.lower() not in self._tables:
                 raise SchemaError(f"unknown table {name!r}")
             del self._tables[name.lower()]
+            self._schema_epoch += 1
 
     def table(self, name: str) -> Table:
         try:
@@ -85,16 +124,15 @@ class Database:
     def execute(
         self, sql: str, params: tuple[object, ...] = ()
     ) -> QueryResult | UpdateResult:
-        """Parse (with caching) and execute one statement."""
-        statement = self._parse(sql)
-        return self.execute_statement(statement, params)
+        """Parse and compile (both cached) and execute one statement."""
+        return self.execute_statement(self._parse(sql), params)
 
     def execute_statement(
         self, statement: ast.Statement, params: tuple[object, ...] = ()
     ) -> QueryResult | UpdateResult:
         with self._lock:
             if isinstance(statement, ast.Select):
-                result = self._executor.execute_select(statement, params)
+                result = self._plan(statement).run(params)
                 self.stats.queries += 1
                 self.stats.rows_examined += result.rows_examined
                 self.stats.rows_returned += len(result.rows)
@@ -105,24 +143,15 @@ class Database:
                     raise DatabaseError("DDL inside a transaction")
                 self.create_table(_schema_from_ast(statement))
                 return UpdateResult(affected=0, rows_examined=0)
-            if isinstance(statement, ast.Insert):
-                kind, table = "insert", statement.table.lower()
-            elif isinstance(statement, ast.Update):
-                kind, table = "update", statement.table.lower()
-            elif isinstance(statement, ast.Delete):
-                kind, table = "delete", statement.table.lower()
-            else:
+            kind = _WRITE_KINDS.get(type(statement))
+            if kind is None:
                 raise ExecutionError(
                     f"cannot execute {type(statement).__name__}"
                 )
+            table = statement.table.lower()
             if self._transaction is not None:
                 self._transaction.snapshot_table(table, self.table(table))
-            if kind == "insert":
-                update = self._executor.execute_insert(statement, params)
-            elif kind == "update":
-                update = self._executor.execute_update(statement, params)
-            else:
-                update = self._executor.execute_delete(statement, params)
+            update = self._plan(statement).run(params)
             self.stats.updates += 1
             self.stats.rows_examined += update.rows_examined
             if not self.triggers.empty:
@@ -186,13 +215,16 @@ class Database:
             return None
         if not isinstance(statement, (ast.Update, ast.Delete)):
             return None
-        select = ast.Select(
-            items=(ast.SelectItem(ast.Star()),),
-            tables=(ast.TableRef(statement.table),),
-            where=statement.where,
-        )
-        result = self._executor.execute_select(select, params)
-        return tuple(result.dicts())
+        plan = self._plan(statement)
+        if plan.pre_image is None:
+            plan.pre_image = self._executor.compile(
+                ast.Select(
+                    items=(ast.SelectItem(ast.Star()),),
+                    tables=(ast.TableRef(statement.table),),
+                    where=statement.where,
+                )
+            )
+        return tuple(plan.pre_image(params).dicts())
 
     def query(self, sql: str, params: tuple[object, ...] = ()) -> QueryResult:
         """Execute a read statement; raises if ``sql`` is not a SELECT."""
@@ -219,15 +251,41 @@ class Database:
         if not isinstance(statement, ast.Select):
             raise ExecutionError("explain() requires a SELECT statement")
         with self._lock:
-            self._executor.execute_select(statement, params)
+            self._plan(statement).run(params)
             return list(self._executor.last_plan)
 
     def _parse(self, sql: str) -> ast.Statement:
-        statement = self._parse_cache.get(sql)
-        if statement is None:
-            statement = parse_statement(sql)
-            self._parse_cache[sql] = statement
-        return statement
+        """The AST of ``sql``, parsed at most once while it is resident."""
+        plan = self._plans.get(sql)
+        if plan is None:
+            with self._lock:
+                plan = self._plans.get(sql)
+                if plan is None:
+                    plan = _Plan(parse_statement(sql))
+                    self._admit(plan, sql, id(plan.statement))
+        return plan.statement
+
+    def _plan(self, statement: ast.Statement) -> _Plan:
+        """The entry for ``statement``, compiled against today's schemas.
+
+        Called with the lock held.  The entry keeps its statement alive,
+        so an ``id`` cannot be recycled while it is a key.
+        """
+        plan = self._plans.get(id(statement))
+        if plan is None or plan.statement is not statement:
+            plan = _Plan(statement)
+            self._admit(plan, id(statement))
+        if plan.epoch != self._schema_epoch:
+            plan.run = self._executor.compile(statement)
+            plan.pre_image = None
+            plan.epoch = self._schema_epoch
+        return plan
+
+    def _admit(self, plan: _Plan, *keys: str | int) -> None:
+        if len(self._plans) + len(keys) > _PLAN_LIMIT:
+            self._plans.clear()
+        for key in keys:
+            self._plans[key] = plan
 
     # -- bulk load ------------------------------------------------------------------
 

@@ -1,22 +1,55 @@
-"""Statement evaluation against :class:`~repro.db.storage.Table` stores.
+"""Statement compilation against :class:`~repro.db.storage.Table` stores.
 
-The executor evaluates parsed ASTs: SELECT with nested-loop joins (with
-an index fast path for equality predicates on indexed columns),
-aggregation, ORDER BY/LIMIT, plus INSERT/UPDATE/DELETE returning affected
-row counts.  It also reports ``rows_examined`` per statement, which the
-load simulator's cost model charges as database work.
+:meth:`Executor.compile` turns one parsed statement into a *plan*: a
+closure ``run(params)`` built once per (statement, schema) and run per
+request.  Everything that depends only on the statement and the schema
+is decided at compile time -- each FROM/JOIN binding gets a *slot*, the
+row stream is a list of tuples holding one row list per slot, every
+column reference is resolved to ``(slot, position)``, every expression,
+aggregate, sort key and projection item (``*`` expanded) becomes a
+closure ``f(rows, params)``, and each binding's access path (index
+join, primary key, index equality, full scan) is chosen.  What depends
+on the data or the parameters -- and every error -- stays at run time:
+a reference that cannot be resolved compiles to a closure raising the
+interpreter's error when (and only if) a row reaches it.
+
+SELECT uses nested-loop joins with an index fast path for equality
+predicates on indexed columns, aggregation and ORDER BY/LIMIT;
+INSERT/UPDATE/DELETE return affected row counts.  Every statement
+reports ``rows_examined``, which the load simulator's cost model
+charges as database work; plans are *the same plans* the tree-walking
+interpreter chose (``tests/reference_executor.py`` keeps it as the
+oracle), so that figure and :attr:`Executor.last_plan` never change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+import re
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 from repro.db.schema import TableSchema
 from repro.db.storage import Table
 from repro.errors import ExecutionError, SchemaError
 from repro.sql import ast_nodes as ast
 
-_NULL = object()  # sentinel distinguishing "no binding" from SQL NULL
+#: A compiled expression ``f(rows, params)``: ``rows`` is one element of
+#: the row stream -- a tuple holding, per slot, a row list or None (the
+#: null row of a LEFT JOIN).  Group expressions take the group's member
+#: list in its place, ORDER BY keys of a grouped SELECT the output row.
+Compiled = Callable[[object, tuple], object]
+#: name -> (slot, schema, may hold a null row): the bindings visible at
+#: one point of the FROM/JOIN list (duplicate names: the last one wins).
+Env = dict[str, tuple[int, TableSchema, bool]]
+#: One source of the row stream: ``step(stream, params, plan_lines)``
+#: returns (extended stream, rows examined).
+Step = Callable[[list, tuple, list], tuple[list, int]]
+
+_AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+#: The stream before the first source: one element binding nothing.
+_UNIT_STREAM: list[tuple] = [()]
 
 
 @dataclass
@@ -51,46 +84,8 @@ class UpdateResult:
     last_insert_id: object = None
 
 
-@dataclass
-class _Scope:
-    """One binding in scope: name -> (schema, positional row)."""
-
-    bindings: dict[str, tuple[TableSchema, list[object] | None]] = field(
-        default_factory=dict
-    )
-
-    def child(self) -> "_Scope":
-        clone = _Scope()
-        clone.bindings = dict(self.bindings)
-        return clone
-
-    def resolve(self, ref: ast.ColumnRef) -> object:
-        """Resolve a column reference to its value in this scope."""
-        if ref.table is not None:
-            binding = ref.table.lower()
-            try:
-                schema, row = self.bindings[binding]
-            except KeyError:
-                raise ExecutionError(f"unknown table binding {ref.table!r}") from None
-            if row is None:
-                return None  # outer-join null row
-            return row[schema.position(ref.column)]
-        matches = []
-        for schema, row in self.bindings.values():
-            if schema.has_column(ref.column):
-                matches.append((schema, row))
-        if not matches:
-            raise ExecutionError(f"unknown column {ref.column!r}")
-        if len(matches) > 1:
-            raise ExecutionError(f"ambiguous column {ref.column!r}")
-        schema, row = matches[0]
-        if row is None:
-            return None
-        return row[schema.position(ref.column)]
-
-
 class Executor:
-    """Evaluates statements against a table dictionary."""
+    """Compiles statements into plans over a table dictionary."""
 
     def __init__(self, tables: dict[str, Table]) -> None:
         self._tables = tables
@@ -99,679 +94,319 @@ class Executor:
         #: "(binding) path" strings -- the EXPLAIN output.
         self.last_plan: list[str] = []
 
-    def _table(self, name: str) -> Table:
-        try:
-            return self._tables[name.lower()]
-        except KeyError:
-            raise SchemaError(f"unknown table {name!r}") from None
+    def compile(
+        self, statement: ast.Statement
+    ) -> Callable[[tuple], QueryResult | UpdateResult]:
+        """The plan for ``statement`` against the current schemas.
 
-    # -- entry points -----------------------------------------------------------
-
-    def execute_select(
-        self, select: ast.Select, params: tuple[object, ...]
-    ) -> QueryResult:
-        examined = 0
-        self.last_plan = []
-
-        # Build the row stream from FROM tables and JOINs.
-        scopes: list[_Scope] = [_Scope()]
-        for table_ref in select.tables:
-            scopes, count = self._cross(scopes, table_ref, select, params)
-            examined += count
-        for join in select.joins:
-            scopes, count = self._join(scopes, join, params)
-            examined += count
-
-        if select.where is not None:
-            scopes = [
-                scope
-                for scope in scopes
-                if _truthy(self._eval(select.where, scope, params))
-            ]
-
-        if select.group_by or _has_aggregate(select):
-            result = self._aggregate(select, scopes, params)
-            result = self._order_limit(select, result, params)
-        else:
-            # Sort full scopes (any column is orderable, projected or not),
-            # then slice, then project.
-            if select.order_by:
-                scopes = sorted(
-                    scopes,
-                    key=lambda scope: tuple(
-                        _SortValue(
-                            self._eval(order.expression, scope, params),
-                            order.descending,
-                        )
-                        for order in select.order_by
-                    ),
-                )
-            if select.offset is not None:
-                offset = int(self._eval(select.offset, _Scope(), params))  # type: ignore[arg-type]
-                scopes = scopes[offset:]
-            if select.limit is not None and not select.distinct:
-                limit = int(self._eval(select.limit, _Scope(), params))  # type: ignore[arg-type]
-                scopes = scopes[:limit]
-            result = self._project(select, scopes, params)
-            if select.limit is not None and select.distinct:
-                limit = int(self._eval(select.limit, _Scope(), params))  # type: ignore[arg-type]
-                result = (result[0], result[1][:limit])
-        query_result = QueryResult(
-            columns=result[0], rows=result[1], rows_examined=examined
-        )
-        self.rows_examined_total += examined
-        return query_result
-
-    def execute_insert(
-        self, insert: ast.Insert, params: tuple[object, ...]
-    ) -> UpdateResult:
-        table = self._table(insert.table)
-        values: dict[str, object] = {}
-        scope = _Scope()
-        for column, expr in zip(insert.columns, insert.values):
-            values[column.lower()] = self._eval(expr, scope, params)
-        row = table.schema.coerce_row(values)
-        table.insert(row)
-        self.rows_examined_total += 1
-        return UpdateResult(
-            affected=1, rows_examined=1, last_insert_id=table.last_insert_id
-        )
-
-    def execute_update(
-        self, update: ast.Update, params: tuple[object, ...]
-    ) -> UpdateResult:
-        table = self._table(update.table)
-        matches, examined = self._match_rows(table, update.where, params)
-        for rowid, row in matches:
-            scope = _Scope()
-            scope.bindings[table.schema.name] = (table.schema, row)
-            new_row = list(row)
-            for assignment in update.assignments:
-                position = table.schema.position(assignment.column)
-                value = self._eval(assignment.value, scope, params)
-                new_row[position] = table.schema.columns[position].type.coerce(value)
-            table.update_row(rowid, new_row)
-        self.rows_examined_total += examined
-        return UpdateResult(affected=len(matches), rows_examined=examined)
-
-    def execute_delete(
-        self, delete: ast.Delete, params: tuple[object, ...]
-    ) -> UpdateResult:
-        table = self._table(delete.table)
-        matches, examined = self._match_rows(table, delete.where, params)
-        for rowid, _row in matches:
-            table.delete_row(rowid)
-        self.rows_examined_total += examined
-        return UpdateResult(affected=len(matches), rows_examined=examined)
-
-    # -- row-stream construction --------------------------------------------------
-
-    def _cross(
-        self,
-        scopes: list[_Scope],
-        table_ref: ast.TableRef,
-        select: ast.Select,
-        params: tuple[object, ...],
-    ) -> tuple[list[_Scope], int]:
-        """Extend each scope with rows of ``table_ref``.
-
-        Access-path selection, in priority order: equi-join through an
-        index/PK against a column already in scope, constant-equality
-        index lookup, full scan (cartesian).  All paths are filters on
-        required conjuncts, so the subsequent WHERE application keeps
-        the result exact.
+        Valid until a table is created or dropped.  A missing table
+        compiles to a plan that raises when execution gets there.
         """
-        table = self._table(table_ref.name)
-        binding = table_ref.binding
-        where = select.where
+        if isinstance(statement, ast.Select):
+            return self._compile_select(statement)
+        compile_write = {
+            ast.Insert: self._compile_insert,
+            ast.Update: self._compile_update,
+            ast.Delete: self._compile_delete,
+        }.get(type(statement))
+        if compile_write is None:
+            raise ExecutionError(f"cannot execute {type(statement).__name__}")
+        table = self._tables.get(statement.table.lower())
+        if table is None:
+            return _raises(SchemaError, f"unknown table {statement.table!r}")
+        return compile_write(statement, table)
 
-        # Path 1: join equality T.col = <expr resolvable in scope>.
-        if where is not None and scopes and scopes[0].bindings:
-            join = self._find_join_equality(where, binding, table)
-            if join is not None:
-                column, other = join
-                self.last_plan.append(f"{binding}: index join on {column}")
-                out: list[_Scope] = []
-                examined = 0
-                try:
-                    for scope in scopes:
-                        value = self._eval(other, scope, params)
-                        if table.primary_key == column:
-                            hit = table.lookup_pk(value)
-                            pairs = [hit] if hit is not None else []
-                        else:
-                            pairs = table.lookup_index(column, value)
-                        examined += len(pairs)
-                        for _rowid, row in pairs:
-                            child = scope.child()
-                            child.bindings[binding] = (table.schema, row)
-                            out.append(child)
-                    return out, examined
-                except ExecutionError:
-                    self.last_plan.pop()  # other side not resolvable: fall back
-
-        # Path 2: constant-equality index lookup.
-        rows: list[list[object]] | None = None
-        examined = 0
-        if where is not None:
-            pin = _find_constant_equality(where, binding, table.schema)
-            if pin is not None:
-                column, expr = pin
-                value = self._eval(expr, _Scope(), params)
-                if table.primary_key == column:
-                    hit = table.lookup_pk(value)
-                    rows = [hit[1]] if hit is not None else []
-                    self.last_plan.append(f"{binding}: primary key {column}")
-                elif table.has_index(column):
-                    rows = [row for _rowid, row in table.lookup_index(column, value)]
-                    self.last_plan.append(f"{binding}: index eq {column}")
-
-        # Path 3: full scan.
-        if rows is None:
-            rows = [row for _rowid, row in table.rows()]
-            self.last_plan.append(f"{binding}: full scan")
-        examined = len(rows) * max(1, len(scopes))
-        out = []
-        for scope in scopes:
-            for row in rows:
-                child = scope.child()
-                child.bindings[binding] = (table.schema, row)
-                out.append(child)
-        return out, examined
-
-    def _find_join_equality(
-        self, where: ast.Expression, binding: str, table: Table
-    ) -> tuple[str, ast.Expression] | None:
-        """Find ``binding.col = <other-binding expr>`` with an index on col."""
-        if isinstance(where, ast.BinaryOp) and where.op == "AND":
-            found = self._find_join_equality(where.left, binding, table)
-            if found is not None:
-                return found
-            return self._find_join_equality(where.right, binding, table)
-        if isinstance(where, ast.BinaryOp) and where.op == "=":
-            for mine, other in (
-                (where.left, where.right),
-                (where.right, where.left),
-            ):
-                if not isinstance(mine, ast.ColumnRef):
-                    continue
-                if mine.table is None or mine.table.lower() != binding:
-                    continue
-                if not isinstance(other, ast.ColumnRef):
-                    continue
-                if other.table is not None and other.table.lower() == binding:
-                    continue
-                column = mine.column.lower()
-                if not table.schema.has_column(column):
-                    continue
-                if table.primary_key == column or table.has_index(column):
-                    return column, other
-        return None
-
-    def _join(
-        self, scopes: list[_Scope], join: ast.Join, params: tuple[object, ...]
-    ) -> tuple[list[_Scope], int]:
-        table = self._table(join.table.name)
-        binding = join.table.binding
-        equality = self._find_join_equality(join.condition, binding, table)
-        right_rows: list[list[object]] | None = None
-        if equality is None:
-            right_rows = [row for _rowid, row in table.rows()]
-            self.last_plan.append(f"{binding}: {join.kind} join full scan")
+    def _compile_select(self, select: ast.Select) -> Callable[[tuple], QueryResult]:
+        env: Env = {}
+        steps: list[Step] = []
+        sources = [(ref, None) for ref in select.tables]
+        sources += [(join.table, join) for join in select.joins]
+        for slot, (ref, join) in enumerate(sources):
+            table = self._tables.get(ref.name.lower())
+            if table is None:
+                # Raised where the interpreter met it: after the sources
+                # before it have run.  Nothing after it ever runs.
+                steps.append(_raises(SchemaError, f"unknown table {ref.name!r}"))
+                break
+            if join is None:
+                steps.append(_compile_cross(table, ref.binding, env, select.where))
+            else:
+                steps.append(_compile_join(table, join, slot, env))
+            nullable = join is not None and join.kind == "LEFT"
+            env[ref.binding] = (slot, table.schema, nullable)
+        where = None if select.where is None else _compile_expr(select.where, env)
+        if select.group_by or _has_aggregate(select):
+            finish = _compile_grouped(select, env)
         else:
-            self.last_plan.append(
-                f"{binding}: {join.kind} join index on {equality[0]}"
+            finish = _compile_plain(select, env)
+
+        def run(params: tuple) -> QueryResult:
+            self.last_plan = plan = []
+            stream, examined = _UNIT_STREAM, 0
+            for step in steps:
+                stream, count = step(stream, params, plan)
+                examined += count
+            if where is not None:
+                stream = [rows for rows in stream if where(rows, params)]
+            columns, out = finish(stream, params)
+            self.rows_examined_total += examined
+            return QueryResult(columns=columns, rows=out, rows_examined=examined)
+
+        return run
+
+    def _compile_insert(
+        self, insert: ast.Insert, table: Table
+    ) -> Callable[[tuple], UpdateResult]:
+        values = [
+            (column.lower(), _compile_expr(expr, {}))
+            for column, expr in zip(insert.columns, insert.values)
+        ]
+        coerce_row = table.schema.coerce_row
+
+        def run(params: tuple) -> UpdateResult:
+            table.insert(coerce_row({name: value(None, params) for name, value in values}))
+            self.rows_examined_total += 1
+            return UpdateResult(
+                affected=1, rows_examined=1, last_insert_id=table.last_insert_id
             )
+
+        return run
+
+    def _compile_update(
+        self, update: ast.Update, table: Table
+    ) -> Callable[[tuple], UpdateResult]:
+        schema = table.schema
+        match = _compile_match(table, update.where)
+        env: Env = {schema.name: (0, schema, False)}
+        #: (position, coercer, value) per assignment; an unknown column
+        #: raises in place of its value, i.e. only for a matched row.
+        setters = []
+        for assignment in update.assignments:
+            if schema.has_column(assignment.column):
+                position = schema.position(assignment.column)
+                coerce = schema.columns[position].type.coerce
+                setters.append((position, coerce, _compile_expr(assignment.value, env)))
+            else:
+                message = _no_column(schema, assignment.column)
+                setters.append((0, None, _raises(SchemaError, message)))
+
+        def run(params: tuple) -> UpdateResult:
+            matches, examined = match(params)
+            for rowid, row in matches:
+                rows = (row,)
+                new_row = list(row)
+                for position, coerce, value in setters:
+                    new_row[position] = coerce(value(rows, params))
+                table.update_row(rowid, new_row)
+            self.rows_examined_total += examined
+            return UpdateResult(affected=len(matches), rows_examined=examined)
+
+        return run
+
+    def _compile_delete(
+        self, delete: ast.Delete, table: Table
+    ) -> Callable[[tuple], UpdateResult]:
+        match = _compile_match(table, delete.where)
+
+        def run(params: tuple) -> UpdateResult:
+            matches, examined = match(params)
+            for rowid, _row in matches:
+                table.delete_row(rowid)
+            self.rows_examined_total += examined
+            return UpdateResult(affected=len(matches), rows_examined=examined)
+
+        return run
+
+
+# ---------------------------------------------------------------------------
+# Row-stream construction: one step per FROM table / JOIN
+# ---------------------------------------------------------------------------
+
+
+def _compile_cross(
+    table: Table, binding: str, env: Env, where: ast.Expression | None
+) -> Step:
+    """Extend each stream element with rows of a FROM table.
+
+    Access-path selection, in priority order: equi-join through an
+    index/PK against a column already in scope, constant-equality index
+    lookup, full scan (cartesian).  All paths are filters on required
+    conjuncts, so the subsequent WHERE application keeps the result
+    exact.  The join path needs something to join against: the first
+    table, an *empty* incoming stream and an other side that does not
+    resolve all take the constant/scan path.
+    """
+    pin = None if where is None else _find_constant_equality(where, binding, table.schema)
+    fetch, path = _compile_fetch(table, pin, with_ids=False)
+    line = f"{binding}: {path}"
+
+    def access(stream: list, params: tuple, plan: list) -> tuple[list, int]:
+        found = fetch(params)
+        plan.append(line)
+        examined = len(found) * max(1, len(stream))
+        return [rows + (row,) for rows in stream for row in found], examined
+
+    join = None if where is None or not env else _find_join_equality(where, binding, table)
+    if join is None or isinstance(_resolve(join[1], env), str):
+        return access
+    column, other_ref = join
+    other = _compile_column(other_ref, env)
+    lookup = _index_lookup(table, column, with_ids=False)
+    join_line = f"{binding}: index join on {column}"
+
+    def index_join(stream: list, params: tuple, plan: list) -> tuple[list, int]:
+        if not stream:
+            return access(stream, params, plan)
+        plan.append(join_line)
+        out = [
+            rows + (row,) for rows in stream for row in lookup(other(rows, params))
+        ]
+        return out, len(out)
+
+    return index_join
+
+
+def _compile_join(table: Table, join: ast.Join, slot: int, env: Env) -> Step:
+    """Extend each stream element with the rows an explicit JOIN matches.
+
+    With an indexable equality whose other side resolves, candidates
+    come from the index per element; otherwise from one full scan --
+    taken eagerly when there is no equality, and only once an element
+    arrives when the equality's other side does not resolve (the plan
+    line still says ``index on``).
+    """
+    binding = join.table.binding
+    equality = _find_join_equality(join.condition, binding, table)
+    condition = _compile_expr(
+        join.condition, {**env, binding: (slot, table.schema, False)}
+    )
+    left = join.kind == "LEFT"
+    scan = table.scan
+    lookup = other = None
+    if equality is None:
+        line = f"{binding}: {join.kind} join full scan"
+    else:
+        line = f"{binding}: {join.kind} join index on {equality[0]}"
+        if not isinstance(_resolve(equality[1], env), str):
+            other = _compile_column(equality[1], env)
+            lookup = _index_lookup(table, equality[0], with_ids=False)
+
+    def step(stream: list, params: tuple, plan: list) -> tuple[list, int]:
+        plan.append(line)
+        if lookup is None and (equality is None or stream):
+            candidates = scan()
+        out = []
         examined = 0
-        out: list[_Scope] = []
-        for scope in scopes:
-            if equality is not None:
-                column, other = equality
-                try:
-                    value = self._eval(other, scope, params)
-                except ExecutionError:
-                    equality = None
-                    right_rows = [row for _rowid, row in table.rows()]
-                else:
-                    if table.primary_key == column:
-                        hit = table.lookup_pk(value)
-                        candidates = [hit[1]] if hit is not None else []
-                    else:
-                        candidates = [
-                            row for _rowid, row in table.lookup_index(column, value)
-                        ]
-            if equality is None:
-                candidates = right_rows or []
+        for rows in stream:
+            if lookup is not None:
+                candidates = lookup(other(rows, params))
+            examined += len(candidates)
             matched = False
             for row in candidates:
-                examined += 1
-                child = scope.child()
-                child.bindings[binding] = (table.schema, row)
-                if _truthy(self._eval(join.condition, child, params)):
+                child = rows + (row,)
+                if condition(child, params):
                     out.append(child)
                     matched = True
-            if join.kind == "LEFT" and not matched:
-                child = scope.child()
-                child.bindings[binding] = (table.schema, None)
-                out.append(child)
+            if left and not matched:
+                out.append(rows + (None,))
         return out, examined
 
-    def _match_rows(
-        self,
-        table: Table,
-        where: ast.Expression | None,
-        params: tuple[object, ...],
-    ) -> tuple[list[tuple[int, list[object]]], int]:
-        """Rows of ``table`` matching ``where`` (index fast path included)."""
-        candidates: list[tuple[int, list[object]]]
-        if where is not None:
-            pin = _find_constant_equality(where, table.schema.name, table.schema)
-            if pin is None:
-                pin = _find_constant_equality(where, "", table.schema)
-            if pin is not None:
-                column, expr = pin
-                value = self._eval(expr, _Scope(), params)
-                if table.primary_key == column:
-                    hit = table.lookup_pk(value)
-                    candidates = [hit] if hit is not None else []
-                elif table.has_index(column):
-                    candidates = table.lookup_index(column, value)
-                else:
-                    candidates = list(table.rows())
-            else:
-                candidates = list(table.rows())
-        else:
-            candidates = list(table.rows())
-        examined = len(candidates)
-        if where is None:
-            return candidates, examined
-        matches = []
-        for rowid, row in candidates:
-            scope = _Scope()
-            scope.bindings[table.schema.name] = (table.schema, row)
-            if _truthy(self._eval(where, scope, params)):
-                matches.append((rowid, row))
-        return matches, examined
+    return step
 
-    # -- projection / aggregation -------------------------------------------------
 
-    def _expand_items(
-        self, select: ast.Select, scope_example: _Scope | None
-    ) -> list[tuple[str, ast.Expression]]:
-        """Expand ``*`` items into concrete column references."""
-        items: list[tuple[str, ast.Expression]] = []
-        for item in select.items:
-            expr = item.expression
-            if isinstance(expr, ast.Star):
-                for binding_name, (schema, _row) in self._star_bindings(
-                    select, expr
-                ).items():
-                    for column in schema.column_names:
-                        items.append(
-                            (column, ast.ColumnRef(column=column, table=binding_name))
-                        )
-            else:
-                name = item.alias or _default_name(expr)
-                items.append((name, expr))
-        return items
+def _compile_match(
+    table: Table, where: ast.Expression | None
+) -> Callable[[tuple], tuple[list[tuple[int, list[object]]], int]]:
+    """``match(params)`` -> ((rowid, row) pairs matching ``where``, examined)."""
+    schema = table.schema
+    pin = None
+    if where is not None:
+        pin = _find_constant_equality(
+            where, schema.name, schema
+        ) or _find_constant_equality(where, "", schema)
+    fetch, _path = _compile_fetch(table, pin, with_ids=True)
+    if where is None:
+        predicate = None
+    else:
+        predicate = _compile_expr(where, {schema.name: (0, schema, False)})
 
-    def _star_bindings(
-        self, select: ast.Select, star: ast.Star
-    ) -> dict[str, tuple[TableSchema, None]]:
-        bindings: dict[str, tuple[TableSchema, None]] = {}
-        refs = list(select.tables) + [join.table for join in select.joins]
-        for table_ref in refs:
-            if star.table is None or table_ref.binding == star.table.lower():
-                bindings[table_ref.binding] = (
-                    self._table(table_ref.name).schema,
-                    None,
-                )
-        if not bindings:
-            raise ExecutionError(f"cannot expand {star.unparse()}")
-        return bindings
+    def match(params: tuple) -> tuple[list[tuple[int, list[object]]], int]:
+        candidates = fetch(params)
+        if predicate is None:
+            return candidates, len(candidates)
+        matches = [pair for pair in candidates if predicate((pair[1],), params)]
+        return matches, len(candidates)
 
-    def _project(
-        self, select: ast.Select, scopes: list[_Scope], params: tuple[object, ...]
-    ) -> tuple[list[str], list[tuple[object, ...]]]:
-        items = self._expand_items(select, scopes[0] if scopes else None)
-        columns = [name for name, _expr in items]
-        rows = []
-        for scope in scopes:
-            rows.append(
-                tuple(self._eval(expr, scope, params) for _name, expr in items)
-            )
-        if select.distinct:
-            rows = _dedupe(rows)
-        return columns, rows
+    return match
 
-    def _aggregate(
-        self, select: ast.Select, scopes: list[_Scope], params: tuple[object, ...]
-    ) -> tuple[list[str], list[tuple[object, ...]]]:
-        groups: dict[tuple[object, ...], list[_Scope]] = {}
-        if select.group_by:
-            for scope in scopes:
-                key = tuple(
-                    self._eval(expr, scope, params) for expr in select.group_by
-                )
-                groups.setdefault(key, []).append(scope)
-        else:
-            groups[()] = scopes
 
-        items = [
-            (item.alias or _default_name(item.expression), item.expression)
-            for item in select.items
-        ]
-        columns = [name for name, _expr in items]
-        rows: list[tuple[object, ...]] = []
-        for _key, members in groups.items():
-            if select.having is not None:
-                having = self._eval_aggregate(select.having, members, params)
-                if not _truthy(having):
-                    continue
-            rows.append(
-                tuple(
-                    self._eval_aggregate(expr, members, params)
-                    for _name, expr in items
-                )
-            )
-        return columns, rows
+def _compile_fetch(
+    table: Table, pin: tuple[str, ast.Expression] | None, with_ids: bool
+) -> tuple[Callable[[tuple], list], str]:
+    """(``fetch(params)``, EXPLAIN path) for one table's candidate rows.
 
-    def _eval_aggregate(
-        self, expr: ast.Expression, members: list[_Scope], params: tuple[object, ...]
-    ) -> object:
-        """Evaluate ``expr`` over a group of scopes."""
-        if isinstance(expr, ast.FunctionCall) and expr.name in (
-            "COUNT",
-            "SUM",
-            "AVG",
-            "MIN",
-            "MAX",
+    ``pin`` is a ``column = constant`` conjunct: through the primary key
+    or an index when the column has one, else a full scan -- after
+    evaluating the constant, so a missing parameter raises either way.
+    """
+    scan = (lambda: list(table.rows())) if with_ids else table.scan
+    if pin is None:
+        return (lambda params: scan()), "full scan"
+    column, expr = pin
+    value = _compile_expr(expr, {})
+    if table.primary_key != column and not table.has_index(column):
+
+        def checked_scan(params: tuple) -> list:
+            value(None, params)
+            return scan()
+
+        return checked_scan, "full scan"
+    lookup = _index_lookup(table, column, with_ids)
+    path = "primary key" if table.primary_key == column else "index eq"
+    return (lambda params: lookup(value(None, params))), f"{path} {column}"
+
+
+def _index_lookup(table: Table, column: str, with_ids: bool) -> Callable[[object], list]:
+    """``lookup(value)`` -> rows (or (rowid, row) pairs) with column = value."""
+    if table.primary_key == column:
+        lookup_pk = table.lookup_pk
+        if with_ids:
+            return lambda value: [] if (hit := lookup_pk(value)) is None else [hit]
+        return lambda value: [] if (hit := lookup_pk(value)) is None else [hit[1]]
+    lookup_index = table.lookup_index
+    if with_ids:
+        return lambda value: lookup_index(column, value)
+    return lambda value: [row for _rowid, row in lookup_index(column, value)]
+
+
+def _find_join_equality(
+    where: ast.Expression, binding: str, table: Table
+) -> tuple[str, ast.ColumnRef] | None:
+    """Find ``binding.col = <other-binding column>`` with an index on col."""
+    if isinstance(where, ast.BinaryOp) and where.op == "AND":
+        found = _find_join_equality(where.left, binding, table)
+        if found is not None:
+            return found
+        return _find_join_equality(where.right, binding, table)
+    if isinstance(where, ast.BinaryOp) and where.op == "=":
+        for mine, other in (
+            (where.left, where.right),
+            (where.right, where.left),
         ):
-            return self._apply_aggregate(expr, members, params)
-        if isinstance(expr, ast.BinaryOp):
-            left = self._eval_aggregate(expr.left, members, params)
-            right = self._eval_aggregate(expr.right, members, params)
-            return _apply_binary(expr.op, left, right)
-        if isinstance(expr, ast.UnaryOp):
-            operand = self._eval_aggregate(expr.operand, members, params)
-            return _apply_unary(expr.op, operand)
-        if members:
-            return self._eval(expr, members[0], params)
-        return None
-
-    def _apply_aggregate(
-        self,
-        call: ast.FunctionCall,
-        members: list[_Scope],
-        params: tuple[object, ...],
-    ) -> object:
-        arg = call.args[0]
-        if call.name == "COUNT" and isinstance(arg, ast.Star):
-            return len(members)
-        values = [self._eval(arg, scope, params) for scope in members]
-        values = [value for value in values if value is not None]
-        if call.distinct:
-            values = _dedupe_values(values)
-        if call.name == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if call.name == "SUM":
-            return sum(values)  # type: ignore[arg-type]
-        if call.name == "AVG":
-            return sum(values) / len(values)  # type: ignore[arg-type]
-        if call.name == "MIN":
-            return min(values)  # type: ignore[type-var]
-        if call.name == "MAX":
-            return max(values)  # type: ignore[type-var]
-        raise ExecutionError(f"unknown aggregate {call.name}")
-
-    def _order_limit(
-        self,
-        select: ast.Select,
-        result: tuple[list[str], list[tuple[object, ...]]],
-        params: tuple[object, ...],
-    ) -> tuple[list[str], list[tuple[object, ...]]]:
-        columns, rows = result
-        if select.order_by:
-            positions = {name: i for i, name in enumerate(columns)}
-
-            def sort_key(row: tuple[object, ...]) -> tuple:
-                key = []
-                for order in select.order_by:
-                    value = self._order_value(order.expression, columns, row, params)
-                    key.append(_SortValue(value, order.descending))
-                return tuple(key)
-
-            rows = sorted(rows, key=sort_key)
-            del positions
-        if select.offset is not None:
-            offset = int(self._eval(select.offset, _Scope(), params))  # type: ignore[arg-type]
-            rows = rows[offset:]
-        if select.limit is not None:
-            limit = int(self._eval(select.limit, _Scope(), params))  # type: ignore[arg-type]
-            rows = rows[:limit]
-        return columns, rows
-
-    def _order_value(
-        self,
-        expr: ast.Expression,
-        columns: list[str],
-        row: tuple[object, ...],
-        params: tuple[object, ...],
-    ) -> object:
-        """Evaluate an ORDER BY key against an already-projected row."""
-        if isinstance(expr, ast.ColumnRef):
-            name = expr.column.lower()
-            for i, column in enumerate(columns):
-                if column.lower() == name:
-                    return row[i]
-        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-            return row[expr.value - 1]  # ORDER BY ordinal
-        raise ExecutionError(
-            f"ORDER BY key {expr.unparse()!r} must name a projected column"
-        )
-
-    # -- scalar expression evaluation ----------------------------------------------
-
-    def _eval(
-        self, expr: ast.Expression, scope: _Scope, params: tuple[object, ...]
-    ) -> object:
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.Placeholder):
-            try:
-                return params[expr.index]
-            except IndexError:
-                raise ExecutionError(
-                    f"missing parameter {expr.index}: got {len(params)}"
-                ) from None
-        if isinstance(expr, ast.ColumnRef):
-            return scope.resolve(expr)
-        if isinstance(expr, ast.BinaryOp):
-            if expr.op == "AND":
-                left = self._eval(expr.left, scope, params)
-                if not _truthy(left):
-                    return False
-                return _truthy(self._eval(expr.right, scope, params))
-            if expr.op == "OR":
-                left = self._eval(expr.left, scope, params)
-                if _truthy(left):
-                    return True
-                return _truthy(self._eval(expr.right, scope, params))
-            left = self._eval(expr.left, scope, params)
-            right = self._eval(expr.right, scope, params)
-            return _apply_binary(expr.op, left, right)
-        if isinstance(expr, ast.UnaryOp):
-            operand = self._eval(expr.operand, scope, params)
-            return _apply_unary(expr.op, operand)
-        if isinstance(expr, ast.IsNull):
-            value = self._eval(expr.operand, scope, params)
-            return (value is not None) if expr.negated else (value is None)
-        if isinstance(expr, ast.InList):
-            value = self._eval(expr.operand, scope, params)
-            members = [self._eval(item, scope, params) for item in expr.items]
-            found = value in members
-            return (not found) if expr.negated else found
-        if isinstance(expr, ast.Between):
-            value = self._eval(expr.operand, scope, params)
-            low = self._eval(expr.low, scope, params)
-            high = self._eval(expr.high, scope, params)
-            if value is None or low is None or high is None:
-                return False
-            inside = low <= value <= high  # type: ignore[operator]
-            return (not inside) if expr.negated else inside
-        if isinstance(expr, ast.FunctionCall):
-            raise ExecutionError(
-                f"aggregate {expr.name} used outside aggregation context"
-            )
-        if isinstance(expr, ast.Star):
-            raise ExecutionError("* is not a scalar expression")
-        raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Helpers
-# ---------------------------------------------------------------------------
-
-
-class _SortValue:
-    """Orderable wrapper handling None and DESC ordering."""
-
-    __slots__ = ("value", "descending")
-
-    def __init__(self, value: object, descending: bool) -> None:
-        self.value = value
-        self.descending = descending
-
-    def __lt__(self, other: "_SortValue") -> bool:
-        a, b = self.value, other.value
-        if a is None and b is None:
-            return False
-        if a is None:
-            return not self.descending  # NULLs first ascending, last descending
-        if b is None:
-            return self.descending
-        if self.descending:
-            return b < a  # type: ignore[operator]
-        return a < b  # type: ignore[operator]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SortValue) and self.value == other.value
-
-
-def _truthy(value: object) -> bool:
-    return bool(value)
-
-
-def _apply_binary(op: str, left: object, right: object) -> object:
-    if op in ("=", "<>", "<", "<=", ">", ">=", "LIKE", "NOT LIKE"):
-        if left is None or right is None:
-            return False
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "LIKE":
-            return _like(str(left), str(right))
-        if op == "NOT LIKE":
-            return not _like(str(left), str(right))
-        try:
-            if op == "<":
-                return left < right  # type: ignore[operator]
-            if op == "<=":
-                return left <= right  # type: ignore[operator]
-            if op == ">":
-                return left > right  # type: ignore[operator]
-            return left >= right  # type: ignore[operator]
-        except TypeError as exc:
-            raise ExecutionError(f"cannot compare {left!r} {op} {right!r}") from exc
-    if left is None or right is None:
-        return None
-    try:
-        if op == "+":
-            return left + right  # type: ignore[operator]
-        if op == "-":
-            return left - right  # type: ignore[operator]
-        if op == "*":
-            return left * right  # type: ignore[operator]
-        if op == "/":
-            return left / right  # type: ignore[operator]
-        if op == "%":
-            return left % right  # type: ignore[operator]
-    except TypeError as exc:
-        raise ExecutionError(f"cannot apply {left!r} {op} {right!r}") from exc
-    raise ExecutionError(f"unknown operator {op!r}")
-
-
-def _apply_unary(op: str, operand: object) -> object:
-    if op == "NOT":
-        return not _truthy(operand)
-    if op == "-":
-        if operand is None:
-            return None
-        return -operand  # type: ignore[operator]
-    raise ExecutionError(f"unknown unary operator {op!r}")
-
-
-def _like(text: str, pattern: str) -> bool:
-    """SQL LIKE with % (any run) and _ (any char), case-insensitive."""
-    import re
-
-    regex = "".join(
-        ".*" if ch == "%" else "." if ch == "_" else re.escape(ch) for ch in pattern
-    )
-    return re.fullmatch(regex, text, flags=re.IGNORECASE) is not None
-
-
-def _default_name(expr: ast.Expression) -> str:
-    if isinstance(expr, ast.ColumnRef):
-        return expr.column
-    if isinstance(expr, ast.FunctionCall):
-        inner = ", ".join(arg.unparse() for arg in expr.args)
-        return f"{expr.name.lower()}({inner})"
-    return expr.unparse()
-
-
-def _dedupe(rows: list[tuple[object, ...]]) -> list[tuple[object, ...]]:
-    seen: set[tuple[object, ...]] = set()
-    out = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return out
-
-
-def _dedupe_values(values: list[object]) -> list[object]:
-    seen: set[object] = set()
-    out = []
-    for value in values:
-        if value not in seen:
-            seen.add(value)
-            out.append(value)
-    return out
-
-
-def _has_aggregate(select: ast.Select) -> bool:
-    """True when any projection item contains an aggregate call."""
-
-    def contains(expr: ast.Expression) -> bool:
-        if isinstance(expr, ast.FunctionCall) and expr.name in (
-            "COUNT",
-            "SUM",
-            "AVG",
-            "MIN",
-            "MAX",
-        ):
-            return True
-        if isinstance(expr, ast.BinaryOp):
-            return contains(expr.left) or contains(expr.right)
-        if isinstance(expr, ast.UnaryOp):
-            return contains(expr.operand)
-        return False
-
-    return any(contains(item.expression) for item in select.items)
+            if not isinstance(mine, ast.ColumnRef):
+                continue
+            if mine.table is None or mine.table.lower() != binding:
+                continue
+            if not isinstance(other, ast.ColumnRef):
+                continue
+            if other.table is not None and other.table.lower() == binding:
+                continue
+            column = mine.column.lower()
+            if not table.schema.has_column(column):
+                continue
+            if table.primary_key == column or table.has_index(column):
+                return column, other
+    return None
 
 
 def _find_constant_equality(
@@ -806,3 +441,479 @@ def _find_constant_equality(
                 continue
             return column_side.column.lower(), value_side
     return None
+
+
+# ---------------------------------------------------------------------------
+# After the WHERE: sort / slice / project, or group / aggregate / sort / slice
+# ---------------------------------------------------------------------------
+
+Finish = Callable[[list, tuple], tuple[list[str], list[tuple[object, ...]]]]
+
+
+def _compile_plain(select: ast.Select, env: Env) -> Finish:
+    """Sort full stream elements (any column is orderable, projected or
+    not), then slice, then project."""
+    order = [
+        (_compile_expr(item.expression, env), item.descending)
+        for item in select.order_by
+    ]
+    offset, limit = _compile_bound(select.offset), _compile_bound(select.limit)
+    distinct = select.distinct
+    project = _compile_projection(select, env)
+
+    def finish(stream: list, params: tuple) -> tuple[list[str], list[tuple]]:
+        stream = _sorted(stream, order, params)
+        # DISTINCT applies its LIMIT to the de-duplicated projection.
+        stream = _slice(stream, offset, None if distinct else limit, params)
+        columns, out = project(stream, params)
+        if distinct:
+            out = _slice(_dedupe(out), None, limit, params)
+        return columns, out
+
+    return finish
+
+
+def _compile_projection(select: ast.Select, env: Env) -> Finish:
+    items: list[tuple[str, Compiled]] = []
+    for item in select.items:
+        expr = item.expression
+        if not isinstance(expr, ast.Star):
+            items.append((item.alias or _default_name(expr), _compile_expr(expr, env)))
+            continue
+        names = [
+            name for name in env if expr.table is None or name == expr.table.lower()
+        ]
+        if not names:
+            # Raised even for an empty stream, but only once it is built.
+            return _raises(ExecutionError, f"cannot expand {expr.unparse()}")
+        for name in names:
+            for column in env[name][1].column_names:
+                ref = ast.ColumnRef(column=column, table=name)
+                items.append((column, _compile_column(ref, env)))
+    columns = [name for name, _value in items]
+    values = [value for _name, value in items]
+
+    def project(stream: list, params: tuple) -> tuple[list[str], list[tuple]]:
+        out = [tuple([value(rows, params) for value in values]) for rows in stream]
+        return list(columns), out
+
+    return project
+
+
+def _compile_grouped(select: ast.Select, env: Env) -> Finish:
+    keys = [_compile_expr(expr, env) for expr in select.group_by]
+    columns = [
+        item.alias or _default_name(item.expression) for item in select.items
+    ]
+    values = [_compile_group_expr(item.expression, env) for item in select.items]
+    having = None
+    if select.having is not None:
+        having = _compile_group_expr(select.having, env)
+    order = [
+        (_compile_output_key(item.expression, columns), item.descending)
+        for item in select.order_by
+    ]
+    offset, limit = _compile_bound(select.offset), _compile_bound(select.limit)
+
+    def finish(stream: list, params: tuple) -> tuple[list[str], list[tuple]]:
+        if keys:
+            groups: dict[tuple, list] = {}
+            for rows in stream:
+                group = tuple([key(rows, params) for key in keys])
+                groups.setdefault(group, []).append(rows)
+            member_lists = list(groups.values())
+        else:
+            member_lists = [stream]
+        out = [
+            tuple([value(members, params) for value in values])
+            for members in member_lists
+            if having is None or having(members, params)
+        ]
+        out = _slice(_sorted(out, order, params), offset, limit, params)
+        return list(columns), out
+
+    return finish
+
+
+def _compile_output_key(expr: ast.Expression, columns: list[str]) -> Compiled:
+    """An ORDER BY key of a grouped SELECT: a projected column's name or
+    ordinal, read from the already-projected row."""
+    index = None
+    if isinstance(expr, ast.ColumnRef):
+        name = expr.column.lower()
+        index = next(
+            (i for i, column in enumerate(columns) if column.lower() == name), None
+        )
+    if index is None and isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+        index = expr.value - 1
+    if index is None:
+        return _raises(
+            ExecutionError,
+            f"ORDER BY key {expr.unparse()!r} must name a projected column",
+        )
+    return lambda row, params: row[index]
+
+
+def _compile_bound(expr: ast.Expression | None) -> Compiled | None:
+    """LIMIT / OFFSET: evaluated with no binding in scope."""
+    return None if expr is None else _compile_expr(expr, {})
+
+
+def _slice(
+    items: list, offset: Compiled | None, limit: Compiled | None, params: tuple
+) -> list:
+    if offset is not None:
+        items = items[int(offset(None, params)) :]
+    if limit is not None:
+        items = items[: int(limit(None, params))]
+    return items
+
+
+def _sorted(items: list, order: list[tuple[Compiled, bool]], params: tuple) -> list:
+    if not order:
+        return items
+    return sorted(
+        items,
+        key=lambda item: tuple(
+            [_SortValue(value(item, params), descending) for value, descending in order]
+        ),
+    )
+
+
+def _compile_group_expr(expr: ast.Expression, env: Env) -> Compiled:
+    """Compile ``expr`` to ``g(members, params)`` over one group.
+
+    Aggregates fold the members; operators combine sub-results (without
+    short-circuit: AND/OR are not operators here, as in the
+    interpreter); anything else is read from the group's first member.
+    """
+    if isinstance(expr, ast.FunctionCall) and expr.name in _AGGREGATES:
+        return _compile_aggregate(expr, env)
+    if isinstance(expr, ast.BinaryOp):
+        return _binary(
+            expr.op,
+            _compile_group_expr(expr.left, env),
+            _compile_group_expr(expr.right, env),
+        )
+    if isinstance(expr, ast.UnaryOp):
+        return _unary(expr.op, _compile_group_expr(expr.operand, env))
+    scalar = _compile_expr(expr, env)
+    return lambda members, params: scalar(members[0], params) if members else None
+
+
+def _compile_aggregate(call: ast.FunctionCall, env: Env) -> Compiled:
+    name, arg, distinct = call.name, call.args[0], call.distinct
+    if name == "COUNT" and isinstance(arg, ast.Star):
+        return lambda members, params: len(members)
+    value = _compile_expr(arg, env)
+    fold = {
+        "COUNT": len,
+        "SUM": sum,
+        "AVG": lambda values: sum(values) / len(values),
+        "MIN": min,
+        "MAX": max,
+    }[name]
+
+    def aggregate(members: list, params: tuple) -> object:
+        values = [
+            found
+            for rows in members
+            if (found := value(rows, params)) is not None
+        ]
+        if distinct:
+            values = _dedupe(values)
+        if not values and name != "COUNT":
+            return None
+        return fold(values)
+
+    return aggregate
+
+
+def _has_aggregate(select: ast.Select) -> bool:
+    """True when any projection item contains an aggregate call."""
+
+    def contains(expr: ast.Expression) -> bool:
+        if isinstance(expr, ast.FunctionCall) and expr.name in _AGGREGATES:
+            return True
+        if isinstance(expr, ast.BinaryOp):
+            return contains(expr.left) or contains(expr.right)
+        if isinstance(expr, ast.UnaryOp):
+            return contains(expr.operand)
+        return False
+
+    return any(contains(item.expression) for item in select.items)
+
+
+# ---------------------------------------------------------------------------
+# Scalar expressions
+# ---------------------------------------------------------------------------
+
+
+def _compile_expr(expr: ast.Expression, env: Env) -> Compiled:
+    """Compile ``expr`` to ``f(rows, params)`` over the bindings in ``env``."""
+    if isinstance(expr, ast.Literal):
+        constant = expr.value
+        return lambda rows, params: constant
+    if isinstance(expr, ast.Placeholder):
+        return _compile_placeholder(expr.index)
+    if isinstance(expr, ast.ColumnRef):
+        return _compile_column(expr, env)
+    if isinstance(expr, ast.BinaryOp):
+        left, right = _compile_expr(expr.left, env), _compile_expr(expr.right, env)
+        if expr.op == "AND":
+            return lambda rows, params: (
+                True if left(rows, params) and right(rows, params) else False
+            )
+        if expr.op == "OR":
+            return lambda rows, params: (
+                True if left(rows, params) or right(rows, params) else False
+            )
+        if expr.op in ("LIKE", "NOT LIKE") and isinstance(
+            expr.right, (ast.Literal, ast.Placeholder)
+        ):
+            return _compile_like(left, right, negated=expr.op == "NOT LIKE")
+        return _binary(expr.op, left, right)
+    if isinstance(expr, ast.UnaryOp):
+        return _unary(expr.op, _compile_expr(expr.operand, env))
+    if isinstance(expr, ast.IsNull):
+        operand = _compile_expr(expr.operand, env)
+        if expr.negated:
+            return lambda rows, params: operand(rows, params) is not None
+        return lambda rows, params: operand(rows, params) is None
+    if isinstance(expr, ast.InList):
+        operand = _compile_expr(expr.operand, env)
+        items = [_compile_expr(item, env) for item in expr.items]
+        negated = expr.negated
+
+        def in_list(rows: object, params: tuple) -> bool:
+            value = operand(rows, params)
+            found = value in [item(rows, params) for item in items]
+            return (not found) if negated else found
+
+        return in_list
+    if isinstance(expr, ast.Between):
+        operand = _compile_expr(expr.operand, env)
+        low, high = _compile_expr(expr.low, env), _compile_expr(expr.high, env)
+        negated = expr.negated
+
+        def between(rows: object, params: tuple) -> bool:
+            value, lo, hi = operand(rows, params), low(rows, params), high(rows, params)
+            if value is None or lo is None or hi is None:
+                return False
+            inside = lo <= value <= hi  # type: ignore[operator]
+            return (not inside) if negated else inside
+
+        return between
+    if isinstance(expr, ast.FunctionCall):
+        return _raises(
+            ExecutionError, f"aggregate {expr.name} used outside aggregation context"
+        )
+    if isinstance(expr, ast.Star):
+        return _raises(ExecutionError, "* is not a scalar expression")
+    return _raises(ExecutionError, f"cannot evaluate {type(expr).__name__}")
+
+
+def _compile_placeholder(index: int) -> Compiled:
+    def placeholder(rows: object, params: tuple) -> object:
+        try:
+            return params[index]
+        except IndexError:
+            raise ExecutionError(
+                f"missing parameter {index}: got {len(params)}"
+            ) from None
+
+    return placeholder
+
+
+def _resolve(ref: ast.ColumnRef, env: Env) -> tuple[int, TableSchema, bool] | str:
+    """The binding ``ref`` reads in ``env``, or -- as a string -- the
+    message of the :class:`ExecutionError` that resolving it raises."""
+    if ref.table is not None:
+        return env.get(ref.table.lower()) or f"unknown table binding {ref.table!r}"
+    matches = [entry for entry in env.values() if entry[1].has_column(ref.column)]
+    if len(matches) == 1:
+        return matches[0]
+    return f"{'ambiguous' if matches else 'unknown'} column {ref.column!r}"
+
+
+def _compile_column(ref: ast.ColumnRef, env: Env) -> Compiled:
+    target = _resolve(ref, env)
+    if isinstance(target, str):
+        return _raises(ExecutionError, target)
+    slot, schema, nullable = target
+    if not schema.has_column(ref.column):
+        # Qualified reference to a column its table lacks: NULL on an
+        # outer-join null row, an error on a real one.
+        missing = _raises(SchemaError, _no_column(schema, ref.column))
+        return lambda rows, params: None if rows[slot] is None else missing()
+    position = schema.position(ref.column)
+    if not nullable:
+        return lambda rows, params: rows[slot][position]
+
+    def column(rows: tuple, params: tuple) -> object:
+        row = rows[slot]
+        return None if row is None else row[position]
+
+    return column
+
+
+def _compile_like(left: Compiled, right: Compiled, negated: bool) -> Compiled:
+    """LIKE against a literal or parameter pattern: the matcher is bound
+    once per execution (the pattern is the same object for every row)."""
+    bound: list = [None, None]  # pattern value, its matcher
+
+    def like(rows: object, params: tuple) -> bool:
+        text, pattern = left(rows, params), right(rows, params)
+        if text is None or pattern is None:
+            return False
+        if pattern is not bound[0]:
+            bound[:] = pattern, _like_matcher(str(pattern))
+        matched = bound[1](str(text)) is not None
+        return (not matched) if negated else matched
+
+    return like
+
+
+def _binary(op: str, left: Compiled, right: Compiled) -> Compiled:
+    """``left <op> right`` with SQL NULL handling (both sides evaluated)."""
+    if op == "=":
+
+        def equals(x: object, params: tuple) -> object:
+            a, b = left(x, params), right(x, params)
+            return False if a is None or b is None else a == b
+
+        return equals
+    apply = _BINARY_OPS.get(op) or _unknown_operator(op)
+    return lambda x, params: apply(left(x, params), right(x, params))
+
+
+def _unary(op: str, operand: Compiled) -> Compiled:
+    if op == "NOT":
+        return lambda x, params: not operand(x, params)
+    if op == "-":
+        return (
+            lambda x, params: None
+            if (value := operand(x, params)) is None
+            else -value  # type: ignore[operator]
+        )
+    return _raises(ExecutionError, f"unknown unary operator {op!r}")
+
+
+def _operator(
+    symbol: str,
+    compute: Callable[[object, object], object],
+    verb: str,
+    on_null: object,
+) -> Callable[[object, object], object]:
+    """``compute`` with SQL NULL handling and type errors reported."""
+
+    def apply(left: object, right: object) -> object:
+        if left is None or right is None:
+            return on_null
+        try:
+            return compute(left, right)
+        except TypeError as exc:
+            raise ExecutionError(f"cannot {verb} {left!r} {symbol} {right!r}") from exc
+
+    return apply
+
+
+def _unknown_operator(op: str) -> Callable[[object, object], object]:
+    def apply(left: object, right: object) -> object:
+        if left is None or right is None:
+            return None
+        raise ExecutionError(f"unknown operator {op!r}")
+
+    return apply
+
+
+def _like(text: object, pattern: object) -> bool:
+    if text is None or pattern is None:
+        return False
+    return _like_matcher(str(pattern))(str(text)) is not None
+
+
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITHMETIC = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,
+}
+#: Every operator but ``=`` (inlined in :func:`_binary`); comparisons
+#: with NULL are false, arithmetic with NULL is NULL.
+_BINARY_OPS: dict[str, Callable[[object, object], object]] = {
+    "<>": lambda a, b: False if a is None or b is None else a != b,
+    "LIKE": _like,
+    "NOT LIKE": lambda a, b: False if a is None or b is None else not _like(a, b),
+    **{op: _operator(op, fn, "compare", False) for op, fn in _COMPARISONS.items()},
+    **{op: _operator(op, fn, "apply", None) for op, fn in _ARITHMETIC.items()},
+}
+
+
+# ---------------------------------------------------------------------------
+# Helpers
+# ---------------------------------------------------------------------------
+
+
+class _SortValue:
+    """Orderable wrapper handling None and DESC ordering."""
+
+    __slots__ = ("value", "descending")
+
+    def __init__(self, value: object, descending: bool) -> None:
+        self.value = value
+        self.descending = descending
+
+    def __lt__(self, other: "_SortValue") -> bool:
+        a, b = self.value, other.value
+        if a is None and b is None:
+            return False
+        if a is None:
+            return not self.descending  # NULLs first ascending, last descending
+        if b is None:
+            return self.descending
+        if self.descending:
+            return b < a  # type: ignore[operator]
+        return a < b  # type: ignore[operator]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _SortValue) and self.value == other.value
+
+
+def _raises(exc_type: type[Exception], message: str) -> Callable[..., object]:
+    """A stand-in for any plan part: raises when (and only if) reached."""
+
+    def fail(*_args: object) -> object:
+        raise exc_type(message)
+
+    return fail
+
+
+def _no_column(schema: TableSchema, column: str) -> str:
+    return f"table {schema.name!r} has no column {column!r}"
+
+
+@lru_cache(maxsize=512)
+def _like_matcher(pattern: str) -> Callable[[str], object]:
+    """SQL LIKE as a full-match function: % is any run, _ any one
+    character (newlines included), case-insensitive."""
+    regex = "".join(
+        ".*" if ch == "%" else "." if ch == "_" else re.escape(ch) for ch in pattern
+    )
+    return re.compile(regex, re.IGNORECASE | re.DOTALL).fullmatch
+
+
+def _default_name(expr: ast.Expression) -> str:
+    if isinstance(expr, ast.ColumnRef):
+        return expr.column
+    if isinstance(expr, ast.FunctionCall):
+        inner = ", ".join(arg.unparse() for arg in expr.args)
+        return f"{expr.name.lower()}({inner})"
+    return expr.unparse()
+
+
+def _dedupe(items: list) -> list:
+    """Distinct items in first-seen order."""
+    return list(dict.fromkeys(items))

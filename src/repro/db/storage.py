@@ -46,6 +46,11 @@ class Table:
         self.scan_count += 1
         return iter(list(self._rows.items()))
 
+    def scan(self) -> list[list[object]]:
+        """Every row, in rowid order; counts as one full scan."""
+        self.scan_count += 1
+        return list(self._rows.values())
+
     def lookup_pk(self, value: object) -> tuple[int, list[object]] | None:
         """Point lookup via the primary-key index."""
         self.index_lookup_count += 1
