@@ -43,11 +43,13 @@ bench-e2e:
 	python bench/run.py --quick
 	python -m pytest bench/test_bench.py -q
 
-# Where the time goes, in-process: replays a bench workload's warm-up +
-# N closed-loop requests through the woven container and prints wall
-# time per request, the SELECT share and the top cProfile rows.  A
-# candidate finder (the numbers ROADMAP item 1 ranks layers by), not a
-# gate: confirm with the traced round of bench/run.py.
+# Where the time goes, in-process: replays the wire bytes of a bench
+# workload's warm-up + N closed-loop requests through the serving
+# tier's protocol object (parse -> fast_check -> render -> serialize;
+# no sockets) and prints wall time per request, the fast/slow split,
+# the SELECT share and the top cProfile rows.  A candidate finder (the
+# numbers ROADMAP item 1 ranks layers by), not a gate: confirm with the
+# traced round of bench/run.py.
 WORKLOAD ?= rubis_browse_churn
 N ?= 6000
 SEED ?= 57

@@ -1,9 +1,12 @@
 """In-process profile of one bench workload's request list (`make profile`).
 
-Builds the app and facade through ``bench.workloads``, replays warm-up +
-N closed-loop requests through the woven container un-profiled (wall
-time, SELECT share), then N more under ``cProfile``.  A candidate
-finder, not a gate: confirm with the traced round of ``bench/run.py``.
+Builds the app and facade through ``bench.workloads`` and replays the
+wire bytes of warm-up + N closed-loop requests through the serving
+tier's own protocol object (``_HttpConnection.data_received`` with a
+recording transport: parse -> ``fast_check`` -> render -> serialize, no
+sockets, no loop) un-profiled -- wall time, the fast/slow split, SELECT
+share -- then N more under ``cProfile``.  A candidate finder, not a
+gate: confirm with the traced round of ``bench/run.py``.
 """
 
 from __future__ import annotations
@@ -21,17 +24,39 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 from bench.workloads import WORKLOADS, build_app, build_facade, generate  # noqa: E402
 from repro.db.engine import Database  # noqa: E402
 from repro.sql import ast_nodes as ast  # noqa: E402
-from repro.web.http import HttpRequest  # noqa: E402
+from repro.web.asyncserver import AsyncCachedServer, _HttpConnection  # noqa: E402
 
 
-def replay(container, requests, carts) -> float:
-    started = time.perf_counter()
+class RecordingTransport:
+    """What the connection writes to: keeps the latest response."""
+
+    payload = b""
+
+    def write(self, payload: bytes) -> None:
+        self.payload = payload
+
+    def is_closing(self) -> bool:
+        return False
+
+
+def replay(server, requests, carts) -> dict[str, list]:
+    """``[requests, seconds]`` spent answering, by serving path."""
+    transport = RecordingTransport()
+    connection = _HttpConnection(server)
+    connection.connection_made(transport)
+    paths = {"fast": [0, 0.0], "slow": [0, 0.0]}
     for request in requests:
-        response = container.handle(
-            HttpRequest(request.method, request.uri, request.resolved_params(carts))
-        )
-        request.observe(response.body.encode("utf-8"), carts)
-    return time.perf_counter() - started
+        wire = request.wire_for(carts)
+        fast_before = server.stats.fast_hits
+        started = time.perf_counter()
+        connection.data_received(wire)
+        elapsed = time.perf_counter() - started
+        path = paths["fast" if server.stats.fast_hits > fast_before else "slow"]
+        path[0] += 1
+        path[1] += elapsed
+        request.observe(transport.payload.partition(b"\r\n\r\n")[2], carts)
+    connection.connection_lost(None)
+    return paths
 
 
 def main() -> None:
@@ -43,6 +68,7 @@ def main() -> None:
     workload = WORKLOADS[args.workload]
     app, awc = build_app(workload), build_facade(workload)
     awc.install(app.servlet_classes)
+    server = AsyncCachedServer(app.container, cache=awc.cache)  # never started
     select_s, execute = 0.0, Database.execute_statement
 
     def timed(self, statement, params=()):
@@ -55,16 +81,21 @@ def main() -> None:
                 select_s += time.perf_counter() - started
 
     carts: dict[int, str] = {}
-    replay(app.container, generate(workload, args.seed, "warmup", workload.warmup), carts)
+    replay(server, generate(workload, args.seed, "warmup", workload.warmup), carts)
     closed = generate(workload, args.seed, "closed", 2 * args.n)
     Database.execute_statement = timed
-    wall = replay(app.container, closed[: args.n], carts)
+    paths = replay(server, closed[: args.n], carts)
     Database.execute_statement = execute
+    wall = paths["fast"][1] + paths["slow"][1]
     print(f"{args.workload} seed {args.seed}: {wall / args.n * 1e6:.1f} us/request"
           f" un-profiled, execute_select share {select_s / wall:.1%}")
+    for path, (count, seconds) in paths.items():
+        mean = seconds / count * 1e6 if count else 0.0
+        print(f"  {path} path: {count / args.n:.1%} of requests, {mean:.1f} us each")
     profiler = cProfile.Profile()
-    profiler.runcall(replay, app.container, closed[args.n :], carts)
+    profiler.runcall(replay, server, closed[args.n :], carts)
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
+    server.shutdown()
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ class HitpathComparison:
     asyncio_tier: LoadResult
     #: Responses the async tier served from a pinned wire buffer.
     fast_hits: int
-    #: Requests the async tier dispatched to the thread pool.
+    #: Requests the async tier rendered through the container pipeline.
     slow_requests: int
     n_connections: int
     iterations: int
@@ -129,7 +129,7 @@ def render_hitpath_report(comparison: HitpathComparison) -> str:
         (
             f"speedup: {comparison.speedup:.1f}x single-node hits/sec"
             f"   (fast-path serves: {comparison.fast_hits}/{total},"
-            f" thread-pool offloads: {comparison.slow_requests})"
+            f" slow-path renders: {comparison.slow_requests})"
         ),
     ]
     return "\n".join(lines)

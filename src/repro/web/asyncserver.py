@@ -22,13 +22,16 @@ refactor that fixes it without touching the servlet/WSGI API:
   the buffer along with the entry (:meth:`PageEntry.doom`), so a
   doomed page can never be replayed from the buffer.
 
-* **Thread-pool offload.** Everything else (misses, writes, sessions,
-  cookies, uncacheable URIs) is dispatched to a ``ThreadPoolExecutor``
-  running the exact same container pipeline the threaded server runs:
-  the woven aspects, single-flight coalescing, and consistency
-  machinery behave identically.  Concurrent offloaded writes group-
-  commit onto the cluster bus when it is constructed with
-  ``batched=True`` (see ``repro.cluster.bus``).
+* **Run to completion.** Everything else (misses, writes, sessions,
+  cookies, uncacheable URIs) runs the exact same container pipeline the
+  threaded server runs -- woven aspects, single-flight coalescing,
+  consistency machinery -- *inline on the loop thread*, and its answer
+  is written before the next request is parsed.  Nothing in this
+  repository blocks (the database is in-process) and every thread
+  shares one GIL, so a worker pool bought neither parallelism nor
+  hit-latency isolation, only a thread hand-off per miss
+  (``docs/serving.md`` has the measurements).  An application that
+  really blocks belongs on the threaded ``repro.web.wsgi`` tier.
 
 The wire format is shared with the WSGI adapter's serialization rules
 (same status phrases, same header order, Content-Length always last),
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future
 
 from repro.errors import RoutingError
 from repro.web.container import ServletContainer
@@ -55,6 +58,11 @@ from repro.web.http import (
 #: hygiene invariant: per-request headers are never cached, hits always
 #: carry the response defaults.
 _HIT_HEADERS = (("Content-Type", "text/html"),)
+
+#: Largest header block / declared body a connection may make the
+#: server buffer; anything above is answered 400 and closed.
+_MAX_HEAD_BYTES = 65536
+_MAX_BODY_BYTES = 1 << 20
 
 
 def _serialize(
@@ -95,14 +103,39 @@ def build_wire(entry) -> bytes:
     )
 
 
+def _error_page(status: int, detail: str = "") -> bytes:
+    """A well-formed error response (never a traceback, never dropped)."""
+    paragraph = f"<p>{detail}</p>" if detail else ""
+    page = f"<html><body><h1>{status}</h1>{paragraph}</body></html>"
+    return _serialize(status, _HIT_HEADERS, (), page.encode("utf-8"))
+
+
+class _InlineExecutor(Executor):
+    """``submit`` runs the callable on the calling thread.
+
+    No thread is involved; this is only the seam the benchmark's trace
+    patches (``bench/tracing.py`` wraps ``server.executor.submit`` to
+    emit ``web.offload``).  ROADMAP item 8 moves those probes inside
+    ``src/`` and deletes this class.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 class AsyncServerStats:
     """Serving-tier counters, all mutated on the loop thread only."""
 
     def __init__(self) -> None:
         #: Responses served from a pinned wire buffer on the loop.
         self.fast_hits = 0
-        #: Requests dispatched to the thread pool (misses, writes,
-        #: uncacheable URIs, cookie-carrying requests).
+        #: Requests that ran the container pipeline, inline on the loop
+        #: (misses, writes, uncacheable URIs, cookie-carrying requests).
         self.slow_requests = 0
         #: Connections accepted over the server's lifetime.
         self.connections = 0
@@ -121,16 +154,15 @@ class AsyncServerStats:
 class _HttpConnection(asyncio.Protocol):
     """One keep-alive HTTP/1.1 connection on the event loop.
 
-    Requests on a connection are answered strictly in order: parsing
-    pauses while a slow-path response is in flight and resumes when it
-    is written, so pipelined requests cannot interleave responses.
+    Run to completion: a request is parsed, answered and written before
+    the next one is looked at, so pipelined requests are answered
+    strictly in order without any per-connection state but the buffer.
     """
 
     def __init__(self, server: "AsyncCachedServer") -> None:
         self.server = server
         self.transport: asyncio.Transport | None = None
         self._buffer = b""
-        self._busy = False
 
     # -- asyncio.Protocol ---------------------------------------------------------------
 
@@ -145,18 +177,17 @@ class _HttpConnection(asyncio.Protocol):
 
     def data_received(self, data: bytes) -> None:
         self._buffer += data
-        if not self._busy:
-            self._pump()
+        self._pump()
 
     # -- request framing ----------------------------------------------------------------
 
     def _pump(self) -> None:
-        """Parse and dispatch requests until the buffer runs dry (or a
-        slow-path response is in flight)."""
-        while self.transport is not None and not self._busy:
-            head_end = self._buffer.find(b"\r\n\r\n")
+        """Parse and answer requests until the buffer runs dry or the
+        connection is closing (an answer that closes it is the last)."""
+        while not self.transport.is_closing():
+            head_end = self._buffer.find(b"\r\n\r\n", 0, _MAX_HEAD_BYTES + 4)
             if head_end < 0:
-                if len(self._buffer) > 65536:
+                if len(self._buffer) > _MAX_HEAD_BYTES:
                     self._bad_request("header block too large")
                 return
             head = self._buffer[:head_end].decode("latin-1")
@@ -172,85 +203,60 @@ class _HttpConnection(asyncio.Protocol):
                     continue
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
-            try:
-                length = int(headers.get("content-length") or 0)
-            except ValueError:
+            # Digits only: int() would also take "-5" (the request is
+            # served and the tail of its own header block re-parsed as
+            # a second request), "+5", "5_0" and padded forms.
+            declared = headers.get("content-length", "0")
+            if not (declared.isascii() and declared.isdigit()):
                 self._bad_request("malformed content-length")
+                return
+            length = int(declared)
+            if length > _MAX_BODY_BYTES:
+                self._bad_request("body too large")
                 return
             body_start = head_end + 4
             if len(self._buffer) < body_start + length:
                 return  # body not fully buffered yet
             body = self._buffer[body_start : body_start + length]
             self._buffer = self._buffer[body_start + length :]
-            close = (
-                headers.get("connection", "").lower() == "close"
-                or version == "HTTP/1.0"
-                and headers.get("connection", "").lower() != "keep-alive"
+            connection = headers.get("connection", "").lower()
+            close = connection == "close" or (
+                version == "HTTP/1.0" and connection != "keep-alive"
             )
-            self._dispatch(method.upper(), target, headers, body, close)
+            self.transport.write(self._dispatch(method.upper(), target, headers, body))
+            if close:
+                self.transport.close()
 
     def _bad_request(self, reason: str) -> None:
         self.server.stats.bad_requests += 1
-        body = f"<html><body><h1>400</h1><p>{reason}</p></body></html>"
-        if self.transport is not None:
-            self.transport.write(
-                _serialize(400, _HIT_HEADERS, (), body.encode("utf-8"))
-            )
-            self.transport.close()
+        self.transport.write(_error_page(400, reason))
+        self.transport.close()
 
     # -- dispatch -----------------------------------------------------------------------
 
     def _dispatch(
-        self,
-        method: str,
-        target: str,
-        headers: dict[str, str],
-        body: bytes,
-        close: bool,
-    ) -> None:
+        self, method: str, target: str, headers: dict[str, str], body: bytes
+    ) -> bytes:
+        """Wire bytes answering one request: the pinned buffer of a
+        fast hit, else the container pipeline's rendering."""
         server = self.server
+        request = HttpRequest(method, target)
         if (
             method == "GET"
             and server.fast_path_enabled
             and "cookie" not in headers
         ):
-            request = HttpRequest("GET", target)
             entry = server.cache.fast_check(request)
             if entry is not None:
                 buffer = entry.wire(build_wire)
                 if buffer is not None:
                     server.stats.fast_hits += 1
-                    self._write(buffer, close)
-                    return
+                    return buffer
                 # Doomed between probe and pin: treat as a miss.
         server.stats.slow_requests += 1
-        self._busy = True
-        future = server.loop.run_in_executor(
-            server.executor, server.render, method, target, headers, body
-        )
-        future.add_done_callback(
-            lambda done: self._slow_response(done, close)
-        )
-
-    def _slow_response(self, done: asyncio.Future, close: bool) -> None:
-        self._busy = False
-        if self.transport is None:
-            return
-        try:
-            payload = done.result()
-        except Exception:  # renderer guard failed: drop the connection
-            self.transport.close()
-            return
-        self._write(payload, close)
-        if not close:
-            self._pump()
-
-    def _write(self, payload: bytes, close: bool) -> None:
-        if self.transport is None:
-            return
-        self.transport.write(payload)
-        if close:
-            self.transport.close()
+        return server.executor.submit(
+            server.render, request, headers, body
+        ).result()
 
 
 class AsyncCachedServer:
@@ -258,7 +264,7 @@ class AsyncCachedServer:
 
     ``cache`` is anything with the facade's ``fast_check`` --
     :class:`repro.cache.api.Cache` or a cluster router; ``None``
-    disables the fast path entirely (every request offloads, which is
+    disables the fast path entirely (every request renders, which is
     still a working HTTP server).  The fast path is also disabled when
     the container has sessions enabled: session resolution and
     Set-Cookie stamping live on the container pipeline, which the fast
@@ -269,9 +275,8 @@ class AsyncCachedServer:
         with start_async_server(container, cache=awc.cache) as server:
             ...  # http://127.0.0.1:{server.port}/
 
-    ``shutdown()`` is idempotent: closes the listening socket, drains
-    the executor, closes the connections clients left open, stops the
-    loop and joins its thread.
+    ``shutdown()`` is idempotent: closes the listening socket and the
+    connections clients left open, stops the loop and joins its thread.
     """
 
     def __init__(
@@ -280,7 +285,6 @@ class AsyncCachedServer:
         cache=None,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_workers: int = 16,
     ) -> None:
         self.container = container
         self.cache = cache
@@ -290,9 +294,7 @@ class AsyncCachedServer:
         #: Transports of the live connections (loop thread only).
         self.open_transports: set[asyncio.BaseTransport] = set()
         self.fast_path_enabled = cache is not None and container.sessions is None
-        self.executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-async-worker"
-        )
+        self.executor = _InlineExecutor()
         self.loop = asyncio.new_event_loop()
         self._thread: threading.Thread | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -330,9 +332,7 @@ class AsyncCachedServer:
         if self._closed:
             return
         self._closed = True
-        if self._server is None:
-            self.executor.shutdown(wait=True)
-        else:
+        if self._server is not None:
             asyncio.run_coroutine_threadsafe(self._close(), self.loop).result()
         if self._thread is not None:
             self.loop.call_soon_threadsafe(self.loop.stop)
@@ -344,15 +344,14 @@ class AsyncCachedServer:
 
         asyncio objects are not thread-safe: ``Server.close()`` called
         from the thread that asked for the shutdown raced connection
-        teardown on the loop (both ran ``Server._wakeup``).  In-flight
-        renders finish and are answered while the executor drains; the
-        connections clients left open are closed after that, because
-        ``wait_closed()`` waits for every connection to be gone.  Only
-        that last wait is bounded: a render may take as long as it
-        takes, a peer that never reads must not hold the shutdown up.
+        teardown on the loop (both ran ``Server._wakeup``).  Requests
+        run to completion on this thread, so none is in flight here;
+        the connections clients left open are closed, because
+        ``wait_closed()`` waits for every connection to be gone, and
+        that wait is bounded: a peer that never reads must not hold the
+        shutdown up.
         """
         self._server.close()
-        await self.loop.run_in_executor(None, self.executor.shutdown)
         for transport in list(self.open_transports):
             transport.close()
         await asyncio.wait_for(self._server.wait_closed(), timeout=10.0)
@@ -363,36 +362,37 @@ class AsyncCachedServer:
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
 
-    # -- slow path (executor threads) ---------------------------------------------------
+    # -- slow path (loop thread) --------------------------------------------------------
 
     def render(
-        self, method: str, target: str, headers: dict[str, str], body: bytes
+        self, request: HttpRequest, headers: dict[str, str], body: bytes
     ) -> bytes:
-        """Run the full container pipeline for one request.
+        """Run the full container pipeline for one parsed request.
 
-        Mirrors the WSGI adapter's error envelope: unroutable URIs get
-        a 404, any other failure a well-formed 500 -- the connection
-        never sees a traceback or a dropped response.
+        ``request`` is the one the fast path probed with (its query
+        string parsed and its cache key encoded once).  Mirrors the
+        WSGI adapter's error envelope: unroutable URIs get a 404, any
+        other failure a well-formed 500 -- the connection never sees a
+        traceback or a dropped response.
         """
         try:
-            request = self._build_request(method, target, headers, body)
-            response = self.container.handle(request)
+            self._build_request(request, headers, body)
+        except UnicodeDecodeError:
+            self.stats.bad_requests += 1
+            return _error_page(400, "undecodable form body")
+        try:
+            return serialize_response(self.container.handle(request))
         except RoutingError:
-            page = "<html><body><h1>404</h1></body></html>"
-            return _serialize(404, _HIT_HEADERS, (), page.encode("utf-8"))
+            return _error_page(404)
         except Exception as exc:
-            page = (
-                f"<html><body><h1>500</h1>"
-                f"<p>{type(exc).__name__}</p></body></html>"
-            )
-            return _serialize(500, _HIT_HEADERS, (), page.encode("utf-8"))
-        return serialize_response(response)
+            return _error_page(500, type(exc).__name__)
 
     def _build_request(
-        self, method: str, target: str, headers: dict[str, str], body: bytes
-    ) -> HttpRequest:
-        request = HttpRequest(method, target)
-        if method == "POST" and body:
+        self, request: HttpRequest, headers: dict[str, str], body: bytes
+    ) -> None:
+        """Add what only the slow path reads: form parameters, cookies
+        and headers."""
+        if request.method == "POST" and body:
             if "application/x-www-form-urlencoded" in headers.get(
                 "content-type", ""
             ):
@@ -412,7 +412,6 @@ class AsyncCachedServer:
                 if name != "cookie"
             }
         )
-        return request
 
 
 def start_async_server(
@@ -420,9 +419,6 @@ def start_async_server(
     cache=None,
     host: str = "127.0.0.1",
     port: int = 0,
-    max_workers: int = 16,
 ) -> AsyncCachedServer:
     """Bind + serve ``container`` on the event-loop tier (started)."""
-    return AsyncCachedServer(
-        container, cache=cache, host=host, port=port, max_workers=max_workers
-    ).start()
+    return AsyncCachedServer(container, cache=cache, host=host, port=port).start()

@@ -9,6 +9,7 @@ paper's transparency hazards (Section 4.3).
 
 from __future__ import annotations
 
+import re
 import urllib.parse
 from dataclasses import dataclass, field
 
@@ -43,11 +44,21 @@ def parse_query_string(query: str) -> dict[str, str]:
     return params
 
 
+#: Text ``quote_plus`` returns unchanged (urllib's always-safe set).
+_needs_no_quoting = re.compile(r"[A-Za-z0-9_.~-]*").fullmatch
+
+
+def _quote(value: object) -> str:
+    """``quote_plus(str(value))``, skipping urllib's quote -> encode ->
+    quote_from_bytes chain for the common all-safe name or value."""
+    text = str(value)
+    return text if _needs_no_quoting(text) else urllib.parse.quote_plus(text)
+
+
 def encode_query_string(params: dict[str, str]) -> str:
     """Encode a dict into a canonical (sorted) query string."""
     return "&".join(
-        f"{urllib.parse.quote_plus(str(k))}={urllib.parse.quote_plus(str(v))}"
-        for k, v in sorted(params.items())
+        f"{_quote(k)}={_quote(v)}" for k, v in sorted(params.items())
     )
 
 

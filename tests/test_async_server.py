@@ -9,9 +9,18 @@ render, doom-then-rerender -- extended to the async fast path.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import socket
+import threading
+import time
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+import repro.web.asyncserver as asyncserver
+import repro.web.http as web_http
 from repro.cache.api import Cache
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.entry import PageEntry
@@ -19,27 +28,132 @@ from repro.cache.page_cache import PageCache
 from repro.cache.semantics import SemanticsRegistry
 from repro.cluster import ClusterAutoWebCache
 from repro.harness.loadgen import AsyncLoadDriver
-from repro.web.asyncserver import build_wire, start_async_server
+from repro.web.asyncserver import (
+    AsyncCachedServer,
+    _HttpConnection,
+    build_wire,
+    start_async_server,
+)
 from repro.web.container import ServletContainer
-from repro.web.http import HttpRequest
+from repro.web.http import HttpRequest, HttpResponse
+from repro.web.servlet import HttpServlet
 
 from tests.conftest import build_notes_app
+from tests.test_single_flight import _spin_until
 
 
-def raw_exchange(port: int, target: str) -> bytes:
-    """One raw GET with ``Connection: close``; returns the full wire
-    response (the server closes, so EOF delimits it exactly)."""
+def get(target: str, *extra: str) -> bytes:
+    lines = [f"GET {target} HTTP/1.1", "Host: t", *extra]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+def post(target: str, form: bytes, *extra: str) -> bytes:
+    lines = [
+        f"POST {target} HTTP/1.1",
+        "Host: t",
+        "Content-Type: application/x-www-form-urlencoded",
+        f"Content-Length: {len(form)}",
+        *extra,
+    ]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + form
+
+
+def exchange(port: int, payload: bytes) -> bytes:
+    """Send ``payload`` in one ``sendall`` and read to EOF: the caller
+    ends it with something that makes the server close."""
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-        sock.sendall(
-            f"GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
-            .encode("latin-1")
-        )
+        sock.sendall(payload)
         chunks = []
         while True:
             chunk = sock.recv(65536)
             if not chunk:
                 return b"".join(chunks)
             chunks.append(chunk)
+
+
+def raw_exchange(port: int, target: str) -> bytes:
+    """One raw GET with ``Connection: close``; returns the full wire
+    response (the server closes, so EOF delimits it exactly)."""
+    return exchange(port, get(target, "Connection: close"))
+
+
+def split_responses(payload: bytes) -> list[tuple[int, bytes]]:
+    """``(status, body)`` of each response in a wire stream; fails
+    unless the stream is nothing but complete, well-framed responses."""
+    responses = []
+    while payload:
+        head, separator, rest = payload.partition(b"\r\n\r\n")
+        assert separator, payload
+        lines = head.decode("latin-1").split("\r\n")
+        version, status, _phrase = lines[0].split(" ", 2)
+        assert version == "HTTP/1.1"
+        name, _, declared = lines[-1].partition(": ")
+        assert name == "Content-Length"
+        length = int(declared)
+        assert len(rest) >= length, payload
+        responses.append((int(status), rest[:length]))
+        payload = rest[length:]
+    return responses
+
+
+@contextlib.contextmanager
+def notes_server(start: bool = True, **cache_options):
+    """``(server, container, awc)``: the woven notes app, note 1 under
+    topic ``a``.  Started, the server also fails the test if anything
+    reached its loop's exception handler; unstarted, it never binds and
+    its protocol objects are driven by hand (:func:`deliver`)."""
+    _db, container = build_notes_app()
+    awc = AutoWebCache(**cache_options)
+    awc.install(container.servlet_classes)
+    server = AsyncCachedServer(container, cache=awc.cache)
+    loop_errors: list[dict] = []
+    server.loop.set_exception_handler(
+        lambda _loop, context: loop_errors.append(context)
+    )
+    try:
+        container.post(
+            "/add", {"id": "1", "topic": "a", "body": "x", "score": "3"}
+        )
+        if start:
+            server.start()
+        yield server, container, awc
+    finally:
+        server.shutdown()
+        awc.uninstall()
+    assert loop_errors == []
+
+
+class RecordingTransport:
+    """The slice of ``asyncio.Transport`` the protocol uses."""
+
+    def __init__(self) -> None:
+        self.written: list[bytes] = []
+        self.closed = False
+
+    def write(self, payload: bytes) -> None:
+        assert not self.closed, "wrote to a transport it had closed"
+        self.written.append(payload)
+
+    def close(self) -> None:
+        self.closed = True
+
+    def is_closing(self) -> bool:
+        return self.closed
+
+
+def deliver(server: AsyncCachedServer, chunks) -> tuple[bytes, bool]:
+    """Feed ``chunks`` to a fresh connection as the loop would (nothing
+    more once the protocol closed its transport); returns what it wrote
+    and whether it closed.  An exception is the caller's failure."""
+    transport = RecordingTransport()
+    connection = _HttpConnection(server)
+    connection.connection_made(transport)
+    for chunk in chunks:
+        if transport.closed:
+            break
+        connection.data_received(chunk)
+    connection.connection_lost(None)
+    return b"".join(transport.written), transport.closed
 
 
 class TestWireBuffer:
@@ -399,3 +513,276 @@ class TestAsyncServerHttp:
             assert awc.bus.stats.batches >= 1
         finally:
             awc.uninstall()
+
+
+class TestRequestFraming:
+    """Hostile or broken framing is refused before anything is served."""
+
+    @pytest.mark.parametrize("declared", ["-5", "+5", "5_0", "-0"])
+    def test_content_length_must_be_digits(self, declared):
+        # ``int()`` takes all of these.  ``-5`` used to serve the
+        # request and then re-parse the tail of its own header block as
+        # a second one (200 + 400); the others framed a body the client
+        # never declared that way.
+        with notes_server() as (server, _container, _awc):
+            payload = exchange(
+                server.port,
+                f"GET /view_note?id=1 HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {declared}\r\n\r\nhello".encode("latin-1"),
+            )
+            assert [status for status, _ in split_responses(payload)] == [400]
+            assert server.stats.bad_requests == 1
+            assert server.stats.slow_requests == 0
+
+    def test_declared_body_above_the_cap_is_refused_at_once(self):
+        # Used to buffer for ever: the size cap only applied while no
+        # blank line had arrived.  No body byte is sent here -- the 400
+        # must not wait for one.
+        with notes_server() as (server, _container, _awc):
+            payload = exchange(
+                server.port,
+                b"POST /score HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: 99999999999\r\n\r\n",
+            )
+            assert [status for status, _ in split_responses(payload)] == [400]
+            assert server.stats.slow_requests == 0
+
+    def test_header_block_cap_holds_when_the_blank_line_arrives_with_it(self):
+        with notes_server(start=False) as (server, _container, _awc):
+            head = b"GET /view_note?id=1 HTTP/1.1\r\nX: " + b"a" * 70000
+            payload, closed = deliver(server, [head + b"\r\n\r\n"])
+            assert [status for status, _ in split_responses(payload)] == [400]
+            assert closed
+
+    def test_undecodable_form_body_is_the_clients_error(self):
+        with notes_server() as (server, _container, _awc):
+            payload = exchange(
+                server.port,
+                post("/score", b"id=\xff\xfe&score=1")
+                + get("/view_note?id=1", "Connection: close"),
+            )
+            # 400, not 500 -- and the framing was sound, so the
+            # connection goes on to serve the next request.
+            assert [status for status, _ in split_responses(payload)] == [
+                400,
+                200,
+            ]
+            assert server.stats.bad_requests == 1
+
+
+#: Slow GET, fast GET, the POST that dooms the page, the same GET
+#: again, an unroutable URI, one more page.
+BURST = (
+    (get, "/view_note?id=1"),
+    (get, "/view_note?id=1"),
+    (post, "/score", b"id=1&score=7"),
+    (get, "/view_note?id=1"),
+    (get, "/nope"),
+    (get, "/view_topic?topic=a"),
+)
+#: The burst as one keep-alive stream whose last request closes.
+PIPELINED = b"".join(build(*args) for build, *args in BURST[:-1]) + BURST[-1][0](
+    *BURST[-1][1:], "Connection: close"
+)
+BURST_STATUSES = [200, 200, 200, 200, 404, 200]
+
+
+class FirstCallStalls(HttpServlet):
+    """Renders its call number; only the first call waits on the gate."""
+
+    def __init__(self) -> None:
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+        self.calls = 0
+
+    def do_get(self, request: HttpRequest, response: HttpResponse) -> None:
+        self.calls += 1
+        call = self.calls
+        if call == 1:
+            self.entered.set()
+            self.gate.wait(timeout=10)
+        response.write(f"<p>render {call}</p>")
+
+
+class TestRunToCompletion:
+    """Every request is parsed, answered and written before the next one
+    is looked at -- on the loop thread, hits and misses alike."""
+
+    def test_pipelined_burst_equals_one_request_at_a_time(self):
+        with notes_server() as (server, _container, _awc):
+            burst = exchange(server.port, PIPELINED)
+            assert server.stats.fast_hits == 1
+            assert server.stats.slow_requests == 5
+            assert server.stats.connections == 1
+        with notes_server() as (server, _container, _awc):
+            singly = [
+                exchange(server.port, build(*args, "Connection: close"))
+                for build, *args in BURST
+            ]
+        assert burst == b"".join(singly)
+        responses = split_responses(burst)
+        assert [status for status, _ in responses] == BURST_STATUSES
+        assert responses[0][1] == responses[1][1] == b"<p>x|3</p>"
+        assert responses[3][1] == b"<p>x|7</p>"  # fresh, not the doomed page
+
+    def test_any_split_of_the_stream_yields_the_same_bytes(self):
+        stream = PIPELINED
+        with notes_server(start=False) as (server, container, _awc):
+
+            def replay(chunks) -> tuple[bytes, bool]:
+                # Same database state for every delivery; whatever the
+                # cache holds, hit bytes equal freshly rendered bytes.
+                container.post("/score", {"id": "1", "score": "3"})
+                return deliver(server, chunks)
+
+            expected = replay([stream])
+            assert expected[1]
+            assert [s for s, _ in split_responses(expected[0])] == BURST_STATUSES
+            for cut in range(1, len(stream)):
+                assert replay([stream[:cut], stream[cut:]]) == expected, cut
+            assert replay([stream[i : i + 1] for i in range(len(stream))]) == expected
+
+            @settings(max_examples=50, deadline=None)
+            @given(st.sets(st.integers(1, len(stream) - 1), max_size=12))
+            def split_at(cuts):
+                bounds = [0, *sorted(cuts), len(stream)]
+                chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+                assert replay(chunks) == expected
+
+            split_at()
+
+    def test_arbitrary_bytes_never_raise_on_the_loop(self):
+        fragments = st.sampled_from(
+            [
+                b"GET ", b"POST ", b"/view_note?id=1", b"/score", b"/nope",
+                b" HTTP/1.1", b" HTTP/1.0", b"\r\n", b"\r\n\r\n", b" ", b":",
+                b"Content-Length: ", b"0", b"12", b"-5", b"+5", b"99999999999",
+                b"Content-Type: application/x-www-form-urlencoded",
+                b"Connection: close", b"Cookie: k=v; =; x",
+                b"id=1&score=7", b"\xff\xfe", b"%", b"?a=%ff&&=",
+            ]
+        )
+        noise = st.lists(fragments | st.binary(max_size=8), max_size=24)
+        with notes_server(start=False) as (server, _container, _awc):
+
+            @settings(max_examples=300, deadline=None)
+            @given(noise.map(b"".join), st.integers(0, 80))
+            def feed(data, cut):
+                bad_before = server.stats.bad_requests
+                # Raising here is what would reach the loop's handler.
+                payload, _closed = deliver(server, [data[:cut], data[cut:]])
+                statuses = [status for status, _ in split_responses(payload)]
+                assert set(statuses) <= {200, 400, 404, 405, 500}
+                assert statuses.count(400) == server.stats.bad_requests - bad_before
+
+            feed()
+
+    def test_nothing_pipelined_behind_a_closing_request_is_run(self):
+        with notes_server(start=False) as (server, container, _awc):
+            payload, closed = deliver(
+                server,
+                [
+                    get("/view_note?id=1", "Connection: close")
+                    + post("/score", b"id=1&score=7")
+                ],
+            )
+            assert closed
+            assert split_responses(payload) == [(200, b"<p>x|3</p>")]
+            assert server.stats.slow_requests == 1
+            assert container.get("/view_note", {"id": "1"}).body == "<p>x|3</p>"
+
+    def test_raising_servlet_answers_500_and_the_connection_lives_on(self):
+        with notes_server() as (server, _container, awc):
+            payload = exchange(
+                server.port,
+                get("/view_note?id=abc")
+                + get("/view_note?id=1", "Connection: close"),
+            )
+            (failed, page), served = split_responses(payload)
+            assert failed == 500 and b"ValueError" in page
+            assert served == (200, b"<p>x|3</p>")
+            assert awc.cache.open_flights == 0
+
+    def test_flight_led_by_another_thread_feeds_the_loop(self):
+        """The loop thread is an ordinary waiter on a flight some other
+        thread leads: it serves the leader's page, rendered once."""
+        view = FirstCallStalls()
+        container = ServletContainer()
+        container.register("/stall", view)
+        awc = AutoWebCache()
+        awc.install(container.servlet_classes)
+        try:
+            led: list[str] = []
+            leader = threading.Thread(
+                target=lambda: led.append(container.get("/stall").body)
+            )
+            leader.start()
+            assert view.entered.wait(timeout=5)
+            flight = awc.cache.flight_for("/stall")
+            with start_async_server(container, cache=awc.cache) as server:
+                answer: list[bytes] = []
+                client = threading.Thread(
+                    target=lambda: answer.append(raw_exchange(server.port, "/stall"))
+                )
+                client.start()
+                assert _spin_until(lambda: flight.waiters == 1)
+                view.gate.set()
+                client.join(timeout=10)
+                leader.join(timeout=10)
+                assert not client.is_alive() and not leader.is_alive()
+            assert split_responses(answer[0]) == [(200, b"<p>render 1</p>")]
+            assert led == ["<p>render 1</p>"]
+            assert view.calls == 1
+            assert awc.stats.coalesced_hits == 1
+        finally:
+            view.gate.set()
+            awc.uninstall()
+
+    def test_stuck_foreign_leader_holds_the_loop_no_longer_than_the_timeout(self):
+        view = FirstCallStalls()
+        container = ServletContainer()
+        container.register("/stall", view)
+        awc = AutoWebCache(flight_timeout=0.1)
+        awc.install(container.servlet_classes)
+        try:
+            leader = threading.Thread(target=lambda: container.get("/stall"))
+            leader.start()
+            assert view.entered.wait(timeout=5)
+            with start_async_server(container, cache=awc.cache) as server:
+                started = time.monotonic()
+                payload = raw_exchange(server.port, "/stall")
+                elapsed = time.monotonic() - started
+            # Each wait on the stuck flight is bounded by flight_timeout;
+            # out of attempts, the loop renders the page itself.
+            assert split_responses(payload) == [(200, b"<p>render 2</p>")]
+            assert elapsed < 5  # the leader would stall for 10 s
+            assert leader.is_alive()
+        finally:
+            view.gate.set()
+            leader.join(timeout=10)
+            awc.uninstall()
+        assert not leader.is_alive()
+
+    def test_slow_get_builds_one_request_and_encodes_its_key_once(
+        self, monkeypatch
+    ):
+        built, encoded = [], []
+        real_encode = web_http.encode_query_string
+
+        def counting_request(*args, **kwargs):
+            built.append(args)
+            return HttpRequest(*args, **kwargs)
+
+        monkeypatch.setattr(asyncserver, "HttpRequest", counting_request)
+        monkeypatch.setattr(
+            web_http,
+            "encode_query_string",
+            lambda params: encoded.append(1) or real_encode(params),
+        )
+        with notes_server(start=False) as (server, _container, awc):
+            del built[:], encoded[:]  # the fixture's own POST
+            payload, _closed = deliver(server, [get("/view_note?id=1")])
+            assert split_responses(payload) == [(200, b"<p>x|3</p>")]
+            assert server.stats.slow_requests == 1 and awc.stats.inserts == 1
+        assert built == [("GET", "/view_note?id=1")]
+        assert len(encoded) == 1

@@ -2,8 +2,10 @@
 
 ``bench/tracing.py`` patches ``src/repro`` attributes *by name* from
 outside the package; a rename used to be noticed only by the traced
-round of ``make bench-e2e``.  This tier-1 test (no sockets, nothing is
-patched) asserts every name it reaches for still resolves.
+round of ``make bench-e2e``.  This tier-1 test asserts every name it
+reaches for still resolves (no sockets, nothing is patched), and that
+the one hook patched on an *instance* -- ``server.executor.submit`` --
+is still what a slow request goes through.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from repro.cluster.bus import InvalidationBus
 from repro.cluster.router import ClusterRouter
 from repro.db.dbapi import Statement
 from repro.web.servlet import HttpServlet
+
+from tests.test_async_server import notes_server, raw_exchange
 
 #: The one facade method the router does not have (bench/tracing.py
 #: guards it with ``hasattr``; anything else going missing is a rename).
@@ -65,3 +69,22 @@ def test_jdbc_advice_calls_the_patched_templateize():
     looks up at call time, or the ``sql.templateize`` span goes dark."""
     advice = aspects.JdbcConsistencyAspect.collect_dependency_info
     assert "templateize" in advice.__code__.co_names
+
+
+def test_slow_requests_pass_through_the_patched_submit_once():
+    """``bench/server.py`` calls ``recorder.wrap_submit(server.executor)``
+    after start-up; ``web.offload`` / ``web.executor_wait`` (and with
+    them ``trace.self_sum_ratio``) exist only if every slow request --
+    and no fast hit -- then goes through that instance attribute."""
+    recorder = tracing.Recorder()
+    with notes_server() as (server, _container, _awc):
+        recorder.wrap_submit(server.executor)
+        recorder.enabled = True
+        miss = raw_exchange(server.port, "/view_note?id=1")
+        hit = raw_exchange(server.port, "/view_note?id=1")
+        assert miss == hit
+        assert (server.stats.slow_requests, server.stats.fast_hits) == (1, 1)
+    assert sorted(span[3] for span in recorder.spans) == [
+        "web.executor_wait",
+        "web.offload",
+    ]

@@ -1,5 +1,10 @@
 """HTTP model tests."""
 
+import urllib.parse
+
+import hypothesis.strategies as st
+from hypothesis import given
+
 from repro.web.http import (
     HttpRequest,
     HttpResponse,
@@ -27,6 +32,21 @@ class TestQueryString:
     def test_roundtrip(self):
         params = {"x": "hello world", "y": "1&2"}
         assert parse_query_string(encode_query_string(params)) == params
+
+    # Names and values that are all-safe ASCII skip ``quote_plus``; the
+    # bytes of every key (cache keys, bench request lists) must not move.
+    @given(
+        st.dictionaries(
+            st.text() | st.text("az09_.-~ +%&=/"),
+            st.text() | st.text("az09_.-~ +%&=/") | st.integers(),
+            max_size=6,
+        )
+    )
+    def test_encode_equals_the_urllib_form(self, params):
+        quote = urllib.parse.quote_plus
+        assert encode_query_string(params) == "&".join(
+            f"{quote(str(k))}={quote(str(v))}" for k, v in sorted(params.items())
+        )
 
 
 class TestHttpRequest:
