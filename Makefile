@@ -1,6 +1,6 @@
 ENV := PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: test stress stress-lockwatch check bench bench-e2e profile bench-cluster bench-invalidation bench-fragments bench-obs bench-admission bench-hitpath differential results
+.PHONY: test stress stress-lockwatch check bench bench-figures bench-e2e profile bench-cluster bench-invalidation bench-fragments bench-obs bench-admission bench-hitpath differential results
 
 # Tier-1: the full unit/integration/property suite (what CI gates on).
 test:
@@ -34,6 +34,13 @@ check:
 # Regenerate every paper figure + ablation (writes benchmarks/results/).
 bench:
 	$(ENV) python -m pytest benchmarks --benchmark-only -q
+
+# The paper's figures (4, 13-20) and the five ablations, with their
+# assertions, all against the PAPER profile that run_cell builds (see
+# src/repro/harness/profiles.py).  ~85 s; in CI.
+bench-figures:
+	$(ENV) timeout 900 python -m pytest -q --benchmark-only \
+		benchmarks/test_fig*.py benchmarks/test_ablation_*.py
 
 # The repository benchmark (bench/README.md), smoke-sized: every
 # workload over real sockets incl. the traced round, then the checks on

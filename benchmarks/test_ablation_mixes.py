@@ -44,7 +44,8 @@ def test_ablation_mixes(benchmark, figure_report):
     figure_report(
         "ablation_mixes",
         render_table(
-            "Ablation: mix sensitivity (write fraction vs cache benefit)",
+            "Ablation: mix sensitivity (write fraction vs cache benefit) "
+            "[profile: PAPER]",
             ["app", "mix", "hit rate", "pages invalidated", "mean (ms)",
              "throughput (req/s)"],
             rows,

@@ -46,7 +46,8 @@ def test_ablation_invalidation_policies(benchmark, figure_report):
     figure_report(
         "ablation_policies",
         render_table(
-            f"Ablation: invalidation policies (RUBiS bidding, {CLIENTS} clients)",
+            f"Ablation: invalidation policies (RUBiS bidding, {CLIENTS} clients) "
+            "[profile: PAPER]",
             [
                 "policy",
                 "mean (ms)",

@@ -56,7 +56,8 @@ def test_ablation_replacement(benchmark, figure_report):
     figure_report(
         "ablation_replacement",
         render_table(
-            f"Ablation: cache size x replacement (RUBiS, {CLIENTS} clients)",
+            f"Ablation: cache size x replacement (RUBiS, {CLIENTS} clients) "
+            "[profile: PAPER]",
             ["policy", "capacity", "hit rate", "capacity misses", "evictions",
              "mean (ms)"],
             rows,

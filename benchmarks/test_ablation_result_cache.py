@@ -59,7 +59,8 @@ def test_ablation_result_cache(benchmark, figure_report):
     figure_report(
         "ablation_result_cache",
         render_table(
-            f"Ablation: page cache vs result cache (TPC-W, {CLIENTS} clients)",
+            f"Ablation: page cache vs result cache (TPC-W, {CLIENTS} clients) "
+            "[profile: PAPER]",
             ["configuration", "mean (ms)", "db util", "page hit rate",
              "result hit rate"],
             rows,

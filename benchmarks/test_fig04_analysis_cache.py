@@ -5,6 +5,12 @@ query templates, thus, the query analysis cache stabilizes very
 quickly."  We replay the growth series (distinct analysis-cache entries
 vs. lookups processed) for both applications and assert stabilisation:
 most entries exist after a small prefix of the lookups.
+
+The paper's protocol looks every (read template, write) pair up; ours
+answers most of them from the dependency index and the lineage rule
+without a lookup, so "entries per request" is measured against the
+pairs the write path *considered* (analysed + skipped by index +
+skipped by lineage), not against the few lookups that are left.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from repro.harness.experiments import RunSpec, run_analysis_cache_experiment
 from repro.harness.reporting import render_table
 
 
-def _run() -> dict[str, list[tuple[int, int]]]:
+def _run() -> dict[str, tuple[list[tuple[int, int]], int]]:
     growth = {}
     for app, clients in (("rubis", 300), ("tpcw", 150)):
         spec = RunSpec(app=app, cached=True, defaults=BENCH_DEFAULTS)
@@ -25,9 +31,11 @@ def _run() -> dict[str, list[tuple[int, int]]]:
 def test_fig04_analysis_cache(benchmark, figure_report):
     growth = benchmark.pedantic(_run, rounds=1, iterations=1)
     rows = []
-    for app, series in growth.items():
-        assert series, f"{app}: analysis cache never populated"
+    for app, (series, considered) in growth.items():
+        # The series is closed with the run's totals, so its last x is
+        # lookups processed (samples in between are taken on a miss).
         final_lookups, final_entries = series[-1]
+        assert final_entries, f"{app}: analysis cache never populated"
         half_cutoff = final_lookups // 2
         half_entries = max(
             (entries for lookups, entries in series if lookups <= half_cutoff),
@@ -38,25 +46,33 @@ def test_fig04_analysis_cache(benchmark, figure_report):
         # fixed set.  Pairs involving rare interactions (TPC-W
         # AdminConfirm fires for ~0.1% of requests) are first *looked
         # up* late, so the curve has a thin tail; require a solid
-        # fraction by the halfway point and a tiny entry/lookup ratio.
+        # fraction by the halfway point and a tiny entry/pair ratio.
         assert half_entries >= 0.35 * final_entries, (
             f"{app}: analysis cache did not stabilise "
             f"({half_entries}/{final_entries} after 50% of lookups)"
         )
         # A small fixed number of template pairs, not one per request.
         assert final_entries < 500
-        assert final_entries < 0.05 * final_lookups, (
-            f"{app}: {final_entries} entries for {final_lookups} lookups"
+        assert final_entries < 0.05 * considered, (
+            f"{app}: {final_entries} entries for {considered} pairs considered"
         )
         rows.append(
-            [app, final_lookups, final_entries, half_entries, half_cutoff]
+            [
+                app,
+                considered,
+                final_lookups,
+                final_entries,
+                half_entries,
+                half_cutoff,
+            ]
         )
     figure_report(
         "fig04_analysis_cache",
         render_table(
-            "Figure 4: query analysis cache statistics",
+            "Figure 4: query analysis cache statistics [profile: PAPER]",
             [
                 "application",
+                "pairs considered",
                 "lookups",
                 "final entries",
                 "entries @50% of lookups",

@@ -43,7 +43,7 @@ def test_fig13_rubis_response_time(benchmark, figure_report):
             ]
         )
     table = render_table(
-        "Figure 13: RUBiS bidding mix, response time vs clients",
+        "Figure 13: RUBiS bidding mix, response time vs clients [profile: PAPER]",
         ["clients", "No cache (ms)", "AutoWebCache (ms)", "improv %", "hit rate"],
         rows,
     )

@@ -61,7 +61,8 @@ def test_fig14_tpcw_response_time(benchmark, figure_report):
         ]
     )
     table = render_table(
-        "Figure 14: TPC-W shopping mix, response time vs clients (log y)",
+        "Figure 14: TPC-W shopping mix, response time vs clients (log y) "
+        "[profile: PAPER]",
         ["clients", "No cache (ms)", "AutoWebCache (ms)", "reduc %", "hit rate"],
         rows,
     )

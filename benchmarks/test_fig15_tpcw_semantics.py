@@ -51,7 +51,8 @@ def test_fig15_tpcw_semantics(benchmark, figure_report):
             ]
         )
     table = render_table(
-        "Figure 15: TPC-W semantics optimisation (BestSeller 30 s window)",
+        "Figure 15: TPC-W semantics optimisation (BestSeller 30 s window) "
+        "[profile: PAPER]",
         [
             "clients",
             "AutoWebCache (ms)",

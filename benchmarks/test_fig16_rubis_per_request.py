@@ -64,7 +64,7 @@ def test_fig16_rubis_per_request(benchmark, figure_report):
         "fig16_rubis_per_request",
         render_table(
             "Figure 16: RUBiS per-request hits/misses (% of all requests, "
-            "1000 clients)",
+            "1000 clients) [profile: PAPER]",
             ["request", "% reqs", "% hits", "% misses", "cold", "invalidation"],
             rows,
         ),

@@ -64,7 +64,7 @@ def test_fig17_tpcw_per_request(benchmark, figure_report):
         "fig17_tpcw_per_request",
         render_table(
             "Figure 17: TPC-W per-request hits/misses (400 clients, "
-            "standard semantics)",
+            "standard semantics) [profile: PAPER]",
             ["request", "% reqs", "hits", "semantic hits", "misses", "uncacheable"],
             rows,
         ),

@@ -38,7 +38,8 @@ def test_fig18_rubis_breakdown(benchmark, figure_report):
     figure_report(
         "fig18_rubis_breakdown",
         render_table(
-            "Figure 18: RUBiS response-time breakdown (1000 clients)",
+            "Figure 18: RUBiS response-time breakdown (1000 clients) "
+            "[profile: PAPER]",
             ["request", "overall avg (ms)", "extra time for a miss (ms)"],
             rows,
         ),

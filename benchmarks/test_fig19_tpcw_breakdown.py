@@ -43,7 +43,8 @@ def test_fig19_tpcw_breakdown(benchmark, figure_report):
     figure_report(
         "fig19_tpcw_breakdown",
         render_table(
-            "Figure 19: TPC-W response-time breakdown (400 clients)",
+            "Figure 19: TPC-W response-time breakdown (400 clients) "
+            "[profile: PAPER]",
             ["request", "overall avg (ms)", "extra time for a miss (ms)"],
             rows,
         ),

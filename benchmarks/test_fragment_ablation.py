@@ -21,6 +21,7 @@ from benchmarks.conftest import BENCH_DEFAULTS  # noqa: F401  (suite idiom)
 from repro.apps.tpcw import TpcwDataset, build_tpcw
 from repro.apps.tpcw.app import standard_semantics
 from repro.cache.autowebcache import AutoWebCache
+from repro.harness.profiles import EXTENDED, PAPER
 from repro.harness.reporting import render_table
 
 HOME_REQUESTS = 120
@@ -35,11 +36,9 @@ def _dataset() -> TpcwDataset:
     return TpcwDataset(n_items=80, n_customers=40, n_orders=50, seed=17)
 
 
-def _drive(fragments_enabled: bool) -> dict[str, dict[str, int]]:
+def _drive(profile) -> dict[str, dict[str, int]]:
     app = build_tpcw(_dataset())
-    awc = AutoWebCache(
-        semantics=standard_semantics(), fragments=fragments_enabled
-    )
+    awc = AutoWebCache(**profile, semantics=standard_semantics())
     awc.install(app.servlet_classes)
     phases: dict[str, dict[str, int]] = {}
 
@@ -83,7 +82,7 @@ def _drive(fragments_enabled: bool) -> dict[str, dict[str, int]]:
 
 
 def _run():
-    return {"whole-page": _drive(False), "fragments": _drive(True)}
+    return {"whole-page": _drive(PAPER), "fragments": _drive(EXTENDED)}
 
 
 def test_fragment_ablation(benchmark, figure_report):

@@ -55,7 +55,6 @@ class Cache:
         indexed_invalidation: bool = True,
         admission: AdmissionPolicy | None = None,
         catalog: object | None = None,
-        lineage_pruning: bool = True,
     ) -> None:
         self.semantics = semantics or SemanticsRegistry()
         self.clock = clock
@@ -86,7 +85,6 @@ class Cache:
             self.stats,
             invalidation_policy,
             indexed=indexed_invalidation,
-            lineage_pruning=lineage_pruning,
         )
         #: Cheap guard for :meth:`sync_catalog`: the identity and table
         #: count of the database last mirrored into the engine catalog.

@@ -53,10 +53,6 @@ class PageCache:
         with self._lock:
             return key in self._entries
 
-    @property
-    def replacement_policy(self) -> ReplacementPolicy:
-        return self._policy
-
     # -- lookup ---------------------------------------------------------------------
 
     def lookup(self, key: str, now: float) -> tuple[PageEntry | None, str]:

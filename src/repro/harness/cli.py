@@ -24,6 +24,7 @@ from repro.harness.experiments import (
     run_cluster_cell,
     run_response_time_curve,
 )
+from repro.harness.profiles import EXTENDED
 from repro.harness.reporting import render_table
 
 _POLICIES = {policy.value: policy for policy in InvalidationPolicy}
@@ -131,90 +132,59 @@ def _cmd_breakdown(args: argparse.Namespace, app: str) -> str:
 
 
 def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
-    from repro.harness.differential import run_differential
+    from repro.harness.differential import (
+        run_column_differential,
+        run_differential,
+        run_fragment_differential,
+    )
 
-    rows = []
-    failures = 0
     policies = (
         [_POLICIES[args.policy]] if args.policy else list(InvalidationPolicy)
     )
-    for policy in policies:
-        for seed in range(args.seed, args.seed + args.seeds):
-            result = run_differential(
-                seed=seed,
-                rounds=args.rounds,
-                n_pages=args.pages,
-                policy=policy,
-            )
-            if not result.ok:
-                failures += 1
-            rows.append(
-                [
-                    policy.value,
-                    seed,
-                    "ok" if result.ok else "MISMATCH",
-                    result.writes_tested,
-                    result.pages_doomed,
-                    result.templates_skipped,
-                    result.instances_skipped,
-                    f"{result.pair_analyses_brute}"
-                    f"/{result.pair_analyses_indexed}",
-                ]
-            )
-    table = render_table(
-        "Differential: indexed vs brute-force invalidation",
-        ["policy", "seed", "verdict", "writes", "doomed",
-         "tmpl skipped", "inst skipped", "pair analyses (brute/indexed)"],
-        rows,
-    )
+    by_policy = [dict(policy=policy, n_pages=args.pages) for policy in policies]
 
-    from repro.harness.differential import run_column_differential
+    def verdict(passed: bool) -> str:
+        return "ok" if passed else "MISMATCH"
 
-    column_rows = []
-    for policy in policies:
-        for seed in range(args.seed, args.seed + args.seeds):
-            column_result = run_column_differential(
-                seed=seed,
-                rounds=args.rounds,
-                n_pages=args.pages,
-                policy=policy,
-            )
-            if not column_result.ok:
-                failures += 1
-            if column_result.templates_skipped_by_lineage == 0:
-                # Vacuity guard: a column-mix run that never exercised
-                # the lineage prune proves nothing.
-                failures += 1
-            column_rows.append(
-                [
-                    policy.value,
-                    seed,
-                    "ok"
-                    if column_result.ok
-                    and column_result.templates_skipped_by_lineage
-                    else "MISMATCH",
-                    column_result.writes_tested,
-                    column_result.pages_doomed,
-                    column_result.templates_skipped_by_lineage,
-                    column_result.column_plans_built,
-                    f"{column_result.never_read_probes}"
-                    f"/{column_result.never_read_doomed}",
-                    f"{column_result.pair_analyses_brute}"
-                    f"/{column_result.pair_analyses_indexed}",
-                ]
-            )
-    column_table = render_table(
-        "Differential: column mix, lineage-pruned vs brute-force",
-        ["policy", "seed", "verdict", "writes", "doomed",
-         "lineage skipped", "plans", "probes (fired/doomed)",
-         "pair analyses (brute/indexed)"],
-        column_rows,
-    )
+    def indexed_row(config, seed, result):
+        return result.ok, [
+            config["policy"].value,
+            seed,
+            verdict(result.ok),
+            result.writes_tested,
+            result.pages_doomed,
+            result.templates_skipped,
+            result.instances_skipped,
+            f"{result.pair_analyses_brute}/{result.pair_analyses_indexed}",
+        ]
 
-    from repro.harness.differential import run_fragment_differential
+    def column_row(config, seed, result):
+        # Vacuity guard: a column-mix run that never exercised the
+        # lineage prune proves nothing.
+        passed = result.ok and result.templates_skipped_by_lineage > 0
+        return passed, [
+            config["policy"].value,
+            seed,
+            verdict(passed),
+            result.writes_tested,
+            result.pages_doomed,
+            result.templates_skipped_by_lineage,
+            result.column_plans_built,
+            f"{result.never_read_probes}/{result.never_read_doomed}",
+            f"{result.pair_analyses_brute}/{result.pair_analyses_indexed}",
+        ]
 
-    fragment_rows = []
-    ring_configs = (
+    def fragment_row(config, seed, result):
+        return result.ok, [
+            *config.values(),
+            seed,
+            verdict(result.ok),
+            result.writes_tested,
+            result.entries_doomed,
+            result.closure_doomed,
+        ]
+
+    rings = (
         (1, 1, "strong", "default"),
         (4, 1, "strong", "default"),
         (4, 2, "strong", "default"),
@@ -223,41 +193,48 @@ def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
         (4, 2, "strong", "column"),
         (4, 2, "bounded", "column"),
     )
-    for n_nodes, replication, bus_mode, workload in ring_configs:
-        for seed in range(args.seed, args.seeds + args.seed):
-            fragment_result = run_fragment_differential(
-                seed=seed,
-                rounds=args.rounds,
-                n_nodes=n_nodes,
-                replication=replication,
-                bus_mode=bus_mode,
-                workload=workload,
-            )
-            if not fragment_result.ok:
-                failures += 1
-            fragment_rows.append(
-                [
-                    n_nodes,
-                    replication,
-                    bus_mode,
-                    workload,
-                    seed,
-                    "ok" if fragment_result.ok else "MISMATCH",
-                    fragment_result.writes_tested,
-                    fragment_result.entries_doomed,
-                    fragment_result.closure_doomed,
-                ]
-            )
-    fragment_table = render_table(
-        "Differential: fragment-granular doom vs brute-force closure",
-        ["nodes", "R", "bus", "mix", "seed", "verdict", "writes", "doomed",
-         "via closure"],
-        fragment_rows,
+    ring_keys = ("n_nodes", "replication", "bus_mode", "workload")
+    # (title, headers, runner, configurations, row)
+    tables = (
+        (
+            "Differential: indexed vs brute-force invalidation",
+            ["policy", "seed", "verdict", "writes", "doomed",
+             "tmpl skipped", "inst skipped", "pair analyses (brute/indexed)"],
+            run_differential,
+            by_policy,
+            indexed_row,
+        ),
+        (
+            "Differential: column mix, lineage-pruned vs brute-force",
+            ["policy", "seed", "verdict", "writes", "doomed",
+             "lineage skipped", "plans", "probes (fired/doomed)",
+             "pair analyses (brute/indexed)"],
+            run_column_differential,
+            by_policy,
+            column_row,
+        ),
+        (
+            "Differential: fragment-granular doom vs brute-force closure",
+            ["nodes", "R", "bus", "mix", "seed", "verdict", "writes", "doomed",
+             "via closure"],
+            run_fragment_differential,
+            [dict(zip(ring_keys, ring)) for ring in rings],
+            fragment_row,
+        ),
     )
-    return (
-        table + "\n\n" + column_table + "\n\n" + fragment_table,
-        (1 if failures else 0),
-    )
+    rendered = []
+    failures = 0
+    for title, headers, runner, configurations, row in tables:
+        rows = []
+        for config in configurations:
+            for seed in range(args.seed, args.seed + args.seeds):
+                result = runner(seed=seed, rounds=args.rounds, **config)
+                passed, cells = row(config, seed, result)
+                if not passed:
+                    failures += 1
+                rows.append(cells)
+        rendered.append(render_table(title, headers, rows))
+    return "\n\n".join(rendered), (1 if failures else 0)
 
 
 def _cmd_codesize(_args: argparse.Namespace) -> str:
@@ -334,9 +311,9 @@ def _cmd_obs(args: argparse.Namespace) -> str:
     if args.nodes > 1:
         from repro.cluster.awc import ClusterAutoWebCache
 
-        awc = ClusterAutoWebCache(n_nodes=args.nodes)
+        awc = ClusterAutoWebCache(**EXTENDED, n_nodes=args.nodes)
     else:
-        awc = AutoWebCache()
+        awc = AutoWebCache(**EXTENDED)
     awc.install(app.container.servlet_classes, extra_aspects=obs.aspects)
     obs.weave_infrastructure(awc)
     try:
@@ -413,6 +390,7 @@ def _cmd_admission(args: argparse.Namespace) -> str:
         )
     app = build_rubis()
     awc = AutoWebCache(
+        **EXTENDED,
         admission=policy,
         method_cache_targets=(CategoryCatalogue,),
     )

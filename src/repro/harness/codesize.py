@@ -38,6 +38,9 @@ COMPONENTS: dict[str, tuple[str, ...]] = {
     "sql-frontend": ("sql/**/*.py",),
     "database-engine": ("db/**/*.py",),
     "servlet-engine": ("web/**/*.py",),
+    # What measures the system rather than serves: experiment drivers,
+    # differential harness, CLI and the virtual-time simulator.
+    "measurement-harness": ("harness/*.py", "sim/*.py"),
 }
 
 

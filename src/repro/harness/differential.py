@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.cache.analysis import InvalidationPolicy, QueryAnalysisEngine
 from repro.cache.analysis_cache import AnalysisCache
@@ -77,7 +78,7 @@ VALUE_DOMAIN = range(6)
 
 @dataclass
 class DifferentialResult:
-    """Outcome of one differential run."""
+    """Outcome of one indexed-vs-brute differential run."""
 
     seed: int
     rounds: int
@@ -93,6 +94,16 @@ class DifferentialResult:
     pair_analyses_brute: int = 0
     intersection_tests_indexed: int = 0
     intersection_tests_brute: int = 0
+    #: Candidate templates skipped by the column-lineage rule on the
+    #: indexed side; zero would make a column-mix run vacuous.
+    templates_skipped_by_lineage: int = 0
+    column_plans_built: int = 0
+    #: Never-read probes (column mix only): synthetic UPDATEs to a
+    #: (table, column) no registered template's lineage read set covers.
+    #: Each must doom zero pages on both sides; ``never_read_doomed``
+    #: counts violations (any non-zero value is a mismatch).
+    never_read_probes: int = 0
+    never_read_doomed: int = 0
     mismatches: list[str] = field(default_factory=list)
 
     @property
@@ -100,23 +111,8 @@ class DifferentialResult:
         return not self.mismatches
 
 
-@dataclass
-class ColumnDifferentialResult(DifferentialResult):
-    """Outcome of a column-mix differential run (lineage pruning live)."""
-
-    #: Candidate templates skipped by the column-lineage rule on the
-    #: indexed side; zero would make the run vacuous.
-    templates_skipped_by_lineage: int = 0
-    column_plans_built: int = 0
-    #: Never-read probes: synthetic UPDATEs to a (table, column) no
-    #: registered template's lineage read set covers.  Each must doom
-    #: zero pages on both sides; ``never_read_doomed`` counts
-    #: violations (any non-zero value is a mismatch).
-    never_read_probes: int = 0
-    never_read_doomed: int = 0
-
-
-def _random_read(rng: random.Random) -> QueryInstance:
+def random_read(rng: random.Random) -> QueryInstance:
+    """Default-mix reads: single-table, equality/range/disjunctive WHEREs."""
     table = rng.choice(sorted(SCHEMA))
     columns = SCHEMA[table]
     projection = rng.choice(columns + ["*"])
@@ -171,7 +167,8 @@ def _random_pre_image(
     return tuple(rows)
 
 
-def _random_write(rng: random.Random) -> QueryInstance:
+def random_write(rng: random.Random) -> QueryInstance:
+    """Default-mix writes: INSERT/UPDATE/DELETE with random pre-images."""
     table = rng.choice(sorted(SCHEMA))
     columns = SCHEMA[table]
     kind = rng.random()
@@ -366,26 +363,31 @@ def _random_column_write(rng: random.Random) -> QueryInstance:
     )
 
 
-#: Public names for the workload generators so the property-style and
-#: cluster differential tests can drive identical random workloads.
-def random_read(rng: random.Random) -> QueryInstance:
-    return _random_read(rng)
+@dataclass(frozen=True)
+class Workload:
+    """What a differential run draws from: the generator pair, the
+    schema catalog both sides share (None: catalog-free analysis), and
+    whether a never-read probe fires each round."""
+
+    reader: Callable[[random.Random], QueryInstance]
+    writer: Callable[[random.Random], QueryInstance]
+    catalog: Catalog | None = None
+    probe: bool = False
 
 
-def random_write(rng: random.Random) -> QueryInstance:
-    return _random_write(rng)
-
-
-def random_column_read(rng: random.Random) -> QueryInstance:
-    return _random_column_read(rng)
-
-
-def random_column_write(rng: random.Random) -> QueryInstance:
-    return _random_column_write(rng)
+WORKLOADS: dict[str, Workload] = {
+    "default": Workload(random_read, random_write),
+    "column": Workload(
+        _random_column_read,
+        _random_column_write,
+        catalog=column_catalog(),
+        probe=True,
+    ),
+}
 
 
 def _register_page(
-    pages: PageCache, rng: random.Random, key: str, reader=_random_read
+    pages: PageCache, rng: random.Random, key: str, reader
 ) -> PageEntry:
     dependencies = tuple(
         reader(rng) for _ in range(rng.randrange(1, 4))
@@ -466,10 +468,8 @@ def run_fragment_differential(
     """
     from repro.cluster.router import ClusterRouter, make_cache_factory
 
-    column = workload == "column"
-    reader = _random_column_read if column else _random_read
-    writer = _random_column_write if column else _random_write
-    catalog = column_catalog() if column else None
+    mix = WORKLOADS[workload]
+    reader, writer, catalog = mix.reader, mix.writer, mix.catalog
     rng = random.Random(seed)
     router = ClusterRouter(
         [f"node-{i}" for i in range(n_nodes)],
@@ -587,91 +587,6 @@ def run_fragment_differential(
     return result
 
 
-def run_differential(
-    seed: int = 0,
-    rounds: int = 60,
-    n_pages: int = 80,
-    policy: InvalidationPolicy = InvalidationPolicy.EXTRA_QUERY,
-    max_mismatches: int = 5,
-) -> DifferentialResult:
-    """Run indexed and brute-force invalidation side by side.
-
-    Both invalidators share one page cache (and therefore one dependency
-    table with its indexes); :meth:`Invalidator.affected_pages` is pure,
-    so each round compares the two doomed sets on identical state before
-    applying the batch for real and re-registering replacement pages.
-    """
-    rng = random.Random(seed)
-    pages = PageCache(make_policy("unbounded", None))
-    indexed = Invalidator(
-        pages,
-        AnalysisCache(QueryAnalysisEngine()),
-        CacheStats(),
-        policy,
-        indexed=True,
-    )
-    brute = Invalidator(
-        pages,
-        AnalysisCache(QueryAnalysisEngine()),
-        CacheStats(),
-        policy,
-        indexed=False,
-    )
-    result = DifferentialResult(
-        seed=seed, rounds=rounds, policy=policy.value
-    )
-    serial = 0
-    for serial in range(n_pages):
-        _register_page(pages, rng, f"page-{serial}")
-
-    for round_no in range(rounds):
-        batch = [_random_write(rng) for _ in range(rng.randrange(1, 4))]
-        if len(batch) > 1 and rng.random() < 0.4:
-            batch.append(rng.choice(batch))  # duplicate write in batch
-        result.writes_tested += len(batch)
-
-        doomed_indexed = indexed.affected_pages(batch)
-        doomed_brute = brute.affected_pages(batch)
-        if doomed_indexed != doomed_brute:
-            result.mismatches.append(
-                f"round {round_no}: doomed sets differ; "
-                f"indexed-only={sorted(doomed_indexed - doomed_brute)}, "
-                f"brute-only={sorted(doomed_brute - doomed_indexed)}, "
-                f"writes={[str(w.template.text) for w in batch]}"
-            )
-            if len(result.mismatches) >= max_mismatches:
-                break
-
-        # The single-flight staleness check must agree too.
-        prospective = [_random_read(rng) for _ in range(rng.randrange(1, 4))]
-        verdict_indexed = indexed.intersects_any(prospective, batch)
-        verdict_brute = brute.intersects_any(prospective, batch)
-        result.intersects_checks += 1
-        if verdict_indexed != verdict_brute:
-            result.mismatches.append(
-                f"round {round_no}: intersects_any diverged "
-                f"(indexed={verdict_indexed}, brute={verdict_brute})"
-            )
-            if len(result.mismatches) >= max_mismatches:
-                break
-
-        doomed = indexed.process_writes(batch)
-        result.pages_doomed += len(doomed)
-        for _ in range(len(doomed)):
-            serial += 1
-            _register_page(pages, rng, f"page-{serial}")
-
-    snapshot_indexed = indexed._stats.snapshot()
-    snapshot_brute = brute._stats.snapshot()
-    result.templates_skipped = snapshot_indexed["templates_skipped_by_index"]
-    result.instances_skipped = snapshot_indexed["instances_skipped_by_index"]
-    result.pair_analyses_indexed = snapshot_indexed["pair_analyses"]
-    result.pair_analyses_brute = snapshot_brute["pair_analyses"]
-    result.intersection_tests_indexed = snapshot_indexed["intersection_tests"]
-    result.intersection_tests_brute = snapshot_brute["intersection_tests"]
-    return result
-
-
 def _lineage_covers(
     covered: set[tuple[str, str]], table: str, column: str
 ) -> bool:
@@ -718,56 +633,43 @@ def _never_read_probe(
     )
 
 
-def run_column_differential(
+def run_differential(
     seed: int = 0,
     rounds: int = 60,
     n_pages: int = 80,
     policy: InvalidationPolicy = InvalidationPolicy.EXTRA_QUERY,
     max_mismatches: int = 5,
-) -> ColumnDifferentialResult:
-    """Column-mix differential: lineage-pruned indexed vs. brute force.
+    workload: str = "default",
+) -> DifferentialResult:
+    """Run indexed and brute-force invalidation side by side.
 
-    Same structure as :func:`run_differential`, but the workload is the
-    column mix (``SELECT *``, projected subsets, joins with ambiguous
-    and uniquely-owned unqualified columns, aggregates, IN-subqueries;
-    UPDATEs biased toward the never-read tail), both engines share the
-    :func:`column_catalog`, and the indexed side runs with
-    ``lineage_pruning=True`` -- so any unsound column plan shows up as a
-    doomed-set divergence.  Each round additionally fires a never-read
-    probe (see :func:`_never_read_probe`) asserting that an UPDATE to a
-    column no registered template reads dooms **zero** pages on both
-    sides.
+    Both invalidators share one page cache (and therefore one dependency
+    table with its indexes); :meth:`Invalidator.affected_pages` is pure,
+    so each round compares the two doomed sets on identical state before
+    applying the batch for real and re-registering replacement pages.
+    ``workload`` names the :data:`WORKLOADS` record the run draws from.
     """
+    mix = WORKLOADS[workload]
     rng = random.Random(seed)
     pages = PageCache(make_policy("unbounded", None))
-    indexed = Invalidator(
-        pages,
-        AnalysisCache(QueryAnalysisEngine(catalog=column_catalog())),
-        CacheStats(),
-        policy,
-        indexed=True,
-        lineage_pruning=True,
+    indexed, brute = (
+        Invalidator(
+            pages,
+            AnalysisCache(QueryAnalysisEngine(catalog=mix.catalog)),
+            CacheStats(),
+            policy,
+            indexed=use_index,
+        )
+        for use_index in (True, False)
     )
-    brute = Invalidator(
-        pages,
-        AnalysisCache(QueryAnalysisEngine(catalog=column_catalog())),
-        CacheStats(),
-        policy,
-        indexed=False,
-    )
-    result = ColumnDifferentialResult(
-        seed=seed, rounds=rounds, policy=policy.value
-    )
+    result = DifferentialResult(seed=seed, rounds=rounds, policy=policy.value)
+
     serial = 0
     for serial in range(n_pages):
-        _register_page(
-            pages, rng, f"page-{serial}", reader=_random_column_read
-        )
+        _register_page(pages, rng, f"page-{serial}", mix.reader)
 
     for round_no in range(rounds):
-        batch = [
-            _random_column_write(rng) for _ in range(rng.randrange(1, 4))
-        ]
+        batch = [mix.writer(rng) for _ in range(rng.randrange(1, 4))]
         if len(batch) > 1 and rng.random() < 0.4:
             batch.append(rng.choice(batch))  # duplicate write in batch
         result.writes_tested += len(batch)
@@ -784,9 +686,8 @@ def run_column_differential(
             if len(result.mismatches) >= max_mismatches:
                 break
 
-        prospective = [
-            _random_column_read(rng) for _ in range(rng.randrange(1, 4))
-        ]
+        # The single-flight staleness check must agree too.
+        prospective = [mix.reader(rng) for _ in range(rng.randrange(1, 4))]
         verdict_indexed = indexed.intersects_any(prospective, batch)
         verdict_brute = brute.intersects_any(prospective, batch)
         result.intersects_checks += 1
@@ -798,7 +699,11 @@ def run_column_differential(
             if len(result.mismatches) >= max_mismatches:
                 break
 
-        probe = _never_read_probe(rng, indexed.engine, pages)
+        probe = (
+            _never_read_probe(rng, indexed.engine, pages)
+            if mix.probe
+            else None
+        )
         if probe is not None:
             result.never_read_probes += 1
             probe_doomed = indexed.affected_pages(
@@ -818,9 +723,7 @@ def run_column_differential(
         result.pages_doomed += len(doomed)
         for _ in range(len(doomed)):
             serial += 1
-            _register_page(
-                pages, rng, f"page-{serial}", reader=_random_column_read
-            )
+            _register_page(pages, rng, f"page-{serial}", mix.reader)
 
     snapshot_indexed = indexed._stats.snapshot()
     snapshot_brute = brute._stats.snapshot()
@@ -835,3 +738,26 @@ def run_column_differential(
     ]
     result.column_plans_built = snapshot_indexed["column_plans_built"]
     return result
+
+
+def run_column_differential(
+    seed: int = 0,
+    rounds: int = 60,
+    n_pages: int = 80,
+    policy: InvalidationPolicy = InvalidationPolicy.EXTRA_QUERY,
+    max_mismatches: int = 5,
+) -> DifferentialResult:
+    """Column-mix differential: lineage-pruned indexed vs. brute force.
+
+    The workload is the column mix (``SELECT *``, projected subsets,
+    joins with ambiguous and uniquely-owned unqualified columns,
+    aggregates, IN-subqueries; UPDATEs biased toward the never-read
+    tail) and both engines share the :func:`column_catalog`, so any
+    unsound column plan shows up as a doomed-set divergence.  Each round
+    additionally fires a never-read probe (see :func:`_never_read_probe`)
+    asserting that an UPDATE to a column no registered template reads
+    dooms **zero** pages on both sides.
+    """
+    return run_differential(
+        seed, rounds, n_pages, policy, max_mismatches, workload="column"
+    )

@@ -24,6 +24,7 @@ from repro.cache.result_cache import ResultCache
 from repro.cache.semantics import SemanticsRegistry
 from repro.cluster.awc import ClusterAutoWebCache
 from repro.harness.codesize import measure_components
+from repro.harness.profiles import EXTENDED, PAPER
 from repro.sim.clock import VirtualClock
 from repro.sim.cluster import (
     ClusterCostModel,
@@ -110,31 +111,48 @@ class RunOutcome:
         return self.result.hit_rate
 
 
+def _build_cell(
+    app: str, mix_name: str, defaults: ExperimentDefaults, window: bool
+):
+    """A fresh application with its mix, cost model and semantics."""
+    if app == "rubis":
+        application = build_rubis(RubisDataset())
+        mixes = {"default": bidding_mix, "browsing": rubis_browsing_mix}
+        model, semantics = RUBIS_COST_MODEL, None
+    elif app == "tpcw":
+        application = build_tpcw(TpcwDataset(), ad_seed=defaults.seed)
+        mixes = {"default": shopping_mix, "browsing": tpcw_browsing_mix}
+        model, semantics = TPCW_COST_MODEL, standard_semantics(window)
+    else:
+        raise ValueError(f"unknown app {app!r}")
+    mix = mixes.get(mix_name, mixes["default"])(application.dataset)
+    return application, mix, model, semantics
+
+
+def _simulation_config(
+    defaults: ExperimentDefaults, n_clients: int, db_workers: int = 1
+) -> SimulationConfig:
+    return SimulationConfig(
+        n_clients=n_clients,
+        warmup=defaults.warmup,
+        duration=defaults.duration,
+        seed=defaults.seed,
+        db_workers=db_workers,
+        session=SessionConfig(
+            think_time_mean=defaults.think_time_mean,
+            session_duration=defaults.session_duration,
+        ),
+    )
+
+
 def run_cell(
     spec: RunSpec, n_clients: int, cost_model: CostModel | None = None
 ) -> RunOutcome:
     """Simulate one (configuration, client count) cell."""
-    defaults = spec.defaults
     clock = VirtualClock()
-    if spec.app == "rubis":
-        app = build_rubis(RubisDataset())
-        if spec.mix == "browsing":
-            mix = rubis_browsing_mix(app.dataset)
-        else:
-            mix = bidding_mix(app.dataset)
-        model = cost_model or RUBIS_COST_MODEL
-        semantics = None
-    elif spec.app == "tpcw":
-        app = build_tpcw(TpcwDataset(), ad_seed=defaults.seed)
-        if spec.mix == "browsing":
-            mix = tpcw_browsing_mix(app.dataset)
-        else:
-            mix = shopping_mix(app.dataset)
-        model = cost_model or TPCW_COST_MODEL
-        semantics = standard_semantics(spec.best_seller_window)
-    else:
-        raise ValueError(f"unknown app {spec.app!r}")
-
+    app, mix, model, semantics = _build_cell(
+        spec.app, spec.mix, spec.defaults, spec.best_seller_window
+    )
     awc = None
     weave_report = None
     result_installer = None
@@ -144,6 +162,8 @@ def run_cell(
             semantics = semantics or SemanticsRegistry()
             semantics.set_default_ttl(spec.weak_ttl)
         awc = AutoWebCache(
+            # Every figure and ablation measures the paper's system.
+            **PAPER,
             policy=spec.policy,
             replacement=spec.replacement,
             capacity=spec.capacity,
@@ -162,22 +182,12 @@ def run_cell(
         result_installer.install()
         result_cache_obj = result_installer.cache
     try:
-        config = SimulationConfig(
-            n_clients=n_clients,
-            warmup=defaults.warmup,
-            duration=defaults.duration,
-            seed=defaults.seed,
-            session=SessionConfig(
-                think_time_mean=defaults.think_time_mean,
-                session_duration=defaults.session_duration,
-            ),
-        )
         simulator = LoadSimulator(
             container=app.container,
             database=app.database,
             mix=mix,
-            config=config,
-            cost_model=model,
+            config=_simulation_config(spec.defaults, n_clients),
+            cost_model=cost_model or model,
             clock=clock,
             awc=awc,
         )
@@ -187,14 +197,22 @@ def run_cell(
             awc.uninstall()
         if result_installer is not None:
             result_installer.uninstall()
+    growth = []
+    if awc is not None:
+        # Samples are taken on a miss; the closing one carries the run's
+        # totals, so the last x is lookups processed, not "lookups at
+        # the last new entry".
+        analysis = awc.cache.analysis_cache
+        growth = [
+            *analysis.stats.growth,
+            (analysis.stats.lookups, analysis.entry_count),
+        ]
     return RunOutcome(
         spec=spec,
         n_clients=n_clients,
         result=result,
         cache_stats=awc.cache.stats if awc else None,
-        analysis_growth=(
-            list(awc.cache.analysis_cache.stats.growth) if awc else []
-        ),
+        analysis_growth=growth,
         weave_report=weave_report,
         result_cache_stats=(
             result_cache_obj.stats if result_cache_obj is not None else None
@@ -249,27 +267,12 @@ def run_cluster_cell(
     """
     defaults = defaults or ExperimentDefaults()
     clock = VirtualClock()
-    if app == "rubis":
-        application = build_rubis(RubisDataset())
-        if mix_name == "browsing":
-            mix = rubis_browsing_mix(application.dataset)
-        else:
-            mix = bidding_mix(application.dataset)
-        base_model = RUBIS_COST_MODEL
-        semantics = None
-    elif app == "tpcw":
-        application = build_tpcw(TpcwDataset(), ad_seed=defaults.seed)
-        mix = (
-            tpcw_browsing_mix(application.dataset)
-            if mix_name == "browsing"
-            else shopping_mix(application.dataset)
-        )
-        base_model = TPCW_COST_MODEL
-        semantics = standard_semantics(False)
-    else:
-        raise ValueError(f"unknown app {app!r}")
-    model = cost_model or ClusterCostModel(base=base_model)
+    application, mix, base_model, semantics = _build_cell(
+        app, mix_name, defaults, window=False
+    )
     awc_kwargs = dict(
+        # The ring is not in the paper: cluster cells measure EXTENDED.
+        **EXTENDED,
         n_nodes=n_nodes,
         semantics=semantics,
         clock=clock.now,
@@ -286,23 +289,12 @@ def run_cluster_cell(
     awc = ClusterAutoWebCache(**awc_kwargs)
     awc.install(application.servlet_classes)
     try:
-        config = SimulationConfig(
-            n_clients=n_clients,
-            warmup=defaults.warmup,
-            duration=defaults.duration,
-            seed=defaults.seed,
-            db_workers=db_workers,
-            session=SessionConfig(
-                think_time_mean=defaults.think_time_mean,
-                session_duration=defaults.session_duration,
-            ),
-        )
         simulator = ClusterLoadSimulator(
             container=application.container,
             database=application.database,
             mix=mix,
-            config=config,
-            cost_model=model,
+            config=_simulation_config(defaults, n_clients, db_workers),
+            cost_model=cost_model or ClusterCostModel(base=base_model),
             awc=awc,
             clock=clock,
         )
@@ -357,10 +349,18 @@ def run_per_request_breakdown(spec: RunSpec, n_clients: int) -> RunOutcome:
 
 def run_analysis_cache_experiment(
     spec: RunSpec, n_clients: int
-) -> list[tuple[int, int]]:
-    """Figure 4: analysis-cache entries vs. lookups processed."""
+) -> tuple[list[tuple[int, int]], int]:
+    """Figure 4: analysis-cache entries vs. lookups processed, and the
+    (read template, write) pairs the write path considered -- analysed,
+    or answered by index / lineage pruning without a lookup."""
     outcome = run_cell(spec, n_clients)
-    return outcome.analysis_growth
+    counters = outcome.cache_stats.snapshot()
+    considered = (
+        counters["pair_analyses"]
+        + counters["templates_skipped_by_index"]
+        + counters["templates_skipped_by_lineage"]
+    )
+    return outcome.analysis_growth, considered
 
 
 def run_code_size_experiment() -> list[tuple[str, int, int, int]]:

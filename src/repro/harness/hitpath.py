@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.harness.loadgen import AsyncLoadDriver, LoadResult
+from repro.harness.profiles import EXTENDED
 
 
 @dataclass
@@ -55,7 +56,7 @@ def run_hitpath_comparison(
     from repro.web.wsgi import start_threaded_server
 
     app = build_rubis()
-    awc = AutoWebCache()
+    awc = AutoWebCache(**EXTENDED)
     awc.install(app.container.servlet_classes)
     paths = [f"/rubis/view_item?item={i + 1}" for i in range(n_pages)]
     try:

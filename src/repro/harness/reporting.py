@@ -35,21 +35,6 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def render_cache_snapshot(title: str, snapshot: dict) -> str:
-    """Render a :meth:`CacheStats.snapshot` dict as a metric table.
-
-    Consumers hand over the *snapshot*, never the live stats object:
-    the snapshot is one atomic read, so the rendered counters are
-    mutually consistent even if serving continues meanwhile.
-    """
-    rows = [
-        [name, value]
-        for name, value in snapshot.items()
-        if not isinstance(value, dict)
-    ]
-    return render_table(title, ["counter", "value"], rows)
-
-
 def render_doom_templates(title: str, snapshot: dict) -> str:
     """Per-write-template invalidation churn, busiest template first.
 
@@ -134,47 +119,6 @@ def render_admission_profiles(title: str, policy_snapshot: dict) -> str:
             "size B",
             "score ms",
         ],
-        rows,
-    )
-
-
-def render_cluster_snapshot(title: str, snapshot: dict) -> str:
-    """Render a cluster snapshot: per-node accounting + aggregate.
-
-    Expects the dict shape of ``ClusterRouter.snapshot()``:
-    ``{"cluster": ..., "nodes": [...], "bus": ...}``.
-    """
-    rows = []
-    for node in snapshot["nodes"]:
-        stats = node["stats"]
-        rows.append(
-            [
-                node["name"],
-                node["state"],
-                node["pages"],
-                node["bytes"],
-                stats["hits"],
-                stats["misses"],
-                stats["invalidated_pages"],
-                round(stats["hit_rate"], 3),
-            ]
-        )
-    aggregate = snapshot["cluster"]
-    rows.append(
-        [
-            "TOTAL",
-            f"seq={snapshot['bus']['seq']}",
-            sum(node["pages"] for node in snapshot["nodes"]),
-            sum(node["bytes"] for node in snapshot["nodes"]),
-            aggregate["hits"],
-            aggregate["misses"],
-            aggregate["invalidated_pages"],
-            round(aggregate["hit_rate"], 3),
-        ]
-    )
-    return render_table(
-        title,
-        ["node", "state", "pages", "bytes", "hits", "misses", "inval", "hit rate"],
         rows,
     )
 

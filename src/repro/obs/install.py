@@ -107,10 +107,6 @@ class Observability:
 
     # -- infrastructure weaving --------------------------------------------------------
 
-    @property
-    def infrastructure_woven(self) -> bool:
-        return self._infra_weaver is not None
-
     def weave_infrastructure(
         self, facade=None, classes: Iterable[type] | None = None
     ) -> WeaveReport:

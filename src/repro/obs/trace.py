@@ -53,10 +53,6 @@ class SpanContext:
     trace_id: str
     span_id: str
 
-    def as_pair(self) -> tuple[str, str]:
-        """The wire form carried on bus messages."""
-        return (self.trace_id, self.span_id)
-
 
 OK = "ok"
 ERROR = "error"

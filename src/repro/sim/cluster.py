@@ -24,9 +24,6 @@ an acceptable approximation for a capacity model.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import random
 from dataclasses import dataclass, field
 
 from repro.cluster.awc import ClusterAutoWebCache
@@ -34,14 +31,12 @@ from repro.db.engine import Database
 from repro.errors import SimulationError
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel, RequestWork
-from repro.sim.meter import WorkMeter
 from repro.sim.resources import Resource
-from repro.sim.runner import SimulationConfig, SimulationResult
+from repro.sim.runner import LoadSimulator, SimulationConfig, SimulationResult
 from repro.web.container import ServletContainer
 from repro.web.http import HttpRequest
-from repro.workload.metrics import MetricsCollector, RequestSample
+from repro.workload.metrics import MetricsCollector
 from repro.workload.mix import InteractionMix
-from repro.workload.session import ClientSession
 
 
 @dataclass(frozen=True)
@@ -102,13 +97,14 @@ class ClusterSimulationResult(SimulationResult):
     cluster_snapshot: dict = field(default_factory=dict)
 
 
-class ClusterLoadSimulator:
+class ClusterLoadSimulator(LoadSimulator):
     """Drives emulated clients through a sharded cache cluster.
 
-    ``awc`` must be a :class:`ClusterAutoWebCache` already installed
-    over the container's servlet classes: the simulator asks its router
-    which node owns each request so virtual-time capacity matches the
-    real placement.
+    The event loop is :class:`LoadSimulator`'s; this class only prices a
+    request on a ring.  ``awc`` must be a :class:`ClusterAutoWebCache`
+    already installed over the container's servlet classes: the
+    simulator asks its router which node owns each request so
+    virtual-time capacity matches the real placement.
     """
 
     def __init__(
@@ -123,23 +119,16 @@ class ClusterLoadSimulator:
     ) -> None:
         if not awc.router.node_names:
             raise SimulationError("cluster simulator needs at least one node")
-        self.container = container
-        self.database = database
-        self.mix = mix
-        self.config = config
-        self.cost_model = cost_model
+        super().__init__(
+            container, database, mix, config, cost_model, clock=clock, awc=awc
+        )
         self.awc = awc
-        self.clock = clock or VirtualClock()
-        self.meter = WorkMeter(database, awc)
+        #: One app-server station per node (the base class's single
+        #: ``app`` station stays idle).
         self.apps = {
             name: Resource(f"app:{name}", config.app_workers)
             for name in awc.router.node_names
         }
-        self.db = Resource("db-server", config.db_workers)
-        self._session_ids = itertools.count()
-        self._rng = random.Random(config.seed)
-        self.errors = 0
-        self.total_requests = 0
         #: Bounded-staleness bus: writes do not barrier on remote
         #: replay; the simulator drives delivery from virtual time
         #: (the bus's own publish-side shedding plus this opportunistic
@@ -163,123 +152,65 @@ class ClusterLoadSimulator:
         #: CPU while keeping each node's arrival stream monotone.
         self._deferred = {name: 0.0 for name in self.apps}
 
-    def _new_session(self, started_at: float) -> ClientSession:
-        session_id = next(self._session_ids)
-        return ClientSession(
-            session_id=session_id,
-            mix=self.mix,
-            rng=random.Random(self._rng.getrandbits(64)),
-            config=self.config.session,
-            started_at=started_at,
-        )
-
-    def _app_for(self, request: HttpRequest) -> Resource:
-        owner = self.awc.router.owner_name(request.cache_key())
-        return self.apps[owner]
-
-    def run(self) -> ClusterSimulationResult:
-        metrics = MetricsCollector()
-        end_time = self.config.warmup + self.config.duration
-        heap: list[tuple[float, int, ClientSession]] = []
-        tiebreak = itertools.count()
-        for _ in range(self.config.n_clients):
-            start = self._rng.uniform(0.0, self.config.session.think_time_mean)
-            session = self._new_session(start)
-            heapq.heappush(heap, (start, next(tiebreak), session))
-
+    def _complete(
+        self, issue_at: float, request: HttpRequest, work: RequestWork
+    ) -> float:
         model = self.cost_model
-        while heap:
-            issue_at, _tb, session = heapq.heappop(heap)
-            if issue_at >= end_time:
-                continue
-            self.clock.advance_to(issue_at)
-            if session.expired(issue_at):
-                session = self._new_session(issue_at)
-
-            planned = session.next_request()
-            before = self.meter.snapshot()
-            request = HttpRequest(planned.method, planned.uri, dict(planned.params))
-            response = self.container.handle(request)
-            if response.status != 200:
-                self.errors += 1
-            work = self.meter.work_since(before, response, planned.is_write)
-            session.observe_response(planned, response.body)
-            self.total_requests += 1
-
-            owner = self.awc.router.owner_name(request.cache_key())
-            app_resource = self.apps[owner]
-            app_demand, db_demand = model.demands(work)
-            # Settle the background CPU this node owes (bus replays,
-            # replica copies) as a surcharge on its next request.
-            app_demand += self._deferred[owner]
-            self._deferred[owner] = 0.0
-            app_done = app_resource.schedule(issue_at, app_demand)
-            completed = (
-                self.db.schedule(app_done, db_demand) if db_demand > 0 else app_done
-            )
-            if planned.is_write and work.updates > 0 and len(self.apps) > 1:
-                if self._bounded:
-                    # Bounded-staleness bus: the replay still costs
-                    # every other node CPU, but the write response does
-                    # not wait for it -- the barrier (the max() below)
-                    # is exactly what this mode removes.
-                    for name in self._deferred:
-                        if name != owner:
-                            self._deferred[name] += model.bus_apply_cost
-                else:
-                    # Synchronous bus: every other node replays the
-                    # invalidation before the write response is sent.
-                    completed = max(
-                        completed,
-                        max(
-                            resource.schedule(
-                                completed + model.bus_delay,
-                                model.bus_apply_cost,
-                            )
-                            for resource in self.apps.values()
-                            if resource is not app_resource
-                        ),
-                    )
-            if (
-                self.awc.router.replication > 1
-                and not planned.is_write
-                and not work.cache_hit
-                and work.miss_reason is not None
-            ):
-                # Write-through replication: a cacheable miss stores the
-                # recomputed page on its secondaries too.  The copy is a
-                # clone + page-store insert (no recomputation), charged
-                # to each secondary as background work.
-                for name in self.awc.router.replica_names(
-                    request.cache_key()
-                )[1:]:
-                    if name != owner and name in self._deferred:
-                        self._deferred[name] += model.replica_copy_cost
-            if self._bounded and self.awc.bus.oldest_age(issue_at) >= (
-                self._flush_age
-            ):
-                self.awc.bus.flush()
-            response_time = completed - issue_at
-
-            if issue_at >= self.config.warmup:
-                metrics.record(
-                    RequestSample(
-                        uri=planned.uri,
-                        issued_at=issue_at,
-                        response_time=response_time,
-                        cache_hit=work.cache_hit,
-                        is_write=planned.is_write,
-                        semantic_hit=work.semantic_hit,
-                        miss_reason=work.miss_reason,
-                    )
-                )
+        router = self.awc.router
+        owner = router.owner_name(request.cache_key())
+        app_resource = self.apps[owner]
+        app_demand, db_demand = model.demands(work)
+        # Settle the background CPU this node owes (bus replays,
+        # replica copies) as a surcharge on its next request.
+        app_demand += self._deferred[owner]
+        self._deferred[owner] = 0.0
+        app_done = app_resource.schedule(issue_at, app_demand)
+        completed = (
+            self.db.schedule(app_done, db_demand) if db_demand > 0 else app_done
+        )
+        if work.is_write and work.updates > 0 and len(self.apps) > 1:
+            if self._bounded:
+                # Bounded-staleness bus: the replay still costs
+                # every other node CPU, but the write response does
+                # not wait for it -- the barrier (the max() below)
+                # is exactly what this mode removes.
+                for name in self._deferred:
+                    if name != owner:
+                        self._deferred[name] += model.bus_apply_cost
             else:
-                metrics.record_warmup()
+                # Synchronous bus: every other node replays the
+                # invalidation before the write response is sent.
+                completed = max(
+                    completed,
+                    max(
+                        resource.schedule(
+                            completed + model.bus_delay,
+                            model.bus_apply_cost,
+                        )
+                        for resource in self.apps.values()
+                        if resource is not app_resource
+                    ),
+                )
+        if (
+            router.replication > 1
+            and not work.is_write
+            and not work.cache_hit
+            and work.miss_reason is not None
+        ):
+            # Write-through replication: a cacheable miss stores the
+            # recomputed page on its secondaries too.  The copy is a
+            # clone + page-store insert (no recomputation), charged
+            # to each secondary as background work.
+            for name in router.replica_names(request.cache_key())[1:]:
+                if name != owner and name in self._deferred:
+                    self._deferred[name] += model.replica_copy_cost
+        if self._bounded and self.awc.bus.oldest_age(issue_at) >= self._flush_age:
+            self.awc.bus.flush()
+        return completed
 
-            next_issue = completed + session.think_time()
-            if next_issue < end_time:
-                heapq.heappush(heap, (next_issue, next(tiebreak), session))
-
+    def _result(
+        self, metrics: MetricsCollector, end_time: float
+    ) -> ClusterSimulationResult:
         if self._bounded:
             # Deliver the residue so the final snapshot's staleness
             # accounting covers every published message.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from repro.cache.autowebcache import AutoWebCache
 from repro.db.engine import Database
 from repro.sim.clock import VirtualClock
-from repro.sim.costs import CostModel
+from repro.sim.costs import CostModel, RequestWork
 from repro.sim.meter import WorkMeter
 from repro.sim.resources import Resource
 from repro.web.container import ServletContainer
@@ -111,6 +111,7 @@ class LoadSimulator:
         )
 
     def run(self) -> SimulationResult:
+        """The one event loop: issue, execute for real, charge, re-arm."""
         metrics = MetricsCollector()
         end_time = self.config.warmup + self.config.duration
         # Event heap: (time, tiebreak, session).  Sessions re-arm
@@ -140,11 +141,7 @@ class LoadSimulator:
             session.observe_response(planned, response.body)
             self.total_requests += 1
 
-            app_demand, db_demand = self.cost_model.demands(work)
-            app_done = self.app.schedule(issue_at, app_demand)
-            completed = (
-                self.db.schedule(app_done, db_demand) if db_demand > 0 else app_done
-            )
+            completed = self._complete(issue_at, request, work)
             response_time = completed - issue_at
 
             if issue_at >= self.config.warmup:
@@ -166,6 +163,19 @@ class LoadSimulator:
             if next_issue < end_time:
                 heapq.heappush(heap, (next_issue, next(tiebreak), session))
 
+        return self._result(metrics, end_time)
+
+    # -- the two steps a topology overrides ------------------------------------------
+
+    def _complete(
+        self, issue_at: float, request: HttpRequest, work: RequestWork
+    ) -> float:
+        """Charge ``work`` to the resources; return its completion time."""
+        app_demand, db_demand = self.cost_model.demands(work)
+        app_done = self.app.schedule(issue_at, app_demand)
+        return self.db.schedule(app_done, db_demand) if db_demand > 0 else app_done
+
+    def _result(self, metrics: MetricsCollector, end_time: float) -> SimulationResult:
         return SimulationResult(
             config=self.config,
             metrics=metrics,

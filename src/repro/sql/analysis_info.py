@@ -71,9 +71,6 @@ class StatementInfo:
     def is_write(self) -> bool:
         return not self.is_read
 
-    def reads_table(self, table: str) -> bool:
-        return table.lower() in self.tables
-
     def binding_for(self, table: str, column: str) -> EqualityBinding | None:
         """Return the equality binding on ``table.column``, if any."""
         table = table.lower()

@@ -55,11 +55,6 @@ class Catalog:
         }
         return cls(schemas)
 
-    @classmethod
-    def from_schemas(cls, *schemas) -> "Catalog":
-        """Build a catalog from :class:`~repro.db.schema.TableSchema` objects."""
-        return cls({s.name: tuple(s.column_names) for s in schemas})
-
     @property
     def tables(self) -> frozenset[str]:
         return frozenset(self._schemas)

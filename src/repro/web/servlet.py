@@ -47,10 +47,6 @@ class HttpServlet:
         """Handle HTTP POST; default mirrors the Servlet API's 405."""
         response.send_error(405, "POST not supported")
 
-    @property
-    def servlet_name(self) -> str:
-        return type(self).__name__
-
 
 def require_parameter(request: HttpRequest, name: str) -> str:
     """Fetch a mandatory parameter or raise :class:`ServletError`."""

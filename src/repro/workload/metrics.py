@@ -105,9 +105,3 @@ class MetricsCollector:
     @property
     def request_count(self) -> int:
         return self.overall.count
-
-    def mean_response_time(self, uri: str | None = None) -> float:
-        if uri is None:
-            return self.overall.mean
-        series = self.by_uri.get(uri)
-        return series.mean if series else 0.0

@@ -1,0 +1,118 @@
+"""The two named configurations (``repro.harness.profiles``)."""
+
+from __future__ import annotations
+
+import inspect
+
+import pytest
+
+from bench.workloads import WORKLOADS
+from repro.cache.autowebcache import AutoWebCache
+from repro.cluster.awc import ClusterAutoWebCache
+from repro.harness import experiments
+from repro.harness.profiles import EXTENDED, PAPER
+
+# Every constructor keyword belongs to exactly one class.  A keyword
+# added to either facade fails `test_every_keyword_is_classified_once`
+# until it is placed here -- and a tier switch must then also be given
+# a value in both profiles.
+
+#: Turn a mechanism the paper does not have on or off: profile keys.
+TIER_SWITCHES = {"fragments", "coalesce", "indexed_invalidation"}
+
+#: Sizing and deployment inputs: what a deployer supplies for *their*
+#: application, ring and clock.  An admission policy object and the
+#: method-cache target classes are inputs too -- both tiers are off
+#: until the application names something to run them on.
+INPUTS = {
+    "policy",
+    "replacement",
+    "capacity",
+    "max_bytes",
+    "semantics",
+    "clock",
+    "flight_timeout",
+    "admission",
+    "method_cache_targets",
+    "method_cache_pointcut",
+    "n_nodes",
+    "node_names",
+    "vnodes",
+    "bus_batching",
+    "replication",
+    "bus_mode",
+    "staleness_bound",
+    "bus_queue_capacity",
+    "bus_pump",
+}
+
+#: Measurement modes no deployment would run.
+EXPERIMENT_MODES = {"forced_miss"}
+
+
+def _keywords(cls: type) -> dict[str, inspect.Parameter]:
+    return {
+        name: parameter
+        for name, parameter in inspect.signature(cls.__init__).parameters.items()
+        if name != "self" and parameter.kind is not parameter.VAR_KEYWORD
+    }
+
+
+def test_every_keyword_is_classified_once():
+    keywords = set(_keywords(AutoWebCache)) | set(_keywords(ClusterAutoWebCache))
+    classes = (TIER_SWITCHES, INPUTS, EXPERIMENT_MODES)
+    assert keywords == set().union(*classes)
+    assert sum(len(c) for c in classes) == len(keywords)
+
+
+def test_both_profiles_set_exactly_the_tier_switches():
+    assert set(PAPER) == set(EXTENDED) == TIER_SWITCHES
+    assert PAPER != EXTENDED
+
+
+def test_extended_is_the_constructor_defaults():
+    defaults = _keywords(AutoWebCache)
+    assert dict(EXTENDED) == {key: defaults[key].default for key in EXTENDED}
+
+
+def test_bench_measures_extended():
+    # bench/ is frozen: it builds its facades from these kwargs and
+    # nothing else, so with the test above they *are* EXTENDED.
+    for workload in WORKLOADS.values():
+        assert not set(workload.cache) & TIER_SWITCHES, workload.name
+
+
+@pytest.mark.parametrize("profile", [PAPER, EXTENDED])
+def test_profiles_are_frozen(profile):
+    key = next(iter(profile))
+    with pytest.raises(TypeError):
+        profile[key] = profile[key]
+    with pytest.raises(TypeError):
+        del profile[key]
+
+
+def test_profiles_reach_the_cache():
+    paper, extended = AutoWebCache(**PAPER), AutoWebCache(**EXTENDED)
+    assert paper.fragment_aspect is None and not paper.cache.coalesce
+    assert extended.fragment_aspect is not None and extended.cache.coalesce
+    assert paper.cache.invalidator.indexed and extended.cache.invalidator.indexed
+
+
+def test_run_cell_builds_paper(monkeypatch):
+    # Every paper figure goes through run_cell: it must name each tier
+    # switch itself rather than inherit a constructor default.
+    built = []
+    real = experiments.AutoWebCache
+
+    def recording(**kwargs):
+        built.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(experiments, "AutoWebCache", recording)
+    spec = experiments.RunSpec(
+        app="rubis",
+        defaults=experiments.ExperimentDefaults(warmup=1.0, duration=2.0),
+    )
+    experiments.run_cell(spec, 5)
+    assert PAPER.items() <= built[0].items()
+    assert spec in {spec}  # a RunSpec stays hashable
