@@ -5,14 +5,26 @@ wire bytes of warm-up + N closed-loop requests through the serving
 tier's own protocol object (``_HttpConnection.data_received`` with a
 recording transport: parse -> ``fast_check`` -> render -> serialize, no
 sockets, no loop) un-profiled -- wall time, the fast/slow split, SELECT
-share -- then N more under ``cProfile``.  A candidate finder, not a
+share -- then the same N through an *unwoven twin* for the **miss
+tax**, then N more under ``cProfile``.  A candidate finder, not a
 gate: confirm with the traced round of ``bench/run.py``.
+
+The miss tax is what the middleware costs when it cannot answer from
+the cache: the requests the woven run answered on its slow path,
+replayed through the same application with nothing woven and no cache
+(a child process -- weaving patches classes, so the twin cannot share
+this interpreter).  It prints woven us / unwoven us / ratio per slow
+request, and for the whole mix (fast hits included on the woven side:
+above 1.0 the cache costs more CPU than it saves on this mix).  The
+wall-clock counterpart of Figure 14's forced-miss probe, which reads
+"no overhead" in virtual time (EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import multiprocessing
 import pstats
 import sys
 import time
@@ -39,24 +51,38 @@ class RecordingTransport:
         return False
 
 
-def replay(server, requests, carts) -> dict[str, list]:
-    """``[requests, seconds]`` spent answering, by serving path."""
+def replay(server, requests, carts) -> list[tuple[bool, float]]:
+    """``(answered on the fast path, seconds)`` per request."""
     transport = RecordingTransport()
     connection = _HttpConnection(server)
     connection.connection_made(transport)
-    paths = {"fast": [0, 0.0], "slow": [0, 0.0]}
+    timings = []
     for request in requests:
         wire = request.wire_for(carts)
         fast_before = server.stats.fast_hits
         started = time.perf_counter()
         connection.data_received(wire)
         elapsed = time.perf_counter() - started
-        path = paths["fast" if server.stats.fast_hits > fast_before else "slow"]
-        path[0] += 1
-        path[1] += elapsed
+        timings.append((server.stats.fast_hits > fast_before, elapsed))
         request.observe(transport.payload.partition(b"\r\n\r\n")[2], carts)
     connection.connection_lost(None)
-    return paths
+    return timings
+
+
+def unwoven_twin(workload_name: str, seed: int, n: int) -> list[float]:
+    """Seconds per request of the same list with no middleware at all.
+
+    Runs in a spawned child: same application, same warm-up, same
+    requests in the same order (so the database goes through the same
+    states), nothing woven, no cache behind the server.
+    """
+    workload = WORKLOADS[workload_name]
+    server = AsyncCachedServer(build_app(workload).container)  # never started
+    carts: dict[int, str] = {}
+    replay(server, generate(workload, seed, "warmup", workload.warmup), carts)
+    timings = replay(server, generate(workload, seed, "closed", 2 * n)[:n], carts)
+    server.shutdown()
+    return [seconds for _fast, seconds in timings]
 
 
 def main() -> None:
@@ -84,14 +110,27 @@ def main() -> None:
     replay(server, generate(workload, args.seed, "warmup", workload.warmup), carts)
     closed = generate(workload, args.seed, "closed", 2 * args.n)
     Database.execute_statement = timed
-    paths = replay(server, closed[: args.n], carts)
+    woven = replay(server, closed[: args.n], carts)
     Database.execute_statement = execute
-    wall = paths["fast"][1] + paths["slow"][1]
+    wall = sum(seconds for _fast, seconds in woven)
     print(f"{args.workload} seed {args.seed}: {wall / args.n * 1e6:.1f} us/request"
           f" un-profiled, execute_select share {select_s / wall:.1%}")
-    for path, (count, seconds) in paths.items():
-        mean = seconds / count * 1e6 if count else 0.0
-        print(f"  {path} path: {count / args.n:.1%} of requests, {mean:.1f} us each")
+    for path, on_path in (("fast", True), ("slow", False)):
+        taken = [seconds for fast, seconds in woven if fast is on_path]
+        mean = sum(taken) / len(taken) * 1e6 if taken else 0.0
+        print(f"  {path} path: {len(taken) / args.n:.1%} of requests, {mean:.1f} us each")
+
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        unwoven = pool.apply(unwoven_twin, (args.workload, args.seed, args.n))
+    slow = [i for i, (fast, _seconds) in enumerate(woven) if not fast]
+    print("miss tax (woven / unwoven twin, same requests):")
+    for label, indices in (("per slow request", slow), ("whole mix", range(args.n))):
+        count = max(len(indices), 1)
+        woven_us = sum(woven[i][1] for i in indices) / count * 1e6
+        unwoven_us = sum(unwoven[i] for i in indices) / count * 1e6
+        ratio = woven_us / unwoven_us if unwoven_us else 0.0
+        print(f"  {label}: {woven_us:.1f} us / {unwoven_us:.1f} us = {ratio:.2f}x")
+
     profiler = cProfile.Profile()
     profiler.runcall(replay, server, closed[args.n :], carts)
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)

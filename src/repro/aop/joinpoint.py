@@ -26,6 +26,12 @@ class JoinPoint:
     after-advice.
     """
 
+    # Class-level defaults: one is built per around layer of every
+    # advised call, and most advice never touches these three.
+    result: Any = None
+    exception: BaseException | None = None
+    proceeded = False
+
     def __init__(
         self,
         signature: Signature,
@@ -39,9 +45,6 @@ class JoinPoint:
         self.args = args
         self.kwargs = kwargs
         self._invoke = invoke
-        self.result: Any = None
-        self.exception: BaseException | None = None
-        self.proceeded = False
 
     def proceed(self) -> Any:
         """Run the next advice in the chain (or the original method).

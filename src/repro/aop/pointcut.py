@@ -30,6 +30,7 @@ import fnmatch
 import inspect
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import PointcutSyntaxError
 
@@ -52,11 +53,13 @@ class Pointcut:
 
     Matching has a static part (``matches``: can this advice possibly
     apply to this method? decided at weave time) and a dynamic part
-    (``dynamic_matches``: does it apply to *this invocation*, given the
-    current control-flow stack of join points?).  Purely static
-    pointcuts ignore the stack; ``cflowbelow`` is the dynamic
+    (does it apply to *this invocation*, given the join points
+    currently executing below it?).  ``cflowbelow`` is the only dynamic
     primitive, mirroring AspectJ (the paper's footnote 2 uses it to
-    capture only the top-level handler when do_get/do_post interleave).
+    capture only the top-level handler when do_get/do_post interleave),
+    so the dynamic part is never evaluated against a stack: ``residue``
+    decides everything static for one join point and leaves a test on
+    the weaver's observer bitmask.
     """
 
     #: True when any sub-pointcut depends on the runtime call stack.
@@ -65,11 +68,15 @@ class Pointcut:
     def matches(self, target: MethodTarget) -> bool:
         raise NotImplementedError
 
-    def dynamic_matches(
-        self, target: MethodTarget, stack: tuple[MethodTarget, ...]
-    ) -> bool:
-        """Per-invocation check; ``stack`` holds the woven join points
-        currently executing below this one (innermost last)."""
+    def residue(
+        self, target: MethodTarget, bit_of: Callable[["Pointcut"], int]
+    ) -> "bool | Residue":
+        """This pointcut partially evaluated against one join point.
+
+        ``True``/``False`` when ``target`` decides it; otherwise the
+        :class:`Residue` left over the ``cflowbelow`` sub-pointcuts,
+        with ``bit_of(p)`` naming the observer-mask bit that is set
+        while a join point matching ``p`` executes below."""
         return self.matches(target)
 
     def cflow_observed(self) -> tuple["Pointcut", ...]:
@@ -99,6 +106,17 @@ class Pointcut:
 
     def __invert__(self) -> "Pointcut":
         return _Not(self)
+
+
+@dataclass(frozen=True)
+class Residue:
+    """What is left of a pointcut once one join point decided its
+    static part: a test on the weaver's observer bitmask."""
+
+    #: The mask bits ``test`` reads (two masks equal on these bits get
+    #: the same answer, so the weaver keys its chain table on them).
+    bits: int
+    test: Callable[[int], bool]
 
 
 @dataclass(frozen=True)
@@ -158,8 +176,8 @@ class Cflowbelow(Pointcut):
     currently executing below this one.
 
     Statically it matches every method (the constraint is purely
-    dynamic); the weaver evaluates :meth:`dynamic_matches` against its
-    control-flow stack on each invocation.
+    dynamic): its residue is one bit of the observer mask the weaver
+    carries with its control-flow stack.
     """
 
     inner: Pointcut
@@ -171,10 +189,11 @@ class Cflowbelow(Pointcut):
     def matches(self, target: MethodTarget) -> bool:
         return True
 
-    def dynamic_matches(
-        self, target: MethodTarget, stack: tuple[MethodTarget, ...]
-    ) -> bool:
-        return any(self.inner.matches(frame) for frame in stack)
+    def residue(
+        self, target: MethodTarget, bit_of: Callable[[Pointcut], int]
+    ) -> "Residue":
+        bit = bit_of(self.inner)
+        return Residue(bit, lambda mask: mask & bit != 0)
 
     def cflow_observed(self) -> tuple[Pointcut, ...]:
         return (self.inner,) + self.inner.cflow_observed()
@@ -202,11 +221,20 @@ class _And(Pointcut):
     def matches(self, target: MethodTarget) -> bool:
         return self.left.matches(target) and self.right.matches(target)
 
-    def dynamic_matches(
-        self, target: MethodTarget, stack: tuple[MethodTarget, ...]
-    ) -> bool:
-        return self.left.dynamic_matches(target, stack) and self.right.dynamic_matches(
-            target, stack
+    def residue(
+        self, target: MethodTarget, bit_of: Callable[[Pointcut], int]
+    ) -> "bool | Residue":
+        left = self.left.residue(target, bit_of)
+        right = self.right.residue(target, bit_of)
+        if left is False or right is False:
+            return False
+        if left is True:
+            return right
+        if right is True:
+            return left
+        return Residue(
+            left.bits | right.bits,
+            lambda mask: left.test(mask) and right.test(mask),
         )
 
     def cflow_observed(self) -> tuple[Pointcut, ...]:
@@ -239,11 +267,20 @@ class _Or(Pointcut):
     def matches(self, target: MethodTarget) -> bool:
         return self.left.matches(target) or self.right.matches(target)
 
-    def dynamic_matches(
-        self, target: MethodTarget, stack: tuple[MethodTarget, ...]
-    ) -> bool:
-        return self.left.dynamic_matches(target, stack) or self.right.dynamic_matches(
-            target, stack
+    def residue(
+        self, target: MethodTarget, bit_of: Callable[[Pointcut], int]
+    ) -> "bool | Residue":
+        left = self.left.residue(target, bit_of)
+        right = self.right.residue(target, bit_of)
+        if left is True or right is True:
+            return True
+        if left is False:
+            return right
+        if right is False:
+            return left
+        return Residue(
+            left.bits | right.bits,
+            lambda mask: left.test(mask) or right.test(mask),
         )
 
     def cflow_observed(self) -> tuple[Pointcut, ...]:
@@ -279,10 +316,13 @@ class _Not(Pointcut):
             return True
         return not self.inner.matches(target)
 
-    def dynamic_matches(
-        self, target: MethodTarget, stack: tuple[MethodTarget, ...]
-    ) -> bool:
-        return not self.inner.dynamic_matches(target, stack)
+    def residue(
+        self, target: MethodTarget, bit_of: Callable[[Pointcut], int]
+    ) -> "bool | Residue":
+        inner = self.inner.residue(target, bit_of)
+        if isinstance(inner, bool):
+            return not inner
+        return Residue(inner.bits, lambda mask: not inner.test(mask))
 
     def cflow_observed(self) -> tuple[Pointcut, ...]:
         return self.inner.cflow_observed()

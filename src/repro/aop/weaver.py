@@ -34,16 +34,19 @@ from repro.errors import WeavingError
 _WOVEN_MARKER = "__aw_woven__"
 _ORIGINAL_ATTR = "__aw_original__"
 
-#: Control-flow stack of woven join points currently executing in this
-#: context (outermost first).  Backs ``cflowbelow`` pointcuts.
-_CFLOW_STACK: contextvars.ContextVar[tuple[MethodTarget, ...]] = (
-    contextvars.ContextVar("aop_cflow_stack", default=())
+#: Control-flow state of this context: the woven join points currently
+#: executing (outermost first), the observer bitmask of that stack --
+#: bit *i* is set while a frame statically matching observed pointcut
+#: *i* is on it, which is all a ``cflowbelow`` ever asks -- and the
+#: :class:`_CflowObserverRegistry` version the bits were assigned under.
+_CFLOW: contextvars.ContextVar[tuple[tuple[MethodTarget, ...], int, int]] = (
+    contextvars.ContextVar("aop_cflow", default=((), 0, 0))
 )
 
 
 def current_cflow() -> tuple[MethodTarget, ...]:
     """The woven join points currently executing (outermost first)."""
-    return _CFLOW_STACK.get()
+    return _CFLOW.get()[0]
 
 
 #: Global reconfiguration epoch.  Dispatchers cache their per-call plan
@@ -65,37 +68,63 @@ def notify_aspect_switch() -> None:
 
 class _CflowObserverRegistry:
     """Every pointcut inspected by a woven ``cflowbelow``, across all
-    live weavers.
+    live weavers, each with one bit of the observer mask.
 
-    A dispatcher whose advice is entirely inactive for an invocation may
-    skip the control-flow stack push -- and with it nearly all of its
-    overhead -- but only if no woven ``cflowbelow`` anywhere could
-    observe that frame.  Weavers register their observed pointcuts at
-    weave time and withdraw them on unweave; dispatchers cache the
-    "is my frame observed?" answer keyed by :attr:`version`.
+    A frame sets the bits of the observed pointcuts it statically
+    matches when it is pushed, so ``cflowbelow(p)`` is one mask test at
+    call time.  A dispatcher whose advice is entirely inactive for an
+    invocation may skip the push -- and with it nearly all of its
+    overhead -- but only if its frame carries no bit at all.  Weavers
+    register their observed pointcuts at weave time and withdraw them
+    on unweave; either renumbers the bits and moves :attr:`version`
+    (and the reconfiguration epoch), after which dispatchers re-resolve
+    and a mask carried from before is re-derived from its stack.
     """
 
     def __init__(self) -> None:
         self._by_weaver: dict[int, tuple[Pointcut, ...]] = {}
+        self._bits: dict[Pointcut, int] = {}
         self.version = 0
 
     def register(self, weaver_id: int, pointcuts: tuple[Pointcut, ...]) -> None:
         if self._by_weaver.get(weaver_id) != pointcuts:
             self._by_weaver[weaver_id] = pointcuts
-            self.version += 1
-            notify_aspect_switch()
+            self._renumber()
 
     def unregister(self, weaver_id: int) -> None:
         if self._by_weaver.pop(weaver_id, None) is not None:
-            self.version += 1
-            notify_aspect_switch()
+            self._renumber()
 
-    def observes(self, target: MethodTarget) -> bool:
-        return any(
-            pointcut.matches(target)
+    def _renumber(self) -> None:
+        distinct = dict.fromkeys(
+            pointcut
             for pointcuts in self._by_weaver.values()
             for pointcut in pointcuts
         )
+        self._bits = {pointcut: 1 << i for i, pointcut in enumerate(distinct)}
+        self.version += 1
+        notify_aspect_switch()
+
+    def bit_of(self, pointcut: Pointcut) -> int:
+        """The mask bit of an observed pointcut (0: nobody registered it,
+        so no frame ever sets it)."""
+        return self._bits.get(pointcut, 0)
+
+    def frame_bits(self, target: MethodTarget) -> int:
+        """The bits a frame of ``target`` sets: the observed pointcuts
+        it statically matches."""
+        bits = 0
+        for pointcut, bit in self._bits.items():
+            if pointcut.matches(target):
+                bits |= bit
+        return bits
+
+    def mask_of(self, stack: tuple[MethodTarget, ...]) -> int:
+        """The mask of a whole stack under the current numbering."""
+        mask = 0
+        for frame in stack:
+            mask |= self.frame_bits(frame)
+        return mask
 
 
 _CFLOW_OBSERVERS = _CflowObserverRegistry()
@@ -253,174 +282,152 @@ class Weaver:
         self.unweave()
 
 
+class _ChainTable(dict):
+    """``mask & relevant`` -> chain, each entry built on first use."""
+
+    __slots__ = ("chain_for",)
+
+    def __init__(self, chain_for: Any) -> None:
+        self.chain_for = chain_for
+
+    def __missing__(self, key: int) -> Any:
+        chain = self[key] = self.chain_for(key)
+        return chain
+
+
+def _no_proceed(target: object, *args: Any, **kwargs: Any) -> None:
+    """``proceed`` of the join point before/after advice sees: there is
+    nothing for it to drive."""
+
+
 def _build_dispatcher(
     cls: type, method_name: str, original: Any, advices: list[BoundAdvice]
 ) -> Any:
     """Build the woven replacement for one method.
 
-    When every matched advice is static, the advice chain is built once
-    at weave time.  If any advice carries a dynamic pointcut
-    (``cflowbelow``), the chain is rebuilt per invocation after
-    filtering against the current control-flow stack.
+    Decide once, run per call: whenever the configuration moves (a
+    weave, an unweave, an aspect switched), :func:`resolve` partially
+    evaluates every enabled advice's pointcut against this join point.
+    What cannot be decided then is ``cflowbelow``, and that is a test
+    on the observer mask -- so a call looks its mask up in a table of
+    prebuilt chains and runs what it finds.
     """
     signature = Signature(class_name=cls.__name__, method_name=method_name)
     method_target = MethodTarget(
         cls=cls, method_name=method_name, function=original
     )
-    has_dynamic = any(advice.spec.pointcut.is_dynamic for advice in advices)
-    #: Advice whose aspect carries a runtime ``enabled`` switch (the
-    #: observability aspects).  When such an aspect is disabled its
-    #: advice is dropped *before* dynamic pointcut evaluation and chain
-    #: building, so a woven-but-disabled aspect costs one flag read per
-    #: call instead of a JoinPoint allocation per layer.  Aspects
-    #: without the attribute (the caching aspects) are always active
-    #: and add no per-call cost here.
-    switchable = [
-        advice for advice in advices if hasattr(advice.aspect, "enabled")
-    ]
-    #: Pre-built chains per enabled-advice combination (at most
-    #: 2^len(switchable) entries, in practice two: all-on / obs-off).
-    chain_cache: dict[tuple[int, ...], Any] = {}
-
-    def run_core(target: object, *args: Any, **kwargs: Any) -> Any:
-        return original(target, *args, **kwargs)
 
     def build_chain(active: list[BoundAdvice]) -> Any:
-        """Nest around advice outside-in over the original method."""
-        arounds = [a for a in active if a.spec.kind is AdviceKind.AROUND]
+        """``active`` composed over the original method: around advice
+        nests outside-in; before/after advice, if any, brackets it."""
 
-        def make_layer(next_invoke: Any, advice: BoundAdvice) -> Any:
+        def make_layer(next_invoke: Any, method: Any) -> Any:
             def layer(target: object, *args: Any, **kwargs: Any) -> Any:
-                joinpoint = JoinPoint(
-                    signature=signature,
-                    target=target,
-                    args=args,
-                    kwargs=kwargs,
-                    invoke=next_invoke,
+                return method(
+                    JoinPoint(signature, target, args, kwargs, next_invoke)
                 )
-                return advice.method(joinpoint)
 
             return layer
 
-        innermost = run_core
-        for advice in reversed(arounds):
-            innermost = make_layer(innermost, advice)
-        return innermost
+        by_kind: dict[AdviceKind, list[Any]] = {kind: [] for kind in AdviceKind}
+        for advice in active:
+            by_kind[advice.spec.kind].append(advice.method)
+        chain = original
+        for method in reversed(by_kind[AdviceKind.AROUND]):
+            chain = make_layer(chain, method)
+        befores = by_kind[AdviceKind.BEFORE]
+        after_returnings = by_kind[AdviceKind.AFTER_RETURNING][::-1]
+        after_throwings = by_kind[AdviceKind.AFTER_THROWING][::-1]
+        afters = by_kind[AdviceKind.AFTER][::-1]
+        if not (befores or after_returnings or after_throwings or afters):
+            return chain  # around-only: entered directly
 
-    static_chain = build_chain(advices)
+        def advised(target: object, *args: Any, **kwargs: Any) -> Any:
+            joinpoint = JoinPoint(signature, target, args, kwargs, _no_proceed)
+            for method in befores:
+                method(joinpoint)
+            try:
+                result = chain(target, *args, **kwargs)
+            except BaseException as exc:
+                joinpoint.exception = exc
+                for method in after_throwings:
+                    method(joinpoint)
+                for method in afters:
+                    method(joinpoint)
+                raise
+            joinpoint.result = result
+            for method in after_returnings:
+                method(joinpoint)
+            for method in afters:
+                method(joinpoint)
+            return result
 
-    def run_advised(
-        active: list[BoundAdvice], chain: Any, target: object, args, kwargs
-    ) -> Any:
-        befores = [a for a in active if a.spec.kind is AdviceKind.BEFORE]
-        after_returnings = [
-            a for a in active if a.spec.kind is AdviceKind.AFTER_RETURNING
-        ]
-        after_throwings = [
-            a for a in active if a.spec.kind is AdviceKind.AFTER_THROWING
-        ]
-        afters = [a for a in active if a.spec.kind is AdviceKind.AFTER]
-        joinpoint = JoinPoint(
-            signature=signature,
-            target=target,
-            args=args,
-            kwargs=kwargs,
-            invoke=lambda t, *a, **k: None,
-        )
-        for advice in befores:
-            joinpoint_before = JoinPoint(
-                signature=signature,
-                target=target,
-                args=args,
-                kwargs=kwargs,
-                invoke=lambda t, *a, **k: None,
-            )
-            advice.method(joinpoint_before)
-        try:
-            result = chain(target, *args, **kwargs)
-        except BaseException as exc:
-            joinpoint.exception = exc
-            for advice in reversed(after_throwings):
-                advice.method(joinpoint)
-            for advice in reversed(afters):
-                advice.method(joinpoint)
-            raise
-        joinpoint.result = result
-        for advice in reversed(after_returnings):
-            advice.method(joinpoint)
-        for advice in reversed(afters):
-            advice.method(joinpoint)
-        return result
+        return advised
 
-    #: Cached per-call plan, recomputed when :data:`_RECONFIG_EPOCH`
-    #: moves: [epoch, candidate advice, static chain or None, frame is
-    #: observed by some woven ``cflowbelow``, fully bypassed].  "Fully
-    #: bypassed" means no candidate advice AND an unobserved frame: the
-    #: dispatcher may tail-call the original directly.  A list (not a
-    #: tuple) so one slice assignment swaps the whole plan atomically
-    #: under the GIL.
-    plan: list[Any] = [-1, advices, None, True, False]
+    #: The per-call plan, replaced whole when :data:`_RECONFIG_EPOCH`
+    #: moves: (epoch, chain table or None, the mask bits the table is
+    #: keyed on, the bits this frame sets, observer version).  The
+    #: table maps ``mask & relevant`` to the chain to run under a pushed
+    #: frame, or to None when nothing is active there and no woven
+    #: ``cflowbelow`` observes the frame, so the original is tail-called
+    #: without a push; it fills on first use and holds at most
+    #: ``2 ** popcount(relevant)`` entries however deep the calls nest.
+    #: No table at all: that is so under every mask.
+    plan: tuple[Any, ...] = (-1, None, 0, 0, 0)
 
-    def refresh_plan() -> None:
+    def resolve() -> tuple[Any, ...]:
+        nonlocal plan
         epoch = _RECONFIG_EPOCH[0]
-        if switchable and not all(a.aspect.enabled for a in switchable):
-            candidates = [
+        registry = _CFLOW_OBSERVERS
+        version = registry.version
+        frame_bits = registry.frame_bits(method_target)
+        #: (advice, True or its Residue) for every advice that is
+        #: enabled and not refuted by this join point.
+        candidates = []
+        relevant = 0
+        for advice in advices:
+            # Only the observability aspects carry a runtime switch.
+            if not getattr(advice.aspect, "enabled", True):
+                continue
+            residue = advice.spec.pointcut.residue(method_target, registry.bit_of)
+            if residue is False:
+                continue
+            if residue is not True:
+                relevant |= residue.bits
+            candidates.append((advice, residue))
+
+        def chain_for(key: int) -> Any:
+            active = [
                 advice
-                for advice in advices
-                if getattr(advice.aspect, "enabled", True)
+                for advice, residue in candidates
+                if residue is True or residue.test(key)
             ]
-        else:
-            candidates = advices
-        chain = None
-        if not has_dynamic:
-            if candidates is advices:
-                chain = static_chain
-            else:
-                key = tuple(id(advice) for advice in candidates)
-                chain = chain_cache.get(key)
-                if chain is None:
-                    chain = build_chain(candidates)
-                    chain_cache[key] = chain
-        observed = _CFLOW_OBSERVERS.observes(method_target)
-        plan[:] = [
-            epoch,
-            candidates,
-            chain,
-            observed,
-            not candidates and not observed,
-        ]
+            if active:
+                return build_chain(active)
+            return original if frame_bits else None
+
+        table = _ChainTable(chain_for) if candidates or frame_bits else None
+        plan = (epoch, table, relevant, frame_bits, version)
+        return plan
 
     @functools.wraps(original)
     def dispatcher(target: object, *args: Any, **kwargs: Any) -> Any:
-        if plan[0] != _RECONFIG_EPOCH[0]:
-            refresh_plan()
-        if plan[4]:
-            # No enabled advice and no woven ``cflowbelow`` observes
-            # this frame: a woven-but-inactive method is nearly free.
+        epoch, table, relevant, frame_bits, version = plan
+        if epoch != _RECONFIG_EPOCH[0]:
+            epoch, table, relevant, frame_bits, version = resolve()
+        if table is None:
             return original(target, *args, **kwargs)
-        candidates = plan[1]
-        stack_below = _CFLOW_STACK.get()
-        if has_dynamic:
-            active = [
-                advice
-                for advice in candidates
-                if advice.spec.pointcut.dynamic_matches(
-                    method_target, stack_below
-                )
-            ]
-            if not active and not plan[3]:
-                return original(target, *args, **kwargs)
-            chain = build_chain(active) if active else run_core
-        else:
-            active = candidates
-            chain = plan[2]
-        token = _CFLOW_STACK.set(stack_below + (method_target,))
+        stack, mask, seen = _CFLOW.get()
+        if seen != version and stack:
+            mask = _CFLOW_OBSERVERS.mask_of(stack)
+        chain = table[mask & relevant]
+        if chain is None:
+            return original(target, *args, **kwargs)
+        token = _CFLOW.set((stack + (method_target,), mask | frame_bits, version))
         try:
-            if not active:
-                return run_core(target, *args, **kwargs)
-            return run_advised(active, chain, target, args, kwargs)
+            return chain(target, *args, **kwargs)
         finally:
-            _CFLOW_STACK.reset(token)
+            _CFLOW.reset(token)
 
     setattr(dispatcher, _WOVEN_MARKER, True)
     setattr(dispatcher, _ORIGINAL_ATTR, original)

@@ -20,7 +20,7 @@ the facade, so the ordering cannot invert.
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.admission.model import key_class
 from repro.admission.policy import DENY, AdmissionPolicy, AdmitAll
@@ -86,9 +86,14 @@ class Cache:
             invalidation_policy,
             indexed=indexed_invalidation,
         )
-        #: Cheap guard for :meth:`sync_catalog`: the identity and table
-        #: count of the database last mirrored into the engine catalog.
-        self._catalog_source: tuple[int, int] | None = None
+        #: Guard for :meth:`sync_catalog`: the database last mirrored
+        #: into the engine catalog and its schema epoch at that moment.
+        self._catalog_source: tuple[object, int] | None = None
+        #: Told the keys that left this store for capacity or expiry.
+        #: The cluster router listens: an evicted fragment's containers
+        #: usually live on other shards.  May run with the facade and
+        #: store locks held, so a listener may only take note.
+        self.on_evicted: Callable[[set[str]], object] | None = None
         #: Which cached pages embed which cached fragments: dooming a
         #: fragment must doom every entry assembled from its text.
         self.fragments = FragmentContainment()
@@ -116,25 +121,25 @@ class Cache:
 
         Called lazily by the JDBC aspect on statement interception (the
         woven driver is the first place the application's database
-        becomes visible).  Guarded by (database identity, table count)
-        so steady-state traffic pays one tuple comparison; a schema the
-        engine has not seen bumps ``catalog_version``, which retires
+        becomes visible).  Guarded by the database's schema epoch
+        (every ``create_table`` / ``drop_table`` moves it), so
+        steady-state traffic pays one comparison per statement; a schema
+        the engine has not seen bumps ``catalog_version``, which retires
         every catalog-derived memo in the analysis cache.  Sound either
-        way: without a catalog the column analysis simply stays at its
-        conservative wildcard behaviour.
+        way: without a catalog (or with a database that reports no
+        epoch) the column analysis simply stays at its conservative
+        wildcard behaviour.
         """
-        if database is None:
+        epoch = getattr(database, "schema_epoch", None)
+        if epoch is None:
             return
-        try:
-            source = (id(database), len(database.table_names))
-        except Exception:
-            return
-        if source == self._catalog_source:
+        source = self._catalog_source
+        if source is not None and source[0] is database and source[1] == epoch:
             return
         from repro.sql.lineage import Catalog
 
         self.engine.set_catalog(Catalog.from_database(database))
-        self._catalog_source = source
+        self._catalog_source = (database, epoch)
 
     # -- read path -------------------------------------------------------------------
 
@@ -164,6 +169,8 @@ class Cache:
             self.stats.record_hit(stat_uri, semantic=entry.semantic)
             return entry
         self.stats.record_miss(stat_uri, reason)
+        if reason == "expired":
+            self._left_the_store({key})
         return None
 
     def fast_check(self, request: HttpRequest) -> PageEntry | None:
@@ -193,8 +200,8 @@ class Cache:
         reads: list[QueryInstance],
         status: int = 200,
         window: Flight | None = None,
-        fragments: tuple[str, ...] = (),
-        guard_reads: tuple[QueryInstance, ...] = (),
+        fragments: Sequence[str] = (),
+        guard_reads: Sequence[QueryInstance] = (),
     ) -> PageEntry:
         """Cache the page generated for ``request`` (cache insert).
 
@@ -227,8 +234,8 @@ class Cache:
         status: int = 200,
         window: Flight | None = None,
         ttl_uri: str | None = None,
-        fragments: tuple[str, ...] = (),
-        guard_reads: tuple[QueryInstance, ...] = (),
+        fragments: Sequence[str] = (),
+        guard_reads: Sequence[QueryInstance] = (),
     ) -> tuple[PageEntry, bool]:
         """Key-level insert shared by pages and fragments.
 
@@ -248,24 +255,29 @@ class Cache:
         now = self.clock()
         ttl = self.semantics.ttl_for(ttl_uri) if ttl_uri is not None else None
         entry = PageEntry(
-            key=key,
-            body=body,
-            status=status,
-            dependencies=tuple(reads),
-            created_at=now,
-            expires_at=(now + ttl) if ttl is not None else None,
-            semantic=ttl is not None,
-            fragments=tuple(fragments),
+            key,
+            body,
+            status,
+            None,  # headers: a cached page serves the response defaults
+            tuple(reads),
+            now,
+            (now + ttl) if ttl is not None else None,
+            ttl is not None,
+            tuple(fragments),
         )
-        guard = list(reads) + list(guard_reads)
         with self._lock:
-            flight = self._flights.get(entry.key)
-            if flight is not None and not flight.stale:
-                if self._overlapping_write(flight, guard):
-                    flight.stale = True
-            if window is not None and not window.stale:
-                if self._overlapping_write(window, guard):
-                    window.stale = True
+            flight = self._flights.get(key)
+            if self._recent_writes:
+                # Only now is there anything an open computation could
+                # have overlapped; the guard list is built for it alone.
+                guard = [*reads, *guard_reads]
+                for opener in (flight, window):
+                    if (
+                        opener is not None
+                        and not opener.stale
+                        and self._overlapping_write(opener, guard)
+                    ):
+                        opener.stale = True
             if (flight is not None and flight.stale) or (
                 window is not None and window.stale
             ):
@@ -281,27 +293,86 @@ class Cache:
                 self.admission.observe_recompute(
                     cls, now - opener.started_at
                 )
-            verdict = self.admission.verdict(cls, entry.size)
-            self.stats.record_admission(verdict)
+            size = len(body)
+            verdict = self.admission.verdict(cls, size)
             if verdict == DENY:
+                self.stats.record_admission(verdict)
                 if flight is not None:
                     # Pass-through, not failure: waiters still serve
                     # the computed body once (no recompute storm).
                     flight.entry = entry
                 return entry, False
-            evicted = self.pages.insert(entry)
-            self.fragments.register(entry.key, entry.fragments)
+            evicted = self._store(entry)
             self.stats.record_insert(
                 evictions=len(evicted),
                 cls=cls,
-                nbytes=entry.size,
+                nbytes=size,
                 evicted=tuple(
-                    (key_class(victim.key), victim.size) for victim in evicted
+                    [(key_class(victim.key), victim.size) for victim in evicted]
                 ),
+                verdict=verdict,
             )
             if flight is not None:
                 flight.entry = entry
         return entry, True
+
+    def adopt(self, entry: PageEntry) -> list[PageEntry]:
+        """Store an entry that was built elsewhere (a replica's
+        write-through copy, a page moved in by rebalancing) with its
+        containment edges; returns the capacity victims.  No admission,
+        no statistics: the insert was accounted for where it happened.
+        """
+        with self._lock:
+            return self._store(entry)
+
+    def _store(self, entry: PageEntry) -> list[PageEntry]:
+        """Caller holds the facade lock -- the only place containment
+        edges are added, so "no edges, nobody listening" cannot change
+        under the insert and the eviction hook can be left out."""
+        hook = (
+            self._victims_left
+            if len(self.fragments) or self.on_evicted is not None
+            else None
+        )
+        evicted = self.pages.insert(entry, hook)
+        self.fragments.register(entry.key, entry.fragments)
+        return evicted
+
+    def _victims_left(self, victims: list[PageEntry]) -> None:
+        """:meth:`PageCache.insert`'s eviction hook (store lock held)."""
+        self._left_the_store({victim.key for victim in victims})
+
+    def _left_the_store(self, keys: set[str]) -> None:
+        """``keys`` left the store for capacity or expiry: whatever was
+        assembled from their text leaves with them.
+
+        A container registers only its own, outside-fragment reads; the
+        reads behind an embedded fragment were registered by the
+        fragment entry and left the dependency table with it.  From
+        here on no write could doom the container's copy of that text,
+        so it is doomed now, exactly as when a write dooms the fragment.
+        """
+        self._close_over(keys)
+        if self.on_evicted is not None:
+            self.on_evicted(keys)
+
+    def _close_over(self, keys: set[str]) -> None:
+        """Doom every entry transitively embedding any of ``keys`` (open
+        computations of it marked stale) and drop the containment edges
+        of everything that is now gone: the table describes resident
+        entries, not every key ever stored."""
+        if not len(self.fragments):
+            return  # nothing embeds anything (an application without fragments)
+        containers = self.fragments.containing(keys)
+        if containers:
+            self._mark_flights_stale(containers)
+            for container in containers:
+                if self.pages.invalidate(container):
+                    self.stats.record_invalidated()
+                    self.admission.observe_doom(key_class(container))
+                self.fragments.forget(container)
+        for key in keys:
+            self.fragments.forget(key)
 
     def _overlapping_write(
         self, flight: Flight, reads: list[QueryInstance]
@@ -333,7 +404,7 @@ class Cache:
         with self._lock:
             flight = self._flights.get(key)
             if flight is not None:
-                flight.waiters += 1
+                flight.join()
                 return flight, False
             flight = Flight(key, self._write_seq, started_at=self.clock())
             self._flights[key] = flight
@@ -346,7 +417,7 @@ class Cache:
         produced an uncacheable page, or an invalidation arrived during
         the computation (the stale-body rule).
         """
-        flight.done.wait(self.flight_timeout)
+        flight.wait(self.flight_timeout)
         with self._lock:
             if flight.stale or flight.entry is None:
                 return None
@@ -360,7 +431,8 @@ class Cache:
             if not self._flights and not self._windows:
                 # No open computations: the staleness window is empty.
                 self._recent_writes.clear()
-        flight.done.set()
+            flight.finished = True
+        flight.wake()
 
     def begin_window(self, key: str) -> Flight:
         """Open a non-coalescing staleness window for a solo computation.
@@ -482,9 +554,10 @@ class Cache:
             # A doomed key with an open flight: the invalidation must
             # win over the in-flight computation's eventual insert.
             self._mark_flights_stale(doomed)
-            # Churn signal for the admission cost model.
             for key in doomed:
+                # Churn signal for the admission cost model.
                 self.admission.observe_doom(key_class(key))
+                self.fragments.forget(key)
         return doomed
 
     # -- management ----------------------------------------------------------------------
@@ -507,13 +580,7 @@ class Cache:
             self.stats.record_invalidated()
             self.admission.observe_doom(key_class(key))
         # A doomed fragment dooms every entry embedding its text.
-        containers = self.fragments.containing({key})
-        if containers:
-            self._mark_flights_stale(containers)
-            for container in containers:
-                if self.pages.invalidate(container):
-                    self.stats.record_invalidated()
-                    self.admission.observe_doom(key_class(container))
+        self._close_over({key})
         return removed
 
     def clear(self) -> None:

@@ -114,8 +114,8 @@ class ReadServletAspect(CachedComputation):
                 context.reads,
                 response.status,
                 window=window,
-                fragments=tuple(context.fragment_keys),
-                guard_reads=tuple(context.fragment_reads),
+                fragments=context.fragment_keys,
+                guard_reads=context.fragment_reads,
             )
 
         self.cached(
@@ -185,8 +185,8 @@ class JdbcConsistencyAspect(Aspect):
         The woven driver is the consistency layer's only sight of the
         application's database; feeding its schemas to the analysis
         catalog is what turns ``SELECT *`` wildcards and ambiguous
-        columns into exact lineage.  Cheap after the first call (an
-        identity/size tuple comparison inside ``sync_catalog``).
+        columns into exact lineage.  Cheap after the first call (one
+        schema-epoch comparison inside ``sync_catalog``).
         """
         connection = getattr(joinpoint.target, "connection", None)
         if connection is not None:
@@ -283,9 +283,12 @@ def _request_response(joinpoint: JoinPoint) -> tuple[HttpRequest, HttpResponse]:
     return args[0], args[1]
 
 
-def _sql_and_params(joinpoint: JoinPoint) -> tuple[str, tuple[object, ...]]:
-    """Extract (sql, params) from an execute_query/execute_update call."""
+def _sql_and_params(
+    joinpoint: JoinPoint,
+) -> tuple[str, tuple[object, ...] | list[object]]:
+    """Extract (sql, params) from an execute_query/execute_update call
+    (``templateize`` copies a parameter list into the value vector)."""
     args = joinpoint.args
-    sql = args[0]
-    params = args[1] if len(args) > 1 else joinpoint.kwargs.get("params", ())
-    return sql, tuple(params)
+    if len(args) > 1:
+        return args[0], args[1]
+    return args[0], joinpoint.kwargs.get("params", ())

@@ -136,7 +136,7 @@ class CachedComputation(Aspect):
                         context.reads + context.fragment_reads,
                         window=window,
                         ttl_uri=stat_uri,
-                        fragments=tuple(context.fragment_keys),
+                        fragments=context.fragment_keys,
                     )
             self._merge(context, key, stored)
             return value

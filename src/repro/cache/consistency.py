@@ -28,9 +28,14 @@ from repro.cache.entry import QueryInstance
 from repro.errors import ConsistencyError
 
 
-@dataclass
+@dataclass(init=False)
 class RequestContext:
-    """Consistency bookkeeping for one in-flight request."""
+    """Consistency bookkeeping for one in-flight request.
+
+    One is opened per request and per fragment render, always by the
+    collector and always empty, so ``__init__`` takes just what the
+    collector knows; equality and repr are the dataclass's.
+    """
 
     kind: str  # "read" | "write" | "fragment"
     page_key: str
@@ -57,6 +62,18 @@ class RequestContext:
     #: required for the insert-time staleness check -- a write that
     #: doomed an embedded fragment mid-render doomed this body too.
     fragment_reads: list[QueryInstance] = field(default_factory=list)
+
+    def __init__(
+        self, kind: str, page_key: str, parent: "RequestContext | None" = None
+    ) -> None:
+        self.kind = kind
+        self.page_key = page_key
+        self.reads = []
+        self.writes = []
+        self.staged_writes = {}
+        self.parent = parent
+        self.fragment_keys = []
+        self.fragment_reads = []
 
     @property
     def is_read(self) -> bool:

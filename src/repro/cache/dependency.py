@@ -75,18 +75,22 @@ class DependencyTable:
     def register(self, page_key: str, instances: tuple[QueryInstance, ...]) -> None:
         """Record that ``page_key`` depends on each read instance."""
         with self._lock:
+            by_template = self._by_template
             for instance in instances:
                 template = instance.template
-                new_template = template not in self._by_template
-                pages = self._by_template[template]
-                vectors = pages.setdefault(page_key, [])
                 vector = tuple(instance.values)
-                if vector in vectors:
-                    continue
-                vectors.append(vector)
-                if new_template:
+                pages = by_template.get(template)
+                if pages is None:
+                    pages = by_template[template] = {}
                     for table in template.tables:
                         self._templates_by_table[table].add(template)
+                vectors = pages.get(page_key)
+                if vectors is None:
+                    pages[page_key] = [vector]
+                elif vector in vectors:
+                    continue
+                else:
+                    vectors.append(vector)
                 self._index_registration(template, page_key, vector)
 
     def unregister(self, page_key: str, instances: tuple[QueryInstance, ...]) -> None:
@@ -115,16 +119,24 @@ class DependencyTable:
     def _index_registration(
         self, template: QueryTemplate, page_key: str, vector: tuple[object, ...]
     ) -> None:
-        if template.text in self._unindexable:
-            return
         positions = template.indexable_positions
-        if not positions:
+        if not positions or template.text in self._unindexable:
             return
-        index = self._value_index.setdefault(template, {})
+        index = self._value_index.get(template)
+        if index is None:
+            index = self._value_index[template] = {}
+        registration = (page_key, vector)
         try:
             for position in positions:
-                bucket = index.setdefault(position, {})
-                bucket.setdefault(vector[position], set()).add((page_key, vector))
+                bucket = index.get(position)
+                if bucket is None:
+                    bucket = index[position] = {}
+                value = vector[position]
+                entries = bucket.get(value)
+                if entries is None:
+                    bucket[value] = {registration}
+                else:
+                    entries.add(registration)
         except (IndexError, TypeError):
             # Short or unhashable vector: demote the template for good
             # (a partially indexed template would answer lookups

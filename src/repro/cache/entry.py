@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.sql.template import QueryTemplate
 
 
-@dataclass(frozen=True)
-class QueryInstance:
+class QueryInstance(NamedTuple):
     """One executed query: its template plus the concrete value vector.
 
     For a read request these are the *dependency information*; for a
@@ -17,6 +16,9 @@ class QueryInstance:
     ``pre_image`` is populated for UPDATE/DELETE instances under the
     AC-extraQuery policy: the affected rows' column values captured by
     the extra query, used by the run-time intersection test.
+
+    Immutable, compared and hashed by value; a named tuple because one
+    is built per intercepted statement.
     """
 
     template: QueryTemplate
@@ -27,9 +29,14 @@ class QueryInstance:
         return f"{self.template.text} {self.values!r}"
 
 
-@dataclass
+@dataclass(init=False)
 class PageEntry:
-    """One cached web page (row of Figure 3's first table)."""
+    """One cached web page (row of Figure 3's first table).
+
+    Equality and repr are the dataclass's; ``__init__`` is written out
+    because one entry is built per insert: it stores what an insert
+    passes and leaves the bookkeeping fields at their class defaults.
+    """
 
     key: str
     body: str
@@ -54,6 +61,34 @@ class PageEntry:
     #: Precomputed header+body byte buffer for the event-loop hit path,
     #: pinned by :meth:`wire` and dropped by :meth:`doom`.
     _wire: bytes | None = field(default=None, repr=False, compare=False)
+
+    def __init__(
+        self,
+        key: str,
+        body: str,
+        status: int = 200,
+        headers: dict[str, str] | None = None,
+        dependencies: tuple[QueryInstance, ...] = (),
+        created_at: float = 0.0,
+        expires_at: float | None = None,
+        semantic: bool = False,
+        fragments: tuple[str, ...] = (),
+        hit_count: int = 0,
+        doomed: bool = False,
+    ) -> None:
+        self.key = key
+        self.body = body
+        self.status = status
+        self.headers = {} if headers is None else headers
+        self.dependencies = dependencies
+        self.created_at = created_at
+        self.expires_at = expires_at
+        self.semantic = semantic
+        self.fragments = fragments
+        if hit_count:
+            self.hit_count = hit_count
+        if doomed:
+            self.doomed = doomed
 
     @property
     def size(self) -> int:

@@ -26,10 +26,19 @@ import threading
 
 
 class Flight:
-    """One in-flight page computation, shared by leader and waiters."""
+    """One in-flight page computation, shared by leader and waiters.
+
+    Most flights are never joined (every miss opens one; only a dogpile
+    has waiters), so the wake-up event -- a condition variable and a
+    lock -- is created by the first :meth:`join`, not by the leader.
+    The facade serialises ``join`` and the ``finished`` flip under its
+    lock, which is what makes the late creation safe: a waiter's event
+    exists before the leader can look for it.
+    """
 
     __slots__ = (
-        "key", "start_seq", "started_at", "entry", "stale", "waiters", "done",
+        "key", "start_seq", "started_at", "entry", "stale", "waiters",
+        "finished", "_event",
     )
 
     def __init__(
@@ -50,10 +59,31 @@ class Flight:
         self.stale = False
         #: Number of requests that joined instead of computing.
         self.waiters = 0
-        self.done = threading.Event()
+        #: Set (under the facade lock) when the leader closes the flight.
+        self.finished = False
+        self._event: threading.Event | None = None
+
+    def join(self) -> None:
+        """Count one more waiter (caller holds the facade lock)."""
+        self.waiters += 1
+        if self._event is None:
+            self._event = threading.Event()
+
+    def wait(self, timeout: float) -> None:
+        """Block until :meth:`wake` or ``timeout``; returns at once on a
+        finished flight or one this caller never joined."""
+        event = self._event
+        if event is not None and not self.finished:
+            event.wait(timeout)
+
+    def wake(self) -> None:
+        """Release the waiters, if any; call after ``finished`` is set."""
+        event = self._event
+        if event is not None:
+            event.set()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "done" if self.done.is_set() else "flying"
+        state = "done" if self.finished else "flying"
         return (
             f"<Flight {self.key!r} {state} waiters={self.waiters}"
             f"{' stale' if self.stale else ''}>"

@@ -63,6 +63,8 @@ class FragmentContainment:
         Replaces any previous edge set for ``page_key``: a re-insert
         after invalidation may have assembled from different fragments.
         """
+        if not fragment_keys and page_key not in self._fragments_of:
+            return  # no edges before, none now (most entries, every insert)
         with self._lock:
             for old in self._fragments_of.pop(page_key, ()):  # drop stale edges
                 pages = self._pages_of.get(old)
@@ -78,6 +80,10 @@ class FragmentContainment:
     def forget(self, page_key: str) -> None:
         """Drop ``page_key``'s containment edges (entry gone)."""
         self.register(page_key, ())
+
+    def __len__(self) -> int:
+        """How many entries embed a fragment; 0 means no edge at all."""
+        return len(self._fragments_of)
 
     def containing(self, keys: set[str]) -> set[str]:
         """Every container transitively embedding any of ``keys``.

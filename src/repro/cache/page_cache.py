@@ -13,11 +13,18 @@ held; lock order is store -> dependency table, never the reverse).
 
 from __future__ import annotations
 
+from typing import Callable
 
 from repro.cache.dependency import DependencyTable
 from repro.cache.entry import PageEntry
 from repro.cache.replacement import ReplacementPolicy, UnboundedPolicy
 from repro.locks import NamedRLock
+
+#: Most miss reasons remembered for absent keys.  The taxonomy is a
+#: statistic, so the oldest reason is dropped (the key then reads as
+#: ``"cold"``) rather than letting the table grow with every key ever
+#: evicted.
+_GONE_LIMIT = 65536
 
 
 class PageCache:
@@ -111,8 +118,18 @@ class PageCache:
 
     # -- insert / remove --------------------------------------------------------------
 
-    def insert(self, entry: PageEntry) -> list[PageEntry]:
-        """Store ``entry`` and return the entries evicted to make room."""
+    def insert(
+        self,
+        entry: PageEntry,
+        on_evicted: Callable[[list[PageEntry]], object] | None = None,
+    ) -> list[PageEntry]:
+        """Store ``entry`` and return the entries evicted to make room.
+
+        ``on_evicted`` sees the victims while the store lock is still
+        held: whatever else must leave with them (the facade dooms the
+        entries assembled from an evicted fragment's text) is gone
+        before any lookup can run.
+        """
         with self._lock:
             if entry.key in self._entries:
                 # Refresh: replace in place (dependencies re-registered).
@@ -121,7 +138,7 @@ class PageCache:
             self.total_bytes += entry.size
             self._gone.pop(entry.key, None)
             self._policy.on_insert(entry.key)
-            if not entry.semantic:
+            if entry.dependencies and not entry.semantic:
                 self.dependencies.register(entry.key, entry.dependencies)
             evicted: list[PageEntry] = []
             while self._over_capacity():
@@ -132,6 +149,8 @@ class PageCache:
                 self._remove(victim, reason="capacity")
                 self.eviction_count += 1
                 evicted.append(victim_entry)
+            if evicted and on_evicted is not None:
+                on_evicted(evicted)
             return evicted
 
     def _over_capacity(self) -> bool:
@@ -175,7 +194,7 @@ class PageCache:
             return
         self.total_bytes -= entry.size
         self._policy.on_remove(key)
-        if not entry.semantic:
+        if entry.dependencies and not entry.semantic:
             self.dependencies.unregister(key, entry.dependencies)
         if reason != "refresh":
             # Consistency removal: kill any pinned wire buffer so the
@@ -185,4 +204,7 @@ class PageCache:
             # entry (or its successor) is still live and must keep its
             # buffer.
             entry.doom()
-            self._gone[key] = reason
+            gone = self._gone
+            gone[key] = reason
+            if len(gone) > _GONE_LIMIT:
+                del gone[next(iter(gone))]

@@ -134,11 +134,15 @@ class CacheStats:
 
     def type_stats(self, uri: str) -> RequestTypeStats:
         with self._lock:
-            stats = self.by_type.get(uri)
-            if stats is None:
-                stats = RequestTypeStats(uri=uri)
-                self.by_type[uri] = stats
-            return stats
+            return self._type(uri)
+
+    def _type(self, uri: str) -> RequestTypeStats:
+        """``type_stats`` for callers already holding the lock: every
+        ``record_*`` is one lock round, not two."""
+        stats = self.by_type.get(uri)
+        if stats is None:
+            stats = self.by_type[uri] = RequestTypeStats(uri=uri)
+        return stats
 
     @property
     def misses(self) -> int:
@@ -162,15 +166,15 @@ class CacheStats:
             self.lookups += 1
             if semantic:
                 self.semantic_hits += 1
-                self.type_stats(uri).semantic_hits += 1
+                self._type(uri).semantic_hits += 1
             else:
                 self.hits += 1
-                self.type_stats(uri).hits += 1
+                self._type(uri).hits += 1
 
     def record_miss(self, uri: str, reason: str) -> None:
         with self._lock:
             self.lookups += 1
-            stats = self.type_stats(uri)
+            stats = self._type(uri)
             if reason == "cold":
                 self.misses_cold += 1
                 stats.misses_cold += 1
@@ -190,12 +194,12 @@ class CacheStats:
         with self._lock:
             self.lookups += 1
             self.uncacheable += 1
-            self.type_stats(uri).uncacheable += 1
+            self._type(uri).uncacheable += 1
 
     def record_write(self, uri: str) -> None:
         with self._lock:
             self.write_requests += 1
-            self.type_stats(uri).writes += 1
+            self._type(uri).writes += 1
 
     def record_insert(
         self,
@@ -203,31 +207,39 @@ class CacheStats:
         cls: str | None = None,
         nbytes: int = 0,
         evicted: tuple = (),
+        verdict: str | None = None,
     ) -> None:
-        """One stored insert; ``evicted`` is (class, bytes) per victim."""
+        """One stored insert; ``evicted`` is (class, bytes) per victim
+        and ``verdict`` the admission verdict that let it through (the
+        facade's insert records both in this one lock round)."""
         with self._lock:
+            if verdict is not None:
+                self._admission(verdict)
             self.inserts += 1
             self.evictions += evictions
             if cls is not None:
-                self.inserted_bytes_by_class[cls] = (
-                    self.inserted_bytes_by_class.get(cls, 0) + nbytes
-                )
-            for victim_cls, victim_bytes in evicted:
-                self.evicted_bytes_by_class[victim_cls] = (
-                    self.evicted_bytes_by_class.get(victim_cls, 0)
-                    + victim_bytes
-                )
+                by_class = self.inserted_bytes_by_class
+                by_class[cls] = by_class.get(cls, 0) + nbytes
+            if evicted:
+                by_class = self.evicted_bytes_by_class
+                for victim_cls, victim_bytes in evicted:
+                    by_class[victim_cls] = (
+                        by_class.get(victim_cls, 0) + victim_bytes
+                    )
 
     def record_admission(self, verdict: str) -> None:
         with self._lock:
-            if verdict == "admitted":
-                self.admitted += 1
-            elif verdict == "denied":
-                self.denied += 1
-            elif verdict == "shadow_denied":
-                self.shadow_denied += 1
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown admission verdict {verdict!r}")
+            self._admission(verdict)
+
+    def _admission(self, verdict: str) -> None:
+        if verdict == "admitted":
+            self.admitted += 1
+        elif verdict == "denied":
+            self.denied += 1
+        elif verdict == "shadow_denied":
+            self.shadow_denied += 1
+        else:  # pragma: no cover - defensive
+            raise ValueError(f"unknown admission verdict {verdict!r}")
 
     def record_invalidated(self, pages: int = 1, template: str | None = None) -> None:
         with self._lock:
@@ -267,7 +279,7 @@ class CacheStats:
     def record_coalesced(self, uri: str) -> None:
         with self._lock:
             self.coalesced_hits += 1
-            self.type_stats(uri).coalesced += 1
+            self._type(uri).coalesced += 1
 
     def record_stale_insert(self) -> None:
         with self._lock:

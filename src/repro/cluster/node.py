@@ -104,8 +104,7 @@ class CacheNode:
                 semantic=entry.semantic,
                 fragments=entry.fragments,
             )
-            evicted = self.cache.pages.insert(clone)
-            self.cache.fragments.register(clone.key, clone.fragments)
+            evicted = self.cache.adopt(clone)
             self.replica_copies += 1
             self.replica_evictions += len(evicted)
             return True

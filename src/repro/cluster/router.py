@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.cache.api import Cache
 from repro.cache.entry import PageEntry, QueryInstance
@@ -235,6 +235,13 @@ class ClusterRouter:
         #: containment table cannot see the edge.  The router keeps the
         #: global view and routes closure invalidations to the owners.
         self.fragments = FragmentContainment()
+        #: Key sets that left some node's store for capacity or expiry
+        #: (:attr:`Cache.on_evicted`), waiting for the cross-shard half
+        #: of the closure: :meth:`_settle_evictions` runs it once the
+        #: operation that caused them is out of the node's locks.
+        self._evicted: list[set[str]] = []
+        #: Guard for :meth:`sync_catalog` (see :meth:`Cache.sync_catalog`).
+        self._catalog_source: tuple[object, int] | None = None
         for name in node_names:
             self.add_node(name)
 
@@ -294,9 +301,13 @@ class ClusterRouter:
         an extra miss, never a stale page.
         """
         node = CacheNode(name, self._cache_factory())
+        node.cache.on_evicted = self._evicted.append
         with self._lock:
             if name in self._nodes:
                 raise ClusterError(f"node {name!r} already joined")
+            # The newcomer has no catalog yet: the next statement
+            # re-mirrors it everywhere (a no-op on the other nodes).
+            self._catalog_source = None
             # Drain queued deliveries first (bounded mode): a message
             # queued-but-undelivered at an old node would never reach
             # the new one (it subscribes after the message's seq).
@@ -315,6 +326,9 @@ class ClusterRouter:
             )
             moved = 0
             moved_keys: list[str] = []
+            #: Entries that left without a new home: as for an eviction,
+            #: what other shards assembled from them must go too.
+            dropped: set[str] = set()
             for other in self._nodes.values():
                 remapped = [
                     key
@@ -326,9 +340,11 @@ class ClusterRouter:
                     if entry is None:
                         continue
                     if drain:
-                        node.cache.pages.insert(entry)
+                        node.cache.adopt(entry)
                         moved += 1
                         moved_keys.append(key)
+                    else:
+                        dropped.add(key)
                 poisoned = {
                     key
                     for key in other.cache.open_flight_keys()
@@ -340,6 +356,8 @@ class ClusterRouter:
             if self.bus.seq != seq_before:
                 for key in moved_keys:
                     node.cache.invalidate_key(key)
+            self._evicted.append(dropped)
+        self._settle_evictions()
         return node
 
     def remove_node(self, name: str, drain: bool = True) -> CacheNode:
@@ -365,18 +383,24 @@ class ClusterRouter:
             self.membership.forget(name)
             node.cache.poison_flights(set(node.cache.open_flight_keys()))
             moved: list[tuple[CacheNode, str]] = []
+            dropped: set[str] = set()  # as in add_node
             for key in node.cache.pages.keys():
                 entry = node.cache.pages.release(key)
-                if entry is None or not drain or not len(self.ring):
+                if entry is None:
+                    continue
+                if not drain or not len(self.ring):
+                    dropped.add(key)
                     continue
                 target = self._nodes[self.ring.node_for(key)]
-                target.cache.pages.insert(entry)
+                target.cache.adopt(entry)
                 moved.append((target, key))
             node.mark_left()
             del self._nodes[name]
             if self.bus.seq != seq_before:
                 for target, key in moved:
                     target.cache.invalidate_key(key)
+            self._evicted.append(dropped)
+        self._settle_evictions()
         return node
 
     def silence_node(self, name: str) -> CacheNode:
@@ -415,8 +439,12 @@ class ClusterRouter:
             # would otherwise probe a cache that can no longer hear
             # the bus (unsubscribed above) and could serve an entry
             # missing a post-eviction write.  An empty store turns
-            # that probe into a miss.
+            # that probe into a miss.  What the node held is gone for
+            # good, so whatever other shards assembled from its
+            # fragments goes with it, as for a capacity eviction.
+            self._evicted.append(set(node.cache.pages.keys()))
             node.cache.clear()
+        self._settle_evictions()
         return node
 
     def fail_node(self, name: str) -> CacheNode:
@@ -519,10 +547,17 @@ class ClusterRouter:
 
         Nodes analyse invalidation independently, so all of them must
         share the same schema knowledge or two replicas could disagree
-        on a column-disjointness proof.
+        on a column-disjointness proof.  The schema-epoch comparison is
+        made once here, not once per node: steady-state statements never
+        reach the fan-out.
         """
+        epoch = getattr(database, "schema_epoch", None)
+        source = self._catalog_source
+        if source is not None and source[0] is database and source[1] == epoch:
+            return
         with self._lock:
             nodes = list(self._nodes.values())
+            self._catalog_source = (database, epoch)
         for node in nodes:
             node.cache.sync_catalog(database)
 
@@ -532,11 +567,17 @@ class ClusterRouter:
         return self.semantics.is_cacheable(request)
 
     def check(self, request: HttpRequest) -> PageEntry | None:
-        return self._read_target(request.cache_key()).cache.check(request)
+        entry = self._read_target(request.cache_key()).cache.check(request)
+        if self._evicted:  # the probe found the entry expired
+            self._settle_evictions()
+        return entry
 
     def check_key(self, key: str, stat_uri: str) -> PageEntry | None:
         """Fragment-capable check: route by key to a holding shard."""
-        return self._read_target(key).cache.check_key(key, stat_uri)
+        entry = self._read_target(key).cache.check_key(key, stat_uri)
+        if self._evicted:  # the probe found the entry expired
+            self._settle_evictions()
+        return entry
 
     def fast_check(self, request: HttpRequest) -> PageEntry | None:
         """Event-loop fast-path probe, routed to the owning shard.
@@ -554,8 +595,8 @@ class ClusterRouter:
         reads: list[QueryInstance],
         status: int = 200,
         window: Flight | None = None,
-        fragments: tuple[str, ...] = (),
-        guard_reads: tuple[QueryInstance, ...] = (),
+        fragments: Sequence[str] = (),
+        guard_reads: Sequence[QueryInstance] = (),
     ) -> PageEntry:
         entry, _stored = self.insert_key(
             request.cache_key(),
@@ -577,8 +618,8 @@ class ClusterRouter:
         status: int = 200,
         window: Flight | None = None,
         ttl_uri: str | None = None,
-        fragments: tuple[str, ...] = (),
-        guard_reads: tuple[QueryInstance, ...] = (),
+        fragments: Sequence[str] = (),
+        guard_reads: Sequence[QueryInstance] = (),
     ) -> tuple[PageEntry, bool]:
         """Key-level insert, pinned to the computing node like inserts.
 
@@ -614,7 +655,24 @@ class ClusterRouter:
             self.fragments.register(key, fragments)
             if self.replication > 1:
                 self._replicate(key, entry, node)
+            if self._evicted:
+                self._settle_evictions()
         return entry, stored
+
+    def _settle_evictions(self) -> None:
+        """The cross-shard half of the eviction rule.
+
+        Each node already doomed the *local* containers of what left its
+        store (:meth:`Cache._left_the_store`); a page and the fragments
+        it embeds usually hash to different nodes, so the router's table
+        names the rest (and forgets the departed keys' own edges).
+        Called outside every node lock."""
+        while True:
+            try:
+                keys = self._evicted.pop()
+            except IndexError:  # drained, possibly by another thread
+                return
+            self._doom_containers(keys)
 
     def _replicate(
         self, key: str, entry: PageEntry, primary: CacheNode
@@ -779,7 +837,10 @@ class ClusterRouter:
         for key in extra:
             for node in self._all_holders(key):
                 node.cache.invalidate_key(key)
-        return doomed | extra
+        closed = doomed | extra
+        for key in closed:
+            self.fragments.forget(key)
+        return closed
 
     def _all_holders(self, key: str) -> list[CacheNode]:
         """Every node that may hold a copy of ``key`` (replica set plus

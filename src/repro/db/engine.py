@@ -119,6 +119,13 @@ class Database:
     def table_names(self) -> list[str]:
         return sorted(self._tables)
 
+    @property
+    def schema_epoch(self) -> int:
+        """Moves with every ``create_table`` / ``drop_table``: whoever
+        derived something from the schemas compares this to know it is
+        still current (the plan cache here, the cache's catalog mirror)."""
+        return self._schema_epoch
+
     # -- execution ----------------------------------------------------------------
 
     def execute(

@@ -41,23 +41,26 @@ and identity is only ever an optimisation.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from repro.sql import ast_nodes as ast
 from repro.sql.analysis_info import StatementInfo, extract_info
 from repro.sql.parser import parse_statement
 
 
-@dataclass(frozen=True)
-class QueryTemplate:
+class QueryTemplate(tuple):
     """A canonical parameterised statement.
 
     ``text`` is the canonical SQL with ``?`` placeholders; ``statement``
     is the corresponding AST (containing :class:`~repro.sql.ast_nodes.
     Placeholder` nodes).  Templates hash and compare by ``text`` so they
     can key dictionaries such as the dependency table and the analysis
-    cache.
+    cache -- and a miss hashes its templates a few dozen times, so they
+    do it the way the one-element tuple ``(text,)`` does: in C, with no
+    Python-level ``__hash__``/``__eq__`` to call.  That is all the
+    tuple base is for; a template built by hand still equals (and
+    hashes like) the interned one of the same text.
 
     :func:`prepare` interns templates, so the catalog-free static facts
     below are computed once per template and shared by every instance.
@@ -66,11 +69,19 @@ class QueryTemplate:
     facts live in the analysis engine keyed by catalog version.
     """
 
-    text: str
-    statement: ast.Statement = field(compare=False, hash=False)
+    def __new__(cls, text: str, statement: ast.Statement) -> "QueryTemplate":
+        self = tuple.__new__(cls, (text,))
+        self.__dict__["statement"] = statement
+        return self
 
-    def __hash__(self) -> int:  # pragma: no cover - trivial
-        return hash(self.text)
+    text: str = property(itemgetter(0))  # type: ignore[assignment]
+    statement: ast.Statement
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"QueryTemplate(text={self.text!r}, statement={self.statement!r})"
 
     @cached_property
     def is_read(self) -> bool:

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import Executor, Future
 
 from repro.errors import RoutingError
 from repro.web.container import ServletContainer
@@ -110,7 +109,23 @@ def _error_page(status: int, detail: str = "") -> bytes:
     return _serialize(status, _HIT_HEADERS, (), page.encode("utf-8"))
 
 
-class _InlineExecutor(Executor):
+class _Completed:
+    """What :meth:`_InlineExecutor.submit` returns: the outcome of a
+    call that already ran, with a future's ``result()``."""
+
+    __slots__ = ("_value", "_error")
+
+    def __init__(self, value=None, error: Exception | None = None) -> None:
+        self._value = value
+        self._error = error
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+class _InlineExecutor:
     """``submit`` runs the callable on the calling thread.
 
     No thread is involved; this is only the seam the benchmark's trace
@@ -119,13 +134,11 @@ class _InlineExecutor(Executor):
     ``src/`` and deletes this class.
     """
 
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future: Future = Future()
+    def submit(self, fn, /, *args, **kwargs) -> _Completed:
         try:
-            future.set_result(fn(*args, **kwargs))
+            return _Completed(fn(*args, **kwargs))
         except Exception as exc:
-            future.set_exception(exc)
-        return future
+            return _Completed(error=exc)
 
 
 class AsyncServerStats:
@@ -185,6 +198,13 @@ class _HttpConnection(asyncio.Protocol):
         """Parse and answer requests until the buffer runs dry or the
         connection is closing (an answer that closes it is the last)."""
         while not self.transport.is_closing():
+            # Empty lines a client sent ahead of a request line (after
+            # the previous request's body, typically) are not a request.
+            if self._buffer.startswith(b"\r\n"):
+                start = 2
+                while self._buffer.startswith(b"\r\n", start):
+                    start += 2
+                self._buffer = self._buffer[start:]
             head_end = self._buffer.find(b"\r\n\r\n", 0, _MAX_HEAD_BYTES + 4)
             if head_end < 0:
                 if len(self._buffer) > _MAX_HEAD_BYTES:
@@ -202,7 +222,18 @@ class _HttpConnection(asyncio.Protocol):
                 if not line:
                     continue
                 name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
+                name, value = name.strip().lower(), value.strip()
+                if name == "content-length" and headers.get(name, value) != value:
+                    # Two lengths: whichever one is believed, the other
+                    # reading of the stream smuggles a request.
+                    self._bad_request("conflicting content-length")
+                    return
+                headers[name] = value
+            if "transfer-encoding" in headers:
+                # Not implemented, and must not be ignored: a chunked
+                # body would be parsed as the next pipelined request.
+                self._bad_request("transfer-encoding is not supported")
+                return
             # Digits only: int() would also take "-5" (the request is
             # served and the tail of its own header block re-parsed as
             # a second request), "+5", "5_0" and padded forms.

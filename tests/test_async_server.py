@@ -660,6 +660,10 @@ class TestRunToCompletion:
                 b"Content-Type: application/x-www-form-urlencoded",
                 b"Connection: close", b"Cookie: k=v; =; x",
                 b"id=1&score=7", b"\xff\xfe", b"%", b"?a=%ff&&=",
+                b"Content-Length: 12\r\nContent-Length: 0",
+                b"Content-Length: 12\r\ncontent-length:12",
+                b"Transfer-Encoding: chunked", b"c\r\nid=1&score=7\r\n0",
+                b"\r\n\r\n\r\n", b"\r",
             ]
         )
         noise = st.lists(fragments | st.binary(max_size=8), max_size=24)
@@ -676,6 +680,69 @@ class TestRunToCompletion:
                 assert statuses.count(400) == server.stats.bad_requests - bad_before
 
             feed()
+
+    def test_conflicting_content_lengths_answer_400_and_close(self):
+        # Believing the last length (0) would run the POST with no form
+        # and then parse its body as a second request line.
+        smuggle = (
+            b"POST /score HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Type: application/x-www-form-urlencoded\r\n"
+            b"Content-Length: 12\r\nContent-Length: 0\r\n\r\nid=1&score=7"
+        )
+        with notes_server(start=False) as (server, container, _awc):
+            payload, closed = deliver(server, [smuggle + get("/view_note?id=1")])
+            assert closed
+            assert [status for status, _ in split_responses(payload)] == [400]
+            assert (server.stats.bad_requests, server.stats.slow_requests) == (1, 0)
+            assert container.get("/view_note", {"id": "1"}).body == "<p>x|3</p>"
+            # The same length twice is one length.
+            agreed = smuggle.replace(b"Content-Length: 0", b"content-length:12")
+            payload, closed = deliver(server, [agreed])
+            assert not closed
+            assert [status for status, _ in split_responses(payload)] == [200]
+            assert container.get("/view_note", {"id": "1"}).body == "<p>x|7</p>"
+
+    def test_transfer_encoding_answers_400_and_closes(self):
+        chunked = (
+            b"POST /score HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Type: application/x-www-form-urlencoded\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"c\r\nid=1&score=7\r\n0\r\n\r\n"
+        )
+        with notes_server(start=False) as (server, container, _awc):
+            # Ignored, the chunk framing would be read as a request line.
+            payload, closed = deliver(server, [chunked + get("/view_note?id=1")])
+            assert closed
+            assert [status for status, _ in split_responses(payload)] == [400]
+            assert (server.stats.bad_requests, server.stats.slow_requests) == (1, 0)
+            assert container.get("/view_note", {"id": "1"}).body == "<p>x|3</p>"
+
+    def test_empty_lines_before_a_request_line_are_skipped(self):
+        padded = b"".join(
+            b"\r\n" * pad + build(*args)
+            for pad, (build, *args) in zip((2, 0, 1, 3, 1), BURST[:-1])
+        ) + b"\r\n" + BURST[-1][0](*BURST[-1][1:], "Connection: close")
+        with notes_server(start=False) as (server, container, _awc):
+
+            def replay(chunks) -> tuple[bytes, bool]:
+                container.post("/score", {"id": "1", "score": "3"})
+                return deliver(server, chunks)
+
+            expected = replay([PIPELINED])
+            assert replay([padded]) == expected
+            assert server.stats.bad_requests == 0
+
+            @settings(max_examples=50, deadline=None)
+            @given(st.sets(st.integers(1, len(padded) - 1), max_size=12))
+            def split_at(cuts):
+                bounds = [0, *sorted(cuts), len(padded)]
+                chunks = [padded[a:b] for a, b in zip(bounds, bounds[1:])]
+                assert replay(chunks) == expected
+
+            split_at()
+            # Padding and nothing else is not a request: nothing is
+            # answered, nothing is counted, the connection stays open.
+            assert deliver(server, [b"\r\n" * 40000]) == (b"", False)
 
     def test_nothing_pipelined_behind_a_closing_request_is_run(self):
         with notes_server(start=False) as (server, container, _awc):

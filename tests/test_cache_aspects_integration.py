@@ -233,3 +233,86 @@ class TestLifecycle:
         key = "/view_topic?topic=a"
         assert awc.cache.invalidate_key(key)
         assert not awc.cache.invalidate_key(key)
+
+
+class TestCatalogMirror:
+    """The woven driver mirrors the database's schemas into the analysis
+    catalog -- when the schema epoch moves, not once per statement."""
+
+    @staticmethod
+    def count_mirrors(monkeypatch) -> list[int]:
+        from repro.sql.lineage import Catalog
+
+        built = [0]
+        original = Catalog.from_database.__func__
+
+        def counted(cls, database):
+            built[0] += 1
+            return original(cls, database)
+
+        monkeypatch.setattr(Catalog, "from_database", classmethod(counted))
+        return built
+
+    def test_mirrored_once_then_again_only_after_ddl(
+        self, cached_notes_app, monkeypatch
+    ):
+        from repro.db import Column, ColumnType, TableSchema
+
+        db, container, awc = cached_notes_app
+        built = self.count_mirrors(monkeypatch)
+        engine = awc.cache.engine
+        assert engine.catalog is None
+        add(container, 1, "a", "x")
+        assert built == [1]
+        assert engine.catalog.columns_of("notes") == {"id", "topic", "body", "score"}
+        for note_id in (2, 3, 4):
+            container.get("/view_note", {"id": "1"})
+            add(container, note_id, "a", "y")
+        assert built == [1]
+        # Same table count, different schema: drop + create moves the
+        # epoch where the old (identity, table count) guard saw nothing.
+        db.drop_table("topics")
+        db.create_table(
+            TableSchema("labels", [Column("id", ColumnType.INT)], primary_key="id")
+        )
+        container.get("/view_topic", {"topic": "a"})
+        assert built == [2]
+        assert engine.catalog.columns_of("labels") == {"id"}
+        assert engine.catalog.columns_of("topics") is None
+
+    def test_a_ring_compares_once_and_fans_out_only_when_the_epoch_moved(
+        self, monkeypatch
+    ):
+        from repro.cache.api import Cache
+        from repro.cluster import ClusterAutoWebCache
+
+        db, container = build_notes_app()
+        awc = ClusterAutoWebCache(n_nodes=3)
+        awc.install(container.servlet_classes)
+        try:
+            node_syncs = [0]
+            original = Cache.sync_catalog
+
+            def counted(self, database):
+                node_syncs[0] += 1
+                return original(self, database)
+
+            monkeypatch.setattr(Cache, "sync_catalog", counted)
+            add(container, 1, "a", "x")
+            assert node_syncs == [3]
+            for note_id in (2, 3, 4):
+                container.get("/view_note", {"id": "1"})
+                add(container, note_id, "a", "y")
+            assert node_syncs == [3]
+            # A node that joins later has no catalog yet: the next
+            # statement mirrors it (the others compare and return).
+            joined = awc.router.add_node("late")
+            assert joined.cache.engine.catalog is None
+            container.get("/view_topic", {"topic": "a"})
+            assert node_syncs == [7]
+            assert all(
+                node.cache.engine.catalog.columns_of("notes") is not None
+                for node in awc.router.nodes()
+            )
+        finally:
+            awc.uninstall()

@@ -481,3 +481,176 @@ class TestClusterFragments:
             assert "<p>a:3</p>" in rebuilt.body
         finally:
             awc.uninstall()
+
+
+def build_bounded_app():
+    """The fragment app plus a plain page: a third key whose insert
+    evicts without embedding anything."""
+    from tests.conftest import ViewNoteServlet
+
+    db, container = build_fragment_app()
+    container.register("/view_note", ViewNoteServlet(connect(db)))
+    return db, container
+
+
+class TestEvictionClimbsContainment:
+    """A container registers only its outside-fragment reads, so a
+    fragment that leaves the store takes its containers with it: after
+    it is gone no write could doom their copy of its text."""
+
+    def test_facade_sequence_from_the_issue(self):
+        from repro.cache.api import Cache
+        from repro.cache.entry import QueryInstance
+        from repro.sql.template import templateize
+
+        cache = Cache(replacement="lru", capacity=2)
+        read = QueryInstance(*templateize("SELECT name FROM categories WHERE id = ?", (1,)))
+        cache.insert_key("frag://cat?id=1", "old name", [read])
+        cache.insert_key(
+            "/page?x=1", "<p>old name</p>", [],
+            fragments=("frag://cat?id=1",), guard_reads=(read,),
+        )
+        assert cache.check_key("/page?x=1", "/page") is not None
+        # LRU evicts the fragment (the page was just touched) ...
+        cache.insert_key("/other?y=1", "other", [])
+        assert "frag://cat?id=1" not in cache.pages
+        # ... and the page, which nothing could doom any more, with it.
+        assert "/page?x=1" not in cache.pages
+        assert cache.stats.invalidated_pages == 1
+        write = QueryInstance(
+            *templateize("UPDATE categories SET name = ? WHERE id = ?", ("new", 1))
+        )
+        cache.apply_writes([write])
+        assert cache.check_key("/page?x=1", "/page") is None
+        # Nothing about the departed keys lingers in the edge tables.
+        assert len(cache.fragments) == 0 and cache.fragments._pages_of == {}
+
+    def test_woven_page_is_not_served_past_its_evicted_fragment(self):
+        db, container = build_bounded_app()
+        awc = install(AutoWebCache(replacement="lru", capacity=2), container)
+        try:
+            add(container, 1, "a", "old")
+            container.get("/topic_page", {"topic": "a"})
+            assert container.get("/topic_page", {"topic": "a"}).body.count("old") == 1
+            assert awc.stats.hits == 1  # the page is now the recent entry
+            container.get("/view_note", {"id": "1"})  # evicts the fragment
+            assert FRAG_KEY not in awc.cache.pages
+            add(container, 2, "a", "new")
+            assert "new" in container.get("/topic_page", {"topic": "a"}).body
+        finally:
+            awc.uninstall()
+
+    def test_ring_page_is_not_served_past_its_evicted_fragment(self):
+        """The page and its fragment hash to arbitrary shards; whichever
+        node evicts the fragment, the router's cross-shard table finds
+        the page."""
+        db, container = build_bounded_app()
+        awc = ClusterAutoWebCache(n_nodes=2, replacement="lru", capacity=2)
+        awc.install(container.servlet_classes)
+        try:
+            add(container, 1, "a", "old")
+            for note_id in range(10, 22):
+                add(container, note_id, "z", "filler")
+            container.get("/topic_page", {"topic": "a"})
+            evicted = False
+            for note_id in range(10, 22):
+                # Keep the page the most recent entry of its shard while
+                # plain pages push the (never re-read) fragment out.
+                container.get("/topic_page", {"topic": "a"})
+                container.get("/view_note", {"id": str(note_id)})
+                evicted = evicted or not any(
+                    FRAG_KEY in node.cache.pages for node in awc.router.nodes()
+                )
+            assert evicted
+            add(container, 2, "a", "new")
+            assert "new" in container.get("/topic_page", {"topic": "a"}).body
+        finally:
+            awc.uninstall()
+
+    def test_a_crashed_shard_takes_the_pages_built_from_its_fragments(self):
+        db, container = build_fragment_app()
+        awc = ClusterAutoWebCache(n_nodes=4)
+        awc.install(container.servlet_classes)
+        try:
+            add(container, 1, "a", "old")
+            container.get("/topic_page", {"topic": "a"})
+            holder = next(
+                node.name
+                for node in awc.router.nodes()
+                if FRAG_KEY in node.cache.pages
+            )
+            awc.router.fail_node(holder)
+            add(container, 2, "a", "new")
+            assert "new" in container.get("/topic_page", {"topic": "a"}).body
+        finally:
+            awc.uninstall()
+
+    def test_expired_fragment_dooms_its_containers_when_it_is_found_expired(self):
+        from repro.cache.semantics import SemanticsRegistry
+
+        now = [1000.0]
+        db, container = build_fragment_app()
+        semantics = SemanticsRegistry().set_ttl_window("frag://notes/topic", 5.0)
+        awc = install(
+            AutoWebCache(semantics=semantics, clock=lambda: now[0]), container
+        )
+        try:
+            add(container, 1, "a", "old")
+            container.get("/topic_page", {"topic": "a"})
+            add(container, 2, "a", "new")
+            now[0] += 60.0
+            # Another page probes the fragment, finds it expired and
+            # re-renders it: the first page's copy of the old text goes.
+            assert "new" in container.get("/stamped", {"topic": "a"}).body
+            assert PAGE_KEY not in awc.cache.pages
+            assert "new" in container.get("/topic_page", {"topic": "a"}).body
+        finally:
+            awc.uninstall()
+
+
+class TestBookkeepingIsBoundedByResidency:
+    def test_unique_keys_through_a_small_store(self, monkeypatch):
+        import repro.cache.page_cache as page_cache
+        from repro.cache.api import Cache
+
+        monkeypatch.setattr(page_cache, "_GONE_LIMIT", 4096)
+        cache = Cache(replacement="lru", capacity=64)
+        for i in range(25_000):  # 50 000 unique keys
+            cache.insert_key(f"frag://f?i={i}", "text", [])
+            cache.insert_key(f"/p?i={i}", "<text>", [], fragments=(f"frag://f?i={i}",))
+        assert len(cache.pages) == 64
+        gone = cache.pages._gone
+        assert len(gone) == 4096
+        # The oldest reasons were dropped (those keys read as cold), the
+        # recent ones kept.
+        assert cache.pages.lookup("/p?i=0", 0.0) == (None, "cold")
+        assert cache.pages.lookup("/p?i=24900", 0.0)[1] in ("capacity", "invalidation")
+        table = cache.fragments
+        assert len(table._fragments_of) <= 64 and len(table._pages_of) <= 64
+        assert set(table._fragments_of) <= set(cache.pages.keys())
+
+    def test_ring_tables_follow_the_shards(self):
+        from repro.cluster.router import ClusterRouter, make_cache_factory
+
+        router = ClusterRouter(
+            ["n0", "n1"], make_cache_factory(replacement="lru", capacity=16)
+        )
+        try:
+            for i in range(2_000):
+                router.insert_key(f"frag://f?i={i}", "text", [])
+                router.insert_key(
+                    f"/p?i={i}", "<text>", [], fragments=(f"frag://f?i={i}",)
+                )
+            resident = {key for node in router.nodes() for key in node.cache.pages.keys()}
+            assert 0 < len(resident) <= 32
+            tables = [router.fragments] + [n.cache.fragments for n in router.nodes()]
+            for table in tables:
+                assert set(table._fragments_of) <= resident
+                assert len(table._pages_of) <= 32
+            # Every resident page still has its fragment: evicting one
+            # doomed the other.
+            for key in resident:
+                if key.startswith("/p"):
+                    assert key.replace("/p", "frag://f") in resident
+        finally:
+            router.close()

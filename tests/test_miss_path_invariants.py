@@ -1,0 +1,126 @@
+"""What a woven request may *not* do, counted -- no timing anywhere.
+
+The weaver decides once per configuration which advice applies where
+(``tests/test_aop_reference.py`` checks it decides right); these tests
+pin the other half: once ``install()`` has run and the plans are warm,
+a request re-decides nothing and allocates nothing it will not use.
+"""
+
+from __future__ import annotations
+
+import concurrent.futures
+import fnmatch
+import json
+import threading
+from pathlib import Path
+
+import pytest
+
+import repro.aop.weaver as weaver
+from bench.workloads import WORKLOADS, build_app, build_facade, generate
+from repro.aop.joinpoint import JoinPoint
+from repro.apps.rubis import RubisDataset, build_rubis
+from repro.cache.autowebcache import AutoWebCache
+from repro.web.http import HttpRequest
+
+from tests.test_async_server import deliver, get, notes_server, split_responses
+
+
+@pytest.fixture
+def woven_rubis():
+    app = build_rubis(RubisDataset(n_users=20, n_items=30))
+    awc = AutoWebCache()
+    awc.install(app.servlet_classes)
+    try:
+        yield app, awc
+    finally:
+        awc.uninstall()
+
+
+def count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """Replace ``owner.name`` with a counting pass-through."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_warm_hit_and_miss_match_no_patterns_and_build_one_joinpoint_per_layer(
+    woven_rubis, monkeypatch
+):
+    app, awc = woven_rubis
+    # Warm: every dispatcher on the path resolves its plan once.
+    app.container.get("/rubis/view_item", {"item": "1"})
+    matched = count_calls(monkeypatch, fnmatch, "fnmatchcase")
+    built = [0]
+
+    class CountedJoinPoint(JoinPoint):
+        def __init__(self, *args, **kwargs):
+            built[0] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(weaver, "JoinPoint", CountedJoinPoint)
+    queries_before = app.database.stats.queries
+    miss = app.container.get("/rubis/view_item", {"item": "2"})
+    queries = app.database.stats.queries - queries_before
+    assert miss.status == 200 and queries > 0 and awc.stats.misses == 2
+    # One around layer (the caching advice) on the handler and on each
+    # intercepted statement: one join point each, no spare.
+    assert built[0] == 1 + queries
+    built[0] = 0
+    hit = app.container.get("/rubis/view_item", {"item": "2"})
+    assert hit.body == miss.body and awc.stats.hits == 1
+    assert built[0] == 1
+    assert matched[0] == 0
+
+
+def test_a_miss_nobody_waits_on_builds_no_event_condition_or_future(monkeypatch):
+    with notes_server(start=False) as (server, _container, awc):
+        made = [
+            count_calls(monkeypatch, threading, "Event"),
+            count_calls(monkeypatch, threading, "Condition"),
+            count_calls(monkeypatch, concurrent.futures.Future, "__init__"),
+        ]
+        payload, _closed = deliver(
+            server, [get("/view_note?id=1"), get("/view_note?id=1")]
+        )
+        assert split_responses(payload) == [(200, b"<p>x|3</p>")] * 2
+        assert (awc.stats.misses, server.stats.slow_requests) == (1, 1)
+        assert server.stats.fast_hits == 1
+        assert made == [[0], [0], [0]]
+        # ... and the waiter that does come still gets its event.
+        flight, is_leader = awc.cache.join_flight("/k")
+        assert is_leader and made[0] == [0]
+        assert awc.cache.join_flight("/k") == (flight, False)
+        assert made[0] == [1]
+        awc.cache.finish_flight(flight)
+        assert awc.cache.wait_flight(flight) is None
+
+
+def test_stats_after_a_fixed_replay_are_the_parents_field_by_field():
+    """2 000 requests of the bidding mix (reads, writes, dooms, extra
+    queries, lineage pruning) leave every counter where the per-call
+    weaver, the eager flights and the three-round insert left it; the
+    fixture was written by the commit before this one."""
+    golden = json.loads(
+        (Path(__file__).parent / "fixtures" / "rubis_bidding_stats.json").read_text()
+    )
+    workload = WORKLOADS["rubis_bidding"]
+    app, awc = build_app(workload), build_facade(workload)
+    awc.install(app.servlet_classes)
+    try:
+        for request in generate(workload, 11, "closed", 2000):
+            app.container.handle(
+                HttpRequest(request.method, request.uri, dict(request.params))
+            )
+        snapshot = json.loads(json.dumps(awc.stats.snapshot()))
+    finally:
+        awc.uninstall()
+    assert snapshot.keys() == golden.keys()
+    for field, value in golden.items():
+        assert snapshot[field] == value, field

@@ -201,6 +201,26 @@ def test_inline_and_parameterised_spellings_share_one_template_object(empty_memo
     assert inline.equality_columns == {("prep_share", "b"), ("prep_share", "c")}
 
 
+def test_a_hand_built_template_is_the_interned_one_by_value(empty_memo):
+    """Identity is only ever an optimisation: a template built outside
+    ``prepare`` (a flushed memo segment, a test) equals and hashes like
+    the interned one of the same text, and finds its dictionary slots."""
+    interned, _ = templateize("SELECT a FROM prep_hand WHERE b = ?", (1,))
+    by_hand = QueryTemplate(text=interned.text, statement=interned.statement)
+    assert by_hand is not interned
+    assert by_hand == interned and not (by_hand != interned)
+    assert hash(by_hand) == hash(interned)
+    assert {interned: "slot"}[by_hand] == "slot"
+    assert by_hand in {interned}
+    other, _ = templateize("SELECT a FROM prep_hand WHERE c = ?", (1,))
+    assert by_hand != other
+    # Still a value object: fields cannot be rebound.
+    with pytest.raises(AttributeError):
+        by_hand.text = other.text
+    assert repr(by_hand) == repr(interned)
+    assert repr(by_hand).startswith("QueryTemplate(text='SELECT a FROM prep_hand")
+
+
 def test_racing_first_sightings_get_one_object(empty_memo):
     sql = "SELECT a FROM prep_race WHERE b = ? AND c = 3"
     barrier = threading.Barrier(16)
