@@ -6,8 +6,9 @@ tier's own protocol object (``_HttpConnection.data_received`` with a
 recording transport: parse -> ``fast_check`` -> render -> serialize, no
 sockets, no loop) un-profiled -- wall time, the fast/slow split, SELECT
 share -- then the same N through an *unwoven twin* for the **miss
-tax**, then N more under ``cProfile``.  A candidate finder, not a
-gate: confirm with the traced round of ``bench/run.py``.
+tax**, then N more under ``cProfile`` -- counting ``NamedRLock``
+acquisitions per fast hit, slow GET and write on the way.  A candidate
+finder, not a gate: confirm with the traced round of ``bench/run.py``.
 
 The miss tax is what the middleware costs when it cannot answer from
 the cache: the requests the woven run answered on its slow path,
@@ -23,6 +24,7 @@ wall-clock counterpart of Figure 14's forced-miss probe, which reads
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
 import multiprocessing
 import pstats
@@ -35,6 +37,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from bench.workloads import WORKLOADS, build_app, build_facade, generate  # noqa: E402
 from repro.db.engine import Database  # noqa: E402
+from repro.locks import NamedRLock  # noqa: E402
 from repro.sql import ast_nodes as ast  # noqa: E402
 from repro.web.asyncserver import AsyncCachedServer, _HttpConnection  # noqa: E402
 
@@ -51,19 +54,23 @@ class RecordingTransport:
         return False
 
 
-def replay(server, requests, carts) -> list[tuple[bool, float]]:
-    """``(answered on the fast path, seconds)`` per request."""
+def replay(server, requests, carts, rounds=(0,)) -> list[tuple[bool, float, int]]:
+    """``(answered on the fast path, seconds, lock rounds)`` per request;
+    ``rounds[0]`` is a running count of ``NamedRLock`` acquisitions
+    (:func:`count_lock_rounds`), read before and after each request."""
     transport = RecordingTransport()
     connection = _HttpConnection(server)
     connection.connection_made(transport)
     timings = []
     for request in requests:
         wire = request.wire_for(carts)
-        fast_before = server.stats.fast_hits
+        fast_before, rounds_before = server.stats.fast_hits, rounds[0]
         started = time.perf_counter()
         connection.data_received(wire)
         elapsed = time.perf_counter() - started
-        timings.append((server.stats.fast_hits > fast_before, elapsed))
+        timings.append(
+            (server.stats.fast_hits > fast_before, elapsed, rounds[0] - rounds_before)
+        )
         request.observe(transport.payload.partition(b"\r\n\r\n")[2], carts)
     connection.connection_lost(None)
     return timings
@@ -82,7 +89,24 @@ def unwoven_twin(workload_name: str, seed: int, n: int) -> list[float]:
     replay(server, generate(workload, seed, "warmup", workload.warmup), carts)
     timings = replay(server, generate(workload, seed, "closed", 2 * n)[:n], carts)
     server.shutdown()
-    return [seconds for _fast, seconds in timings]
+    return [seconds for _fast, seconds, _rounds in timings]
+
+
+@contextlib.contextmanager
+def count_lock_rounds():
+    """Count every ``NamedRLock`` acquisition (reentrant ones included)
+    into the yielded one-element list while the block runs."""
+    rounds, acquire = [0], NamedRLock.acquire
+
+    def counted(self, *args, **kwargs):
+        rounds[0] += 1
+        return acquire(self, *args, **kwargs)
+
+    NamedRLock.acquire = counted
+    try:
+        yield rounds
+    finally:
+        NamedRLock.acquire = acquire
 
 
 def main() -> None:
@@ -112,17 +136,17 @@ def main() -> None:
     Database.execute_statement = timed
     woven = replay(server, closed[: args.n], carts)
     Database.execute_statement = execute
-    wall = sum(seconds for _fast, seconds in woven)
+    wall = sum(seconds for _fast, seconds, _rounds in woven)
     print(f"{args.workload} seed {args.seed}: {wall / args.n * 1e6:.1f} us/request"
           f" un-profiled, execute_select share {select_s / wall:.1%}")
     for path, on_path in (("fast", True), ("slow", False)):
-        taken = [seconds for fast, seconds in woven if fast is on_path]
+        taken = [seconds for fast, seconds, _rounds in woven if fast is on_path]
         mean = sum(taken) / len(taken) * 1e6 if taken else 0.0
         print(f"  {path} path: {len(taken) / args.n:.1%} of requests, {mean:.1f} us each")
 
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         unwoven = pool.apply(unwoven_twin, (args.workload, args.seed, args.n))
-    slow = [i for i, (fast, _seconds) in enumerate(woven) if not fast]
+    slow = [i for i, (fast, _seconds, _rounds) in enumerate(woven) if not fast]
     print("miss tax (woven / unwoven twin, same requests):")
     for label, indices in (("per slow request", slow), ("whole mix", range(args.n))):
         count = max(len(indices), 1)
@@ -132,7 +156,16 @@ def main() -> None:
         print(f"  {label}: {woven_us:.1f} us / {unwoven_us:.1f} us = {ratio:.2f}x")
 
     profiler = cProfile.Profile()
-    profiler.runcall(replay, server, closed[args.n :], carts)
+    with count_lock_rounds() as rounds:
+        profiled = profiler.runcall(replay, server, closed[args.n :], carts, rounds)
+    print("NamedRLock rounds per request (the cProfile pass below):")
+    classes = {"fast hit": [], "slow GET": [], "write": []}
+    for request, (fast, _seconds, taken) in zip(closed[args.n :], profiled):
+        label = "fast hit" if fast else "write" if request.method == "POST" else "slow GET"
+        classes[label].append(taken)
+    for label, counts in classes.items():
+        mean = f"{sum(counts) / len(counts):.1f}" if counts else "n/a"
+        print(f"  {label}: {mean} ({len(counts)} requests)")
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
     server.shutdown()
 

@@ -108,8 +108,8 @@ class CostModel:
     """Thread-safe per-class cost/benefit accounting.
 
     A leaf structure in the lock order: it takes only its own lock and
-    calls nothing under it, so the cache facade and the stats layer may
-    feed it from any context.  One model instance may be shared by
+    calls nothing under it, so the cache facade may feed it from under
+    its own lock.  One model instance may be shared by
     every node cache of a cluster -- admission is cluster-wide policy,
     and the per-class signals are workload properties, not shard state.
     """

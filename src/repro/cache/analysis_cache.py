@@ -9,6 +9,10 @@ This module wraps :class:`~repro.cache.analysis.QueryAnalysisEngine`
 with a (read template, write template) -> :class:`PairAnalysis` map and
 records the time series of cache size vs. requests processed, which the
 Figure 4 benchmark replays.
+
+A plain structure: it takes no lock.  Its owner serialises every call --
+the :class:`~repro.cache.api.Cache` facade under its lock (through the
+invalidator), the result cache under its own.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from repro.cache.analysis import (
     QueryAnalysisEngine,
     build_pruning_plan,
 )
-from repro.locks import NamedRLock
 from repro.sql.template import QueryTemplate
 
 
@@ -64,23 +67,19 @@ class AnalysisCache:
         self._plans: dict[tuple[str, str, str, int], tuple[PruneRule, ...]] = {}
         self._column_rules: dict[tuple[str, int], ColumnPruneRule] = {}
         self.stats = AnalysisCacheStats()
-        # One lock covers memo + stats so concurrent invalidators never
-        # double-analyse a pair or tear the Figure 4 growth series.
-        self._lock = NamedRLock("analysis-cache")
 
     def analyse(self, read: QueryTemplate, write: QueryTemplate) -> PairAnalysis:
         """Pair analysis with memoisation and statistics."""
         key = (read.text, write.text, self.engine.catalog_version)
-        with self._lock:
-            cached = self._pairs.get(key)
-            if cached is not None:
-                self.stats.hits += 1
-                return cached
-            self.stats.misses += 1
-            analysis = self.engine.analyse_pair(read, write)
-            self._pairs[key] = analysis
-            self.stats.growth.append((self.stats.lookups, len(self._pairs)))
-            return analysis
+        cached = self._pairs.get(key)
+        if cached is not None:
+            self.stats.hits += 1
+            return cached
+        self.stats.misses += 1
+        analysis = self.engine.analyse_pair(read, write)
+        self._pairs[key] = analysis
+        self.stats.growth.append((self.stats.lookups, len(self._pairs)))
+        return analysis
 
     def plan_for(
         self,
@@ -96,12 +95,11 @@ class AnalysisCache:
         Figure 4 hit/miss counters.
         """
         key = (read.text, write.text, policy.value, self.engine.catalog_version)
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
-                plan = build_pruning_plan(pair, policy)
-                self._plans[key] = plan
-            return plan
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = build_pruning_plan(pair, policy)
+            self._plans[key] = plan
+        return plan
 
     def column_rule_for(
         self, read: QueryTemplate
@@ -113,21 +111,18 @@ class AnalysisCache:
         built without a separate bookkeeping structure.
         """
         key = (read.text, self.engine.catalog_version)
-        with self._lock:
-            cached = self._column_rules.get(key)
-            if cached is not None:
-                return cached, False
-            rule = self.engine.column_rule(read)
-            self._column_rules[key] = rule
-            return rule, True
+        cached = self._column_rules.get(key)
+        if cached is not None:
+            return cached, False
+        rule = self.engine.column_rule(read)
+        self._column_rules[key] = rule
+        return rule, True
 
     @property
     def entry_count(self) -> int:
-        with self._lock:
-            return len(self._pairs)
+        return len(self._pairs)
 
     def clear(self) -> None:
-        with self._lock:
-            self._pairs.clear()
-            self._plans.clear()
-            self._column_rules.clear()
+        self._pairs.clear()
+        self._plans.clear()
+        self._column_rules.clear()

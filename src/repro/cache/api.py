@@ -8,13 +8,13 @@ aspects call: ``is_cacheable`` / ``check`` / ``insert`` /
 The cache takes a ``clock`` callable so the discrete-event simulator can
 drive TTL windows in virtual time; real deployments use ``time.time``.
 
-Thread model: every substructure (page store, dependency table,
-analysis cache, statistics) is individually thread-safe; the facade
-adds one coordination lock for the cross-structure state -- the
-single-flight table (``repro.cache.flight``), the write sequence
-number, and the buffer of writes that overlap open computations.  Lock
-order is facade -> substructure; no substructure ever calls back into
-the facade, so the ordering cannot invert.
+Thread model: one lock per cache.  The page store, the dependency
+table inside it, the analysis cache, the statistics and the containment
+table are plain structures this facade owns; it takes its ``lock`` once
+per facade operation -- a lookup, an insert, each flight or window
+primitive, a write's whole doom pass, an external invalidation -- and
+touches them only under it.  Renders, and a waiter's block on a flight,
+run outside it; nothing called under it enters another facade.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ class Cache:
     ) -> None:
         self.semantics = semantics or SemanticsRegistry()
         self.clock = clock
+        #: The only lock in the cache core (module docstring).
+        self.lock = NamedRLock("cache-facade")
         #: Insert-path admission policy (``repro.admission``).  The
         #: default AdmitAll stores everything and observes nothing --
         #: the paper's cache-everything behaviour, bit for bit.
@@ -79,6 +81,7 @@ class Cache:
         self.engine = QueryAnalysisEngine(catalog=catalog)
         self.analysis_cache = AnalysisCache(self.engine)
         self.stats = CacheStats()
+        self.stats.guard = self.lock
         self.invalidator = Invalidator(
             self.pages,
             self.analysis_cache,
@@ -91,14 +94,13 @@ class Cache:
         self._catalog_source: tuple[object, int] | None = None
         #: Told the keys that left this store for capacity or expiry.
         #: The cluster router listens: an evicted fragment's containers
-        #: usually live on other shards.  May run with the facade and
-        #: store locks held, so a listener may only take note.
+        #: usually live on other shards.  Runs under the facade lock, so
+        #: a listener may only take note.
         self.on_evicted: Callable[[set[str]], object] | None = None
         #: Which cached pages embed which cached fragments: dooming a
         #: fragment must doom every entry assembled from its text.
         self.fragments = FragmentContainment()
-        # -- cross-structure coordination (single-flight + staleness window)
-        self._lock = NamedRLock("cache-facade")
+        # -- single-flight + staleness window
         self._flights: dict[str, Flight] = {}
         #: Non-coalescing staleness windows: solo computations (no
         #: flight -- coalescing off, or a waiter that gave up on its
@@ -138,8 +140,10 @@ class Cache:
             return
         from repro.sql.lineage import Catalog
 
-        self.engine.set_catalog(Catalog.from_database(database))
-        self._catalog_source = (database, epoch)
+        catalog = Catalog.from_database(database)
+        with self.lock:
+            self.engine.set_catalog(catalog)
+            self._catalog_source = (database, epoch)
 
     # -- read path -------------------------------------------------------------------
 
@@ -158,20 +162,22 @@ class Cache:
     def check_key(self, key: str, stat_uri: str) -> PageEntry | None:
         """Cache check by key (pages *and* fragments; statistics bucket
         under ``stat_uri``)."""
-        if self.forced_miss:
-            # Overhead-measurement mode: pay the lookup, report a miss,
-            # execute the request normally (Section 6, TPC-W overhead).
-            self.stats.record_miss(stat_uri, "cold")
+        with self.lock:
+            if self.forced_miss:
+                # Overhead-measurement mode: pay the lookup, report a
+                # miss, execute the request normally (Section 6, TPC-W
+                # overhead).
+                self.stats.record_miss(stat_uri, "cold")
+                return None
+            entry, reason = self.pages.lookup(key, self.clock())
+            self.admission.observe_lookup(stat_uri, hit=entry is not None)
+            if entry is not None:
+                self.stats.record_hit(stat_uri, semantic=entry.semantic)
+                return entry
+            self.stats.record_miss(stat_uri, reason)
+            if reason == "expired":
+                self._left_the_store({key})
             return None
-        entry, reason = self.pages.lookup(key, self.clock())
-        self.admission.observe_lookup(stat_uri, hit=entry is not None)
-        if entry is not None:
-            self.stats.record_hit(stat_uri, semantic=entry.semantic)
-            return entry
-        self.stats.record_miss(stat_uri, reason)
-        if reason == "expired":
-            self._left_the_store({key})
-        return None
 
     def fast_check(self, request: HttpRequest) -> PageEntry | None:
         """Hit-or-nothing probe for the event-loop fast path.
@@ -186,12 +192,14 @@ class Cache:
         """
         if self.forced_miss or not self.semantics.is_cacheable(request):
             return None
-        entry = self.pages.hit(request.cache_key(), self.clock())
-        if entry is None:
-            return None
-        self.stats.record_hit(request.uri, semantic=entry.semantic)
-        self.admission.observe_lookup(request.uri, hit=True)
-        return entry
+        key = request.cache_key()
+        with self.lock:
+            entry = self.pages.hit(key, self.clock())
+            if entry is None:
+                return None
+            self.stats.record_hit(request.uri, semantic=entry.semantic)
+            self.admission.observe_lookup(request.uri, hit=True)
+            return entry
 
     def insert(
         self,
@@ -202,6 +210,7 @@ class Cache:
         window: Flight | None = None,
         fragments: Sequence[str] = (),
         guard_reads: Sequence[QueryInstance] = (),
+        expires_at: float | None = None,
     ) -> PageEntry:
         """Cache the page generated for ``request`` (cache insert).
 
@@ -223,6 +232,7 @@ class Cache:
             ttl_uri=request.uri,
             fragments=fragments,
             guard_reads=guard_reads,
+            expires_at=expires_at,
         )
         return entry
 
@@ -236,6 +246,7 @@ class Cache:
         ttl_uri: str | None = None,
         fragments: Sequence[str] = (),
         guard_reads: Sequence[QueryInstance] = (),
+        expires_at: float | None = None,
     ) -> tuple[PageEntry, bool]:
         """Key-level insert shared by pages and fragments.
 
@@ -247,13 +258,21 @@ class Cache:
         registrations: an embedded fragment's dependencies are carried
         by the fragment entry, but a write that doomed the fragment
         while this body was being computed doomed this body too, so the
-        guard must see them.
+        guard must see them.  ``expires_at`` caps the entry's expiry: the
+        earliest expiry among the fragment entries the body embeds (a
+        body outliving a TTL'd fragment would serve its text past the
+        window).  The cap does not make the entry semantic: its own
+        reads still register.
 
         Returns ``(entry, stored)``; ``stored`` is False when the
-        staleness check discarded the insert.
+        staleness check discarded the insert, when an embedded fragment
+        is no longer resident, or when admission denied it.
         """
         now = self.clock()
         ttl = self.semantics.ttl_for(ttl_uri) if ttl_uri is not None else None
+        expiry = (now + ttl) if ttl is not None else None
+        if expires_at is not None and (expiry is None or expires_at < expiry):
+            expiry = expires_at
         entry = PageEntry(
             key,
             body,
@@ -261,11 +280,11 @@ class Cache:
             None,  # headers: a cached page serves the response defaults
             tuple(reads),
             now,
-            (now + ttl) if ttl is not None else None,
+            expiry,
             ttl is not None,
             tuple(fragments),
         )
-        with self._lock:
+        with self.lock:
             flight = self._flights.get(key)
             if self._recent_writes:
                 # Only now is there anything an open computation could
@@ -278,8 +297,13 @@ class Cache:
                         and self._overlapping_write(opener, guard)
                     ):
                         opener.stale = True
-            if (flight is not None and flight.stale) or (
-                window is not None and window.stale
+            if (
+                (flight is not None and flight.stale)
+                or (window is not None and window.stale)
+                # An embedded fragment left the store (capacity, expiry,
+                # a doom) while this body rendered: nothing could doom
+                # this copy of its text through it any more.
+                or (fragments and not all(f in self.pages for f in fragments))
             ):
                 self.stats.record_stale_insert()
                 return entry, False
@@ -322,24 +346,33 @@ class Cache:
         containment edges; returns the capacity victims.  No admission,
         no statistics: the insert was accounted for where it happened.
         """
-        with self._lock:
+        with self.lock:
             return self._store(entry)
 
+    def release(self, moving: Callable[[str], bool]) -> list[PageEntry]:
+        """Remove and return the entries whose key ``moving`` selects,
+        recording no miss reason (ring rebalancing moves them to another
+        node; a crashed node drops them), so a later lookup here is a
+        plain cold miss."""
+        with self.lock:
+            return [self.pages.release(key) for key in self.pages.keys() if moving(key)]
+
     def _store(self, entry: PageEntry) -> list[PageEntry]:
-        """Caller holds the facade lock -- the only place containment
-        edges are added, so "no edges, nobody listening" cannot change
-        under the insert and the eviction hook can be left out."""
+        """Caller holds the lock.  The containment edges go in before the
+        store insert: if it evicts a fragment this body embeds, the
+        eviction hook must find the container.  The only place edges
+        are added, so "no edges, nobody listening" cannot change under
+        the insert and the hook can be left out."""
+        self.fragments.register(entry.key, entry.fragments)
         hook = (
             self._victims_left
             if len(self.fragments) or self.on_evicted is not None
             else None
         )
-        evicted = self.pages.insert(entry, hook)
-        self.fragments.register(entry.key, entry.fragments)
-        return evicted
+        return self.pages.insert(entry, hook)
 
     def _victims_left(self, victims: list[PageEntry]) -> None:
-        """:meth:`PageCache.insert`'s eviction hook (store lock held)."""
+        """:meth:`PageCache.insert`'s eviction hook (lock held)."""
         self._left_the_store({victim.key for victim in victims})
 
     def _left_the_store(self, keys: set[str]) -> None:
@@ -379,7 +412,7 @@ class Cache:
     ) -> bool:
         """Did a write that invalidates ``reads`` land mid-computation?
 
-        Caller holds the facade lock.  The buffered invalidation
+        Caller holds the lock.  The buffered invalidation
         information carries pre-images, so this is the exact same
         precision as the normal invalidation protocol.
         """
@@ -401,7 +434,7 @@ class Cache:
         call :meth:`finish_flight` (on every exit path); waiters call
         :meth:`wait_flight`.
         """
-        with self._lock:
+        with self.lock:
             flight = self._flights.get(key)
             if flight is not None:
                 flight.join()
@@ -418,14 +451,14 @@ class Cache:
         the computation (the stale-body rule).
         """
         flight.wait(self.flight_timeout)
-        with self._lock:
+        with self.lock:
             if flight.stale or flight.entry is None:
                 return None
             return flight.entry
 
     def finish_flight(self, flight: Flight) -> None:
         """Close the flight and wake waiters (leader's finally-block)."""
-        with self._lock:
+        with self.lock:
             if self._flights.get(flight.key) is flight:
                 del self._flights[flight.key]
             if not self._flights and not self._windows:
@@ -450,14 +483,14 @@ class Cache:
         with :meth:`end_window` on every exit path.  Unlike a flight it
         is never published: no other thread joins or waits on it.
         """
-        with self._lock:
+        with self.lock:
             window = Flight(key, self._write_seq, started_at=self.clock())
             self._windows.setdefault(key, []).append(window)
             return window
 
     def end_window(self, window: Flight) -> None:
         """Close a solo-computation window (caller's finally-block)."""
-        with self._lock:
+        with self.lock:
             open_windows = self._windows.get(window.key)
             if open_windows is not None and window in open_windows:
                 open_windows.remove(window)
@@ -468,41 +501,43 @@ class Cache:
 
     @property
     def open_flights(self) -> int:
-        with self._lock:
+        with self.lock:
             return len(self._flights)
 
     def flight_for(self, key: str) -> Flight | None:
         """The open computation for ``key``, if any (observability)."""
-        with self._lock:
+        with self.lock:
             return self._flights.get(key)
 
     def open_flight_keys(self) -> list[str]:
         """Keys with an open computation -- flights *and* solo windows
         (cluster rebalancing reads these to poison computations whose
         key is moving to another node)."""
-        with self._lock:
+        with self.lock:
             return list(self._flights.keys() | self._windows.keys())
 
     def poison_flights(self, keys: set[str]) -> None:
         """Mark the given open flights stale so their eventual inserts
         are discarded (waiters recompute).  Used when ring membership
         changes re-home a key out from under an in-flight computation."""
-        self._mark_flights_stale(keys)
+        with self.lock:
+            self._mark_flights_stale(keys)
 
     def _mark_flights_stale(self, keys: set[str]) -> None:
-        with self._lock:
-            for key in keys:
-                flight = self._flights.get(key)
-                if flight is not None:
-                    flight.stale = True
-                for window in self._windows.get(key, ()):
-                    window.stale = True
+        """Caller holds the lock."""
+        for key in keys:
+            flight = self._flights.get(key)
+            if flight is not None:
+                flight.stale = True
+            for window in self._windows.get(key, ()):
+                window.stale = True
 
     # -- write path -------------------------------------------------------------------
 
     def process_write_request(self, uri: str, writes: list[QueryInstance]) -> set[str]:
         """Run invalidation for a completed write request."""
-        self.stats.record_write(uri)
+        with self.lock:
+            self.stats.record_write(uri)
         return self.apply_writes(writes)
 
     def apply_writes(self, writes: list[QueryInstance]) -> set[str]:
@@ -519,7 +554,7 @@ class Cache:
         """
         if not writes:
             return set()
-        with self._lock:
+        with self.lock:
             if self._flights or self._windows:
                 # Buffer the invalidation info for open computations'
                 # insert-time staleness check.
@@ -543,48 +578,64 @@ class Cache:
                         )
                     ):
                         flight.stale = True
-        doomed = self.invalidator.process_writes(writes)
-        if doomed:
-            # Containment closure: entries assembled from a doomed
-            # fragment's text are stale copies of it -- doom them too.
-            for key in self.fragments.containing(doomed):
-                if self.pages.invalidate(key):
-                    self.stats.record_invalidated()
-                doomed.add(key)
-            # A doomed key with an open flight: the invalidation must
-            # win over the in-flight computation's eventual insert.
-            self._mark_flights_stale(doomed)
-            for key in doomed:
-                # Churn signal for the admission cost model.
-                self.admission.observe_doom(key_class(key))
-                self.fragments.forget(key)
-        return doomed
+            doomed = self.invalidator.process_writes(writes)
+            if doomed:
+                # Containment closure: entries assembled from a doomed
+                # fragment's text are stale copies of it -- doom them too.
+                for key in self.fragments.containing(doomed):
+                    if self.pages.invalidate(key):
+                        self.stats.record_invalidated()
+                    doomed.add(key)
+                # A doomed key with an open flight: the invalidation must
+                # win over the in-flight computation's eventual insert.
+                self._mark_flights_stale(doomed)
+                for key in doomed:
+                    # Churn signal for the admission cost model.
+                    self.admission.observe_doom(key_class(key))
+                    self.fragments.forget(key)
+            return doomed
 
     # -- management ----------------------------------------------------------------------
 
     def record_uncacheable(self, request: HttpRequest) -> None:
-        self.stats.record_uncacheable(request.uri)
+        with self.lock:
+            self.stats.record_uncacheable(request.uri)
+
+    # The counters the computation driver and the JDBC aspect bump,
+    # under the lock like every other record.
+
+    def record_coalesced(self, uri: str) -> None:
+        with self.lock:
+            self.stats.record_coalesced(uri)
+
+    def record_hole_skip(self) -> None:
+        with self.lock:
+            self.stats.record_hole_skip()
+
+    def record_extra_query(self) -> None:
+        with self.lock:
+            self.stats.record_extra_query()
 
     def invalidate_key(self, key: str) -> bool:
         """External invalidation API (the DynamicWeb/Weave-style hook the
         paper suggests for updates bypassing the application)."""
-        with self._lock:
+        with self.lock:
             self._write_seq += 1
-            flight = self._flights.get(key)
-            if flight is not None:
-                flight.stale = True
-            for window in self._windows.get(key, ()):
-                window.stale = True
-        removed = self.pages.invalidate(key)
-        if removed:
-            self.stats.record_invalidated()
-            self.admission.observe_doom(key_class(key))
-        # A doomed fragment dooms every entry embedding its text.
-        self._close_over({key})
-        return removed
+            self._mark_flights_stale({key})
+            removed = self.pages.invalidate(key)
+            if removed:
+                self.stats.record_invalidated()
+                self.admission.observe_doom(key_class(key))
+            # A doomed fragment dooms every entry embedding its text.
+            self._close_over({key})
+            return removed
 
     def clear(self) -> None:
-        self.pages.clear()
+        with self.lock:
+            self.pages.clear()
 
     def __len__(self) -> int:
         return len(self.pages)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.pages

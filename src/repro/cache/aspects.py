@@ -106,7 +106,7 @@ class ReadServletAspect(CachedComputation):
                 # hidden-state trap fragment declarations now close).
                 # The fragments cached their own spans; only the
                 # stitched whole is discarded.
-                self.cache.stats.record_hole_skip()
+                self.cache.record_hole_skip()
                 return
             self.cache.insert(
                 request,
@@ -116,6 +116,7 @@ class ReadServletAspect(CachedComputation):
                 window=window,
                 fragments=context.fragment_keys,
                 guard_reads=context.fragment_reads,
+                expires_at=context.expires_at,
             )
 
         self.cached(
@@ -172,10 +173,10 @@ class JdbcConsistencyAspect(Aspect):
     def extra_queries(self) -> int:
         """Pre-image capture queries issued (AC-extraQuery).
 
-        Kept for observability; the counter itself lives in the
-        lock-protected :class:`~repro.cache.stats.CacheStats`, since an
-        unsynchronized attribute on the shared aspect instance lost
-        increments under the threaded container.
+        Kept for observability; the counter itself lives in
+        :class:`~repro.cache.stats.CacheStats`, recorded under the
+        facade lock, since an unsynchronized attribute on the shared
+        aspect instance lost increments under the threaded container.
         """
         return self.cache.stats.extra_queries
 
@@ -269,7 +270,7 @@ class JdbcConsistencyAspect(Aspect):
             result = database.execute_statement(select, values)
         except Exception:
             return None  # conservative: no pre-image -> always intersect
-        self.cache.stats.record_extra_query()
+        self.cache.record_extra_query()
         return tuple(result.dicts())  # type: ignore[union-attr]
 
 

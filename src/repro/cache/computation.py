@@ -84,7 +84,7 @@ class CachedComputation(Aspect):
                 entry = cache.wait_flight(flight)
                 if entry is not None:
                     result = serve(entry)
-                    cache.stats.record_coalesced(stat_uri)
+                    cache.record_coalesced(stat_uri)
                     return result
         window = cache.begin_window(key)
         try:
@@ -110,11 +110,13 @@ class CachedComputation(Aspect):
         def serve(entry: PageEntry):
             # The enclosing computation absorbs the entry's dependencies
             # -- complete by construction, nested entries included -- as
-            # guard information, plus the containment edge.
+            # guard information, plus the containment edge and the
+            # entry's expiry.
             parent = self.collector.current()
             if parent is not None and parent.is_read:
                 parent.fragment_keys.append(key)
                 parent.fragment_reads.extend(entry.dependencies)
+                parent.cap_expiry(entry.expires_at)
             return decode(entry.body)
 
         def compute(window: Flight | None):
@@ -123,22 +125,25 @@ class CachedComputation(Aspect):
                 value = proceed()
             finally:
                 self.collector.end_fragment()
-            stored = False
+            entry = None
             if context.has_hole:
                 # Per-request state inside: never cached whole.
-                self.cache.stats.record_hole_skip()
+                self.cache.record_hole_skip()
             elif not (context.aborted or context.writes):
                 body = encode(value)
                 if body is not None:
-                    _entry, stored = self.cache.insert_key(
+                    entry, stored = self.cache.insert_key(
                         key,
                         body,
                         context.reads + context.fragment_reads,
                         window=window,
                         ttl_uri=stat_uri,
                         fragments=context.fragment_keys,
+                        expires_at=context.expires_at,
                     )
-            self._merge(context, key, stored)
+                    if not stored:
+                        entry = None
+            self._merge(context, key, entry)
             return value
 
         return self.cached(
@@ -149,12 +154,15 @@ class CachedComputation(Aspect):
             compute,
         )
 
-    def _merge(self, context: RequestContext, key: str, stored: bool) -> None:
+    def _merge(
+        self, context: RequestContext, key: str, entry: PageEntry | None
+    ) -> None:
         """Fold a finished nested computation into its enclosing one.
 
-        Stored: the parent needs the containment edge plus the entry's
-        full dependency set as guard information (a write landing while
-        the parent is still rendering dooms this entry, so the parent's
+        Stored (``entry`` is the stored entry): the parent needs the
+        containment edge, the entry's expiry, and the entry's full
+        dependency set as guard information (a write landing while the
+        parent is still rendering dooms this entry, so the parent's
         insert-time staleness check must see it).
 
         Not stored (aborted, hole-bearing, wrote, unencodable, or
@@ -170,9 +178,10 @@ class CachedComputation(Aspect):
                 # context) that wrote: invalidation must still run.
                 self.cache.process_write_request(key, context.writes)
             return
-        if stored:
+        if entry is not None:
             parent.fragment_keys.append(key)
             parent.fragment_reads.extend(context.reads)
+            parent.cap_expiry(entry.expires_at)
         else:
             parent.reads.extend(context.reads)
             parent.fragment_keys.extend(context.fragment_keys)

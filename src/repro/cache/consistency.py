@@ -54,6 +54,10 @@ class RequestContext:
     #: True once a hole rendered inside this context: the corresponding
     #: entry contains per-request state and must not be cached whole.
     has_hole: bool = False
+    #: Earliest expiry among the cached entries whose text this body
+    #: embeds (None: none expires); the entry's insert caps its own
+    #: expiry at it (:meth:`cap_expiry`).
+    expires_at: float | None = None
     #: Cache keys of the fragments *stored* while this context was
     #: rendering (containment edges for the entry's eventual insert).
     fragment_keys: list[str] = field(default_factory=list)
@@ -78,6 +82,21 @@ class RequestContext:
     @property
     def is_read(self) -> bool:
         return self.kind in ("read", "fragment")
+
+    def cap_expiry(self, expires_at: float | None) -> None:
+        """This body embeds text that expires at ``expires_at``.
+
+        Propagates through every enclosing context, as a hole does: a
+        body embedding this one embeds the same text, so none of them
+        may be served past that instant.
+        """
+        if expires_at is None:
+            return
+        context = self
+        while context is not None:
+            if context.expires_at is None or expires_at < context.expires_at:
+                context.expires_at = expires_at
+            context = context.parent
 
 
 class ConsistencyCollector:

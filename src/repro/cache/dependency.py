@@ -7,8 +7,8 @@ template (per the analysis engine) and runs the run-time intersection
 test against each registered instance.
 
 The paper's protocol consults *every* read template per write.  To make
-the write path sub-linear, the table additionally maintains two indexes
-under the same lock discipline as the primary map:
+the write path sub-linear, the table additionally maintains two indexes,
+updated in step with the primary map:
 
 1. an inverted **table index** (``table -> read templates``): a write
    can only affect templates sharing a table with it (the pair
@@ -30,11 +30,9 @@ the whole template to unindexed: :meth:`instances_for_values` then
 answers ``None`` and the invalidator falls back to the full scan,
 trading speed for the exact brute-force behaviour.
 
-The table carries its own lock: the page cache mutates it while holding
-the page-store lock, but the invalidator also reads it directly from
-writer threads, so every method snapshots or mutates under the table
-lock.  Lock order is always page-store -> dependency table, never the
-reverse (the table calls back into nothing).
+A plain structure: it takes no lock.  The page store mutates it and the
+invalidator reads it, both only inside a facade operation of their
+owning :class:`~repro.cache.api.Cache`, which holds the facade lock.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from collections import defaultdict
 from typing import Iterable
 
 from repro.cache.entry import QueryInstance
-from repro.locks import NamedRLock
 from repro.sql.template import QueryTemplate
 
 #: One registration as the indexes see it: (page key, value vector).
@@ -70,51 +67,48 @@ class DependencyTable:
         #: Template texts whose value index was abandoned (unhashable
         #: values); lookups on them fall back to the full scan.
         self._unindexable: set[str] = set()
-        self._lock = NamedRLock("dependency-table")
 
     def register(self, page_key: str, instances: tuple[QueryInstance, ...]) -> None:
         """Record that ``page_key`` depends on each read instance."""
-        with self._lock:
-            by_template = self._by_template
-            for instance in instances:
-                template = instance.template
-                vector = tuple(instance.values)
-                pages = by_template.get(template)
-                if pages is None:
-                    pages = by_template[template] = {}
-                    for table in template.tables:
-                        self._templates_by_table[table].add(template)
-                vectors = pages.get(page_key)
-                if vectors is None:
-                    pages[page_key] = [vector]
-                elif vector in vectors:
-                    continue
-                else:
-                    vectors.append(vector)
-                self._index_registration(template, page_key, vector)
+        by_template = self._by_template
+        for instance in instances:
+            template = instance.template
+            vector = tuple(instance.values)
+            pages = by_template.get(template)
+            if pages is None:
+                pages = by_template[template] = {}
+                for table in template.tables:
+                    self._templates_by_table[table].add(template)
+            vectors = pages.get(page_key)
+            if vectors is None:
+                pages[page_key] = [vector]
+            elif vector in vectors:
+                continue
+            else:
+                vectors.append(vector)
+            self._index_registration(template, page_key, vector)
 
     def unregister(self, page_key: str, instances: tuple[QueryInstance, ...]) -> None:
         """Remove ``page_key``'s registrations (on eviction/invalidation)."""
-        with self._lock:
-            for instance in instances:
-                template = instance.template
-                pages = self._by_template.get(template)
-                if pages is None:
-                    continue
-                vectors = pages.pop(page_key, None)
-                if vectors:
-                    self._unindex_registrations(template, page_key, vectors)
-                if not pages:
-                    del self._by_template[template]
-                    self._value_index.pop(template, None)
-                    for table in template.tables:
-                        remaining = self._templates_by_table.get(table)
-                        if remaining is not None:
-                            remaining.discard(template)
-                            if not remaining:
-                                del self._templates_by_table[table]
+        for instance in instances:
+            template = instance.template
+            pages = self._by_template.get(template)
+            if pages is None:
+                continue
+            vectors = pages.pop(page_key, None)
+            if vectors:
+                self._unindex_registrations(template, page_key, vectors)
+            if not pages:
+                del self._by_template[template]
+                self._value_index.pop(template, None)
+                for table in template.tables:
+                    remaining = self._templates_by_table.get(table)
+                    if remaining is not None:
+                        remaining.discard(template)
+                        if not remaining:
+                            del self._templates_by_table[table]
 
-    # -- index maintenance (caller holds the lock) ---------------------------------
+    # -- index maintenance ---------------------------------------------------------
 
     def _index_registration(
         self, template: QueryTemplate, page_key: str, vector: tuple[object, ...]
@@ -169,8 +163,7 @@ class DependencyTable:
 
     def read_templates(self) -> list[QueryTemplate]:
         """Every read template currently backing at least one page."""
-        with self._lock:
-            return list(self._by_template)
+        return list(self._by_template)
 
     def candidate_templates(
         self, tables: Iterable[str]
@@ -180,25 +173,23 @@ class DependencyTable:
         The skipped count is how many registered templates the inverted
         table index proved irrelevant without a pair analysis.
         """
-        with self._lock:
-            candidates: set[QueryTemplate] = set()
-            for table in tables:
-                found = self._templates_by_table.get(table)
-                if found:
-                    candidates |= found
-            return list(candidates), len(self._by_template) - len(candidates)
+        candidates: set[QueryTemplate] = set()
+        for table in tables:
+            found = self._templates_by_table.get(table)
+            if found:
+                candidates |= found
+        return list(candidates), len(self._by_template) - len(candidates)
 
     def instances_for(
         self, template: QueryTemplate
     ) -> list[tuple[str, tuple[object, ...]]]:
         """(page key, value vector) pairs registered under ``template``."""
-        with self._lock:
-            pages = self._by_template.get(template, {})
-            return [
-                (page_key, vector)
-                for page_key, vectors in pages.items()
-                for vector in vectors
-            ]
+        pages = self._by_template.get(template, {})
+        return [
+            (page_key, vector)
+            for page_key, vectors in pages.items()
+            for vector in vectors
+        ]
 
     def instances_for_values(
         self,
@@ -213,48 +204,43 @@ class DependencyTable:
         cannot answer (unindexed template or position, unhashable probe
         value) and the caller must fall back to :meth:`instances_for`.
         """
-        with self._lock:
-            if template.text in self._unindexable:
-                return None
-            pages = self._by_template.get(template)
-            if not pages:
-                return [], 0
-            index = self._value_index.get(template)
-            if index is None or position not in index:
-                return None
-            bucket = index[position]
-            candidates: list[Registration] = []
-            try:
-                for value in values:
-                    candidates.extend(bucket.get(value, ()))
-            except TypeError:
-                return None
-            total = sum(len(vectors) for vectors in pages.values())
-            return candidates, total - len(candidates)
+        if template.text in self._unindexable:
+            return None
+        pages = self._by_template.get(template)
+        if not pages:
+            return [], 0
+        index = self._value_index.get(template)
+        if index is None or position not in index:
+            return None
+        bucket = index[position]
+        candidates: list[Registration] = []
+        try:
+            for value in values:
+                candidates.extend(bucket.get(value, ()))
+        except TypeError:
+            return None
+        total = sum(len(vectors) for vectors in pages.values())
+        return candidates, total - len(candidates)
 
     def instance_count(self, template: QueryTemplate) -> int:
         """Number of registrations currently held under ``template``."""
-        with self._lock:
-            pages = self._by_template.get(template, {})
-            return sum(len(vectors) for vectors in pages.values())
+        pages = self._by_template.get(template, {})
+        return sum(len(vectors) for vectors in pages.values())
 
     def clear(self) -> None:
-        with self._lock:
-            self._by_template.clear()
-            self._templates_by_table.clear()
-            self._value_index.clear()
-            self._unindexable.clear()
+        self._by_template.clear()
+        self._templates_by_table.clear()
+        self._value_index.clear()
+        self._unindexable.clear()
 
     @property
     def template_count(self) -> int:
-        with self._lock:
-            return len(self._by_template)
+        return len(self._by_template)
 
     @property
     def registration_count(self) -> int:
-        with self._lock:
-            return sum(
-                len(vectors)
-                for pages in self._by_template.values()
-                for vectors in pages.values()
-            )
+        return sum(
+            len(vectors)
+            for pages in self._by_template.values()
+            for vectors in pages.values()
+        )

@@ -12,14 +12,12 @@ cache entries.  Two pieces of shared vocabulary live here:
   cached body *contains a copy of that fragment's text* is stale too
   and must be doomed with it; the table answers that closure.
 
-The containment table is a leaf structure: it uses a plain lock, takes
-no other locks, and is only called from the cache facade / cluster
-router (lock order facade -> substructure, as everywhere else).
+The containment table is a plain structure: it takes no lock.  Its
+owner -- the cache facade, or on a ring the cluster router, which
+keeps every edge -- calls it only under the owner's lock.
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro.web.http import encode_query_string
 
@@ -51,9 +49,6 @@ class FragmentContainment:
     """
 
     def __init__(self) -> None:
-        # Leaf lock by design: never acquired while holding another
-        # lock's successor, and nothing is called under it.
-        self._lock = threading.Lock()
         self._pages_of: dict[str, set[str]] = {}  # fragment -> containers
         self._fragments_of: dict[str, set[str]] = {}  # container -> fragments
 
@@ -63,23 +58,32 @@ class FragmentContainment:
         Replaces any previous edge set for ``page_key``: a re-insert
         after invalidation may have assembled from different fragments.
         """
-        if not fragment_keys and page_key not in self._fragments_of:
-            return  # no edges before, none now (most entries, every insert)
-        with self._lock:
-            for old in self._fragments_of.pop(page_key, ()):  # drop stale edges
-                pages = self._pages_of.get(old)
-                if pages is not None:
-                    pages.discard(page_key)
-                    if not pages:
-                        del self._pages_of[old]
-            if fragment_keys:
-                self._fragments_of[page_key] = set(fragment_keys)
-                for fragment in fragment_keys:
-                    self._pages_of.setdefault(fragment, set()).add(page_key)
+        if page_key in self._fragments_of:
+            self.forget(page_key)
+        self.add(page_key, fragment_keys)
+
+    def add(self, page_key: str, fragment_keys: list[str] | tuple[str, ...]) -> None:
+        """Record edges, keeping any ``page_key`` already has.
+
+        For an owner whose store insert is not atomic with the edge
+        update (the cluster router): two computations of one key may
+        register in either order, and a spare edge costs at most an
+        extra miss where a lost one serves a stale page.
+        """
+        if not fragment_keys:
+            return  # no edges (most entries, every insert)
+        self._fragments_of.setdefault(page_key, set()).update(fragment_keys)
+        for fragment in fragment_keys:
+            self._pages_of.setdefault(fragment, set()).add(page_key)
 
     def forget(self, page_key: str) -> None:
         """Drop ``page_key``'s containment edges (entry gone)."""
-        self.register(page_key, ())
+        for old in self._fragments_of.pop(page_key, ()):
+            pages = self._pages_of.get(old)
+            if pages is not None:
+                pages.discard(page_key)
+                if not pages:
+                    del self._pages_of[old]
 
     def __len__(self) -> int:
         """How many entries embed a fragment; 0 means no edge at all."""
@@ -91,13 +95,12 @@ class FragmentContainment:
         Returns only the *additional* doomed keys (the input set is
         excluded).
         """
-        with self._lock:
-            doomed: set[str] = set()
-            frontier = list(keys)
-            while frontier:
-                key = frontier.pop()
-                for container in self._pages_of.get(key, ()):
-                    if container not in doomed and container not in keys:
-                        doomed.add(container)
-                        frontier.append(container)
-            return doomed
+        doomed: set[str] = set()
+        frontier = list(keys)
+        while frontier:
+            key = frontier.pop()
+            for container in self._pages_of.get(key, ()):
+                if container not in doomed and container not in keys:
+                    doomed.add(container)
+                    frontier.append(container)
+        return doomed

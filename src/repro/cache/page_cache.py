@@ -4,11 +4,11 @@ Tracks *why* an absent key is absent (never seen, invalidated, evicted,
 expired) so the statistics layer can reproduce the paper's miss
 taxonomy (Figures 16-17: cold misses vs invalidation misses).
 
-Every public operation is atomic under one store lock, so concurrent
-lookup/insert/invalidate from serving threads cannot tear the
-``total_bytes`` accounting, the replacement policy's ordering, or the
-dependency registrations (which are updated while the store lock is
-held; lock order is store -> dependency table, never the reverse).
+A plain structure: it takes no lock.  Its owner, the
+:class:`~repro.cache.api.Cache` facade, calls it only under the facade
+lock, which is what keeps ``total_bytes``, the replacement policy's
+ordering and the dependency registrations in step under concurrent
+serving.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable
 from repro.cache.dependency import DependencyTable
 from repro.cache.entry import PageEntry
 from repro.cache.replacement import ReplacementPolicy, UnboundedPolicy
-from repro.locks import NamedRLock
 
 #: Most miss reasons remembered for absent keys.  The taxonomy is a
 #: statistic, so the oldest reason is dropped (the key then reads as
@@ -50,15 +49,12 @@ class PageCache:
         #: key -> reason it is gone ("invalidation"/"capacity"/"expired").
         self._gone: dict[str, str] = {}
         self.eviction_count = 0
-        self._lock = NamedRLock("page-store")
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     # -- lookup ---------------------------------------------------------------------
 
@@ -69,16 +65,15 @@ class PageCache:
         of ``"cold"``, ``"invalidation"``, ``"capacity"``, ``"expired"``.
         Expired TTL entries are removed as a side effect.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                if entry.expired(now):
-                    self._remove(key, reason="expired")
-                    return None, "expired"
-                entry.hit_count += 1
-                self._policy.on_access(key)
-                return entry, "hit"
-            return None, self._gone.pop(key, "cold")
+        entry = self._entries.get(key)
+        if entry is not None:
+            if entry.expired(now):
+                self._remove(key, reason="expired")
+                return None, "expired"
+            entry.hit_count += 1
+            self._policy.on_access(key)
+            return entry, "hit"
+        return None, self._gone.pop(key, "cold")
 
     def hit(self, key: str, now: float) -> PageEntry | None:
         """Return the live entry for ``key``, or ``None`` -- no taxonomy.
@@ -92,29 +87,25 @@ class PageCache:
         Expired entries are removed (with their ``"expired"`` reason
         preserved for the later woven lookup) and reported as a miss.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            if entry.expired(now):
-                self._remove(key, reason="expired")
-                return None
-            entry.hit_count += 1
-            self._policy.on_access(key)
-            return entry
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        if entry.expired(now):
+            self._remove(key, reason="expired")
+            return None
+        entry.hit_count += 1
+        self._policy.on_access(key)
+        return entry
 
     def peek(self, key: str) -> PageEntry | None:
         """Entry for ``key`` without touching recency or expiry."""
-        with self._lock:
-            return self._entries.get(key)
+        return self._entries.get(key)
 
     def keys(self) -> list[str]:
-        with self._lock:
-            return list(self._entries)
+        return list(self._entries)
 
     def entries(self) -> list[PageEntry]:
-        with self._lock:
-            return list(self._entries.values())
+        return list(self._entries.values())
 
     # -- insert / remove --------------------------------------------------------------
 
@@ -125,33 +116,32 @@ class PageCache:
     ) -> list[PageEntry]:
         """Store ``entry`` and return the entries evicted to make room.
 
-        ``on_evicted`` sees the victims while the store lock is still
-        held: whatever else must leave with them (the facade dooms the
-        entries assembled from an evicted fragment's text) is gone
-        before any lookup can run.
+        ``on_evicted`` sees the victims before the insert returns:
+        whatever else must leave with them (the facade dooms the entries
+        assembled from an evicted fragment's text) is gone within the
+        same facade operation, before any lookup can run.
         """
-        with self._lock:
-            if entry.key in self._entries:
-                # Refresh: replace in place (dependencies re-registered).
-                self._remove(entry.key, reason="refresh")
-            self._entries[entry.key] = entry
-            self.total_bytes += entry.size
-            self._gone.pop(entry.key, None)
-            self._policy.on_insert(entry.key)
-            if entry.dependencies and not entry.semantic:
-                self.dependencies.register(entry.key, entry.dependencies)
-            evicted: list[PageEntry] = []
-            while self._over_capacity():
-                victim = self._policy.victim()
-                if victim == entry.key and len(self._entries) == 1:
-                    break  # never evict the sole, just-inserted entry
-                victim_entry = self._entries[victim]
-                self._remove(victim, reason="capacity")
-                self.eviction_count += 1
-                evicted.append(victim_entry)
-            if evicted and on_evicted is not None:
-                on_evicted(evicted)
-            return evicted
+        if entry.key in self._entries:
+            # Refresh: replace in place (dependencies re-registered).
+            self._remove(entry.key, reason="refresh")
+        self._entries[entry.key] = entry
+        self.total_bytes += entry.size
+        self._gone.pop(entry.key, None)
+        self._policy.on_insert(entry.key)
+        if entry.dependencies and not entry.semantic:
+            self.dependencies.register(entry.key, entry.dependencies)
+        evicted: list[PageEntry] = []
+        while self._over_capacity():
+            victim = self._policy.victim()
+            if victim == entry.key and len(self._entries) == 1:
+                break  # never evict the sole, just-inserted entry
+            victim_entry = self._entries[victim]
+            self._remove(victim, reason="capacity")
+            self.eviction_count += 1
+            evicted.append(victim_entry)
+        if evicted and on_evicted is not None:
+            on_evicted(evicted)
+        return evicted
 
     def _over_capacity(self) -> bool:
         if self._policy.needs_eviction:
@@ -167,26 +157,23 @@ class PageCache:
         as a plain cold miss and the byte/dependency accounting must
         shrink exactly as if the entry had never been here.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._remove(key, reason="refresh")
-            return entry
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._remove(key, reason="refresh")
+        return entry
 
     def invalidate(self, key: str) -> bool:
         """Remove ``key`` due to a consistency invalidation."""
-        with self._lock:
-            if key not in self._entries:
-                return False
-            self._remove(key, reason="invalidation")
-            return True
+        if key not in self._entries:
+            return False
+        self._remove(key, reason="invalidation")
+        return True
 
     def clear(self) -> None:
-        with self._lock:
-            for key in list(self._entries):
-                self._remove(key, reason="refresh")
-            self._gone.clear()
+        for key in list(self._entries):
+            self._remove(key, reason="refresh")
+        self._gone.clear()
 
     def _remove(self, key: str, reason: str) -> None:
         entry = self._entries.pop(key, None)

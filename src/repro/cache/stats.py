@@ -7,20 +7,22 @@ including the paper's miss taxonomy: *cold* misses (never cached),
 bounded cache), *expired* misses (TTL window lapsed), plus uncacheable
 requests and semantic hits (TTL-window hits, Figure 17's third bar).
 
-All mutation goes through ``record_*`` methods guarded by one lock, so
-counters stay exact when the container serves requests from a thread
-pool (the paper's Tomcat deployment).  Coalesced serves -- waiters of a
-single-flight computation handed the freshly inserted page -- are
-tracked separately from hits because the waiter already recorded its
-miss at lookup time; ``coalesced_hits`` explains the gap between
-misses and servlet executions.
+A plain structure: the ``record_*`` methods take no lock.  Its owner
+(the :class:`~repro.cache.api.Cache` facade, or the cluster router for
+its front-end ledger) calls them only under the owner's lock, which is
+what keeps the counters exact when the container serves requests from a
+thread pool (the paper's Tomcat deployment); :meth:`CacheStats.snapshot`
+takes that same lock.  Coalesced serves -- waiters of a single-flight
+computation handed the freshly inserted page -- are tracked separately
+from hits because the waiter already recorded its miss at lookup time;
+``coalesced_hits`` explains the gap between misses and servlet
+executions.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-
-from repro.locks import NamedRLock
 
 
 @dataclass
@@ -127,18 +129,14 @@ class CacheStats:
     inserted_bytes_by_class: dict[str, int] = field(default_factory=dict)
     evicted_bytes_by_class: dict[str, int] = field(default_factory=dict)
     by_type: dict[str, RequestTypeStats] = field(default_factory=dict)
-    _lock: NamedRLock = field(
-        default_factory=lambda: NamedRLock("stats"),
-        init=False, repr=False, compare=False,
+    #: The owner's lock, set by the owner: :meth:`snapshot` holds it so
+    #: the read is atomic against the ``record_*`` calls the owner makes
+    #: under it.  A stats object nobody shares needs none.
+    guard: contextlib.AbstractContextManager = field(
+        default=contextlib.nullcontext(), init=False, repr=False, compare=False
     )
 
     def type_stats(self, uri: str) -> RequestTypeStats:
-        with self._lock:
-            return self._type(uri)
-
-    def _type(self, uri: str) -> RequestTypeStats:
-        """``type_stats`` for callers already holding the lock: every
-        ``record_*`` is one lock round, not two."""
         stats = self.by_type.get(uri)
         if stats is None:
             stats = self.by_type[uri] = RequestTypeStats(uri=uri)
@@ -162,44 +160,40 @@ class CacheStats:
         return (self.hits + self.semantic_hits) / cacheable
 
     def record_hit(self, uri: str, semantic: bool) -> None:
-        with self._lock:
-            self.lookups += 1
-            if semantic:
-                self.semantic_hits += 1
-                self._type(uri).semantic_hits += 1
-            else:
-                self.hits += 1
-                self._type(uri).hits += 1
+        self.lookups += 1
+        if semantic:
+            self.semantic_hits += 1
+            self.type_stats(uri).semantic_hits += 1
+        else:
+            self.hits += 1
+            self.type_stats(uri).hits += 1
 
     def record_miss(self, uri: str, reason: str) -> None:
-        with self._lock:
-            self.lookups += 1
-            stats = self._type(uri)
-            if reason == "cold":
-                self.misses_cold += 1
-                stats.misses_cold += 1
-            elif reason == "invalidation":
-                self.misses_invalidation += 1
-                stats.misses_invalidation += 1
-            elif reason == "capacity":
-                self.misses_capacity += 1
-                stats.misses_capacity += 1
-            elif reason == "expired":
-                self.misses_expired += 1
-                stats.misses_expired += 1
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown miss reason {reason!r}")
+        self.lookups += 1
+        stats = self.type_stats(uri)
+        if reason == "cold":
+            self.misses_cold += 1
+            stats.misses_cold += 1
+        elif reason == "invalidation":
+            self.misses_invalidation += 1
+            stats.misses_invalidation += 1
+        elif reason == "capacity":
+            self.misses_capacity += 1
+            stats.misses_capacity += 1
+        elif reason == "expired":
+            self.misses_expired += 1
+            stats.misses_expired += 1
+        else:  # pragma: no cover - defensive
+            raise ValueError(f"unknown miss reason {reason!r}")
 
     def record_uncacheable(self, uri: str) -> None:
-        with self._lock:
-            self.lookups += 1
-            self.uncacheable += 1
-            self._type(uri).uncacheable += 1
+        self.lookups += 1
+        self.uncacheable += 1
+        self.type_stats(uri).uncacheable += 1
 
     def record_write(self, uri: str) -> None:
-        with self._lock:
-            self.write_requests += 1
-            self._type(uri).writes += 1
+        self.write_requests += 1
+        self.type_stats(uri).writes += 1
 
     def record_insert(
         self,
@@ -211,27 +205,22 @@ class CacheStats:
     ) -> None:
         """One stored insert; ``evicted`` is (class, bytes) per victim
         and ``verdict`` the admission verdict that let it through (the
-        facade's insert records both in this one lock round)."""
-        with self._lock:
-            if verdict is not None:
-                self._admission(verdict)
-            self.inserts += 1
-            self.evictions += evictions
-            if cls is not None:
-                by_class = self.inserted_bytes_by_class
-                by_class[cls] = by_class.get(cls, 0) + nbytes
-            if evicted:
-                by_class = self.evicted_bytes_by_class
-                for victim_cls, victim_bytes in evicted:
-                    by_class[victim_cls] = (
-                        by_class.get(victim_cls, 0) + victim_bytes
-                    )
+        facade's insert records both in this one call)."""
+        if verdict is not None:
+            self.record_admission(verdict)
+        self.inserts += 1
+        self.evictions += evictions
+        if cls is not None:
+            by_class = self.inserted_bytes_by_class
+            by_class[cls] = by_class.get(cls, 0) + nbytes
+        if evicted:
+            by_class = self.evicted_bytes_by_class
+            for victim_cls, victim_bytes in evicted:
+                by_class[victim_cls] = (
+                    by_class.get(victim_cls, 0) + victim_bytes
+                )
 
     def record_admission(self, verdict: str) -> None:
-        with self._lock:
-            self._admission(verdict)
-
-    def _admission(self, verdict: str) -> None:
         if verdict == "admitted":
             self.admitted += 1
         elif verdict == "denied":
@@ -242,52 +231,42 @@ class CacheStats:
             raise ValueError(f"unknown admission verdict {verdict!r}")
 
     def record_invalidated(self, pages: int = 1, template: str | None = None) -> None:
-        with self._lock:
-            self.invalidated_pages += pages
-            if template is not None:
-                self.dooms_by_template[template] = (
-                    self.dooms_by_template.get(template, 0) + pages
-                )
+        self.invalidated_pages += pages
+        if template is not None:
+            self.dooms_by_template[template] = (
+                self.dooms_by_template.get(template, 0) + pages
+            )
 
     def record_intersection_test(self) -> None:
-        with self._lock:
-            self.intersection_tests += 1
+        self.intersection_tests += 1
 
     def record_pair_analysis(self, count: int = 1) -> None:
-        with self._lock:
-            self.pair_analyses += count
+        self.pair_analyses += count
 
     def record_index_pruning(
         self, templates_skipped: int = 0, instances_skipped: int = 0
     ) -> None:
-        with self._lock:
-            self.templates_skipped_by_index += templates_skipped
-            self.instances_skipped_by_index += instances_skipped
+        self.templates_skipped_by_index += templates_skipped
+        self.instances_skipped_by_index += instances_skipped
 
     def record_lineage_skip(self, count: int = 1) -> None:
-        with self._lock:
-            self.templates_skipped_by_lineage += count
+        self.templates_skipped_by_lineage += count
 
     def record_column_plan(self, count: int = 1) -> None:
-        with self._lock:
-            self.column_plans_built += count
+        self.column_plans_built += count
 
     def record_extra_query(self) -> None:
-        with self._lock:
-            self.extra_queries += 1
+        self.extra_queries += 1
 
     def record_coalesced(self, uri: str) -> None:
-        with self._lock:
-            self.coalesced_hits += 1
-            self._type(uri).coalesced += 1
+        self.coalesced_hits += 1
+        self.type_stats(uri).coalesced += 1
 
     def record_stale_insert(self) -> None:
-        with self._lock:
-            self.stale_inserts += 1
+        self.stale_inserts += 1
 
     def record_hole_skip(self) -> None:
-        with self._lock:
-            self.hole_skips += 1
+        self.hole_skips += 1
 
     def snapshot(self) -> dict:
         """One atomic read of every counter (plus derived rates).
@@ -298,7 +277,7 @@ class CacheStats:
         field-by-field reads can observe a lookup whose hit/miss
         classification has not landed yet.
         """
-        with self._lock:
+        with self.guard:
             return {
                 "lookups": self.lookups,
                 "hits": self.hits,

@@ -41,7 +41,6 @@ class ClusterAutoWebCache(AutoWebCache):
         n_nodes: int = 4,
         node_names: list[str] | None = None,
         vnodes: int = DEFAULT_VNODES,
-        bus_batching: bool = False,
         replication: int = 1,
         bus_mode: str = "strong",
         staleness_bound: float = 0.5,
@@ -56,7 +55,6 @@ class ClusterAutoWebCache(AutoWebCache):
                 else default_node_names(n_nodes)
             ),
             vnodes=vnodes,
-            batched_bus=bus_batching,
             replication=replication,
             bus_mode=bus_mode,
             staleness_bound=staleness_bound,

@@ -42,12 +42,11 @@ write-sequence staleness window).
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.cache.entry import QueryInstance
 from repro.cache.invalidation import dedupe_writes
@@ -100,10 +99,6 @@ class BusStats:
     #: Duplicate write instances dropped before broadcast (each would
     #: have been re-analysed by every subscriber under the bus lock).
     writes_deduped: int = 0
-    #: Group-commit drain rounds (batched mode only): each is one bus
-    #: lock hold that delivered >= 1 queued publishes.  ``published``
-    #: divided by ``batches`` is the achieved batching factor.
-    batches: int = 0
     #: Bounded mode: enqueue events (published x queues at publish).
     enqueued: int = 0
     #: Bounded mode: backpressure events -- a publish found a node's
@@ -113,20 +108,6 @@ class BusStats:
     #: Bounded mode: maximum observed publish -> delivery lag (the
     #: measured staleness the oracle checks against the bound).
     max_staleness: float = 0.0
-
-
-@dataclass
-class _PendingPublish:
-    """One queued publish awaiting a group-commit leader (batched mode)."""
-
-    origin: str
-    uri: str
-    writes: tuple[QueryInstance, ...]
-    dropped: int
-    trace: tuple[str, str] | None
-    done: threading.Event = field(default_factory=threading.Event)
-    message: BusMessage | None = None
-    doomed: set = field(default_factory=set)
 
 
 @dataclass
@@ -141,26 +122,14 @@ class _QueueStats:
 class InvalidationBus:
     """Sequence-numbered broadcast channel between cache nodes.
 
-    With ``batched=True`` publishes group-commit: concurrent callers
-    enqueue their write under a small leaf lock, the first of them
-    becomes *leader* and drains the queue under one bus-lock hold while
-    the rest park on per-item events.  Each queued write still gets its
-    own sequence number, its own :class:`BusMessage` (the caller's
-    trace ids included) and a full synchronous delivery pass, in queue
-    order -- total order and invalidation-before-response are
-    unchanged; only the number of bus-lock handoffs shrinks.  Default
-    off: unbatched behaviour is bit-for-bit the PR-2 bus.
-
-    With ``mode="bounded"`` (incompatible with batching) publishes
-    enqueue instead of delivering; see the module docstring.  The
-    ``pump`` flag starts a daemon drain thread on first subscription
-    (real deployments); the simulator passes ``pump=False`` and drives
-    :meth:`flush` from virtual time.
+    With ``mode="bounded"`` publishes enqueue instead of delivering;
+    see the module docstring.  The ``pump`` flag starts a daemon drain
+    thread on first subscription (real deployments); the simulator
+    passes ``pump=False`` and drives :meth:`flush` from virtual time.
     """
 
     def __init__(
         self,
-        batched: bool = False,
         mode: str = STRONG,
         staleness_bound: float = 0.5,
         queue_capacity: int = 512,
@@ -169,12 +138,6 @@ class InvalidationBus:
     ) -> None:
         if mode not in (STRONG, BOUNDED):
             raise ClusterError(f"unknown bus mode {mode!r}")
-        if mode == BOUNDED and batched:
-            raise ClusterError(
-                "bounded-staleness mode already amortises bus-lock "
-                "handoffs through its queues; batching is a strong-mode "
-                "optimisation and cannot be combined with it"
-            )
         if mode == BOUNDED and staleness_bound <= 0:
             raise ClusterError("staleness_bound must be positive")
         if queue_capacity <= 0:
@@ -187,8 +150,6 @@ class InvalidationBus:
         #: Bounded tail of recent messages (observability/tests).
         self._recent: list[BusMessage] = []
         self._recent_limit = 64
-        #: Group-commit mode (see class docstring).
-        self.batched = batched
         self.mode = mode
         self.staleness_bound = staleness_bound
         self.queue_capacity = queue_capacity
@@ -201,13 +162,6 @@ class InvalidationBus:
         self._applied: dict[str, int] = {}
         #: Delivery observer (router closure hook), bounded mode only.
         self.on_delivered: DeliveryObserver | None = None
-        # Leaf lock guarding only the pending queue + leader flag; it is
-        # never held while the bus lock is being *acquired* (the leader
-        # re-takes it inside the bus lock, a strict bus -> queue order),
-        # so it cannot participate in a cycle with the named locks.
-        self._queue_lock = threading.Lock()
-        self._pending: list[_PendingPublish] = []
-        self._draining = False
         # Pump thread (bounded mode, pump=True): lazily started.
         self._pump_wanted = pump and mode == BOUNDED
         self._pump_thread: threading.Thread | None = None
@@ -290,10 +244,6 @@ class InvalidationBus:
         invalidation pass to the bus hold time for provably identical
         doomed sets.
 
-        In batched mode the call still blocks until *this* write's
-        delivery pass has run everywhere (the group-commit leader may
-        run it on the caller's behalf); the return value is identical.
-
         Bounded mode returns after durable enqueue with an **empty**
         doomed set (dooming happens at delivery; the router's
         ``on_delivered`` hook observes it).  Backpressure: a queue at
@@ -306,55 +256,33 @@ class InvalidationBus:
         dropped = len(writes) - len(unique)
         if self.mode == BOUNDED:
             return self._publish_bounded(origin, uri, unique, dropped, trace)
-        if not self.batched:
-            with self._lock:
-                item = _PendingPublish(origin, uri, unique, dropped, trace)
-                self._deliver(item)
-                return item.message, item.doomed
-        item = _PendingPublish(origin, uri, unique, dropped, trace)
-        with self._queue_lock:
-            self._pending.append(item)
-            lead = not self._draining
-            if lead:
-                self._draining = True
-        if not lead:
-            item.done.wait()
-            return item.message, item.doomed
         with self._lock:
-            while True:
-                with self._queue_lock:
-                    batch = self._pending
-                    if not batch:
-                        self._draining = False
-                        break
-                    self._pending = []
-                self.stats.batches += 1
-                for queued in batch:
-                    self._deliver(queued)
-                    queued.done.set()
-        return item.message, item.doomed
+            message = self._stamp(origin, uri, unique, dropped, trace)
+            doomed: set = set()
+            for subscriber in self._subscribers.values():
+                self.stats.delivered += 1
+                doomed |= subscriber(message)
+            self.stats.pages_invalidated += len(doomed)
+            return message, doomed
 
-    def _deliver(self, item: _PendingPublish) -> None:
-        """Stamp, broadcast and record one publish (bus lock held)."""
+    def _stamp(
+        self,
+        origin: str,
+        uri: str,
+        unique: tuple[QueryInstance, ...],
+        dropped: int,
+        trace: tuple[str, str] | None,
+    ) -> BusMessage:
+        """Sequence and record one publish (bus lock held)."""
         self._seq += 1
-        self.stats.writes_deduped += item.dropped
+        self.stats.writes_deduped += dropped
+        self.stats.published += 1
         message = BusMessage(
-            seq=self._seq,
-            origin=item.origin,
-            uri=item.uri,
-            writes=item.writes,
-            trace=item.trace,
+            seq=self._seq, origin=origin, uri=uri, writes=unique, trace=trace
         )
         self._recent.append(message)
         del self._recent[: -self._recent_limit]
-        doomed: set = set()
-        self.stats.published += 1
-        for subscriber in self._subscribers.values():
-            self.stats.delivered += 1
-            doomed |= subscriber(message)
-        self.stats.pages_invalidated += len(doomed)
-        item.message = message
-        item.doomed = doomed
+        return message
 
     # -- bounded-staleness mode --------------------------------------------------------
 
@@ -368,18 +296,7 @@ class InvalidationBus:
     ) -> tuple[BusMessage, set]:
         notifications: list[tuple[BusMessage, set]] = []
         with self._lock:
-            self._seq += 1
-            self.stats.writes_deduped += dropped
-            message = BusMessage(
-                seq=self._seq,
-                origin=origin,
-                uri=uri,
-                writes=unique,
-                trace=trace,
-            )
-            self._recent.append(message)
-            del self._recent[: -self._recent_limit]
-            self.stats.published += 1
+            message = self._stamp(origin, uri, unique, dropped, trace)
             now = self.clock()
             for queue in self._queues.values():
                 queue.append((message, now))
@@ -487,7 +404,7 @@ class InvalidationBus:
     # -- pump thread -------------------------------------------------------------------
 
     def _ensure_pump(self) -> None:
-        with self._queue_lock:
+        with self._lock:
             if self._pump_thread is not None and self._pump_thread.is_alive():
                 return
             self._pump_stop.clear()
@@ -514,34 +431,6 @@ class InvalidationBus:
         self._pump_thread = None
         self.flush()
 
-    @property
-    def pending_publishes(self) -> int:
-        """Queued publishes not yet drained (batched mode diagnostics)."""
-        with self._queue_lock:
-            return len(self._pending)
-
     def recent(self) -> list[BusMessage]:
         with self._lock:
             return list(self._recent)
-
-    @contextlib.contextmanager
-    def quiesced(self) -> Iterator[None]:
-        """Hold the bus silent while the body runs.
-
-        Ring membership changes move entries between nodes; a publish
-        interleaving with the move could invalidate an entry on the old
-        node after it was released but before it landed on the new one,
-        missing it entirely.  Running the migration under ``quiesced``
-        (the publish lock) closes that window.  In bounded mode the
-        queues are drained first, so the body sees a fully consistent
-        cluster; delivery observers for that residue run after the
-        body (they take the router lock, which the body's caller may
-        hold).
-        """
-        notifications: list[tuple[BusMessage, set]] = []
-        with self._lock:
-            if self.mode == BOUNDED:
-                for name in list(self._queues):
-                    self._drain_node_locked(name, notifications)
-            yield
-        self._notify(notifications)

@@ -12,6 +12,10 @@ buffer the writes they overlap) extends to writes that arrived via
 Lifecycle: ``joined -> draining -> left``.  The router drives the
 transitions; ``draining`` exists so a leave can move (rather than drop)
 its entries while lookups still route elsewhere.
+
+The node has no lock of its own: its replay position, lifecycle state
+and replica counters change under its cache's lock, so a delivery's
+sequence check and its doom pass are one critical section.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from repro.cache.api import Cache
 from repro.cache.entry import PageEntry
 from repro.cluster.bus import BusMessage
 from repro.errors import ClusterError
-from repro.locks import NamedRLock
 
 JOINED = "joined"
 DRAINING = "draining"
@@ -46,7 +49,6 @@ class CacheNode:
         #: a node's insert count still means "pages computed here".
         self.replica_copies = 0
         self.replica_evictions = 0
-        self._lock = NamedRLock("cache-node")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -62,7 +64,7 @@ class CacheNode:
         Rejecting out-of-order or replayed sequence numbers turns any
         bus-ordering bug into a loud error instead of silent staleness.
         """
-        with self._lock:
+        with self.cache.lock:
             if message.seq <= self.last_applied_seq:
                 raise ClusterError(
                     f"node {self.name}: bus message {message.seq} arrived "
@@ -75,7 +77,7 @@ class CacheNode:
 
     def rebase(self, seq: int) -> None:
         """Adopt the bus position at (re-)subscription time."""
-        with self._lock:
+        with self.cache.lock:
             self.last_applied_seq = seq
 
     # -- replication -------------------------------------------------------------------
@@ -90,7 +92,7 @@ class CacheNode:
         so later bus messages doom the copy through the normal per-node
         protocol, and byte accounting stays exact per replica.
         """
-        with self._lock:
+        with self.cache.lock:
             if self.state != JOINED:
                 return False
             clone = PageEntry(
@@ -112,7 +114,7 @@ class CacheNode:
     # -- lifecycle ---------------------------------------------------------------------
 
     def mark_draining(self) -> None:
-        with self._lock:
+        with self.cache.lock:
             if self.state != JOINED:
                 raise ClusterError(
                     f"node {self.name} cannot drain from state {self.state!r}"
@@ -120,14 +122,14 @@ class CacheNode:
             self.state = DRAINING
 
     def mark_left(self) -> None:
-        with self._lock:
+        with self.cache.lock:
             self.state = LEFT
 
     # -- observability -----------------------------------------------------------------
 
     def snapshot(self) -> dict:
         """Per-node accounting for the cluster-level aggregate."""
-        with self._lock:
+        with self.cache.lock:
             return {
                 "name": self.name,
                 "state": self.state,

@@ -12,6 +12,11 @@ bus, which is what extends PR-1's write-sequence staleness window
 cluster-wide: a page computed on node A while a write lands via node B
 is discarded at insert, exactly as intra-node overlapping flights are.
 
+Locks: the router's one lock covers its routing state, its containment
+table and its front-end statistics; each node's cache has its own (the
+facade lock).  Router -> bus -> node cache is the only nesting, and no
+two node caches are ever held at once.
+
 Flight pinning: a single-flight computation must ``insert`` and
 ``finish`` on the node where it was opened, even if ring membership
 changes mid-flight.  The router therefore pins ``key -> node`` for the
@@ -67,14 +72,18 @@ class ClusterStats:
     Per-node counters stay the source of truth (each node's accounting
     must be exact on its own); this object sums them on read and adds a
     front-end ledger for events that belong to the router rather than
-    any shard: write requests (processed once, broadcast everywhere)
-    and coalesced serves (recorded by the aspect against the facade).
+    any shard: write requests (processed once, broadcast everywhere),
+    coalesced serves, hole skips and extra queries (recorded by the
+    aspects against the facade), and inserts refused because an
+    embedded fragment was gone.  The router records them under its
+    lock, which the ledger's snapshot takes too.
     """
 
     def __init__(self, router: "ClusterRouter") -> None:
         self._router = router
-        #: Front-end events: write requests and coalesced serves.
+        #: Front-end events (class docstring).
         self.frontend = CacheStats()
+        self.frontend.guard = router._lock
 
     def _sum(self, attribute: str) -> int:
         total = getattr(self.frontend, attribute)
@@ -97,23 +106,6 @@ class ClusterStats:
         if not cacheable:
             return 0.0
         return (self.hits + self.semantic_hits) / cacheable
-
-    # -- recording (aspect-facing) ----------------------------------------------------
-
-    def record_coalesced(self, uri: str) -> None:
-        self.frontend.record_coalesced(uri)
-
-    def record_write(self, uri: str) -> None:
-        self.frontend.record_write(uri)
-
-    def record_extra_query(self) -> None:
-        # Pre-image capture happens in the aspect, before any shard is
-        # involved: a front-end event like write requests.
-        self.frontend.record_extra_query()
-
-    def record_hole_skip(self) -> None:
-        # The hole guard fires in the aspect before any shard insert.
-        self.frontend.record_hole_skip()
 
     def snapshot(self) -> dict:
         """Cluster aggregate plus the per-node snapshots it sums."""
@@ -152,7 +144,6 @@ class ClusterStats:
                 "delivered": bus.stats.delivered,
                 "writes_deduped": bus.stats.writes_deduped,
                 "pages_invalidated": bus.stats.pages_invalidated,
-                "batches": bus.stats.batches,
                 "enqueued": bus.stats.enqueued,
                 "sheds": bus.stats.sheds,
                 "max_staleness": bus.stats.max_staleness,
@@ -183,7 +174,6 @@ class ClusterRouter:
         node_names: list[str],
         cache_factory: CacheFactory,
         vnodes: int = DEFAULT_VNODES,
-        batched_bus: bool = False,
         replication: int = 1,
         bus_mode: str = STRONG,
         staleness_bound: float = 0.5,
@@ -204,7 +194,6 @@ class ClusterRouter:
         self.semantics = self._template.semantics
         self.replication = replication
         self.bus = InvalidationBus(
-            batched=batched_bus,
             mode=bus_mode,
             staleness_bound=staleness_bound,
             queue_capacity=bus_queue_capacity,
@@ -231,14 +220,15 @@ class ClusterRouter:
         self._window_nodes: dict[Flight, CacheNode] = {}
         self.stats = ClusterStats(self)
         #: Cluster-wide containment: a page and the fragments it embeds
-        #: usually hash to *different* nodes, so each node's local
-        #: containment table cannot see the edge.  The router keeps the
-        #: global view and routes closure invalidations to the owners.
+        #: usually hash to *different* nodes, so no node's containment
+        #: table could see the edge.  The router keeps every edge (the
+        #: nodes keep none) and routes closure invalidations to the
+        #: holders.  Guarded by the router lock.
         self.fragments = FragmentContainment()
         #: Key sets that left some node's store for capacity or expiry
-        #: (:attr:`Cache.on_evicted`), waiting for the cross-shard half
-        #: of the closure: :meth:`_settle_evictions` runs it once the
-        #: operation that caused them is out of the node's locks.
+        #: (:attr:`Cache.on_evicted`), waiting for the containment
+        #: closure: :meth:`_settle_evictions` runs it once the operation
+        #: that caused them is out of the node's lock.
         self._evicted: list[set[str]] = []
         #: Guard for :meth:`sync_catalog` (see :meth:`Cache.sync_catalog`).
         self._catalog_source: tuple[object, int] | None = None
@@ -330,21 +320,15 @@ class ClusterRouter:
             #: what other shards assembled from them must go too.
             dropped: set[str] = set()
             for other in self._nodes.values():
-                remapped = [
-                    key
-                    for key in other.cache.pages.keys()
-                    if self.ring.node_for(key) == name
-                ]
-                for key in remapped:
-                    entry = other.cache.pages.release(key)
-                    if entry is None:
-                        continue
+                for entry in other.cache.release(
+                    lambda key: self.ring.node_for(key) == name
+                ):
                     if drain:
                         node.cache.adopt(entry)
                         moved += 1
-                        moved_keys.append(key)
+                        moved_keys.append(entry.key)
                     else:
-                        dropped.add(key)
+                        dropped.add(entry.key)
                 poisoned = {
                     key
                     for key in other.cache.open_flight_keys()
@@ -384,10 +368,8 @@ class ClusterRouter:
             node.cache.poison_flights(set(node.cache.open_flight_keys()))
             moved: list[tuple[CacheNode, str]] = []
             dropped: set[str] = set()  # as in add_node
-            for key in node.cache.pages.keys():
-                entry = node.cache.pages.release(key)
-                if entry is None:
-                    continue
+            for entry in node.cache.release(lambda key: True):
+                key = entry.key
                 if not drain or not len(self.ring):
                     dropped.add(key)
                     continue
@@ -442,8 +424,9 @@ class ClusterRouter:
             # that probe into a miss.  What the node held is gone for
             # good, so whatever other shards assembled from its
             # fragments goes with it, as for a capacity eviction.
-            self._evicted.append(set(node.cache.pages.keys()))
-            node.cache.clear()
+            self._evicted.append(
+                {entry.key for entry in node.cache.release(lambda key: True)}
+            )
         self._settle_evictions()
         return node
 
@@ -597,6 +580,7 @@ class ClusterRouter:
         window: Flight | None = None,
         fragments: Sequence[str] = (),
         guard_reads: Sequence[QueryInstance] = (),
+        expires_at: float | None = None,
     ) -> PageEntry:
         entry, _stored = self.insert_key(
             request.cache_key(),
@@ -607,6 +591,7 @@ class ClusterRouter:
             ttl_uri=request.uri,
             fragments=fragments,
             guard_reads=guard_reads,
+            expires_at=expires_at,
         )
         return entry
 
@@ -620,11 +605,20 @@ class ClusterRouter:
         ttl_uri: str | None = None,
         fragments: Sequence[str] = (),
         guard_reads: Sequence[QueryInstance] = (),
+        expires_at: float | None = None,
     ) -> tuple[PageEntry, bool]:
         """Key-level insert, pinned to the computing node like inserts.
 
         Containment edges are recorded in the *router's* table: the
         entry and its fragments typically live on different shards.
+        They go in *before* the check that every embedded fragment is
+        still resident on one of its holders (a fragment gone while the
+        body rendered refuses the insert, counted as a stale insert): a
+        fragment evicted after the check then finds the container
+        through its edge (:meth:`_settle_evictions`), which dooms it or
+        poisons its computation.  They are added, never replaced, and
+        stay when nothing is stored (:meth:`FragmentContainment.add`);
+        the key's next doom or eviction drops them.
 
         With ``replication > 1`` a stored entry is written through to
         the other live members of the key's replica set, then the
@@ -641,18 +635,27 @@ class ClusterRouter:
                 or self._flight_nodes.get(key)
                 or self._owner(key)
             )
-        entry, stored = node.cache.insert_key(
-            key,
-            body,
-            reads,
-            status=status,
-            window=window,
-            ttl_uri=ttl_uri,
-            fragments=fragments,
-            guard_reads=guard_reads,
-        )
+            self.fragments.add(key, fragments)
+            resident = not fragments or all(
+                any(fragment in holder.cache for holder in self._all_holders(fragment))
+                for fragment in fragments
+            )
+            if not resident:
+                self.stats.frontend.record_stale_insert()
+        if resident:
+            entry, stored = node.cache.insert_key(
+                key,
+                body,
+                reads,
+                status=status,
+                window=window,
+                ttl_uri=ttl_uri,
+                guard_reads=guard_reads,
+                expires_at=expires_at,
+            )
+        else:
+            entry, stored = PageEntry(key, body, status), False
         if stored:
-            self.fragments.register(key, fragments)
             if self.replication > 1:
                 self._replicate(key, entry, node)
             if self._evicted:
@@ -660,13 +663,12 @@ class ClusterRouter:
         return entry, stored
 
     def _settle_evictions(self) -> None:
-        """The cross-shard half of the eviction rule.
+        """The eviction rule on a ring.
 
-        Each node already doomed the *local* containers of what left its
-        store (:meth:`Cache._left_the_store`); a page and the fragments
-        it embeds usually hash to different nodes, so the router's table
-        names the rest (and forgets the departed keys' own edges).
-        Called outside every node lock."""
+        A node reports what left its store (:meth:`Cache._left_the_store`)
+        but holds no containment edges; the router's table names the
+        containers (and forgets the departed keys' own edges).  Called
+        outside every node lock."""
         while True:
             try:
                 keys = self._evicted.pop()
@@ -714,12 +716,27 @@ class ClusterRouter:
             # message sequenced before it is applied at the primary by
             # the time the re-check below runs.
             self.bus.flush()
-        if entry.key not in primary.cache.pages:
+        if entry.key not in primary.cache:
             for replica in secondaries:
                 replica.cache.invalidate_key(entry.key)
 
     def record_uncacheable(self, request: HttpRequest) -> None:
         self._owner(request.cache_key()).cache.record_uncacheable(request)
+
+    # Front-end events: recorded in the router's own ledger, under its
+    # lock (:class:`ClusterStats`).
+
+    def record_coalesced(self, uri: str) -> None:
+        with self._lock:
+            self.stats.frontend.record_coalesced(uri)
+
+    def record_hole_skip(self) -> None:
+        with self._lock:
+            self.stats.frontend.record_hole_skip()
+
+    def record_extra_query(self) -> None:
+        with self._lock:
+            self.stats.frontend.record_extra_query()
 
     # -- single-flight (per owning node) ----------------------------------------------
 
@@ -785,7 +802,8 @@ class ClusterRouter:
         observed at delivery (:meth:`take_async_doomed` drains the
         ledger after a :meth:`InvalidationBus.flush`).
         """
-        self.stats.record_write(uri)
+        with self._lock:
+            self.stats.frontend.record_write(uri)
         if not writes:
             return set()
         if not len(self.ring):
@@ -824,23 +842,24 @@ class ClusterRouter:
             return doomed
 
     def _doom_containers(self, doomed: set[str]) -> set[str]:
-        """Cross-node containment closure over freshly doomed keys.
+        """Containment closure over freshly doomed keys.
 
-        Each node already closed over its *local* containment edges; the
-        router's table adds the cross-shard edges (page on node A built
-        from a fragment on node B).  Routed through every live replica's
-        ``invalidate_key`` so each copy of the container is doomed and
-        its open flights are marked stale exactly as for a direct
-        invalidation.
+        The router's table holds every edge (page on node A built from a
+        fragment on node B, or on A itself).  Routed through every live
+        replica's ``invalidate_key`` so each copy of the container is
+        doomed and its open flights are marked stale exactly as for a
+        direct invalidation.  Runs under the router lock, so no insert
+        can register or check an edge halfway through.
         """
-        extra = self.fragments.containing(doomed)
-        for key in extra:
-            for node in self._all_holders(key):
-                node.cache.invalidate_key(key)
-        closed = doomed | extra
-        for key in closed:
-            self.fragments.forget(key)
-        return closed
+        with self._lock:
+            extra = self.fragments.containing(doomed)
+            for key in extra:
+                for node in self._all_holders(key):
+                    node.cache.invalidate_key(key)
+            closed = doomed | extra
+            for key in closed:
+                self.fragments.forget(key)
+            return closed
 
     def _all_holders(self, key: str) -> list[CacheNode]:
         """Every node that may hold a copy of ``key`` (replica set plus

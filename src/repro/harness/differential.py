@@ -443,8 +443,8 @@ def run_fragment_differential(
     first principles: a brute-force (unindexed) invalidator over a
     mirror of every entry's dependencies, unioned with a plain BFS up a
     reference copy of the containment edges.  The router's sharding,
-    bus delivery, node-local closure and cross-shard closure must all
-    be invisible: same entries, same writes, same doomed set.
+    bus delivery and containment closure must all be invisible: same
+    entries, same writes, same doomed set.
 
     Mirrors and reference edges are only updated at registration time,
     never at doom time -- exactly the router's own contract (a doomed
@@ -490,6 +490,10 @@ def run_fragment_differential(
     #: Reference containment: container key -> fragment keys it embeds.
     edges: dict[str, set[str]] = {}
     fragment_keys = [f"frag://frag-{i}?v={i}" for i in range(n_fragments)]
+    page_keys = [f"page-{index}" for index in range(n_pages)]
+    #: Insert order: fragments nest only in earlier fragments, pages in
+    #: fragments, so a container follows everything it may embed.
+    position = {key: i for i, key in enumerate(fragment_keys + page_keys)}
     result = FragmentDifferentialResult(
         seed=seed,
         rounds=rounds,
@@ -499,21 +503,28 @@ def run_fragment_differential(
         workload=workload,
     )
 
-    def register(key: str, embedded: tuple[str, ...]) -> None:
-        # Pages may carry no SQL of their own (every read lives in a
-        # fragment); leaf fragments always depend on something.
+    def draw(key: str) -> tuple[str, tuple[str, ...], list]:
+        """A fresh entry for ``key``: what it embeds and its own reads.
+        Pages may carry no SQL of their own (every read lives in a
+        fragment); leaf fragments always depend on something."""
+        embedded = embedded_for(key)
         lo = 0 if embedded else 1
-        reads = [reader(rng) for _ in range(rng.randrange(lo, 4))]
-        router.insert_key(key, f"body of {key}", reads, fragments=embedded)
-        mirror.insert(
-            PageEntry(
-                key=key,
-                body=f"body of {key}",
-                dependencies=tuple(reads),
-                fragments=embedded,
+        return key, embedded, [reader(rng) for _ in range(rng.randrange(lo, 4))]
+
+    def register(drawn: list[tuple[str, tuple[str, ...], list]]) -> None:
+        # Containers after their fragments: an insert whose embedded
+        # fragment is not resident is refused (a stale insert).
+        for key, embedded, reads in sorted(drawn, key=lambda d: position[d[0]]):
+            router.insert_key(key, f"body of {key}", reads, fragments=embedded)
+            mirror.insert(
+                PageEntry(
+                    key=key,
+                    body=f"body of {key}",
+                    dependencies=tuple(reads),
+                    fragments=embedded,
+                )
             )
-        )
-        edges[key] = set(embedded)
+            edges[key] = set(embedded)
 
     def embedded_for(key: str) -> tuple[str, ...]:
         if key.startswith("frag://"):
@@ -545,11 +556,7 @@ def run_fragment_differential(
                     frontier.append(container)
         return containers
 
-    for key in fragment_keys:
-        register(key, embedded_for(key))
-    for index in range(n_pages):
-        key = f"page-{index}"
-        register(key, embedded_for(key))
+    register([draw(key) for key in fragment_keys + page_keys])
 
     for round_no in range(rounds):
         batch = [writer(rng) for _ in range(rng.randrange(1, 4))]
@@ -580,10 +587,10 @@ def run_fragment_differential(
         brute.process_writes(batch)
         for key in closure:
             mirror.release(key)
-        # Sorted so rng consumption (and therefore the whole run) is
-        # reproducible across processes despite set iteration order.
-        for key in sorted(expected):
-            register(key, embedded_for(key))
+        # Drawn in sorted order so rng consumption (and therefore the
+        # whole run) is reproducible across processes despite set
+        # iteration order.
+        register([draw(key) for key in sorted(expected)])
     return result
 
 

@@ -1,16 +1,17 @@
 """Named, rank-ordered locks: the substrate of the lock-order sanitizer.
 
-The caching tier acquires several fine-grained locks along one request
-(facade -> page store -> dependency table -> stats, and in the cluster
-router -> bus -> node -> facade ...).  The docstrings of those modules
-each document their slice of the ordering; :data:`LOCK_ORDER` is the
-single place the *whole* documented order lives, and
+The cache core holds one lock per cache: the ``Cache`` facade's, taken
+once per facade operation, under which the page store, dependency
+table, analysis memo, statistics and containment table are plain
+structures.  What nests is the cluster: router -> invalidation bus ->
+a node's cache facade (the bus delivers into each node under its lock).
+:data:`LOCK_ORDER` is the single place that order lives, and
 :class:`NamedRLock` tags every lock instance with its position in it.
 
 Two consumers key off the names:
 
 - the **static** lock-order pass (:mod:`repro.staticcheck.lockorder`)
-  maps ``self._lock = NamedRLock("page-store")`` assignments to names
+  maps ``self._lock = NamedRLock("cache-facade")`` assignments to names
   and checks every statically visible nested acquisition against the
   ranks below;
 - the **dynamic** lockset mode (:mod:`repro.staticcheck.lockwatch`)
@@ -31,23 +32,15 @@ import threading
 #: thread holding the lock named at position *i* may only acquire locks
 #: named at positions > *i*; locks whose names are absent are
 #: unconstrained by rank (the sanitizer still refuses cycles among
-#: them).  The order encodes: the cluster router wraps the bus
-#: (membership changes run under ``bus.quiesced()``), bus delivery
-#: enters nodes, a node enters its cache facade, the facade enters its
-#: substructures, and the page store mutates the dependency table under
-#: its own lock.  The analysis cache is a memo consulted from *inside*
-#: both the dependency table and the result cache, so it ranks after
-#: both; the stats ledger is a leaf every layer may enter last.
+#: them).  The order encodes: the cluster router calls into the bus
+#: (membership changes drain it), bus delivery enters each node's cache
+#: facade, and the back-end result cache is a leaf below all of them.
+#: Two caches' facade locks are never held at once (same-name nesting).
 LOCK_ORDER: tuple[str, ...] = (
     "cluster-router",
     "invalidation-bus",
-    "cache-node",
     "cache-facade",
-    "page-store",
-    "dependency-table",
     "result-cache",
-    "analysis-cache",
-    "stats",
 )
 
 #: name -> position in :data:`LOCK_ORDER`.

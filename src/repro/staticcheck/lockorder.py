@@ -7,7 +7,7 @@ computed to a fixpoint), and builds the static acquisition graph over
 :data:`repro.locks.LOCK_ORDER` names.  Violations:
 
 - an edge from a ranked lock to a strictly earlier-ranked lock
-  (acquiring "page-store" while holding "dependency-table" inverts the
+  (acquiring "cache-facade" while holding "result-cache" inverts the
   documented order);
 - any cycle in the graph, ranked or not (two unranked locks acquired in
   both orders deadlock just as surely).
@@ -191,9 +191,8 @@ def _collect_edges(
                     record(held + entered, name, item.context_expr.lineno)
                     entered.append(name)
                 elif isinstance(item.context_expr, ast.Call):
-                    # A call used as a context manager (e.g.
-                    # ``bus.quiesced()``): its acquired locks are taken
-                    # now and held for the body.
+                    # A call used as a context manager: its acquired
+                    # locks are taken now and held for the body.
                     taken = callee_locks(item.context_expr)
                     for name in sorted(taken):
                         record(held + entered, name, item.context_expr.lineno)

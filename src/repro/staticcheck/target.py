@@ -120,7 +120,6 @@ def default_target() -> CheckTarget:
     from repro.apps.rubis.base import CategoryCatalogue, RubisServlet
     from repro.apps.tpcw import app as tpcw_app
     from repro.apps.tpcw.base import AdRotator, TpcwServlet
-    from repro.cache.analysis_cache import AnalysisCache
     from repro.cache.api import Cache
     from repro.cache.aspects import (
         JdbcConsistencyAspect,
@@ -129,10 +128,7 @@ def default_target() -> CheckTarget:
     )
     from repro.cache.aspects_fragment import FragmentCacheAspect
     from repro.cache.aspects_result import ResultCacheAspect
-    from repro.cache.dependency import DependencyTable
-    from repro.cache.page_cache import PageCache
     from repro.cache.result_cache import ResultCache
-    from repro.cache.stats import CacheStats
     from repro.cluster.bus import InvalidationBus
     from repro.cluster.node import CacheNode
     from repro.cluster.router import ClusterRouter
@@ -217,11 +213,7 @@ def default_target() -> CheckTarget:
         ),
         lock_classes=(
             Cache,
-            PageCache,
-            DependencyTable,
-            AnalysisCache,
             ResultCache,
-            CacheStats,
             ClusterRouter,
             InvalidationBus,
             CacheNode,

@@ -4,8 +4,8 @@ Two flavours:
 
 - ``Till``/``Vault`` acquire each other's (unranked) locks in both
   orders: a classic AB/BA deadlock cycle;
-- ``BackwardsIndex`` holds ``dependency-table`` while entering
-  ``page-store`` -- the reverse of the documented ``LOCK_ORDER`` ranks.
+- ``BackwardsIndex`` holds ``result-cache`` while entering
+  ``cache-facade`` -- the reverse of the documented ``LOCK_ORDER`` ranks.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class Till:
 
 class PageMirror:
     def __init__(self) -> None:
-        self._lock = NamedRLock("page-store")
+        self._lock = NamedRLock("cache-facade")
         self._entries: list[str] = []
 
     def push(self, entry: str) -> None:
@@ -46,7 +46,7 @@ class PageMirror:
 
 class BackwardsIndex:
     def __init__(self, mirror: PageMirror) -> None:
-        self._lock = NamedRLock("dependency-table")
+        self._lock = NamedRLock("result-cache")
         self._mirror = mirror
 
     def rebuild(self) -> None:

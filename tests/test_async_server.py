@@ -26,7 +26,6 @@ from repro.cache.autowebcache import AutoWebCache
 from repro.cache.entry import PageEntry
 from repro.cache.page_cache import PageCache
 from repro.cache.semantics import SemanticsRegistry
-from repro.cluster import ClusterAutoWebCache
 from repro.harness.loadgen import AsyncLoadDriver
 from repro.web.asyncserver import (
     AsyncCachedServer,
@@ -478,41 +477,6 @@ class TestAsyncServerHttp:
         finally:
             awc.uninstall()
 
-    def test_cluster_with_batched_bus(self):
-        """The async tier in front of a sharded cluster whose bus
-        group-commits: fast hits route through the owning shard, writes
-        batch onto the bus, invalidation still dooms the buffer."""
-        db, container = build_notes_app()
-        awc = ClusterAutoWebCache(n_nodes=2, bus_batching=True)
-        awc.install(container.servlet_classes)
-        try:
-            assert awc.bus.batched
-            with start_async_server(container, cache=awc.cache) as server:
-                conn = http.client.HTTPConnection("127.0.0.1", server.port)
-                conn.request("GET", "/view_topic?topic=a")
-                before = conn.getresponse().read()
-                conn.request("GET", "/view_topic?topic=a")
-                assert conn.getresponse().read() == before
-                assert server.stats.fast_hits == 1
-                conn.request(
-                    "POST",
-                    "/add",
-                    body="id=1&topic=a&body=x&score=3",
-                    headers={
-                        "Content-Type": "application/x-www-form-urlencoded"
-                    },
-                )
-                posted = conn.getresponse()
-                posted.read()
-                assert posted.status == 200
-                conn.request("GET", "/view_topic?topic=a")
-                after = conn.getresponse().read()
-                conn.close()
-            assert b"1:x" in after
-            assert awc.bus.stats.published >= 1
-            assert awc.bus.stats.batches >= 1
-        finally:
-            awc.uninstall()
 
 
 class TestRequestFraming:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.fragments import FragmentContainment, fragment_key
 from repro.cluster import ClusterAutoWebCache
@@ -604,6 +606,66 @@ class TestEvictionClimbsContainment:
             assert "new" in container.get("/stamped", {"topic": "a"}).body
             assert PAGE_KEY not in awc.cache.pages
             assert "new" in container.get("/topic_page", {"topic": "a"}).body
+        finally:
+            awc.uninstall()
+
+
+
+#: One node and a 2-node ring, built with the same keywords.
+FACADES = {
+    "node": AutoWebCache,
+    "ring": lambda **options: ClusterAutoWebCache(n_nodes=2, **options),
+}
+
+
+def resident_entry(awc, key):
+    caches = (
+        [node.cache for node in awc.router.nodes()]
+        if isinstance(awc, ClusterAutoWebCache)
+        else [awc.cache]
+    )
+    return next(cache.pages.peek(key) for cache in caches if key in cache.pages)
+
+
+class TestNoEntryOutlivesWhatItEmbeds:
+    """A container is stored only while every fragment it embeds is
+    resident, and expires no later than the earliest of them."""
+
+    @pytest.mark.parametrize("facade", sorted(FACADES))
+    def test_a_fragment_evicted_while_its_container_renders(self, facade):
+        db, container = build_fragment_app()
+        awc = install(FACADES[facade](replacement="lru", capacity=2), container)
+        try:
+            add(container, 1, "a", "x")
+            # Two topic fragments, the digest fragment and the page:
+            # four inserts into two slots, so the digest's own insert
+            # evicts a topic it embeds, and the page embeds a digest
+            # that is already gone.
+            assert container.get("/digest").body == "<digest><p>a:1</p></digest>"
+            add(container, 2, "a", "y")
+            assert (
+                container.get("/digest").body
+                == "<digest><p>a:1</p><p>a:2</p></digest>"
+            )
+            assert awc.stats.stale_inserts >= 1
+        finally:
+            awc.uninstall()
+
+    @pytest.mark.parametrize("facade", sorted(FACADES))
+    def test_a_page_expires_with_the_ttl_fragment_it_embeds(self, facade):
+        now = [1000.0]
+        db, container = build_fragment_app()
+        awc = FACADES[facade](clock=lambda: now[0])
+        awc.semantics.set_ttl_window("frag://notes/topic", 5)
+        install(awc, container)
+        try:
+            add(container, 1, "a", "old")
+            assert "1:old" in container.get("/topic_page", {"topic": "a"}).body
+            page = resident_entry(awc, PAGE_KEY)
+            assert page.expires_at == 1005.0 and not page.semantic
+            db.execute("UPDATE notes SET body = 'new'")  # past the woven driver
+            now[0] += 60.0
+            assert "1:new" in container.get("/topic_page", {"topic": "a"}).body
         finally:
             awc.uninstall()
 

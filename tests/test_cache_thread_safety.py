@@ -1,9 +1,11 @@
 """Cache-core accounting under concurrent mutation.
 
 The satellite bugfix contract: concurrent ``invalidate()`` during
-``lookup()``/``insert()`` must never corrupt ``total_bytes`` or the
-dependency table.  These tests hammer the structures from real threads
-and then assert the accounting invariants exactly.
+``lookup()``/``insert()`` must never corrupt ``total_bytes``, the
+dependency table or the counters.  The structures take no lock of their
+own -- the ``Cache`` facade's lock is the only one -- so these tests
+hammer the facade from real threads and then assert the accounting
+invariants exactly.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ import threading
 import pytest
 
 from repro.cache.api import Cache
-from repro.cache.entry import PageEntry, QueryInstance
+from repro.cache.entry import QueryInstance
 from repro.cache.page_cache import PageCache
-from repro.cache.replacement import make_policy
-from repro.cache.stats import CacheStats
 from repro.sql.template import templateize
 from repro.web.http import HttpRequest
 
@@ -27,12 +27,6 @@ def _instance(note_id: int) -> QueryInstance:
         "SELECT body FROM notes WHERE id = ?", (note_id,)
     )
     return QueryInstance(template, values)
-
-
-def _entry(key: str, note_id: int, body: str) -> PageEntry:
-    return PageEntry(
-        key=key, body=body, dependencies=(_instance(note_id),)
-    )
 
 
 def assert_accounting_exact(pages: PageCache) -> None:
@@ -54,7 +48,7 @@ def assert_accounting_exact(pages: PageCache) -> None:
 
 @pytest.mark.concurrency
 def test_invalidate_racing_lookup_and_insert_keeps_bytes_exact():
-    pages = PageCache()
+    cache = Cache()
     n_threads = 8
     rounds = 300
     keys = [f"/page?id={i}" for i in range(16)]
@@ -71,11 +65,11 @@ def test_invalidate_racing_lookup_and_insert_keeps_bytes_exact():
                 if action < 0.45:
                     note_id = int(key.split("=")[1])
                     body = "x" * rng.randint(1, 64)
-                    pages.insert(_entry(key, note_id, body))
+                    cache.insert_key(key, body, [_instance(note_id)])
                 elif action < 0.8:
-                    pages.lookup(key, now=0.0)
+                    cache.check_key(key, "/page")
                 else:
-                    pages.invalidate(key)
+                    cache.invalidate_key(key)
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
@@ -87,7 +81,7 @@ def test_invalidate_racing_lookup_and_insert_keeps_bytes_exact():
     for thread in threads:
         thread.join(timeout=60)
     assert errors == []
-    assert_accounting_exact(pages)
+    assert_accounting_exact(cache.pages)
 
 
 @pytest.mark.concurrency
@@ -137,7 +131,15 @@ def test_cache_facade_threaded_insert_invalidate_consistent():
 
 @pytest.mark.concurrency
 def test_stats_counters_exact_under_threads():
-    stats = CacheStats()
+    # A full LRU store, so every insert of a fresh key evicts exactly
+    # one entry.  "/hot" is never the victim: each thread hits it every
+    # third round, so at most 8 x 3 inserts land between two hits --
+    # far fewer than the 63 it takes to age it out.
+    capacity = 64
+    cache = Cache(replacement="lru", capacity=capacity)
+    for i in range(capacity - 1):
+        cache.insert_key(f"/warm{i}", "w", [])
+    cache.insert_key("/hot", "h", [])
     n_threads = 8
     per_thread = 500
     barrier = threading.Barrier(n_threads)
@@ -147,12 +149,12 @@ def test_stats_counters_exact_under_threads():
         uri = f"/u{index % 3}"
         for i in range(per_thread):
             if i % 3 == 0:
-                stats.record_hit(uri, semantic=False)
+                cache.check_key("/hot", uri)
             elif i % 3 == 1:
-                stats.record_miss(uri, "cold")
+                cache.check_key(f"/never{index}", uri)
             else:
-                stats.record_uncacheable(uri)
-            stats.record_insert(evictions=1)
+                cache.record_uncacheable(HttpRequest("GET", uri, {}))
+            cache.insert_key(f"/fresh{index}-{i}", "f", [])
 
     threads = [
         threading.Thread(target=worker, args=(i,)) for i in range(n_threads)
@@ -162,8 +164,9 @@ def test_stats_counters_exact_under_threads():
     for thread in threads:
         thread.join(timeout=30)
     total = n_threads * per_thread
+    stats = cache.stats
     assert stats.lookups == total
-    assert stats.inserts == total
+    assert stats.inserts == total + capacity
     assert stats.evictions == total
     assert stats.hits + stats.misses_cold + stats.uncacheable == total
     per_type_total = sum(t.reads for t in stats.by_type.values())
@@ -172,9 +175,7 @@ def test_stats_counters_exact_under_threads():
 
 def test_bounded_cache_eviction_accounting_threaded():
     """Byte-bounded cache under threads: bound respected, bytes exact."""
-    pages = PageCache(
-        make_policy("lru", None, order_only=True), max_bytes=500
-    )
+    cache = Cache(replacement="lru", max_bytes=500)
     errors: list[Exception] = []
 
     def worker(index: int) -> None:
@@ -182,8 +183,8 @@ def test_bounded_cache_eviction_accounting_threaded():
         try:
             for i in range(200):
                 key = f"/p{rng.randrange(32)}"
-                pages.insert(_entry(key, index, "y" * rng.randint(10, 50)))
-                pages.lookup(key, now=0.0)
+                cache.insert_key(key, "y" * rng.randint(10, 50), [_instance(index)])
+                cache.check_key(key, "/p")
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
@@ -193,5 +194,5 @@ def test_bounded_cache_eviction_accounting_threaded():
     for thread in threads:
         thread.join(timeout=60)
     assert errors == []
-    assert pages.total_bytes <= 500
-    assert_accounting_exact(pages)
+    assert cache.pages.total_bytes <= 500
+    assert_accounting_exact(cache.pages)

@@ -137,76 +137,3 @@ class TestNodeReplay:
         assert snapshot["state"] == "left"
         assert snapshot["pages"] == 0
 
-
-class TestBatchedPublish:
-    """Group-commit publish mode (PR 8): same totally ordered synchronous
-    semantics, fewer bus-lock handoffs."""
-
-    def test_single_publish_matches_unbatched(self):
-        plain, batched = InvalidationBus(), InvalidationBus(batched=True)
-        for bus in (plain, batched):
-            seen = []
-            bus.subscribe("n", lambda m, s=seen: (s.append(m.seq), set())[1])
-            message, doomed = bus.publish("router", "/w", [write_instance(1)])
-            assert message.seq == 1
-            assert doomed == set()
-            assert seen == [1]
-        assert plain.stats.batches == 0
-        assert batched.stats.batches == 1
-
-    def test_sequences_stay_gap_free_under_batching(self):
-        bus = InvalidationBus(batched=True)
-        seen = []
-        bus.subscribe("n", lambda m: (seen.append(m.seq), set())[1])
-        for i in range(5):
-            message, _ = bus.publish("router", "/w", [write_instance(i)])
-            assert message.seq == i + 1
-        assert seen == [1, 2, 3, 4, 5]
-        assert bus.pending_publishes == 0
-
-    def test_concurrent_publishes_group_commit(self):
-        """Hold delivery with quiesced() while N threads enqueue: the
-        first becomes leader (parked on the bus lock) and must drain the
-        rest in one or two lock holds, each with its own seq/message."""
-        bus = InvalidationBus(batched=True)
-        delivered = []
-        bus.subscribe("n", lambda m: (delivered.append(m.seq), set())[1])
-        n = 6
-        results = {}
-        started = threading.Barrier(n + 1)
-
-        def publisher(i):
-            started.wait()
-            message, _ = bus.publish(f"origin-{i}", f"/w{i}", [write_instance(i)])
-            results[i] = message
-
-        threads = [threading.Thread(target=publisher, args=(i,)) for i in range(n)]
-        with bus.quiesced():
-            for t in threads:
-                t.start()
-            started.wait()
-            # Every publisher is now past the enqueue (leader included);
-            # delivery cannot have started while we hold the bus lock.
-            deadline = 50
-            while bus.pending_publishes < n and deadline:
-                threading.Event().wait(0.01)
-                deadline -= 1
-            assert bus.pending_publishes == n
-            assert delivered == []
-        for t in threads:
-            t.join()
-        assert sorted(delivered) == [1, 2, 3, 4, 5, 6]
-        assert delivered == sorted(delivered)  # queue order == seq order
-        assert {m.seq for m in results.values()} == {1, 2, 3, 4, 5, 6}
-        assert bus.stats.published == 6
-        # All six were queued before the lock released: one drain round
-        # (two at most if a scheduler blip splits the queue).
-        assert 1 <= bus.stats.batches <= 2
-
-    def test_batched_mode_preserves_trace_per_publish(self):
-        bus = InvalidationBus(batched=True)
-        bus.subscribe("n", lambda m: set())
-        message, _ = bus.publish(
-            "router", "/w", [write_instance(1)], trace=("t1", "s1")
-        )
-        assert message.trace == ("t1", "s1")

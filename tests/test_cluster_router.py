@@ -394,8 +394,9 @@ class TestClusterStats:
 
     def test_coalesced_recorded_at_frontend(self, cluster_notes_app):
         _db, _container, awc = cluster_notes_app
-        awc.stats.record_coalesced("/view_topic")
+        awc.cache.record_coalesced("/view_topic")
         assert awc.stats.coalesced_hits == 1
+        assert awc.cluster_snapshot()["cluster"]["coalesced_hits"] == 1
 
 
 class TestExternalBridge:

@@ -3,7 +3,9 @@
 The weaver decides once per configuration which advice applies where
 (``tests/test_aop_reference.py`` checks it decides right); these tests
 pin the other half: once ``install()`` has run and the plans are warm,
-a request re-decides nothing and allocates nothing it will not use.
+a request re-decides nothing and allocates nothing it will not use --
+and takes the cache's one lock once per facade call, however many read
+templates a write has to consider.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ import repro.aop.weaver as weaver
 from bench.workloads import WORKLOADS, build_app, build_facade, generate
 from repro.aop.joinpoint import JoinPoint
 from repro.apps.rubis import RubisDataset, build_rubis
+from repro.cache.api import Cache
 from repro.cache.autowebcache import AutoWebCache
+from repro.cache.entry import QueryInstance
+from repro.locks import NamedRLock
+from repro.sql.template import templateize
 from repro.web.http import HttpRequest
 
 from tests.test_async_server import deliver, get, notes_server, split_responses
@@ -48,6 +54,13 @@ def count_calls(monkeypatch, owner, name: str) -> list[int]:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+@pytest.fixture
+def lock_rounds(monkeypatch) -> list[int]:
+    """Running count of ``NamedRLock`` acquisitions, reentrant ones
+    included (reset it to 0 before the part being counted)."""
+    return count_calls(monkeypatch, NamedRLock, "acquire")
 
 
 def test_a_warm_hit_and_miss_match_no_patterns_and_build_one_joinpoint_per_layer(
@@ -124,3 +137,71 @@ def test_stats_after_a_fixed_replay_are_the_parents_field_by_field():
     assert snapshot.keys() == golden.keys()
     for field, value in golden.items():
         assert snapshot[field] == value, field
+
+
+def test_a_woven_fast_hit_takes_one_lock_round(lock_rounds):
+    with notes_server(start=False) as (server, _container, _awc):
+        deliver(server, [get("/view_note?id=1")])  # the miss that stores it
+        lock_rounds[0] = 0
+        payload, _closed = deliver(server, [get("/view_note?id=1")])
+        assert split_responses(payload) == [(200, b"<p>x|3</p>")]
+        assert server.stats.fast_hits == 1
+        assert lock_rounds[0] == 1
+
+
+#: Facade calls that take no lock (``sync_catalog`` only when the schema
+#: moved, which it does not on a warm path).
+LOCK_FREE_CALLS = {"is_cacheable", "sync_catalog"}
+
+
+def test_a_woven_page_miss_takes_one_lock_round_per_facade_call(
+    cached_notes_app, lock_rounds, monkeypatch
+):
+    _db, container, _awc = cached_notes_app
+    for note_id in ("1", "2"):
+        container.post("/add", {"id": note_id, "topic": "a", "body": "x"})
+    container.get("/view_note", {"id": "1"})  # warm: catalog, plans
+    calls: list[str] = []
+    depth = [0]
+
+    def outermost(name, original):
+        def traced(self, *args, **kwargs):
+            if not depth[0]:
+                calls.append(name)
+            depth[0] += 1
+            try:
+                return original(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return traced
+
+    for name in ("is_cacheable", "check", "check_key", "join_flight",
+                 "wait_flight", "finish_flight", "begin_window", "end_window",
+                 "insert", "insert_key", "sync_catalog", "record_uncacheable"):
+        monkeypatch.setattr(Cache, name, outermost(name, getattr(Cache, name)))
+    lock_rounds[0] = 0
+    assert container.get("/view_note", {"id": "2"}).status == 200
+    locking = [name for name in calls if name not in LOCK_FREE_CALLS]
+    assert locking == ["check", "join_flight", "insert", "finish_flight"]
+    assert lock_rounds[0] == len(locking)
+
+
+def test_a_write_takes_as_many_lock_rounds_with_50_read_templates_as_with_1(
+    lock_rounds,
+):
+    def write_over(n_templates: int) -> tuple[int, int]:
+        cache = Cache()
+        for k in range(n_templates):
+            sql = f"SELECT body AS b{k} FROM notes WHERE id = ?"
+            cache.insert_key(f"/p{k}", "body", [QueryInstance(*templateize(sql, (k,)))])
+        write = QueryInstance(
+            *templateize("UPDATE notes SET body = ? WHERE id = ?", ("new", 0))
+        )
+        lock_rounds[0] = 0
+        assert cache.process_write_request("/w", [write]) == {"/p0"}
+        return lock_rounds[0], cache.stats.pair_analyses
+
+    one, fifty = write_over(1), write_over(50)
+    assert fifty[1] == 50 * one[1]  # the analysis work does grow ...
+    assert fifty[0] == one[0] == 2  # ... the lock rounds do not

@@ -38,7 +38,6 @@ INPUTS = {
     "n_nodes",
     "node_names",
     "vnodes",
-    "bus_batching",
     "replication",
     "bus_mode",
     "staleness_bound",

@@ -108,7 +108,7 @@ def test_badapp_reports_every_rule_with_correct_anchors():
     assert [d.symbol for d in lk] == ["Vault.deposit", "BackwardsIndex.rebuild"]
     assert "badapp-till -> badapp-vault -> badapp-till" in lk[0].message
     assert lk[0].line == line_of(locks, "self.till.reconcile()")
-    assert "'page-store'" in lk[1].message
+    assert "'cache-facade'" in lk[1].message
     assert lk[1].line == line_of(locks, "self._mirror.push(")
 
 

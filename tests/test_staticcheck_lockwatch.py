@@ -40,32 +40,32 @@ def watched():
 
 
 def test_ordered_acquisition_is_clean(watched):
-    outer = NamedRLock("page-store")
-    inner = NamedRLock("dependency-table")
+    outer = NamedRLock("invalidation-bus")
+    inner = NamedRLock("cache-facade")
     with outer:
         with inner:
             pass
     assert watched.acquisitions == 2
     assert watched.snapshot_violations() == []
-    assert ("page-store", "dependency-table") in watched.edge_set()
+    assert ("invalidation-bus", "cache-facade") in watched.edge_set()
 
 
 def test_rank_inversion_is_flagged(watched):
-    outer = NamedRLock("dependency-table")
-    inner = NamedRLock("page-store")
+    outer = NamedRLock("cache-facade")
+    inner = NamedRLock("invalidation-bus")
     with outer:
         with inner:
             pass
     violations = watched.snapshot_violations()
     assert len(violations) == 1
     assert violations[0].kind == "rank"
-    assert violations[0].held == "dependency-table"
-    assert violations[0].acquired == "page-store"
+    assert violations[0].held == "cache-facade"
+    assert violations[0].acquired == "invalidation-bus"
     assert "rank" in violations[0].describe()
 
 
 def test_reentrant_reacquisition_is_not_an_edge(watched):
-    lock = NamedRLock("stats")
+    lock = NamedRLock("cache-facade")
     with lock:
         with lock:
             pass
@@ -76,8 +76,8 @@ def test_reentrant_reacquisition_is_not_an_edge(watched):
 
 
 def test_same_name_distinct_instances_nested_is_flagged(watched):
-    first = NamedRLock("stats")
-    second = NamedRLock("stats")
+    first = NamedRLock("cache-facade")
+    second = NamedRLock("cache-facade")
     with first:
         with second:
             pass
@@ -87,8 +87,8 @@ def test_same_name_distinct_instances_nested_is_flagged(watched):
 
 
 def test_failed_try_acquire_holds_nothing(watched):
-    lock = NamedRLock("page-store")
-    other = NamedRLock("dependency-table")
+    lock = NamedRLock("invalidation-bus")
+    other = NamedRLock("cache-facade")
     started = threading.Event()
     release = threading.Event()
 
@@ -102,24 +102,24 @@ def test_failed_try_acquire_holds_nothing(watched):
     started.wait(5)
     assert lock.acquire(blocking=False) is False
     # The failed attempt must not leave a phantom "held" entry that
-    # would turn this acquisition into a page-store -> dependency-table
-    # edge on this thread.
+    # would turn this acquisition into an invalidation-bus ->
+    # cache-facade edge on this thread.
     with other:
         pass
     release.set()
     thread.join()
-    assert ("page-store", "dependency-table") not in watched.edge_set()
+    assert ("invalidation-bus", "cache-facade") not in watched.edge_set()
     assert watched.snapshot_violations() == []
 
 
 def test_diff_against_static_reports_unseen_edges(watched):
-    outer = NamedRLock("cache-facade")
-    inner = NamedRLock("stats")
+    outer = NamedRLock("cluster-router")
+    inner = NamedRLock("cache-facade")
     with outer:
         with inner:
             pass
-    assert watched.diff_against_static(set()) == {("cache-facade", "stats")}
-    assert watched.diff_against_static({("cache-facade", "stats")}) == set()
+    assert watched.diff_against_static(set()) == {("cluster-router", "cache-facade")}
+    assert watched.diff_against_static({("cluster-router", "cache-facade")}) == set()
 
 
 @pytest.mark.concurrency

@@ -3,8 +3,9 @@
 ``JdbcConsistencyAspect`` used to keep its own unlocked
 ``extra_queries`` integer; concurrent pre-image captures lost
 increments (`x += 1` is not atomic).  The counter now lives in
-:class:`~repro.cache.stats.CacheStats` behind the stats lock, so under
-any interleaving the count equals exactly one per captured pre-image.
+:class:`~repro.cache.stats.CacheStats`, recorded through the facade
+under its lock, so under any interleaving the count equals exactly one
+per captured pre-image.
 """
 
 from __future__ import annotations
