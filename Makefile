@@ -35,7 +35,7 @@ check:
 bench:
 	$(ENV) python -m pytest benchmarks --benchmark-only -q
 
-# The paper's figures (4, 13-20) and the five ablations, with their
+# The paper's figures (4, 13-20) and the four ablations, with their
 # assertions, all against the PAPER profile that run_cell builds (see
 # src/repro/harness/profiles.py).  ~85 s; in CI.
 bench-figures:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Operational integration: the Section 8/9 extensions in action.
+"""Operational integration: the Section 8 extensions in action.
 
 Shows the features a production deployment of AutoWebCache needs beyond
 the core paper experiments:
@@ -9,9 +9,7 @@ the core paper experiments:
    trigger bridge keeps the page cache consistent anyway.
 2. **Transactions** — a rolled-back direct update invalidates nothing,
    because its trigger events are discarded with it.
-3. **The back-end result-set cache** layered under the page cache —
-   uncacheable pages still get their SQL served from memory.
-4. **WSGI** — the same cached container mounted as a standard WSGI app.
+3. **WSGI** — the same cached container mounted as a standard WSGI app.
 
 Run:  python examples/operations_integration.py
 """
@@ -19,28 +17,18 @@ Run:  python examples/operations_integration.py
 import io
 
 from repro.apps.rubis import RubisDataset, build_rubis
-from repro.cache import (
-    AutoWebCache,
-    ResultCache,
-    ResultCacheAspect,
-    SemanticsRegistry,
-    TriggerInvalidationBridge,
-)
+from repro.cache import AutoWebCache, TriggerInvalidationBridge
 from repro.web.wsgi import WsgiAdapter
 
 
 def main():
     app = build_rubis(RubisDataset(n_users=50, n_items=100, seed=3))
 
-    semantics = SemanticsRegistry().mark_uncacheable("/rubis/about_me")
-    result_cache = ResultCache()
-    awc = AutoWebCache(semantics=semantics)
-    bridge = TriggerInvalidationBridge(
-        awc.cache, awc.collector, result_cache=result_cache
-    ).attach(app.database)
-    awc.install(
-        app.servlet_classes, extra_aspects=[ResultCacheAspect(result_cache)]
+    awc = AutoWebCache()
+    bridge = TriggerInvalidationBridge(awc.cache, awc.collector).attach(
+        app.database
     )
+    awc.install(app.servlet_classes)
     try:
         c = app.container
 
@@ -67,16 +55,7 @@ def main():
         print(f"   page still cached after rollback: "
               f"{awc.stats.hits == hits_before + 1}")
 
-        print("== 3. result cache under an uncacheable page ==")
-        c.get("/rubis/about_me", {"user": "7"})
-        queries_before = app.database.stats.queries
-        c.get("/rubis/about_me", {"user": "7"})
-        saved = queries_before == app.database.stats.queries
-        print(f"   second AboutMe hit the DB zero times: {saved} "
-              f"(result-cache hit rate: {result_cache.stats.hit_rate:.2f}, "
-              f"page lookups marked uncacheable: {awc.stats.uncacheable})")
-
-        print("== 4. the same cached app served over WSGI ==")
+        print("== 3. the same cached app served over WSGI ==")
         adapter = WsgiAdapter(c)
         environ = {
             "REQUEST_METHOD": "GET",

@@ -25,16 +25,9 @@ to the paper's sections as follows:
 
 from repro.cache.analysis import InvalidationPolicy, QueryAnalysisEngine
 from repro.cache.api import Cache
-from repro.cache.aspects_result import ResultCacheAspect, ResultCacheInstaller
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.external import TriggerInvalidationBridge
-from repro.cache.replacement import (
-    FifoPolicy,
-    LfuPolicy,
-    LruPolicy,
-    UnboundedPolicy,
-)
-from repro.cache.result_cache import ResultCache
+from repro.cache.replacement import LruPolicy, UnboundedPolicy
 from repro.cache.semantics import SemanticsRegistry
 from repro.cache.stats import CacheStats
 
@@ -45,12 +38,7 @@ __all__ = [
     "InvalidationPolicy",
     "QueryAnalysisEngine",
     "SemanticsRegistry",
-    "ResultCache",
-    "ResultCacheAspect",
-    "ResultCacheInstaller",
     "TriggerInvalidationBridge",
     "LruPolicy",
-    "LfuPolicy",
-    "FifoPolicy",
     "UnboundedPolicy",
 ]

@@ -52,7 +52,6 @@ class Cache:
         forced_miss: bool = False,
         coalesce: bool = True,
         flight_timeout: float = 30.0,
-        indexed_invalidation: bool = True,
         admission: AdmissionPolicy | None = None,
         catalog: object | None = None,
     ) -> None:
@@ -87,7 +86,6 @@ class Cache:
             self.analysis_cache,
             self.stats,
             invalidation_policy,
-            indexed=indexed_invalidation,
         )
         #: Guard for :meth:`sync_catalog`: the database last mirrored
         #: into the engine catalog and its schema epoch at that moment.

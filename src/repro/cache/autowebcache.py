@@ -56,7 +56,6 @@ class AutoWebCache:
         forced_miss: bool = False,
         coalesce: bool = True,
         flight_timeout: float = 30.0,
-        indexed_invalidation: bool = True,
         fragments: bool = True,
         admission: AdmissionPolicy | None = None,
         method_cache_targets: Iterable[type] = (),
@@ -73,7 +72,6 @@ class AutoWebCache:
             forced_miss=forced_miss,
             coalesce=coalesce,
             flight_timeout=flight_timeout,
-            indexed_invalidation=indexed_invalidation,
             admission=admission,
         )
         self.collector = ConsistencyCollector()
@@ -137,10 +135,8 @@ class AutoWebCache:
         boundary ``commit``/``rollback`` (defaults to the bundled
         DB-API :class:`~repro.db.dbapi.Statement` and
         :class:`~repro.db.dbapi.Connection`).  ``extra_aspects``
-        are woven by the same weaver -- e.g. a
-        :class:`~repro.cache.aspects_result.ResultCacheAspect` layered
-        beneath the page cache (Section 9's complementary back-end
-        result cache).
+        are woven by the same weaver -- e.g. the observability tier's
+        tracing and metrics aspects.
         """
         if self._weaver is not None:
             raise CacheError(f"{type(self).__name__} is already installed")

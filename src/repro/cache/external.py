@@ -29,30 +29,21 @@ from __future__ import annotations
 from repro.cache.api import Cache
 from repro.cache.consistency import ConsistencyCollector
 from repro.cache.entry import QueryInstance
-from repro.cache.result_cache import ResultCache
 from repro.db.engine import Database
 from repro.db.triggers import WriteEvent
 from repro.sql.template import templateize
 
 
 class TriggerInvalidationBridge:
-    """Routes direct-database writes into cache invalidation.
-
-    When a back-end :class:`~repro.cache.result_cache.ResultCache` is
-    layered under the page cache, pass it too: a direct write bypasses
-    the woven driver, so *both* caches would otherwise go stale (a
-    regenerated page would happily reuse a stale cached result set).
-    """
+    """Routes direct-database writes into cache invalidation."""
 
     def __init__(
         self,
         cache: Cache,
         collector: ConsistencyCollector | None = None,
-        result_cache: ResultCache | None = None,
     ) -> None:
         self._cache = cache
         self._collector = collector
-        self._result_cache = result_cache
         self.external_writes = 0
         self.skipped_in_request = 0
         self._attached_to: Database | None = None
@@ -76,8 +67,6 @@ class TriggerInvalidationBridge:
         instance = QueryInstance(template, values, event.pre_image)
         self.external_writes += 1
         self._cache.process_write_request(f"<external:{event.table}>", [instance])
-        if self._result_cache is not None:
-            self._result_cache.process_write(instance)
 
     # -- the staleness oracle ----------------------------------------------------------
 

@@ -3,8 +3,8 @@
 The paper's evaluation uses an unbounded cache (database size is fixed,
 the working set fits); its conclusion lists "different cache replacement
 strategies" under varying cache size as future work.  This module
-implements that extension: pluggable policies with a common interface,
-exercised by the replacement-ablation benchmark.
+implements the LRU half of that extension behind a common interface,
+exercised by the cache-size ablation benchmark.
 
 A policy only tracks *keys and ordering*; the page store itself lives in
 :class:`~repro.cache.page_cache.PageCache`.
@@ -12,7 +12,7 @@ A policy only tracks *keys and ordering*; the page store itself lives in
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 
 from repro.errors import CacheError
 
@@ -104,93 +104,18 @@ class LruPolicy(ReplacementPolicy):
         return len(self._order)
 
 
-class FifoPolicy(ReplacementPolicy):
-    """Evict the oldest inserted page, ignoring accesses.
-
-    ``capacity=None`` keeps insertion order without a count bound.
-    """
-
-    def __init__(self, capacity: int | None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise CacheError("capacity must be positive")
-        self.capacity = capacity
-        self._order: OrderedDict[str, None] = OrderedDict()
-
-    def on_insert(self, key: str) -> None:
-        if key not in self._order:
-            self._order[key] = None
-
-    def on_access(self, key: str) -> None:
-        pass
-
-    def on_remove(self, key: str) -> None:
-        self._order.pop(key, None)
-
-    def victim(self) -> str:
-        if not self._order:
-            raise CacheError("empty cache has no victim")
-        return next(iter(self._order))
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-
-class LfuPolicy(ReplacementPolicy):
-    """Evict the least frequently used page (FIFO among ties).
-
-    ``capacity=None`` keeps frequency order without a count bound.
-    """
-
-    def __init__(self, capacity: int | None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise CacheError("capacity must be positive")
-        self.capacity = capacity
-        self._counts: Counter[str] = Counter()
-        self._insert_order: OrderedDict[str, None] = OrderedDict()
-
-    def on_insert(self, key: str) -> None:
-        self._counts[key] = 1
-        self._insert_order.pop(key, None)
-        self._insert_order[key] = None
-
-    def on_access(self, key: str) -> None:
-        if key in self._counts:
-            self._counts[key] += 1
-
-    def on_remove(self, key: str) -> None:
-        self._counts.pop(key, None)
-        self._insert_order.pop(key, None)
-
-    def victim(self) -> str:
-        if not self._counts:
-            raise CacheError("empty cache has no victim")
-        lowest = min(self._counts.values())
-        for key in self._insert_order:  # oldest first among ties
-            if self._counts[key] == lowest:
-                return key
-        raise CacheError("bookkeeping out of sync")  # pragma: no cover
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-
 def make_policy(
     name: str, capacity: int | None, order_only: bool = False
 ) -> ReplacementPolicy:
-    """Factory: ``unbounded``/``lru``/``lfu``/``fifo`` by name.
+    """Factory: ``unbounded``/``lru`` by name.
 
     Without a capacity the result is unbounded -- unless ``order_only``
     asks for victim-order tracking anyway (byte-bounded caches).
     """
     name = name.lower()
+    if name not in ("unbounded", "lru"):
+        raise CacheError(f"unknown replacement policy {name!r}")
     if not order_only and (name == "unbounded" or capacity is None):
         return UnboundedPolicy()
-    if name == "unbounded":
-        name = "lru"  # byte bound needs an order; recency is the default
-    if name == "lru":
-        return LruPolicy(capacity)
-    if name == "lfu":
-        return LfuPolicy(capacity)
-    if name == "fifo":
-        return FifoPolicy(capacity)
-    raise CacheError(f"unknown replacement policy {name!r}")
+    # A byte bound needs a victim order; recency is the only one.
+    return LruPolicy(capacity)

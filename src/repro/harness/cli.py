@@ -8,12 +8,15 @@
 
 Prints the same tables the benchmark suite writes to
 ``benchmarks/results/``; timing flags default to quick settings so the
-CLI is interactive-friendly.
+CLI is interactive-friendly.  Every subcommand is one row of
+:data:`COMMANDS`; the parser, ``list`` and dispatch are derived from it.
 """
 
 from __future__ import annotations
 
 import argparse
+from functools import partial
+from typing import Callable, NamedTuple
 
 from repro.cache.analysis import InvalidationPolicy
 from repro.harness.experiments import (
@@ -38,23 +41,28 @@ def _defaults(args: argparse.Namespace) -> ExperimentDefaults:
     return ExperimentDefaults(warmup=args.warmup, duration=args.duration)
 
 
+def _timing(clients: str, window: bool | None = False):
+    """Argument setup shared by the figure commands and ``run``: client
+    counts and the simulated warm-up / measurement windows.  ``window``
+    fixes the TPC-W BestSeller window; None offers it as ``--window``."""
+
+    def setup(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--clients", default=clients,
+                       help="comma-separated client counts")
+        p.add_argument("--warmup", type=float, default=30.0)
+        p.add_argument("--duration", type=float, default=90.0)
+        if window is None:
+            p.add_argument("--window", action="store_true",
+                           help="enable the BestSeller 30s window (fig15)")
+        else:
+            p.set_defaults(window=window)
+
+    return setup
+
+
 def _cmd_list(_args: argparse.Namespace) -> str:
-    rows = [
-        ["fig13", "RUBiS response time vs clients (bidding mix)"],
-        ["fig14", "TPC-W response time vs clients (shopping mix)"],
-        ["fig15", "TPC-W BestSeller 30s semantic window"],
-        ["fig16", "RUBiS per-request hits/misses"],
-        ["fig17", "TPC-W per-request hits/misses"],
-        ["codesize", "Figure 20 code-size comparison"],
-        ["cluster", "sharded-tier scaling curve (throughput vs nodes)"],
-        ["differential", "indexed vs brute-force invalidation equivalence"],
-        ["obs", "observability-woven scripted run (metrics + traces)"],
-        ["admission", "adaptive-admission scripted run (cost model report)"],
-        ["hitpath", "threaded vs asyncio hit-path throughput comparison"],
-        ["check", "whole-program consistency linter (staticcheck)"],
-        ["run", "one custom cell (see --help)"],
-    ]
-    return render_table("Available experiments", ["command", "regenerates"], rows)
+    rows = [[command.name, command.help] for command in COMMANDS]
+    return render_table("Available commands", ["command", "runs"], rows)
 
 
 def _cmd_curve(args: argparse.Namespace, app: str) -> str:
@@ -129,6 +137,17 @@ def _cmd_breakdown(args: argparse.Namespace, app: str) -> str:
         ["request", "% reqs", "hits", "sem", "cold", "inval", "uncach", "mean ms"],
         rows,
     )
+
+
+def _differential_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seeds", type=int, default=3,
+                   help="number of consecutive seeds to run")
+    p.add_argument("--rounds", type=int, default=60)
+    p.add_argument("--pages", type=int, default=80)
+    p.add_argument("--policy", choices=sorted(_POLICIES),
+                   default=None,
+                   help="one policy (default: all three)")
 
 
 def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
@@ -250,6 +269,21 @@ def _cmd_codesize(_args: argparse.Namespace) -> str:
     )
 
 
+def _cluster_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--nodes", default="1,2,4,8",
+                   help="comma-separated node counts")
+    p.add_argument("--clients", default="700",
+                   help="client load (first value used)")
+    p.add_argument("--warmup", type=float, default=20.0)
+    p.add_argument("--duration", type=float, default=60.0)
+    p.add_argument("--app", choices=["rubis", "tpcw"], default="rubis")
+    p.add_argument(
+        "--stock-costs", action="store_true",
+        help="use the stock per-app cost model instead of the "
+             "saturation-calibrated scaling model",
+    )
+
+
 def _cmd_cluster(args: argparse.Namespace) -> str:
     from repro.sim.cluster import CLUSTER_SCALING_COST_MODEL
 
@@ -286,6 +320,17 @@ def _cmd_cluster(args: argparse.Namespace) -> str:
          "node util", "db util", "bus msgs", "invalidated"],
         rows,
     )
+
+
+def _obs_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--requests", type=int, default=24,
+                   help="scripted request rounds to drive")
+    p.add_argument("--nodes", type=int, default=1,
+                   help="cache nodes; >1 uses the sharded cluster tier")
+    p.add_argument("--traces", type=int, default=8,
+                   help="trace ring-buffer capacity / display limit")
+    p.add_argument("--view", choices=["summary", "metrics", "traces", "all"],
+                   default="summary")
 
 
 def _cmd_obs(args: argparse.Namespace) -> str:
@@ -358,6 +403,18 @@ def _cmd_obs(args: argparse.Namespace) -> str:
     return "\n\n".join(sections)
 
 
+def _admission_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--requests", type=int, default=120,
+                   help="scripted request rounds to drive")
+    p.add_argument("--mode",
+                   choices=["admit-all", "adaptive", "shadow"],
+                   default="adaptive")
+    p.add_argument("--margin", type=float, default=0.1,
+                   help="hysteresis margin on the normalised score")
+    p.add_argument("--min-observations", type=int, default=20,
+                   help="cold-start sample count before scoring")
+
+
 def _cmd_admission(args: argparse.Namespace) -> str:
     """A scripted run under an admission policy; prints the cost model.
 
@@ -421,6 +478,15 @@ def _cmd_admission(args: argparse.Namespace) -> str:
     return "\n\n".join(sections)
 
 
+def _hitpath_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--connections", type=int, default=8,
+                   help="concurrent client connections")
+    p.add_argument("--iterations", type=int, default=200,
+                   help="GET rounds per connection")
+    p.add_argument("--pages", type=int, default=4,
+                   help="distinct warmed item pages to cycle over")
+
+
 def _cmd_hitpath(args: argparse.Namespace) -> str:
     """Drive both serving tiers over one warmed woven RUBiS app and
     print the throughput comparison (``benchmarks/results/
@@ -437,6 +503,18 @@ def _cmd_hitpath(args: argparse.Namespace) -> str:
         n_pages=args.pages,
     )
     return render_hitpath_report(comparison)
+
+
+def _check_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", action="store_true",
+                   help="print the JSON report instead of text")
+    p.add_argument("--json-out", default=None, metavar="PATH",
+                   help="also write the JSON report to PATH")
+    p.add_argument("--baseline", default=None, metavar="PATH",
+                   help="baseline file (default: "
+                        "staticcheck-baseline.json at the repo root)")
+    p.add_argument("--no-baseline", action="store_true",
+                   help="ignore any baseline; every finding is active")
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
@@ -465,6 +543,18 @@ def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
     return (payload if args.json else report.render_text()), report.exit_code
 
 
+def _run_arguments(p: argparse.ArgumentParser) -> None:
+    _timing("200", window=None)(p)
+    p.add_argument("--app", choices=["rubis", "tpcw"], default="rubis")
+    p.add_argument("--no-cache", action="store_true")
+    p.add_argument("--policy", choices=sorted(_POLICIES), default="extra-query")
+    p.add_argument("--replacement", default="unbounded",
+                   choices=["unbounded", "lru"])
+    p.add_argument("--capacity", type=int, default=None)
+    p.add_argument("--max-bytes", type=int, default=None)
+    p.add_argument("--weak-ttl", type=float, default=None)
+
+
 def _cmd_run(args: argparse.Namespace) -> str:
     defaults = _defaults(args)
     spec = RunSpec(
@@ -475,7 +565,6 @@ def _cmd_run(args: argparse.Namespace) -> str:
         replacement=args.replacement,
         capacity=args.capacity,
         max_bytes=args.max_bytes,
-        result_cache=args.result_cache,
         weak_ttl=args.weak_ttl,
         defaults=defaults,
     )
@@ -510,12 +599,49 @@ def _cmd_run(args: argparse.Namespace) -> str:
         for counter in PROTOCOL_COUNTERS:
             if counter in cache_snapshot:
                 rows.append([counter, cache_snapshot[counter]])
-    if outcome.result_cache_stats is not None:
-        rows.append(
-            ["result-cache hit rate",
-             round(outcome.result_cache_stats.hit_rate, 3)]
-        )
     return render_table(f"Custom cell: {args.app}", ["metric", "value"], rows)
+
+
+class Command(NamedTuple):
+    """One ``python -m repro`` subcommand."""
+
+    name: str
+    help: str
+    #: Adds the subcommand's arguments to its parser (None: it has none).
+    arguments: Callable[[argparse.ArgumentParser], None] | None
+    #: Runs it: the text to print, or (text, exit status).
+    handler: Callable[[argparse.Namespace], str | tuple[str, int]]
+
+
+COMMANDS: tuple[Command, ...] = (
+    Command("list", "list the available commands", None, _cmd_list),
+    Command("fig13", "RUBiS response time vs clients (bidding mix)",
+            _timing("100,400,700,1000"), partial(_cmd_curve, app="rubis")),
+    Command("fig14", "TPC-W response time vs clients (shopping mix)",
+            _timing("50,150,250,400", window=None),
+            partial(_cmd_curve, app="tpcw")),
+    Command("fig15", "TPC-W BestSeller 30s semantic window",
+            _timing("50,150,250,400", window=True),
+            partial(_cmd_curve, app="tpcw")),
+    Command("fig16", "RUBiS per-request hits/misses", _timing("1000"),
+            partial(_cmd_breakdown, app="rubis")),
+    Command("fig17", "TPC-W per-request hits/misses", _timing("400"),
+            partial(_cmd_breakdown, app="tpcw")),
+    Command("codesize", "Figure 20 code-size comparison", None, _cmd_codesize),
+    Command("differential", "indexed vs brute-force invalidation equivalence",
+            _differential_arguments, _cmd_differential),
+    Command("cluster", "sharded-tier scaling curve (throughput vs nodes)",
+            _cluster_arguments, _cmd_cluster),
+    Command("obs", "observability-woven scripted run (metrics + traces)",
+            _obs_arguments, _cmd_obs),
+    Command("admission", "adaptive-admission scripted run (cost model report)",
+            _admission_arguments, _cmd_admission),
+    Command("hitpath", "threaded vs asyncio hit-path throughput comparison",
+            _hitpath_arguments, _cmd_hitpath),
+    Command("check", "whole-program consistency linter (staticcheck)",
+            _check_arguments, _cmd_check),
+    Command("run", "one custom configuration cell", _run_arguments, _cmd_run),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,162 +650,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="AutoWebCache reproduction: experiment runner",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_timing(p: argparse.ArgumentParser, clients: str) -> None:
-        p.add_argument("--clients", default=clients,
-                       help="comma-separated client counts")
-        p.add_argument("--warmup", type=float, default=30.0)
-        p.add_argument("--duration", type=float, default=90.0)
-
-    sub.add_parser("list", help="list available experiments")
-
-    fig13 = sub.add_parser("fig13", help="RUBiS response-time curve")
-    add_timing(fig13, "100,400,700,1000")
-    fig13.set_defaults(window=False)
-
-    fig14 = sub.add_parser("fig14", help="TPC-W response-time curve")
-    add_timing(fig14, "50,150,250,400")
-    fig14.add_argument("--window", action="store_true",
-                       help="enable the BestSeller 30s window (fig15)")
-
-    fig15 = sub.add_parser("fig15", help="TPC-W curve with semantics window")
-    add_timing(fig15, "50,150,250,400")
-    fig15.set_defaults(window=True)
-
-    fig16 = sub.add_parser("fig16", help="RUBiS per-request breakdown")
-    add_timing(fig16, "1000")
-
-    fig17 = sub.add_parser("fig17", help="TPC-W per-request breakdown")
-    add_timing(fig17, "400")
-
-    sub.add_parser("codesize", help="Figure 20 code sizes")
-
-    differential = sub.add_parser(
-        "differential",
-        help="indexed vs brute-force invalidation equivalence check",
-    )
-    differential.add_argument("--seed", type=int, default=0)
-    differential.add_argument("--seeds", type=int, default=3,
-                              help="number of consecutive seeds to run")
-    differential.add_argument("--rounds", type=int, default=60)
-    differential.add_argument("--pages", type=int, default=80)
-    differential.add_argument("--policy", choices=sorted(_POLICIES),
-                              default=None,
-                              help="one policy (default: all three)")
-
-    cluster = sub.add_parser(
-        "cluster", help="sharded cache tier: throughput vs node count"
-    )
-    cluster.add_argument("--nodes", default="1,2,4,8",
-                         help="comma-separated node counts")
-    cluster.add_argument("--clients", default="700",
-                         help="client load (first value used)")
-    cluster.add_argument("--warmup", type=float, default=20.0)
-    cluster.add_argument("--duration", type=float, default=60.0)
-    cluster.add_argument("--app", choices=["rubis", "tpcw"], default="rubis")
-    cluster.add_argument(
-        "--stock-costs", action="store_true",
-        help="use the stock per-app cost model instead of the "
-             "saturation-calibrated scaling model",
-    )
-
-    obs = sub.add_parser(
-        "obs", help="observability-woven scripted run (metrics + traces)"
-    )
-    obs.add_argument("--requests", type=int, default=24,
-                     help="scripted request rounds to drive")
-    obs.add_argument("--nodes", type=int, default=1,
-                     help="cache nodes; >1 uses the sharded cluster tier")
-    obs.add_argument("--traces", type=int, default=8,
-                     help="trace ring-buffer capacity / display limit")
-    obs.add_argument("--view", choices=["summary", "metrics", "traces", "all"],
-                     default="summary")
-
-    admission = sub.add_parser(
-        "admission",
-        help="adaptive-admission scripted run (cost model report)",
-    )
-    admission.add_argument("--requests", type=int, default=120,
-                           help="scripted request rounds to drive")
-    admission.add_argument("--mode",
-                           choices=["admit-all", "adaptive", "shadow"],
-                           default="adaptive")
-    admission.add_argument("--margin", type=float, default=0.1,
-                           help="hysteresis margin on the normalised score")
-    admission.add_argument("--min-observations", type=int, default=20,
-                           help="cold-start sample count before scoring")
-
-    hitpath = sub.add_parser(
-        "hitpath",
-        help="threaded vs asyncio hit-path throughput comparison",
-    )
-    hitpath.add_argument("--connections", type=int, default=8,
-                         help="concurrent client connections")
-    hitpath.add_argument("--iterations", type=int, default=200,
-                         help="GET rounds per connection")
-    hitpath.add_argument("--pages", type=int, default=4,
-                         help="distinct warmed item pages to cycle over")
-
-    check = sub.add_parser(
-        "check", help="whole-program consistency linter (staticcheck)"
-    )
-    check.add_argument("--json", action="store_true",
-                       help="print the JSON report instead of text")
-    check.add_argument("--json-out", default=None, metavar="PATH",
-                       help="also write the JSON report to PATH")
-    check.add_argument("--baseline", default=None, metavar="PATH",
-                       help="baseline file (default: "
-                            "staticcheck-baseline.json at the repo root)")
-    check.add_argument("--no-baseline", action="store_true",
-                       help="ignore any baseline; every finding is active")
-
-    run = sub.add_parser("run", help="one custom configuration cell")
-    add_timing(run, "200")
-    run.add_argument("--app", choices=["rubis", "tpcw"], default="rubis")
-    run.add_argument("--no-cache", action="store_true")
-    run.add_argument("--policy", choices=sorted(_POLICIES), default="extra-query")
-    run.add_argument("--window", action="store_true")
-    run.add_argument("--replacement", default="unbounded",
-                     choices=["unbounded", "lru", "lfu", "fifo"])
-    run.add_argument("--capacity", type=int, default=None)
-    run.add_argument("--max-bytes", type=int, default=None)
-    run.add_argument("--result-cache", action="store_true")
-    run.add_argument("--weak-ttl", type=float, default=None)
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        if command.arguments is not None:
+            command.arguments(p)
+        p.set_defaults(handler=command.handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    status = 0
-    if args.command == "list":
-        output = _cmd_list(args)
-    elif args.command == "differential":
-        output, status = _cmd_differential(args)
-    elif args.command == "fig13":
-        output = _cmd_curve(args, "rubis")
-    elif args.command in ("fig14", "fig15"):
-        output = _cmd_curve(args, "tpcw")
-    elif args.command == "fig16":
-        output = _cmd_breakdown(args, "rubis")
-    elif args.command == "fig17":
-        output = _cmd_breakdown(args, "tpcw")
-    elif args.command == "codesize":
-        output = _cmd_codesize(args)
-    elif args.command == "cluster":
-        output = _cmd_cluster(args)
-    elif args.command == "obs":
-        output = _cmd_obs(args)
-    elif args.command == "admission":
-        output = _cmd_admission(args)
-    elif args.command == "hitpath":
-        output = _cmd_hitpath(args)
-    elif args.command == "check":
-        output, status = _cmd_check(args)
-    elif args.command == "run":
-        output = _cmd_run(args)
-    else:  # pragma: no cover - argparse guards this
-        parser.error(f"unknown command {args.command!r}")
-        return 2
+    args = build_parser().parse_args(argv)
+    output = args.handler(args)
+    output, status = output if isinstance(output, tuple) else (output, 0)
     print(output)
     return status

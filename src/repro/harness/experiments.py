@@ -18,9 +18,7 @@ from repro.apps.tpcw.app import standard_semantics
 from repro.apps.tpcw.workload import browsing_mix as tpcw_browsing_mix
 from repro.apps.tpcw.workload import shopping_mix
 from repro.cache.analysis import InvalidationPolicy
-from repro.cache.aspects_result import ResultCacheAspect, ResultCacheInstaller
 from repro.cache.autowebcache import AutoWebCache
-from repro.cache.result_cache import ResultCache
 from repro.cache.semantics import SemanticsRegistry
 from repro.cluster.awc import ClusterAutoWebCache
 from repro.harness.codesize import measure_components
@@ -62,9 +60,6 @@ class RunSpec:
     #: Byte budget for the page cache (size-aware eviction); None means
     #: no byte bound.
     max_bytes: int | None = None
-    #: Weave the back-end result-set cache (Section 9's complement);
-    #: may be combined with the page cache or used alone.
-    result_cache: bool = False
     #: Weak (time-lagged) consistency: default TTL in seconds applied
     #: to every page instead of write-driven invalidation.
     weak_ttl: float | None = None
@@ -75,16 +70,12 @@ class RunSpec:
 
     @property
     def label(self) -> str:
-        if not self.cached and not self.result_cache:
+        if not self.cached:
             return "No cache"
-        if not self.cached and self.result_cache:
-            return "Result cache only"
         if self.forced_miss:
             return "AutoWebCache (forced miss)"
         if self.weak_ttl is not None:
             return f"Weak TTL {self.weak_ttl:.0f}s"
-        if self.result_cache:
-            return "AutoWebCache + result cache"
         if self.best_seller_window:
             return "Optimization for Semantics"
         return "AutoWebCache"
@@ -100,7 +91,6 @@ class RunOutcome:
     cache_stats: object | None  # CacheStats when cached
     analysis_growth: list[tuple[int, int]]
     weave_report: object | None
-    result_cache_stats: object | None = None  # ResultCacheStats when woven
 
     @property
     def mean_ms(self) -> float:
@@ -155,8 +145,6 @@ def run_cell(
     )
     awc = None
     weave_report = None
-    result_installer = None
-    result_cache_obj = None
     if spec.cached:
         if spec.weak_ttl is not None:
             semantics = semantics or SemanticsRegistry()
@@ -172,15 +160,7 @@ def run_cell(
             clock=clock.now,
             forced_miss=spec.forced_miss,
         )
-        extra = []
-        if spec.result_cache:
-            result_cache_obj = ResultCache(policy=spec.policy)
-            extra.append(ResultCacheAspect(result_cache_obj))
-        weave_report = awc.install(app.servlet_classes, extra_aspects=extra)
-    elif spec.result_cache:
-        result_installer = ResultCacheInstaller(policy=spec.policy)
-        result_installer.install()
-        result_cache_obj = result_installer.cache
+        weave_report = awc.install(app.servlet_classes)
     try:
         simulator = LoadSimulator(
             container=app.container,
@@ -195,8 +175,6 @@ def run_cell(
     finally:
         if awc is not None:
             awc.uninstall()
-        if result_installer is not None:
-            result_installer.uninstall()
     growth = []
     if awc is not None:
         # Samples are taken on a miss; the closing one carries the run's
@@ -214,9 +192,6 @@ def run_cell(
         cache_stats=awc.cache.stats if awc else None,
         analysis_growth=growth,
         weave_report=weave_report,
-        result_cache_stats=(
-            result_cache_obj.stats if result_cache_obj is not None else None
-        ),
     )
 
 

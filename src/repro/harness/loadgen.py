@@ -99,18 +99,6 @@ class LoadResult:
         index = min(len(ordered) - 1, int(p / 100.0 * len(ordered)))
         return ordered[index]
 
-    @property
-    def p50_ms(self) -> float:
-        return self.percentile_ms(50)
-
-    @property
-    def p95_ms(self) -> float:
-        return self.percentile_ms(95)
-
-    @property
-    def p99_ms(self) -> float:
-        return self.percentile_ms(99)
-
     def latency_summary(self) -> dict[str, float]:
         """Mean plus the standard tail percentiles, one sorted pass."""
         if not self.latencies_ms:

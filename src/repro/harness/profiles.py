@@ -17,11 +17,9 @@ the ``forced_miss`` experiment mode are passed beside the profile;
 ``tests/test_profiles.py`` classifies every constructor keyword as one
 of the three, so a new keyword must be placed before it can land.
 
-``indexed_invalidation`` is on in both: the dependency index dooms
-exactly the pages the paper's pairwise protocol dooms (``make
-differential``), so it is an implementation of Section 4, not a tier.
-It is still pinned here because it changes ``intersection_tests``,
-which the simulator's cost model prices.
+Both always invalidate through the dependency index: it dooms exactly
+the pages the paper's pairwise protocol dooms (``make differential``),
+so it is an implementation of Section 4, not a tier.
 """
 
 from __future__ import annotations
@@ -30,8 +28,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 PAPER: Mapping[str, object] = MappingProxyType(
-    {"fragments": False, "coalesce": False, "indexed_invalidation": True}
+    {"fragments": False, "coalesce": False}
 )
 EXTENDED: Mapping[str, object] = MappingProxyType(
-    {"fragments": True, "coalesce": True, "indexed_invalidation": True}
+    {"fragments": True, "coalesce": True}
 )

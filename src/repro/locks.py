@@ -33,14 +33,13 @@ import threading
 #: named at positions > *i*; locks whose names are absent are
 #: unconstrained by rank (the sanitizer still refuses cycles among
 #: them).  The order encodes: the cluster router calls into the bus
-#: (membership changes drain it), bus delivery enters each node's cache
-#: facade, and the back-end result cache is a leaf below all of them.
-#: Two caches' facade locks are never held at once (same-name nesting).
+#: (membership changes drain it) and bus delivery enters each node's
+#: cache facade.  Two caches' facade locks are never held at once
+#: (same-name nesting).
 LOCK_ORDER: tuple[str, ...] = (
     "cluster-router",
     "invalidation-bus",
     "cache-facade",
-    "result-cache",
 )
 
 #: name -> position in :data:`LOCK_ORDER`.

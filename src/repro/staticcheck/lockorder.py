@@ -7,8 +7,8 @@ computed to a fixpoint), and builds the static acquisition graph over
 :data:`repro.locks.LOCK_ORDER` names.  Violations:
 
 - an edge from a ranked lock to a strictly earlier-ranked lock
-  (acquiring "cache-facade" while holding "result-cache" inverts the
-  documented order);
+  (acquiring "invalidation-bus" while holding "cache-facade" inverts
+  the documented order);
 - any cycle in the graph, ranked or not (two unranked locks acquired in
   both orders deadlock just as surely).
 

@@ -127,8 +127,6 @@ def default_target() -> CheckTarget:
         WriteServletAspect,
     )
     from repro.cache.aspects_fragment import FragmentCacheAspect
-    from repro.cache.aspects_result import ResultCacheAspect
-    from repro.cache.result_cache import ResultCache
     from repro.cluster.bus import InvalidationBus
     from repro.cluster.node import CacheNode
     from repro.cluster.router import ClusterRouter
@@ -178,7 +176,6 @@ def default_target() -> CheckTarget:
             JdbcConsistencyAspect,
             FragmentCacheAspect,
             MethodCacheAspect,
-            ResultCacheAspect,
             TracingAspect,
             MetricsAspect,
         ),
@@ -213,7 +210,6 @@ def default_target() -> CheckTarget:
         ),
         lock_classes=(
             Cache,
-            ResultCache,
             ClusterRouter,
             InvalidationBus,
             CacheNode,

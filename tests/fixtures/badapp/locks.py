@@ -4,8 +4,9 @@ Two flavours:
 
 - ``Till``/``Vault`` acquire each other's (unranked) locks in both
   orders: a classic AB/BA deadlock cycle;
-- ``BackwardsIndex`` holds ``result-cache`` while entering
-  ``cache-facade`` -- the reverse of the documented ``LOCK_ORDER`` ranks.
+- ``BackwardsIndex`` holds ``cache-facade`` while entering
+  ``invalidation-bus`` -- the reverse of the documented ``LOCK_ORDER``
+  ranks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class Till:
 
 class PageMirror:
     def __init__(self) -> None:
-        self._lock = NamedRLock("cache-facade")
+        self._lock = NamedRLock("invalidation-bus")
         self._entries: list[str] = []
 
     def push(self, entry: str) -> None:
@@ -46,7 +47,7 @@ class PageMirror:
 
 class BackwardsIndex:
     def __init__(self, mirror: PageMirror) -> None:
-        self._lock = NamedRLock("result-cache")
+        self._lock = NamedRLock("cache-facade")
         self._mirror = mirror
 
     def rebuild(self) -> None:

@@ -76,11 +76,9 @@ class TestFactoryOrderOnly:
         assert isinstance(make_policy("unbounded", None), UnboundedPolicy)
 
     def test_order_only_respects_name(self):
-        from repro.cache.replacement import FifoPolicy
-
-        assert isinstance(
-            make_policy("fifo", None, order_only=True), FifoPolicy
-        )
+        policy = make_policy("lru", None, order_only=True)
+        assert isinstance(policy, LruPolicy)
+        assert policy.capacity is None
 
     def test_capacityless_policy_never_count_evicts(self):
         policy = LruPolicy(None)

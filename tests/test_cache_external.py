@@ -151,31 +151,3 @@ class TestBridge:
             "INSERT INTO notes (id, topic, body, score) VALUES (1, 'a', 'x', 0)"
         )
         assert bridge.external_writes == 1
-
-    def test_bridge_also_invalidates_result_cache(self):
-        """Regression: with a result cache layered under the page
-        cache, a direct write must invalidate BOTH -- otherwise the
-        regenerated page is rebuilt from a stale cached result set."""
-        from repro.cache.aspects_result import ResultCacheAspect
-        from repro.cache.result_cache import ResultCache
-
-        db, container = build_notes_app()
-        result_cache = ResultCache()
-        awc = AutoWebCache()
-        TriggerInvalidationBridge(
-            awc.cache, awc.collector, result_cache=result_cache
-        ).attach(db)
-        awc.install(
-            container.servlet_classes,
-            extra_aspects=[ResultCacheAspect(result_cache)],
-        )
-        try:
-            container.post(
-                "/add", {"id": "1", "topic": "a", "body": "x", "score": "0"}
-            )
-            container.get("/view_topic", {"topic": "a"})
-            db.update("UPDATE notes SET body = ? WHERE id = ?", ("patched", 1))
-            page = container.get("/view_topic", {"topic": "a"})
-            assert "patched" in page.body
-        finally:
-            awc.uninstall()

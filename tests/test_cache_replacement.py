@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.cache.replacement import (
-    FifoPolicy,
-    LfuPolicy,
-    LruPolicy,
-    UnboundedPolicy,
-    make_policy,
-)
+from repro.cache.replacement import LruPolicy, UnboundedPolicy, make_policy
 from repro.errors import CacheError
 
 
@@ -65,68 +59,16 @@ class TestLru:
         assert len(policy) == 0
 
 
-class TestFifo:
-    def test_victim_ignores_access(self):
-        policy = FifoPolicy(capacity=2)
-        policy.on_insert("a")
-        policy.on_insert("b")
-        policy.on_access("a")
-        assert policy.victim() == "a"
-
-    def test_reinsert_keeps_original_position(self):
-        policy = FifoPolicy(capacity=2)
-        policy.on_insert("a")
-        policy.on_insert("b")
-        policy.on_insert("a")  # refresh does not move a to the back
-        assert policy.victim() == "a"
-
-    def test_empty_victim_raises(self):
-        with pytest.raises(CacheError):
-            FifoPolicy(capacity=1).victim()
-
-
-class TestLfu:
-    def test_victim_is_least_frequent(self):
-        policy = LfuPolicy(capacity=3)
-        for k in "abc":
-            policy.on_insert(k)
-        policy.on_access("a")
-        policy.on_access("a")
-        policy.on_access("b")
-        assert policy.victim() == "c"
-
-    def test_tie_broken_by_insertion_order(self):
-        policy = LfuPolicy(capacity=3)
-        policy.on_insert("x")
-        policy.on_insert("y")
-        assert policy.victim() == "x"
-
-    def test_reinsert_resets_count(self):
-        policy = LfuPolicy(capacity=3)
-        policy.on_insert("a")
-        policy.on_access("a")
-        policy.on_access("a")
-        policy.on_insert("b")
-        policy.on_insert("a")  # refresh: count back to 1, newer than b
-        assert policy.victim() == "b"
-
-    def test_remove_clears_count(self):
-        policy = LfuPolicy(capacity=2)
-        policy.on_insert("a")
-        policy.on_remove("a")
-        assert len(policy) == 0
-
-
 class TestFactory:
     def test_by_name(self):
-        assert isinstance(make_policy("lru", 5), LruPolicy)
-        assert isinstance(make_policy("LFU", 5), LfuPolicy)
-        assert isinstance(make_policy("fifo", 5), FifoPolicy)
+        assert isinstance(make_policy("LRU", 5), LruPolicy)
         assert isinstance(make_policy("unbounded", None), UnboundedPolicy)
 
     def test_none_capacity_is_unbounded(self):
         assert isinstance(make_policy("lru", None), UnboundedPolicy)
 
     def test_unknown_name(self):
-        with pytest.raises(CacheError):
-            make_policy("magic", 5)
+        # FIFO and LFU were dropped: LRU is the only bounded policy.
+        for name in ("magic", "fifo", "lfu"):
+            with pytest.raises(CacheError):
+                make_policy(name, 5)

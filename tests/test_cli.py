@@ -1,5 +1,7 @@
 """CLI tests (quick settings only)."""
 
+import argparse
+
 import pytest
 
 from repro.harness.cli import build_parser, main
@@ -15,6 +17,14 @@ def test_list(capsys):
     code, out = run_cli(capsys, "list")
     assert code == 0
     assert "fig13" in out and "codesize" in out
+    # `list` names exactly the parser's subcommands, in the same order.
+    listed = [line.split()[0] for line in out.splitlines()[4:] if line.strip()]
+    (subparsers,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert listed == list(subparsers.choices)
 
 
 def test_codesize(capsys):
@@ -70,6 +80,12 @@ def test_parser_rejects_unknown_command():
 def test_parser_rejects_bad_policy():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--policy", "psychic"])
+
+
+@pytest.mark.parametrize("replacement", ["fifo", "lfu"])
+def test_parser_rejects_dropped_replacement(replacement):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--replacement", replacement])
 
 
 def test_obs_summary(capsys):

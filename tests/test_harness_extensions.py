@@ -1,5 +1,5 @@
-"""Harness tests for the extension configurations (result cache, weak
-TTL) and spec labelling."""
+"""Harness tests for the extension configurations (weak TTL) and spec
+labelling."""
 
 import pytest
 
@@ -13,9 +13,7 @@ class TestLabels:
     def test_all_labels_distinct(self):
         specs = [
             RunSpec(app="rubis", cached=False),
-            RunSpec(app="rubis", cached=False, result_cache=True),
             RunSpec(app="rubis"),
-            RunSpec(app="rubis", result_cache=True),
             RunSpec(app="rubis", forced_miss=True),
             RunSpec(app="rubis", weak_ttl=30.0),
             RunSpec(app="tpcw", best_seller_window=True),
@@ -25,36 +23,6 @@ class TestLabels:
 
     def test_weak_label_contains_ttl(self):
         assert "30" in RunSpec(app="rubis", weak_ttl=30.0).label
-
-
-class TestResultCacheCells:
-    def test_result_cache_only_cell(self):
-        outcome = run_cell(
-            RunSpec(app="rubis", cached=False, result_cache=True, defaults=FAST),
-            30,
-        )
-        assert outcome.cache_stats is None
-        assert outcome.result_cache_stats is not None
-        assert outcome.result_cache_stats.lookups > 0
-        assert outcome.result.errors == 0
-
-    def test_combined_cell(self):
-        outcome = run_cell(
-            RunSpec(app="rubis", cached=True, result_cache=True, defaults=FAST),
-            30,
-        )
-        assert outcome.cache_stats is not None
-        assert outcome.result_cache_stats is not None
-
-    def test_unweaves_after_result_cache_cell(self):
-        from repro.db.dbapi import Statement
-
-        run_cell(
-            RunSpec(app="rubis", cached=False, result_cache=True, defaults=FAST),
-            10,
-        )
-        method = vars(Statement)["execute_query"]
-        assert not getattr(method, "__aw_woven__", False)
 
 
 class TestWeakTtlCells:

@@ -85,10 +85,11 @@ def test_column_differential_actually_prunes_by_lineage():
 def _replay_cluster(
     node_names: list[str], indexed: bool, pages, batches
 ) -> list[set[str]]:
-    router = ClusterRouter(
-        node_names,
-        make_cache_factory(indexed_invalidation=indexed),
-    )
+    router = ClusterRouter(node_names, make_cache_factory())
+    # The facade always indexes; the brute-force ring runs the paper's
+    # full-scan oracle on each node's own invalidator.
+    for node in router.nodes():
+        node.cache.invalidator.indexed = indexed
     for uri, reads in pages:
         router.insert(HttpRequest("GET", uri, {}), f"body {uri}", reads)
     return [router.process_write_request("/write", batch) for batch in batches]
@@ -196,9 +197,7 @@ def test_fragment_column_workload_matches_oracle(n_nodes, replication, bus_mode)
 
 def test_cluster_stats_aggregate_pruning_counters():
     rng = random.Random(11)
-    router = ClusterRouter(
-        ["a", "b"], make_cache_factory(indexed_invalidation=True)
-    )
+    router = ClusterRouter(["a", "b"], make_cache_factory())
     for i in range(20):
         reads = [random_read(rng) for _ in range(2)]
         router.insert(HttpRequest("GET", f"/p/{i}", {}), "x", reads)

@@ -18,7 +18,7 @@ from repro.harness.profiles import EXTENDED, PAPER
 # a value in both profiles.
 
 #: Turn a mechanism the paper does not have on or off: profile keys.
-TIER_SWITCHES = {"fragments", "coalesce", "indexed_invalidation"}
+TIER_SWITCHES = {"fragments", "coalesce"}
 
 #: Sizing and deployment inputs: what a deployer supplies for *their*
 #: application, ring and clock.  An admission policy object and the
@@ -65,6 +65,8 @@ def test_every_keyword_is_classified_once():
 
 
 def test_both_profiles_set_exactly_the_tier_switches():
+    # Indexed invalidation is how the facade always dooms, not a switch.
+    assert TIER_SWITCHES == {"fragments", "coalesce"}
     assert set(PAPER) == set(EXTENDED) == TIER_SWITCHES
     assert PAPER != EXTENDED
 
