@@ -53,10 +53,11 @@ bench-e2e:
 # Where the time goes, in-process: replays the wire bytes of a bench
 # workload's warm-up + N closed-loop requests through the serving
 # tier's protocol object (parse -> fast_check -> render -> serialize;
-# no sockets) and prints wall time per request, the fast/slow split,
-# the SELECT share, the miss tax (the slow requests replayed through an
-# unwoven, cache-less twin in a child process: woven us / unwoven us)
-# and the top cProfile rows.  A candidate finder (the numbers ROADMAP
+# no sockets) and prints wall time per request, the fast/slow split
+# (fast hits through the server's head memo vs parsed probes), the
+# SELECT share, the miss tax (the slow requests replayed through an
+# unwoven, cache-less twin in a child process: woven us / unwoven us),
+# the top cProfile rows and the head memo's size.  A candidate finder (the numbers ROADMAP
 # items 1 and 4 rank layers by), not a gate: confirm with the traced
 # round of bench/run.py.  `make profile N=500` is the CI smoke run.
 WORKLOAD ?= rubis_browse_churn

@@ -4,10 +4,12 @@ Builds the app and facade through ``bench.workloads`` and replays the
 wire bytes of warm-up + N closed-loop requests through the serving
 tier's own protocol object (``_HttpConnection.data_received`` with a
 recording transport: parse -> ``fast_check`` -> render -> serialize, no
-sockets, no loop) un-profiled -- wall time, the fast/slow split, SELECT
-share -- then the same N through an *unwoven twin* for the **miss
-tax**, then N more under ``cProfile`` -- counting ``NamedRLock``
-acquisitions per fast hit, slow GET and write on the way.  A candidate
+sockets, no loop) un-profiled -- wall time, the fast/slow split (fast
+hits found through the server's head memo apart from those whose probe
+the general parser derived), SELECT share -- then the same N through an
+*unwoven twin* for the **miss tax**, then N more under ``cProfile`` --
+counting ``NamedRLock`` acquisitions per fast hit, slow GET and write on
+the way; last, the number of heads the memo holds.  A candidate
 finder, not a gate: confirm with the traced round of ``bench/run.py``.
 
 The miss tax is what the middleware costs when it cannot answer from
@@ -54,8 +56,15 @@ class RecordingTransport:
         return False
 
 
-def replay(server, requests, carts, rounds=(0,)) -> list[tuple[bool, float, int]]:
-    """``(answered on the fast path, seconds, lock rounds)`` per request;
+#: How a request was answered: from a pinned buffer found through the
+#: server's head memo, or through a probe the general parser derived,
+#: or on the slow path.
+MEMO_HIT, PARSED_PROBE, SLOW = "memo hit", "parsed probe", "slow"
+
+
+def replay(server, requests, carts, rounds=(0,)) -> list[tuple[str, float, int]]:
+    """``(path, seconds, lock rounds)`` per request, ``path`` one of
+    :data:`MEMO_HIT`, :data:`PARSED_PROBE` and :data:`SLOW`;
     ``rounds[0]`` is a running count of ``NamedRLock`` acquisitions
     (:func:`count_lock_rounds`), read before and after each request."""
     transport = RecordingTransport()
@@ -64,13 +73,16 @@ def replay(server, requests, carts, rounds=(0,)) -> list[tuple[bool, float, int]
     timings = []
     for request in requests:
         wire = request.wire_for(carts)
+        remembered = wire[: wire.find(b"\r\n\r\n")] in server.head_memo
         fast_before, rounds_before = server.stats.fast_hits, rounds[0]
         started = time.perf_counter()
         connection.data_received(wire)
         elapsed = time.perf_counter() - started
-        timings.append(
-            (server.stats.fast_hits > fast_before, elapsed, rounds[0] - rounds_before)
-        )
+        if server.stats.fast_hits == fast_before:
+            path = SLOW
+        else:
+            path = MEMO_HIT if remembered else PARSED_PROBE
+        timings.append((path, elapsed, rounds[0] - rounds_before))
         request.observe(transport.payload.partition(b"\r\n\r\n")[2], carts)
     connection.connection_lost(None)
     return timings
@@ -89,7 +101,7 @@ def unwoven_twin(workload_name: str, seed: int, n: int) -> list[float]:
     replay(server, generate(workload, seed, "warmup", workload.warmup), carts)
     timings = replay(server, generate(workload, seed, "closed", 2 * n)[:n], carts)
     server.shutdown()
-    return [seconds for _fast, seconds, _rounds in timings]
+    return [seconds for _path, seconds, _rounds in timings]
 
 
 @contextlib.contextmanager
@@ -136,17 +148,21 @@ def main() -> None:
     Database.execute_statement = timed
     woven = replay(server, closed[: args.n], carts)
     Database.execute_statement = execute
-    wall = sum(seconds for _fast, seconds, _rounds in woven)
+    wall = sum(seconds for _path, seconds, _rounds in woven)
     print(f"{args.workload} seed {args.seed}: {wall / args.n * 1e6:.1f} us/request"
           f" un-profiled, execute_select share {select_s / wall:.1%}")
-    for path, on_path in (("fast", True), ("slow", False)):
-        taken = [seconds for fast, seconds, _rounds in woven if fast is on_path]
+    for label, path in (
+        ("fast path, memo hit", MEMO_HIT),
+        ("fast path, parsed probe", PARSED_PROBE),
+        ("slow path", SLOW),
+    ):
+        taken = [seconds for taken_path, seconds, _rounds in woven if taken_path == path]
         mean = sum(taken) / len(taken) * 1e6 if taken else 0.0
-        print(f"  {path} path: {len(taken) / args.n:.1%} of requests, {mean:.1f} us each")
+        print(f"  {label}: {len(taken) / args.n:.1%} of requests, {mean:.1f} us each")
 
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         unwoven = pool.apply(unwoven_twin, (args.workload, args.seed, args.n))
-    slow = [i for i, (fast, _seconds, _rounds) in enumerate(woven) if not fast]
+    slow = [i for i, (path, _seconds, _rounds) in enumerate(woven) if path == SLOW]
     print("miss tax (woven / unwoven twin, same requests):")
     for label, indices in (("per slow request", slow), ("whole mix", range(args.n))):
         count = max(len(indices), 1)
@@ -160,13 +176,14 @@ def main() -> None:
         profiled = profiler.runcall(replay, server, closed[args.n :], carts, rounds)
     print("NamedRLock rounds per request (the cProfile pass below):")
     classes = {"fast hit": [], "slow GET": [], "write": []}
-    for request, (fast, _seconds, taken) in zip(closed[args.n :], profiled):
-        label = "fast hit" if fast else "write" if request.method == "POST" else "slow GET"
+    for request, (path, _seconds, taken) in zip(closed[args.n :], profiled):
+        label = "fast hit" if path != SLOW else "write" if request.method == "POST" else "slow GET"
         classes[label].append(taken)
     for label, counts in classes.items():
         mean = f"{sum(counts) / len(counts):.1f}" if counts else "n/a"
         print(f"  {label}: {mean} ({len(counts)} requests)")
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
+    print(f"head memo: {len(server.head_memo)} heads")
     server.shutdown()
 
 

@@ -177,8 +177,9 @@ class Cache:
                 self._left_the_store({key})
             return None
 
-    def fast_check(self, request: HttpRequest) -> PageEntry | None:
-        """Hit-or-nothing probe for the event-loop fast path.
+    def fast_check(self, key: str, uri: str) -> PageEntry | None:
+        """Hit-or-nothing probe for the event-loop fast path, by the
+        request's cache key and URI (no request object is built).
 
         Semantics differ from :meth:`check` in exactly one way: a miss
         records *nothing*.  The async server falls through to the full
@@ -186,17 +187,18 @@ class Cache:
         there records the lookup once, with the correct miss taxonomy
         (which :meth:`PageCache.lookup` pops destructively -- so this
         probe must not consume it).  A hit is terminal on the fast path
-        and is recorded here, identically to :meth:`check`.
+        and is recorded here, identically to :meth:`check`.  While the
+        semantics registry holds a request predicate every probe
+        misses, so the woven check evaluates it on the real request.
         """
-        if self.forced_miss or not self.semantics.is_cacheable(request):
+        if self.forced_miss or not self.semantics.is_cacheable_uri(uri):
             return None
-        key = request.cache_key()
         with self.lock:
             entry = self.pages.hit(key, self.clock())
             if entry is None:
                 return None
-            self.stats.record_hit(request.uri, semantic=entry.semantic)
-            self.admission.observe_lookup(request.uri, hit=True)
+            self.stats.record_hit(uri, semantic=entry.semantic)
+            self.admission.observe_lookup(uri, hit=True)
             return entry
 
     def insert(

@@ -91,6 +91,13 @@ class SemanticsRegistry:
             return False
         return not any(predicate(request) for predicate in self._predicates)
 
+    def is_cacheable_uri(self, uri: str) -> bool:
+        """The verdict that needs no request object: False for an
+        uncacheable ``uri`` and, while any :meth:`mark_uncacheable_when`
+        predicate is registered, for every URI -- a predicate can only
+        be asked about a whole request."""
+        return not self._predicates and uri not in self._uncacheable
+
     def ttl_for(self, uri: str) -> float | None:
         specific = self._ttl_windows.get(uri)
         if specific is not None:

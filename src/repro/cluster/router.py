@@ -562,14 +562,14 @@ class ClusterRouter:
             self._settle_evictions()
         return entry
 
-    def fast_check(self, request: HttpRequest) -> PageEntry | None:
+    def fast_check(self, key: str, uri: str) -> PageEntry | None:
         """Event-loop fast-path probe, routed to the owning shard.
 
         Same contract as :meth:`Cache.fast_check`: hit-or-nothing, a
         miss records no statistics and leaves the shard's miss taxonomy
         intact for the woven check that follows.
         """
-        return self._read_target(request.cache_key()).cache.fast_check(request)
+        return self._read_target(key).cache.fast_check(key, uri)
 
     def insert(
         self,

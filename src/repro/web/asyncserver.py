@@ -22,6 +22,20 @@ refactor that fixes it without touching the servlet/WSGI API:
   the buffer along with the entry (:meth:`PageEntry.doom`), so a
   doomed page can never be replayed from the buffer.
 
+* **A hit is one dict probe.** The page's key is already in the
+  request line (the paper indexes pages by URI plus arguments), so the
+  server remembers, per raw request head (request line + header block),
+  the probe the general parser derived from it: ``(cache key, uri,
+  close-after-reply)``.  Only heads the parser accepted as a body-less,
+  cookie-less GET are remembered, in a bounded memo that is emptied
+  when full.  A keep-alive client repeating a head is then answered by
+  ``find`` + one dict lookup + ``fast_check`` + the pinned buffer: no
+  header dict, no :class:`HttpRequest`, no query-string round trip.
+  The memo holds a pure function of the head bytes, so it answers
+  exactly what the parser would; every framing refusal and the header
+  size cap are decided before it is consulted, and a remembered probe
+  that misses goes through the general parser (without probing again).
+
 * **Run to completion.** Everything else (misses, writes, sessions,
   cookies, uncacheable URIs) runs the exact same container pipeline the
   threaded server runs -- woven aspects, single-flight coalescing,
@@ -62,6 +76,10 @@ _HIT_HEADERS = (("Content-Type", "text/html"),)
 #: server buffer; anything above is answered 400 and closed.
 _MAX_HEAD_BYTES = 65536
 _MAX_BODY_BYTES = 1 << 20
+
+#: Most request heads :attr:`AsyncCachedServer.head_memo` holds; a full
+#: memo is emptied, as the statement-plan cache is.
+_HEAD_MEMO_LIMIT = 4096
 
 
 def _serialize(
@@ -130,7 +148,7 @@ class _InlineExecutor:
 
     No thread is involved; this is only the seam the benchmark's trace
     patches (``bench/tracing.py`` wraps ``server.executor.submit`` to
-    emit ``web.offload``).  ROADMAP item 8 moves those probes inside
+    emit ``web.offload``).  ROADMAP item 14 moves those probes inside
     ``src/`` and deletes this class.
     """
 
@@ -196,8 +214,14 @@ class _HttpConnection(asyncio.Protocol):
 
     def _pump(self) -> None:
         """Parse and answer requests until the buffer runs dry or the
-        connection is closing (an answer that closes it is the last)."""
-        while not self.transport.is_closing():
+        connection is closing (an answer that closes it is the last).
+
+        A head found in the server's memo is answered from the probe
+        remembered for it when that probe hits; anything else, and a
+        remembered probe that misses, goes through the general parser.
+        """
+        server = self.server
+        while self._buffer and not self.transport.is_closing():
             # Empty lines a client sent ahead of a request line (after
             # the previous request's body, typically) are not a request.
             if self._buffer.startswith(b"\r\n"):
@@ -210,8 +234,18 @@ class _HttpConnection(asyncio.Protocol):
                 if len(self._buffer) > _MAX_HEAD_BYTES:
                     self._bad_request("header block too large")
                 return
-            head = self._buffer[:head_end].decode("latin-1")
-            request_line, _, header_block = head.partition("\r\n")
+            head = self._buffer[:head_end]
+            probe = server.head_memo.get(head)
+            if probe is not None:
+                key, uri, close = probe
+                wire = self._fast_hit(key, uri)
+                if wire is not None:
+                    self._buffer = self._buffer[head_end + 4 :]
+                    self.transport.write(wire)
+                    if close:
+                        self.transport.close()
+                    continue
+            request_line, _, header_block = head.decode("latin-1").partition("\r\n")
             parts = request_line.split(" ")
             if len(parts) != 3:
                 self._bad_request("malformed request line")
@@ -254,7 +288,29 @@ class _HttpConnection(asyncio.Protocol):
             close = connection == "close" or (
                 version == "HTTP/1.0" and connection != "keep-alive"
             )
-            self.transport.write(self._dispatch(method.upper(), target, headers, body))
+            request = HttpRequest(method.upper(), target)
+            wire = None
+            if probe is not None:
+                # Remembered, probed above and missed: keep its key.
+                request.seed_cache_key(probe[0])
+            elif (
+                request.method == "GET"
+                and server.fast_path_enabled
+                and "cookie" not in headers
+            ):
+                key = request.cache_key()
+                if not body:  # a pure function of the head: remember it
+                    memo = server.head_memo
+                    if len(memo) >= _HEAD_MEMO_LIMIT:
+                        memo.clear()
+                    memo[head] = (key, request.uri, close)
+                wire = self._fast_hit(key, request.uri)
+            if wire is None:
+                server.stats.slow_requests += 1
+                wire = server.executor.submit(
+                    server.render, request, headers, body
+                ).result()
+            self.transport.write(wire)
             if close:
                 self.transport.close()
 
@@ -265,29 +321,17 @@ class _HttpConnection(asyncio.Protocol):
 
     # -- dispatch -----------------------------------------------------------------------
 
-    def _dispatch(
-        self, method: str, target: str, headers: dict[str, str], body: bytes
-    ) -> bytes:
-        """Wire bytes answering one request: the pinned buffer of a
-        fast hit, else the container pipeline's rendering."""
+    def _fast_hit(self, key: str, uri: str) -> bytes | None:
+        """The pinned wire buffer of a cached page, counted as a fast
+        hit; ``None`` on a miss or a page doomed between probe and pin."""
         server = self.server
-        request = HttpRequest(method, target)
-        if (
-            method == "GET"
-            and server.fast_path_enabled
-            and "cookie" not in headers
-        ):
-            entry = server.cache.fast_check(request)
-            if entry is not None:
-                buffer = entry.wire(build_wire)
-                if buffer is not None:
-                    server.stats.fast_hits += 1
-                    return buffer
-                # Doomed between probe and pin: treat as a miss.
-        server.stats.slow_requests += 1
-        return server.executor.submit(
-            server.render, request, headers, body
-        ).result()
+        entry = server.cache.fast_check(key, uri)
+        if entry is None:
+            return None
+        wire = entry.wire(build_wire)
+        if wire is not None:
+            server.stats.fast_hits += 1
+        return wire
 
 
 class AsyncCachedServer:
@@ -300,6 +344,14 @@ class AsyncCachedServer:
     the container has sessions enabled: session resolution and
     Set-Cookie stamping live on the container pipeline, which the fast
     path skips by construction.
+
+    The fast path probes ``cache.fast_check(key, uri)``.  The key and
+    URI of a body-less, cookie-less GET are remembered in
+    :attr:`head_memo` under the request's raw head bytes (with whether
+    the connection closes after the reply), so a repeated head skips
+    the header parse, the :class:`HttpRequest` and the key encoding.
+    The memo is shared by every connection, holds at most
+    ``_HEAD_MEMO_LIMIT`` heads and is emptied when full.
 
     Start/stop lifecycle::
 
@@ -325,6 +377,8 @@ class AsyncCachedServer:
         #: Transports of the live connections (loop thread only).
         self.open_transports: set[asyncio.BaseTransport] = set()
         self.fast_path_enabled = cache is not None and container.sessions is None
+        #: Raw request head -> ``(cache key, uri, close)`` (loop thread only).
+        self.head_memo: dict[bytes, tuple[str, str, bool]] = {}
         self.executor = _InlineExecutor()
         self.loop = asyncio.new_event_loop()
         self._thread: threading.Thread | None = None
@@ -401,7 +455,8 @@ class AsyncCachedServer:
         """Run the full container pipeline for one parsed request.
 
         ``request`` is the one the fast path probed with (its query
-        string parsed and its cache key encoded once).  Mirrors the
+        string parsed once, its cache key encoded at most once and
+        seeded from the head memo when remembered).  Mirrors the
         WSGI adapter's error envelope: unroutable URIs get a 404, any
         other failure a well-formed 500 -- the connection never sees a
         traceback or a dropped response.

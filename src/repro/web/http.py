@@ -109,12 +109,12 @@ class HttpRequest:
         This is the index of the paper's first cache table (Figure 3):
         ``readHandlerName + readHandlerArgs``.
 
-        A miss asks for the key half a dozen times (probe, check,
-        flight, collector, insert), so the sorted, quoted form is built
-        once and reused while ``uri`` and the parameter items still
-        equal the ones it was built from.  The comparison is what keeps
-        a request whose ``uri`` or ``params`` were rebound or mutated
-        from ever answering with its old key.
+        A miss asks for the key several times (check, flight,
+        collector, insert), so the sorted, quoted form is built once and
+        reused while ``uri`` and the parameter items still equal the
+        ones it was built from.  The comparison is what keeps a request
+        whose ``uri`` or ``params`` were rebound or mutated from ever
+        answering with its old key.
         """
         items = tuple(self.params.items())
         memo = self._key_memo
@@ -124,6 +124,12 @@ class HttpRequest:
         key = f"{self.uri}?{query}" if query else self.uri
         self._key_memo = (self.uri, items, key)
         return key
+
+    def seed_cache_key(self, key: str) -> None:
+        """Adopt ``key`` as :meth:`cache_key`'s answer for the current
+        ``uri`` and parameters: a key the caller already derived from
+        the same request target (the async server's head memo)."""
+        self._key_memo = (self.uri, tuple(self.params.items()), key)
 
 
 class HttpResponse:

@@ -223,7 +223,7 @@ class TestFastCheck:
         cache = Cache()
         request = self.request()
         cache.insert(request, "body", [])
-        entry = cache.fast_check(request)
+        entry = cache.fast_check(request.cache_key(), request.uri)
         assert entry is not None and entry.body == "body"
         assert cache.stats.hits == 1
         assert cache.stats.lookups == 1
@@ -236,7 +236,7 @@ class TestFastCheck:
         # The fast-path probe must not consume the "invalidation"
         # reason (PageCache.lookup pops it destructively) nor count a
         # lookup of its own.
-        assert cache.fast_check(request) is None
+        assert cache.fast_check(request.cache_key(), request.uri) is None
         assert cache.stats.lookups == 0
         assert cache.stats.misses_invalidation == 0
         assert cache.check(request) is None
@@ -246,14 +246,48 @@ class TestFastCheck:
     def test_forced_miss_mode_disables_fast_path(self):
         cache = Cache(forced_miss=True)
         request = self.request()
-        assert cache.fast_check(request) is None
+        assert cache.fast_check(request.cache_key(), request.uri) is None
         assert cache.stats.lookups == 0
 
     def test_uncacheable_uri_is_not_probed(self):
         semantics = SemanticsRegistry().mark_uncacheable("/page")
         cache = Cache(semantics=semantics)
-        assert cache.fast_check(self.request()) is None
+        request = self.request()
+        assert cache.fast_check(request.cache_key(), request.uri) is None
         assert cache.stats.lookups == 0
+
+    def test_a_request_predicate_makes_every_probe_miss(self):
+        # A predicate needs the whole request, which the probe does not
+        # have: it misses, and the woven check asks the predicate.
+        semantics = SemanticsRegistry().mark_uncacheable_when(
+            lambda request: request.get_parameter("fresh") == "1"
+        )
+        cache = Cache(semantics=semantics)
+        request = self.request()
+        cache.insert(request, "body", [])
+        assert cache.fast_check(request.cache_key(), request.uri) is None
+        assert cache.stats.lookups == 0
+        assert cache.check(request).body == "body"
+
+    def test_ring_probe_routes_to_the_owner(self):
+        from repro.cluster import ClusterAutoWebCache
+
+        router = ClusterAutoWebCache(n_nodes=2).cache
+        requests = [HttpRequest("GET", "/page", {"id": str(i)}) for i in range(16)]
+        for request in requests:
+            router.insert(request, f"body {request.params['id']}", [])
+        owners = set()
+        for request in requests:
+            key = request.cache_key()
+            owner = router.node(router.owner_name(key)).cache
+            hits = owner.stats.hits
+            entry = router.fast_check(key, request.uri)
+            assert entry is not None and key in owner
+            assert entry.body == f"body {request.params['id']}"
+            assert owner.stats.hits == hits + 1
+            owners.add(owner)
+        assert len(owners) == 2  # the keys spread over both shards
+        assert router.fast_check("/page?id=99", "/page") is None
 
 
 class TestAsyncServerHttp:
@@ -532,6 +566,237 @@ class TestRequestFraming:
                 200,
             ]
             assert server.stats.bad_requests == 1
+
+
+class Forgetful(dict):
+    """A head memo that never remembers: every request takes the
+    general parser, the reference the memo must equal."""
+
+    def __setitem__(self, head, probe) -> None:
+        pass
+
+
+#: Targets that differ only in how the query string is spelled
+#: (percent-encoded, ``+``, unsorted, duplicate and valueless
+#: parameters), a second page and an unroutable URI.
+MEMO_TARGETS = (
+    "/view_note?id=1",
+    "/view_note?id=%31",
+    "/view_note?id=1&x=a+b",
+    "/view_note?x=a%20b&id=1",
+    "/view_note?id=1&id=1",
+    "/view_note?id=1&flag",
+    "/view_topic?topic=a",
+    "/view_topic?topic=%61",
+    "/nope",
+)
+
+
+@st.composite
+def memo_requests(draw) -> bytes:
+    """One request of the kind a keep-alive client pipelines: GETs
+    (some with a cookie, a body or a closing connection), HEADs and the
+    POST that dooms note 1's pages, after 0-2 empty lines."""
+    method = draw(st.sampled_from(("GET", "GET", "GET", "HEAD", "POST")))
+    version = draw(st.sampled_from(("HTTP/1.1", "HTTP/1.1", "HTTP/1.1", "HTTP/1.0")))
+    headers = ["Host: t"]
+    if method == "POST":
+        target = "/score"
+        body = f"id=1&score={draw(st.integers(1, 9))}".encode("latin-1")
+        headers.append("Content-Type: application/x-www-form-urlencoded")
+    else:
+        target = draw(st.sampled_from(MEMO_TARGETS))
+        body = draw(st.sampled_from((b"", b"", b"abc")))
+    if body or draw(st.booleans()):
+        headers.append(f"Content-Length: {len(body)}")
+    if draw(st.integers(0, 3)) == 0:
+        headers.append("Cookie: k=v")
+    connection = draw(st.sampled_from((None, None, None, None, "close", "keep-alive")))
+    if connection is not None:
+        headers.append(f"Connection: {connection}")
+    lines = [f"{method} {target} {version}", *draw(st.permutations(headers))]
+    head = "".join(f"{line}\r\n" for line in lines) + "\r\n"
+    return b"\r\n" * draw(st.integers(0, 2)) + head.encode("latin-1") + body
+
+
+class TestHeadMemo:
+    """The server's head memo answers exactly what the general parser
+    would, and remembers nothing else."""
+
+    def test_memo_equals_the_general_parser_in_every_split(self):
+        with notes_server(start=False) as (server, container, awc):
+
+            def replay(memo, chunks) -> tuple[bytes, bool, dict]:
+                # Same database and an empty cache for every delivery.
+                container.post("/score", {"id": "1", "score": "3"})
+                awc.cache.clear()
+                server.head_memo = memo
+                before = server.stats.snapshot()
+                payload, closed = deliver(server, chunks)
+                after = server.stats.snapshot()
+                return payload, closed, {k: after[k] - before[k] for k in after}
+
+            @settings(max_examples=120, deadline=None)
+            @given(
+                st.lists(memo_requests(), min_size=1, max_size=8).map(b"".join),
+                st.sets(st.integers(1, 2000), max_size=8),
+            )
+            def equivalent(stream, cuts):
+                expected = replay(Forgetful(), [stream])
+                learned: dict = {}
+                assert replay(learned, [stream]) == expected
+                bounds = [0, *sorted(c for c in cuts if c < len(stream)), len(stream)]
+                for chunks in (
+                    [stream],
+                    [stream[a:b] for a, b in zip(bounds, bounds[1:])],
+                    [stream[i : i + 1] for i in range(len(stream))],
+                ):
+                    assert replay(dict(learned), chunks) == expected
+
+            equivalent()
+
+    def test_a_remembered_head_is_answered_from_the_memo(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            asyncserver,
+            "HttpRequest",
+            lambda *args: built.append(args) or HttpRequest(*args),
+        )
+        with notes_server(start=False) as (server, _container, _awc):
+            request = get("/view_note?x=a+b&id=%31")
+            deliver(server, [request])  # the miss that remembers the head
+            assert server.head_memo == {
+                request[:-4]: ("/view_note?id=1&x=a+b", "/view_note", False)
+            }
+            del built[:]
+            payload, closed = deliver(server, [b"\r\n" + request * 3])
+            assert split_responses(payload) == [(200, b"<p>x|3</p>")] * 3
+            assert not closed
+            assert server.stats.fast_hits == 3 and built == []
+
+    def test_a_remembered_probe_that_misses_parses_once(self, monkeypatch):
+        built, encoded, probes = [], [], []
+        real_encode, real_probe = web_http.encode_query_string, Cache.fast_check
+        monkeypatch.setattr(
+            asyncserver,
+            "HttpRequest",
+            lambda *args: built.append(args) or HttpRequest(*args),
+        )
+        monkeypatch.setattr(
+            web_http,
+            "encode_query_string",
+            lambda params: encoded.append(1) or real_encode(params),
+        )
+        monkeypatch.setattr(
+            Cache,
+            "fast_check",
+            lambda cache, key, uri: probes.append(key) or real_probe(cache, key, uri),
+        )
+        with notes_server(start=False) as (server, container, awc):
+            request = get("/view_note?id=1")
+            deliver(server, [request])
+            container.post("/score", {"id": "1", "score": "7"})  # dooms it
+            del built[:], encoded[:], probes[:]
+            payload, _closed = deliver(server, [request])
+            assert split_responses(payload) == [(200, b"<p>x|7</p>")]
+            assert server.stats.slow_requests == 2
+            assert awc.stats.misses_invalidation == 1
+        assert built == [("GET", "/view_note?id=1")]
+        assert encoded == []  # the remembered key was seeded
+        assert probes == ["/view_note?id=1"]  # probed once, not twice
+
+    @pytest.mark.parametrize(
+        "refused",
+        [
+            b"GARBAGE\r\n\r\n",
+            b"GET /view_note?id=1 HTTP/1.1\r\nContent-Length: -0\r\n\r\n",
+            b"GET /view_note?id=1 HTTP/1.1\r\nContent-Length: +0\r\n\r\n",
+            b"GET /view_note?id=1 HTTP/1.1\r\n"
+            b"Content-Length: 0\r\nContent-Length: 3\r\n\r\nabc",
+            b"GET /view_note?id=1 HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            b"GET /view_note?id=1 HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
+            b"GET /view_note?id=1 HTTP/1.1\r\nX: " + b"a" * 70000 + b"\r\n\r\n",
+        ],
+        ids=["line", "minus", "plus", "conflict", "chunked", "body-cap", "head-cap"],
+    )
+    def test_refused_heads_never_enter_the_memo(self, refused):
+        with notes_server(start=False) as (server, _container, _awc):
+            deliver(server, [get("/view_note?id=1")])  # the page is cached
+            server.head_memo.clear()
+            for _ in range(2):
+                payload, closed = deliver(server, [refused])
+                assert [status for status, _ in split_responses(payload)] == [400]
+                assert closed
+            assert server.head_memo == {}
+            assert server.stats.bad_requests == 2
+
+    def test_only_body_less_cookie_less_gets_are_remembered(self):
+        with notes_server(start=False) as (server, _container, _awc):
+            deliver(server, [get("/view_note?id=1")])  # the page is cached
+            server.head_memo.clear()
+            for request in (
+                get("/view_note?id=1", "Cookie: k=v"),
+                get("/view_note?id=1", "Content-Length: 3") + b"abc",
+                post("/score", b"id=1&score=3"),
+                b"HEAD /view_note?id=1 HTTP/1.1\r\nHost: t\r\n\r\n",
+            ):
+                for _ in range(2):
+                    deliver(server, [request])
+            assert server.head_memo == {}
+            assert server.stats.fast_hits == 2  # the GET with a body, twice
+            plain = get("/view_note?id=1", "Content-Length: 0", "Connection: close")
+            payload, closed = deliver(server, [plain * 2])
+            assert split_responses(payload) == [(200, b"<p>x|3</p>")] and closed
+            assert server.head_memo == {
+                plain[:-4]: ("/view_note?id=1", "/view_note", True)
+            }
+
+    def test_the_memo_stays_within_its_bound(self):
+        limit = asyncserver._HEAD_MEMO_LIMIT
+        with notes_server(start=False) as (server, _container, _awc):
+            sizes = []
+
+            def unique_heads():
+                for i in range(50_000):
+                    yield get("/view_note?id=1", f"X-Request: {i}")
+                    sizes.append(len(server.head_memo))
+
+            payload, closed = deliver(server, unique_heads())
+            assert not closed and payload.count(b"HTTP/1.1 200 OK") == 50_000
+            assert server.stats.fast_hits == 49_999
+        assert max(sizes) == limit  # filled up, emptied, filled again
+        assert sizes[-1] == 50_000 % limit
+
+    def test_the_head_cap_is_checked_before_the_memo(self, monkeypatch):
+        with notes_server(start=False) as (server, _container, _awc):
+            request = get("/view_note?id=1", "X-Pad: " + "a" * 200)
+            deliver(server, [request, request])
+            assert server.stats.fast_hits == 1 and request[:-4] in server.head_memo
+            monkeypatch.setattr(asyncserver, "_MAX_HEAD_BYTES", 100)
+            payload, closed = deliver(server, [request])
+            assert [status for status, _ in split_responses(payload)] == [400]
+            assert closed and server.stats.fast_hits == 1
+
+    def test_a_request_predicate_turns_the_fast_path_off(self):
+        stream = (
+            get("/view_note?id=1") * 3
+            + get("/view_note?id=1&fresh=1") * 2
+            + post("/score", b"id=1&score=7")
+            + get("/view_note?id=1") * 2
+            + get("/view_topic?topic=a", "Connection: close")
+        )
+        with notes_server(start=False) as (server, _container, _awc):
+            plain, _closed = deliver(server, [stream])
+            assert server.stats.fast_hits == 4
+        semantics = SemanticsRegistry().mark_uncacheable_when(
+            lambda request: request.get_parameter("fresh") == "1"
+        )
+        with notes_server(start=False, semantics=semantics) as (server, _c, awc):
+            guarded, _closed = deliver(server, [stream])
+            assert server.stats.fast_hits == 0
+            assert awc.stats.hits == 3  # served by the woven check instead
+            assert awc.stats.uncacheable == 2
+        assert guarded == plain
 
 
 #: Slow GET, fast GET, the POST that dooms the page, the same GET

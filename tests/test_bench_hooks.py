@@ -3,9 +3,11 @@
 ``bench/tracing.py`` patches ``src/repro`` attributes *by name* from
 outside the package; a rename used to be noticed only by the traced
 round of ``make bench-e2e``.  This tier-1 test asserts every name it
-reaches for still resolves (no sockets, nothing is patched), and that
-the one hook patched on an *instance* -- ``server.executor.submit`` --
-is still what a slow request goes through.
+reaches for still resolves (no sockets, nothing is patched), that the
+one hook patched on an *instance* -- ``server.executor.submit`` -- is
+still what a slow request goes through, and that a fast hit answered
+through the head memo still passes the patched ``fast_check`` and
+``build_wire`` (patched for that test only, then restored).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.cluster.router import ClusterRouter
 from repro.db.dbapi import Statement
 from repro.web.servlet import HttpServlet
 
-from tests.test_async_server import notes_server, raw_exchange
+from tests.test_async_server import deliver, get, notes_server, raw_exchange
 
 #: The one facade method the router does not have (bench/tracing.py
 #: guards it with ``hasattr``; anything else going missing is a rename).
@@ -87,4 +89,37 @@ def test_slow_requests_pass_through_the_patched_submit_once():
     assert sorted(span[3] for span in recorder.spans) == [
         "web.executor_wait",
         "web.offload",
+    ]
+
+
+def test_a_remembered_fast_hit_still_emits_its_spans():
+    """A hit answered through the server's head memo must still reach
+    ``fast_check`` through ``server.cache`` and ``build_wire`` through
+    the module global, or the traced round loses ``cache.fast_check``
+    and ``web.build_wire`` on the hot workload."""
+    recorder = tracing.Recorder()
+    missing = object()
+    patched = [(owner, name) for owner, name in HOOKS if owner is not HttpServlet]
+    with notes_server(start=False) as (server, _container, _awc):
+        saved = [(owner, name, vars(owner).get(name, missing)) for owner, name in patched]
+        try:
+            tracing.install_woven(recorder, ())
+            recorder.enabled = True
+            request = get("/view_note?id=1")
+            deliver(server, [request])  # the miss that remembers the head
+            assert request[:-4] in server.head_memo
+            del recorder.spans[:]
+            deliver(server, [request])
+        finally:
+            recorder.enabled = False
+            for owner, name, value in reversed(saved):
+                if value is missing:
+                    delattr(owner, name)
+                else:
+                    setattr(owner, name, value)
+        assert server.stats.fast_hits == 1
+    assert sorted(span[3] for span in recorder.spans) == [
+        "cache.fast_check",
+        "web.build_wire",
+        "web.request",
     ]
