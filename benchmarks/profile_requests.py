@@ -9,8 +9,10 @@ hits found through the server's head memo apart from those whose probe
 the general parser derived), SELECT share -- then the same N through an
 *unwoven twin* for the **miss tax**, then N more under ``cProfile`` --
 counting ``NamedRLock`` acquisitions per fast hit, slow GET and write on
-the way; last, the number of heads the memo holds.  A candidate
-finder, not a gate: confirm with the traced round of ``bench/run.py``.
+the way; last, the number of heads the memo holds and, on a ring, how
+many routes the router's placement memo holds and how many it had to
+compute.  A candidate finder, not a gate: confirm with the traced round
+of ``bench/run.py``.
 
 The miss tax is what the middleware costs when it cannot answer from
 the cache: the requests the woven run answered on its slow path,
@@ -184,6 +186,10 @@ def main() -> None:
         print(f"  {label}: {mean} ({len(counts)} requests)")
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
     print(f"head memo: {len(server.head_memo)} heads")
+    if workload.nodes:
+        router = awc.cache
+        print(f"route memo: {router.route_memo_size} routes,"
+              f" {router.routes_computed} computed")
     server.shutdown()
 
 

@@ -58,6 +58,9 @@ class DependencyTable:
         self._by_template: dict[
             QueryTemplate, dict[str, list[tuple[object, ...]]]
         ] = defaultdict(dict)
+        #: template -> number of (page, vector) registrations under it,
+        #: kept in step with ``_by_template`` so no count walks pages.
+        self._counts: dict[QueryTemplate, int] = {}
         #: Inverted index: table name -> templates referencing it.
         self._templates_by_table: dict[str, set[QueryTemplate]] = defaultdict(set)
         #: template -> position -> value -> {(page key, vector)}.
@@ -86,6 +89,7 @@ class DependencyTable:
                 continue
             else:
                 vectors.append(vector)
+            self._counts[template] = self._counts.get(template, 0) + 1
             self._index_registration(template, page_key, vector)
 
     def unregister(self, page_key: str, instances: tuple[QueryInstance, ...]) -> None:
@@ -97,9 +101,11 @@ class DependencyTable:
                 continue
             vectors = pages.pop(page_key, None)
             if vectors:
+                self._counts[template] -= len(vectors)
                 self._unindex_registrations(template, page_key, vectors)
             if not pages:
                 del self._by_template[template]
+                del self._counts[template]
                 self._value_index.pop(template, None)
                 for table in template.tables:
                     remaining = self._templates_by_table.get(table)
@@ -219,16 +225,15 @@ class DependencyTable:
                 candidates.extend(bucket.get(value, ()))
         except TypeError:
             return None
-        total = sum(len(vectors) for vectors in pages.values())
-        return candidates, total - len(candidates)
+        return candidates, self._counts[template] - len(candidates)
 
     def instance_count(self, template: QueryTemplate) -> int:
         """Number of registrations currently held under ``template``."""
-        pages = self._by_template.get(template, {})
-        return sum(len(vectors) for vectors in pages.values())
+        return self._counts.get(template, 0)
 
     def clear(self) -> None:
         self._by_template.clear()
+        self._counts.clear()
         self._templates_by_table.clear()
         self._value_index.clear()
         self._unindexable.clear()
@@ -239,8 +244,4 @@ class DependencyTable:
 
     @property
     def registration_count(self) -> int:
-        return sum(
-            len(vectors)
-            for pages in self._by_template.values()
-            for vectors in pages.values()
-        )
+        return sum(self._counts.values())

@@ -103,6 +103,11 @@ class GossipMembership:
         #: only counts silence observed while the protocol was
         #: actually stepping (see the outage credit in ``step``).
         self._last_step: float | None = None
+        #: Bumped (under the lock) whenever a view may have gained,
+        #: lost or re-judged a peer: register, forget, silence, a step
+        #: that produced a transition, a merge that taught a peer.  The
+        #: router's placement memo is keyed on it.
+        self.version = 0
 
     # -- membership of the membership -------------------------------------------------
 
@@ -120,6 +125,7 @@ class GossipMembership:
             for observer in self._views:
                 if observer != name:
                     self._views[observer][name] = PeerView(0, now)
+            self.version += 1
 
     def forget(self, name: str) -> None:
         """Remove ``name`` entirely (a planned leave, not a death)."""
@@ -128,6 +134,7 @@ class GossipMembership:
             self._views.pop(name, None)
             for table in self._views.values():
                 table.pop(name, None)
+            self.version += 1
 
     def members(self) -> list[str]:
         with self._lock:
@@ -166,6 +173,7 @@ class GossipMembership:
         with self._lock:
             self._counters.pop(name, None)
             self._views.pop(name, None)
+            self.version += 1
 
     def step(self, now: float | None = None) -> list[Transition]:
         """One protocol round: gossip exchange, then suspicion sweep.
@@ -235,6 +243,8 @@ class GossipMembership:
                     if view.state == SUSPECT and age >= self.death_timeout:
                         view.state = DEAD
                         transitions.append(Transition(observer, peer, DEAD))
+            if transitions:
+                self.version += 1
         return transitions
 
     def _merge(self, source: str, target: str, now: float) -> None:
@@ -247,6 +257,7 @@ class GossipMembership:
             mine = target_table.get(peer)
             if mine is None:
                 target_table[peer] = PeerView(seen.counter, now, seen.state)
+                self.version += 1
             elif seen.counter > mine.counter:
                 mine.counter = seen.counter
                 mine.last_advance = now

@@ -113,6 +113,13 @@ class CacheNode:
 
     # -- lifecycle ---------------------------------------------------------------------
 
+    # Leaving ``joined`` poisons every computation open here in the same
+    # critical section.  The router opens flights and windows without
+    # its own lock and checks ``state`` after the node-level open, so an
+    # open either precedes the transition (and is poisoned by it) or
+    # sees the new state (and the router closes it and routes again):
+    # no computation opened here outlives the node's last invalidation.
+
     def mark_draining(self) -> None:
         with self.cache.lock:
             if self.state != JOINED:
@@ -120,10 +127,12 @@ class CacheNode:
                     f"node {self.name} cannot drain from state {self.state!r}"
                 )
             self.state = DRAINING
+            self.cache.poison_flights(set(self.cache.open_flight_keys()))
 
     def mark_left(self) -> None:
         with self.cache.lock:
             self.state = LEFT
+            self.cache.poison_flights(set(self.cache.open_flight_keys()))
 
     # -- observability -----------------------------------------------------------------
 

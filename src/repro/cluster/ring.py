@@ -53,6 +53,9 @@ class HashRing:
         #: Sorted ring positions and the node owning each.
         self._points: list[int] = []
         self._owners: list[str] = []
+        #: Bumped by every membership change: placement memos keyed on
+        #: it (the router's) know when their answers went out of date.
+        self.version = 0
         for node in nodes:
             self.add_node(node)
 
@@ -79,6 +82,7 @@ class HashRing:
             # (both orders are valid placements).
             self._points.insert(index, point)
             self._owners.insert(index, node)
+        self.version += 1
 
     def remove_node(self, node: str) -> None:
         if node not in self._nodes:
@@ -91,6 +95,7 @@ class HashRing:
         ]
         self._points = [point for point, _owner in keep]
         self._owners = [owner for _point, owner in keep]
+        self.version += 1
 
     def _points_for(self, node: str) -> list[int]:
         return [stable_hash(f"{node}#{i}") for i in range(self.vnodes)]

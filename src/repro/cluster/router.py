@@ -17,12 +17,27 @@ table and its front-end statistics; each node's cache has its own (the
 facade lock).  Router -> bus -> node cache is the only nesting, and no
 two node caches are ever held at once.
 
+**Routing** is a pure function of (key, ring, node states, membership
+verdicts), so it is decided once per key per *routing version* -- the
+sum of the ring's, the membership's and the router's own node-set
+counters, each bumped by every change it makes -- and memoized.  A
+memo hit is one dict lookup with no lock and no hash; a fill takes the
+router lock and keeps its answer only if the version did not move while
+it was computed (docs/cluster.md, "Routing").
+
 Flight pinning: a single-flight computation must ``insert`` and
 ``finish`` on the node where it was opened, even if ring membership
 changes mid-flight.  The router therefore pins ``key -> node`` for the
 duration of each flight; membership changes additionally poison flights
 whose key is re-homed, so their inserts are discarded rather than
-orphaned on a node that no longer owns the key.
+orphaned on a node that no longer owns the key.  Pins are single dict
+operations, taken without the router lock, so a computation may be
+opened from a route a concurrent change is retiring.  A join escapes
+the poison pass only by opening on a node that keeps hearing the bus
+(the old owner, after :meth:`add_node`); a node that stops serving
+poisons what is open on it as it goes, and the router checks the
+node's state after each open and routes again if it has gone
+(:meth:`CacheNode.mark_left`).
 
 **Replication** (``replication=R``): each key's entry is written
 through to the first R distinct nodes clockwise on the ring
@@ -64,6 +79,15 @@ from repro.locks import NamedRLock
 from repro.web.http import HttpRequest
 
 CacheFactory = Callable[[], Cache]
+
+#: A key's placement: its live replica set (primary first) and the node
+#: its flights, windows and inserts go to -- the first live replica, or
+#: the failover stand-in when none is live; None when no node is.
+Route = tuple[tuple[CacheNode, ...], CacheNode | None]
+
+#: Most routes the placement memo keeps; a full memo is emptied (the
+#: policy of the server's head memo and the database's plan cache).
+_ROUTE_MEMO_LIMIT = 4096
 
 
 class ClusterStats:
@@ -211,7 +235,15 @@ class ClusterRouter:
             clock=self._template.clock
         )
         self._nodes: dict[str, CacheNode] = {}
-        #: Read-balancing cursor over replica sets (see :meth:`_owner`).
+        #: Bumped by every change to ``_nodes`` and to a node's lifecycle
+        #: state: the router's share of the routing version.
+        self._nodes_version = 0
+        #: The placement memo: (routing version, key -> :data:`Route`),
+        #: one tuple so a lock-free reader sees a consistent pair.
+        self._routes: tuple[int, dict[str, Route]] = (-1, {})
+        #: Routes computed rather than found in the memo.
+        self.routes_computed = 0
+        #: Read-balancing cursor over replica sets (see :meth:`_read_target`).
         self._read_rotation = 0
         #: key -> node pinned for the duration of an open flight.
         self._flight_nodes: dict[str, CacheNode] = {}
@@ -336,6 +368,7 @@ class ClusterRouter:
                 }
                 other.cache.poison_flights(poisoned)
             self._nodes[name] = node
+            self._nodes_changed()
             node.moved_in = moved
             if self.bus.seq != seq_before:
                 for key in moved_keys:
@@ -359,13 +392,13 @@ class ClusterRouter:
         """
         with self._lock:
             node = self.node(name)
-            node.mark_draining()
+            self._nodes_changed()
+            node.mark_draining()  # poisons its open computations
             self.bus.flush()
             seq_before = self.bus.seq
             self.bus.unsubscribe(name)
             self.ring.remove_node(name)
             self.membership.forget(name)
-            node.cache.poison_flights(set(node.cache.open_flight_keys()))
             moved: list[tuple[CacheNode, str]] = []
             dropped: set[str] = set()  # as in add_node
             for entry in node.cache.release(lambda key: True):
@@ -378,6 +411,7 @@ class ClusterRouter:
                 moved.append((target, key))
             node.mark_left()
             del self._nodes[name]
+            self._nodes_changed()
             if self.bus.seq != seq_before:
                 for target, key in moved:
                     target.cache.invalidate_key(key)
@@ -395,6 +429,7 @@ class ClusterRouter:
         """
         with self._lock:
             node = self.node(name)
+            self._nodes_changed()
             node.mark_left()
             self.membership.silence(name)
         return node
@@ -408,13 +443,13 @@ class ClusterRouter:
             node = self._nodes.pop(name, None)
             if node is None:
                 return None
-            node.mark_left()
+            self._nodes_changed()
+            node.mark_left()  # poisons its open computations
             if name in self.bus.subscriber_names:
                 self.bus.unsubscribe(name)
             if name in self.ring:
                 self.ring.remove_node(name)
             self.membership.silence(name)
-            node.cache.poison_flights(set(node.cache.open_flight_keys()))
             # Model the crash faithfully: the node's memory is gone.
             # This also closes a detection race -- a reader that
             # resolved this node as owner just before the eviction
@@ -460,28 +495,61 @@ class ClusterRouter:
                 self.evict_node(transition.peer)
         return transitions
 
-    def _owner(self, key: str) -> CacheNode:
+    # -- routing ---------------------------------------------------------------------
+
+    def _nodes_changed(self) -> None:
+        """``_nodes`` or a node's lifecycle state changes: retire every
+        memoized route (caller holds the router lock).  Called *before*
+        a node leaves ``JOINED``, so whoever sees the new state also
+        sees the new version and routes afresh."""
+        self._nodes_version += 1
+
+    def _routing_version(self) -> int:
+        # Each term only grows, so the sum moves whenever any term does.
+        return self.ring.version + self.membership.version + self._nodes_version
+
+    def _route(self, key: str) -> Route:
+        """``key``'s placement, from the memo while the routing version
+        has not moved since it was computed.
+
+        A memo hit takes no lock.  Reading a route that a membership
+        change is about to retire is the race routing always had -- the
+        router lock was released before the node was called.  A probe
+        that reaches a node after it was evicted finds an empty store
+        (:meth:`evict_node`); a flight or window opened there is caught
+        by the state check in :meth:`join_flight` / :meth:`begin_window`.
+        """
+        version, routes = self._routes
+        if version == self._routing_version():
+            route = routes.get(key)
+            if route is not None:
+                return route
         with self._lock:
-            for node in self._replica_nodes(key):
-                return node
-            # Every replica is unreachable: walk the rest of the ring
-            # (detection may simply not have caught up; any consistent
-            # stand-in preserves safety -- the bus reaches it too).
-            for name in self.ring.nodes_for(key, len(self._nodes)):
-                node = self._nodes.get(name)
-                if node is not None and node.state == JOINED:
-                    return node
-            raise ClusterError(
-                f"no live cache node is reachable for key {key!r}"
-            )
+            before = self._routing_version()
+            route = self._compute_route(key)
+            self.routes_computed += 1
+            version = self._routing_version()
+            if version != before:
+                # Membership moved mid-computation (a gossip step runs
+                # outside this lock): answer this once, keep nothing.
+                return route
+            memo_version, routes = self._routes
+            if memo_version != version or len(routes) >= _ROUTE_MEMO_LIMIT:
+                routes = {}
+                self._routes = (version, routes)
+            routes[key] = route
+            return route
 
-    def _replica_nodes(self, key: str) -> list[CacheNode]:
-        """The live members of ``key``'s replica set, primary first.
+    def _compute_route(self, key: str) -> Route:
+        """The placement rule itself (caller holds the router lock).
 
-        Caller holds the router lock.  Failover is positional: if the
-        primary is down, its first surviving successor serves the key
-        (and receives its inserts), so a crash degrades a shard to its
-        replicas instead of cold-starting it.
+        Failover is positional: if the primary is down, its first
+        surviving successor serves the key (and receives its inserts),
+        so a crash degrades a shard to its replicas instead of
+        cold-starting it.  If every replica is unreachable the owner is
+        the first joined node further round the ring (detection may
+        simply not have caught up; any consistent stand-in preserves
+        safety -- the bus reaches it too).
         """
         live: list[CacheNode] = []
         for name in self.ring.nodes_for(key, self.replication):
@@ -492,7 +560,25 @@ class ClusterRouter:
                 and self.membership.is_alive(name)
             ):
                 live.append(node)
-        return live
+        if live:
+            return tuple(live), live[0]
+        if self._nodes:
+            for name in self.ring.nodes_for(key, len(self._nodes)):
+                node = self._nodes.get(name)
+                if node is not None and node.state == JOINED:
+                    return (), node
+        return (), None
+
+    def _owner(self, key: str) -> CacheNode:
+        """Where ``key``'s flights, windows and inserts go."""
+        owner = self._route(key)[1]
+        if owner is None:
+            raise ClusterError(f"no live cache node is reachable for key {key!r}")
+        return owner
+
+    def _replica_nodes(self, key: str) -> tuple[CacheNode, ...]:
+        """The live members of ``key``'s replica set, primary first."""
+        return self._route(key)[0]
 
     def _read_target(self, key: str) -> CacheNode:
         """The node a *read probe* routes to.
@@ -506,24 +592,28 @@ class ClusterRouter:
         first live replica), so one request's miss path never straddles
         replicas and concurrent misses still coalesce on one node.
         """
-        with self._lock:
-            live = self._replica_nodes(key)
-            if len(live) > 1:
+        live, owner = self._route(key)
+        if len(live) > 1:
+            with self._lock:
                 self._read_rotation += 1
                 return live[self._read_rotation % len(live)]
-        return self._owner(key)
+        return owner or self._owner(key)  # no owner: _owner raises
 
     def owner_name(self, key: str) -> str:
         """Which node a key's next read routes to (diagnostics, sim,
         tests).  With replication this rotates like the read path
         itself, so virtual-time load charging matches real placement."""
-        with self._lock:
-            return self._read_target(key).name
+        return self._read_target(key).name
 
     def replica_names(self, key: str) -> list[str]:
         """The live replica set for ``key``, read target first."""
-        with self._lock:
-            return [node.name for node in self._replica_nodes(key)]
+        return [node.name for node in self._replica_nodes(key)]
+
+    @property
+    def route_memo_size(self) -> int:
+        """Routes the placement memo holds for the current version."""
+        version, routes = self._routes
+        return len(routes) if version == self._routing_version() else 0
 
     def sync_catalog(self, database) -> None:
         """Mirror the schema catalog into every node's analysis engine.
@@ -629,19 +719,21 @@ class ClusterRouter:
         ahead of its copy, the copies are doomed too.  See
         docs/replication.md for the full interleaving argument.
         """
-        with self._lock:
-            node = (
-                (self._window_nodes.get(window) if window is not None else None)
-                or self._flight_nodes.get(key)
-                or self._owner(key)
-            )
-            self.fragments.add(key, fragments)
-            resident = not fragments or all(
-                any(fragment in holder.cache for holder in self._all_holders(fragment))
-                for fragment in fragments
-            )
-            if not resident:
-                self.stats.frontend.record_stale_insert()
+        node = (
+            (self._window_nodes.get(window) if window is not None else None)
+            or self._flight_nodes.get(key)
+            or self._owner(key)
+        )
+        resident = True
+        if fragments:
+            with self._lock:
+                self.fragments.add(key, fragments)
+                resident = all(
+                    any(fragment in holder.cache for holder in self._all_holders(fragment))
+                    for fragment in fragments
+                )
+                if not resident:
+                    self.stats.frontend.record_stale_insert()
         if resident:
             entry, stored = node.cache.insert_key(
                 key,
@@ -680,12 +772,9 @@ class ClusterRouter:
         self, key: str, entry: PageEntry, primary: CacheNode
     ) -> None:
         """Write ``entry`` through to the rest of the replica set."""
-        with self._lock:
-            secondaries = [
-                replica
-                for replica in self._replica_nodes(key)
-                if replica is not primary
-            ]
+        secondaries = [
+            replica for replica in self._replica_nodes(key) if replica is not primary
+        ]
         if not secondaries:
             return
         # The hazard: a bus message applied at a secondary *before* its
@@ -716,7 +805,10 @@ class ClusterRouter:
             # message sequenced before it is applied at the primary by
             # the time the re-check below runs.
             self.bus.flush()
-        if entry.key not in primary.cache:
+        # A primary that stopped serving no longer hears every write (it
+        # is unsubscribed, or ignores deliveries once LEFT), so its store
+        # proves nothing: the copies go, as for a doomed primary.
+        if primary.state != JOINED or entry.key not in primary.cache:
             for replica in secondaries:
                 replica.cache.invalidate_key(entry.key)
 
@@ -741,24 +833,29 @@ class ClusterRouter:
     # -- single-flight (per owning node) ----------------------------------------------
 
     def join_flight(self, key: str) -> tuple[Flight, bool]:
-        with self._lock:
+        """Join ``key``'s flight on its pinned node, or lead one on its
+        owner.  Takes no router lock: each pin operation is one dict
+        operation.  A leader closes its empty flight and tries again if
+        its node stopped serving before the flight opened (routed from a
+        route a leave was retiring: nothing would doom that flight) or
+        if it lost the pin to a leader on another node (routing moved
+        between the two joins).  A waiter needs no such check: the
+        flight it joined is poisoned, closed empty, or on a live node."""
+        while True:
             node = self._flight_nodes.get(key) or self._owner(key)
             flight, is_leader = node.cache.join_flight(key)
-            if is_leader:
-                self._flight_nodes[key] = node
-            return flight, is_leader
+            if not is_leader:
+                return flight, False
+            if node.state == JOINED and self._flight_nodes.setdefault(key, node) is node:
+                return flight, True
+            node.cache.finish_flight(flight)
 
     def wait_flight(self, flight: Flight) -> PageEntry | None:
-        with self._lock:
-            node = self._flight_nodes.get(flight.key) or self._owner(flight.key)
-        # Block outside the router lock: waiting must not stall routing.
+        node = self._flight_nodes.get(flight.key) or self._owner(flight.key)
         return node.cache.wait_flight(flight)
 
     def finish_flight(self, flight: Flight) -> None:
-        with self._lock:
-            node = self._flight_nodes.pop(flight.key, None) or self._owner(
-                flight.key
-            )
+        node = self._flight_nodes.pop(flight.key, None) or self._owner(flight.key)
         node.cache.finish_flight(flight)
 
     def begin_window(self, key: str) -> Flight:
@@ -767,17 +864,22 @@ class ClusterRouter:
         Pinned like a flight: the eventual ``insert`` and
         ``end_window`` must land on the node whose write buffer the
         window is registered with, even if ring membership changes
-        mid-computation (re-homing poisons the window instead).
+        mid-computation (re-homing poisons the window instead).  A
+        window opened on a node that had already stopped serving is
+        closed and opened again on a fresh route, as in
+        :meth:`join_flight`.
         """
-        with self._lock:
-            node = self._flight_nodes.get(key) or self._owner(key)
+        node = self._flight_nodes.get(key) or self._owner(key)
+        while True:
             window = node.cache.begin_window(key)
-            self._window_nodes[window] = node
-            return window
+            if node.state == JOINED:
+                self._window_nodes[window] = node
+                return window
+            node.cache.end_window(window)
+            node = self._owner(key)
 
     def end_window(self, window: Flight) -> None:
-        with self._lock:
-            node = self._window_nodes.pop(window, None)
+        node = self._window_nodes.pop(window, None)
         if node is not None:
             node.cache.end_window(window)
 
@@ -861,17 +963,11 @@ class ClusterRouter:
                 self.fragments.forget(key)
             return closed
 
-    def _all_holders(self, key: str) -> list[CacheNode]:
+    def _all_holders(self, key: str) -> tuple[CacheNode, ...]:
         """Every node that may hold a copy of ``key`` (replica set plus
         the failover stand-in reads route to when the set is empty)."""
-        with self._lock:
-            holders = self._replica_nodes(key)
-            if not holders:
-                try:
-                    holders = [self._owner(key)]
-                except ClusterError:
-                    holders = []
-            return holders
+        live, owner = self._route(key)
+        return live or ((owner,) if owner is not None else ())
 
     def invalidate_key(self, key: str) -> bool:
         """External single-key invalidation, routed to every replica."""

@@ -96,13 +96,14 @@ def split_responses(payload: bytes) -> list[tuple[int, bytes]]:
 
 
 @contextlib.contextmanager
-def notes_server(start: bool = True, **cache_options):
+def notes_server(start: bool = True, facade=AutoWebCache, **cache_options):
     """``(server, container, awc)``: the woven notes app, note 1 under
-    topic ``a``.  Started, the server also fails the test if anything
-    reached its loop's exception handler; unstarted, it never binds and
-    its protocol objects are driven by hand (:func:`deliver`)."""
+    topic ``a``, cached by ``facade(**cache_options)``.  Started, the
+    server also fails the test if anything reached its loop's exception
+    handler; unstarted, it never binds and its protocol objects are
+    driven by hand (:func:`deliver`)."""
     _db, container = build_notes_app()
-    awc = AutoWebCache(**cache_options)
+    awc = facade(**cache_options)
     awc.install(container.servlet_classes)
     server = AsyncCachedServer(container, cache=awc.cache)
     loop_errors: list[dict] = []

@@ -8,6 +8,9 @@ full scan (``None``), never to a wrong subset.
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.cache.analysis import InvalidationPolicy, QueryAnalysisEngine
 from repro.cache.analysis_cache import AnalysisCache
 from repro.cache.dependency import DependencyTable
@@ -149,6 +152,59 @@ class TestValueIndex:
         template, _ = templateize("SELECT name FROM users WHERE id = ?", (0,))
         table.register("p0", (QueryInstance(template, (0,)),))
         assert table.instances_for_values(template, 0, [[1, 2]]) is None
+
+
+_COUNTED_TEMPLATES = (
+    templateize("SELECT name FROM users WHERE id = ?", (0,))[0],
+    templateize("SELECT title FROM items WHERE seller = ? AND id > ?", (0, 0))[0],
+)
+_bound = st.one_of(st.integers(0, 3), st.just([9]))  # a list is unindexable
+_instances = st.one_of(
+    st.builds(lambda a: QueryInstance(_COUNTED_TEMPLATES[0], (a,)), _bound),
+    st.builds(
+        lambda a, b: QueryInstance(_COUNTED_TEMPLATES[1], (a, b)),
+        _bound,
+        st.integers(0, 3),
+    ),
+)
+_table_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("register"),
+            st.sampled_from(["p0", "p1", "p2"]),
+            st.lists(_instances, max_size=3),
+        ),
+        st.tuples(
+            st.just("unregister"),
+            st.sampled_from(["p0", "p1", "p2"]),
+            st.lists(_instances, max_size=3),
+        ),
+        st.tuples(st.just("clear"), st.just(""), st.just([])),
+    ),
+    max_size=25,
+)
+
+
+class TestRegistrationCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(_table_ops)
+    def test_stored_counts_equal_the_recomputed_sums(self, ops):
+        table = DependencyTable()
+        for op, page_key, instances in ops:
+            if op == "clear":
+                table.clear()
+            else:
+                getattr(table, op)(page_key, tuple(instances))
+            total = 0
+            for template in _COUNTED_TEMPLATES:
+                walked = len(table.instances_for(template))
+                assert table.instance_count(template) == walked
+                total += walked
+                result = table.instances_for_values(template, 0, [0, 1])
+                if result is not None:
+                    candidates, skipped = result
+                    assert skipped == walked - len(candidates)
+            assert table.registration_count == total
 
 
 class TestIndexedInvalidatorFallbacks:

@@ -25,11 +25,18 @@ from repro.apps.rubis import RubisDataset, build_rubis
 from repro.cache.api import Cache
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.entry import QueryInstance
+from repro.cluster import ClusterAutoWebCache
 from repro.locks import NamedRLock
 from repro.sql.template import templateize
 from repro.web.http import HttpRequest
 
-from tests.test_async_server import deliver, get, notes_server, split_responses
+from tests.test_async_server import (
+    deliver,
+    get,
+    notes_server,
+    post,
+    split_responses,
+)
 
 
 @pytest.fixture
@@ -147,6 +154,47 @@ def test_a_woven_fast_hit_takes_one_lock_round(lock_rounds):
         assert split_responses(payload) == [(200, b"<p>x|3</p>")]
         assert server.stats.fast_hits == 1
         assert lock_rounds[0] == 1
+
+
+RING = {"facade": ClusterAutoWebCache, "n_nodes": 4}
+
+
+def test_a_ring_fast_hit_takes_one_lock_round(lock_rounds):
+    """The owning shard's lock and nothing else: a warm route is one
+    dict lookup, taken without the router lock."""
+    with notes_server(start=False, **RING) as (server, _container, awc):
+        deliver(server, [get("/view_note?id=1")])  # the miss that stores it
+        computed = awc.router.routes_computed
+        lock_rounds[0] = 0
+        payload, _closed = deliver(server, [get("/view_note?id=1")])
+        assert split_responses(payload) == [(200, b"<p>x|3</p>")]
+        assert server.stats.fast_hits == 1
+        assert lock_rounds[0] == 1
+        assert awc.router.routes_computed == computed
+
+
+def slow_get_rounds(lock_rounds, **facade) -> int:
+    """Lock rounds of a page GET re-missing after a write doomed it
+    (warm plans, catalog and route: what a hot page's re-miss costs)."""
+    with notes_server(start=False, **facade) as (server, _container, awc):
+        deliver(server, [get("/view_note?id=1")])
+        deliver(server, [post("/score", b"id=1&score=4")])
+        assert awc.stats.invalidated_pages == 1
+        lock_rounds[0] = 0
+        payload, _closed = deliver(server, [get("/view_note?id=1")])
+        rounds = lock_rounds[0]
+        assert split_responses(payload) == [(200, b"<p>x|4</p>")]
+        assert (server.stats.fast_hits, awc.stats.misses) == (0, 2)
+        return rounds
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_a_ring_page_miss_takes_as_many_lock_rounds_as_one_node(
+    lock_rounds, coalesce
+):
+    one_node = slow_get_rounds(lock_rounds, coalesce=coalesce)
+    assert one_node == 5  # fast_check, check, flight or window (3)
+    assert slow_get_rounds(lock_rounds, coalesce=coalesce, **RING) == one_node
 
 
 #: Facade calls that take no lock (``sync_catalog`` only when the schema
