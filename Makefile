@@ -55,7 +55,9 @@ bench-e2e:
 # tier's protocol object (parse -> fast_check -> render -> serialize;
 # no sockets) and prints wall time per request, the fast/slow split
 # (fast hits through the server's head memo vs parsed probes), the
-# SELECT share, the miss tax (the slow requests replayed through an
+# SELECT share, the five most expensive SELECT templates (calls, us per
+# call, rows examined / returned per call) and how often the pin-first
+# plan rule fired, the miss tax (the slow requests replayed through an
 # unwoven, cache-less twin in a child process: woven us / unwoven us),
 # the top cProfile rows and the head memo's size.  A candidate finder (the numbers ROADMAP
 # items 1 and 4 rank layers by), not a gate: confirm with the traced

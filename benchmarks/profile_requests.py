@@ -6,8 +6,11 @@ tier's own protocol object (``_HttpConnection.data_received`` with a
 recording transport: parse -> ``fast_check`` -> render -> serialize, no
 sockets, no loop) un-profiled -- wall time, the fast/slow split (fast
 hits found through the server's head memo apart from those whose probe
-the general parser derived), SELECT share -- then the same N through an
-*unwoven twin* for the **miss tax**, then N more under ``cProfile`` --
+the general parser derived), SELECT share, the five most expensive
+SELECT templates (calls, us per call, rows examined and returned per
+call) and how often the pin-first plan rule fired -- then the same N
+through an *unwoven twin* for the **miss tax**, then N more under
+``cProfile`` --
 counting ``NamedRLock`` acquisitions per fast hit, slow GET and write on
 the way; last, the number of heads the memo holds and, on a ring, how
 many routes the router's placement memo holds and how many it had to
@@ -34,6 +37,7 @@ import multiprocessing
 import pstats
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +45,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from bench.workloads import WORKLOADS, build_app, build_facade, generate  # noqa: E402
 from repro.db.engine import Database  # noqa: E402
+from repro.db.executor import PIN_FIRST  # noqa: E402
 from repro.locks import NamedRLock  # noqa: E402
 from repro.sql import ast_nodes as ast  # noqa: E402
 from repro.web.asyncserver import AsyncCachedServer, _HttpConnection  # noqa: E402
@@ -134,15 +139,25 @@ def main() -> None:
     awc.install(app.servlet_classes)
     server = AsyncCachedServer(app.container, cache=awc.cache)  # never started
     select_s, execute = 0.0, Database.execute_statement
+    #: id(statement) -> [statement, calls, seconds, rows examined, rows returned]
+    templates: dict[int, list] = {}
+    rules: Counter[str] = Counter()
 
     def timed(self, statement, params=()):
         nonlocal select_s
-        started = time.perf_counter()
-        try:
+        if not isinstance(statement, ast.Select):
             return execute(self, statement, params)
-        finally:
-            if isinstance(statement, ast.Select):
-                select_s += time.perf_counter() - started
+        started = time.perf_counter()
+        result = execute(self, statement, params)
+        elapsed = time.perf_counter() - started
+        select_s += elapsed
+        entry = templates.setdefault(id(statement), [statement, 0, 0.0, 0, 0])
+        entry[1] += 1
+        entry[2] += elapsed
+        entry[3] += result.rows_examined
+        entry[4] += len(result.rows)
+        rules.update(self._executor.last_rules)
+        return result
 
     carts: dict[int, str] = {}
     replay(server, generate(workload, args.seed, "warmup", workload.warmup), carts)
@@ -161,6 +176,14 @@ def main() -> None:
         taken = [seconds for taken_path, seconds, _rounds in woven if taken_path == path]
         mean = sum(taken) / len(taken) * 1e6 if taken else 0.0
         print(f"  {label}: {len(taken) / args.n:.1%} of requests, {mean:.1f} us each")
+    print("top SELECT templates by share of wall time (calls, us/call, rows examined"
+          " / returned per call):")
+    ranked = sorted(templates.values(), key=lambda entry: entry[2], reverse=True)
+    for statement, calls, seconds, examined, returned in ranked[:5]:
+        print(f"  {seconds / wall:5.1%} {calls:6d} {seconds / calls * 1e6:8.1f} us"
+              f" {examined / calls:8.1f} / {returned / calls:6.1f}  {statement.unparse()[:90]}")
+    selects = sum(entry[1] for entry in templates.values())
+    print(f"rewrite rule {PIN_FIRST} fired on {rules[PIN_FIRST]} of {selects} SELECTs")
 
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         unwoven = pool.apply(unwoven_twin, (args.workload, args.seed, args.n))

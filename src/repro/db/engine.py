@@ -250,9 +250,12 @@ class Database:
     def explain(self, sql: str, params: tuple[object, ...] = ()) -> list[str]:
         """Access-path plan for a SELECT (executes it; reads are pure).
 
-        Each entry is ``"<binding>: <path>"`` with path one of
-        ``primary key <col>``, ``index eq <col>``, ``index join on
-        <col>``, ``INNER/LEFT join ...``, or ``full scan``.
+        Each entry is ``"<binding>: <path>"``, one per step in the order
+        the plan runs them, with path one of ``primary key <col>``,
+        ``index eq <col>``, ``index join on <col>``, ``INNER/LEFT join
+        ...``, or ``full scan``; ``[pin-first]`` tags the table that
+        drives the loop instead of the first FROM table when that
+        rewrite rule fired.
         """
         statement = self._parse(sql)
         if not isinstance(statement, ast.Select):

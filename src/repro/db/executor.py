@@ -17,9 +17,12 @@ SELECT uses nested-loop joins with an index fast path for equality
 predicates on indexed columns, aggregation and ORDER BY/LIMIT;
 INSERT/UPDATE/DELETE return affected row counts.  Every statement
 reports ``rows_examined``, which the load simulator's cost model
-charges as database work; plans are *the same plans* the tree-walking
+charges as database work.  A statement runs the plan the tree-walking
 interpreter chose (``tests/reference_executor.py`` keeps it as the
-oracle), so that figure and :attr:`Executor.last_plan` never change.
+oracle) in FROM order, unless it is a comma join that the named rewrite
+rule of :func:`_compile_pin_first` -- ``pin-first`` -- makes examine
+fewer rows for the same outcome; :attr:`Executor.last_rules` and the tag
+in :attr:`Executor.last_plan` name the rule when it fired.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from repro.db.schema import TableSchema
+from repro.db.schema import ColumnType, TableSchema
 from repro.db.storage import Table
 from repro.errors import ExecutionError, SchemaError
 from repro.sql import ast_nodes as ast
@@ -93,6 +96,9 @@ class Executor:
         #: Access-path decisions of the most recent SELECT, as
         #: "(binding) path" strings -- the EXPLAIN output.
         self.last_plan: list[str] = []
+        #: The rewrite rules the most recent SELECT ran under (see
+        #: :func:`_compile_pin_first`); empty for a FROM-order plan.
+        self.last_rules: tuple[str, ...] = ()
 
     def compile(
         self, statement: ast.Statement
@@ -135,20 +141,30 @@ class Executor:
             nullable = join is not None and join.kind == "LEFT"
             env[ref.binding] = (slot, table.schema, nullable)
         where = None if select.where is None else _compile_expr(select.where, env)
-        if select.group_by or _has_aggregate(select):
-            finish = _compile_grouped(select, env)
-        else:
-            finish = _compile_plain(select, env)
+        finish = _compile_finish(select, env)
 
-        def run(params: tuple) -> QueryResult:
-            self.last_plan = plan = []
+        def from_order(params: tuple) -> QueryResult:
+            self.last_plan, self.last_rules = [], ()
             stream, examined = _UNIT_STREAM, 0
             for step in steps:
-                stream, count = step(stream, params, plan)
+                stream, count = step(stream, params, self.last_plan)
                 examined += count
             if where is not None:
                 stream = [rows for rows in stream if where(rows, params)]
             columns, out = finish(stream, params)
+            self.rows_examined_total += examined
+            return QueryResult(columns=columns, rows=out, rows_examined=examined)
+
+        rewrite = _compile_pin_first(select, self._tables)
+        if rewrite is None:
+            return from_order
+        ready, plan, execute = rewrite
+
+        def run(params: tuple) -> QueryResult:
+            if not ready(params):
+                return from_order(params)
+            self.last_plan, self.last_rules = list(plan), (PIN_FIRST,)
+            columns, out, examined = execute(params)
             self.rows_examined_total += examined
             return QueryResult(columns=columns, rows=out, rows_examined=examined)
 
@@ -249,7 +265,7 @@ def _compile_cross(
     join = None if where is None or not env else _find_join_equality(where, binding, table)
     if join is None or isinstance(_resolve(join[1], env), str):
         return access
-    column, other_ref = join
+    column, other_ref, _equality = join
     other = _compile_column(other_ref, env)
     lookup = _index_lookup(table, column, with_ids=False)
     join_line = f"{binding}: index join on {column}"
@@ -381,8 +397,9 @@ def _index_lookup(table: Table, column: str, with_ids: bool) -> Callable[[object
 
 def _find_join_equality(
     where: ast.Expression, binding: str, table: Table
-) -> tuple[str, ast.ColumnRef] | None:
-    """Find ``binding.col = <other-binding column>`` with an index on col."""
+) -> tuple[str, ast.ColumnRef, ast.BinaryOp] | None:
+    """Find ``binding.col = <other-binding column>`` with an index on col:
+    (col, the other column, the equality)."""
     if isinstance(where, ast.BinaryOp) and where.op == "AND":
         found = _find_join_equality(where.left, binding, table)
         if found is not None:
@@ -405,7 +422,7 @@ def _find_join_equality(
             if not table.schema.has_column(column):
                 continue
             if table.primary_key == column or table.has_index(column):
-                return column, other
+                return column, other, where
     return None
 
 
@@ -444,10 +461,297 @@ def _find_constant_equality(
 
 
 # ---------------------------------------------------------------------------
+# Rewrite rule: fewer rows examined, the same outcome
+# ---------------------------------------------------------------------------
+
+PIN_FIRST = "pin-first"
+_NUMERIC = (ColumnType.INT, ColumnType.FLOAT, ColumnType.DATETIME)
+
+
+def _compile_pin_first(
+    select: ast.Select, tables: dict[str, Table]
+) -> tuple[Callable[[tuple], bool], list[str], Callable] | None:
+    """The plan of a comma join under **pin-first**, or None when the
+    rule does not apply (the FROM-order plan then runs alone).
+
+    When the first FROM table is not pinned (no ``col = constant``
+    conjunct on its primary key or an index) and the second is, the
+    second drives and the first joins to it through an index equality;
+    the other tables follow in FROM order, the WHERE runs over the
+    finished stream, and the survivors are sorted back into FROM-order
+    enumeration by their per-slot rowid tuple (scans and index lookups
+    hand out rows in rowid order, so the FROM-order loop enumerates in
+    exactly that lexicographic order).
+
+    Returns (``ready(params)``, EXPLAIN lines, ``execute(params)`` ->
+    (columns, rows, rows examined)).  ``ready`` is the run-time half of
+    the proof that the rewrite cannot change the outcome: no conjunct may
+    raise (which row raises first depends on the enumeration order), so
+    every placeholder the WHERE reads must be within the vector and NULL,
+    a number or a string, and each one an ordering comparison reads must
+    be of its column's kind.  When it fails, the statement runs in FROM
+    order.
+
+    Why the rewrite never examines more rows than FROM order: after its
+    first two steps the stream is a subset of FROM order's, and every
+    later step extends it through the same access path.  Those two steps
+    ``ready`` bounds: it admits the driving table only when its pinned
+    rows are no more than the first table holds (FROM order scans that
+    table), and the first table's join to the driving table enumerates a
+    subset of the pairs FROM order's second step examines -- which is
+    why the rule needs that step to be the driving table's pin or an
+    index join through the same equality.
+    """
+    refs = select.tables
+    bindings = [ref.binding for ref in refs]
+    sources = [tables.get(ref.name.lower()) for ref in refs]
+    if select.where is None or select.joins or None in sources:
+        return None
+    if len(set(bindings)) < len(bindings):
+        return None
+    where = select.where
+    full: Env = {
+        binding: (i, table.schema, False)
+        for i, (binding, table) in enumerate(zip(bindings, sources))
+    }
+    pins = [
+        _find_constant_equality(where, binding, table.schema)
+        for binding, table in zip(bindings, sources)
+    ]
+    if not _second_drives(where, bindings, sources, pins, full):
+        return None
+    proof = _cannot_raise(where, full)
+    if proof is None:
+        return None
+    demands: dict[int, str] = {}
+    for index, kind in proof:
+        demands[index] = kind if demands.get(index, kind) == kind else "conflict"
+    order = [1, 0, *range(2, len(refs))]
+    # Stream elements interleave (rowid, row) per step: slot 2p + 1.
+    env: Env = {
+        binding: (2 * order.index(i) + 1, full[binding][1], False)
+        for i, binding in enumerate(bindings)
+    }
+
+    steps, lines = [], []
+    for position, i in enumerate(order):
+        binding, table = bindings[i], sources[i]
+        bound = {bindings[j]: env[bindings[j]] for j in order[:position]}
+        join = _find_join_equality(where, binding, table) if position else None
+        if join is not None and not isinstance(_resolve(join[1], bound), str):
+            steps.append(_probe(table, join[0], _compile_column(join[1], bound)))
+            lines.append(f"{binding}: index join on {join[0]}")
+        else:
+            fetch, path = _compile_fetch(table, pins[i], with_ids=True)
+            steps.append(_extend(fetch))
+            lines.append(f"{binding}: {path}")
+    lines[0] += f" [{PIN_FIRST}]"
+
+    keep = _compile_expr(where, env)
+    finish = _compile_finish(select, env)
+    restore = operator.itemgetter(*[2 * order.index(i) for i in range(len(order))])
+    ready = _bounded(_parameters_ready(where, demands), pins[1], sources[1], sources[0])
+
+    def execute(params: tuple) -> tuple[list[str], list[tuple], int]:
+        stream, examined = _UNIT_STREAM, 0
+        for step in steps:
+            stream, count = step(stream, params)
+            examined += count
+        stream = [rows for rows in stream if keep(rows, params)]
+        stream.sort(key=restore)
+        columns, out = finish(stream, params)
+        return columns, out, examined
+
+    return ready, lines, execute
+
+
+def _second_drives(
+    where: ast.Expression,
+    bindings: list[str],
+    sources: list[Table],
+    pins: list[tuple[str, ast.Expression] | None],
+    full: Env,
+) -> bool:
+    """Whether pin-first applies: the first FROM table is not pinned
+    through its primary key or an index, the second is, the first joins
+    to the second through an index equality, and FROM order's second
+    step is the second table's pin or an index join through that same
+    equality."""
+
+    def indexed(i: int) -> bool:
+        pin, table = pins[i], sources[i]
+        return pin is not None and (table.primary_key == pin[0] or table.has_index(pin[0]))
+
+    if len(sources) < 2 or indexed(0) or not indexed(1):
+        return False
+    first = _find_join_equality(where, bindings[0], sources[0])
+    second = _find_join_equality(where, bindings[1], sources[1])
+    if first is None or isinstance(_resolve(first[1], {bindings[1]: full[bindings[1]]}), str):
+        return False
+    return (
+        second is None
+        or isinstance(_resolve(second[1], {bindings[0]: full[bindings[0]]}), str)
+        or second[2] is first[2]
+    )
+
+
+def _bounded(
+    ready: Callable[[tuple], bool],
+    pin: tuple[str, ast.Expression],
+    lead: Table,
+    first: Table,
+) -> Callable[[tuple], bool]:
+    """``ready`` that also admits pin-first's leading table ``lead`` only
+    when its pinned rows are no more than ``first`` holds."""
+    column, constant = pin
+    value = _compile_expr(constant, {})
+    size = lead.index_size
+
+    def bounded(params: tuple) -> bool:
+        return ready(params) and size(column, value(None, params)) <= len(first)
+
+    return bounded
+
+
+def _extend(fetch: Callable[[tuple], list]) -> Callable[[list, tuple], tuple[list, int]]:
+    """A rewritten step through an access path: every element times
+    every (rowid, row) pair the path fetches."""
+
+    def access(stream: list, params: tuple) -> tuple[list, int]:
+        found = fetch(params)
+        return [rows + pair for rows in stream for pair in found], len(found) * len(stream)
+
+    return access
+
+
+def _probe(
+    table: Table, column: str, other: Compiled
+) -> Callable[[list, tuple], tuple[list, int]]:
+    """A rewritten index join: every element times the (rowid, row)
+    pairs whose ``column`` equals its value of ``other`` (the WHERE
+    still checks the equality, so a NULL probe keeps nothing)."""
+    lookup = _index_lookup(table, column, with_ids=True)
+
+    def index_join(stream: list, params: tuple) -> tuple[list, int]:
+        out = [rows + pair for rows in stream for pair in lookup(other(rows, params))]
+        return out, len(out)
+
+    return index_join
+
+
+def _parameters_ready(
+    where: ast.Expression, demands: dict[int, str]
+) -> Callable[[tuple], bool]:
+    """``ready(params)``: every placeholder in ``where`` is within the
+    vector, NULL or of a kind no comparison fails on, and of the kind
+    ``demands`` asks of it (a NULL compares false, never raises)."""
+    indices = sorted(
+        {node.index for node in _nodes(where) if isinstance(node, ast.Placeholder)}
+    )
+    top = indices[-1] if indices else -1
+
+    def ready(params: tuple) -> bool:
+        if len(params) <= top:
+            return False
+        for index in indices:
+            kind = _kind(params[index])
+            if kind == "other" or (
+                kind != "null" and demands.get(index, kind) != kind
+            ):
+                return False
+        return True
+
+    return ready
+
+
+def _cannot_raise(expr: ast.Expression, env: Env) -> list[tuple[int, str]] | None:
+    """Why evaluating ``expr`` (a WHERE or part of one) over ``env``
+    cannot raise: the (placeholder, kind) pairs its parameters must
+    satisfy -- or None when nothing can prove it (arithmetic, aggregates,
+    an unresolved or ambiguous reference, an ordering comparison across
+    kinds)."""
+    if isinstance(expr, ast.BinaryOp) and expr.op in ("AND", "OR"):
+        left, right = _cannot_raise(expr.left, env), _cannot_raise(expr.right, env)
+        return None if left is None or right is None else left + right
+    if isinstance(expr, ast.UnaryOp) and expr.op == "NOT":
+        return _cannot_raise(expr.operand, env)
+    if isinstance(expr, ast.BinaryOp) and expr.op in _COMPARISONS:
+        return _ordered((expr.left, expr.right), env)
+    if isinstance(expr, ast.Between):
+        return _ordered((expr.operand, expr.low, expr.high), env)
+    if isinstance(expr, ast.BinaryOp) and expr.op in ("=", "<>", "LIKE", "NOT LIKE"):
+        operands: tuple[ast.Expression, ...] = (expr.left, expr.right)
+    elif isinstance(expr, ast.IsNull):
+        operands = (expr.operand,)
+    elif isinstance(expr, ast.InList):
+        operands = (expr.operand, *expr.items)
+    else:
+        operands = (expr,)
+    return None if any(_operand(each, env) is None for each in operands) else []
+
+
+def _ordered(operands: tuple[ast.Expression, ...], env: Env) -> list[tuple[int, str]] | None:
+    """An ordering comparison cannot raise when its operands are of one
+    kind (or one is the NULL literal); placeholders are held to that kind."""
+    values = [_operand(each, env) for each in operands]
+    if None in values:
+        return None
+    if "null" in values:
+        return []
+    kinds = {value for value in values if isinstance(value, str)}
+    if len(kinds) != 1 or "other" in kinds:
+        return None
+    kind = kinds.pop()
+    return [(value, kind) for value in values if isinstance(value, int)]
+
+
+def _operand(expr: ast.Expression, env: Env) -> str | int | None:
+    """What ``expr`` evaluates to without raising: a kind, a placeholder
+    index (the parameter decides), or None when evaluating it may raise.
+    Stored values are of their column's type (rows are coerced)."""
+    if isinstance(expr, ast.Literal):
+        return _kind(expr.value)
+    if isinstance(expr, ast.Placeholder):
+        return expr.index
+    if isinstance(expr, ast.ColumnRef):
+        target = _resolve(expr, env)
+        if isinstance(target, str) or not target[1].has_column(expr.column):
+            return None
+        schema = target[1]
+        return "num" if schema.columns[schema.position(expr.column)].type in _NUMERIC else "str"
+    return None
+
+
+def _kind(value: object) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, (int, float)):
+        return "num"
+    return "str" if isinstance(value, str) else "other"
+
+
+def _nodes(expr: ast.Expression):
+    """``expr`` and every expression below it."""
+    yield expr
+    for name in ("left", "right", "operand", "low", "high"):
+        child = getattr(expr, name, None)
+        if child is not None:
+            yield from _nodes(child)
+    for child in getattr(expr, "items", ()):
+        yield from _nodes(child)
+
+
+# ---------------------------------------------------------------------------
 # After the WHERE: sort / slice / project, or group / aggregate / sort / slice
 # ---------------------------------------------------------------------------
 
 Finish = Callable[[list, tuple], tuple[list[str], list[tuple[object, ...]]]]
+
+
+def _compile_finish(select: ast.Select, env: Env) -> Finish:
+    if select.group_by or _has_aggregate(select):
+        return _compile_grouped(select, env)
+    return _compile_plain(select, env)
 
 
 def _compile_plain(select: ast.Select, env: Env) -> Finish:
@@ -570,14 +874,24 @@ def _slice(
 
 
 def _sorted(items: list, order: list[tuple[Compiled, bool]], params: tuple) -> list:
+    """``items`` stably sorted by the ORDER BY keys, NULLs first ascending
+    and last descending: every key of every item is evaluated first, item
+    by item (so the first key that raises is the interpreter's), then one
+    native sort per key, the last key first."""
     if not order:
         return items
-    return sorted(
-        items,
-        key=lambda item: tuple(
-            [_SortValue(value(item, params), descending) for value, descending in order]
-        ),
-    )
+    keys = [[value(item, params) for value, _descending in order] for item in items]
+    indices = list(range(len(items)))
+    for position in reversed(range(len(order))):
+        column = [key[position] for key in keys]
+        if None in column:
+            indices.sort(
+                key=lambda i: (column[i] is not None, column[i]),
+                reverse=order[position][1],
+            )
+        else:
+            indices.sort(key=column.__getitem__, reverse=order[position][1])
+    return [items[i] for i in indices]
 
 
 def _compile_group_expr(expr: ast.Expression, env: Env) -> Compiled:
@@ -855,31 +1169,6 @@ _BINARY_OPS: dict[str, Callable[[object, object], object]] = {
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-
-
-class _SortValue:
-    """Orderable wrapper handling None and DESC ordering."""
-
-    __slots__ = ("value", "descending")
-
-    def __init__(self, value: object, descending: bool) -> None:
-        self.value = value
-        self.descending = descending
-
-    def __lt__(self, other: "_SortValue") -> bool:
-        a, b = self.value, other.value
-        if a is None and b is None:
-            return False
-        if a is None:
-            return not self.descending  # NULLs first ascending, last descending
-        if b is None:
-            return self.descending
-        if self.descending:
-            return b < a  # type: ignore[operator]
-        return a < b  # type: ignore[operator]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SortValue) and self.value == other.value
 
 
 def _raises(exc_type: type[Exception], message: str) -> Callable[..., object]:

@@ -65,6 +65,13 @@ class Table:
         index = self._indexes[column]
         return [(rowid, self._rows[rowid]) for rowid in sorted(index.get(value, ()))]
 
+    def index_size(self, column: str, value: object) -> int:
+        """How many rows ``column = value`` selects through the primary
+        key or an index, read off the index (no rows, no lookup counted)."""
+        if column == self.schema.primary_key:
+            return int(value in self._pk_index)
+        return len(self._indexes[column].get(value, ()))
+
     def has_index(self, column: str) -> bool:
         return column in self._indexes
 

@@ -78,7 +78,10 @@ RUBIS_COST_MODEL = CostModel(
 #: TPC-W calibration: the scaled-down population makes row counts ~100x
 #: smaller than the spec's, so the per-row cost is inflated to keep the
 #: BestSellers aggregation as dominant as it was on the paper's testbed
-#: (saturation in the 300-400 client region, Figure 14).
+#: (saturation in the 300-400 client region, Figure 14).  Fitted while
+#: BestSellers scanned every order line; it still saturates there now
+#: that the executor's pin-first rule drives it from the subject index
+#: (~56 rows examined per call instead of ~1 630; EXPERIMENTS.md).
 TPCW_COST_MODEL = CostModel(
     app_base=0.004,
     app_per_kb=0.0015,
