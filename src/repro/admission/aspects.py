@@ -25,10 +25,9 @@ and simply recomputed.  Methods must be safe to key on arguments alone
 -- no request/session state, no entropy; staticcheck rule RC05 vets
 designated candidates statically.
 
-Precedence 25 places the tier between the JDBC collector (20) and the
-backend result cache (30), distinct from every registered precedence
-(PC03): page/fragment aspects wrap it, the SQL collector runs beneath
-it.
+Precedence 25 places the tier after the JDBC collector (20), distinct
+from every registered precedence (PC03): page/fragment aspects wrap it,
+the SQL collector runs beneath it.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ with a (read template, write template) -> :class:`PairAnalysis` map and
 records the time series of cache size vs. requests processed, which the
 Figure 4 benchmark replays.
 
-A plain structure: it takes no lock.  Its owner serialises every call --
-the :class:`~repro.cache.api.Cache` facade under its lock (through the
-invalidator), the result cache under its own.
+A plain structure: it takes no lock.  Its owner, the
+:class:`~repro.cache.api.Cache` facade, serialises every call under its
+lock (through the invalidator).
 """
 
 from __future__ import annotations

@@ -51,7 +51,6 @@ class Cache:
         clock: Callable[[], float] = time.time,
         forced_miss: bool = False,
         coalesce: bool = True,
-        flight_timeout: float = 30.0,
         admission: AdmissionPolicy | None = None,
         catalog: object | None = None,
     ) -> None:
@@ -70,9 +69,6 @@ class Cache:
         #: execution (disabled in forced-miss mode, where every request
         #: must execute to measure overhead).
         self.coalesce = coalesce and not forced_miss
-        #: How long a waiter blocks on a leader before giving up and
-        #: computing the page itself (leader crash/beachball insurance).
-        self.flight_timeout = flight_timeout
         policy = make_policy(
             replacement, capacity, order_only=max_bytes is not None
         )
@@ -98,18 +94,15 @@ class Cache:
         #: Which cached pages embed which cached fragments: dooming a
         #: fragment must doom every entry assembled from its text.
         self.fragments = FragmentContainment()
-        # -- single-flight + staleness window
-        self._flights: dict[str, Flight] = {}
-        #: Non-coalescing staleness windows: solo computations (no
-        #: flight -- coalescing off, or a waiter that gave up on its
-        #: leaders) still need writes-during-computation detected at
-        #: insert time.  Key -> open windows; several solo computations
-        #: of one key may overlap.
-        self._windows: dict[str, list[Flight]] = {}
-        #: Monotonic counter bumped per invalidation event; flights
+        # -- open computations + the staleness window
+        #: Key -> the tokens of its open computations, oldest first: at
+        #: most one published flight, plus private windows (several solo
+        #: computations of one key may overlap).
+        self._open: dict[str, list[Flight]] = {}
+        #: Monotonic counter bumped per invalidation event; tokens
         #: snapshot it to detect writes overlapping their computation.
         self._write_seq = 0
-        #: (seq, write instance) buffer, kept only while flights exist.
+        #: (seq, write instance) buffer, kept only while tokens are open.
         self._recent_writes: list[tuple[int, QueryInstance]] = []
 
     @property
@@ -214,14 +207,13 @@ class Cache:
     ) -> PageEntry:
         """Cache the page generated for ``request`` (cache insert).
 
-        When a single-flight computation is open for the key -- or the
-        caller computed solo under a ``window`` from
-        :meth:`begin_window` -- the insert is first checked against the
-        writes that were processed while the page was being computed:
-        if any would invalidate it, the entry is *not* stored (the
-        caller still serves the body it computed -- equivalent to a
-        request finishing just before the write) and the flight is
-        marked stale so waiters recompute.
+        ``window`` is the caller's computation token, from
+        :meth:`join_flight` or :meth:`begin_window`.  The insert is
+        first checked against the writes processed while that
+        computation ran: if any would invalidate the page, the entry is
+        *not* stored (the caller still serves the body it computed --
+        equivalent to a request finishing just before the write) and the
+        token is marked stale so its waiters recompute.
         """
         entry, _stored = self.insert_key(
             request.cache_key(),
@@ -264,6 +256,10 @@ class Cache:
         window).  The cap does not make the entry semantic: its own
         reads still register.
 
+        ``window`` is judged alone: only writes processed after it
+        opened can refuse the insert, and only it is handed the entry
+        (which a published token's waiters then serve).
+
         Returns ``(entry, stored)``; ``stored`` is False when the
         staleness check discarded the insert, when an embedded fragment
         is no longer resident, or when admission denied it.
@@ -285,21 +281,18 @@ class Cache:
             tuple(fragments),
         )
         with self.lock:
-            flight = self._flights.get(key)
-            if self._recent_writes:
-                # Only now is there anything an open computation could
-                # have overlapped; the guard list is built for it alone.
-                guard = [*reads, *guard_reads]
-                for opener in (flight, window):
-                    if (
-                        opener is not None
-                        and not opener.stale
-                        and self._overlapping_write(opener, guard)
-                    ):
-                        opener.stale = True
             if (
-                (flight is not None and flight.stale)
-                or (window is not None and window.stale)
+                window is not None
+                and not window.stale
+                # Only with buffered writes is there anything the
+                # computation could have overlapped; the guard list is
+                # built for that case alone.
+                and self._recent_writes
+                and self._overlapping_write(window, [*reads, *guard_reads])
+            ):
+                window.stale = True
+            if (
+                (window is not None and window.stale)
                 # An embedded fragment left the store (capacity, expiry,
                 # a doom) while this body rendered: nothing could doom
                 # this copy of its text through it any more.
@@ -312,19 +305,18 @@ class Cache:
             # insert leaves no bytes, dependency rows or containment
             # edges behind.
             cls = ttl_uri if ttl_uri is not None else key_class(key)
-            opener = window if window is not None else flight
-            if opener is not None and opener.started_at:
+            if window is not None and window.started_at:
                 self.admission.observe_recompute(
-                    cls, now - opener.started_at
+                    cls, now - window.started_at
                 )
             size = len(body)
             verdict = self.admission.verdict(cls, size)
             if verdict == DENY:
                 self.stats.record_admission(verdict)
-                if flight is not None:
+                if window is not None:
                     # Pass-through, not failure: waiters still serve
                     # the computed body once (no recompute storm).
-                    flight.entry = entry
+                    window.entry = entry
                 return entry, False
             evicted = self._store(entry)
             self.stats.record_insert(
@@ -336,8 +328,8 @@ class Cache:
                 ),
                 verdict=verdict,
             )
-            if flight is not None:
-                flight.entry = entry
+            if window is not None:
+                window.entry = entry
         return entry, True
 
     def adopt(self, entry: PageEntry) -> list[PageEntry]:
@@ -425,23 +417,48 @@ class Cache:
             return False
         return self.invalidator.intersects_any(reads, intervening)
 
-    # -- single-flight coalescing ------------------------------------------------------
+    # -- computation tokens: single-flight coalescing + the staleness window ----------
 
     def join_flight(self, key: str) -> tuple[Flight, bool]:
-        """Join (or open) the in-flight computation for ``key``.
+        """Join ``key``'s published flight, or open and publish one.
 
-        Returns ``(flight, is_leader)``.  The leader must eventually
-        call :meth:`finish_flight` (on every exit path); waiters call
-        :meth:`wait_flight`.
+        Returns ``(flight, is_leader)``.  With ``coalesce`` off the token
+        is private and the caller always leads.  The leader passes the
+        token to its insert and must call :meth:`finish_flight` on every
+        exit path; waiters call :meth:`wait_flight`.
         """
         with self.lock:
-            flight = self._flights.get(key)
+            flight = self._published(key)
             if flight is not None:
                 flight.join()
                 return flight, False
-            flight = Flight(key, self._write_seq, started_at=self.clock())
-            self._flights[key] = flight
-            return flight, True
+            return self._open_token(key, self.coalesce), True
+
+    def begin_window(self, key: str) -> Flight:
+        """Open a private token for a solo computation (a waiter out of
+        flight attempts): the same staleness window as a flight, never
+        joined by anyone.  Pass it to :meth:`insert` and close it with
+        :meth:`end_window` on every exit path.
+        """
+        with self.lock:
+            return self._open_token(key, False)
+
+    def _open_token(self, key: str, published: bool) -> Flight:
+        """Caller holds the lock.  Every computation runs under a token:
+        without one a write landing between its database reads and its
+        insert dooms nothing (the page has no dependency rows yet), and
+        the stale page would be stored and served until the *next* write
+        for the same data."""
+        flight = Flight(key, self._write_seq, self.clock(), published)
+        self._open.setdefault(key, []).append(flight)
+        return flight
+
+    def _published(self, key: str) -> Flight | None:
+        """Caller holds the lock."""
+        for flight in self._open.get(key, ()):
+            if flight.published:
+                return flight
+        return None
 
     def wait_flight(self, flight: Flight) -> PageEntry | None:
         """Block until the leader finishes; return the page to serve.
@@ -450,71 +467,51 @@ class Cache:
         produced an uncacheable page, or an invalidation arrived during
         the computation (the stale-body rule).
         """
-        flight.wait(self.flight_timeout)
+        flight.wait()
         with self.lock:
             if flight.stale or flight.entry is None:
                 return None
             return flight.entry
 
     def finish_flight(self, flight: Flight) -> None:
-        """Close the flight and wake waiters (leader's finally-block)."""
+        """Close a token and wake its waiters (the computation's
+        finally-block)."""
         with self.lock:
-            if self._flights.get(flight.key) is flight:
-                del self._flights[flight.key]
-            if not self._flights and not self._windows:
+            tokens = self._open.get(flight.key)
+            if tokens is not None and flight in tokens:
+                tokens.remove(flight)
+                if not tokens:
+                    del self._open[flight.key]
+            if not self._open:
                 # No open computations: the staleness window is empty.
                 self._recent_writes.clear()
             flight.finished = True
         flight.wake()
 
-    def begin_window(self, key: str) -> Flight:
-        """Open a non-coalescing staleness window for a solo computation.
-
-        A computation that runs *without* a flight (coalescing disabled,
-        or a waiter that exhausted its flight attempts) is otherwise
-        invisible to the write path: its page has no dependency-table
-        registrations yet, so a write landing between its database reads
-        and its insert dooms nothing -- and the stale page would be
-        stored and served until the *next* write for the same data.  The
-        window closes that hole: writes processed while it is open are
-        buffered and re-checked at insert, exactly as for flights.
-
-        The returned token must be passed to :meth:`insert` and closed
-        with :meth:`end_window` on every exit path.  Unlike a flight it
-        is never published: no other thread joins or waits on it.
-        """
-        with self.lock:
-            window = Flight(key, self._write_seq, started_at=self.clock())
-            self._windows.setdefault(key, []).append(window)
-            return window
-
-    def end_window(self, window: Flight) -> None:
-        """Close a solo-computation window (caller's finally-block)."""
-        with self.lock:
-            open_windows = self._windows.get(window.key)
-            if open_windows is not None and window in open_windows:
-                open_windows.remove(window)
-                if not open_windows:
-                    del self._windows[window.key]
-            if not self._flights and not self._windows:
-                self._recent_writes.clear()
+    #: A window closes exactly like a flight.
+    end_window = finish_flight
 
     @property
     def open_flights(self) -> int:
+        """Open published flights (private windows are not counted)."""
         with self.lock:
-            return len(self._flights)
+            return sum(
+                flight.published
+                for tokens in self._open.values()
+                for flight in tokens
+            )
 
     def flight_for(self, key: str) -> Flight | None:
-        """The open computation for ``key``, if any (observability)."""
+        """The published flight for ``key``, if any (observability)."""
         with self.lock:
-            return self._flights.get(key)
+            return self._published(key)
 
     def open_flight_keys(self) -> list[str]:
-        """Keys with an open computation -- flights *and* solo windows
-        (cluster rebalancing reads these to poison computations whose
-        key is moving to another node)."""
+        """Keys with an open computation, published or private (cluster
+        rebalancing reads these to poison computations whose key is
+        moving to another node)."""
         with self.lock:
-            return list(self._flights.keys() | self._windows.keys())
+            return list(self._open)
 
     def poison_flights(self, keys: set[str]) -> None:
         """Mark the given open flights stale so their eventual inserts
@@ -526,11 +523,8 @@ class Cache:
     def _mark_flights_stale(self, keys: set[str]) -> None:
         """Caller holds the lock."""
         for key in keys:
-            flight = self._flights.get(key)
-            if flight is not None:
+            for flight in self._open.get(key, ()):
                 flight.stale = True
-            for window in self._windows.get(key, ()):
-                window.stale = True
 
     # -- write path -------------------------------------------------------------------
 
@@ -555,7 +549,7 @@ class Cache:
         if not writes:
             return set()
         with self.lock:
-            if self._flights or self._windows:
+            if self._open:
                 # Buffer the invalidation info for open computations'
                 # insert-time staleness check.
                 self._write_seq += 1
@@ -567,17 +561,19 @@ class Cache:
                 # it.  An overlapping write must mark the flight stale
                 # here, or a waiter could serve a body staler than the
                 # write's commit point.
-                for flight in self._flights.values():
-                    entry = flight.entry
-                    if (
-                        entry is not None
-                        and not flight.stale
-                        and entry.key not in self.pages
-                        and self.invalidator.intersects_any(
-                            list(entry.dependencies), writes
-                        )
-                    ):
-                        flight.stale = True
+                for tokens in self._open.values():
+                    for flight in tokens:
+                        entry = flight.entry
+                        if (
+                            entry is not None
+                            and flight.published
+                            and not flight.stale
+                            and entry.key not in self.pages
+                            and self.invalidator.intersects_any(
+                                list(entry.dependencies), writes
+                            )
+                        ):
+                            flight.stale = True
             doomed = self.invalidator.process_writes(writes)
             if doomed:
                 # Containment closure: entries assembled from a doomed

@@ -86,7 +86,7 @@ class ReadServletAspect(CachedComputation):
             response.replace_body(entry.body)
             response.set_status(entry.status)
 
-        def compute(window: Flight | None) -> None:
+        def compute(window: Flight) -> None:
             context = self.collector.begin("read", key)
             try:
                 joinpoint.proceed()

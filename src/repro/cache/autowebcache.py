@@ -55,7 +55,6 @@ class AutoWebCache:
         clock: Callable[[], float] = time.time,
         forced_miss: bool = False,
         coalesce: bool = True,
-        flight_timeout: float = 30.0,
         fragments: bool = True,
         admission: AdmissionPolicy | None = None,
         method_cache_targets: Iterable[type] = (),
@@ -71,7 +70,6 @@ class AutoWebCache:
             clock=clock,
             forced_miss=forced_miss,
             coalesce=coalesce,
-            flight_timeout=flight_timeout,
             admission=admission,
         )
         self.collector = ConsistencyCollector()

@@ -7,25 +7,28 @@ aspects.MethodCacheAspect`) -- answers a request for ``key`` the same
 way:
 
 1. **lookup**: a hit is served and nothing else happens;
-2. **coalesce** (skipped when ``cache.coalesce`` is false): up to
-   ``max_flight_attempts`` rounds of ``join_flight`` -- the leader
-   computes and inserts (``finish_flight`` on every exit path), waiters
-   ``wait_flight`` and serve the leader's entry, recording a coalesced
-   serve; a failed, uncacheable or invalidated-in-flight leader sends
-   the waiter round again (a new leader may already exist);
-3. **solo**: compute under ``begin_window``/``end_window`` so a write
-   landing between the computation's database reads and its insert
-   still discards the insert -- without the window that write is
-   invisible (no dependency registrations yet, no flight buffering it)
-   and the stale entry would be served until the *next* write touching
-   the same data.  Also the fallback for a waiter out of attempts, so
-   one crashing leader cannot starve the queue.
+2. **lead or wait**: up to ``max_flight_attempts`` rounds of
+   ``join_flight`` -- the leader computes under the token it opened
+   (``finish_flight`` on every exit path), waiters ``wait_flight`` and
+   serve the leader's entry, recording a coalesced serve; a failed,
+   uncacheable or invalidated-in-flight leader sends the waiter round
+   again (a new leader may already exist).  With ``cache.coalesce`` off
+   the token is private and the caller always leads;
+3. **solo**: a waiter out of attempts computes under a private
+   ``begin_window``/``end_window`` token, so one crashing leader cannot
+   starve the queue.
+
+Every computation passes its own token to its insert, so a write
+landing between the computation's database reads and its insert still
+discards the insert -- without the token that write is invisible (no
+dependency registrations yet) and the stale entry would be served until
+the *next* write touching the same data.
 
 :meth:`CachedComputation.cached` is that protocol, parameterised only by
 what differs per tier: the key, the statistics bucket, how to look an
 entry up, how to ``serve(entry)`` and how to ``compute(window)`` (run
-the body and insert, passing ``window`` through to the insert).  The
-flight and window primitives themselves -- the synchronisation -- live
+the body and insert, passing the token ``window`` through to the
+insert).  The token primitives themselves -- the synchronisation -- live
 on the facade (:class:`~repro.cache.api.Cache` /
 :class:`~repro.cluster.router.ClusterRouter`); this module is their
 only caller.
@@ -65,7 +68,7 @@ class CachedComputation(Aspect):
         stat_uri: str,
         lookup: Callable[[], PageEntry | None],
         serve: Callable[[PageEntry], object],
-        compute: Callable[[Flight | None], object],
+        compute: Callable[[Flight], object],
     ):
         """Serve ``key`` from the cache, a concurrent computation of it,
         or ``compute`` -- whichever comes first (module docstring)."""
@@ -73,19 +76,18 @@ class CachedComputation(Aspect):
         entry = lookup()
         if entry is not None:
             return serve(entry)
-        if cache.coalesce:
-            for _attempt in range(self.max_flight_attempts):
-                flight, is_leader = cache.join_flight(key)
-                if is_leader:
-                    try:
-                        return compute(None)
-                    finally:
-                        cache.finish_flight(flight)
-                entry = cache.wait_flight(flight)
-                if entry is not None:
-                    result = serve(entry)
-                    cache.record_coalesced(stat_uri)
-                    return result
+        for _attempt in range(self.max_flight_attempts):
+            flight, is_leader = cache.join_flight(key)
+            if is_leader:
+                try:
+                    return compute(flight)
+                finally:
+                    cache.finish_flight(flight)
+            entry = cache.wait_flight(flight)
+            if entry is not None:
+                result = serve(entry)
+                cache.record_coalesced(stat_uri)
+                return result
         window = cache.begin_window(key)
         try:
             return compute(window)
@@ -119,7 +121,7 @@ class CachedComputation(Aspect):
                 parent.cap_expiry(entry.expires_at)
             return decode(entry.body)
 
-        def compute(window: Flight | None):
+        def compute(window: Flight):
             context = self.collector.begin_fragment(key)
             try:
                 value = proceed()

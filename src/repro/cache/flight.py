@@ -12,21 +12,31 @@ Consistency rule (the part naive coalescing gets wrong): a page is
 computed from database reads, and a write may land *between* those
 reads and the insert.  The in-flight page has no dependency-table
 registrations yet, so the normal invalidation protocol cannot doom it.
-:class:`~repro.cache.api.Cache` therefore stamps each flight with the
-write sequence number at start, buffers the invalidation information of
-writes processed while any flight is open, and re-runs the intersection
-test at insert time; an overlapping, intersecting write marks the
-flight ``stale`` -- the page is not inserted, waiters wake empty and
-recompute instead of serving a stale body.
+:class:`~repro.cache.api.Cache` therefore stamps each computation's
+token with the write sequence number at start, buffers the invalidation
+information of writes processed while any token is open, and re-runs
+the intersection test at insert time; an overlapping, intersecting
+write marks the token ``stale`` -- the page is not inserted, waiters
+wake empty and recompute instead of serving a stale body.
+
+Every computation holds exactly one token.  A flight is a staleness
+window that others may join: a *published* token is found by later
+misses on its key; a private one (coalescing off, or a waiter out of
+attempts) is the same window that nobody else sees.
 """
 
 from __future__ import annotations
 
 import threading
 
+#: How long a waiter blocks on a leader before giving up on that flight
+#: (leader crash/beachball insurance).  Once its attempts run out the
+#: waiter computes the page itself.
+FLIGHT_TIMEOUT = 30.0
+
 
 class Flight:
-    """One in-flight page computation, shared by leader and waiters.
+    """One open computation's token, shared by its leader and waiters.
 
     Most flights are never joined (every miss opens one; only a dogpile
     has waiters), so the wake-up event -- a condition variable and a
@@ -37,12 +47,16 @@ class Flight:
     """
 
     __slots__ = (
-        "key", "start_seq", "started_at", "entry", "stale", "waiters",
-        "finished", "_event",
+        "key", "start_seq", "started_at", "published", "node", "entry",
+        "stale", "waiters", "finished", "_event",
     )
 
     def __init__(
-        self, key: str, start_seq: int, started_at: float = 0.0
+        self,
+        key: str,
+        start_seq: int,
+        started_at: float = 0.0,
+        published: bool = False,
     ) -> None:
         self.key = key
         #: Cache-wide write sequence number when the computation began;
@@ -53,13 +67,19 @@ class Flight:
         #: cost (the admission cost model's benefit signal).  0.0 when
         #: the opener did not stamp one.
         self.started_at = started_at
-        #: The inserted PageEntry, published by the leader on success.
+        #: True when later misses on the key may join this token.
+        self.published = published
+        #: The cluster node the token was opened on (set by the router,
+        #: which sends the token's later operations there); None on a
+        #: single cache.
+        self.node = None
+        #: The computed PageEntry, set by the token's insert.
         self.entry = None
         #: Set when an invalidation lands during the computation.
         self.stale = False
         #: Number of requests that joined instead of computing.
         self.waiters = 0
-        #: Set (under the facade lock) when the leader closes the flight.
+        #: Set (under the facade lock) when the token is closed.
         self.finished = False
         self._event: threading.Event | None = None
 
@@ -69,12 +89,12 @@ class Flight:
         if self._event is None:
             self._event = threading.Event()
 
-    def wait(self, timeout: float) -> None:
-        """Block until :meth:`wake` or ``timeout``; returns at once on a
-        finished flight or one this caller never joined."""
+    def wait(self) -> None:
+        """Block until :meth:`wake` or :data:`FLIGHT_TIMEOUT`; returns at
+        once on a finished flight or one this caller never joined."""
         event = self._event
         if event is not None and not self.finished:
-            event.wait(timeout)
+            event.wait(FLIGHT_TIMEOUT)
 
     def wake(self) -> None:
         """Release the waiters, if any; call after ``finished`` is set."""

@@ -25,19 +25,19 @@ memo hit is one dict lookup with no lock and no hash; a fill takes the
 router lock and keeps its answer only if the version did not move while
 it was computed (docs/cluster.md, "Routing").
 
-Flight pinning: a single-flight computation must ``insert`` and
-``finish`` on the node where it was opened, even if ring membership
-changes mid-flight.  The router therefore pins ``key -> node`` for the
-duration of each flight; membership changes additionally poison flights
-whose key is re-homed, so their inserts are discarded rather than
-orphaned on a node that no longer owns the key.  Pins are single dict
-operations, taken without the router lock, so a computation may be
-opened from a route a concurrent change is retiring.  A join escapes
-the poison pass only by opening on a node that keeps hearing the bus
-(the old owner, after :meth:`add_node`); a node that stops serving
-poisons what is open on it as it goes, and the router checks the
-node's state after each open and routes again if it has gone
-(:meth:`CacheNode.mark_left`).
+**Computations** open on the key's owner, and their token
+(:class:`~repro.cache.flight.Flight`) records that node: a computation
+must ``insert`` and close on the node where it was opened, even if ring
+membership changes mid-flight, so the router sends every later
+operation on the token there.  Membership changes additionally poison
+computations whose key is re-homed, so their inserts are discarded
+rather than orphaned on a node that no longer owns the key.  Opens take
+no router lock, so a computation may be opened from a route a
+concurrent change is retiring.  It escapes the poison pass only by
+opening on a node that keeps hearing the bus (the old owner, after
+:meth:`add_node`); a node that stops serving poisons what is open on it
+as it goes, and the router checks the node's state after each open and
+routes again if it has gone (:meth:`CacheNode.mark_left`).
 
 **Replication** (``replication=R``): each key's entry is written
 through to the first R distinct nodes clockwise on the ring
@@ -81,7 +81,7 @@ from repro.web.http import HttpRequest
 CacheFactory = Callable[[], Cache]
 
 #: A key's placement: its live replica set (primary first) and the node
-#: its flights, windows and inserts go to -- the first live replica, or
+#: its computations open on -- the first live replica, or
 #: the failover stand-in when none is live; None when no node is.
 Route = tuple[tuple[CacheNode, ...], CacheNode | None]
 
@@ -245,11 +245,6 @@ class ClusterRouter:
         self.routes_computed = 0
         #: Read-balancing cursor over replica sets (see :meth:`_read_target`).
         self._read_rotation = 0
-        #: key -> node pinned for the duration of an open flight.
-        self._flight_nodes: dict[str, CacheNode] = {}
-        #: window -> node pinned for a solo computation (by identity:
-        #: several windows for one key may be open on one node at once).
-        self._window_nodes: dict[Flight, CacheNode] = {}
         self.stats = ClusterStats(self)
         #: Cluster-wide containment: a page and the fragments it embeds
         #: usually hash to *different* nodes, so no node's containment
@@ -268,10 +263,6 @@ class ClusterRouter:
             self.add_node(name)
 
     # -- facade attributes the aspects read --------------------------------------------
-
-    @property
-    def coalesce(self) -> bool:
-        return self._template.coalesce
 
     @property
     def invalidation_policy(self):
@@ -380,9 +371,9 @@ class ClusterRouter:
     def remove_node(self, name: str, drain: bool = True) -> CacheNode:
         """Leave ``name``: drain (or drop) its entries to the new owners.
 
-        Open flights on the leaving node are poisoned but stay pinned to
-        it, so their inserts land in the dead cache's staleness check
-        (and are discarded) instead of polluting a live node.  Removing
+        Open computations on the leaving node are poisoned; their tokens
+        still name it, so their inserts land in its staleness check (and
+        are discarded) instead of polluting a live node.  Removing
         the last node empties the ring; subsequent routed operations
         raise :class:`ClusterError`.
 
@@ -437,8 +428,8 @@ class ClusterRouter:
     def evict_node(self, name: str) -> CacheNode | None:
         """Drop a crashed node from ring, bus and routing -- no drain
         (its memory is gone; that is what the replicas are for).  Open
-        flights pinned to it stay pinned: their inserts land in the dead
-        cache and are discarded with it, exactly as for a leave."""
+        computations' tokens still name it: their inserts land in the
+        dead cache and are discarded with it, exactly as for a leave."""
         with self._lock:
             node = self._nodes.pop(name, None)
             if node is None:
@@ -570,7 +561,7 @@ class ClusterRouter:
         return (), None
 
     def _owner(self, key: str) -> CacheNode:
-        """Where ``key``'s flights, windows and inserts go."""
+        """Where ``key``'s computations open (and token-less inserts go)."""
         owner = self._route(key)[1]
         if owner is None:
             raise ClusterError(f"no live cache node is reachable for key {key!r}")
@@ -587,9 +578,9 @@ class ClusterRouter:
         holds the entry (write-through), hears the bus, and passes the
         same staleness checks, so a hot key's reads rotate over its
         whole replica set instead of pinning one node at R times the
-        mean load.  Only the probe rotates -- flights, inserts and
-        windows keep their deterministic home (:meth:`_owner`, the
-        first live replica), so one request's miss path never straddles
+        mean load.  Only the probe rotates -- computations open on their
+        deterministic home (:meth:`_owner`, the first live replica) and
+        insert there, so one request's miss path never straddles
         replicas and concurrent misses still coalesce on one node.
         """
         live, owner = self._route(key)
@@ -697,7 +688,8 @@ class ClusterRouter:
         guard_reads: Sequence[QueryInstance] = (),
         expires_at: float | None = None,
     ) -> tuple[PageEntry, bool]:
-        """Key-level insert, pinned to the computing node like inserts.
+        """Key-level insert, on the node ``window`` was opened on (the
+        owner for a token-less insert).
 
         Containment edges are recorded in the *router's* table: the
         entry and its fragments typically live on different shards.
@@ -719,11 +711,7 @@ class ClusterRouter:
         ahead of its copy, the copies are doomed too.  See
         docs/replication.md for the full interleaving argument.
         """
-        node = (
-            (self._window_nodes.get(window) if window is not None else None)
-            or self._flight_nodes.get(key)
-            or self._owner(key)
-        )
+        node = window.node if window is not None else self._owner(key)
         resident = True
         if fragments:
             with self._lock:
@@ -830,58 +818,43 @@ class ClusterRouter:
         with self._lock:
             self.stats.frontend.record_extra_query()
 
-    # -- single-flight (per owning node) ----------------------------------------------
+    # -- computations (each on the node its token records) ----------------------------
 
     def join_flight(self, key: str) -> tuple[Flight, bool]:
-        """Join ``key``'s flight on its pinned node, or lead one on its
-        owner.  Takes no router lock: each pin operation is one dict
-        operation.  A leader closes its empty flight and tries again if
-        its node stopped serving before the flight opened (routed from a
-        route a leave was retiring: nothing would doom that flight) or
-        if it lost the pin to a leader on another node (routing moved
-        between the two joins).  A waiter needs no such check: the
+        """Join ``key``'s flight on its owner, or lead one there."""
+        return self._open_on_owner(key, publish=True)
+
+    def begin_window(self, key: str) -> Flight:
+        """Open a private computation token on ``key``'s owner."""
+        return self._open_on_owner(key, publish=False)[0]
+
+    def _open_on_owner(self, key: str, publish: bool) -> tuple[Flight, bool]:
+        """Open (or join) a computation of ``key`` on its owner and record
+        the node on the token, which routes the token's wait, insert and
+        close.  Takes no router lock.  A leader whose node stopped
+        serving before the token opened (routed from a route a leave was
+        retiring: nothing would doom that computation) closes its empty
+        token and routes again.  A waiter needs no such check: the
         flight it joined is poisoned, closed empty, or on a live node."""
         while True:
-            node = self._flight_nodes.get(key) or self._owner(key)
-            flight, is_leader = node.cache.join_flight(key)
-            if not is_leader:
-                return flight, False
-            if node.state == JOINED and self._flight_nodes.setdefault(key, node) is node:
-                return flight, True
+            node = self._owner(key)
+            if publish:
+                flight, is_leader = node.cache.join_flight(key)
+            else:
+                flight, is_leader = node.cache.begin_window(key), True
+            flight.node = node
+            if not is_leader or node.state == JOINED:
+                return flight, is_leader
             node.cache.finish_flight(flight)
 
     def wait_flight(self, flight: Flight) -> PageEntry | None:
-        node = self._flight_nodes.get(flight.key) or self._owner(flight.key)
-        return node.cache.wait_flight(flight)
+        return flight.node.cache.wait_flight(flight)
 
     def finish_flight(self, flight: Flight) -> None:
-        node = self._flight_nodes.pop(flight.key, None) or self._owner(flight.key)
-        node.cache.finish_flight(flight)
+        flight.node.cache.finish_flight(flight)
 
-    def begin_window(self, key: str) -> Flight:
-        """Open a solo-computation staleness window on the owning node.
-
-        Pinned like a flight: the eventual ``insert`` and
-        ``end_window`` must land on the node whose write buffer the
-        window is registered with, even if ring membership changes
-        mid-computation (re-homing poisons the window instead).  A
-        window opened on a node that had already stopped serving is
-        closed and opened again on a fresh route, as in
-        :meth:`join_flight`.
-        """
-        node = self._flight_nodes.get(key) or self._owner(key)
-        while True:
-            window = node.cache.begin_window(key)
-            if node.state == JOINED:
-                self._window_nodes[window] = node
-                return window
-            node.cache.end_window(window)
-            node = self._owner(key)
-
-    def end_window(self, window: Flight) -> None:
-        node = self._window_nodes.pop(window, None)
-        if node is not None:
-            node.cache.end_window(window)
+    #: A window closes exactly like a flight.
+    end_window = finish_flight
 
     @property
     def open_flights(self) -> int:

@@ -70,7 +70,7 @@ class TestDeniedInsertLeavesNoTrace:
         cache = Cache(admission=DenyAll())
         flight, is_leader = cache.join_flight("/k")
         assert is_leader
-        entry, stored = cache.insert_key("/k", "body", [])
+        entry, stored = cache.insert_key("/k", "body", [], window=flight)
         assert not stored
         assert flight.entry is entry
         cache.finish_flight(flight)
@@ -151,7 +151,7 @@ class TestModelFeeds:
         cache = Cache(clock=lambda: now[0], admission=policy)
         flight, _leader = cache.join_flight("/p?x=1")
         now[0] = 100.25
-        cache.insert_key("/p?x=1", "body", [], ttl_uri="/p")
+        cache.insert_key("/p?x=1", "body", [], window=flight, ttl_uri="/p")
         cache.finish_flight(flight)
         row = policy.model.snapshot()["/p"]
         assert row["recompute_seconds"] == pytest.approx(0.25)

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 
 import repro.web.asyncserver as asyncserver
 import repro.web.http as web_http
+from repro.cache import flight as flight_module
 from repro.cache.api import Cache
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.entry import PageEntry
@@ -1035,11 +1036,14 @@ class TestRunToCompletion:
             view.gate.set()
             awc.uninstall()
 
-    def test_stuck_foreign_leader_holds_the_loop_no_longer_than_the_timeout(self):
+    def test_stuck_foreign_leader_holds_the_loop_no_longer_than_the_timeout(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(flight_module, "FLIGHT_TIMEOUT", 0.1)
         view = FirstCallStalls()
         container = ServletContainer()
         container.register("/stall", view)
-        awc = AutoWebCache(flight_timeout=0.1)
+        awc = AutoWebCache()
         awc.install(container.servlet_classes)
         try:
             leader = threading.Thread(target=lambda: container.get("/stall"))
@@ -1049,7 +1053,7 @@ class TestRunToCompletion:
                 started = time.monotonic()
                 payload = raw_exchange(server.port, "/stall")
                 elapsed = time.monotonic() - started
-            # Each wait on the stuck flight is bounded by flight_timeout;
+            # Each wait on the stuck flight is bounded by FLIGHT_TIMEOUT;
             # out of attempts, the loop renders the page itself.
             assert split_responses(payload) == [(200, b"<p>render 2</p>")]
             assert elapsed < 5  # the leader would stall for 10 s

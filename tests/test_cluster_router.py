@@ -304,7 +304,7 @@ class TestFlightPinning:
             if new_owner == old_owner:
                 pytest.skip("key never re-homed (hash luck)")
             assert flight.stale
-            entry = awc.router.insert(request, "late page", [])
+            entry = awc.router.insert(request, "late page", [], window=flight)
             assert entry.key == request_key
             old_node = awc.router.node(old_owner)
             assert old_node.cache.stats.stale_inserts == 1

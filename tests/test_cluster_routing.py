@@ -317,10 +317,12 @@ def test_a_flight_open_on_a_leaving_node_is_poisoned_before_it_goes_deaf(
     def write_then_insert_mid_leave(name):
         real(name)
         router.process_write_request("/w", [_write()])
-        stored.append(router.insert_key(key, "<before the write>", [_read()])[1])
+        stored.append(
+            router.insert_key(key, "<before the write>", [_read()], window=flight)[1]
+        )
 
     setattr(membership, deaf_from, write_then_insert_mid_leave)
-    getattr(router, operation)(router._flight_nodes[key].name)
+    getattr(router, operation)(flight.node.name)
     router.finish_flight(flight)
     assert stored == [False]
     assert router.wait_flight(waiter) is None
@@ -355,13 +357,15 @@ class TestLeaveBetweenRouteAndOpen:
         self.leave_before_next_open(router, router._owner(key), operation, "join_flight")
         flight, is_leader = router.join_flight(key)
         assert is_leader
-        assert router._flight_nodes[key].state == JOINED
+        assert flight.node.state == JOINED
         # A write lands while the leader computes; a request arriving
         # after it joins the key's flight.
         router.process_write_request("/w", [_write()])
         waiter, waiter_leads = router.join_flight(key)
         assert waiter is flight and not waiter_leads
-        _entry, stored = router.insert_key(key, "<before the write>", [_read()])
+        _entry, stored = router.insert_key(
+            key, "<before the write>", [_read()], window=flight
+        )
         router.finish_flight(flight)
         assert not stored
         assert router.wait_flight(waiter) is None
@@ -375,7 +379,7 @@ class TestLeaveBetweenRouteAndOpen:
         self.leave_before_next_open(router, router._owner(key), operation, "begin_window")
         window = router.begin_window(key)
         try:
-            assert router._window_nodes[window].state == JOINED
+            assert window.node.state == JOINED
             router.process_write_request("/w", [_write()])
             _entry, stored = router.insert_key(key, "<old>", [_read()], window=window)
             assert not stored and window.stale
@@ -404,7 +408,9 @@ class TestLeaveBetweenRouteAndOpen:
         flight, is_leader = router.join_flight(key)
         assert is_leader
         try:
-            _entry, stored = router.insert_key(key, "<before the write>", [_read()])
+            _entry, stored = router.insert_key(
+                key, "<before the write>", [_read()], window=flight
+            )
         finally:
             router.finish_flight(flight)
         assert stored

@@ -1,0 +1,93 @@
+"""The facade contract: what the woven tiers read from a cache exists on
+both facades.
+
+The caching aspects and the async server's fast path talk to their cache
+without knowing whether it is a :class:`Cache` or a
+:class:`ClusterRouter`.  This test collects, from their source, every
+attribute read through a cache reference -- ``self.cache.X``, a local
+``cache.X``, ``server.cache.X`` -- and checks that each resolves on both
+facades, with the same parameter names where it is a method.
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+
+import pytest
+
+from repro.admission import aspects as method_aspects
+from repro.cache import aspects, aspects_fragment, computation
+from repro.cache.api import Cache
+from repro.cluster.router import ClusterRouter, make_cache_factory
+from repro.web import asyncserver
+
+#: Module -> the classes whose cache reads are collected
+#: (``_HttpConnection`` holds the async server's fast-path probe).
+CLIENTS = {
+    computation: ("CachedComputation",),
+    aspects: ("ReadServletAspect", "WriteServletAspect", "JdbcConsistencyAspect"),
+    aspects_fragment: ("FragmentCacheAspect",),
+    method_aspects: ("MethodCacheAspect",),
+    asyncserver: ("AsyncCachedServer", "_HttpConnection"),
+}
+
+
+def _is_cache_reference(node: ast.expr) -> bool:
+    """A local ``cache``, or ``<anything>.cache``."""
+    if isinstance(node, ast.Name):
+        return node.id == "cache"
+    return isinstance(node, ast.Attribute) and node.attr == "cache"
+
+
+def facade_reads() -> set[str]:
+    reads = set()
+    for module, classes in CLIENTS.items():
+        tree = ast.parse(inspect.getsource(module))
+        found = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in classes
+        ]
+        assert sorted(c.name for c in found) == sorted(classes), module.__name__
+        for cls in found:
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) and _is_cache_reference(node.value):
+                    reads.add(node.attr)
+    return reads
+
+
+READS = sorted(facade_reads())
+
+
+def test_the_miss_protocol_is_among_the_reads():
+    assert {
+        "check", "check_key", "fast_check", "insert", "insert_key",
+        "join_flight", "wait_flight", "finish_flight", "begin_window",
+        "end_window", "process_write_request",
+    } <= set(READS)
+    assert "coalesce" not in READS  # the driver has no branch on it
+
+
+@pytest.fixture(scope="module")
+def facades():
+    router = ClusterRouter(["n0", "n1"], make_cache_factory())
+    try:
+        yield Cache(), router
+    finally:
+        router.close()
+
+
+def _parameter_names(method) -> list[str]:
+    return list(inspect.signature(method).parameters)
+
+
+@pytest.mark.parametrize("name", READS)
+def test_each_read_resolves_on_both_facades(facades, name):
+    cache, router = facades
+    assert hasattr(cache, name), f"Cache has no {name}"
+    assert hasattr(router, name), f"ClusterRouter has no {name}"
+    on_cache, on_router = getattr(cache, name), getattr(router, name)
+    assert inspect.ismethod(on_cache) == inspect.ismethod(on_router), name
+    if inspect.ismethod(on_cache):
+        assert _parameter_names(on_cache) == _parameter_names(on_router), name

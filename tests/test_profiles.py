@@ -31,7 +31,6 @@ INPUTS = {
     "max_bytes",
     "semantics",
     "clock",
-    "flight_timeout",
     "admission",
     "method_cache_targets",
     "method_cache_pointcut",

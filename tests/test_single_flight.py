@@ -13,7 +13,9 @@ import time
 import pytest
 
 from repro.cache.autowebcache import AutoWebCache
+from repro.cache.entry import QueryInstance
 from repro.db import connect
+from repro.sql.template import templateize
 from repro.web.container import ServletContainer
 from repro.web.http import HttpRequest, HttpResponse
 from repro.web.servlet import HttpServlet
@@ -303,7 +305,7 @@ def test_flight_api_leader_and_waiter_lifecycle():
     again, second_leader = cache.join_flight("/k")
     assert again is flight and not second_leader
     assert flight.waiters == 1
-    entry = cache.insert(HttpRequest("GET", "/k"), "body", [])
+    entry = cache.insert(HttpRequest("GET", "/k"), "body", [], window=flight)
     cache.finish_flight(flight)
     assert cache.wait_flight(flight) is entry
     assert cache.open_flights == 0
@@ -320,7 +322,7 @@ def test_external_invalidate_key_marks_flight_stale():
     flight, _ = cache.join_flight("/k")
     cache.invalidate_key("/k")
     assert flight.stale
-    entry = cache.insert(HttpRequest("GET", "/k"), "body", [])
+    entry = cache.insert(HttpRequest("GET", "/k"), "body", [], window=flight)
     assert entry is not None
     assert len(cache) == 0  # stale: not stored
     assert cache.stats.stale_inserts == 1
@@ -328,10 +330,12 @@ def test_external_invalidate_key_marks_flight_stale():
     assert cache.wait_flight(flight) is None
 
 
-def test_waiter_timeout_returns_none():
+def test_waiter_timeout_returns_none(monkeypatch):
+    from repro.cache import flight as flight_module
     from repro.cache.api import Cache
 
-    cache = Cache(flight_timeout=0.05)
+    monkeypatch.setattr(flight_module, "FLIGHT_TIMEOUT", 0.05)
+    cache = Cache()
     flight, _ = cache.join_flight("/k")
     other, is_leader = cache.join_flight("/k")
     assert not is_leader
@@ -339,6 +343,55 @@ def test_waiter_timeout_returns_none():
     assert cache.wait_flight(other) is None  # leader never finishes
     assert time.monotonic() - started < 5.0
     cache.finish_flight(flight)
+
+
+def _note_read() -> QueryInstance:
+    return QueryInstance(
+        *templateize("SELECT body, score FROM notes WHERE id = ?", (0,))
+    )
+
+
+def _note_write() -> QueryInstance:
+    """A write every :func:`_note_read` result depends on."""
+    return QueryInstance(*templateize("UPDATE notes SET score = ?", (9,)))
+
+
+@pytest.mark.parametrize("facade", ["cache", "ring"])
+def test_a_window_is_judged_by_its_own_start_not_an_older_flight(facade):
+    """A leader opens ``/k``; a write its reads depend on is processed;
+    only then does a private window open on ``/k``.  The window overlaps
+    no write, so its insert is stored -- and the entry is not handed to
+    the leader's waiters, whose leader the write still refuses."""
+    from repro.cache.api import Cache
+    from repro.cluster import ClusterRouter, make_cache_factory
+
+    if facade == "cache":
+        cache = Cache()
+    else:
+        cache = ClusterRouter(["n0", "n1"], make_cache_factory())
+    try:
+        flight, is_leader = cache.join_flight("/k")
+        assert is_leader
+        cache.process_write_request("/w", [_note_write()])
+        window = cache.begin_window("/k")
+        try:
+            entry, stored = cache.insert_key(
+                "/k", "<fresh>", [_note_read()], window=window
+            )
+        finally:
+            cache.end_window(window)
+        assert stored and not window.stale
+        assert flight.entry is None
+        _entry, leader_stored = cache.insert_key(
+            "/k", "<stale>", [_note_read()], window=flight
+        )
+        cache.finish_flight(flight)
+        assert not leader_stored and flight.stale
+        assert cache.wait_flight(flight) is None
+        assert cache.check_key("/k", "/k") is entry
+    finally:
+        if facade == "ring":
+            cache.close()
 
 
 @pytest.mark.concurrency
