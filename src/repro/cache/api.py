@@ -608,9 +608,9 @@ class Cache:
         with self.lock:
             self.stats.record_hole_skip()
 
-    def record_extra_query(self) -> None:
+    def record_extra_query(self, rows: int) -> None:
         with self.lock:
-            self.stats.record_extra_query()
+            self.stats.record_extra_query(rows)
 
     def invalidate_key(self, key: str) -> bool:
         """External invalidation API (the DynamicWeb/Weave-style hook the

@@ -14,8 +14,10 @@ Three aspects implement the paper's weaving rules verbatim:
 - :class:`JdbcConsistencyAspect` -- advice on
   ``execution(Statement.execute_query(..))`` and ``..execute_update(..)``:
   collects dependency/invalidation information flowing through the
-  JDBC-level interface (Figure 12), including the pre-image capture
-  ("extra query") for the AC-extraQuery policy.
+  JDBC-level interface (Figure 12), including the pre-image the
+  AC-extraQuery policy tests ("extra query"), which it reads off the
+  write's own result: the UPDATE/DELETE plan hands back the rows it
+  matched as they were before it ran.
 
 The application servlets contain no caching logic; weaving these aspects
 over the servlet classes and the driver's ``Statement`` class produces
@@ -32,7 +34,7 @@ from repro.cache.computation import CachedComputation
 from repro.cache.consistency import ConsistencyCollector
 from repro.cache.entry import PageEntry, QueryInstance
 from repro.cache.flight import Flight
-from repro.sql.template import QueryTemplate, templateize
+from repro.sql.template import templateize
 from repro.web.http import HttpRequest, HttpResponse
 
 #: Pointcut capturing read-only request handlers (Figure 9/10).  The
@@ -171,7 +173,8 @@ class JdbcConsistencyAspect(Aspect):
 
     @property
     def extra_queries(self) -> int:
-        """Pre-image capture queries issued (AC-extraQuery).
+        """Pre-images captured (AC-extraQuery's extra queries; each is
+        now read off the write's own result, see :meth:`_pre_image`).
 
         Kept for observability; the counter itself lives in
         :class:`~repro.cache.stats.CacheStats`, recorded under the
@@ -212,19 +215,17 @@ class JdbcConsistencyAspect(Aspect):
     def collect_invalidation_info(self, joinpoint: JoinPoint) -> object:
         sql, params = _sql_and_params(joinpoint)
         self._sync_catalog(joinpoint)
-        instance: QueryInstance | None = None
+        template = None
         if self.collector.current() is not None:
             template, values = templateize(sql, params)
+        # A failed write changed nothing (the plan undoes a part-applied
+        # UPDATE) and is not considered for invalidation.
+        result = joinpoint.proceed()
+        if template is not None:
             pre_image = None
             if self.cache.invalidation_policy is InvalidationPolicy.EXTRA_QUERY:
-                pre_image = self._capture_pre_image(joinpoint, template, values)
+                pre_image = self._pre_image(joinpoint.target)
             instance = QueryInstance(template, values, pre_image)
-        try:
-            result = joinpoint.proceed()
-        except Exception:
-            # A failed write is not considered for invalidation.
-            raise
-        if instance is not None:
             connection = getattr(joinpoint.target, "connection", None)
             if connection is not None and connection.in_transaction:
                 # Outcome unknown until commit/rollback: stage it.
@@ -250,28 +251,21 @@ class JdbcConsistencyAspect(Aspect):
             # did not commit): they must not invalidate anything.
             self.collector.rollback_staged(joinpoint.target)
 
-    def _capture_pre_image(
-        self,
-        joinpoint: JoinPoint,
-        template: QueryTemplate,
-        values: tuple[object, ...],
-    ) -> tuple[dict[str, object], ...] | None:
-        """The paper's extra query: fetch the rows an UPDATE/DELETE will
-        touch so missing column values can be tested at invalidation
-        time.  Issued against the Statement's own database (so it is a
-        real backend query), *before* the write executes -- necessary
-        for DELETE, whose rows are gone afterwards."""
-        select = template.pre_image_select
-        if select is None:
+    def _pre_image(self, statement: object) -> tuple[dict[str, object], ...] | None:
+        """What the paper's extra query fetched: the rows an UPDATE or
+        DELETE touched, as they were before it ran, so missing column
+        values can be tested at invalidation time.  The write's own plan
+        took this before-image while it changed the rows, under the same
+        database lock, so no second statement runs and no other writer
+        can come between image and write; it is still counted as one
+        extra query (plus the rows the write examined), which is what
+        the simulator charges for it.  None (always intersect) for an
+        INSERT."""
+        update = getattr(statement, "last_update", None)
+        if update is None or update.before is None:
             return None
-        target = joinpoint.target  # the Statement instance
-        try:
-            database = target.connection.database  # type: ignore[attr-defined]
-            result = database.execute_statement(select, values)
-        except Exception:
-            return None  # conservative: no pre-image -> always intersect
-        self.cache.record_extra_query()
-        return tuple(result.dicts())  # type: ignore[union-attr]
+        self.cache.record_extra_query(update.rows_examined)
+        return update.before_image()
 
 
 def _request_response(joinpoint: JoinPoint) -> tuple[HttpRequest, HttpResponse]:

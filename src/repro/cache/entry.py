@@ -14,8 +14,9 @@ class QueryInstance(NamedTuple):
     For a read request these are the *dependency information*; for a
     write request the *invalidation information* (Section 3.1).
     ``pre_image`` is populated for UPDATE/DELETE instances under the
-    AC-extraQuery policy: the affected rows' column values captured by
-    the extra query, used by the run-time intersection test.
+    AC-extraQuery policy: the affected rows' column values before the
+    write (what the paper's extra query fetched; here the write's own
+    before-image), used by the run-time intersection test.
 
     Immutable, compared and hashed by value; a named tuple because one
     is built per intercepted statement.

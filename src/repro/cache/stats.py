@@ -101,9 +101,15 @@ class CacheStats:
     #: Distinct (template, catalog version) column-disjointness rules
     #: materialised by the analysis cache.
     column_plans_built: int = 0
-    #: Pre-image capture queries issued by the JDBC aspect (the
-    #: EXTRA_QUERY policy's extra round-trip to the backend).
+    #: Pre-images the JDBC aspect captured under the EXTRA_QUERY policy:
+    #: the paper's extra query per UPDATE/DELETE.  The write's own plan
+    #: returns its before-image, taken atomically with the write, so no
+    #: second statement reaches the database; the simulator still prices
+    #: each capture as one query examining ``extra_query_rows`` rows.
     extra_queries: int = 0
+    #: Rows the captured writes examined: what the paper's extra SELECT,
+    #: with the write's WHERE over the same table, would have examined.
+    extra_query_rows: int = 0
     #: Misses served from a concurrent single-flight computation
     #: (dogpile suppression): N concurrent misses, one execution.
     coalesced_hits: int = 0
@@ -255,8 +261,9 @@ class CacheStats:
     def record_column_plan(self, count: int = 1) -> None:
         self.column_plans_built += count
 
-    def record_extra_query(self) -> None:
+    def record_extra_query(self, rows: int) -> None:
         self.extra_queries += 1
+        self.extra_query_rows += rows
 
     def record_coalesced(self, uri: str) -> None:
         self.coalesced_hits += 1
@@ -299,6 +306,7 @@ class CacheStats:
                 "templates_skipped_by_lineage": self.templates_skipped_by_lineage,
                 "column_plans_built": self.column_plans_built,
                 "extra_queries": self.extra_queries,
+                "extra_query_rows": self.extra_query_rows,
                 "coalesced_hits": self.coalesced_hits,
                 "stale_inserts": self.stale_inserts,
                 "hole_skips": self.hole_skips,

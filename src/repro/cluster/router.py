@@ -814,9 +814,9 @@ class ClusterRouter:
         with self._lock:
             self.stats.frontend.record_hole_skip()
 
-    def record_extra_query(self) -> None:
+    def record_extra_query(self, rows: int) -> None:
         with self._lock:
-            self.stats.frontend.record_extra_query()
+            self.stats.frontend.record_extra_query(rows)
 
     # -- computations (each on the node its token records) ----------------------------
 

@@ -17,7 +17,7 @@ pattern in servlet code.
 from __future__ import annotations
 
 from repro.db.engine import Database
-from repro.db.executor import QueryResult
+from repro.db.executor import QueryResult, UpdateResult
 from repro.errors import DatabaseError
 
 
@@ -91,7 +91,8 @@ class Statement:
 
     def __init__(self, connection: "Connection") -> None:
         self._connection = connection
-        self._last_insert_id: object = None
+        #: Result of the last :meth:`execute_update` (None before one).
+        self.last_update: UpdateResult | None = None
 
     @property
     def connection(self) -> "Connection":
@@ -100,7 +101,7 @@ class Statement:
     def generated_key(self) -> object:
         """Primary key assigned by the last auto-increment INSERT
         (JDBC's getGeneratedKeys analogue)."""
-        return self._last_insert_id
+        return None if self.last_update is None else self.last_update.last_insert_id
 
     def execute_query(
         self, sql: str, params: tuple[object, ...] = ()
@@ -114,7 +115,7 @@ class Statement:
         result = self._connection.database.execute(sql, params)
         if isinstance(result, QueryResult):
             raise DatabaseError("execute_update() requires a write statement")
-        self._last_insert_id = result.last_insert_id
+        self.last_update = result
         return result.affected
 
     def close(self) -> None:

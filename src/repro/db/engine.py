@@ -8,9 +8,9 @@ the JDBC-style interface use.
 **The plan cache.**  One dict holds, per statement, its parsed AST and
 the plan :meth:`Executor.compile` built from it.  ``execute(sql)`` finds
 the entry by statement *text*; ``execute_statement(ast)`` finds it by
-the AST's *identity* (callers such as ``QueryTemplate.pre_image_select``
-hand in one long-lived AST object, and hashing a frozen dataclass tree
-per call would cost what compiling saves).  A text is parsed at most
+the AST's *identity* (``execute`` hands in the AST its text's entry
+holds, and hashing a frozen dataclass tree per call would cost what
+compiling saves).  A text is parsed at most
 once while its entry is resident; a plan is compiled lazily, at first
 execution, and again only after the *schema epoch* moved -- every
 ``create_table`` / ``drop_table`` bumps it, because plans bake in table
@@ -63,15 +63,13 @@ _PLAN_LIMIT = 1024
 class _Plan:
     """One plan-cache entry: a statement and its lazily compiled plan."""
 
-    __slots__ = ("statement", "epoch", "run", "pre_image")
+    __slots__ = ("statement", "epoch", "run")
 
     def __init__(self, statement: ast.Statement) -> None:
         self.statement = statement
         #: Schema epoch ``run`` was compiled at (None: not compiled yet).
         self.epoch: int | None = None
         self.run: Callable[[tuple], QueryResult | UpdateResult] | None = None
-        #: Plan of the trigger pre-image SELECT (UPDATE/DELETE, on demand).
-        self.pre_image: Callable[[tuple], QueryResult] | None = None
 
 
 class Database:
@@ -144,7 +142,6 @@ class Database:
                 self.stats.rows_examined += result.rows_examined
                 self.stats.rows_returned += len(result.rows)
                 return result
-            pre_image = self._pre_image_for_triggers(statement, params)
             if isinstance(statement, ast.CreateTable):
                 if self._transaction is not None:
                     raise DatabaseError("DDL inside a transaction")
@@ -168,7 +165,7 @@ class Database:
                     sql=statement.unparse(),
                     params=tuple(params),
                     affected=update.affected,
-                    pre_image=pre_image,
+                    pre_image=update.before_image(),
                 )
                 if self._transaction is not None:
                     # Deliver only if the transaction commits.
@@ -207,31 +204,6 @@ class Database:
                 raise DatabaseError("no open transaction")
             self._transaction.rollback_into(self._tables)
             self._transaction = None
-
-    def _pre_image_for_triggers(
-        self, statement: ast.Statement, params: tuple[object, ...]
-    ) -> tuple[dict[str, object], ...] | None:
-        """Snapshot the rows an UPDATE/DELETE will touch, for triggers.
-
-        Only taken when triggers are registered (the common no-trigger
-        path pays nothing).  Gives trigger consumers -- e.g. the
-        external invalidation bridge -- the same AC-extraQuery precision
-        the woven driver aspect gets from its pre-image capture.
-        """
-        if self.triggers.empty:
-            return None
-        if not isinstance(statement, (ast.Update, ast.Delete)):
-            return None
-        plan = self._plan(statement)
-        if plan.pre_image is None:
-            plan.pre_image = self._executor.compile(
-                ast.Select(
-                    items=(ast.SelectItem(ast.Star()),),
-                    tables=(ast.TableRef(statement.table),),
-                    where=statement.where,
-                )
-            )
-        return tuple(plan.pre_image(params).dicts())
 
     def query(self, sql: str, params: tuple[object, ...] = ()) -> QueryResult:
         """Execute a read statement; raises if ``sql`` is not a SELECT."""
@@ -287,7 +259,6 @@ class Database:
             self._admit(plan, id(statement))
         if plan.epoch != self._schema_epoch:
             plan.run = self._executor.compile(statement)
-            plan.pre_image = None
             plan.epoch = self._schema_epoch
         return plan
 

@@ -15,7 +15,10 @@ interpreter's error when (and only if) a row reaches it.
 
 SELECT uses nested-loop joins with an index fast path for equality
 predicates on indexed columns, aggregation and ORDER BY/LIMIT;
-INSERT/UPDATE/DELETE return affected row counts.  Every statement
+INSERT/UPDATE/DELETE return affected row counts, and UPDATE/DELETE the
+rows they matched as they were before the write (the before-image the
+AC-extraQuery policy and the triggers consume); an UPDATE that raises
+part-way puts back the rows it already changed.  Every statement
 reports ``rows_examined``, which the load simulator's cost model
 charges as database work.  A statement runs the plan the tree-walking
 interpreter chose (``tests/reference_executor.py`` keeps it as the
@@ -85,6 +88,21 @@ class UpdateResult:
     rows_examined: int = 0
     #: Primary key assigned by an auto-increment INSERT (else None).
     last_insert_id: object = None
+    #: UPDATE/DELETE only (else None): the table's column names and the
+    #: rows the statement matched as they were before it ran -- its
+    #: *before-image*, in rowid order.  These are the row lists the table
+    #: held: an update replaces a row's list and a delete drops it, so
+    #: keeping them costs no copy.
+    columns: list[str] | None = None
+    before: list[list[object]] | None = None
+
+    def before_image(self) -> tuple[dict[str, object], ...] | None:
+        """The before-image as column->value dictionaries (None when
+        the statement was not an UPDATE or DELETE)."""
+        if self.before is None:
+            return None
+        columns = self.columns
+        return tuple([dict(zip(columns, row)) for row in self.before])
 
 
 class Executor:
@@ -205,17 +223,27 @@ class Executor:
             else:
                 message = _no_column(schema, assignment.column)
                 setters.append((0, None, _raises(SchemaError, message)))
+        columns = schema.column_names
 
         def run(params: tuple) -> UpdateResult:
             matches, examined = match(params)
-            for rowid, row in matches:
-                rows = (row,)
-                new_row = list(row)
-                for position, coerce, value in setters:
-                    new_row[position] = coerce(value(rows, params))
-                table.update_row(rowid, new_row)
+            try:
+                for applied, (rowid, row) in enumerate(matches):
+                    rows = (row,)
+                    new_row = list(row)
+                    for position, coerce, value in setters:
+                        new_row[position] = coerce(value(rows, params))
+                    table.update_row(rowid, new_row)
+            except BaseException:
+                undo_updates(table, matches[:applied])
+                raise
             self.rows_examined_total += examined
-            return UpdateResult(affected=len(matches), rows_examined=examined)
+            return UpdateResult(
+                affected=len(matches),
+                rows_examined=examined,
+                columns=columns,
+                before=[row for _rowid, row in matches],
+            )
 
         return run
 
@@ -223,15 +251,31 @@ class Executor:
         self, delete: ast.Delete, table: Table
     ) -> Callable[[tuple], UpdateResult]:
         match = _compile_match(table, delete.where)
+        columns = table.schema.column_names
 
         def run(params: tuple) -> UpdateResult:
             matches, examined = match(params)
             for rowid, _row in matches:
                 table.delete_row(rowid)
             self.rows_examined_total += examined
-            return UpdateResult(affected=len(matches), rows_examined=examined)
+            return UpdateResult(
+                affected=len(matches),
+                rows_examined=examined,
+                columns=columns,
+                before=[row for _rowid, row in matches],
+            )
 
         return run
+
+
+def undo_updates(table: Table, applied: list[tuple[int, list[object]]]) -> None:
+    """Put back the (rowid, old row) pairs a failing UPDATE already
+    changed, so a statement that raises changes nothing.  Last first: a
+    row kept its old key until it changed, so only a later change can
+    have taken that key, and later changes are undone before it -- every
+    restore passes the primary-key check."""
+    for rowid, row in reversed(applied):
+        table.update_row(rowid, row)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ class WriteEvent:
     sql: str | None
     params: tuple[object, ...]
     affected: int
-    #: Rows the write touched, snapshotted before an UPDATE/DELETE ran
-    #: (None for INSERTs and when unavailable).
+    #: The rows an UPDATE/DELETE matched, as they were before it ran:
+    #: the write's own before-image (``UpdateResult.before_image``),
+    #: taken by the same plan run, so no other writer comes between
+    #: image and write (None for INSERTs).
     pre_image: tuple[dict[str, object], ...] | None = None
 
 

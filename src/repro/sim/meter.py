@@ -44,10 +44,15 @@ class WorkMeter:
         stats = self._database.stats
         if self._awc is not None:
             cache = self._awc.cache.stats
+            # AC-extraQuery's extra query: the write's plan returns the
+            # pre-image, so the database never sees a second statement,
+            # but the paper's system issued one -- a SELECT with the
+            # write's WHERE over the same table, examining the rows the
+            # write examined.  Charged here as that query.
             return _Snapshot(
-                queries=stats.queries,
+                queries=stats.queries + cache.extra_queries,
                 updates=stats.updates,
-                rows=stats.rows_examined,
+                rows=stats.rows_examined + cache.extra_query_rows,
                 hits=cache.hits,
                 semantic_hits=cache.semantic_hits,
                 misses_cold=cache.misses_cold,

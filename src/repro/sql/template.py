@@ -137,24 +137,6 @@ class QueryTemplate(tuple):
             )
         )
 
-    @cached_property
-    def pre_image_select(self) -> ast.Select | None:
-        """``SELECT *`` over the rows an UPDATE/DELETE template touches.
-
-        The paper's *extra query* (AC-extraQuery); ``None`` for other
-        statements.  Execute the AST itself: its WHERE placeholders keep
-        their indices into the *write's* value vector, which re-parsing
-        the unparsed text would renumber.
-        """
-        statement = self.statement
-        if not isinstance(statement, (ast.Update, ast.Delete)):
-            return None
-        return ast.Select(
-            items=(ast.SelectItem(ast.Star()),),
-            tables=(ast.TableRef(statement.table),),
-            where=statement.where,
-        )
-
     def bind(self, values: tuple[object, ...]) -> ast.Statement:
         """Return a literal AST with ``values`` substituted for placeholders."""
         return _Binder(values).transform_statement(self.statement)

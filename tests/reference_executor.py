@@ -4,10 +4,13 @@ This is ``src/repro/db/executor.py`` as it stood before statements were
 compiled into plans, verbatim: ``repro.db.executor`` must agree with it
 on every result, counter, EXPLAIN line and error (see
 ``tests/test_db_compiled_plans.py``).  The result dataclasses are
-imported from production (``Database`` type-checks them) and the one
-addition is :meth:`Executor.compile`, the entry point :class:`~repro.db.engine.
+imported from production (``Database`` type-checks them) and the
+additions are :meth:`Executor.compile`, the entry point :class:`~repro.db.engine.
 Database` now calls, which dispatches to the interpreter's entry points;
-:func:`oracle_database` builds a ``Database`` running on it.
+the before-image an UPDATE/DELETE result carries (``_write_result``); and
+the production undo of an UPDATE that raises part-way, so a failing
+statement leaves the twin tables equal.  :func:`oracle_database` builds a
+``Database`` running on it.
 
 Known, intended divergence: ``_like`` here still lets ``.`` stop at a
 newline (the bug the plan executor fixed), so differential inputs keep
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.db.executor import QueryResult, UpdateResult  # the production result types
+from repro.db.executor import QueryResult, UpdateResult, undo_updates  # production
 from repro.db.schema import TableSchema
 from repro.db.storage import Table
 from repro.errors import ExecutionError, SchemaError
@@ -178,17 +181,23 @@ class Executor:
     ) -> UpdateResult:
         table = self._table(update.table)
         matches, examined = self._match_rows(table, update.where, params)
-        for rowid, row in matches:
-            scope = _Scope()
-            scope.bindings[table.schema.name] = (table.schema, row)
-            new_row = list(row)
-            for assignment in update.assignments:
-                position = table.schema.position(assignment.column)
-                value = self._eval(assignment.value, scope, params)
-                new_row[position] = table.schema.columns[position].type.coerce(value)
-            table.update_row(rowid, new_row)
+        applied = []
+        try:
+            for rowid, row in matches:
+                scope = _Scope()
+                scope.bindings[table.schema.name] = (table.schema, row)
+                new_row = list(row)
+                for assignment in update.assignments:
+                    position = table.schema.position(assignment.column)
+                    value = self._eval(assignment.value, scope, params)
+                    new_row[position] = table.schema.columns[position].type.coerce(value)
+                table.update_row(rowid, new_row)
+                applied.append((rowid, row))
+        except Exception:
+            undo_updates(table, applied)
+            raise
         self.rows_examined_total += examined
-        return UpdateResult(affected=len(matches), rows_examined=examined)
+        return _write_result(table, matches, examined)
 
     def execute_delete(
         self, delete: ast.Delete, params: tuple[object, ...]
@@ -198,7 +207,7 @@ class Executor:
         for rowid, _row in matches:
             table.delete_row(rowid)
         self.rows_examined_total += examined
-        return UpdateResult(affected=len(matches), rows_examined=examined)
+        return _write_result(table, matches, examined)
 
     # -- row-stream construction --------------------------------------------------
 
@@ -802,6 +811,16 @@ def _find_constant_equality(
                 continue
             return column_side.column.lower(), value_side
     return None
+
+
+def _write_result(table: Table, matches: list, examined: int) -> UpdateResult:
+    """Addition: an UPDATE/DELETE result carries its before-image."""
+    return UpdateResult(
+        affected=len(matches),
+        rows_examined=examined,
+        columns=table.schema.column_names,
+        before=[row for _rowid, row in matches],
+    )
 
 
 def oracle_database(name: str = "oracle"):
