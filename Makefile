@@ -1,6 +1,6 @@
 ENV := PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: test stress stress-lockwatch check bench bench-figures bench-e2e profile bench-cluster bench-invalidation bench-fragments bench-obs bench-admission bench-hitpath differential results
+.PHONY: test stress check bench bench-figures bench-e2e profile bench-cluster bench-invalidation bench-fragments bench-obs bench-admission bench-hitpath differential results
 
 # Tier-1: the full unit/integration/property suite (what CI gates on).
 test:
@@ -8,25 +8,19 @@ test:
 
 # Threaded stress: every @pytest.mark.concurrency test plus the
 # 16-thread RUBiS stress benchmarks (dogpile coalescing + mixed
-# read/write consistency oracle, single-node and 4-node cluster).
+# read/write consistency oracle, single-node and 4-node cluster), with
+# every lock checking its rank at acquire (REPRO_LOCKWATCH=1, see
+# src/repro/locks.py); the session fails on any out-of-order acquire.
 # `timeout` is a hang backstop — pytest-timeout is not a dependency
 # of this repo.
 stress:
-	$(ENV) timeout 600 python -m pytest -q -m concurrency \
-		tests benchmarks/test_concurrency_stress.py \
-		benchmarks/test_cluster_stress.py
-
-# Dynamic lockset mode: the same stress suite with a lock-order
-# recorder woven over NamedRLock (tests/conftest.py gates on the env
-# var); fails if real traffic takes a rank-inverting acquisition edge.
-stress-lockwatch:
 	$(ENV) REPRO_LOCKWATCH=1 timeout 600 python -m pytest -q -m concurrency \
 		tests benchmarks/test_concurrency_stress.py \
 		benchmarks/test_cluster_stress.py
 
 # Whole-program consistency linter (repro.staticcheck): cacheability
-# rules, pointcut coverage, lock-order sanity.  Exit 1 on any finding
-# not justified in staticcheck-baseline.json; also runs its own tests.
+# rules and pointcut coverage.  Exit 1 on any finding not justified in
+# staticcheck-baseline.json; also runs its own tests.
 check:
 	$(ENV) python -m repro check --json-out benchmarks/results/staticcheck.json
 	$(ENV) python -m pytest -q -m staticcheck
@@ -59,7 +53,9 @@ bench-e2e:
 # call, rows examined / returned per call) and how often the pin-first
 # plan rule fired, the miss tax (the slow requests replayed through an
 # unwoven, cache-less twin in a child process: woven us / unwoven us),
-# the top cProfile rows and the head memo's size.  A candidate finder (the numbers ROADMAP
+# the top cProfile rows, the lock rounds per fast hit / slow GET / write
+# (counted on the facade lock class's `__enter__`: every lock round is
+# a `with`) and the head memo's size.  A candidate finder (the numbers ROADMAP
 # items 1 and 4 rank layers by), not a gate: confirm with the traced
 # round of bench/run.py.  `make profile N=500` is the CI smoke run.
 WORKLOAD ?= rubis_browse_churn

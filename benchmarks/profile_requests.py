@@ -11,8 +11,8 @@ SELECT templates (calls, us per call, rows examined and returned per
 call) and how often the pin-first plan rule fired -- then the same N
 through an *unwoven twin* for the **miss tax**, then N more under
 ``cProfile`` --
-counting ``NamedRLock`` acquisitions per fast hit, slow GET and write on
-the way; last, the number of heads the memo holds and, on a ring, how
+counting ``NamedRLock`` acquisitions (``with`` rounds on the facade's
+lock class) per fast hit, slow GET and write on the way; last, the number of heads the memo holds and, on a ring, how
 many routes the router's placement memo holds and how many it had to
 compute.  A candidate finder, not a gate: confirm with the traced round
 of ``bench/run.py``.
@@ -39,14 +39,15 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from bench.workloads import WORKLOADS, build_app, build_facade, generate  # noqa: E402
+from repro.cache.api import Cache  # noqa: E402
 from repro.db.engine import Database  # noqa: E402
 from repro.db.executor import PIN_FIRST  # noqa: E402
-from repro.locks import NamedRLock  # noqa: E402
 from repro.sql import ast_nodes as ast  # noqa: E402
 from repro.web.asyncserver import AsyncCachedServer, _HttpConnection  # noqa: E402
 
@@ -114,18 +115,20 @@ def unwoven_twin(workload_name: str, seed: int, n: int) -> list[float]:
 @contextlib.contextmanager
 def count_lock_rounds():
     """Count every ``NamedRLock`` acquisition (reentrant ones included)
-    into the yielded one-element list while the block runs."""
-    rounds, acquire = [0], NamedRLock.acquire
+    into the yielded one-element list while the block runs.
 
-    def counted(self, *args, **kwargs):
+    Every lock round in ``src/`` is a ``with`` statement, so this wraps
+    ``__enter__`` on the class the facade's lock actually is (the C lock,
+    or its order-checked subclass under ``REPRO_LOCKWATCH=1``)."""
+    lock_class = type(Cache().lock)
+    rounds, enter = [0], lock_class.__enter__
+
+    def counted(self):
         rounds[0] += 1
-        return acquire(self, *args, **kwargs)
+        return enter(self)
 
-    NamedRLock.acquire = counted
-    try:
+    with mock.patch.object(lock_class, "__enter__", counted):
         yield rounds
-    finally:
-        NamedRLock.acquire = acquire
 
 
 def main() -> None:

@@ -79,8 +79,8 @@ def test_hot_key_dogpile_coalesces(figure_report):
     # Two phases.  The rendezvous proves the coalescing property
     # deterministically: the leader is parked on its own flight until
     # every other thread has joined as a waiter, so the one-execution
-    # outcome is guaranteed by construction, on any schedule, lockwatch
-    # included -- the bounded-retry band-aid this replaces is gone.
+    # outcome is guaranteed by construction, on any schedule, checked
+    # locks included -- the bounded-retry band-aid this replaces is gone.
     # The barrage then exercises the machinery under a realistic
     # invalidation storm, asserting correctness (zero errors, exact
     # accounting), which never was schedule-dependent.

@@ -2,23 +2,20 @@
 
 AutoWebCache's strong-consistency guarantee rests on preconditions the
 runtime never checks: cacheable servlets must be side-effect-free and
-deterministic, every SQL call site must flow through the woven DB-API
-driver, and the fine-grained locks of the caching tier must respect the
-documented acquisition order.  This package checks those preconditions
-*statically* -- the complement to the dynamic SQL analysis the paper
-describes (and the gap its "limitations" section concedes).
+deterministic, and every SQL call site must flow through the woven
+DB-API driver.  This package checks those preconditions *statically* --
+the complement to the dynamic SQL analysis the paper describes (and the
+gap its "limitations" section concedes).  Lock order is not checked
+here: a lock checks its own rank when it is acquired (:mod:`repro.locks`).
 
-Four passes share one diagnostic model (:mod:`~repro.staticcheck.diagnostics`):
+Three passes share one diagnostic model (:mod:`~repro.staticcheck.diagnostics`):
 
 - :mod:`~repro.staticcheck.cacheability` -- RC01..RC04 over the servlet
   classes of ``repro.apps``;
 - :mod:`~repro.staticcheck.methodcache` -- RC05 over the designated
   method-cache candidates (bodies must be functions of their arguments);
 - :mod:`~repro.staticcheck.coverage` -- PC01..PC03 over the registered
-  pointcuts and the statically discovered join-point surface;
-- :mod:`~repro.staticcheck.lockorder` -- LK01 over nested lock scopes in
-  ``repro.cache`` and ``repro.cluster``; the woven *dynamic* counterpart
-  lives in :mod:`~repro.staticcheck.lockwatch`.
+  pointcuts and the statically discovered join-point surface.
 
 Entry points: ``python -m repro check`` (CLI), :func:`run_check`
 (programmatic), ``make check`` (CI gate).

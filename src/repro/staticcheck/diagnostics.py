@@ -114,14 +114,6 @@ RULES: dict[str, Rule] = {
             "point; their nesting order is declaration order, which is "
             "accidental -- give the aspects distinct precedences",
         ),
-        Rule(
-            "LK01",
-            "error",
-            "lock acquisition violates the documented order",
-            "acquire locks in LOCK_ORDER (repro.locks) position order; "
-            "restructure so the inner call does not need the "
-            "earlier-ranked lock while a later-ranked one is held",
-        ),
     )
 }
 

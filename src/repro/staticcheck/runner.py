@@ -1,4 +1,4 @@
-"""Orchestrates the four passes into one :class:`Report`."""
+"""Orchestrates the three passes into one :class:`Report`."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from pathlib import Path
 from repro.staticcheck.cacheability import check_cacheability, lineage_summary
 from repro.staticcheck.coverage import check_coverage
 from repro.staticcheck.diagnostics import Report, load_baseline
-from repro.staticcheck.lockorder import check_lock_order
 from repro.staticcheck.methodcache import check_method_cache
 from repro.staticcheck.target import CheckTarget, default_target
 
@@ -26,7 +25,6 @@ def run_check(
         check_cacheability(target)
         + check_method_cache(target)
         + check_coverage(target)
-        + check_lock_order(target)
     )
     if baseline_path == "auto":
         resolved = target.baseline_path

@@ -102,8 +102,6 @@ class ClassInfo:
     functions: dict[str, FunctionSource] = field(default_factory=dict)
     #: self.<attr> -> inferred type name
     attr_types: dict[str, str] = field(default_factory=dict)
-    #: self.<attr> -> NamedRLock name
-    attr_locks: dict[str, str] = field(default_factory=dict)
     #: method -> return annotation type name
     returns: dict[str, str] = field(default_factory=dict)
 
@@ -132,15 +130,10 @@ class ClassInfo:
                 elif isinstance(item, ast.AnnAssign) and isinstance(
                     item.target, ast.Name
                 ):
-                    # Class-level annotated attribute (dataclass field);
-                    # a NamedRLock can hide inside a default_factory
-                    # lambda, so search the value expression for it.
+                    # Class-level annotated attribute (dataclass field).
                     annotated = _type_name(item.annotation)
                     if annotated:
                         info.attr_types[item.target.id] = annotated
-                    lock = _named_lock_in(item.value)
-                    if lock is not None:
-                        info.attr_locks[item.target.id] = lock
             init = info.functions.get("__init__")
             if init is not None and init.owner is base:
                 info._scan_init(init)
@@ -175,34 +168,12 @@ class ClassInfo:
             ):
                 continue
             attr = target.attr
-            lock = _named_lock_in(value)
-            if lock is not None:
-                self.attr_locks[attr] = lock
-                self.attr_types.setdefault(attr, "NamedRLock")
-                continue
             if isinstance(value, ast.Name) and value.id in params:
                 self.attr_types.setdefault(attr, params[value.id])
             elif isinstance(value, ast.Call) and isinstance(
                 value.func, ast.Name
             ):
                 self.attr_types.setdefault(attr, value.func.id)
-
-
-def _named_lock_in(node: ast.AST | None) -> str | None:
-    """The lock name if ``node`` contains a ``NamedRLock("...")`` call."""
-    if node is None:
-        return None
-    for sub in ast.walk(node):
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Name)
-            and sub.func.id == "NamedRLock"
-            and sub.args
-            and isinstance(sub.args[0], ast.Constant)
-            and isinstance(sub.args[0].value, str)
-        ):
-            return sub.args[0].value
-    return None
 
 
 class TypeRegistry:

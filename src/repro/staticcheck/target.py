@@ -2,10 +2,9 @@
 
 A :class:`CheckTarget` bundles the applications (servlet classes and
 their cacheability routing), the aspect classes whose pointcuts are
-verified, the join-point surface they are evaluated over, and the
-classes whose lock scopes the lock-order pass walks.  The real repo's
-target comes from :func:`default_target`; the seeded-violation fixture
-under ``tests/fixtures/badapp`` builds its own.
+verified and the join-point surface they are evaluated over.  The real
+repo's target comes from :func:`default_target`; the seeded-violation
+fixture under ``tests/fixtures/badapp`` builds its own.
 """
 
 from __future__ import annotations
@@ -55,8 +54,6 @@ class CheckTarget:
     #: request/session/entropy reads that the ``method://`` key cannot
     #: distinguish.
     method_cache_targets: tuple[tuple[type, str], ...] = ()
-    #: Classes whose nested lock scopes the lock-order pass analyses.
-    lock_classes: tuple[type, ...] = ()
     #: Class names whose instances are per-request entropy (RC02), e.g.
     #: the TPC-W ad rotator.
     entropy_classes: frozenset[str] = frozenset()
@@ -80,7 +77,6 @@ class CheckTarget:
         if self._registry is None:
             classes: list[type] = list(self.helper_classes)
             classes.extend(self.surface_classes)
-            classes.extend(self.lock_classes)
             classes.extend(owner for owner, _m in self.method_cache_targets)
             for app in self.apps:
                 for _uri, servlet_cls, _w in app.interactions:
@@ -113,7 +109,7 @@ def repo_root() -> Path:
 
 def default_target() -> CheckTarget:
     """The real repository: both benchmark apps, all woven aspects, the
-    full caching/cluster lock surface."""
+    caching/cluster join-point surface."""
     from repro.admission.aspects import MethodCacheAspect
     from repro.apps.html import PageComposer
     from repro.apps.rubis import app as rubis_app
@@ -132,7 +128,6 @@ def default_target() -> CheckTarget:
     from repro.cluster.router import ClusterRouter
     from repro.db.dbapi import Connection, ResultSet, Statement
     from repro.db.engine import Database
-    from repro.locks import NamedRLock
     from repro.apps.rubis.schema import create_rubis_schema
     from repro.apps.tpcw.schema import create_tpcw_schema
     from repro.obs.aspects import MetricsAspect, TracingAspect
@@ -196,7 +191,6 @@ def default_target() -> CheckTarget:
             CacheNode,
             MetricsServlet,
             TracesServlet,
-            NamedRLock,
         ),
         required_sql_sites=(
             (Statement, "execute_query"),
@@ -207,12 +201,6 @@ def default_target() -> CheckTarget:
         method_cache_targets=(
             (CategoryCatalogue, "categories"),
             (CategoryCatalogue, "regions"),
-        ),
-        lock_classes=(
-            Cache,
-            ClusterRouter,
-            InvalidationBus,
-            CacheNode,
         ),
         entropy_classes=frozenset({"AdRotator"}),
         catalog=catalog,

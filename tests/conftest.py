@@ -1,8 +1,9 @@
 """Shared fixtures.
 
 Weaving mutates classes globally, so every fixture that installs
-AutoWebCache guarantees uninstallation, and a session-level autouse
-fixture asserts no woven methods leak between tests.
+AutoWebCache guarantees uninstallation, and an autouse fixture asserts
+no woven methods leak between tests.  The suite runs with the lock-order
+check on (``REPRO_LOCKWATCH=1`` unless the environment says otherwise).
 """
 
 from __future__ import annotations
@@ -14,33 +15,23 @@ import pytest
 from repro.cache.autowebcache import AutoWebCache
 from repro.db import Column, ColumnType, Database, TableSchema, connect
 from repro.db.dbapi import Connection, Statement
+from repro.locks import VIOLATIONS
 from repro.web.container import ServletContainer
 from repro.web.http import HttpRequest, HttpResponse
 from repro.web.servlet import HttpServlet
 
+# Every lock the suite builds checks its rank at acquire (repro.locks):
+# the choice is made when a lock is constructed, and none is built at
+# import time.
+os.environ.setdefault("REPRO_LOCKWATCH", "1")
+
 
 @pytest.fixture(scope="session", autouse=True)
-def lockwatch_session():
-    """Dynamic lockset mode (``REPRO_LOCKWATCH=1``, see `make
-    stress-lockwatch`): weave the lock-order recorder over NamedRLock
-    for the whole session and fail it if any test's real traffic takes
-    a rank-inverting or same-name-nested acquisition."""
-    if os.environ.get("REPRO_LOCKWATCH") != "1":
-        yield
-        return
-    from repro.staticcheck.lockwatch import LockWatchRecorder, watch_locks
-
-    recorder = LockWatchRecorder()
-    weaver = watch_locks(recorder)
-    try:
-        yield
-    finally:
-        weaver.unweave()
-    violations = recorder.snapshot_violations()
-    assert not violations, (
-        f"dynamic lock-order violations over {recorder.acquisitions} "
-        "acquisitions:\n" + "\n".join(v.describe() for v in violations)
-    )
+def lock_order_holds():
+    """Fail the session if any checked lock refused an out-of-order
+    acquire, including on a thread whose exception was swallowed."""
+    yield
+    assert not VIOLATIONS, "lock-order violations:\n" + "\n".join(VIOLATIONS)
 
 
 @pytest.fixture(autouse=True)

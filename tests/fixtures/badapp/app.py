@@ -14,7 +14,6 @@ from tests.fixtures.badapp.aspects import (
     GhostAspect,
     RivalAspect,
 )
-from tests.fixtures.badapp.locks import BackwardsIndex, PageMirror, Till, Vault
 from tests.fixtures.badapp.servlets import (
     AuditedCounter,
     BackdoorReader,
@@ -66,7 +65,6 @@ def badapp_target() -> CheckTarget:
             (PersonalisedCatalogue, "recommendations"),
             (PersonalisedCatalogue, "category_names"),
         ),
-        lock_classes=(Till, Vault, BackwardsIndex, PageMirror),
         catalog=BADAPP_CATALOG,
         helper_classes=(
             Statement,

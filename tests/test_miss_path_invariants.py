@@ -26,7 +26,6 @@ from repro.cache.api import Cache
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.entry import QueryInstance
 from repro.cluster import ClusterAutoWebCache
-from repro.locks import NamedRLock
 from repro.sql.template import templateize
 from repro.web.http import HttpRequest
 
@@ -66,8 +65,11 @@ def count_calls(monkeypatch, owner, name: str) -> list[int]:
 @pytest.fixture
 def lock_rounds(monkeypatch) -> list[int]:
     """Running count of ``NamedRLock`` acquisitions, reentrant ones
-    included (reset it to 0 before the part being counted)."""
-    return count_calls(monkeypatch, NamedRLock, "acquire")
+    included (reset it to 0 before the part being counted).  Every lock
+    round in ``src/`` is a ``with`` statement, so this counts
+    ``__enter__`` on the class the facade's lock actually is (the C
+    lock or its order-checked subclass)."""
+    return count_calls(monkeypatch, type(Cache().lock), "__enter__")
 
 
 def test_a_warm_hit_and_miss_match_no_patterns_and_build_one_joinpoint_per_layer(

@@ -32,7 +32,7 @@ pytestmark = pytest.mark.staticcheck
 
 ALL_RULES = {
     "RC01", "RC02", "RC03", "RC04", "RC05", "RC06",
-    "PC01", "PC02", "PC03", "LK01",
+    "PC01", "PC02", "PC03",
 }
 
 _FIXTURE = Path(__file__).parent / "fixtures" / "badapp"
@@ -64,7 +64,6 @@ def test_badapp_reports_every_rule_with_correct_anchors():
 
     servlets = _FIXTURE / "servlets.py"
     aspects = _FIXTURE / "aspects.py"
-    locks = _FIXTURE / "locks.py"
     expected = {
         ("RC01", "AuditedCounter.do_get"):
             (servlets, "statement.execute_update(", 1),
@@ -90,8 +89,8 @@ def test_badapp_reports_every_rule_with_correct_anchors():
             (aspects, "execution(GoodServlet.do_get(..))", 1),
     }
     by_key = {(d.rule, d.symbol): d for d in report.active}
-    assert len(report.active) == 11  # one per rule, plus a second LK01
-    assert len(by_key) == 11
+    assert len(report.active) == 9  # one per rule
+    assert len(by_key) == 9
     for (rule, symbol), (file, needle, occurrence) in expected.items():
         diagnostic = by_key[(rule, symbol)]
         relative = file.relative_to(Path(__file__).parents[1]).as_posix()
@@ -100,16 +99,6 @@ def test_badapp_reports_every_rule_with_correct_anchors():
             f"{rule} anchored at {diagnostic.file}:{diagnostic.line}, "
             f"expected the line of {needle!r}"
         )
-
-    lk = sorted(
-        (d for d in report.active if d.rule == "LK01"),
-        key=lambda d: d.line,
-    )
-    assert [d.symbol for d in lk] == ["Vault.deposit", "BackwardsIndex.rebuild"]
-    assert "badapp-till -> badapp-vault -> badapp-till" in lk[0].message
-    assert lk[0].line == line_of(locks, "self.till.reconcile()")
-    assert "'cache-facade'" in lk[1].message
-    assert lk[1].line == line_of(locks, "self._mirror.push(")
 
 
 def test_real_repo_is_clean_after_baseline():
@@ -156,7 +145,7 @@ def test_baseline_suppresses_by_key_and_reports_stale(tmp_path):
 
 def test_report_build_orders_and_serialises():
     diagnostics = [
-        Diagnostic(rule="LK01", file="b.py", line=9, symbol="X.y", message="m2"),
+        Diagnostic(rule="PC03", file="b.py", line=9, symbol="X.y", message="m2"),
         Diagnostic(rule="RC01", file="a.py", line=3, symbol="A.b", message="m1"),
     ]
     report = Report.build(diagnostics, ())

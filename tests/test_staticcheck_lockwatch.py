@@ -1,94 +1,112 @@
-"""Dynamic lockset mode: the woven lock-order recorder.
+"""Lock order, checked at acquire (``REPRO_LOCKWATCH=1``).
 
-Unit-level coverage of the recorder semantics (ordering, reentrancy,
-same-name nesting, failed try-acquires, static diffing) plus an
-end-to-end run: threaded traffic through the real woven cache must take
-zero rank-inverting acquisition edges.
+Unit-level coverage of the checked lock (ordering, reentrancy, same-name
+nesting, failed try-acquires, unknown names), the production lock's
+C-speed shape, one inversion through the real cluster classes, and an
+end-to-end run: threaded traffic through the real woven cache must
+acquire nothing out of order.
 """
 
 from __future__ import annotations
 
-import os
+import _thread
 import threading
 
 import pytest
 
-from repro.locks import NamedRLock
-from repro.staticcheck.lockwatch import LockWatchRecorder, watch_locks
+from repro.locks import VIOLATIONS, CheckedRLock, LockOrderError, NamedRLock
 
 pytestmark = [pytest.mark.staticcheck]
 
-if os.environ.get("REPRO_LOCKWATCH") == "1":
-    # Under `make stress-lockwatch` the session fixture has already
-    # woven NamedRLock; these tests weave a recorder of their own and
-    # deliberately seed violations, which would fail the session-level
-    # zero-violation assertion.  The rest of the stress suite provides
-    # the real traffic the session recorder watches.
-    pytestmark.append(
-        pytest.mark.skip(reason="session-level lockwatch recorder active")
-    )
-
 
 @pytest.fixture
-def watched():
-    recorder = LockWatchRecorder()
-    weaver = watch_locks(recorder)
-    try:
-        yield recorder
-    finally:
-        weaver.unweave()
+def provoked(monkeypatch):
+    """Locks built in the test are checked.  Yields a callable listing
+    the violations recorded since the test began; they are taken off
+    the session-wide list afterwards (the session fails on any left)."""
+    monkeypatch.setenv("REPRO_LOCKWATCH", "1")
+    before = len(VIOLATIONS)
+    yield lambda: VIOLATIONS[before:]
+    del VIOLATIONS[before:]
 
 
-def test_ordered_acquisition_is_clean(watched):
-    outer = NamedRLock("invalidation-bus")
-    inner = NamedRLock("cache-facade")
-    with outer:
-        with inner:
+def test_ordered_acquisition_is_clean(provoked):
+    router = NamedRLock("cluster-router")
+    bus = NamedRLock("invalidation-bus")
+    facade = NamedRLock("cache-facade")
+    assert isinstance(router, CheckedRLock)
+    with router:
+        with bus:
+            with facade:
+                pass
+    with bus:
+        with facade:
             pass
-    assert watched.acquisitions == 2
-    assert watched.snapshot_violations() == []
-    assert ("invalidation-bus", "cache-facade") in watched.edge_set()
+    assert provoked() == []
 
 
-def test_rank_inversion_is_flagged(watched):
+def test_rank_inversion_is_flagged(provoked):
     outer = NamedRLock("cache-facade")
     inner = NamedRLock("invalidation-bus")
     with outer:
-        with inner:
-            pass
-    violations = watched.snapshot_violations()
-    assert len(violations) == 1
-    assert violations[0].kind == "rank"
-    assert violations[0].held == "cache-facade"
-    assert violations[0].acquired == "invalidation-bus"
-    assert "rank" in violations[0].describe()
+        with pytest.raises(LockOrderError, match="'invalidation-bus'"):
+            with inner:
+                pass
+        # Refused before acquiring: the inner lock is free.
+        assert not inner._is_owned()
+    [violation] = provoked()
+    assert "'cache-facade' (rank 2)" in violation
 
 
-def test_reentrant_reacquisition_is_not_an_edge(watched):
+def test_violation_on_a_swallowing_thread_is_still_recorded(provoked):
+    outer = NamedRLock("cache-facade")
+    inner = NamedRLock("cluster-router")
+
+    def swallowing():
+        try:
+            with outer:
+                with inner:
+                    pass
+        except LockOrderError:
+            pass  # as a pump thread's bare except would
+
+    thread = threading.Thread(target=swallowing, name="pump")
+    thread.start()
+    thread.join()
+    [violation] = provoked()
+    assert violation.startswith("[pump]")
+
+
+def test_reentrant_reacquisition_is_not_an_edge(provoked):
     lock = NamedRLock("cache-facade")
+    earlier = NamedRLock("invalidation-bus")
     with lock:
         with lock:
             pass
-    assert watched.snapshot_violations() == []
-    assert watched.edge_set() == set()
-    # Only the first acquisition of the instance counts.
-    assert watched.acquisitions == 1
+        # The inner release left the lock held: it still orders.
+        with pytest.raises(LockOrderError):
+            with earlier:
+                pass
+    with earlier:
+        with lock:
+            with earlier:  # reentrant under a later rank: allowed
+                pass
+    assert len(provoked()) == 1
 
 
-def test_same_name_distinct_instances_nested_is_flagged(watched):
+def test_same_name_distinct_instances_nested_is_flagged(provoked):
     first = NamedRLock("cache-facade")
     second = NamedRLock("cache-facade")
     with first:
-        with second:
-            pass
-    violations = watched.snapshot_violations()
-    assert [v.kind for v in violations] == ["same-name"]
-    assert "self-deadlock" in violations[0].describe()
+        with pytest.raises(LockOrderError, match="while holding 'cache-facade'"):
+            with second:
+                pass
+    assert len(provoked()) == 1
 
 
-def test_failed_try_acquire_holds_nothing(watched):
-    lock = NamedRLock("invalidation-bus")
-    other = NamedRLock("cache-facade")
+def test_failed_try_acquire_holds_nothing(provoked):
+    lock = NamedRLock("cache-facade")
+    earlier = NamedRLock("invalidation-bus")
     started = threading.Event()
     release = threading.Event()
 
@@ -100,35 +118,58 @@ def test_failed_try_acquire_holds_nothing(watched):
     thread = threading.Thread(target=holder)
     thread.start()
     started.wait(5)
-    assert lock.acquire(blocking=False) is False
-    # The failed attempt must not leave a phantom "held" entry that
-    # would turn this acquisition into an invalidation-bus ->
-    # cache-facade edge on this thread.
-    with other:
-        pass
-    release.set()
-    thread.join()
-    assert ("invalidation-bus", "cache-facade") not in watched.edge_set()
-    assert watched.snapshot_violations() == []
-
-
-def test_diff_against_static_reports_unseen_edges(watched):
-    outer = NamedRLock("cluster-router")
-    inner = NamedRLock("cache-facade")
-    with outer:
-        with inner:
+    try:
+        assert lock.acquire(blocking=False) is False
+        # A phantom "held" entry from the failed attempt would make this
+        # earlier-ranked acquisition an inversion.
+        with earlier:
             pass
-    assert watched.diff_against_static(set()) == {("cluster-router", "cache-facade")}
-    assert watched.diff_against_static({("cluster-router", "cache-facade")}) == set()
+    finally:
+        release.set()
+        thread.join()
+    assert provoked() == []
+
+
+def test_unknown_lock_name_is_rejected_at_construction(provoked):
+    with pytest.raises(ValueError, match="LOCK_ORDER"):
+        NamedRLock("badapp-vault")
+
+
+def test_production_lock_is_a_c_rlock_with_a_name(monkeypatch):
+    monkeypatch.delenv("REPRO_LOCKWATCH", raising=False)
+    lock = NamedRLock("cache-facade")
+    assert type(lock) is NamedRLock
+    assert (lock.name, lock.rank) == ("cache-facade", 2)
+    for name in ("__enter__", "__exit__", "acquire", "release"):
+        assert getattr(type(lock), name) is getattr(_thread.RLock, name)
+    with lock:
+        with lock:
+            assert lock._is_owned()
+    assert not lock._is_owned()
+
+
+def test_router_join_under_a_node_cache_lock_is_refused(provoked):
+    from repro.cluster import ClusterAutoWebCache
+
+    awc = ClusterAutoWebCache(n_nodes=2)
+    node = awc.router.nodes()[0]
+    with node.cache.lock:
+        with pytest.raises(LockOrderError, match="'cluster-router'"):
+            awc.router.add_node("late")
+    [violation] = provoked()
+    assert "'cache-facade'" in violation
+    # Nothing was half-joined; the same call in order succeeds.
+    assert awc.router.add_node("late").name == "late"
 
 
 @pytest.mark.concurrency
-def test_threaded_woven_cache_traffic_takes_no_bad_edges(watched):
+def test_threaded_woven_cache_traffic_takes_no_bad_edges(provoked):
     from repro.apps.rubis.app import build_rubis
     from repro.cache.autowebcache import AutoWebCache
 
     app = build_rubis()
     awc = AutoWebCache()
+    assert isinstance(awc.cache.lock, CheckedRLock)
     awc.install(app.container.servlet_classes)
     try:
         def client(offset: int) -> None:
@@ -152,6 +193,5 @@ def test_threaded_woven_cache_traffic_takes_no_bad_edges(watched):
     finally:
         awc.uninstall()
 
-    assert watched.acquisitions > 0, "the woven cache never took a lock"
-    violations = watched.snapshot_violations()
-    assert violations == [], "\n".join(v.describe() for v in violations)
+    assert awc.stats.hits > 0 and awc.stats.invalidated_pages > 0
+    assert provoked() == []
