@@ -1,6 +1,6 @@
 ENV := PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: test stress check bench bench-figures bench-e2e profile bench-cluster bench-invalidation bench-fragments bench-obs bench-admission bench-hitpath differential results
+.PHONY: test stress check bench bench-figures bench-e2e profile bench-cluster bench-invalidation bench-fragments bench-obs bench-hitpath differential results
 
 # Tier-1: the full unit/integration/property suite (what CI gates on).
 test:
@@ -94,12 +94,6 @@ bench-obs:
 # HITPATH_MIN_SPEEDUP for CI smoke runs.
 bench-hitpath:
 	$(ENV) timeout 600 python -m pytest -q benchmarks/test_hitpath_throughput.py
-
-# Admission ablation: cache-everything vs adaptive vs shadow on a
-# churn-heavy RUBiS write mix + read-heavy control (writes
-# benchmarks/results/admission_ablation.txt).
-bench-admission:
-	$(ENV) timeout 600 python -m pytest -q benchmarks/test_admission_ablation.py
 
 # Equivalence check: indexed and brute-force invalidators must produce
 # identical doomed sets over randomized workloads (exit 1 on mismatch).

@@ -16,16 +16,8 @@ hurt:
    may serve a page showing fewer bids.  Zero violations allowed, and
    the cache's byte/dependency accounting must be exact afterwards.
 
-3. **Adaptive admission oracle** -- the same mixed barrage with
-   ``AdaptiveAdmission`` enforcing: after a warmup that demotes the
-   churn-heavy item pages, 16 threads must see zero consistency
-   violations, exact byte/dependency accounting, and exact verdict
-   accounting (every stored insert was admitted; denied inserts leak
-   neither bytes nor dependency rows).
-
-Results land in ``benchmarks/results/concurrency_stress_dogpile.txt``,
-``benchmarks/results/concurrency_stress_mixed.txt`` and
-``benchmarks/results/concurrency_stress_admission.txt``.
+Results land in ``benchmarks/results/concurrency_stress_dogpile.txt``
+and ``benchmarks/results/concurrency_stress_mixed.txt``.
 """
 
 from __future__ import annotations
@@ -37,7 +29,6 @@ import time
 
 import pytest
 
-from repro.admission.policy import AdaptiveAdmission
 from repro.apps.rubis import RubisDataset, build_rubis
 from repro.cache.autowebcache import AutoWebCache
 from repro.harness.loadgen import ThreadedLoadDriver, hot_key_factory
@@ -331,163 +322,6 @@ def test_mixed_read_write_zero_consistency_violations(figure_report):
                     f"  consistency violations  {len(violations)}",
                     f"  errors            {len(errors)}",
                     "  accounting        exact (bytes + dependency table)",
-                ]
-            ),
-        )
-    finally:
-        awc.uninstall()
-
-
-@pytest.mark.concurrency
-def test_adaptive_admission_exact_accounting(figure_report):
-    """The admission oracle: adaptive enforcement under 16 threads.
-
-    Warmup churn demotes ``/rubis/view_item`` to pass-through; the
-    threaded barrage then must show zero freshness violations, exact
-    byte/dependency accounting, and exact verdict accounting --
-    ``admitted == inserts`` (only admitted inserts store anything) with
-    no live entry or dependency row left behind by a denied insert.
-    """
-    app = build_rubis(RubisDataset(n_users=50, n_items=60))
-    policy = AdaptiveAdmission(margin=0.1, min_observations=10)
-    awc = AutoWebCache(admission=policy)
-    awc.install(app.servlet_classes)
-    try:
-        n_writers = 4
-        n_readers = N_THREADS - n_writers
-        hot_items = list(range(1, n_writers + 1))
-
-        # Serial warmup: read-then-invalidate cycles give the item
-        # pages a zero hit probability at ~1 doom per insert, pushing
-        # the class past the cold-start gate and under -margin.
-        bid = 3000.0
-        for i in range(10 * len(hot_items)):
-            item = hot_items[i % len(hot_items)]
-            app.container.handle(
-                HttpRequest("GET", "/rubis/view_item", {"item": str(item)})
-            )
-            bid += 1.0
-            response = app.container.post(
-                "/rubis/store_bid",
-                {"item": str(item), "user": "5", "bid": str(bid)},
-            )
-            assert response.status == 200
-        assert policy.is_demoted("/rubis/view_item")
-
-        floor_lock = threading.Lock()
-        committed: dict[int, int] = {}
-        for item in hot_items:
-            result = app.database.query(
-                "SELECT nb_of_bids FROM items WHERE id = ?", (item,)
-            )
-            committed[item] = int(result.scalar() or 0)
-        violations: list[str] = []
-        errors: list[str] = []
-        barrier = threading.Barrier(N_THREADS)
-        bids_per_writer = 30
-        reads_per_reader = 60
-
-        def writer(item: int) -> None:
-            try:
-                barrier.wait(timeout=10)
-                for i in range(bids_per_writer):
-                    response = app.container.post(
-                        "/rubis/store_bid",
-                        {
-                            "item": str(item),
-                            "user": str(item + 10),
-                            "bid": str(4000.0 + i),
-                        },
-                    )
-                    if response.status != 200:
-                        errors.append(f"writer {item}: {response.status}")
-                        return
-                    with floor_lock:
-                        committed[item] += 1
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(f"writer {item}: {type(exc).__name__}: {exc}")
-
-        def reader(index: int) -> None:
-            try:
-                barrier.wait(timeout=10)
-                for i in range(reads_per_reader):
-                    item = hot_items[(index + i) % len(hot_items)]
-                    with floor_lock:
-                        floor = committed[item]
-                    # Alternate the demoted class with an admitted one
-                    # so both sides of the gate run concurrently.
-                    if i % 4 == 3:
-                        response = app.container.handle(
-                            HttpRequest("GET", "/rubis/browse_categories")
-                        )
-                        if response.status != 200:
-                            errors.append(f"reader {index}: {response.status}")
-                            return
-                        continue
-                    response = app.container.handle(
-                        HttpRequest(
-                            "GET", "/rubis/view_item", {"item": str(item)}
-                        )
-                    )
-                    if response.status != 200:
-                        errors.append(f"reader {index}: {response.status}")
-                        return
-                    seen = _nb_of_bids(response.body)
-                    if seen < floor:
-                        violations.append(
-                            f"item {item}: served {seen} bids after "
-                            f"{floor} were committed"
-                        )
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(f"reader {index}: {type(exc).__name__}: {exc}")
-
-        threads = [
-            threading.Thread(target=writer, args=(item,)) for item in hot_items
-        ] + [
-            threading.Thread(target=reader, args=(i,)) for i in range(n_readers)
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        wall = time.perf_counter() - started
-
-        assert not any(t.is_alive() for t in threads), "stress run hung"
-        assert errors == []
-        assert violations == [], violations[:5]
-        assert_cache_accounting_exact(awc)
-        stats = awc.stats
-        # Exact verdict accounting: a stored insert is exactly an
-        # admitted verdict (non-shadow mode), so denied inserts leaked
-        # neither an entry, bytes (accounting above), nor a counter.
-        assert stats.admitted == stats.inserts
-        assert stats.shadow_denied == 0
-        assert stats.denied > 0
-        # A demoted class is pass-through: nothing of it may be live.
-        assert policy.is_demoted("/rubis/view_item")
-        live = awc.cache.pages.keys()
-        assert not any(key.startswith("/rubis/view_item") for key in live)
-        figure_report(
-            "concurrency_stress_admission",
-            "\n".join(
-                [
-                    "Adaptive admission oracle: 12 readers + 4 writers "
-                    "(16 threads) after demoting /rubis/view_item",
-                    f"  requests          "
-                    f"{n_writers * bids_per_writer + n_readers * reads_per_reader}"
-                    f" ({n_writers * bids_per_writer} writes)",
-                    f"  wall time         {wall:.2f} s",
-                    f"  admitted          {stats.admitted}",
-                    f"  denied            {stats.denied}",
-                    f"  inserts           {stats.inserts} (== admitted)",
-                    f"  hits              {stats.hits}",
-                    f"  invalidations     {stats.invalidated_pages}",
-                    f"  demoted classes   {policy.demoted_classes()}",
-                    f"  consistency violations  {len(violations)}",
-                    f"  errors            {len(errors)}",
-                    "  accounting        exact (bytes + dependency table"
-                    " + verdicts)",
                 ]
             ),
         )

@@ -22,8 +22,6 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
-from repro.admission.model import key_class
-from repro.admission.policy import DENY, AdmissionPolicy, AdmitAll
 from repro.cache.analysis import InvalidationPolicy, QueryAnalysisEngine
 from repro.cache.analysis_cache import AnalysisCache
 from repro.cache.entry import PageEntry, QueryInstance
@@ -51,17 +49,12 @@ class Cache:
         clock: Callable[[], float] = time.time,
         forced_miss: bool = False,
         coalesce: bool = True,
-        admission: AdmissionPolicy | None = None,
         catalog: object | None = None,
     ) -> None:
         self.semantics = semantics or SemanticsRegistry()
         self.clock = clock
         #: The only lock in the cache core (module docstring).
         self.lock = NamedRLock("cache-facade")
-        #: Insert-path admission policy (``repro.admission``).  The
-        #: default AdmitAll stores everything and observes nothing --
-        #: the paper's cache-everything behaviour, bit for bit.
-        self.admission = admission if admission is not None else AdmitAll()
         #: When True every lookup misses but all other machinery runs --
         #: the paper's cache-overhead measurement mode (Section 6).
         self.forced_miss = forced_miss
@@ -161,7 +154,6 @@ class Cache:
                 self.stats.record_miss(stat_uri, "cold")
                 return None
             entry, reason = self.pages.lookup(key, self.clock())
-            self.admission.observe_lookup(stat_uri, hit=entry is not None)
             if entry is not None:
                 self.stats.record_hit(stat_uri, semantic=entry.semantic)
                 return entry
@@ -191,7 +183,6 @@ class Cache:
             if entry is None:
                 return None
             self.stats.record_hit(uri, semantic=entry.semantic)
-            self.admission.observe_lookup(uri, hit=True)
             return entry
 
     def insert(
@@ -261,8 +252,8 @@ class Cache:
         (which a published token's waiters then serve).
 
         Returns ``(entry, stored)``; ``stored`` is False when the
-        staleness check discarded the insert, when an embedded fragment
-        is no longer resident, or when admission denied it.
+        staleness check discarded the insert, or when an embedded
+        fragment is no longer resident.
         """
         now = self.clock()
         ttl = self.semantics.ttl_for(ttl_uri) if ttl_uri is not None else None
@@ -300,34 +291,8 @@ class Cache:
             ):
                 self.stats.record_stale_insert()
                 return entry, False
-            # -- admission gate: consulted after the staleness check and
-            # before the entry touches any substructure, so a denied
-            # insert leaves no bytes, dependency rows or containment
-            # edges behind.
-            cls = ttl_uri if ttl_uri is not None else key_class(key)
-            if window is not None and window.started_at:
-                self.admission.observe_recompute(
-                    cls, now - window.started_at
-                )
-            size = len(body)
-            verdict = self.admission.verdict(cls, size)
-            if verdict == DENY:
-                self.stats.record_admission(verdict)
-                if window is not None:
-                    # Pass-through, not failure: waiters still serve
-                    # the computed body once (no recompute storm).
-                    window.entry = entry
-                return entry, False
             evicted = self._store(entry)
-            self.stats.record_insert(
-                evictions=len(evicted),
-                cls=cls,
-                nbytes=size,
-                evicted=tuple(
-                    [(key_class(victim.key), victim.size) for victim in evicted]
-                ),
-                verdict=verdict,
-            )
+            self.stats.record_insert(evictions=len(evicted))
             if window is not None:
                 window.entry = entry
         return entry, True
@@ -335,8 +300,9 @@ class Cache:
     def adopt(self, entry: PageEntry) -> list[PageEntry]:
         """Store an entry that was built elsewhere (a replica's
         write-through copy, a page moved in by rebalancing) with its
-        containment edges; returns the capacity victims.  No admission,
-        no statistics: the insert was accounted for where it happened.
+        containment edges; returns the capacity victims.  No staleness
+        check, no statistics: the insert was judged and accounted for
+        where it happened.
         """
         with self.lock:
             return self._store(entry)
@@ -394,7 +360,6 @@ class Cache:
             for container in containers:
                 if self.pages.invalidate(container):
                     self.stats.record_invalidated()
-                    self.admission.observe_doom(key_class(container))
                 self.fragments.forget(container)
         for key in keys:
             self.fragments.forget(key)
@@ -449,7 +414,7 @@ class Cache:
         insert dooms nothing (the page has no dependency rows yet), and
         the stale page would be stored and served until the *next* write
         for the same data."""
-        flight = Flight(key, self._write_seq, self.clock(), published)
+        flight = Flight(key, self._write_seq, published)
         self._open.setdefault(key, []).append(flight)
         return flight
 
@@ -555,12 +520,14 @@ class Cache:
                 self._write_seq += 1
                 seq = self._write_seq
                 self._recent_writes.extend((seq, write) for write in writes)
-                # Pass-through flights: an admission-denied insert has
-                # no dependency rows, so the doom pass below cannot see
-                # its published entry -- but waiters will still serve
-                # it.  An overlapping write must mark the flight stale
-                # here, or a waiter could serve a body staler than the
-                # write's commit point.
+                # Evicted flight entries: a stored insert can leave the
+                # store before its flight closes (a later insert evicts
+                # it, taking its dependency rows along), so the doom
+                # pass below cannot see it -- but the flight still hands
+                # it to waiters, including ones that join after this
+                # write.  An intersecting write must mark the flight
+                # stale here, or a waiter could serve a body staler
+                # than the write's commit point.
                 for tokens in self._open.values():
                     for flight in tokens:
                         entry = flight.entry
@@ -586,8 +553,6 @@ class Cache:
                 # win over the in-flight computation's eventual insert.
                 self._mark_flights_stale(doomed)
                 for key in doomed:
-                    # Churn signal for the admission cost model.
-                    self.admission.observe_doom(key_class(key))
                     self.fragments.forget(key)
             return doomed
 
@@ -621,7 +586,6 @@ class Cache:
             removed = self.pages.invalidate(key)
             if removed:
                 self.stats.record_invalidated()
-                self.admission.observe_doom(key_class(key))
             # A doomed fragment dooms every entry embedding its text.
             self._close_over({key})
             return removed

@@ -20,7 +20,6 @@ from typing import Callable, Iterable
 
 import time
 
-from repro.admission.policy import AdmissionPolicy
 from repro.aop.weaver import WeaveReport, Weaver
 from repro.cache.analysis import InvalidationPolicy
 from repro.cache.api import Cache
@@ -56,9 +55,6 @@ class AutoWebCache:
         forced_miss: bool = False,
         coalesce: bool = True,
         fragments: bool = True,
-        admission: AdmissionPolicy | None = None,
-        method_cache_targets: Iterable[type] = (),
-        method_cache_pointcut: str | None = None,
     ) -> None:
         #: The facade object the aspects (and work meters) talk to.
         self.cache = self._build_cache(
@@ -70,7 +66,6 @@ class AutoWebCache:
             clock=clock,
             forced_miss=forced_miss,
             coalesce=coalesce,
-            admission=admission,
         )
         self.collector = ConsistencyCollector()
         self.read_aspect = ReadServletAspect(self.cache, self.collector)
@@ -83,23 +78,6 @@ class AutoWebCache:
         self.fragment_aspect = (
             FragmentCacheAspect(self.cache, self.collector) if fragments else None
         )
-        #: Method-level result-cache tier: owner classes whose designated
-        #: helper methods are woven with a MethodCacheAspect (entries
-        #: keyed ``method://Class.method?args``).  Empty disables the
-        #: tier.  A custom pointcut narrows/extends which methods on the
-        #: targets are advised (default: the RUBiS catalogue helpers).
-        self.method_cache_targets = tuple(method_cache_targets)
-        self.method_aspect = None
-        if self.method_cache_targets:
-            # Imported here: admission.aspects builds on repro.cache.
-            from repro.admission.aspects import (
-                DEFAULT_METHOD_POINTCUT,
-                method_cache_aspect_class,
-            )
-
-            self.method_aspect = method_cache_aspect_class(
-                method_cache_pointcut or DEFAULT_METHOD_POINTCUT
-            )(self.cache, self.collector)
         self._weaver: Weaver | None = None
         self.weave_report: WeaveReport | None = None
 
@@ -149,11 +127,6 @@ class AutoWebCache:
             weaver.add_aspect(self.fragment_aspect)
             if PageComposer not in targets:
                 targets.append(PageComposer)
-        if self.method_aspect is not None:
-            weaver.add_aspect(self.method_aspect)
-            for owner in self.method_cache_targets:
-                if owner not in targets:
-                    targets.append(owner)
         for aspect in extra_aspects:
             weaver.add_aspect(aspect)
         self.weave_report = weaver.weave(targets)

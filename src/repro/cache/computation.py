@@ -1,10 +1,8 @@
 """The cached-computation driver: the miss protocol, written once.
 
-Every caching tier -- whole pages (:class:`~repro.cache.aspects.
-ReadServletAspect`), fragments (:class:`~repro.cache.aspects_fragment.
-FragmentCacheAspect`) and method results (:class:`~repro.admission.
-aspects.MethodCacheAspect`) -- answers a request for ``key`` the same
-way:
+Both caching tiers -- whole pages (:class:`~repro.cache.aspects.
+ReadServletAspect`) and fragments (:class:`~repro.cache.aspects_fragment.
+FragmentCacheAspect`) -- answer a request for ``key`` the same way:
 
 1. **lookup**: a hit is served and nothing else happens;
 2. **lead or wait**: up to ``max_flight_attempts`` rounds of
@@ -33,11 +31,10 @@ on the facade (:class:`~repro.cache.api.Cache` /
 :class:`~repro.cluster.router.ClusterRouter`); this module is their
 only caller.
 
-The nested tiers (fragment, method) differ from each other only in how
-a body is encoded, so :meth:`CachedComputation.cached_nested` carries
-everything else for both: the nested consistency context, the
-``insert_key``, and folding the finished computation into whatever
-encloses it.
+A fragment is a computation nested inside another one, so
+:meth:`CachedComputation.cached_nested` adds what nesting needs: the
+nested consistency context, the ``insert_key``, and folding the
+finished computation into whatever encloses it.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.aop import Aspect
 
-if TYPE_CHECKING:  # hint-only: keeps admission importable from cache.api
+if TYPE_CHECKING:  # hint-only
     from repro.cache.consistency import ConsistencyCollector, RequestContext
     from repro.cache.entry import PageEntry
     from repro.cache.flight import Flight
@@ -99,14 +96,13 @@ class CachedComputation(Aspect):
         key: str,
         stat_uri: str,
         proceed: Callable[[], object],
-        encode: Callable[[object], str | None],
+        encode: Callable[[object], str],
         decode: Callable[[str], object],
     ):
-        """A computation nested inside another one (fragment, method).
+        """A computation nested inside another one (a fragment).
 
         ``encode(value)`` turns what ``proceed()`` returned into the
-        entry body (None: not cacheable); ``decode(body)`` is its
-        inverse, applied to hits.
+        entry body; ``decode(body)`` is its inverse, applied to hits.
         """
 
         def serve(entry: PageEntry):
@@ -132,19 +128,17 @@ class CachedComputation(Aspect):
                 # Per-request state inside: never cached whole.
                 self.cache.record_hole_skip()
             elif not (context.aborted or context.writes):
-                body = encode(value)
-                if body is not None:
-                    entry, stored = self.cache.insert_key(
-                        key,
-                        body,
-                        context.reads + context.fragment_reads,
-                        window=window,
-                        ttl_uri=stat_uri,
-                        fragments=context.fragment_keys,
-                        expires_at=context.expires_at,
-                    )
-                    if not stored:
-                        entry = None
+                entry, stored = self.cache.insert_key(
+                    key,
+                    encode(value),
+                    context.reads + context.fragment_reads,
+                    window=window,
+                    ttl_uri=stat_uri,
+                    fragments=context.fragment_keys,
+                    expires_at=context.expires_at,
+                )
+                if not stored:
+                    entry = None
             self._merge(context, key, entry)
             return value
 
@@ -167,11 +161,11 @@ class CachedComputation(Aspect):
         parent is still rendering dooms this entry, so the parent's
         insert-time staleness check must see it).
 
-        Not stored (aborted, hole-bearing, wrote, unencodable, or
-        discarded by the staleness check): the result is part of the
-        parent's body with no entry of its own backing it, so its reads
-        become the parent's *own* dependencies -- and any nested
-        containment edges climb to the parent.
+        Not stored (aborted, hole-bearing, wrote, or discarded by the
+        staleness check): the result is part of the parent's body with
+        no entry of its own backing it, so its reads become the
+        parent's *own* dependencies -- and any nested containment edges
+        climb to the parent.
         """
         parent = context.parent
         if parent is None:

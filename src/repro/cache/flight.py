@@ -47,26 +47,15 @@ class Flight:
     """
 
     __slots__ = (
-        "key", "start_seq", "started_at", "published", "node", "entry",
-        "stale", "waiters", "finished", "_event",
+        "key", "start_seq", "published", "node", "entry", "stale",
+        "waiters", "finished", "_event",
     )
 
-    def __init__(
-        self,
-        key: str,
-        start_seq: int,
-        started_at: float = 0.0,
-        published: bool = False,
-    ) -> None:
+    def __init__(self, key: str, start_seq: int, published: bool = False) -> None:
         self.key = key
         #: Cache-wide write sequence number when the computation began;
         #: writes processed after this point overlap the computation.
         self.start_seq = start_seq
-        #: Cache-clock timestamp when the computation began; the insert
-        #: observes ``now - started_at`` as the class's recomputation
-        #: cost (the admission cost model's benefit signal).  0.0 when
-        #: the opener did not stamp one.
-        self.started_at = started_at
         #: True when later misses on the key may join this token.
         self.published = published
         #: The cluster node the token was opened on (set by the router,

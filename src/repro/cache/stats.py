@@ -119,21 +119,9 @@ class CacheStats:
     #: Inserts skipped because the rendered body contained a hole
     #: (per-request state): the page assembled from fragments instead.
     hole_skips: int = 0
-    #: Admission verdicts on the insert path (``repro.admission``):
-    #: stored, demoted to pass-through, and shadow-mode would-have-denied
-    #: (stored anyway).  Under the default AdmitAll policy every insert
-    #: that passes the staleness check counts as admitted.
-    admitted: int = 0
-    denied: int = 0
-    shadow_denied: int = 0
     #: Consistency dooms attributed to the write template that caused
     #: them (which UPDATE/INSERT statements churn the cache).
     dooms_by_template: dict[str, int] = field(default_factory=dict)
-    #: Body bytes stored / evicted per key class (page URI with the
-    #: query stripped, ``frag://name``, ``method://qualname``): what
-    #: each class costs the store, the admission ablation's denominator.
-    inserted_bytes_by_class: dict[str, int] = field(default_factory=dict)
-    evicted_bytes_by_class: dict[str, int] = field(default_factory=dict)
     by_type: dict[str, RequestTypeStats] = field(default_factory=dict)
     #: The owner's lock, set by the owner: :meth:`snapshot` holds it so
     #: the read is atomic against the ``record_*`` calls the owner makes
@@ -201,40 +189,10 @@ class CacheStats:
         self.write_requests += 1
         self.type_stats(uri).writes += 1
 
-    def record_insert(
-        self,
-        evictions: int = 0,
-        cls: str | None = None,
-        nbytes: int = 0,
-        evicted: tuple = (),
-        verdict: str | None = None,
-    ) -> None:
-        """One stored insert; ``evicted`` is (class, bytes) per victim
-        and ``verdict`` the admission verdict that let it through (the
-        facade's insert records both in this one call)."""
-        if verdict is not None:
-            self.record_admission(verdict)
+    def record_insert(self, evictions: int) -> None:
+        """One stored insert and the capacity victims it evicted."""
         self.inserts += 1
         self.evictions += evictions
-        if cls is not None:
-            by_class = self.inserted_bytes_by_class
-            by_class[cls] = by_class.get(cls, 0) + nbytes
-        if evicted:
-            by_class = self.evicted_bytes_by_class
-            for victim_cls, victim_bytes in evicted:
-                by_class[victim_cls] = (
-                    by_class.get(victim_cls, 0) + victim_bytes
-                )
-
-    def record_admission(self, verdict: str) -> None:
-        if verdict == "admitted":
-            self.admitted += 1
-        elif verdict == "denied":
-            self.denied += 1
-        elif verdict == "shadow_denied":
-            self.shadow_denied += 1
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown admission verdict {verdict!r}")
 
     def record_invalidated(self, pages: int = 1, template: str | None = None) -> None:
         self.invalidated_pages += pages
@@ -310,12 +268,7 @@ class CacheStats:
                 "coalesced_hits": self.coalesced_hits,
                 "stale_inserts": self.stale_inserts,
                 "hole_skips": self.hole_skips,
-                "admitted": self.admitted,
-                "denied": self.denied,
-                "shadow_denied": self.shadow_denied,
                 "dooms_by_template": dict(self.dooms_by_template),
-                "inserted_bytes_by_class": dict(self.inserted_bytes_by_class),
-                "evicted_bytes_by_class": dict(self.evicted_bytes_by_class),
                 "hit_rate": self.hit_rate,
                 "by_type": {
                     uri: {

@@ -64,9 +64,8 @@ class ClusterAutoWebCache(AutoWebCache):
         super().__init__(**shared)
 
     def _build_cache(self, **cache_kwargs) -> ClusterRouter:
-        # One shared registry and one shared admission policy (by
-        # reference, through the factory): cacheability, TTL windows
-        # and the admission cost model are cluster-wide policy,
+        # One shared registry (by reference, through the factory):
+        # cacheability and TTL windows are cluster-wide policy,
         # identical on every shard.
         if cache_kwargs["semantics"] is None:
             cache_kwargs["semantics"] = SemanticsRegistry()

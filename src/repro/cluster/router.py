@@ -142,8 +142,8 @@ class ClusterStats:
                 if key in ("by_type", "hit_rate"):
                     continue
                 if isinstance(value, dict):
-                    # dict-valued counters (dooms_by_template, per-class
-                    # byte totals): merge by sub-key, never +=.
+                    # dict-valued counters (dooms_by_template): merge
+                    # by sub-key, never +=.
                     bucket = aggregate.setdefault(key, {})
                     for sub_key, count in value.items():
                         bucket[sub_key] = bucket.get(sub_key, 0) + count
@@ -271,12 +271,6 @@ class ClusterRouter:
     @property
     def clock(self) -> Callable[[], float]:
         return self._template.clock
-
-    @property
-    def admission(self):
-        """The admission policy (shared by reference across all nodes,
-        like the semantics registry: admission is cluster-wide policy)."""
-        return self._template.admission
 
     # -- membership --------------------------------------------------------------------
 

@@ -339,12 +339,14 @@ def _cmd_obs(args: argparse.Namespace) -> str:
     Drives a small deterministic request mix (item views, bid history,
     a bid every few rounds) through a cache with the tracing and
     metrics aspects woven alongside, then renders whichever view was
-    asked for: the latency-histogram summary plus protocol counters,
-    the Prometheus text exposition, or the buffered traces.
+    asked for: the latency-histogram summary plus protocol counters and
+    the per-write-template invalidation churn, the Prometheus text
+    exposition, or the buffered traces.
     """
     from repro.apps.rubis.app import build_rubis
     from repro.cache.autowebcache import AutoWebCache
     from repro.harness.reporting import (
+        render_doom_templates,
         render_histogram_summary,
         render_membership,
         render_protocol_counters,
@@ -385,6 +387,9 @@ def _cmd_obs(args: argparse.Namespace) -> str:
         sections.append(
             render_protocol_counters("Invalidation protocol work", snapshot)
         )
+        sections.append(
+            render_doom_templates("Invalidation churn by template", snapshot)
+        )
         if "membership" in snapshot:
             sections.append(
                 render_membership(
@@ -400,81 +405,6 @@ def _cmd_obs(args: argparse.Namespace) -> str:
         )
     if args.view in ("traces", "all"):
         sections.append(render_traces(obs.tracer, limit=args.traces).rstrip("\n"))
-    return "\n\n".join(sections)
-
-
-def _admission_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--requests", type=int, default=120,
-                   help="scripted request rounds to drive")
-    p.add_argument("--mode",
-                   choices=["admit-all", "adaptive", "shadow"],
-                   default="adaptive")
-    p.add_argument("--margin", type=float, default=0.1,
-                   help="hysteresis margin on the normalised score")
-    p.add_argument("--min-observations", type=int, default=20,
-                   help="cold-start sample count before scoring")
-
-
-def _cmd_admission(args: argparse.Namespace) -> str:
-    """A scripted run under an admission policy; prints the cost model.
-
-    Drives a churn-heavy RUBiS mix -- a hot item is bid on between
-    views, so its pages are doomed about as fast as they are inserted,
-    while the browse pages stay stable -- through a cache with the
-    method-level result tier woven over the category catalogue.  Then
-    renders the admission verdict counters, the per-class cost-model
-    profiles (demotion candidates first), the per-template doom
-    counters and the per-class byte totals.
-    """
-    from repro.admission import AdaptiveAdmission, AdmitAll
-    from repro.apps.rubis.app import build_rubis
-    from repro.apps.rubis.base import CategoryCatalogue
-    from repro.cache.autowebcache import AutoWebCache
-    from repro.harness.reporting import (
-        render_admission_profiles,
-        render_admission_verdicts,
-        render_class_bytes,
-        render_doom_templates,
-    )
-
-    if args.mode == "admit-all":
-        policy = AdmitAll()
-    else:
-        policy = AdaptiveAdmission(
-            margin=args.margin,
-            min_observations=args.min_observations,
-            shadow=(args.mode == "shadow"),
-        )
-    app = build_rubis()
-    awc = AutoWebCache(
-        **EXTENDED,
-        admission=policy,
-        method_cache_targets=(CategoryCatalogue,),
-    )
-    awc.install(app.container.servlet_classes)
-    try:
-        for i in range(args.requests):
-            item = str(i % 3 + 1)
-            app.container.get("/rubis/view_item", {"item": item})
-            app.container.get("/rubis/view_bid_history", {"item": item})
-            app.container.get("/rubis/browse_categories", {})
-            app.container.post(
-                "/rubis/store_bid",
-                {"item": item, "user": "1", "bid": str(100.0 + i)},
-            )
-    finally:
-        awc.uninstall()
-    snapshot = awc.stats.snapshot()
-    sections = [
-        render_admission_verdicts(
-            f"Admission verdicts ({args.mode})", snapshot
-        ),
-        render_admission_profiles(
-            "Cost model by class", policy.snapshot()
-        ),
-        render_doom_templates("Invalidation churn by template", snapshot),
-        render_class_bytes("Bytes by class", snapshot),
-    ]
     return "\n\n".join(sections)
 
 
@@ -634,8 +564,6 @@ COMMANDS: tuple[Command, ...] = (
             _cluster_arguments, _cmd_cluster),
     Command("obs", "observability-woven scripted run (metrics + traces)",
             _obs_arguments, _cmd_obs),
-    Command("admission", "adaptive-admission scripted run (cost model report)",
-            _admission_arguments, _cmd_admission),
     Command("hitpath", "threaded vs asyncio hit-path throughput comparison",
             _hitpath_arguments, _cmd_hitpath),
     Command("check", "whole-program consistency linter (staticcheck)",

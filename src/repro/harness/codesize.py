@@ -23,14 +23,13 @@ COMPONENTS: dict[str, tuple[str, ...]] = {
     # installers.
     "weaving-rules": (
         "cache/aspects*.py",
-        "admission/aspects.py",
         "cache/computation.py",
         "cache/autowebcache.py",
         "cluster/awc.py",
     ),
     # The reusable cache library (the JWebCaching analogue): the rest
     # of the caching packages (weaving-rules files are subtracted).
-    "cache-library": ("cache/*.py", "admission/*.py", "cluster/*.py"),
+    "cache-library": ("cache/*.py", "cluster/*.py"),
     "rubis-app": ("apps/rubis/**/*.py",),
     "tpcw-app": ("apps/tpcw/**/*.py",),
     # Substrates, for context (the paper's stack had these for free).

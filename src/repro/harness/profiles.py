@@ -6,14 +6,14 @@ constructors build when given no switches -- every tier added since.
 Each is a frozen mapping of :class:`~repro.cache.autowebcache.AutoWebCache`
 keywords, passed as ``AutoWebCache(**PAPER, clock=...)``.  ``run_cell``
 (every paper figure and ablation) builds ``PAPER``; the cluster cells
-and the ``obs`` / ``admission`` / ``hitpath`` commands say ``EXTENDED``.
+and the ``obs`` / ``hitpath`` commands say ``EXTENDED``.
 Neither reads a constructor default, so a default flipped later cannot
 move a figure.
 
 Only the *tier switches* live here: the keywords that turn a mechanism
 the paper does not have on or off.  Sizing and deployment inputs
-(capacity, semantics, node count, an admission policy object, ...) and
-the ``forced_miss`` experiment mode are passed beside the profile;
+(capacity, semantics, node count, ...) and the ``forced_miss``
+experiment mode are passed beside the profile;
 ``tests/test_profiles.py`` classifies every constructor keyword as one
 of the three, so a new keyword must be placed before it can land.
 

@@ -38,11 +38,11 @@ def _fmt(cell: object) -> str:
 def render_doom_templates(title: str, snapshot: dict) -> str:
     """Per-write-template invalidation churn, busiest template first.
 
-    Renders ``dooms_by_template`` from a cache (or cluster aggregate)
-    snapshot: which UPDATE/INSERT/DELETE templates doomed how many
-    cached pages -- the write-side half of the admission cost model.
+    Renders ``dooms_by_template`` from a :meth:`CacheStats.snapshot`
+    dict or a cluster snapshot (its ``"cluster"`` aggregate): which
+    UPDATE/INSERT/DELETE templates doomed how many cached pages.
     """
-    dooms = snapshot.get("dooms_by_template", {})
+    dooms = snapshot.get("cluster", snapshot).get("dooms_by_template", {})
     if not dooms:
         return f"{title}\n(no invalidations)"
     rows = [
@@ -52,75 +52,6 @@ def render_doom_templates(title: str, snapshot: dict) -> str:
         )
     ]
     return render_table(title, ["write template", "pages doomed"], rows)
-
-
-def render_class_bytes(title: str, snapshot: dict) -> str:
-    """Per-class insert/evict byte totals from a cache snapshot.
-
-    One row per cache-key class (page URI, ``frag://`` name,
-    ``method://`` signature), showing the bytes the class inserted and
-    the bytes evicted *from* it -- the byte-rent side of admission.
-    """
-    inserted = snapshot.get("inserted_bytes_by_class", {})
-    evicted = snapshot.get("evicted_bytes_by_class", {})
-    classes = sorted(set(inserted) | set(evicted))
-    if not classes:
-        return f"{title}\n(no inserts)"
-    rows = [
-        [cls, inserted.get(cls, 0), evicted.get(cls, 0)]
-        for cls in classes
-    ]
-    return render_table(
-        title, ["class", "inserted bytes", "evicted bytes"], rows
-    )
-
-
-def render_admission_verdicts(title: str, snapshot: dict) -> str:
-    """The admission policy's verdict counters as a table."""
-    rows = [
-        [verdict, snapshot.get(verdict, 0)]
-        for verdict in ("admitted", "denied", "shadow_denied")
-    ]
-    return render_table(title, ["verdict", "count"], rows)
-
-
-def render_admission_profiles(title: str, policy_snapshot: dict) -> str:
-    """Render an ``AdmissionPolicy.snapshot()``: one row per class.
-
-    Shows the cost model's per-class EWMA state plus the policy's
-    admitted / pass-through decision, sorted by score ascending (the
-    demotion candidates first).
-    """
-    if not policy_snapshot:
-        return f"{title}\n(no observations)"
-    rows = []
-    for name, profile in sorted(
-        policy_snapshot.items(), key=lambda item: item[1].get("score", 0.0)
-    ):
-        rows.append(
-            [
-                name,
-                profile.get("state", "admitted"),
-                round(profile.get("hit_prob", 0.0), 3),
-                round(profile.get("recompute_seconds", 0.0) * 1000, 3),
-                round(profile.get("dooms_per_insert", 0.0), 3),
-                round(profile.get("size_bytes", 0.0), 1),
-                round(profile.get("score", 0.0) * 1000, 4),
-            ]
-        )
-    return render_table(
-        title,
-        [
-            "class",
-            "state",
-            "hit p",
-            "recompute ms",
-            "dooms/insert",
-            "size B",
-            "score ms",
-        ],
-        rows,
-    )
 
 
 def render_membership(title: str, membership: dict) -> str:

@@ -22,7 +22,6 @@ from repro.obs.trace import Span
 from repro.obs.tracer import Tracer
 
 HISTOGRAM_METRIC = "repro_phase_latency_seconds"
-ADMISSION_METRIC = "repro_admission_verdicts_total"
 LINEAGE_METRIC = "repro_lineage_prune_total"
 BUS_DEPTH_METRIC = "repro_bus_queue_depth"
 BUS_LAG_METRIC = "repro_bus_delivery_lag_seconds"
@@ -51,7 +50,7 @@ def render_metrics(
 
     ``cache_snapshot`` (a :meth:`~repro.cache.stats.CacheStats.snapshot`
     dict, or a cluster aggregate carrying the same keys) adds the
-    admission verdict counters as a labelled counter family.  A full
+    column-lineage pruning counters as a labelled counter family.  A full
     cluster snapshot (the ``{"cluster": ..., "bus": ..., "membership":
     ...}`` shape of ``ClusterRouter.snapshot()``) additionally emits the
     bounded-staleness bus gauges -- per-node undelivered queue depth and
@@ -90,16 +89,6 @@ def render_metrics(
         # A cluster snapshot nests the aggregate counters under
         # "cluster"; a single-node CacheStats snapshot *is* the counters.
         stats = cache_snapshot.get("cluster", cache_snapshot)
-        lines += [
-            f"# HELP {ADMISSION_METRIC} Cache insert admission verdicts.",
-            f"# TYPE {ADMISSION_METRIC} counter",
-        ]
-        for verdict in ("admitted", "denied", "shadow_denied"):
-            count = stats.get(verdict, 0)
-            lines.append(
-                f'{ADMISSION_METRIC}{{verdict="{_escape_label(verdict)}"}} '
-                f"{count}"
-            )
         lines += [
             f"# HELP {LINEAGE_METRIC} Column-lineage pruning: candidate "
             "templates skipped and prune rules built.",

@@ -140,8 +140,8 @@ class Observability:
     def mount(self, container, semantics=None, stats=None) -> dict[str, object]:
         """Register ``/_metrics`` and ``/_traces`` on ``container``.
 
-        Pass the cache facade's ``stats`` to expose the admission
-        verdict counters alongside the latency histograms.
+        Pass the cache facade's ``stats`` to expose the column-lineage
+        pruning counters alongside the latency histograms.
         """
         from repro.obs.servlets import mount_observability
 

@@ -25,7 +25,7 @@ class MetricsServlet(HttpServlet):
 
     ``stats`` (anything with a lock-consistent ``snapshot()`` -- a
     :class:`~repro.cache.stats.CacheStats` or a cluster aggregate) adds
-    the admission verdict counters, snapshotted at serve time.
+    the column-lineage pruning counters, snapshotted at serve time.
     """
 
     def __init__(
@@ -79,7 +79,8 @@ def mount_observability(
     is optional but recommended whenever a cache is installed: the
     exposition URIs are marked uncacheable so a woven read aspect can
     never serve yesterday's metrics.  ``stats`` (the installed cache's
-    stats object) adds the admission verdict counters to ``/_metrics``.
+    stats object) adds the column-lineage pruning counters to
+    ``/_metrics``.
     """
     servlets: dict[str, HttpServlet] = {
         METRICS_URI: MetricsServlet(hub, tracer, stats=stats),

@@ -8,12 +8,10 @@ the complement to the dynamic SQL analysis the paper describes (and the
 gap its "limitations" section concedes).  Lock order is not checked
 here: a lock checks its own rank when it is acquired (:mod:`repro.locks`).
 
-Three passes share one diagnostic model (:mod:`~repro.staticcheck.diagnostics`):
+Two passes share one diagnostic model (:mod:`~repro.staticcheck.diagnostics`):
 
-- :mod:`~repro.staticcheck.cacheability` -- RC01..RC04 over the servlet
-  classes of ``repro.apps``;
-- :mod:`~repro.staticcheck.methodcache` -- RC05 over the designated
-  method-cache candidates (bodies must be functions of their arguments);
+- :mod:`~repro.staticcheck.cacheability` -- RC01..RC04 and RC06 over the
+  servlet classes of ``repro.apps``;
 - :mod:`~repro.staticcheck.coverage` -- PC01..PC03 over the registered
   pointcuts and the statically discovered join-point surface.
 

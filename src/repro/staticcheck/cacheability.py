@@ -433,7 +433,7 @@ def _app_read_union(
     target: CheckTarget, app
 ) -> frozenset[tuple[str, str]]:
     """The lineage read sets of every read template reachable from any
-    of ``app``'s handlers, plus the method-cache targets, unioned.
+    of ``app``'s handlers, unioned.
 
     Holes and uncacheable pages are included on purpose: the union errs
     toward "is read somewhere", never toward a false dead-write.  A
@@ -446,10 +446,6 @@ def _app_read_union(
         for servlet_cls in _app_servlets(app)
         for handler in _HANDLERS
     ]
-    sources.extend(
-        (target.registry.info_for(owner), method)
-        for owner, method in target.method_cache_targets
-    )
     for info, handler in sources:
         for _fn, site, sql in _handler_sql_sites(target, info, handler):
             if sql is None:

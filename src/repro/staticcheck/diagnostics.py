@@ -72,24 +72,13 @@ RULES: dict[str, Rule] = {
             "warning",
             "dead write: updated columns are read by no registered "
             "template",
-            "no read template reachable from any handler (or "
-            "method-cache target) has these columns in its lineage "
-            "read set, so the write can never invalidate a cached "
-            "entry.  Either the column is dead weight in the write, or "
-            "a read that should register a dependency on it is missing "
-            "(e.g. bypassing the woven driver) -- fix the read, drop "
-            "the column, or baseline with a justification",
-        ),
-        Rule(
-            "RC05",
-            "error",
-            "method-cache candidate is not a function of its arguments",
-            "a method woven with MethodCacheAspect is keyed on "
-            "method://Class.method?args alone; reading request/session "
-            "state or entropy outside a hole makes the cached result "
-            "wrong for other requests.  Pass the varying value as an "
-            "argument, confine it to a hole, or drop the method from "
-            "the method-cache pointcut",
+            "no read template reachable from any handler has these "
+            "columns in its lineage read set, so the write can never "
+            "invalidate a cached entry.  Either the column is dead "
+            "weight in the write, or a read that should register a "
+            "dependency on it is missing (e.g. bypassing the woven "
+            "driver) -- fix the read, drop the column, or baseline "
+            "with a justification",
         ),
         Rule(
             "PC01",

@@ -1,4 +1,4 @@
-"""Orchestrates the three passes into one :class:`Report`."""
+"""Orchestrates the two passes into one :class:`Report`."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from pathlib import Path
 from repro.staticcheck.cacheability import check_cacheability, lineage_summary
 from repro.staticcheck.coverage import check_coverage
 from repro.staticcheck.diagnostics import Report, load_baseline
-from repro.staticcheck.methodcache import check_method_cache
 from repro.staticcheck.target import CheckTarget, default_target
 
 
@@ -21,11 +20,7 @@ def run_check(
     ``None`` disables baselining (every finding is active).
     """
     target = target or default_target()
-    diagnostics = (
-        check_cacheability(target)
-        + check_method_cache(target)
-        + check_coverage(target)
-    )
+    diagnostics = check_cacheability(target) + check_coverage(target)
     if baseline_path == "auto":
         resolved = target.baseline_path
     else:

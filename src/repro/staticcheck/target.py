@@ -49,11 +49,6 @@ class CheckTarget:
     surface_classes: tuple[type, ...] = ()
     #: Driver-level call sites that must be covered by caching advice.
     required_sql_sites: tuple[tuple[type, str], ...] = ()
-    #: (owner class, method name) pairs designated for the woven
-    #: method-level result cache; the RC05 pass vets each body for
-    #: request/session/entropy reads that the ``method://`` key cannot
-    #: distinguish.
-    method_cache_targets: tuple[tuple[type, str], ...] = ()
     #: Class names whose instances are per-request entropy (RC02), e.g.
     #: the TPC-W ad rotator.
     entropy_classes: frozenset[str] = frozenset()
@@ -77,7 +72,6 @@ class CheckTarget:
         if self._registry is None:
             classes: list[type] = list(self.helper_classes)
             classes.extend(self.surface_classes)
-            classes.extend(owner for owner, _m in self.method_cache_targets)
             for app in self.apps:
                 for _uri, servlet_cls, _w in app.interactions:
                     classes.append(servlet_cls)
@@ -110,7 +104,6 @@ def repo_root() -> Path:
 def default_target() -> CheckTarget:
     """The real repository: both benchmark apps, all woven aspects, the
     caching/cluster join-point surface."""
-    from repro.admission.aspects import MethodCacheAspect
     from repro.apps.html import PageComposer
     from repro.apps.rubis import app as rubis_app
     from repro.apps.rubis.base import CategoryCatalogue, RubisServlet
@@ -170,7 +163,6 @@ def default_target() -> CheckTarget:
             WriteServletAspect,
             JdbcConsistencyAspect,
             FragmentCacheAspect,
-            MethodCacheAspect,
             TracingAspect,
             MetricsAspect,
         ),
@@ -182,7 +174,6 @@ def default_target() -> CheckTarget:
         ),
         surface_classes=(
             PageComposer,
-            CategoryCatalogue,
             Statement,
             Connection,
             Cache,
@@ -197,10 +188,6 @@ def default_target() -> CheckTarget:
             (Statement, "execute_update"),
             (Connection, "commit"),
             (Connection, "rollback"),
-        ),
-        method_cache_targets=(
-            (CategoryCatalogue, "categories"),
-            (CategoryCatalogue, "regions"),
         ),
         entropy_classes=frozenset({"AdRotator"}),
         catalog=catalog,

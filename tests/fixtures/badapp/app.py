@@ -20,7 +20,6 @@ from tests.fixtures.badapp.servlets import (
     GoodServlet,
     LuckyNumber,
     OrphanServlet,
-    PersonalisedCatalogue,
     ScanHeavy,
     StampingWriter,
 )
@@ -60,10 +59,6 @@ def badapp_target() -> CheckTarget:
             (Statement, "execute_update"),
             (Connection, "commit"),
             (Connection, "rollback"),
-        ),
-        method_cache_targets=(
-            (PersonalisedCatalogue, "recommendations"),
-            (PersonalisedCatalogue, "category_names"),
         ),
         catalog=BADAPP_CATALOG,
         helper_classes=(

@@ -1,12 +1,9 @@
-"""Seeded cacheability violations (RC01..RC06).
+"""Seeded cacheability violations (RC01..RC04, RC06).
 
 Each servlet below carries exactly one deliberate defect; GoodServlet is
 clean and exists as the join point two rival aspects fight over (PC03),
 OrphanServlet is clean but deliberately outside the caching pointcut's
-type pattern (PC02).  PersonalisedCatalogue seeds RC05: of its two
-designated method-cache candidates, ``recommendations`` reads session
-state the ``method://`` key cannot carry, while ``category_names`` is a
-clean function of its SQL.  StampingWriter seeds RC06: its do_post
+type pattern (PC02).  StampingWriter seeds RC06: its do_post
 updates a column (``items.audit_stamp``) that no registered read
 template's lineage read set contains, so the write dooms nothing.
 """
@@ -111,24 +108,6 @@ class OrphanServlet(HttpServlet):
         )
         result.next()
         response.write(f"<p>Region: {result.get('name')}</p>")
-
-
-class PersonalisedCatalogue(BadServlet):
-    """RC05 (``recommendations`` only): a method-cache candidate whose
-    result depends on the session, not its arguments."""
-
-    def recommendations(self) -> list:
-        user = self.get_session("user")
-        result = self.statement().execute_query(
-            "SELECT id, name FROM items WHERE seller = ?", (user,)
-        )
-        return result.all_dicts()
-
-    def category_names(self) -> list:
-        result = self.statement().execute_query(
-            "SELECT name FROM categories WHERE region = ?", ("1",)
-        )
-        return result.all_dicts()
 
 
 class StampingWriter(BadServlet):

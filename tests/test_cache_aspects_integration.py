@@ -108,6 +108,15 @@ class TestWritePath:
         # The DELETE's pre-image (topic of note 2) proves disjointness.
         assert awc.stats.hits == 1
 
+    def test_dooms_attributed_to_write_template(self, cached_notes_app):
+        db, container, awc = cached_notes_app
+        add(container, 1, "a", "x")
+        container.get("/view_topic", {"topic": "a"})
+        container.post("/score", {"id": "1", "score": "9"})
+        dooms = awc.stats.snapshot()["dooms_by_template"]
+        assert sum(dooms.values()) >= 1
+        assert any("UPDATE notes" in template for template in dooms)
+
 
 class TestPolicies:
     def test_column_only_over_invalidates(self):

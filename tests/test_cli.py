@@ -95,6 +95,17 @@ def test_obs_summary(capsys):
     assert "servlet" in out and "sql.query" in out
     assert "Invalidation protocol work" in out
     assert "pair_analyses" in out
+    # Which write template dooms what, from the same one call.
+    assert "Invalidation churn by template" in out
+    assert "UPDATE items SET nb_of_bids = ?, max_bid = ? WHERE (id = ?)" in out
+
+
+def test_obs_summary_cluster_reports_churn_from_the_aggregate(capsys):
+    code, out = run_cli(capsys, "obs", "--requests", "8", "--nodes", "2")
+    assert code == 0
+    churn = out.split("Invalidation churn by template", 1)[1]
+    assert "(no invalidations)" not in churn.split("\n\n", 1)[0]
+    assert "INSERT INTO bids" in churn
 
 
 def test_obs_metrics_view(capsys):

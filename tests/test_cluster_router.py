@@ -357,13 +357,34 @@ class TestClusterStats:
             for field in dataclasses.fields(CacheStats)
             if field.type in (int, "int")
         ]
-        assert len(counters) >= 25
+        assert len(counters) >= 23
         for name in counters:
             assert getattr(stats, name) == sum(
                 getattr(source, name) for source in sources
             ), name
         # The burst really moved counters on the shards and the front end.
         assert stats.hits and stats.invalidated_pages and stats.write_requests
+
+    def test_dict_counters_merge_by_sub_key(self, cluster_notes_app):
+        """``dooms_by_template`` is summed per write template across the
+        shards, never replaced by one shard's dict."""
+        _db, container, awc = cluster_notes_app
+        populate(container)
+        warm(container)
+        for i, topic in enumerate(TOPICS):
+            container.post(
+                "/add",
+                {"id": str(100 + i), "topic": topic, "body": "n", "score": "0"},
+            )
+        snapshot = awc.cluster_snapshot()
+        per_node = [node["stats"]["dooms_by_template"] for node in snapshot["nodes"]]
+        assert sum(bool(dooms) for dooms in per_node) >= 2
+        merged: dict[str, int] = {}
+        for dooms in per_node:
+            for template, count in dooms.items():
+                merged[template] = merged.get(template, 0) + count
+        assert snapshot["cluster"]["dooms_by_template"] == merged
+        assert sum(merged.values()) == len(TOPICS)
 
     def test_write_requests_counted_once_not_per_node(self, cluster_notes_app):
         _db, container, awc = cluster_notes_app

@@ -16,7 +16,6 @@ import inspect
 
 import pytest
 
-from repro.admission import aspects as method_aspects
 from repro.cache import aspects, aspects_fragment, computation
 from repro.cache.api import Cache
 from repro.cluster.router import ClusterRouter, make_cache_factory
@@ -28,7 +27,6 @@ CLIENTS = {
     computation: ("CachedComputation",),
     aspects: ("ReadServletAspect", "WriteServletAspect", "JdbcConsistencyAspect"),
     aspects_fragment: ("FragmentCacheAspect",),
-    method_aspects: ("MethodCacheAspect",),
     asyncserver: ("AsyncCachedServer", "_HttpConnection"),
 }
 

@@ -135,7 +135,7 @@ class TestExpositionServlets:
 #: A hand-built ClusterRouter.snapshot() shape: enough keys for the
 #: cluster metric families without spinning up a ring.
 CLUSTER_SNAPSHOT = {
-    "cluster": {"admitted": 4, "denied": 1, "shadow_denied": 0},
+    "cluster": {"templates_skipped_by_lineage": 4, "column_plans_built": 1},
     "bus": {
         "mode": "bounded",
         "queue_depths": {"alpha": 3, "beta": 0},
@@ -178,16 +178,18 @@ class TestClusterExposition:
             'repro_membership_silence_seconds{node="beta"} 3.200000' in text
         )
 
-    def test_cluster_aggregate_supplies_admission_counters(self):
-        # The verdict counters come from the nested "cluster" aggregate,
+    def test_cluster_aggregate_supplies_lineage_counters(self):
+        # The lineage counters come from the nested "cluster" aggregate,
         # not the top level of the cluster snapshot.
         text = render_metrics(MetricsHub(), cache_snapshot=CLUSTER_SNAPSHOT)
-        assert 'repro_admission_verdicts_total{verdict="admitted"} 4' in text
-        assert 'repro_admission_verdicts_total{verdict="denied"} 1' in text
+        assert 'repro_lineage_prune_total{event="template_skipped"} 4' in text
+        assert 'repro_lineage_prune_total{event="plan_built"} 1' in text
 
     def test_single_node_snapshot_emits_no_cluster_families(self):
-        text = render_metrics(MetricsHub(), cache_snapshot={"admitted": 2})
-        assert 'verdict="admitted"} 2' in text
+        text = render_metrics(
+            MetricsHub(), cache_snapshot={"templates_skipped_by_lineage": 2}
+        )
+        assert 'event="template_skipped"} 2' in text
         assert "repro_bus_queue_depth" not in text
         assert "repro_membership_state" not in text
 

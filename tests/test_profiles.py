@@ -21,9 +21,7 @@ from repro.harness.profiles import EXTENDED, PAPER
 TIER_SWITCHES = {"fragments", "coalesce"}
 
 #: Sizing and deployment inputs: what a deployer supplies for *their*
-#: application, ring and clock.  An admission policy object and the
-#: method-cache target classes are inputs too -- both tiers are off
-#: until the application names something to run them on.
+#: application, ring and clock.
 INPUTS = {
     "policy",
     "replacement",
@@ -31,9 +29,6 @@ INPUTS = {
     "max_bytes",
     "semantics",
     "clock",
-    "admission",
-    "method_cache_targets",
-    "method_cache_pointcut",
     "n_nodes",
     "node_names",
     "vnodes",

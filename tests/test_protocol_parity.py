@@ -2,8 +2,8 @@
 
 The check -> coalesce -> compute -> insert protocol is written once
 (``repro.cache.computation``); this table drives it through each tier's
-woven surface -- page, fragment, method -- on a single ``Cache`` and on
-a 2-node ring, and asserts the three properties a hand-copied protocol
+woven surface -- page, fragment -- on a single ``Cache`` and on a
+2-node ring, and asserts the three properties a hand-copied protocol
 once got wrong in one copy (the PR-5 stale-serve race):
 
 (a) a write landing between a *solo* computation's reads and its insert
@@ -11,9 +11,8 @@ once got wrong in one copy (the PR-5 stale-serve race):
 (b) a leader that raises strands nobody and leaves no flight open;
 (c) a waiter out of flight attempts computes solo, under a window.
 
-One gated data source backs all three tiers; the fragment and method
-tiers sit on an uncacheable page so the tier under test is the only one
-caching.
+One gated data source backs both tiers; the fragment tier sits on an
+uncacheable page so the tier under test is the only one caching.
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ class GatedSource:
 
 
 class ParityServlet(HttpServlet):
-    """Renders the score directly (page tier), through a declared
-    fragment, or through the designated method, per the URI."""
+    """Renders the score directly (page tier) or through a declared
+    fragment, per the URI."""
 
     def __init__(self, source: GatedSource, via: str) -> None:
         self._source = source
@@ -88,7 +87,6 @@ class ParityServlet(HttpServlet):
 TIERS = {
     "page": ("/page", "/page", "read_aspect"),
     "fragment": ("/fragment", "frag://parity", "fragment_aspect"),
-    "method": ("/method", "method://GatedSource.score", "method_aspect"),
 }
 FACADES = {
     "cache": AutoWebCache,
@@ -113,14 +111,8 @@ class Rig:
                 f"/{via}", ParityServlet(self.source, via)
             )
         self.container.register("/score", ScoreNoteServlet(connection))
-        if tier == "method":
-            awc_kwargs.update(
-                method_cache_targets=(GatedSource,),
-                method_cache_pointcut="execution(GatedSource.score(..))",
-            )
         self.awc = FACADES[facade](**awc_kwargs)
-        for uri in ("/fragment", "/method"):
-            self.awc.semantics.mark_uncacheable(uri)
+        self.awc.semantics.mark_uncacheable("/fragment")
         self.aspect = getattr(self.awc, aspect_name)
         self.awc.install(self.container.servlet_classes)
 

@@ -394,6 +394,47 @@ def test_a_window_is_judged_by_its_own_start_not_an_older_flight(facade):
             cache.close()
 
 
+def test_a_stale_insert_stores_nothing():
+    """The staleness check runs before the store: a stale token's insert
+    leaves no entry, bytes or dependency rows, and hands its waiters
+    nothing."""
+    from repro.cache.api import Cache
+
+    cache = Cache()
+    window = cache.begin_window("/k")
+    window.stale = True
+    _entry, stored = cache.insert_key("/k", "body", [_note_read()], window=window)
+    cache.end_window(window)
+    assert not stored and window.entry is None
+    assert "/k" not in cache and cache.pages.total_bytes == 0
+    assert cache.pages.dependencies.read_templates() == []
+    assert (cache.stats.stale_inserts, cache.stats.inserts) == (1, 0)
+
+
+def test_a_flight_entry_evicted_before_close_is_refused_by_a_later_write():
+    """A stored flight entry can leave the store before its flight
+    closes; a write then finds no dependency rows to doom it by.  A
+    waiter joining after that write must still recompute, never be
+    handed the pre-write body."""
+    from repro.cache.api import Cache
+
+    cache = Cache(replacement="lru", capacity=1)
+    flight, is_leader = cache.join_flight("/p")
+    assert is_leader
+    entry, stored = cache.insert_key(
+        "/p", "<pre-write>", [_note_read()], window=flight
+    )
+    assert stored and flight.entry is entry
+    cache.insert_key("/q", "<other>", [])  # evicts /p and its rows
+    assert "/p" not in cache
+    cache.process_write_request("/w", [_note_write()])
+    waiter, is_leader = cache.join_flight("/p")
+    assert waiter is flight and not is_leader
+    cache.finish_flight(flight)
+    assert flight.stale
+    assert cache.wait_flight(waiter) is None
+
+
 @pytest.mark.concurrency
 def test_dogpile_after_invalidation_coalesces_again():
     """The paper's worst case: hot page invalidated under load."""
