@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Invalidation-policy comparison (Section 3.2's three strategies).
+"""Invalidation-policy comparison (Section 3.2's three strategies, and
+the row-witness rung above them).
 
 Runs the same RUBiS bidding workload under each invalidation policy:
 
@@ -9,9 +10,12 @@ Runs the same RUBiS bidding workload under each invalidation policy:
   column to different values;
 - ``extra-query``  (policy 3, *AC-extraQuery*): additionally consults
   the affected rows via extra back-end queries -- the strategy the
-  paper evaluates.
+  paper evaluates;
+- ``row-witness``  (beyond the paper): AC-extraQuery plus the keys each
+  read showed, so an UPDATE of columns a page only displays dooms it
+  only if it touched one of its rows.
 
-All three are sound (strong consistency always holds -- see the
+All four are sound (strong consistency always holds -- see the
 property tests); they differ only in how many pages they needlessly
 throw away.
 

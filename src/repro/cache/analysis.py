@@ -22,7 +22,13 @@ a read query.  Analysis has two components, mirroring the paper:
      strategy: when the write does not mention a column the read pins,
      consult the affected rows themselves (captured as a pre-image by an
      extra query against the backend) to decide (policy 3; the policy
-     the paper evaluates).
+     the paper evaluates);
+   - :attr:`InvalidationPolicy.ROW_WITNESS` -- AC-extraQuery plus a
+     *row witness*: a read that projects a table's primary key
+     remembers the keys its result showed, and an UPDATE that assigns
+     only columns the read displays (none it filters, joins, groups or
+     orders on, and not the key) is disjoint from it unless it touched
+     one of those rows (:func:`witness_excuses`; beyond the paper).
 
    Every policy is *sound* (never proves non-intersection wrongly); the
    refinements only remove false invalidations.
@@ -32,19 +38,27 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.cache.entry import QueryInstance
-from repro.sql.analysis_info import EqualityBinding, StatementInfo
+from repro.sql.analysis_info import EqualityBinding, StatementInfo, extract_info
 from repro.sql.lineage import Catalog, LineageInfo, compute_lineage
 from repro.sql.template import QueryTemplate
 
 
 class InvalidationPolicy(enum.Enum):
-    """The three invalidation precision levels of Section 3.2."""
+    """The three invalidation precision levels of Section 3.2, plus the
+    row-witness rung above them."""
 
     COLUMN_ONLY = "column-only"
     WHERE_MATCH = "where-match"
     EXTRA_QUERY = "extra-query"  # the paper's AC-extraQuery strategy
+    ROW_WITNESS = "row-witness"  # AC-extraQuery + the rows a read showed
+
+    @property
+    def pre_images(self) -> bool:
+        """Does this rung capture and consult write pre-images?"""
+        return self in (InvalidationPolicy.EXTRA_QUERY, InvalidationPolicy.ROW_WITNESS)
 
 
 @dataclass(frozen=True)
@@ -53,7 +67,7 @@ class ColumnCheck:
 
     ``read_binding`` pins the column on the read side.  On the write
     side the value comes from ``write_binding`` when present, otherwise
-    (EXTRA_QUERY only) from the write instance's pre-image rows.
+    (EXTRA_QUERY and ROW_WITNESS) from the write instance's pre-image rows.
     ``column_is_written`` flags UPDATE SET columns, whose value changes
     make equality pruning unsound except against the SET value itself.
     """
@@ -77,6 +91,11 @@ class PairAnalysis:
     read_conjunctive: bool = True
     write_conjunctive: bool = True
     write_kind: str = ""
+    #: The read's output position of the written table's primary key
+    #: when the pair admits a row witness (:meth:`QueryAnalysisEngine.
+    #: _witness_position`), else None; ``witness_key`` names that key.
+    witness: int | None = None
+    witness_key: str | None = None
 
 
 @dataclass(frozen=True)
@@ -98,6 +117,17 @@ class ColumnPruneRule:
     tables: frozenset[str]
     exact: bool = False
 
+    @cached_property
+    def _read_columns(self) -> dict[str, frozenset[str]]:
+        """Per table, the columns of the read set that may be its own
+        (a ``("?", col)`` spill may be any table's)."""
+        return {
+            table: frozenset(
+                column for t, column in self.read_set if t == table or t == "?"
+            )
+            for table in self.tables
+        }
+
     def disjoint(self, write_info: StatementInfo) -> bool:
         """Can this write provably not affect the read? (policy-1 dual)
 
@@ -107,11 +137,7 @@ class ColumnPruneRule:
         can only be True when disjointness is certain.
         """
         for table in self.tables & write_info.tables:
-            read_columns = {
-                column
-                for t, column in self.read_set
-                if t == table or t == "?"
-            }
+            read_columns = self._read_columns[table]
             write_columns = {
                 column
                 for t, column in write_info.columns_written
@@ -141,6 +167,7 @@ class QueryAnalysisEngine:
     def __init__(self, catalog: Catalog | None = None) -> None:
         self._lineage_cache: dict[str, LineageInfo] = {}
         self._column_rule_cache: dict[str, ColumnPruneRule] = {}
+        self._info_cache: dict[str, StatementInfo] = {}
         self._catalog = catalog
         self.catalog_version = 0 if catalog is None else 1
         self.extra_query_lookups = 0
@@ -157,6 +184,27 @@ class QueryAnalysisEngine:
         self.catalog_version += 1
         self._lineage_cache.clear()
         self._column_rule_cache.clear()
+        self._info_cache.clear()
+
+    def read_info(self, template: QueryTemplate) -> StatementInfo:
+        """``template``'s static facts under the current catalog (the
+        template's own ``info`` is the catalog-free one)."""
+        cached = self._info_cache.get(template.text)
+        if cached is None:
+            cached = extract_info(template.statement, self._catalog)
+            self._info_cache[template.text] = cached
+        return cached
+
+    def key_positions(self, template: QueryTemplate) -> tuple[tuple[str, int], ...]:
+        """Where a read projects each table's primary key, if a row
+        witness is defined for it (empty otherwise).
+
+        Read by the JDBC aspect outside the facade lock: a position
+        memoised under a catalog about to be replaced only decides which
+        result columns are captured.  Whether a captured column is a
+        key is decided again, under the lock, by the pair analysis.
+        """
+        return self.read_info(template).key_positions
 
     def lineage(self, template: QueryTemplate) -> LineageInfo:
         """Column lineage for ``template`` under the current catalog."""
@@ -229,13 +277,45 @@ class QueryAnalysisEngine:
                         ),
                     )
                 )
+        witness, witness_key = self._witness_position(read, write_info)
         return PairAnalysis(
             possible=True,
             checks=tuple(checks),
             read_conjunctive=read_info.where_is_conjunctive_equality,
             write_conjunctive=write_info.where_is_conjunctive_equality,
             write_kind=write_info.kind,
+            witness=witness,
+            witness_key=witness_key,
         )
+
+    def _witness_position(
+        self, read: QueryTemplate, write_info: StatementInfo
+    ) -> tuple[int, str] | tuple[None, None]:
+        """The read's output position of the written table's key, and
+        the key's name, when a row witness can excuse this pair; else
+        ``(None, None)``.
+
+        It can when the write is an UPDATE of a table T whose key the
+        read projects (:func:`~repro.sql.analysis_info._key_positions`
+        says which reads qualify) and it assigns neither the key nor any
+        column of T the read filters, joins, groups or orders on.  Then
+        the rows the read returns, and their order, stay as they were;
+        only the displayed values of rows the update touched can change.
+        """
+        if write_info.kind != "update" or self._catalog is None:
+            return None, None
+        table = write_info.write_table
+        key = self._catalog.primary_key_of(table)
+        info = self.read_info(read)
+        position = dict(info.key_positions).get(table)
+        if key is None or position is None:
+            return None, None
+        assigned = {c for t, c in write_info.columns_written if t == table}
+        if "*" in assigned or key in assigned:
+            return None, None
+        if assigned & {c for t, c in info.filter_columns if t == table}:
+            return None, None
+        return position, key
 
     # -- component 2: instance intersection test ------------------------------------
 
@@ -273,14 +353,19 @@ class QueryAnalysisEngine:
         read_value = check.read_binding.resolve(read_values)
 
         if pair.write_kind == "insert":
-            # The new row's column values are exactly the inserted ones;
-            # an unmentioned column is NULL.  The read needs column ==
-            # read_value on its rows, so a differing inserted value
-            # proves the new row is invisible to the read.
+            # The read needs column == read_value on its rows, so a new
+            # row storing another value there is invisible to it.  The
+            # stored value is read off the write's after-image (a
+            # generated key, the coerced value, a NULL); without one
+            # only an inserted value is known -- an omitted column may
+            # have been given any value.
+            stored = _image_column(check.column, write)
+            if stored is not None:
+                return all(value != read_value for value in stored)
             if check.set_binding is not None:
                 inserted = check.set_binding.resolve(write.values)
                 return inserted != read_value
-            return True  # column not inserted -> NULL != read_value
+            return False
 
         # UPDATE / DELETE from here on.
         if pair.write_kind == "update" and check.column_is_written:
@@ -300,7 +385,7 @@ class QueryAnalysisEngine:
         if check.write_binding is not None:
             write_value = check.write_binding.resolve(write.values)
             return write_value != read_value
-        if policy is InvalidationPolicy.EXTRA_QUERY:
+        if policy.pre_images:
             # The write does not mention the column: consult the
             # affected rows themselves (the paper's extra query).
             contains = self._pre_image_may_contain(check, write, read_value, policy)
@@ -319,7 +404,7 @@ class QueryAnalysisEngine:
         Without a pre-image (policy below EXTRA_QUERY, or capture
         failed) the answer is conservatively True.
         """
-        if policy is not InvalidationPolicy.EXTRA_QUERY:
+        if not policy.pre_images:
             return True
         if write.pre_image is None:
             return True
@@ -349,18 +434,17 @@ class QueryAnalysisEngine:
 # ==============  =======================================================
 # source          allowed read values (read_value must be in this set)
 # ==============  =======================================================
-# ``none``        INSERT without a binding on the column: the new row
-#                 carries NULL there, so *no* read value intersects
-#                 (empty set -- every instance prunes).
-# ``set``         INSERT binding the column: exactly {inserted value}.
+# ``insert``      INSERT: the column's value in the after-image (the
+#                 row as stored); without one, {inserted value} when the
+#                 INSERT binds the column, else no pruning.
 # ``write``       conjunctive UPDATE/DELETE pinning the column in its
 #                 WHERE: exactly {write value}.
-# ``set+preimage``  UPDATE assigning the column (EXTRA_QUERY only):
+# ``set+preimage``  UPDATE assigning the column (pre-image rungs):
 #                 rows may *enter* (new value) or *leave* (old values
 #                 from the pre-image) the read's set -- the union of
 #                 both.  No/incomplete pre-image -> no pruning.
 # ``preimage``    conjunctive UPDATE/DELETE not mentioning the column
-#                 (EXTRA_QUERY only): the captured old values.
+#                 (pre-image rungs): the captured old values.
 #                 No/incomplete pre-image -> no pruning.
 # ==============  =======================================================
 #
@@ -380,7 +464,7 @@ class PruneRule:
     """
 
     read_binding: EqualityBinding
-    source: str  # "none" | "set" | "write" | "set+preimage" | "preimage"
+    source: str  # "insert" | "write" | "set+preimage" | "preimage"
     column: str
     set_binding: EqualityBinding | None = None
     write_binding: EqualityBinding | None = None
@@ -393,10 +477,10 @@ class PruneRule:
         caller must try the next rule or fall back to the full scan.
         """
         try:
-            if self.source == "none":
-                return frozenset()
-            if self.source == "set":
-                assert self.set_binding is not None
+            if self.source == "insert":
+                stored = _pre_image_values(self.column, write)
+                if stored is not None or self.set_binding is None:
+                    return stored
                 return frozenset((self.set_binding.resolve(write.values),))
             if self.source == "write":
                 assert self.write_binding is not None
@@ -416,12 +500,12 @@ class PruneRule:
         raise AssertionError(f"unknown prune source {self.source!r}")
 
 
-def _pre_image_values(column: str, write: QueryInstance) -> frozenset | None:
-    """Values of ``column`` across the write's pre-image rows.
+def _image_column(column: str, write: QueryInstance) -> list | None:
+    """Values of ``column`` across the write's image rows (the
+    before-image of an UPDATE/DELETE, the after-image of an INSERT).
 
-    ``None`` when no pre-image was captured or any row lacks the column
-    -- the exact cases ``_pre_image_may_contain`` treats as "may
-    contain anything", where pruning would be unsound.
+    ``None`` when no image was captured or any row lacks the column --
+    the cases where nothing may be concluded from it.
     """
     if write.pre_image is None:
         return None
@@ -430,7 +514,15 @@ def _pre_image_values(column: str, write: QueryInstance) -> frozenset | None:
         if column not in row:
             return None
         values.append(row[column])
-    return frozenset(values)
+    return values
+
+
+def _pre_image_values(column: str, write: QueryInstance) -> frozenset | None:
+    """:func:`_image_column` as a set -- the exact cases
+    ``_pre_image_may_contain`` treats as "may contain anything" give
+    ``None``, where pruning would be unsound."""
+    values = _image_column(column, write)
+    return None if values is None else frozenset(values)
 
 
 def build_pruning_plan(
@@ -452,28 +544,20 @@ def build_pruning_plan(
     rules: list[PruneRule] = []
     for check in pair.checks:
         if pair.write_kind == "insert":
-            if check.set_binding is None:
-                rules.append(
-                    PruneRule(check.read_binding, "none", check.column)
+            rules.append(
+                PruneRule(
+                    check.read_binding,
+                    "insert",
+                    check.column,
+                    set_binding=check.set_binding,
                 )
-            else:
-                rules.append(
-                    PruneRule(
-                        check.read_binding,
-                        "set",
-                        check.column,
-                        set_binding=check.set_binding,
-                    )
-                )
+            )
             continue
         if pair.write_kind == "update" and check.column_is_written:
-            # Only EXTRA_QUERY can exclude the "leaves the read set"
+            # Only the pre-image rungs can exclude the "leaves the read set"
             # direction; and without a SET binding the new value is
             # unknown, so rows may always enter.
-            if (
-                policy is InvalidationPolicy.EXTRA_QUERY
-                and check.set_binding is not None
-            ):
+            if policy.pre_images and check.set_binding is not None:
                 rules.append(
                     PruneRule(
                         check.read_binding,
@@ -494,11 +578,41 @@ def build_pruning_plan(
                     write_binding=check.write_binding,
                 )
             )
-        elif policy is InvalidationPolicy.EXTRA_QUERY:
+        elif policy.pre_images:
             rules.append(
                 PruneRule(check.read_binding, "preimage", check.column)
             )
     return tuple(rules)
+
+
+def witness_excuses(
+    pair: PairAnalysis,
+    witness: tuple[tuple[int, tuple], ...] | None,
+    write: QueryInstance,
+) -> bool:
+    """The row-witness rung's test: is a read instance provably
+    untouched by ``write``?
+
+    ``witness`` is the instance's ``(output position, keys shown)``
+    pairs.  True when the pair admits a witness at a captured position
+    and no row in the write's pre-image carries one of the keys the
+    read showed.  Anything unknown -- no witness (the read ran before
+    its table's first write), no pre-image, a key missing from a
+    pre-image row -- answers False and leaves the doom standing.
+    """
+    position = pair.witness
+    if position is None or witness is None or write.pre_image is None:
+        return False
+    for captured, keys in witness:
+        if captured == position:
+            break
+    else:
+        return False
+    key = pair.witness_key
+    for row in write.pre_image:
+        if key not in row or row[key] in keys:
+            return False
+    return True
 
 
 def instance_filter(

@@ -33,6 +33,7 @@ from repro.cache.replacement import make_policy
 from repro.cache.semantics import SemanticsRegistry
 from repro.cache.stats import CacheStats
 from repro.locks import NamedRLock
+from repro.sql.template import QueryTemplate
 from repro.web.http import HttpRequest
 
 
@@ -76,6 +77,12 @@ class Cache:
             self.stats,
             invalidation_policy,
         )
+        #: Tables a woven write has reached.  A read captures its row
+        #: witness (:meth:`witness`) only over these: before a table's
+        #: first write nothing could use one, so a read-only workload
+        #: captures nothing.  Only ever grows; one ``set.add`` by the
+        #: JDBC aspect per write, read without the lock.
+        self.written_tables: set[str] = set()
         #: Guard for :meth:`sync_catalog`: the database last mirrored
         #: into the engine catalog and its schema epoch at that moment.
         self._catalog_source: tuple[object, int] | None = None
@@ -128,6 +135,23 @@ class Cache:
         with self.lock:
             self.engine.set_catalog(catalog)
             self._catalog_source = (database, epoch)
+
+    def witness(
+        self, template: QueryTemplate, rows: Sequence[Sequence[object]]
+    ) -> tuple[tuple[int, tuple[object, ...]], ...] | None:
+        """The row witness of a read that returned ``rows``: for each
+        written table whose primary key the read projects, its output
+        position and the keys shown (None when there is none)."""
+        positions = self.engine.key_positions(template)
+        if not positions:
+            return None
+        written = self.written_tables
+        found = tuple(
+            (position, tuple([row[position] for row in rows]))
+            for table, position in positions
+            if table in written
+        )
+        return found or None
 
     # -- read path -------------------------------------------------------------------
 

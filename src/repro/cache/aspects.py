@@ -17,7 +17,9 @@ Three aspects implement the paper's weaving rules verbatim:
   JDBC-level interface (Figure 12), including the pre-image the
   AC-extraQuery policy tests ("extra query"), which it reads off the
   write's own result: the UPDATE/DELETE plan hands back the rows it
-  matched as they were before it ran.
+  matched as they were before it ran (an INSERT, the row it stored).
+  A read of a table that has been written carries a row witness: the
+  keys its result showed.
 
 The application servlets contain no caching logic; weaving these aspects
 over the servlet classes and the driver's ``Statement`` class produces
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 from repro.aop import Aspect, around
 from repro.aop.joinpoint import JoinPoint
-from repro.cache.analysis import InvalidationPolicy
 from repro.cache.api import Cache
 from repro.cache.computation import CachedComputation
 from repro.cache.consistency import ConsistencyCollector
@@ -174,7 +175,7 @@ class JdbcConsistencyAspect(Aspect):
     @property
     def extra_queries(self) -> int:
         """Pre-images captured (AC-extraQuery's extra queries; each is
-        now read off the write's own result, see :meth:`_pre_image`).
+        now read off the write's own result, see :meth:`_image`).
 
         Kept for observability; the counter itself lives in
         :class:`~repro.cache.stats.CacheStats`, recorded under the
@@ -208,7 +209,10 @@ class JdbcConsistencyAspect(Aspect):
             raise
         if self.collector.current() is not None:
             template, values = templateize(sql, params)
-            self.collector.record_read(QueryInstance(template, values))
+            witness = None
+            if self.cache.written_tables:
+                witness = self.cache.witness(template, result.query_result.rows)
+            self.collector.record_read(QueryInstance(template, values, None, witness))
         return result
 
     @around(UPDATE_POINTCUT)
@@ -222,10 +226,8 @@ class JdbcConsistencyAspect(Aspect):
         # UPDATE) and is not considered for invalidation.
         result = joinpoint.proceed()
         if template is not None:
-            pre_image = None
-            if self.cache.invalidation_policy is InvalidationPolicy.EXTRA_QUERY:
-                pre_image = self._pre_image(joinpoint.target)
-            instance = QueryInstance(template, values, pre_image)
+            self.cache.written_tables.add(template.info.write_table)
+            instance = QueryInstance(template, values, self._image(joinpoint.target))
             connection = getattr(joinpoint.target, "connection", None)
             if connection is not None and connection.in_transaction:
                 # Outcome unknown until commit/rollback: stage it.
@@ -251,18 +253,27 @@ class JdbcConsistencyAspect(Aspect):
             # did not commit): they must not invalidate anything.
             self.collector.rollback_staged(joinpoint.target)
 
-    def _pre_image(self, statement: object) -> tuple[dict[str, object], ...] | None:
-        """What the paper's extra query fetched: the rows an UPDATE or
-        DELETE touched, as they were before it ran, so missing column
-        values can be tested at invalidation time.  The write's own plan
-        took this before-image while it changed the rows, under the same
-        database lock, so no second statement runs and no other writer
-        can come between image and write; it is still counted as one
-        extra query (plus the rows the write examined), which is what
-        the simulator charges for it.  None (always intersect) for an
-        INSERT."""
+    def _image(self, statement: object) -> tuple[dict[str, object], ...] | None:
+        """The rows the write's intersection test reads.
+
+        For an UPDATE or DELETE, under the pre-image rungs: what the
+        paper's extra query fetched, the rows it touched as they were
+        before it ran, so missing column values can be tested at
+        invalidation time.  The write's own plan took this before-image
+        while it changed the rows, under the same database lock, so no
+        second statement runs and no other writer can come between image
+        and write; it is still counted as one extra query (plus the rows
+        the write examined), which is what the simulator charges for it.
+
+        For an INSERT, under every rung: the row as stored (generated
+        key, coerced values, NULLs), which the plan returns as JDBC's
+        ``getGeneratedKeys`` would -- no query, none counted."""
         update = getattr(statement, "last_update", None)
-        if update is None or update.before is None:
+        if update is None:
+            return None
+        if update.before is None:
+            return update.after_image()
+        if not self.cache.invalidation_policy.pre_images:
             return None
         self.cache.record_extra_query(update.rows_examined)
         return update.before_image()

@@ -2,7 +2,7 @@
 
 Typical use::
 
-    awc = AutoWebCache(policy=InvalidationPolicy.EXTRA_QUERY)
+    awc = AutoWebCache(policy=InvalidationPolicy.ROW_WITNESS)
     awc.semantics.set_ttl_window("/tpcw/best_sellers", 30.0)
     report = awc.install(container.servlet_classes)
     ...  # serve traffic; awc.cache.stats accumulates
@@ -46,7 +46,7 @@ class AutoWebCache:
 
     def __init__(
         self,
-        policy: InvalidationPolicy = InvalidationPolicy.EXTRA_QUERY,
+        policy: InvalidationPolicy = InvalidationPolicy.ROW_WITNESS,
         replacement: str = "unbounded",
         capacity: int | None = None,
         max_bytes: int | None = None,

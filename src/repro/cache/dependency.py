@@ -1,10 +1,11 @@
 """The dependency table: Figure 3's second structure, now indexed.
 
-Maps each read-query template to the set of (value vector, page key)
-pairs recorded when cached pages were generated.  When a write arrives,
-the invalidator walks the read templates that *may* depend on the write
-template (per the analysis engine) and runs the run-time intersection
-test against each registered instance.
+Maps each read-query template to the (read instance, page key) pairs
+recorded when cached pages were generated: the instance carries the
+value vector and the row witness its read captured.  When a write
+arrives, the invalidator walks the read templates that *may* depend on
+the write template (per the analysis engine) and runs the run-time
+intersection test against each registered instance.
 
 The paper's protocol consults *every* read template per write.  To make
 the write path sub-linear, the table additionally maintains two indexes,
@@ -43,27 +44,32 @@ from typing import Iterable
 from repro.cache.entry import QueryInstance
 from repro.sql.template import QueryTemplate
 
-#: One registration as the indexes see it: (page key, value vector).
-Registration = tuple[str, tuple[object, ...]]
+#: One registration as the indexes see it: (page key, read instance).
+#: The instance is the page entry's own, so its value vector and row
+#: witness reach the invalidator without a copy or a second lookup.
+Registration = tuple[str, QueryInstance]
 
 
 class DependencyTable:
-    """template -> page key -> set of value vectors (plus two indexes)."""
+    """template -> page key -> read instances (plus two indexes)."""
 
     def __init__(self) -> None:
-        #: Vectors per (template, page) live in a *list*, deduplicated by
-        #: equality: vectors holding unhashable values (legal for the
+        #: Instances per (template, page) live in a *list*, deduplicated
+        #: by equality: vectors holding unhashable values (legal for the
         #: caller, impossible to index) must still be storable, and the
-        #: per-page vector count is tiny so linear membership is fine.
+        #: per-page count is tiny so linear membership is fine.  One
+        #: vector read twice with different results keeps both
+        #: instances: the page is doomed unless both witnesses excuse
+        #: the write, i.e. unless their union does.
         self._by_template: dict[
-            QueryTemplate, dict[str, list[tuple[object, ...]]]
+            QueryTemplate, dict[str, list[QueryInstance]]
         ] = defaultdict(dict)
-        #: template -> number of (page, vector) registrations under it,
+        #: template -> number of (page, instance) registrations under it,
         #: kept in step with ``_by_template`` so no count walks pages.
         self._counts: dict[QueryTemplate, int] = {}
         #: Inverted index: table name -> templates referencing it.
         self._templates_by_table: dict[str, set[QueryTemplate]] = defaultdict(set)
-        #: template -> position -> value -> {(page key, vector)}.
+        #: template -> position -> value -> {(page key, instance)}.
         self._value_index: dict[
             QueryTemplate, dict[int, dict[object, set[Registration]]]
         ] = {}
@@ -76,21 +82,22 @@ class DependencyTable:
         by_template = self._by_template
         for instance in instances:
             template = instance.template
-            vector = tuple(instance.values)
+            if type(instance.values) is not tuple:
+                instance = instance._replace(values=tuple(instance.values))
             pages = by_template.get(template)
             if pages is None:
                 pages = by_template[template] = {}
                 for table in template.tables:
                     self._templates_by_table[table].add(template)
-            vectors = pages.get(page_key)
-            if vectors is None:
-                pages[page_key] = [vector]
-            elif vector in vectors:
+            registered = pages.get(page_key)
+            if registered is None:
+                pages[page_key] = [instance]
+            elif instance in registered:
                 continue
             else:
-                vectors.append(vector)
+                registered.append(instance)
             self._counts[template] = self._counts.get(template, 0) + 1
-            self._index_registration(template, page_key, vector)
+            self._index_registration(template, page_key, instance)
 
     def unregister(self, page_key: str, instances: tuple[QueryInstance, ...]) -> None:
         """Remove ``page_key``'s registrations (on eviction/invalidation)."""
@@ -99,10 +106,10 @@ class DependencyTable:
             pages = self._by_template.get(template)
             if pages is None:
                 continue
-            vectors = pages.pop(page_key, None)
-            if vectors:
-                self._counts[template] -= len(vectors)
-                self._unindex_registrations(template, page_key, vectors)
+            registered = pages.pop(page_key, None)
+            if registered:
+                self._counts[template] -= len(registered)
+                self._unindex_registrations(template, page_key, registered)
             if not pages:
                 del self._by_template[template]
                 del self._counts[template]
@@ -117,7 +124,7 @@ class DependencyTable:
     # -- index maintenance ---------------------------------------------------------
 
     def _index_registration(
-        self, template: QueryTemplate, page_key: str, vector: tuple[object, ...]
+        self, template: QueryTemplate, page_key: str, instance: QueryInstance
     ) -> None:
         positions = template.indexable_positions
         if not positions or template.text in self._unindexable:
@@ -125,7 +132,8 @@ class DependencyTable:
         index = self._value_index.get(template)
         if index is None:
             index = self._value_index[template] = {}
-        registration = (page_key, vector)
+        registration = (page_key, instance)
+        vector = instance.values
         try:
             for position in positions:
                 bucket = index.get(position)
@@ -148,22 +156,23 @@ class DependencyTable:
         self,
         template: QueryTemplate,
         page_key: str,
-        vectors: list[tuple[object, ...]],
+        registered: list[QueryInstance],
     ) -> None:
         index = self._value_index.get(template)
         if index is None:
             return
         for position, bucket in index.items():
-            for vector in vectors:
+            for instance in registered:
                 try:
-                    entries = bucket.get(vector[position])
+                    value = instance.values[position]
+                    entries = bucket.get(value)
                 except TypeError:  # unhashable value: was never indexed
                     continue
                 if entries is None:
                     continue
-                entries.discard((page_key, vector))
+                entries.discard((page_key, instance))
                 if not entries:
-                    del bucket[vector[position]]
+                    del bucket[value]
 
     # -- reads ---------------------------------------------------------------------
 
@@ -186,15 +195,13 @@ class DependencyTable:
                 candidates |= found
         return list(candidates), len(self._by_template) - len(candidates)
 
-    def instances_for(
-        self, template: QueryTemplate
-    ) -> list[tuple[str, tuple[object, ...]]]:
-        """(page key, value vector) pairs registered under ``template``."""
+    def instances_for(self, template: QueryTemplate) -> list[Registration]:
+        """(page key, read instance) pairs registered under ``template``."""
         pages = self._by_template.get(template, {})
         return [
-            (page_key, vector)
-            for page_key, vectors in pages.items()
-            for vector in vectors
+            (page_key, instance)
+            for page_key, registered in pages.items()
+            for instance in registered
         ]
 
     def instances_for_values(

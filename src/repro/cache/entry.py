@@ -16,7 +16,15 @@ class QueryInstance(NamedTuple):
     ``pre_image`` is populated for UPDATE/DELETE instances under the
     AC-extraQuery policy: the affected rows' column values before the
     write (what the paper's extra query fetched; here the write's own
-    before-image), used by the run-time intersection test.
+    before-image), used by the run-time intersection test.  For an
+    INSERT it holds the row as stored (its after-image: generated key,
+    coerced values, NULLs), captured under every policy.
+
+    ``witness`` is a read's row witness: ``(output position, keys)``
+    for each table whose primary key the read projects and which had
+    been written when the read ran -- the keys of the rows its result
+    showed (:func:`~repro.cache.analysis.witness_excuses`).  None when
+    nothing was captured.
 
     Immutable, compared and hashed by value; a named tuple because one
     is built per intercepted statement.
@@ -25,6 +33,7 @@ class QueryInstance(NamedTuple):
     template: QueryTemplate
     values: tuple[object, ...]
     pre_image: tuple[dict[str, object], ...] | None = None
+    witness: tuple[tuple[int, tuple[object, ...]], ...] | None = None
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
         return f"{self.template.text} {self.values!r}"

@@ -65,6 +65,7 @@ class TriggerInvalidationBridge:
             return  # bulk load below the SQL layer: nothing to analyse
         template, values = templateize(event.sql, event.params)
         instance = QueryInstance(template, values, event.pre_image)
+        self._cache.written_tables.add(event.table)
         self.external_writes += 1
         self._cache.process_write_request(f"<external:{event.table}>", [instance])
 

@@ -29,7 +29,10 @@ doing sub-linear work:
   derived from the pair analysis converts the write's bound values into
   the set of read-side values it could intersect, and the per-template
   value index returns only the registrations carrying such a value --
-  every skipped instance is one ``intersects`` would have rejected.
+  every skipped instance is one ``intersects`` would have rejected;
+- under ``ROW_WITNESS`` every loop asks the row witness before the
+  intersection test (:meth:`Invalidator._dooms`): an instance whose
+  witness excuses the write is spared, the same way on every path.
 
 Pruned work is surfaced in :class:`~repro.cache.stats.CacheStats`
 (``templates_skipped_by_index`` / ``instances_skipped_by_index`` /
@@ -43,8 +46,10 @@ from __future__ import annotations
 
 from repro.cache.analysis import (
     InvalidationPolicy,
+    PairAnalysis,
     QueryAnalysisEngine,
     instance_filter,
+    witness_excuses,
 )
 from repro.cache.analysis_cache import AnalysisCache
 from repro.cache.entry import QueryInstance
@@ -162,13 +167,12 @@ class Invalidator:
             pair = self._analysis.analyse(read_template, write.template)
             if not pair.possible:
                 continue
-            for page_key, values in self._pages.dependencies.instances_for(
+            for page_key, read in self._pages.dependencies.instances_for(
                 read_template
             ):
                 if page_key in affected:
                     continue
-                self._stats.record_intersection_test()
-                if self.engine.intersects(pair, values, write, self.policy):
+                if self._dooms(pair, read, write):
                     affected.add(page_key)
         return affected
 
@@ -221,11 +225,10 @@ class Invalidator:
                 # No usable rule (or unindexable template): full scan,
                 # identical to the brute-force inner loop.
                 instances = dependencies.instances_for(read_template)
-            for page_key, values in instances:
+            for page_key, read in instances:
                 if page_key in affected:
                     continue
-                self._stats.record_intersection_test()
-                if self.engine.intersects(pair, values, write, self.policy):
+                if self._dooms(pair, read, write):
                     affected.add(page_key)
         return affected
 
@@ -267,12 +270,27 @@ class Invalidator:
                     continue
                 if use_index and self._value_filtered(pair, read, write):
                     continue
-                self._stats.record_intersection_test()
-                if self.engine.intersects(
-                    pair, tuple(read.values), write, self.policy
-                ):
+                if self._dooms(pair, read, write):
                     return True
         return False
+
+    def _dooms(
+        self, pair: PairAnalysis, read: QueryInstance, write: QueryInstance
+    ) -> bool:
+        """The instance test all three loops share: under ROW_WITNESS
+        the row witness first (:func:`~repro.cache.analysis.
+        witness_excuses`; its excusals are counted in
+        ``CacheStats.witness_skips``), then the intersection test at the
+        configured rung.  Either proof spares the instance; the witness
+        goes first because it is the cheaper one and, for the instances
+        the value index selected, the intersection test rarely says no."""
+        if self.policy is InvalidationPolicy.ROW_WITNESS and witness_excuses(
+            pair, read.witness, write
+        ):
+            self._stats.record_witness_skip()
+            return False
+        self._stats.record_intersection_test()
+        return self.engine.intersects(pair, tuple(read.values), write, self.policy)
 
     def _lineage_skip(self, read_template, write_info) -> bool:
         """Skip a candidate whose pair analysis is doomed to say no.

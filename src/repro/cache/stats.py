@@ -110,6 +110,10 @@ class CacheStats:
     #: Rows the captured writes examined: what the paper's extra SELECT,
     #: with the write's WHERE over the same table, would have examined.
     extra_query_rows: int = 0
+    #: Instances their row witness excused (``ROW_WITNESS`` only): the
+    #: write touched no row the read showed, and no column it filters
+    #: on.  No intersection test is run for them.
+    witness_skips: int = 0
     #: Misses served from a concurrent single-flight computation
     #: (dogpile suppression): N concurrent misses, one execution.
     coalesced_hits: int = 0
@@ -223,6 +227,9 @@ class CacheStats:
         self.extra_queries += 1
         self.extra_query_rows += rows
 
+    def record_witness_skip(self) -> None:
+        self.witness_skips += 1
+
     def record_coalesced(self, uri: str) -> None:
         self.coalesced_hits += 1
         self.type_stats(uri).coalesced += 1
@@ -265,6 +272,7 @@ class CacheStats:
                 "column_plans_built": self.column_plans_built,
                 "extra_queries": self.extra_queries,
                 "extra_query_rows": self.extra_query_rows,
+                "witness_skips": self.witness_skips,
                 "coalesced_hits": self.coalesced_hits,
                 "stale_inserts": self.stale_inserts,
                 "hole_skips": self.hole_skips,

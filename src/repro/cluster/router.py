@@ -76,6 +76,7 @@ from repro.cluster.node import JOINED, CacheNode
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.errors import ClusterError
 from repro.locks import NamedRLock
+from repro.sql.template import QueryTemplate
 from repro.web.http import HttpRequest
 
 CacheFactory = Callable[[], Cache]
@@ -214,7 +215,7 @@ class ClusterRouter:
         self._cache_factory = cache_factory
         self._lock = NamedRLock("cluster-router")
         self.ring = HashRing(vnodes=vnodes)
-        self._template = cache_factory()  # config donor, never serves
+        self._template = cache_factory()  # config donor; serves nothing
         self.semantics = self._template.semantics
         self.replication = replication
         self.bus = InvalidationBus(
@@ -259,6 +260,10 @@ class ClusterRouter:
         self._evicted: list[set[str]] = []
         #: Guard for :meth:`sync_catalog` (see :meth:`Cache.sync_catalog`).
         self._catalog_source: tuple[object, int] | None = None
+        #: Tables a woven write has reached (see :attr:`Cache.
+        #: written_tables`).  The config donor's set: its engine, which
+        #: :meth:`sync_catalog` keeps current, captures the witnesses.
+        self.written_tables = self._template.written_tables
         for name in node_names:
             self.add_node(name)
 
@@ -616,8 +621,16 @@ class ClusterRouter:
         with self._lock:
             nodes = list(self._nodes.values())
             self._catalog_source = (database, epoch)
+        self._template.sync_catalog(database)
         for node in nodes:
             node.cache.sync_catalog(database)
+
+    def witness(
+        self, template: QueryTemplate, rows: Sequence[Sequence[object]]
+    ) -> tuple[tuple[int, tuple[object, ...]], ...] | None:
+        """A read's row witness (:meth:`Cache.witness`), captured once
+        at the front end: every node tests the same instance."""
+        return self._template.witness(template, rows)
 
     # -- read path ---------------------------------------------------------------------
 

@@ -165,7 +165,7 @@ class Database:
                     sql=statement.unparse(),
                     params=tuple(params),
                     affected=update.affected,
-                    pre_image=update.before_image(),
+                    pre_image=update.image(),
                 )
                 if self._transaction is not None:
                     # Deliver only if the transaction commits.

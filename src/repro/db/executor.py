@@ -95,6 +95,9 @@ class UpdateResult:
     #: keeping them costs no copy.
     columns: list[str] | None = None
     before: list[list[object]] | None = None
+    #: INSERT only (else None): the row it stored -- generated key,
+    #: coerced values and NULLs for omitted columns -- its *after-image*.
+    after: list[object] | None = None
 
     def before_image(self) -> tuple[dict[str, object], ...] | None:
         """The before-image as column->value dictionaries (None when
@@ -103,6 +106,19 @@ class UpdateResult:
             return None
         columns = self.columns
         return tuple([dict(zip(columns, row)) for row in self.before])
+
+    def after_image(self) -> tuple[dict[str, object], ...] | None:
+        """The stored row as a one-row image (None unless an INSERT)."""
+        if self.after is None:
+            return None
+        return (dict(zip(self.columns, self.after)),)
+
+    def image(self) -> tuple[dict[str, object], ...] | None:
+        """What an invalidation test reads: the before-image of an
+        UPDATE/DELETE, the after-image of an INSERT."""
+        if self.before is not None:
+            return self.before_image()
+        return self.after_image()
 
 
 class Executor:
@@ -196,12 +212,18 @@ class Executor:
             for column, expr in zip(insert.columns, insert.values)
         ]
         coerce_row = table.schema.coerce_row
+        columns = table.schema.column_names
 
         def run(params: tuple) -> UpdateResult:
-            table.insert(coerce_row({name: value(None, params) for name, value in values}))
+            row = coerce_row({name: value(None, params) for name, value in values})
+            table.insert(row)
             self.rows_examined_total += 1
             return UpdateResult(
-                affected=1, rows_examined=1, last_insert_id=table.last_insert_id
+                affected=1,
+                rows_examined=1,
+                last_insert_id=table.last_insert_id,
+                columns=columns,
+                after=row,
             )
 
         return run

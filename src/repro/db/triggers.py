@@ -32,7 +32,8 @@ class WriteEvent:
     #: The rows an UPDATE/DELETE matched, as they were before it ran:
     #: the write's own before-image (``UpdateResult.before_image``),
     #: taken by the same plan run, so no other writer comes between
-    #: image and write (None for INSERTs).
+    #: image and write.  For an INSERT, the row it stored
+    #: (``UpdateResult.after_image``).
     pre_image: tuple[dict[str, object], ...] | None = None
 
 

@@ -5,6 +5,8 @@
     python -m repro fig17
     python -m repro codesize
     python -m repro run --app tpcw --clients 250 --policy where-match
+    python -m repro run --app rubis --policy row-witness
+    python -m repro differential --policy row-witness
 
 Prints the same tables the benchmark suite writes to
 ``benchmarks/results/``; timing flags default to quick settings so the
@@ -147,7 +149,8 @@ def _differential_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pages", type=int, default=80)
     p.add_argument("--policy", choices=sorted(_POLICIES),
                    default=None,
-                   help="one policy (default: all three)")
+                   help="one policy (default: every rung; the witness "
+                        "table runs row-witness)")
 
 
 def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
@@ -155,12 +158,16 @@ def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
         run_column_differential,
         run_differential,
         run_fragment_differential,
+        run_witness_differential,
     )
 
     policies = (
         [_POLICIES[args.policy]] if args.policy else list(InvalidationPolicy)
     )
     by_policy = [dict(policy=policy, n_pages=args.pages) for policy in policies]
+    witness_policies = (
+        [_POLICIES[args.policy]] if args.policy else [InvalidationPolicy.ROW_WITNESS]
+    )
 
     def verdict(passed: bool) -> str:
         return "ok" if passed else "MISMATCH"
@@ -193,11 +200,28 @@ def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
             f"{result.pair_analyses_brute}/{result.pair_analyses_indexed}",
         ]
 
+    def witness_row(config, seed, result):
+        # Vacuity guard: a witness run where no witness excused anything
+        # compared nothing the other tables do not.
+        passed = result.ok and result.witness_skips_indexed > 0
+        return passed, [
+            config["policy"].value,
+            seed,
+            verdict(passed),
+            result.writes_tested,
+            result.pages_doomed,
+            f"{result.witness_skips_brute}/{result.witness_skips_indexed}",
+            f"{result.pair_analyses_brute}/{result.pair_analyses_indexed}",
+        ]
+
     def fragment_row(config, seed, result):
-        return result.ok, [
+        passed = result.ok and (
+            config["workload"] != "witness" or result.witness_skips > 0
+        )
+        return passed, [
             *config.values(),
             seed,
-            verdict(result.ok),
+            verdict(passed),
             result.writes_tested,
             result.entries_doomed,
             result.closure_doomed,
@@ -211,6 +235,9 @@ def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
         (1, 1, "strong", "column"),
         (4, 2, "strong", "column"),
         (4, 2, "bounded", "column"),
+        (1, 1, "strong", "witness"),
+        (4, 1, "strong", "witness"),
+        (4, 2, "strong", "witness"),
     )
     ring_keys = ("n_nodes", "replication", "bus_mode", "workload")
     # (title, headers, runner, configurations, row)
@@ -231,6 +258,14 @@ def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
             run_column_differential,
             by_policy,
             column_row,
+        ),
+        (
+            "Differential: row witness, indexed vs brute-force",
+            ["policy", "seed", "verdict", "writes", "doomed",
+             "witness skips (brute/indexed)", "pair analyses (brute/indexed)"],
+            run_witness_differential,
+            [dict(policy=policy, n_pages=args.pages) for policy in witness_policies],
+            witness_row,
         ),
         (
             "Differential: fragment-granular doom vs brute-force closure",

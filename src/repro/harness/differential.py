@@ -104,6 +104,11 @@ class DifferentialResult:
     #: counts violations (any non-zero value is a mismatch).
     never_read_probes: int = 0
     never_read_doomed: int = 0
+    #: Instances the row witness excused, per side (``ROW_WITNESS``
+    #: only).  They need not be equal: each side stops testing a page
+    #: at its first doom, in its own template order.
+    witness_skips_indexed: int = 0
+    witness_skips_brute: int = 0
     mismatches: list[str] = field(default_factory=list)
 
     @property
@@ -167,6 +172,15 @@ def _random_pre_image(
     return tuple(rows)
 
 
+def _stored_row(
+    columns: list[str], chosen: list[str], params: tuple
+) -> tuple[dict[str, object], ...]:
+    """An INSERT's after-image in these symbolic schemas: the inserted
+    values, NULL wherever a column was omitted (no generated keys)."""
+    inserted = dict(zip(chosen, params))
+    return ({column: inserted.get(column) for column in columns},)
+
+
 def random_write(rng: random.Random) -> QueryInstance:
     """Default-mix writes: INSERT/UPDATE/DELETE with random pre-images."""
     table = rng.choice(sorted(SCHEMA))
@@ -181,7 +195,7 @@ def random_write(rng: random.Random) -> QueryInstance:
         )
         params = tuple(rng.choice(VALUE_DOMAIN) for _ in chosen)
         template, values = templateize(sql, params)
-        return QueryInstance(template, values)
+        return QueryInstance(template, values, _stored_row(columns, chosen, params))
     if kind < 0.70:
         n_set = rng.randrange(1, min(3, len(columns)) + 1)
         set_columns = rng.sample(columns, n_set)
@@ -324,7 +338,7 @@ def _random_column_write(rng: random.Random) -> QueryInstance:
         )
         params = tuple(rng.choice(VALUE_DOMAIN) for _ in chosen)
         template, values = templateize(sql, params)
-        return QueryInstance(template, values)
+        return QueryInstance(template, values, _stored_row(columns, chosen, params))
     if kind < 0.85:
         set_roll = rng.random()
         if set_roll < 0.45:
@@ -363,16 +377,113 @@ def _random_column_write(rng: random.Random) -> QueryInstance:
     )
 
 
+#: Tables of the witness mix with a primary key (``id``).
+_KEYED = ("items", "orders", "users")
+
+#: Joins of the witness mix: (SQL, output position of the witnessed
+#: key).  Each projects one keyed table's ``id`` beside a partner column.
+_WITNESS_JOINS: tuple[tuple[str, int], ...] = (
+    (
+        "SELECT items.id, items.price, bids.amount FROM items, bids "
+        "WHERE items.id = bids.item_id AND bids.user_id = ?",
+        0,
+    ),
+    (
+        "SELECT comments.rating, users.id, users.name FROM users, comments "
+        "WHERE users.id = comments.from_user AND comments.item_id = ?",
+        1,
+    ),
+    (
+        "SELECT orders.id, orders.total FROM orders JOIN order_line "
+        "ON orders.id = order_line.order_id WHERE order_line.qty = ? "
+        "ORDER BY orders.status",
+        0,
+    ),
+)
+
+
+def witness_catalog() -> Catalog:
+    """The witness mix's catalog: :data:`SCHEMA` with ``id`` keys."""
+    return Catalog(
+        {t: tuple(cols) for t, cols in SCHEMA.items()},
+        {table: "id" for table in _KEYED},
+    )
+
+
+def _random_witness_read(rng: random.Random) -> QueryInstance:
+    """Witness-mix reads: a keyed table's ``id`` projected among columns
+    the read only displays, single-table or joined, and a row witness
+    of a few keys.  Some reads carry none (they ran before their table's
+    first write), some a witness at a position that is not the key, and
+    some are shapes no witness is defined for (``*``, aggregates)."""
+    roll = rng.random()
+    if roll < 0.6:
+        table = rng.choice(_KEYED)
+        others = [column for column in SCHEMA[table] if column != "id"]
+        columns = ["id"] + rng.sample(others, rng.randrange(1, len(others)))
+        rng.shuffle(columns)
+        sql = (
+            f"SELECT {', '.join(columns)} FROM {table} "
+            f"WHERE {rng.choice(others)} = ?"
+        )
+        if rng.random() < 0.4:
+            sql += f" ORDER BY {rng.choice(others)}"
+        position = columns.index("id")
+    elif roll < 0.85:
+        sql, position = rng.choice(_WITNESS_JOINS)
+    else:
+        table = rng.choice(_KEYED)
+        column = rng.choice(SCHEMA[table][1:])
+        sql = rng.choice(
+            (
+                f"SELECT * FROM {table} WHERE {column} = ?",
+                f"SELECT id, COUNT(*) FROM {table} WHERE {column} = ? GROUP BY id",
+            )
+        )
+        position = 0
+    template, values = templateize(sql, (rng.choice(VALUE_DOMAIN),))
+    witness = None
+    if rng.random() < 0.8:
+        if rng.random() < 0.1:
+            position += 1  # captured somewhere that is not the key
+        keys = tuple(rng.sample(VALUE_DOMAIN, rng.randrange(0, 4)))
+        witness = ((position, keys),)
+    return QueryInstance(template, values, witness=witness)
+
+
+def _random_witness_write(rng: random.Random) -> QueryInstance:
+    """Witness-mix writes: mostly UPDATEs of a keyed table setting a
+    column reads only display (sometimes one they filter or order on,
+    sometimes the key), by key or by another column, with pre-images
+    that may lack rows, the key or everything; else the default mix."""
+    if rng.random() < 0.3:
+        return random_write(rng)
+    table = rng.choice(_KEYED)
+    columns = SCHEMA[table]
+    set_columns = rng.sample(columns[1:], rng.randrange(1, 3))
+    if rng.random() < 0.1:
+        set_columns.append("id")
+    set_sql = ", ".join(f"{column} = ?" for column in set_columns)
+    where = "id" if rng.random() < 0.7 else rng.choice(columns[1:])
+    params = tuple(rng.choice(VALUE_DOMAIN) for _ in range(len(set_columns) + 1))
+    template, values = templateize(
+        f"UPDATE {table} SET {set_sql} WHERE {where} = ?", params
+    )
+    return QueryInstance(template, values, _random_pre_image(rng, table))
+
+
 @dataclass(frozen=True)
 class Workload:
     """What a differential run draws from: the generator pair, the
-    schema catalog both sides share (None: catalog-free analysis), and
-    whether a never-read probe fires each round."""
+    schema catalog both sides share (None: catalog-free analysis),
+    whether a never-read probe fires each round, and the rung the
+    fragment-granular differential runs it at."""
 
     reader: Callable[[random.Random], QueryInstance]
     writer: Callable[[random.Random], QueryInstance]
     catalog: Catalog | None = None
     probe: bool = False
+    policy: InvalidationPolicy = InvalidationPolicy.EXTRA_QUERY
 
 
 WORKLOADS: dict[str, Workload] = {
@@ -382,6 +493,12 @@ WORKLOADS: dict[str, Workload] = {
         _random_column_write,
         catalog=column_catalog(),
         probe=True,
+    ),
+    "witness": Workload(
+        _random_witness_read,
+        _random_witness_write,
+        catalog=witness_catalog(),
+        policy=InvalidationPolicy.ROW_WITNESS,
     ),
 }
 
@@ -413,6 +530,8 @@ class FragmentDifferentialResult:
     #: fragment whose own dependencies never matched the write).  Must
     #: be non-zero for the run to have exercised the closure at all.
     closure_doomed: int = 0
+    #: Instances the row witness excused across the ring (witness mix).
+    witness_skips: int = 0
     mismatches: list[str] = field(default_factory=list)
 
     @property
@@ -464,7 +583,10 @@ def run_fragment_differential(
     share the :func:`column_catalog`, the workload switches to the
     column mix, and the routed path runs with lineage pruning live --
     proving the column plans stay invisible across sharding,
-    replication and both bus modes.
+    replication and both bus modes.  ``workload="witness"`` runs the
+    witness mix at ``ROW_WITNESS`` on both sides, so the row witnesses
+    the entries carry must excuse the same instances on every shard and
+    replica as in the oracle.
     """
     from repro.cluster.router import ClusterRouter, make_cache_factory
 
@@ -473,7 +595,7 @@ def run_fragment_differential(
     rng = random.Random(seed)
     router = ClusterRouter(
         [f"node-{i}" for i in range(n_nodes)],
-        make_cache_factory(catalog=catalog),
+        make_cache_factory(catalog=catalog, invalidation_policy=mix.policy),
         replication=replication,
         bus_mode=bus_mode,
         staleness_bound=staleness_bound,
@@ -484,7 +606,7 @@ def run_fragment_differential(
         mirror,
         AnalysisCache(QueryAnalysisEngine(catalog=catalog)),
         CacheStats(),
-        InvalidationPolicy.EXTRA_QUERY,
+        mix.policy,
         indexed=False,
     )
     #: Reference containment: container key -> fragment keys it embeds.
@@ -591,6 +713,7 @@ def run_fragment_differential(
         # whole run) is reproducible across processes despite set
         # iteration order.
         register([draw(key) for key in sorted(expected)])
+    result.witness_skips = router.stats.witness_skips
     return result
 
 
@@ -744,6 +867,8 @@ def run_differential(
         "templates_skipped_by_lineage"
     ]
     result.column_plans_built = snapshot_indexed["column_plans_built"]
+    result.witness_skips_indexed = snapshot_indexed["witness_skips"]
+    result.witness_skips_brute = snapshot_brute["witness_skips"]
     return result
 
 
@@ -767,4 +892,21 @@ def run_column_differential(
     """
     return run_differential(
         seed, rounds, n_pages, policy, max_mismatches, workload="column"
+    )
+
+
+def run_witness_differential(
+    seed: int = 0,
+    rounds: int = 60,
+    n_pages: int = 80,
+    policy: InvalidationPolicy = InvalidationPolicy.ROW_WITNESS,
+    max_mismatches: int = 5,
+) -> DifferentialResult:
+    """Witness-mix differential: reads that project a table's key and
+    carry row witnesses, UPDATEs of the columns they only display (see
+    :func:`_random_witness_read`).  The witness test follows the
+    intersection test on both sides, so any path that skips it, or
+    hands it the wrong witness, shows up as a doomed-set divergence."""
+    return run_differential(
+        seed, rounds, n_pages, policy, max_mismatches, workload="witness"
     )

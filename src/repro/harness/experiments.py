@@ -246,8 +246,10 @@ def run_cluster_cell(
         app, mix_name, defaults, window=False
     )
     awc_kwargs = dict(
-        # The ring is not in the paper: cluster cells measure EXTENDED.
+        # The ring is not in the paper: cluster cells measure EXTENDED,
+        # at the paper's invalidation rung.
         **EXTENDED,
+        policy=InvalidationPolicy.EXTRA_QUERY,
         n_nodes=n_nodes,
         semantics=semantics,
         clock=clock.now,

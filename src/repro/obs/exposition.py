@@ -23,6 +23,7 @@ from repro.obs.tracer import Tracer
 
 HISTOGRAM_METRIC = "repro_phase_latency_seconds"
 LINEAGE_METRIC = "repro_lineage_prune_total"
+WITNESS_METRIC = "repro_witness_skips_total"
 BUS_DEPTH_METRIC = "repro_bus_queue_depth"
 BUS_LAG_METRIC = "repro_bus_delivery_lag_seconds"
 MEMBERSHIP_METRIC = "repro_membership_state"
@@ -50,7 +51,8 @@ def render_metrics(
 
     ``cache_snapshot`` (a :meth:`~repro.cache.stats.CacheStats.snapshot`
     dict, or a cluster aggregate carrying the same keys) adds the
-    column-lineage pruning counters as a labelled counter family.  A full
+    column-lineage pruning counters as a labelled counter family and the
+    row-witness skip counter.  A full
     cluster snapshot (the ``{"cluster": ..., "bus": ..., "membership":
     ...}`` shape of ``ClusterRouter.snapshot()``) additionally emits the
     bounded-staleness bus gauges -- per-node undelivered queue depth and
@@ -101,6 +103,12 @@ def render_metrics(
             lines.append(
                 f'{LINEAGE_METRIC}{{event="{event}"}} {stats.get(key, 0)}'
             )
+        lines += [
+            f"# HELP {WITNESS_METRIC} Cached instances a write would have "
+            "doomed but their row witness excused.",
+            f"# TYPE {WITNESS_METRIC} counter",
+            f"{WITNESS_METRIC} {stats.get('witness_skips', 0)}",
+        ]
         lines += _render_cluster_families(cache_snapshot)
     return "\n".join(lines) + "\n"
 

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 
 from repro.sql import ast_nodes as ast
 
+#: Function names that fold many rows into one value.
+_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
+
 
 @dataclass(frozen=True)
 class EqualityBinding:
@@ -62,6 +65,16 @@ class StatementInfo:
     # True when the WHERE clause is a pure conjunction of equality
     # predicates; only then can policies 2/3 prove non-intersection.
     where_is_conjunctive_equality: bool = True
+    #: The columns that decide *which* rows a read returns and in what
+    #: order: WHERE (subqueries included), JOIN ON, GROUP BY, HAVING,
+    #: ORDER BY (an output alias also resolved to its expression) and
+    #: aggregate arguments.  A write's are its WHERE columns.
+    filter_columns: frozenset[tuple[str, str]] = frozenset()
+    #: ``(table, output position)`` for each table whose primary key the
+    #: read projects, sorted by table -- only for a read a row witness
+    #: is defined for (see :func:`_key_positions`); empty otherwise, for
+    #: every write, and without a catalog that knows primary keys.
+    key_positions: tuple[tuple[str, int], ...] = ()
 
     @property
     def is_read(self) -> bool:
@@ -143,11 +156,39 @@ def _extract_select(
     # outer result depends on every table and column the subquery reads,
     # so writes there must be able to find this template as a candidate.
     sub_tables: set[str] = set()
-    for sub in _subquery_selects(select):
+    subqueries = _subquery_selects(select)
+    for sub in subqueries:
         sub_info = _extract_select(sub, catalog)
         sub_tables |= sub_info.tables
         read |= sub_info.columns_read
         where_cols |= sub_info.columns_read
+
+    filters = set(where_cols)
+    for join in select.joins:
+        filters |= _columns_in(join.condition, bindings, tables, catalog)
+    for expr in select.group_by:
+        filters |= _columns_in(expr, bindings, tables, catalog)
+    if select.having is not None:
+        filters |= _columns_in(select.having, bindings, tables, catalog)
+    aliases = {
+        item.alias.lower(): item.expression for item in select.items if item.alias
+    }
+    for order in select.order_by:
+        expr = order.expression
+        filters |= _columns_in(expr, bindings, tables, catalog)
+        if isinstance(expr, ast.ColumnRef) and expr.table is None:
+            aliased = aliases.get(expr.column.lower())
+            if aliased is not None:
+                filters |= _columns_in(aliased, bindings, tables, catalog)
+    aggregates = [
+        call for item in select.items for call in _aggregate_calls(item.expression)
+    ]
+    for call in aggregates:
+        filters |= _columns_in(call, bindings, tables, catalog)
+
+    key_positions: tuple[tuple[str, int], ...] = ()
+    if not (subqueries or aggregates or select.group_by or select.having):
+        key_positions = _key_positions(select, bindings, tables, catalog, read)
     return StatementInfo(
         kind="select",
         tables=tables | frozenset(sub_tables),
@@ -156,7 +197,49 @@ def _extract_select(
         where_columns=frozenset(where_cols),
         equality_bindings=tuple(eq_bindings),
         where_is_conjunctive_equality=conjunctive,
+        filter_columns=frozenset(filters),
+        key_positions=key_positions,
     )
+
+
+def _key_positions(
+    select: ast.Select,
+    bindings: dict[str, str],
+    tables: frozenset[str],
+    catalog: object | None,
+    read: set[tuple[str, str]],
+) -> tuple[tuple[str, int], ...]:
+    """Where the read projects each table's primary key, if it may be
+    given a row witness.
+
+    The caller has excluded aggregates, GROUP BY, HAVING and subqueries.
+    Beyond that: inner or comma joins only, each table bound once, no
+    ``*`` anywhere (it hides the output positions) and no column the
+    catalog could not attribute to one table.  For such a read an
+    UPDATE of table T that assigns no filter column of T and not its
+    key can change the result only through rows of T the result
+    showed: the rows it returns, and their order, are decided by filter
+    columns alone.
+    """
+    primary_key_of = getattr(catalog, "primary_key_of", None)
+    if primary_key_of is None:
+        return ()
+    if any(join.kind != "INNER" for join in select.joins):
+        return ()
+    bound = len(select.tables) + len(select.joins)
+    if len(bindings) != bound or len(tables) != bound:
+        return ()  # a table (or binding name) used twice
+    if any(table == "?" or column == "*" for table, column in read):
+        return ()
+    positions: dict[str, int] = {}
+    for position, item in enumerate(select.items):
+        expr = item.expression
+        if not isinstance(expr, ast.ColumnRef):
+            continue
+        table, column = _resolve(expr, bindings, tables, catalog)
+        if table not in positions and primary_key_of(table) == column:
+            positions[table] = position
+    return tuple(sorted(positions.items()))
 
 
 def _extract_insert(insert: ast.Insert) -> StatementInfo:
@@ -219,6 +302,7 @@ def _extract_update(
         equality_bindings=tuple(eq_bindings),
         write_table=table,
         where_is_conjunctive_equality=conjunctive,
+        filter_columns=frozenset(where_cols),
     )
 
 
@@ -248,6 +332,7 @@ def _extract_delete(
         equality_bindings=tuple(eq_bindings),
         write_table=table,
         where_is_conjunctive_equality=conjunctive,
+        filter_columns=frozenset(where_cols),
     )
 
 
@@ -391,6 +476,34 @@ def _subquery_selects(select: ast.Select) -> list[ast.Select]:
         walk(select.having)
     for order in select.order_by:
         walk(order.expression)
+    return found
+
+
+def _aggregate_calls(expr: ast.Expression) -> list[ast.FunctionCall]:
+    """The aggregate calls in ``expr`` (subquery bodies not entered)."""
+    found: list[ast.FunctionCall] = []
+
+    def walk(node: ast.Expression) -> None:
+        if isinstance(node, ast.FunctionCall):
+            if node.name.upper() in _AGGREGATES:
+                found.append(node)
+            for arg in node.args:
+                walk(arg)
+        elif isinstance(node, ast.BinaryOp):
+            walk(node.left)
+            walk(node.right)
+        elif isinstance(node, (ast.UnaryOp, ast.IsNull)):
+            walk(node.operand)
+        elif isinstance(node, ast.InList):
+            walk(node.operand)
+            for item in node.items:
+                walk(item)
+        elif isinstance(node, ast.Between):
+            walk(node.operand)
+            walk(node.low)
+            walk(node.high)
+
+    walk(expr)
     return found
 
 

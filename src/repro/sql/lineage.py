@@ -34,26 +34,38 @@ from repro.sql.analysis_info import _alias_map, _columns_in, extract_info
 
 
 class Catalog:
-    """A schema oracle: which columns each base table has.
+    """A schema oracle: which columns each base table has, and which of
+    them is the table's primary key.
 
     Table and column names are stored lower-cased.  ``columns_of``
     returns ``None`` for a table the catalog does not know, which every
-    consumer must treat as "could be anything".
+    consumer must treat as "could be anything"; ``primary_key_of``
+    returns ``None`` for a table without a known key.
     """
 
-    def __init__(self, schemas: dict[str, tuple[str, ...]] | None = None) -> None:
+    def __init__(
+        self,
+        schemas: dict[str, tuple[str, ...]] | None = None,
+        primary_keys: dict[str, str] | None = None,
+    ) -> None:
         self._schemas: dict[str, frozenset[str]] = {}
         for table, columns in (schemas or {}).items():
             self._schemas[table.lower()] = frozenset(c.lower() for c in columns)
+        self._keys: dict[str, str] = {
+            table.lower(): key.lower() for table, key in (primary_keys or {}).items()
+        }
 
     @classmethod
     def from_database(cls, database) -> "Catalog":
         """Build a catalog from a live :class:`~repro.db.engine.Database`."""
-        schemas = {
-            name: tuple(database.table(name).schema.column_names)
-            for name in database.table_names
-        }
-        return cls(schemas)
+        schemas = {}
+        keys = {}
+        for name in database.table_names:
+            schema = database.table(name).schema
+            schemas[name] = tuple(schema.column_names)
+            if schema.primary_key is not None:
+                keys[name] = schema.primary_key
+        return cls(schemas, keys)
 
     @property
     def tables(self) -> frozenset[str]:
@@ -62,10 +74,19 @@ class Catalog:
     def columns_of(self, table: str) -> frozenset[str] | None:
         return self._schemas.get(table.lower())
 
+    def primary_key_of(self, table: str) -> str | None:
+        return self._keys.get(table.lower())
+
     def merge(self, other: "Catalog") -> "Catalog":
         """Union of two catalogs; ``other`` wins on a table name clash."""
         merged = Catalog()
         merged._schemas = {**self._schemas, **other._schemas}
+        merged._keys = {
+            table: key
+            for table, key in self._keys.items()
+            if table not in other._schemas
+        }
+        merged._keys.update(other._keys)
         return merged
 
     def __len__(self) -> int:  # pragma: no cover - trivial

@@ -173,7 +173,11 @@ class Executor:
         table.insert(row)
         self.rows_examined_total += 1
         return UpdateResult(
-            affected=1, rows_examined=1, last_insert_id=table.last_insert_id
+            affected=1,
+            rows_examined=1,
+            last_insert_id=table.last_insert_id,
+            columns=table.schema.column_names,
+            after=row,
         )
 
     def execute_update(

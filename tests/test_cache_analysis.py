@@ -7,8 +7,17 @@ describes.
 
 import pytest
 
-from repro.cache.analysis import InvalidationPolicy, QueryAnalysisEngine
-from repro.cache.entry import QueryInstance
+from repro.cache.analysis import (
+    InvalidationPolicy,
+    QueryAnalysisEngine,
+    witness_excuses,
+)
+from repro.cache.analysis_cache import AnalysisCache
+from repro.cache.entry import PageEntry, QueryInstance
+from repro.cache.invalidation import Invalidator
+from repro.cache.page_cache import PageCache
+from repro.cache.stats import CacheStats
+from repro.sql.lineage import Catalog
 from repro.sql.template import templateize
 
 COL = InvalidationPolicy.COLUMN_ONLY
@@ -117,13 +126,38 @@ class TestPolicy2WhereMatch:
         )
 
     def test_insert_missing_column_prunes(self, engine):
-        # The inserted row has NULL in the read's bound column.
+        # The stored row (the INSERT's after-image) has NULL in the
+        # read's bound column.
         pair, read, write = pair_of(
             engine,
             "SELECT a FROM t WHERE b = ?",
             "INSERT INTO t (a) VALUES (?)",
         )
-        assert not engine.intersects(pair, (1,), QueryInstance(write, (5,)), WHERE)
+        stored = QueryInstance(write, (5,), pre_image=({"a": 5, "b": None},))
+        assert not engine.intersects(pair, (1,), stored, WHERE)
+
+    def test_insert_missing_column_without_image_may_intersect(self, engine):
+        # An omitted column may be a generated key or have a default:
+        # without the stored row nothing is known about it.
+        pair, read, write = pair_of(
+            engine,
+            "SELECT a FROM t WHERE b = ?",
+            "INSERT INTO t (a) VALUES (?)",
+        )
+        assert engine.intersects(pair, (1,), QueryInstance(write, (5,)), WHERE)
+        generated = QueryInstance(write, (5,), pre_image=({"a": 5, "b": 1},))
+        assert engine.intersects(pair, (1,), generated, WHERE)
+
+    def test_insert_stored_value_beats_the_inserted_one(self, engine):
+        # The column coerced "1" to 1: the stored row is what a read sees.
+        pair, read, write = pair_of(
+            engine,
+            "SELECT a FROM t WHERE b = ?",
+            "INSERT INTO t (a, b) VALUES (?, ?)",
+        )
+        coerced = QueryInstance(write, (5, "1"), pre_image=({"a": 5, "b": 1},))
+        assert engine.intersects(pair, (1,), coerced, WHERE)
+        assert not engine.intersects(pair, (1,), QueryInstance(write, (5, "1")), WHERE)
 
     def test_update_rewriting_bound_column_not_pruned_by_where(self, engine):
         # UPDATE t SET b=v WHERE c=w can move rows INTO or OUT of the
@@ -243,3 +277,107 @@ class TestPolicyOrdering:
     def test_info_memoised(self):
         template, _ = templateize("SELECT a FROM t WHERE b = 1")
         assert template.info is template.info
+
+
+class TestRowWitness:
+    """ROW_WITNESS: an UPDATE that assigns only columns a read displays
+    is disjoint from it unless it touched a row the read showed."""
+
+    CATALOG = Catalog(
+        {
+            "items": ("id", "category", "price", "bids"),
+            "users": ("id", "region", "nickname"),
+        },
+        {"items": "id", "users": "id"},
+    )
+    READ = "SELECT id, price, bids FROM items WHERE category = ? ORDER BY price"
+
+    @pytest.fixture
+    def engine(self):
+        return QueryAnalysisEngine(catalog=self.CATALOG)
+
+    def pair(self, engine, write_sql, read_sql=READ):
+        return pair_of(engine, read_sql, write_sql)[0]
+
+    def test_displayed_columns_admit_a_witness_at_the_key_position(self, engine):
+        pair = self.pair(engine, "UPDATE items SET bids = ? WHERE id = ?")
+        assert (pair.witness, pair.witness_key) == (0, "id")
+
+    @pytest.mark.parametrize(
+        "write_sql",
+        [
+            "UPDATE items SET category = ? WHERE id = ?",  # filtered on
+            "UPDATE items SET price = ? WHERE id = ?",  # ordered on
+            "UPDATE items SET id = ? WHERE id = ?",  # the key itself
+            "DELETE FROM items WHERE id = ?",
+            "INSERT INTO items (id, category) VALUES (?, ?)",
+        ],
+    )
+    def test_no_witness_for_these_writes(self, engine, write_sql):
+        assert self.pair(engine, write_sql).witness is None
+
+    def test_no_witness_without_a_catalog(self):
+        pair, *_ = pair_of(
+            QueryAnalysisEngine(), self.READ, "UPDATE items SET bids = ? WHERE id = ?"
+        )
+        assert pair.witness is None
+
+    def test_a_joined_table_is_witnessed_at_its_own_key(self, engine):
+        read = (
+            "SELECT items.price, users.id, users.nickname FROM items, users "
+            "WHERE items.category = users.region AND items.id = ?"
+        )
+        pair = self.pair(engine, "UPDATE users SET nickname = ? WHERE id = ?", read)
+        assert (pair.witness, pair.witness_key) == (1, "id")
+        pair = self.pair(engine, "UPDATE users SET region = ? WHERE id = ?", read)
+        assert pair.witness is None  # region is a join column
+        pair = self.pair(engine, "UPDATE items SET bids = ? WHERE id = ?", read)
+        assert pair.witness is None  # items.id is not projected
+
+    def write(self, pre_image):
+        template, values = templateize(
+            "UPDATE items SET bids = ? WHERE id = ?", (1, 0)
+        )
+        return QueryInstance(template, values, pre_image)
+
+    def test_excused_only_when_no_shown_row_was_touched(self, engine):
+        pair = self.pair(engine, "UPDATE items SET bids = ? WHERE id = ?")
+        shown = ((0, (4, 5)),)
+        untouched = self.write(({"id": 9, "category": 2},))
+        touched = self.write(({"id": 9}, {"id": 5}))
+        assert witness_excuses(pair, shown, untouched)
+        assert not witness_excuses(pair, shown, touched)
+        assert witness_excuses(pair, shown, self.write(()))
+
+    def test_anything_unknown_leaves_the_doom_standing(self, engine):
+        pair = self.pair(engine, "UPDATE items SET bids = ? WHERE id = ?")
+        untouched = self.write(({"id": 9},))
+        assert not witness_excuses(pair, None, untouched)  # nothing captured
+        assert not witness_excuses(pair, ((1, (4,)),), untouched)  # not the key
+        assert not witness_excuses(pair, ((0, (4,)),), self.write(None))
+        assert not witness_excuses(pair, ((0, (4,)),), self.write(({"bids": 1},)))
+        no_witness = self.pair(engine, "UPDATE items SET price = ? WHERE id = ?")
+        assert not witness_excuses(no_witness, ((0, (4,)),), untouched)
+
+    def test_only_the_row_witness_rung_consults_it(self):
+        """Through an invalidator: EXTRA_QUERY dooms, ROW_WITNESS spares
+        and counts the skip."""
+        read, values = templateize(self.READ, (2,))
+        page = PageEntry(
+            "/search", "body", dependencies=(QueryInstance(read, values, None, ((0, (4,)),)),)
+        )
+        doomed = {}
+        for policy in (EXTRA, InvalidationPolicy.ROW_WITNESS):
+            pages = PageCache()
+            pages.insert(page)
+            stats = CacheStats()
+            invalidator = Invalidator(
+                pages,
+                AnalysisCache(QueryAnalysisEngine(catalog=self.CATALOG)),
+                stats,
+                policy,
+            )
+            write = self.write(({"id": 9, "category": 2, "price": 1, "bids": 0},))
+            doomed[policy] = (invalidator.process_writes([write]), stats.witness_skips)
+        assert doomed[EXTRA] == ({"/search"}, 0)
+        assert doomed[InvalidationPolicy.ROW_WITNESS] == (set(), 1)

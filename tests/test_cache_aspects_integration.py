@@ -307,18 +307,20 @@ class TestCatalogMirror:
                 return original(self, database)
 
             monkeypatch.setattr(Cache, "sync_catalog", counted)
+            # Three nodes plus the router's config donor, whose engine
+            # places the row witnesses the front end captures.
             add(container, 1, "a", "x")
-            assert node_syncs == [3]
+            assert node_syncs == [4]
             for note_id in (2, 3, 4):
                 container.get("/view_note", {"id": "1"})
                 add(container, note_id, "a", "y")
-            assert node_syncs == [3]
+            assert node_syncs == [4]
             # A node that joins later has no catalog yet: the next
             # statement mirrors it (the others compare and return).
             joined = awc.router.add_node("late")
             assert joined.cache.engine.catalog is None
             container.get("/view_topic", {"topic": "a"})
-            assert node_syncs == [7]
+            assert node_syncs == [9]
             assert all(
                 node.cache.engine.catalog.columns_of("notes") is not None
                 for node in awc.router.nodes()

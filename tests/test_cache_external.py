@@ -71,12 +71,12 @@ class TestDatabaseTriggers:
         db.update("DELETE FROM t WHERE id = 1")
         assert events[1].pre_image == ({"id": 1, "v": 99},)
 
-    def test_insert_has_no_pre_image(self):
+    def test_insert_carries_the_row_it_stored(self):
         db = self.make_db()
         events = []
         db.triggers.on_any(events.append)
         db.update("INSERT INTO t (id, v) VALUES (5, 50)")
-        assert events[0].pre_image is None
+        assert events[0].pre_image == ({"id": 5, "v": 50},)
 
     def test_no_triggers_no_overhead(self):
         db = self.make_db()

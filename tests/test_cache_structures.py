@@ -27,7 +27,7 @@ class TestDependencyTable:
         instance = read_instance("SELECT a FROM t WHERE b = ?", (1,))
         dep_table.register("/page1", (instance,))
         pairs = dep_table.instances_for(instance.template)
-        assert pairs == [("/page1", (1,))]
+        assert pairs == [("/page1", instance)]
 
     def test_multiple_pages_same_template(self, dep_table):
         i1 = read_instance("SELECT a FROM t WHERE b = ?", (1,))

@@ -34,6 +34,17 @@ def test_codesize(capsys):
     assert "weaving-rules" in out
 
 
+def test_differential_at_the_row_witness_rung(capsys):
+    code, out = run_cli(
+        capsys, "differential", "--policy", "row-witness", "--seeds", "1",
+        "--rounds", "8", "--pages", "20",
+    )
+    assert code == 0
+    assert "Differential: row witness, indexed vs brute-force" in out
+    assert "MISMATCH" not in out
+    assert out.count("row-witness  0     ok") == 3  # indexed, column, witness
+
+
 def test_run_cell_no_cache(capsys):
     code, out = run_cli(
         capsys, "run", "--app", "rubis", "--clients", "20",

@@ -89,3 +89,63 @@ def test_each_read_resolves_on_both_facades(facades, name):
     assert inspect.ismethod(on_cache) == inspect.ismethod(on_router), name
     if inspect.ismethod(on_cache):
         assert _parameter_names(on_cache) == _parameter_names(on_router), name
+
+
+def test_the_row_witness_reads_are_among_the_reads():
+    assert {"written_tables", "witness"} <= set(READS)
+
+
+@pytest.mark.parametrize("cluster", [False, True], ids=["cache", "ring"])
+def test_a_read_captures_a_witness_only_over_written_tables(cluster):
+    """Before a table's first woven write nothing is captured (a
+    read-only workload pays nothing); after it, a read projecting the
+    table's key remembers the keys it showed."""
+    from repro.cache.autowebcache import AutoWebCache
+    from repro.cluster import ClusterAutoWebCache
+
+    from tests.conftest import build_notes_app
+
+    db, container = build_notes_app()
+    awc = ClusterAutoWebCache(n_nodes=2) if cluster else AutoWebCache()
+    awc.install(container.servlet_classes)
+
+    def reads_of(key):
+        caches = (
+            [node.cache for node in awc.router.nodes()] if cluster else [awc.cache]
+        )
+        (entry,) = [c.pages.peek(key) for c in caches if key in c.pages]
+        return entry.dependencies
+
+    try:
+        container.post("/add", {"id": "1", "topic": "a", "body": "x", "score": "1"})
+        container.get("/view_note", {"id": "1"})
+        assert awc.cache.written_tables == {"notes"}
+        # The witness needs the key projected: /view_note shows none.
+        assert [read.witness for read in reads_of("/view_note?id=1")] == [None]
+        container.post("/add", {"id": "7", "topic": "a", "body": "y", "score": "2"})
+        container.get("/view_topic", {"topic": "a"})
+        assert [read.witness for read in reads_of("/view_topic?topic=a")] == [
+            ((0, (1, 7)),)
+        ]
+    finally:
+        awc.uninstall()
+        if cluster:
+            awc.cache.close()
+
+
+def test_before_any_write_nothing_is_captured():
+    from repro.cache.autowebcache import AutoWebCache
+
+    from tests.conftest import build_notes_app
+
+    db, container = build_notes_app()
+    db.update("INSERT INTO notes (id, topic, body, score) VALUES (1, 'a', 'x', 1)")
+    awc = AutoWebCache()
+    awc.install(container.servlet_classes)
+    try:
+        container.get("/view_topic", {"topic": "a"})
+        (entry,) = awc.cache.pages.entries()
+        assert awc.cache.written_tables == set()
+        assert [read.witness for read in entry.dependencies] == [None]
+    finally:
+        awc.uninstall()

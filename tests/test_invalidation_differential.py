@@ -1,7 +1,7 @@
 """Property-style differential tests: indexed invalidation is invisible.
 
-Runs the randomized differential harness (many seeds x all three
-policies) asserting the indexed protocol's doomed sets and
+Runs the randomized differential harness (many seeds x the three
+paper policies, plus the row-witness mix at its own rung) asserting the indexed protocol's doomed sets and
 ``intersects_any`` verdicts match brute force exactly, then repeats the
 equivalence end-to-end through single-node and 4-node clusters, where
 the write path additionally crosses the router's dedupe and the
@@ -14,14 +14,21 @@ import random
 
 import pytest
 
-from repro.cache.analysis import InvalidationPolicy
+from repro.cache.analysis import InvalidationPolicy, QueryAnalysisEngine
+from repro.cache.analysis_cache import AnalysisCache
+from repro.cache.entry import PageEntry
+from repro.cache.invalidation import Invalidator
+from repro.cache.page_cache import PageCache
+from repro.cache.stats import CacheStats
 from repro.cluster import ClusterRouter, make_cache_factory
 from repro.harness.differential import (
+    WORKLOADS,
     random_read,
     random_write,
     run_column_differential,
     run_differential,
     run_fragment_differential,
+    run_witness_differential,
 )
 from repro.web.http import HttpRequest
 
@@ -80,6 +87,63 @@ def test_column_differential_actually_prunes_by_lineage():
     assert result.never_read_doomed == 0
     # Lineage pruning is protocol work saved on top of the indexes.
     assert result.pair_analyses_indexed < result.pair_analyses_brute
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_row_witness_matches_brute_force(seed):
+    """The witness mix (reads projecting a table's key with row
+    witnesses; UPDATEs of displayed-only columns, of filter columns and
+    of the key) at ROW_WITNESS: identical doomed sets and
+    intersects_any verdicts, and the witness really excuses."""
+    result = run_witness_differential(seed=seed, rounds=40, n_pages=60)
+    assert result.ok, "\n".join(result.mismatches)
+    assert result.witness_skips_indexed > 0 and result.witness_skips_brute > 0
+    assert result.pair_analyses_indexed < result.pair_analyses_brute
+
+
+def test_row_witness_dooms_a_subset_of_the_paper_rung():
+    """One population, both rungs: the witness only ever removes dooms
+    the paper's rung makes, and does remove some."""
+    mix = WORKLOADS["witness"]
+    rng = random.Random(4)
+    pages = PageCache()
+    for serial in range(60):
+        reads = tuple(mix.reader(rng) for _ in range(rng.randrange(1, 4)))
+        pages.insert(PageEntry(f"page-{serial}", "body", dependencies=reads))
+    paper, witness = (
+        Invalidator(
+            pages,
+            AnalysisCache(QueryAnalysisEngine(catalog=mix.catalog)),
+            CacheStats(),
+            policy,
+        )
+        for policy in (InvalidationPolicy.EXTRA_QUERY, InvalidationPolicy.ROW_WITNESS)
+    )
+    spared = 0
+    for _ in range(200):
+        batch = [mix.writer(rng) for _ in range(rng.randrange(1, 3))]
+        excused = witness.affected_pages(batch)
+        doomed = paper.affected_pages(batch)
+        assert excused <= doomed
+        spared += len(doomed - excused)
+    assert spared > 0
+
+
+@pytest.mark.parametrize(
+    "n_nodes,replication", [(1, 1), (4, 1), (4, 2)], ids=["1", "4", "4R2"]
+)
+def test_fragment_witness_workload_matches_oracle(n_nodes, replication):
+    """The witness mix through the fragment tier at ROW_WITNESS: every
+    shard and replica excuses exactly what the oracle excuses."""
+    result = run_fragment_differential(
+        seed=2,
+        rounds=25,
+        n_nodes=n_nodes,
+        replication=replication,
+        workload="witness",
+    )
+    assert result.ok, "\n".join(result.mismatches)
+    assert result.entries_doomed > 0 and result.witness_skips > 0
 
 
 def _replay_cluster(

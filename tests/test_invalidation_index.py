@@ -86,7 +86,7 @@ class TestTableIndex:
         result = table.instances_for_values(read.template, 0, [1])
         assert result is not None
         candidates, skipped = result
-        assert candidates == [("p1", (1,))] and skipped == 0
+        assert candidates == [("p1", read)] and skipped == 0
 
 
 class TestValueIndex:
@@ -97,12 +97,15 @@ class TestValueIndex:
             table.register(f"p{k}", (QueryInstance(template, (k,)),))
 
         result = table.instances_for_values(template, 0, [2])
-        assert result == ([("p2", (2,))], 3)
+        assert result == ([("p2", QueryInstance(template, (2,)))], 3)
 
         result = table.instances_for_values(template, 0, [1, 3])
         assert result is not None
         candidates, skipped = result
-        assert sorted(candidates) == [("p1", (1,)), ("p3", (3,))]
+        assert sorted((key, read.values) for key, read in candidates) == [
+            ("p1", (1,)),
+            ("p3", (3,)),
+        ]
         assert skipped == 2
 
     def test_missing_position_falls_back(self):
@@ -130,7 +133,7 @@ class TestValueIndex:
         table.unregister("bad", (QueryInstance(template, ([1, 2],)),))
         assert table.instances_for_values(template, 0, [0]) is None
         # The full scan still sees everything.
-        assert ("p0", (0,)) in table.instances_for(template)
+        assert ("p0", QueryInstance(template, (0,))) in table.instances_for(template)
 
     def test_clear_forgets_the_demotion(self):
         """An emptied table starts over: a template demoted by one bad
@@ -143,7 +146,7 @@ class TestValueIndex:
         table.register("p0", (QueryInstance(template, (0,)),))
         table.register("p1", (QueryInstance(template, (1,)),))
         assert table.instances_for_values(template, 0, [0]) == (
-            [("p0", (0,))],
+            [("p0", QueryInstance(template, (0,)))],
             1,
         )
 
@@ -306,3 +309,23 @@ class TestDedupeWrites:
         a = _write("DELETE FROM users WHERE id = ?", ([1],))
         b = _write("DELETE FROM users WHERE id = ?", ([1],))
         assert len(dedupe_writes([a, b])) == 2
+
+
+class TestRowWitnessRegistrations:
+    def test_the_witness_rides_with_the_registration(self):
+        table = DependencyTable()
+        template, _ = templateize("SELECT id FROM users WHERE region = ?", (0,))
+        shown = QueryInstance(template, (1,), witness=((0, (4, 5)),))
+        table.register("p1", (shown,))
+        assert table.instances_for(template) == [("p1", shown)]
+        assert table.instances_for_values(template, 0, [1]) == ([("p1", shown)], 0)
+
+    def test_one_vector_shown_twice_differently_keeps_both(self):
+        table = DependencyTable()
+        template, _ = templateize("SELECT id FROM users WHERE region = ?", (0,))
+        first = QueryInstance(template, (1,), witness=((0, (4,)),))
+        second = QueryInstance(template, (1,), witness=((0, (5,)),))
+        table.register("p1", (first, second, first))
+        assert table.registration_count == 2
+        table.unregister("p1", (first, second))
+        assert table.registration_count == 0 and table._value_index == {}

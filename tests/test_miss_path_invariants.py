@@ -19,9 +19,10 @@ from pathlib import Path
 import pytest
 
 import repro.aop.weaver as weaver
-from bench.workloads import WORKLOADS, build_app, build_facade, generate
+from bench.workloads import WORKLOADS, build_app, generate
 from repro.aop.joinpoint import JoinPoint
 from repro.apps.rubis import RubisDataset, build_rubis
+from repro.cache.analysis import InvalidationPolicy
 from repro.cache.api import Cache
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.entry import QueryInstance
@@ -124,25 +125,44 @@ def test_a_miss_nobody_waits_on_builds_no_event_condition_or_future(monkeypatch)
         assert awc.cache.wait_flight(flight) is None
 
 
-def test_stats_after_a_fixed_replay_are_the_parents_field_by_field():
-    """2 000 requests of the bidding mix (reads, writes, dooms, extra
-    queries, lineage pruning) leave every counter where the per-call
-    weaver, the eager flights and the three-round insert left it; the
-    fixture was written by the commit before this one."""
-    golden = json.loads(
-        (Path(__file__).parent / "fixtures" / "rubis_bidding_stats.json").read_text()
-    )
+def _bidding_replay(**facade) -> dict:
+    """The counters 2 000 requests of the bidding mix leave behind."""
     workload = WORKLOADS["rubis_bidding"]
-    app, awc = build_app(workload), build_facade(workload)
+    app, awc = build_app(workload), AutoWebCache(**workload.cache, **facade)
     awc.install(app.servlet_classes)
     try:
         for request in generate(workload, 11, "closed", 2000):
             app.container.handle(
                 HttpRequest(request.method, request.uri, dict(request.params))
             )
-        snapshot = json.loads(json.dumps(awc.stats.snapshot()))
+        return json.loads(json.dumps(awc.stats.snapshot()))
     finally:
         awc.uninstall()
+
+
+def _fixture(name: str) -> dict:
+    return json.loads((Path(__file__).parent / "fixtures" / name).read_text())
+
+
+def test_stats_after_a_fixed_replay_are_the_parents_field_by_field():
+    """2 000 requests of the bidding mix (reads, writes, dooms, extra
+    queries, lineage pruning) at the paper's AC-extraQuery rung leave
+    every counter where the per-call weaver, the eager flights and the
+    three-round insert left it; the fixture was written by an earlier
+    commit, before the row-witness rung existed."""
+    golden = _fixture("rubis_bidding_stats.json")
+    snapshot = _bidding_replay(policy=InvalidationPolicy.EXTRA_QUERY)
+    assert snapshot.pop("witness_skips") == 0  # counted under ROW_WITNESS only
+    assert snapshot.keys() == golden.keys()
+    for field, value in golden.items():
+        assert snapshot[field] == value, field
+
+
+def test_stats_after_a_fixed_replay_at_the_default_rung():
+    """The same replay as the facade builds it by default (the
+    row-witness rung), pinned field by field."""
+    golden = _fixture("rubis_bidding_stats_row_witness.json")
+    snapshot = _bidding_replay()
     assert snapshot.keys() == golden.keys()
     for field, value in golden.items():
         assert snapshot[field] == value, field

@@ -185,6 +185,11 @@ class TestClusterExposition:
         assert 'repro_lineage_prune_total{event="template_skipped"} 4' in text
         assert 'repro_lineage_prune_total{event="plan_built"} 1' in text
 
+    def test_witness_skips_are_a_counter(self):
+        text = render_metrics(MetricsHub(), cache_snapshot={"witness_skips": 3})
+        assert "# TYPE repro_witness_skips_total counter" in text
+        assert "\nrepro_witness_skips_total 3\n" in text
+
     def test_single_node_snapshot_emits_no_cluster_families(self):
         text = render_metrics(
             MetricsHub(), cache_snapshot={"templates_skipped_by_lineage": 2}

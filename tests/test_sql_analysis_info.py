@@ -1,5 +1,7 @@
 """StatementInfo extraction tests: read/write sets and bindings."""
 
+import pytest
+
 from repro.sql.analysis_info import extract_info
 from repro.sql.lineage import Catalog
 from repro.sql.parser import parse_statement
@@ -161,3 +163,70 @@ class TestSchemaAwareResolution:
             catalog=self.CATALOG,
         )
         assert ("bids", "amount") in info.columns_read
+
+
+class TestFilterColumnsAndKeyPositions:
+    """What decides a read's rows and order, and where it shows each
+    table's key (the row-witness eligibility)."""
+
+    CATALOG = Catalog(
+        {
+            "items": ("id", "name", "category", "seller", "price"),
+            "users": ("id", "region", "nickname"),
+            "bids": ("item_id", "user_id", "amount"),
+        },
+        {"items": "id", "users": "id"},
+    )
+
+    def info(self, sql):
+        return info_of(sql, (0,) * sql.count("?"), catalog=self.CATALOG)
+
+    def test_filter_columns_cover_where_join_order_and_aggregates(self):
+        info = self.info(
+            "SELECT items.id, items.name FROM items JOIN users "
+            "ON items.seller = users.id WHERE users.region = ? "
+            "ORDER BY items.price"
+        )
+        assert info.filter_columns == {
+            ("items", "seller"), ("users", "id"), ("users", "region"),
+            ("items", "price"),
+        }
+        grouped = self.info(
+            "SELECT category, MAX(price) FROM items GROUP BY category "
+            "HAVING COUNT(*) > ?"
+        )
+        assert {("items", "category"), ("items", "price")} <= grouped.filter_columns
+
+    def test_an_order_by_alias_resolves_to_its_expression(self):
+        info = self.info("SELECT id, price AS p FROM items ORDER BY p")
+        assert ("items", "price") in info.filter_columns
+
+    def test_key_positions_of_a_join(self):
+        info = self.info(
+            "SELECT users.nickname, items.id, users.id FROM items, users "
+            "WHERE items.seller = users.id AND items.category = ?"
+        )
+        assert info.key_positions == (("items", 1), ("users", 2))
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT id, COUNT(*) FROM items GROUP BY id",
+            "SELECT MAX(id) FROM items",
+            "SELECT id, MAX(price) FROM items WHERE category = ?",
+            "SELECT id FROM items WHERE seller IN (SELECT id FROM users)",
+            "SELECT items.id FROM items LEFT JOIN bids ON items.id = bids.item_id",
+            "SELECT a.id FROM items a, items b WHERE a.seller = b.id",
+            "SELECT *, id FROM items",
+            "SELECT items.id FROM items, users WHERE nickname = id",
+        ],
+        ids=["group", "aggregate", "aggregate-beside-key", "subquery", "left-join", "self-join", "star",
+             "spill"],
+    )
+    def test_no_witness_for_these_shapes(self, sql):
+        assert self.info(sql).key_positions == ()
+
+    def test_no_witness_without_a_known_key(self):
+        assert info_of("SELECT id FROM items").key_positions == ()
+        keyless = Catalog({"items": ("id",)})
+        assert info_of("SELECT id FROM items", catalog=keyless).key_positions == ()

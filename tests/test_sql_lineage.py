@@ -41,6 +41,32 @@ class TestCatalog:
     def test_tables_property(self):
         assert CATALOG.tables == {"items", "bids", "users"}
 
+    def test_primary_keys(self):
+        catalog = Catalog({"Items": ("Id", "Name"), "tags": ("t",)}, {"Items": "Id"})
+        assert catalog.primary_key_of("ITEMS") == "id"
+        assert catalog.primary_key_of("tags") is None
+        assert catalog.primary_key_of("nope") is None
+
+    def test_merge_takes_the_winning_tables_key(self):
+        merged = Catalog({"t": ("a",), "u": ("k",)}, {"t": "a", "u": "k"}).merge(
+            Catalog({"t": ("b",)})
+        )
+        assert merged.primary_key_of("t") is None  # t's schema is other's
+        assert merged.primary_key_of("u") == "k"
+
+    def test_from_database_learns_primary_keys(self):
+        from repro.db.engine import Database
+        from repro.db.schema import Column, ColumnType, TableSchema
+
+        db = Database("k")
+        db.create_table(
+            TableSchema("t", [Column("id", ColumnType.INT)], primary_key="id")
+        )
+        db.create_table(TableSchema("log", [Column("line", ColumnType.TEXT)]))
+        catalog = Catalog.from_database(db)
+        assert catalog.primary_key_of("t") == "id"
+        assert catalog.primary_key_of("log") is None
+
 
 class TestReadSets:
     def test_projection_and_predicate(self):
