@@ -29,6 +29,10 @@ a read query.  Analysis has two components, mirroring the paper:
      only columns the read displays (none it filters, joins, groups or
      orders on, and not the key) is disjoint from it unless it touched
      one of those rows (:func:`witness_excuses`; beyond the paper).
+     Under the same rung an INSERT carries *partner probes*: for a
+     read joining the new row's table to a partner table, the partner
+     rows the new row can join, fetched at write time; a read none of
+     them can satisfy is spared (:func:`partners_excuse`).
 
    Every policy is *sound* (never proves non-intersection wrongly); the
    refinements only remove false invalidations.
@@ -81,6 +85,24 @@ class ColumnCheck:
 
 
 @dataclass(frozen=True)
+class PartnerEdge:
+    """One way an inserted row of T reaches a join read: ``T.column =
+    U.partner_column``, U being ``table``, plus the read's equality
+    bindings on U (:meth:`QueryAnalysisEngine._partner_edges`)."""
+
+    column: str
+    table: str
+    partner_column: str
+    bindings: tuple[EqualityBinding, ...] = ()
+
+    @property
+    def probe(self) -> tuple[str, str, str]:
+        """``(column, table, partner_column)``: what the write must
+        probe for this edge (:func:`probe_plan`)."""
+        return self.column, self.table, self.partner_column
+
+
+@dataclass(frozen=True)
 class PairAnalysis:
     """Static analysis result for one (read template, write template) pair."""
 
@@ -96,6 +118,9 @@ class PairAnalysis:
     #: _witness_position`), else None; ``witness_key`` names that key.
     witness: int | None = None
     witness_key: str | None = None
+    #: For an INSERT into T and a join read: the edges through which a
+    #: partner probe can excuse the pair (:func:`partners_excuse`).
+    partners: tuple[PartnerEdge, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -168,6 +193,7 @@ class QueryAnalysisEngine:
         self._lineage_cache: dict[str, LineageInfo] = {}
         self._column_rule_cache: dict[str, ColumnPruneRule] = {}
         self._info_cache: dict[str, StatementInfo] = {}
+        self._partner_cache: dict[tuple[str, str], tuple[PartnerEdge, ...]] = {}
         self._catalog = catalog
         self.catalog_version = 0 if catalog is None else 1
         self.extra_query_lookups = 0
@@ -185,6 +211,7 @@ class QueryAnalysisEngine:
         self._lineage_cache.clear()
         self._column_rule_cache.clear()
         self._info_cache.clear()
+        self._partner_cache.clear()
 
     def read_info(self, template: QueryTemplate) -> StatementInfo:
         """``template``'s static facts under the current catalog (the
@@ -286,7 +313,20 @@ class QueryAnalysisEngine:
             write_kind=write_info.kind,
             witness=witness,
             witness_key=witness_key,
+            partners=self.partner_edges(read, write),
         )
+
+    def partner_edges(
+        self, read: QueryTemplate, write: QueryTemplate
+    ) -> tuple[PartnerEdge, ...]:
+        """:meth:`_partner_edges`, memoised per template pair under the
+        current catalog."""
+        key = (read.text, write.text)
+        edges = self._partner_cache.get(key)
+        if edges is None:
+            edges = self._partner_edges(read, write.info)
+            self._partner_cache[key] = edges
+        return edges
 
     def _witness_position(
         self, read: QueryTemplate, write_info: StatementInfo
@@ -316,6 +356,52 @@ class QueryAnalysisEngine:
         if assigned & {c for t, c in info.filter_columns if t == table}:
             return None, None
         return position, key
+
+    def _partner_edges(
+        self, read: QueryTemplate, write_info: StatementInfo
+    ) -> tuple[PartnerEdge, ...]:
+        """The join edges through which a partner probe can excuse an
+        INSERT into T from ``read``; empty when there are none.
+
+        The read must be a join with :class:`~repro.sql.analysis_info.
+        JoinFacts` (conjunctive equalities in WHERE and ON, inner or
+        comma joins, no subquery) that binds T exactly once.  Then a
+        new row x of T adds a row to the result only together
+        with a row p of each partner U, and for an equality ``T.a =
+        U.b`` of the read, p has ``p.b = x.a`` and satisfies every
+        equality the read puts on U.  So if no U row with ``b = x.a``
+        satisfies them, x adds nothing; and when x adds no row, nothing
+        the read returns changes, whatever it aggregates, orders or
+        limits.  An edge counts when both its columns resolve to a table
+        (no ``"?"`` spill), U too is bound once (its bindings are that
+        binding's), and either the read binds a column of U or ``a`` is
+        T's primary key: a key the database just generated has no
+        partners yet, so an empty probe is the proof.  Any other edge
+        would probe for rows that almost always exist.
+        """
+        if write_info.kind != "insert":
+            return ()
+        table = write_info.write_table
+        joins = self.read_info(read).joins
+        if joins is None or table not in joins.once:
+            return ()
+        key = None if self._catalog is None else self._catalog.primary_key_of(table)
+        edges: list[PartnerEdge] = []
+        for left, right in joins.equalities:
+            for (mine, column), (partner, partner_column) in (
+                (left, right),
+                (right, left),
+            ):
+                if mine != table or partner in (table, "?"):
+                    continue
+                if partner not in joins.once:
+                    continue
+                bindings = tuple(b for b in joins.bindings if b.table == partner)
+                if bindings or column == key:
+                    edges.append(
+                        PartnerEdge(column, partner, partner_column, bindings)
+                    )
+        return tuple(edges)
 
     # -- component 2: instance intersection test ------------------------------------
 
@@ -612,6 +698,86 @@ def witness_excuses(
     for row in write.pre_image:
         if key not in row or row[key] in keys:
             return False
+    return True
+
+
+def probe_plan(
+    engine: QueryAnalysisEngine,
+    reads: list[QueryTemplate],
+    write: QueryTemplate,
+) -> tuple[tuple[str, str, str], ...]:
+    """What an INSERT of ``write`` must probe so that every partner edge
+    it has with ``reads`` (the registered read templates) can excuse:
+    the sorted, deduplicated ``(column, partner table, partner column)``
+    triples.  Empty for anything but an INSERT."""
+    if write.info.kind != "insert":
+        return ()
+    return tuple(
+        sorted(
+            {
+                edge.probe
+                for read in reads
+                for edge in engine.partner_edges(read, write)
+            }
+        )
+    )
+
+
+def partners_excuse(
+    pair: PairAnalysis, read_values: tuple[object, ...], write: QueryInstance
+) -> bool:
+    """The partner-probe test: is a join read provably untouched by an
+    INSERT?
+
+    True when, for some edge of the pair, every inserted row's partner
+    rows (the write's probe of the partner table, ``write.partners``)
+    each contradict an equality the read puts on the partner table --
+    or there are none.  Anything unknown -- no probe for a row, a row
+    without the join column, a binding the read values cannot resolve
+    -- leaves the doom standing.
+    """
+    if not pair.partners or write.partners is None or write.pre_image is None:
+        return False
+    return any(
+        _edge_excuses(edge, read_values, write) for edge in pair.partners
+    )
+
+
+#: A partner row without the column a binding names (never the case for
+#: a ``SELECT *`` probe): it contradicts nothing.
+_MISSING = object()
+
+
+def _edge_excuses(
+    edge: PartnerEdge, read_values: tuple[object, ...], write: QueryInstance
+) -> bool:
+    try:
+        bound = [(b.column, b.resolve(read_values)) for b in edge.bindings]
+    except IndexError:
+        return False
+    for row in write.pre_image:
+        if edge.column not in row:
+            return False
+        value = row[edge.column]
+        for table, partner_column, probed, rows in write.partners:
+            if (
+                table == edge.table
+                and partner_column == edge.partner_column
+                and probed == value
+            ):
+                break
+        else:
+            return False  # never probed
+        for partner in rows:
+            partner = dict(partner)
+            if not any(
+                # The read's ``c = v`` holds, as the engine evaluates
+                # it, only for two equal non-NULL values.
+                (found := partner.get(column, _MISSING)) is not _MISSING
+                and (found is None or wanted is None or found != wanted)
+                for column, wanted in bound
+            ):
+                return False
     return True
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
-from repro.cache.analysis import InvalidationPolicy, QueryAnalysisEngine
+from repro.cache.analysis import InvalidationPolicy, QueryAnalysisEngine, probe_plan
 from repro.cache.analysis_cache import AnalysisCache
 from repro.cache.entry import PageEntry, QueryInstance
 from repro.cache.flight import Flight
@@ -83,6 +83,9 @@ class Cache:
         #: captures nothing.  Only ever grows; one ``set.add`` by the
         #: JDBC aspect per write, read without the lock.
         self.written_tables: set[str] = set()
+        #: Write template text -> ((template-set version, catalog
+        #: version), its probe plan): :meth:`probe_plan`'s memo.
+        self._probe_plans: dict[str, tuple[tuple[int, int], tuple]] = {}
         #: Guard for :meth:`sync_catalog`: the database last mirrored
         #: into the engine catalog and its schema epoch at that moment.
         self._catalog_source: tuple[object, int] | None = None
@@ -152,6 +155,34 @@ class Cache:
             if table in written
         )
         return found or None
+
+    def probe_plan(self, template: QueryTemplate) -> tuple[tuple[str, str, str], ...]:
+        """The partner probes an INSERT of ``template`` must run under
+        ``ROW_WITNESS``: ``(column, partner table, partner column)`` for
+        every partner edge it has with a read template that has a
+        registration here (:func:`~repro.cache.analysis.probe_plan`).
+        Memoised per (template-set version, catalog version), so a write
+        with nothing to spare probes nothing and a steady template set
+        costs one dict lookup.
+
+        The memo is read without the lock.  A plan that misses a
+        template registered a moment ago only leaves that template's
+        pages unexcused (a write never probed for an edge cannot use
+        it); one listing a template just retired probes for nothing.
+        """
+        dependencies = self.pages.dependencies
+        memo = self._probe_plans.get(template.text)
+        if memo is not None and memo[0] == (
+            dependencies.version,
+            self.engine.catalog_version,
+        ):
+            return memo[1]
+        with self.lock:
+            version = (dependencies.version, self.engine.catalog_version)
+            reads, _skipped = dependencies.candidate_templates(template.tables)
+            plan = probe_plan(self.engine, reads, template)
+            self._probe_plans[template.text] = (version, plan)
+            return plan
 
     # -- read path -------------------------------------------------------------------
 
@@ -597,9 +628,9 @@ class Cache:
         with self.lock:
             self.stats.record_hole_skip()
 
-    def record_extra_query(self, rows: int) -> None:
+    def record_extra_query(self, rows: int, probe: bool = False) -> None:
         with self.lock:
-            self.stats.record_extra_query(rows)
+            self.stats.record_extra_query(rows, probe)
 
     def invalidate_key(self, key: str) -> bool:
         """External invalidation API (the DynamicWeb/Weave-style hook the

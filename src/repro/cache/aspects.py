@@ -19,7 +19,9 @@ Three aspects implement the paper's weaving rules verbatim:
   write's own result: the UPDATE/DELETE plan hands back the rows it
   matched as they were before it ran (an INSERT, the row it stored).
   A read of a table that has been written carries a row witness: the
-  keys its result showed.
+  keys its result showed.  Under ``ROW_WITNESS`` an INSERT also probes
+  the partner tables its new row can join, so the invalidator can spare
+  the join reads none of those rows satisfies.
 
 The application servlets contain no caching logic; weaving these aspects
 over the servlet classes and the driver's ``Statement`` class produces
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from repro.aop import Aspect, around
 from repro.aop.joinpoint import JoinPoint
+from repro.cache.analysis import InvalidationPolicy
 from repro.cache.api import Cache
 from repro.cache.computation import CachedComputation
 from repro.cache.consistency import ConsistencyCollector
@@ -227,8 +230,17 @@ class JdbcConsistencyAspect(Aspect):
         result = joinpoint.proceed()
         if template is not None:
             self.cache.written_tables.add(template.info.write_table)
-            instance = QueryInstance(template, values, self._image(joinpoint.target))
-            connection = getattr(joinpoint.target, "connection", None)
+            statement = joinpoint.target
+            image = self._image(statement)
+            partners = None
+            if (
+                image is not None
+                and template.info.kind == "insert"
+                and self.cache.invalidation_policy is InvalidationPolicy.ROW_WITNESS
+            ):
+                partners = self._partners(statement, template, image)
+            instance = QueryInstance(template, values, image, partners)
+            connection = getattr(statement, "connection", None)
             if connection is not None and connection.in_transaction:
                 # Outcome unknown until commit/rollback: stage it.
                 self.collector.stage_write(connection, instance)
@@ -277,6 +289,36 @@ class JdbcConsistencyAspect(Aspect):
             return None
         self.cache.record_extra_query(update.rows_examined)
         return update.before_image()
+
+    def _partners(self, statement, template, image) -> tuple | None:
+        """Run an INSERT's partner probes (:meth:`Cache.probe_plan`):
+        for each plan edge and inserted row, ``SELECT * FROM <partner>
+        WHERE <partner column> = <the row's join value>`` on the write's
+        own connection, after the write, so a probe in a transaction
+        sees the transaction's rows.  Each is a real query, counted by
+        the database and as an extra query.  None when the plan is
+        empty: the write reaches no join read that a probe could spare.
+        """
+        plan = self.cache.probe_plan(template)
+        if not plan:
+            return None
+        database = statement.connection.database
+        found: dict[tuple, tuple] = {}
+        for column, table, partner_column in plan:
+            sql = f"SELECT * FROM {table} WHERE {partner_column} = ?"
+            for row in image:
+                if column not in row:
+                    continue
+                value = row[column]
+                probe = (table, partner_column, value)
+                if probe in found:
+                    continue
+                result = database.query(sql, (value,))
+                self.cache.record_extra_query(result.rows_examined, probe=True)
+                found[probe] = tuple(
+                    tuple(zip(result.columns, values)) for values in result.rows
+                )
+        return tuple((*probe, rows) for probe, rows in found.items())
 
 
 def _request_response(joinpoint: JoinPoint) -> tuple[HttpRequest, HttpResponse]:

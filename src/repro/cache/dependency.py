@@ -67,8 +67,14 @@ class DependencyTable:
         #: template -> number of (page, instance) registrations under it,
         #: kept in step with ``_by_template`` so no count walks pages.
         self._counts: dict[QueryTemplate, int] = {}
-        #: Inverted index: table name -> templates referencing it.
-        self._templates_by_table: dict[str, set[QueryTemplate]] = defaultdict(set)
+        #: Inverted index: table name -> templates referencing it, in
+        #: registration order (a dict, not a set: a write then visits its
+        #: candidates in the same order in every process, so counters
+        #: that depend on the order -- which instance of a page a write
+        #: tests first -- replay exactly).
+        self._templates_by_table: dict[
+            str, dict[QueryTemplate, None]
+        ] = defaultdict(dict)
         #: template -> position -> value -> {(page key, instance)}.
         self._value_index: dict[
             QueryTemplate, dict[int, dict[object, set[Registration]]]
@@ -76,6 +82,10 @@ class DependencyTable:
         #: Template texts whose value index was abandoned (unhashable
         #: values); lookups on them fall back to the full scan.
         self._unindexable: set[str] = set()
+        #: Moves whenever a template gains its first registration or
+        #: loses its last: a memo over the registered templates (the
+        #: facade's probe plans) is current while it stands still.
+        self.version = 0
 
     def register(self, page_key: str, instances: tuple[QueryInstance, ...]) -> None:
         """Record that ``page_key`` depends on each read instance."""
@@ -87,8 +97,9 @@ class DependencyTable:
             pages = by_template.get(template)
             if pages is None:
                 pages = by_template[template] = {}
+                self.version += 1
                 for table in template.tables:
-                    self._templates_by_table[table].add(template)
+                    self._templates_by_table[table][template] = None
             registered = pages.get(page_key)
             if registered is None:
                 pages[page_key] = [instance]
@@ -111,13 +122,14 @@ class DependencyTable:
                 self._counts[template] -= len(registered)
                 self._unindex_registrations(template, page_key, registered)
             if not pages:
+                self.version += 1
                 del self._by_template[template]
                 del self._counts[template]
                 self._value_index.pop(template, None)
                 for table in template.tables:
                     remaining = self._templates_by_table.get(table)
                     if remaining is not None:
-                        remaining.discard(template)
+                        remaining.pop(template, None)
                         if not remaining:
                             del self._templates_by_table[table]
 
@@ -188,11 +200,11 @@ class DependencyTable:
         The skipped count is how many registered templates the inverted
         table index proved irrelevant without a pair analysis.
         """
-        candidates: set[QueryTemplate] = set()
+        candidates: dict[QueryTemplate, None] = {}
         for table in tables:
             found = self._templates_by_table.get(table)
             if found:
-                candidates |= found
+                candidates.update(found)
         return list(candidates), len(self._by_template) - len(candidates)
 
     def instances_for(self, template: QueryTemplate) -> list[Registration]:
@@ -239,6 +251,7 @@ class DependencyTable:
         return self._counts.get(template, 0)
 
     def clear(self) -> None:
+        self.version += 1
         self._by_template.clear()
         self._counts.clear()
         self._templates_by_table.clear()

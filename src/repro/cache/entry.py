@@ -26,6 +26,15 @@ class QueryInstance(NamedTuple):
     showed (:func:`~repro.cache.analysis.witness_excuses`).  None when
     nothing was captured.
 
+    :attr:`partners` are an INSERT's partner probes under
+    ``ROW_WITNESS``: ``(partner table, partner column, value, rows)``
+    for each probe the JDBC aspect ran after the write, ``rows`` being
+    the partner rows with that column equal to the value, as ``(column,
+    value)`` pairs (:func:`~repro.cache.analysis.partners_excuse`).
+    None when nothing was probed.  A read has no probes and a write no
+    witness, so the two share the fourth slot: a fifth would cost each
+    of the many read instances a cache holds 16 bytes.
+
     Immutable, compared and hashed by value; a named tuple because one
     is built per intercepted statement.
     """
@@ -34,6 +43,11 @@ class QueryInstance(NamedTuple):
     values: tuple[object, ...]
     pre_image: tuple[dict[str, object], ...] | None = None
     witness: tuple[tuple[int, tuple[object, ...]], ...] | None = None
+
+    @property
+    def partners(self) -> tuple[tuple[str, str, object, tuple], ...] | None:
+        """A write's partner probes (the fourth slot; see above)."""
+        return self.witness if self.template.is_write else None
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
         return f"{self.template.text} {self.values!r}"

@@ -30,9 +30,10 @@ doing sub-linear work:
   the set of read-side values it could intersect, and the per-template
   value index returns only the registrations carrying such a value --
   every skipped instance is one ``intersects`` would have rejected;
-- under ``ROW_WITNESS`` every loop asks the row witness before the
-  intersection test (:meth:`Invalidator._dooms`): an instance whose
-  witness excuses the write is spared, the same way on every path.
+- under ``ROW_WITNESS`` every loop asks the row witness, then the
+  write's partner probes, before the intersection test
+  (:meth:`Invalidator._dooms`): an instance either excuses is spared,
+  the same way on every path.
 
 Pruned work is surfaced in :class:`~repro.cache.stats.CacheStats`
 (``templates_skipped_by_index`` / ``instances_skipped_by_index`` /
@@ -49,6 +50,7 @@ from repro.cache.analysis import (
     PairAnalysis,
     QueryAnalysisEngine,
     instance_filter,
+    partners_excuse,
     witness_excuses,
 )
 from repro.cache.analysis_cache import AnalysisCache
@@ -60,10 +62,11 @@ from repro.cache.stats import CacheStats
 def dedupe_writes(writes: list[QueryInstance]) -> list[QueryInstance]:
     """Drop repeated identical write instances, preserving order.
 
-    Two writes are identical when template text, value vector and
-    pre-image coincide -- the exact inputs of the intersection test, so
-    duplicates provably doom the same pages.  Unhashable values keep the
-    instance as unique (no dedup, no behaviour change).
+    Two writes are identical when template text, value vector,
+    pre-image and partner probes coincide -- the exact inputs of the
+    instance test, so duplicates provably doom the same pages.
+    Unhashable values keep the instance as unique (no dedup, no
+    behaviour change).
     """
     unique: list[QueryInstance] = []
     seen: set = set()
@@ -75,7 +78,12 @@ def dedupe_writes(writes: list[QueryInstance]) -> list[QueryInstance]:
                 if pre is None
                 else tuple(tuple(sorted(row.items())) for row in pre)
             )
-            key = (write.template.text, tuple(write.values), frozen_pre)
+            key = (
+                write.template.text,
+                tuple(write.values),
+                frozen_pre,
+                write.partners,
+            )
             if key in seen:
                 continue
             seen.add(key)
@@ -279,16 +287,20 @@ class Invalidator:
     ) -> bool:
         """The instance test all three loops share: under ROW_WITNESS
         the row witness first (:func:`~repro.cache.analysis.
-        witness_excuses`; its excusals are counted in
-        ``CacheStats.witness_skips``), then the intersection test at the
-        configured rung.  Either proof spares the instance; the witness
-        goes first because it is the cheaper one and, for the instances
-        the value index selected, the intersection test rarely says no."""
-        if self.policy is InvalidationPolicy.ROW_WITNESS and witness_excuses(
-            pair, read.witness, write
-        ):
-            self._stats.record_witness_skip()
-            return False
+        witness_excuses`; excusals counted in ``CacheStats.
+        witness_skips``), then the write's partner probes
+        (:func:`~repro.cache.analysis.partners_excuse`; ``partner_skips``),
+        then the intersection test at the configured rung.  Any proof
+        spares the instance; the two excuses go first because they are
+        cheap and, for the instances the value index selected, the
+        intersection test rarely says no."""
+        if self.policy is InvalidationPolicy.ROW_WITNESS:
+            if witness_excuses(pair, read.witness, write):
+                self._stats.record_witness_skip()
+                return False
+            if partners_excuse(pair, read.values, write):
+                self._stats.record_partner_skip()
+                return False
         self._stats.record_intersection_test()
         return self.engine.intersects(pair, tuple(read.values), write, self.policy)
 

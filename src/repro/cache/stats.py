@@ -114,6 +114,13 @@ class CacheStats:
     #: write touched no row the read showed, and no column it filters
     #: on.  No intersection test is run for them.
     witness_skips: int = 0
+    #: Instances an INSERT's partner probes excused (``ROW_WITNESS``
+    #: only): no row the new row can join satisfies the read.
+    partner_skips: int = 0
+    #: Partner probes the JDBC aspect ran: one SELECT of the partner
+    #: table per probe-plan edge per inserted row, each also counted in
+    #: ``extra_queries``.
+    partner_probes: int = 0
     #: Misses served from a concurrent single-flight computation
     #: (dogpile suppression): N concurrent misses, one execution.
     coalesced_hits: int = 0
@@ -223,12 +230,17 @@ class CacheStats:
     def record_column_plan(self, count: int = 1) -> None:
         self.column_plans_built += count
 
-    def record_extra_query(self, rows: int) -> None:
+    def record_extra_query(self, rows: int, probe: bool = False) -> None:
         self.extra_queries += 1
         self.extra_query_rows += rows
+        if probe:
+            self.partner_probes += 1
 
     def record_witness_skip(self) -> None:
         self.witness_skips += 1
+
+    def record_partner_skip(self) -> None:
+        self.partner_skips += 1
 
     def record_coalesced(self, uri: str) -> None:
         self.coalesced_hits += 1
@@ -273,6 +285,8 @@ class CacheStats:
                 "extra_queries": self.extra_queries,
                 "extra_query_rows": self.extra_query_rows,
                 "witness_skips": self.witness_skips,
+                "partner_skips": self.partner_skips,
+                "partner_probes": self.partner_probes,
                 "coalesced_hits": self.coalesced_hits,
                 "stale_inserts": self.stale_inserts,
                 "hole_skips": self.hole_skips,

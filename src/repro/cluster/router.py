@@ -632,6 +632,15 @@ class ClusterRouter:
         at the front end: every node tests the same instance."""
         return self._template.witness(template, rows)
 
+    def probe_plan(self, template: QueryTemplate) -> tuple[tuple[str, str, str], ...]:
+        """An INSERT's partner probes (:meth:`Cache.probe_plan`) for
+        the whole ring: the union of every node's plan, so one probe per
+        write serves every node the bus delivers it to."""
+        plans = {node.cache.probe_plan(template) for node in self.nodes()}
+        if len(plans) == 1:
+            return plans.pop()  # the usual case: the nodes agree
+        return tuple(sorted(set().union(*plans)))
+
     # -- read path ---------------------------------------------------------------------
 
     def is_cacheable(self, request: HttpRequest) -> bool:
@@ -821,9 +830,9 @@ class ClusterRouter:
         with self._lock:
             self.stats.frontend.record_hole_skip()
 
-    def record_extra_query(self, rows: int) -> None:
+    def record_extra_query(self, rows: int, probe: bool = False) -> None:
         with self._lock:
-            self.stats.frontend.record_extra_query(rows)
+            self.stats.frontend.record_extra_query(rows, probe)
 
     # -- computations (each on the node its token records) ----------------------------
 

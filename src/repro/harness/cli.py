@@ -158,6 +158,7 @@ def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
         run_column_differential,
         run_differential,
         run_fragment_differential,
+        run_partner_differential,
         run_witness_differential,
     )
 
@@ -214,10 +215,23 @@ def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
             f"{result.pair_analyses_brute}/{result.pair_analyses_indexed}",
         ]
 
+    def partner_row(config, seed, result):
+        # Vacuity guard, as for the witness table.
+        passed = result.ok and result.partner_skips_indexed > 0
+        return passed, [
+            config["policy"].value,
+            seed,
+            verdict(passed),
+            result.writes_tested,
+            result.pages_doomed,
+            f"{result.partner_skips_brute}/{result.partner_skips_indexed}",
+            f"{result.pair_analyses_brute}/{result.pair_analyses_indexed}",
+        ]
+
     def fragment_row(config, seed, result):
-        passed = result.ok and (
-            config["workload"] != "witness" or result.witness_skips > 0
-        )
+        # Vacuity guard for the rows of the witness and partner mixes.
+        skips = {"witness": result.witness_skips, "partner": result.partner_skips}
+        passed = result.ok and skips.get(config["workload"], 1) > 0
         return passed, [
             *config.values(),
             seed,
@@ -238,6 +252,9 @@ def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
         (1, 1, "strong", "witness"),
         (4, 1, "strong", "witness"),
         (4, 2, "strong", "witness"),
+        (1, 1, "strong", "partner"),
+        (4, 1, "strong", "partner"),
+        (4, 2, "strong", "partner"),
     )
     ring_keys = ("n_nodes", "replication", "bus_mode", "workload")
     # (title, headers, runner, configurations, row)
@@ -274,6 +291,14 @@ def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
             run_fragment_differential,
             [dict(zip(ring_keys, ring)) for ring in rings],
             fragment_row,
+        ),
+        (
+            "Differential: partner probes, indexed vs brute-force",
+            ["policy", "seed", "verdict", "writes", "doomed",
+             "partner skips (brute/indexed)", "pair analyses (brute/indexed)"],
+            run_partner_differential,
+            [dict(policy=policy, n_pages=args.pages) for policy in witness_policies],
+            partner_row,
         ),
     )
     rendered = []

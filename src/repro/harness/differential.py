@@ -25,7 +25,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.cache.analysis import InvalidationPolicy, QueryAnalysisEngine
+from repro.cache.analysis import (
+    InvalidationPolicy,
+    QueryAnalysisEngine,
+    partners_excuse,
+)
 from repro.cache.analysis_cache import AnalysisCache
 from repro.cache.entry import PageEntry, QueryInstance
 from repro.cache.invalidation import Invalidator
@@ -109,6 +113,10 @@ class DifferentialResult:
     #: at its first doom, in its own template order.
     witness_skips_indexed: int = 0
     witness_skips_brute: int = 0
+    #: Instances partner probes excused, per side (partner mix; same
+    #: caveat as the witness skips).
+    partner_skips_indexed: int = 0
+    partner_skips_brute: int = 0
     mismatches: list[str] = field(default_factory=list)
 
     @property
@@ -472,18 +480,167 @@ def _random_witness_write(rng: random.Random) -> QueryInstance:
     return QueryInstance(template, values, _random_pre_image(rng, table))
 
 
+#: Joins of the partner mix whose INSERTs a partner probe may excuse:
+#: each binds a column of the table across the join, or joins a keyed
+#: table by its (fresh) key.
+_PARTNER_JOINS = (
+    "SELECT items.id, items.price FROM items, users "
+    "WHERE items.seller = users.id AND users.region = ? AND items.category = ?",
+    "SELECT users.name, bids.amount FROM bids, users "
+    "WHERE bids.user_id = users.id AND bids.item_id = ?",
+    "SELECT items.price, bids.amount FROM items JOIN bids "
+    "ON items.id = bids.item_id WHERE items.category = ? ORDER BY bids.amount",
+    "SELECT orders.total FROM orders, order_line "
+    "WHERE orders.id = order_line.order_id AND order_line.qty = ?",
+    "SELECT comments.rating, users.name FROM comments, users "
+    "WHERE comments.from_user = users.id AND users.region = ?",
+)
+
+#: Reads a partner probe must never excuse: an outer join keeps the new
+#: row without a partner, a self-join binds the inserted table twice,
+#: a subquery reads it where no probe looks.
+NEVER_EXCUSED = (
+    "SELECT items.price FROM items LEFT JOIN users "
+    "ON items.seller = users.id WHERE users.region = ?",
+    "SELECT users.name FROM users LEFT JOIN items "
+    "ON items.seller = users.id WHERE items.category = ?",
+    "SELECT a.price FROM items a, items b "
+    "WHERE a.seller = b.seller AND b.category = ?",
+    "SELECT price FROM items WHERE seller IN "
+    "(SELECT id FROM users WHERE region = ?)",
+)
+
+#: What an INSERT into a table of the partner mix probes: (column of
+#: the new row, partner table, partner column) -- every join of the
+#: mix, both ways, whether or not a read could use it.
+_PARTNER_PROBES: dict[str, tuple[tuple[str, str, str], ...]] = {
+    "users": (
+        ("id", "items", "seller"),
+        ("id", "bids", "user_id"),
+        ("id", "comments", "from_user"),
+    ),
+    "items": (
+        ("seller", "users", "id"),
+        ("id", "bids", "item_id"),
+    ),
+    "bids": (("item_id", "items", "id"), ("user_id", "users", "id")),
+    "comments": (("from_user", "users", "id"),),
+    "orders": (("id", "order_line", "order_id"),),
+    "order_line": (("order_id", "orders", "id"),),
+}
+
+
+def _partner_tables(rng: random.Random) -> dict[str, list[dict[str, object]]]:
+    """The partner mix's starting table state: a few rows per table,
+    keys from :data:`VALUE_DOMAIN`, every other column random in it."""
+    tables: dict[str, list[dict[str, object]]] = {}
+    for table, columns in SCHEMA.items():
+        tables[table] = [
+            {
+                column: key if column == "id" else rng.choice(VALUE_DOMAIN)
+                for column in columns
+            }
+            for key in VALUE_DOMAIN
+        ]
+    return tables
+
+
+def _random_partner_read(
+    rng: random.Random, tables: dict[str, list[dict[str, object]]]
+) -> QueryInstance:
+    """Partner-mix reads: joins a probe may excuse, joins it must never
+    excuse, and the default mix."""
+    roll = rng.random()
+    if roll < 0.25:
+        return random_read(rng)
+    sql = rng.choice(_PARTNER_JOINS if roll < 0.8 else NEVER_EXCUSED)
+    values = tuple(rng.choice(VALUE_DOMAIN) for _ in range(sql.count("?")))
+    return QueryInstance(*templateize(sql, values))
+
+
+def _random_partner_write(
+    rng: random.Random, tables: dict[str, list[dict[str, object]]]
+) -> QueryInstance:
+    """Partner-mix writes: mostly INSERTs, a keyed table's with a fresh
+    key, whose row joins rows of the generator's own tables; each
+    carries the partner rows those tables hold, as the JDBC aspect's
+    probes would fetch them.  Some carry no probes, or miss one; else
+    the default mix.  The new row joins the tables for later writes."""
+    if rng.random() < 0.2:
+        return random_write(rng)
+    table = rng.choice(sorted(_PARTNER_PROBES))
+    rows = tables[table]
+    row = {column: rng.choice(VALUE_DOMAIN) for column in SCHEMA[table]}
+    if "id" in row:
+        row["id"] = len(rows)
+    for column, partner, partner_column in _PARTNER_PROBES[table]:
+        if column != "id" and rng.random() < 0.3:
+            # Now and then a reference to a row created since.
+            row[column] = rng.choice(tables[partner])[partner_column]
+    rows.append(row)
+    # Half the INSERTs name the key; the others leave it to the
+    # database, and only the after-image says which key it generated.
+    chosen = [
+        column for column in SCHEMA[table] if column != "id" or rng.random() < 0.5
+    ]
+    template, values = templateize(
+        f"INSERT INTO {table} ({', '.join(chosen)}) "
+        f"VALUES ({', '.join('?' for _ in chosen)})",
+        tuple(row[column] for column in chosen),
+    )
+    partners = None
+    if rng.random() < 0.9:
+        probes = list(_PARTNER_PROBES[table])
+        if rng.random() < 0.1:
+            probes.remove(rng.choice(probes))
+        partners = tuple(
+            (
+                partner,
+                partner_column,
+                row[column],
+                tuple(
+                    tuple(found.items())
+                    for found in tables[partner]
+                    if found[partner_column] == row[column]
+                ),
+            )
+            for column, partner, partner_column in probes
+        )
+    return QueryInstance(template, values, (dict(row),), partners)
+
+
 @dataclass(frozen=True)
 class Workload:
     """What a differential run draws from: the generator pair, the
     schema catalog both sides share (None: catalog-free analysis),
-    whether a never-read probe fires each round, and the rung the
-    fragment-granular differential runs it at."""
+    whether a never-read probe fires each round, the rung the
+    fragment-granular differential runs it at, and ``tables``: a maker
+    of the table state the generators share, for a mix whose writes
+    carry rows (they then take it as a second argument)."""
 
-    reader: Callable[[random.Random], QueryInstance]
-    writer: Callable[[random.Random], QueryInstance]
+    reader: Callable[..., QueryInstance]
+    writer: Callable[..., QueryInstance]
     catalog: Catalog | None = None
     probe: bool = False
     policy: InvalidationPolicy = InvalidationPolicy.EXTRA_QUERY
+    tables: Callable[[random.Random], dict] | None = None
+    #: Read SQL whose instances no partner probe may ever excuse.
+    never_excused: tuple[str, ...] = ()
+
+    def generators(
+        self, rng: random.Random
+    ) -> tuple[
+        Callable[[random.Random], QueryInstance],
+        Callable[[random.Random], QueryInstance],
+    ]:
+        """The reader and writer of one run, over fresh table state."""
+        if self.tables is None:
+            return self.reader, self.writer
+        tables = self.tables(rng)
+        return (
+            lambda rng: self.reader(rng, tables),
+            lambda rng: self.writer(rng, tables),
+        )
 
 
 WORKLOADS: dict[str, Workload] = {
@@ -499,6 +656,14 @@ WORKLOADS: dict[str, Workload] = {
         _random_witness_write,
         catalog=witness_catalog(),
         policy=InvalidationPolicy.ROW_WITNESS,
+    ),
+    "partner": Workload(
+        _random_partner_read,
+        _random_partner_write,
+        catalog=witness_catalog(),
+        policy=InvalidationPolicy.ROW_WITNESS,
+        tables=_partner_tables,
+        never_excused=NEVER_EXCUSED,
     ),
 }
 
@@ -532,6 +697,8 @@ class FragmentDifferentialResult:
     closure_doomed: int = 0
     #: Instances the row witness excused across the ring (witness mix).
     witness_skips: int = 0
+    #: Instances partner probes excused across the ring (partner mix).
+    partner_skips: int = 0
     mismatches: list[str] = field(default_factory=list)
 
     @property
@@ -591,8 +758,9 @@ def run_fragment_differential(
     from repro.cluster.router import ClusterRouter, make_cache_factory
 
     mix = WORKLOADS[workload]
-    reader, writer, catalog = mix.reader, mix.writer, mix.catalog
+    catalog = mix.catalog
     rng = random.Random(seed)
+    reader, writer = mix.generators(rng)
     router = ClusterRouter(
         [f"node-{i}" for i in range(n_nodes)],
         make_cache_factory(catalog=catalog, invalidation_policy=mix.policy),
@@ -714,6 +882,7 @@ def run_fragment_differential(
         # iteration order.
         register([draw(key) for key in sorted(expected)])
     result.witness_skips = router.stats.witness_skips
+    result.partner_skips = router.stats.partner_skips
     return result
 
 
@@ -763,6 +932,26 @@ def _never_read_probe(
     )
 
 
+def _never_excused(
+    mix: Workload,
+    engine: QueryAnalysisEngine,
+    pages: PageCache,
+    batch: list[QueryInstance],
+) -> list[str]:
+    """The registered instances of ``mix.never_excused`` reads that a
+    write of ``batch`` would excuse by its partner probes (must be
+    none)."""
+    found = []
+    for sql in mix.never_excused:
+        template, _values = templateize(sql, (0,) * sql.count("?"))
+        for _key, read in pages.dependencies.instances_for(template):
+            for write in batch:
+                pair = engine.analyse_pair(template, write.template)
+                if partners_excuse(pair, read.values, write):
+                    found.append(f"{sql} {read.values!r}")
+    return found
+
+
 def run_differential(
     seed: int = 0,
     rounds: int = 60,
@@ -781,6 +970,7 @@ def run_differential(
     """
     mix = WORKLOADS[workload]
     rng = random.Random(seed)
+    reader, writer = mix.generators(rng)
     pages = PageCache(make_policy("unbounded", None))
     indexed, brute = (
         Invalidator(
@@ -796,10 +986,10 @@ def run_differential(
 
     serial = 0
     for serial in range(n_pages):
-        _register_page(pages, rng, f"page-{serial}", mix.reader)
+        _register_page(pages, rng, f"page-{serial}", reader)
 
     for round_no in range(rounds):
-        batch = [mix.writer(rng) for _ in range(rng.randrange(1, 4))]
+        batch = [writer(rng) for _ in range(rng.randrange(1, 4))]
         if len(batch) > 1 and rng.random() < 0.4:
             batch.append(rng.choice(batch))  # duplicate write in batch
         result.writes_tested += len(batch)
@@ -817,7 +1007,7 @@ def run_differential(
                 break
 
         # The single-flight staleness check must agree too.
-        prospective = [mix.reader(rng) for _ in range(rng.randrange(1, 4))]
+        prospective = [reader(rng) for _ in range(rng.randrange(1, 4))]
         verdict_indexed = indexed.intersects_any(prospective, batch)
         verdict_brute = brute.intersects_any(prospective, batch)
         result.intersects_checks += 1
@@ -825,6 +1015,14 @@ def run_differential(
             result.mismatches.append(
                 f"round {round_no}: intersects_any diverged "
                 f"(indexed={verdict_indexed}, brute={verdict_brute})"
+            )
+            if len(result.mismatches) >= max_mismatches:
+                break
+
+        excused = _never_excused(mix, indexed.engine, pages, batch)
+        if excused:
+            result.mismatches.append(
+                f"round {round_no}: partner probes excused {excused}"
             )
             if len(result.mismatches) >= max_mismatches:
                 break
@@ -853,7 +1051,7 @@ def run_differential(
         result.pages_doomed += len(doomed)
         for _ in range(len(doomed)):
             serial += 1
-            _register_page(pages, rng, f"page-{serial}", mix.reader)
+            _register_page(pages, rng, f"page-{serial}", reader)
 
     snapshot_indexed = indexed._stats.snapshot()
     snapshot_brute = brute._stats.snapshot()
@@ -869,6 +1067,8 @@ def run_differential(
     result.column_plans_built = snapshot_indexed["column_plans_built"]
     result.witness_skips_indexed = snapshot_indexed["witness_skips"]
     result.witness_skips_brute = snapshot_brute["witness_skips"]
+    result.partner_skips_indexed = snapshot_indexed["partner_skips"]
+    result.partner_skips_brute = snapshot_brute["partner_skips"]
     return result
 
 
@@ -892,6 +1092,24 @@ def run_column_differential(
     """
     return run_differential(
         seed, rounds, n_pages, policy, max_mismatches, workload="column"
+    )
+
+
+def run_partner_differential(
+    seed: int = 0,
+    rounds: int = 60,
+    n_pages: int = 80,
+    policy: InvalidationPolicy = InvalidationPolicy.ROW_WITNESS,
+    max_mismatches: int = 5,
+) -> DifferentialResult:
+    """Partner-mix differential: join reads a partner probe may excuse
+    and reads it must never excuse (:data:`NEVER_EXCUSED`); INSERTs with
+    fresh keys carrying the partner rows of the generator's own tables.
+    Both sides ask the probes before the intersection test, so a path
+    that skips them shows up as a doomed-set divergence, and an excused
+    never-excused read as a mismatch of its own."""
+    return run_differential(
+        seed, rounds, n_pages, policy, max_mismatches, workload="partner"
     )
 
 

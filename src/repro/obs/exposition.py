@@ -24,6 +24,8 @@ from repro.obs.tracer import Tracer
 HISTOGRAM_METRIC = "repro_phase_latency_seconds"
 LINEAGE_METRIC = "repro_lineage_prune_total"
 WITNESS_METRIC = "repro_witness_skips_total"
+PARTNER_SKIPS_METRIC = "repro_partner_skips_total"
+PARTNER_PROBES_METRIC = "repro_partner_probes_total"
 BUS_DEPTH_METRIC = "repro_bus_queue_depth"
 BUS_LAG_METRIC = "repro_bus_delivery_lag_seconds"
 MEMBERSHIP_METRIC = "repro_membership_state"
@@ -51,8 +53,8 @@ def render_metrics(
 
     ``cache_snapshot`` (a :meth:`~repro.cache.stats.CacheStats.snapshot`
     dict, or a cluster aggregate carrying the same keys) adds the
-    column-lineage pruning counters as a labelled counter family and the
-    row-witness skip counter.  A full
+    column-lineage pruning counters as a labelled counter family, the
+    row-witness skip counter and the partner-probe counters.  A full
     cluster snapshot (the ``{"cluster": ..., "bus": ..., "membership":
     ...}`` shape of ``ClusterRouter.snapshot()``) additionally emits the
     bounded-staleness bus gauges -- per-node undelivered queue depth and
@@ -108,6 +110,14 @@ def render_metrics(
             "doomed but their row witness excused.",
             f"# TYPE {WITNESS_METRIC} counter",
             f"{WITNESS_METRIC} {stats.get('witness_skips', 0)}",
+            f"# HELP {PARTNER_SKIPS_METRIC} Cached instances an INSERT would "
+            "have doomed but its partner probes excused.",
+            f"# TYPE {PARTNER_SKIPS_METRIC} counter",
+            f"{PARTNER_SKIPS_METRIC} {stats.get('partner_skips', 0)}",
+            f"# HELP {PARTNER_PROBES_METRIC} Partner-table SELECTs INSERTs "
+            "ran for the partner-probe test.",
+            f"# TYPE {PARTNER_PROBES_METRIC} counter",
+            f"{PARTNER_PROBES_METRIC} {stats.get('partner_probes', 0)}",
         ]
         lines += _render_cluster_families(cache_snapshot)
     return "\n".join(lines) + "\n"

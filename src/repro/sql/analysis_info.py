@@ -46,6 +46,27 @@ class EqualityBinding:
 
 
 @dataclass(frozen=True)
+class JoinFacts:
+    """What a join read says about how its tables meet.
+
+    Defined only for a SELECT over two or more tables whose WHERE and
+    JOIN ON conditions are conjunctions of equalities, with inner or
+    comma joins only and no subquery: then a row of the result is one
+    row of each bound table satisfying every one of those equalities.
+
+    ``equalities`` are the column-to-column equalities
+    (``((t, a), (u, b))``, resolved like every other column, so either
+    side may be the ``"?"`` spill); ``bindings`` the column-to-value
+    ones of WHERE *and* ON (for an inner join the two are one
+    conjunction); ``once`` the tables bound exactly once.
+    """
+
+    equalities: tuple[tuple[tuple[str, str], tuple[str, str]], ...]
+    bindings: tuple[EqualityBinding, ...]
+    once: frozenset[str]
+
+
+@dataclass(frozen=True)
 class StatementInfo:
     """Static analysis facts about one statement template.
 
@@ -75,6 +96,9 @@ class StatementInfo:
     #: is defined for (see :func:`_key_positions`); empty otherwise, for
     #: every write, and without a catalog that knows primary keys.
     key_positions: tuple[tuple[str, int], ...] = ()
+    #: How a join read's tables meet (:class:`JoinFacts`), or None for
+    #: every other statement.
+    joins: JoinFacts | None = None
 
     @property
     def is_read(self) -> bool:
@@ -189,6 +213,9 @@ def _extract_select(
     key_positions: tuple[tuple[str, int], ...] = ()
     if not (subqueries or aggregates or select.group_by or select.having):
         key_positions = _key_positions(select, bindings, tables, catalog, read)
+    joins = None
+    if conjunctive and not subqueries:
+        joins = _join_facts(select, bindings, tables, catalog)
     return StatementInfo(
         kind="select",
         tables=tables | frozenset(sub_tables),
@@ -199,7 +226,64 @@ def _extract_select(
         where_is_conjunctive_equality=conjunctive,
         filter_columns=frozenset(filters),
         key_positions=key_positions,
+        joins=joins,
     )
+
+
+def _join_facts(
+    select: ast.Select,
+    bindings: dict[str, str],
+    tables: frozenset[str],
+    catalog: object | None,
+) -> JoinFacts | None:
+    """:class:`JoinFacts` for a join read, or None (see there).  The
+    caller has checked that the WHERE is a conjunction of equalities
+    and that there is no subquery."""
+    names = [table.name.lower() for table in select.tables] + [
+        join.table.name.lower() for join in select.joins
+    ]
+    if len(names) < 2 or any(join.kind != "INNER" for join in select.joins):
+        return None
+    conditions = [join.condition for join in select.joins]
+    if select.where is not None:
+        conditions.append(select.where)
+    equalities: list = []
+    found: list[EqualityBinding] = []
+    for condition in conditions:
+        if not _collect_equalities(condition, bindings, tables, found, catalog):
+            return None
+        _column_equalities(condition, bindings, tables, catalog, equalities)
+    return JoinFacts(
+        equalities=tuple(equalities),
+        bindings=tuple(found),
+        once=frozenset(name for name in names if names.count(name) == 1),
+    )
+
+
+def _column_equalities(
+    expr: ast.Expression,
+    bindings: dict[str, str],
+    tables: frozenset[str],
+    catalog: object | None,
+    out: list,
+) -> None:
+    """Append the ``column = column`` leaves of a conjunction to ``out``
+    as resolved ``((table, column), (table, column))`` pairs."""
+    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
+        _column_equalities(expr.left, bindings, tables, catalog, out)
+        _column_equalities(expr.right, bindings, tables, catalog, out)
+    elif (
+        isinstance(expr, ast.BinaryOp)
+        and expr.op == "="
+        and isinstance(expr.left, ast.ColumnRef)
+        and isinstance(expr.right, ast.ColumnRef)
+    ):
+        out.append(
+            (
+                _resolve(expr.left, bindings, tables, catalog),
+                _resolve(expr.right, bindings, tables, catalog),
+            )
+        )
 
 
 def _key_positions(

@@ -9,9 +9,13 @@ import pytest
 
 from repro.cache.analysis import (
     InvalidationPolicy,
+    PartnerEdge,
     QueryAnalysisEngine,
+    partners_excuse,
+    probe_plan,
     witness_excuses,
 )
+from repro.sql.analysis_info import EqualityBinding
 from repro.cache.analysis_cache import AnalysisCache
 from repro.cache.entry import PageEntry, QueryInstance
 from repro.cache.invalidation import Invalidator
@@ -381,3 +385,225 @@ class TestRowWitness:
             doomed[policy] = (invalidator.process_writes([write]), stats.witness_skips)
         assert doomed[EXTRA] == ({"/search"}, 0)
         assert doomed[InvalidationPolicy.ROW_WITNESS] == (set(), 1)
+
+
+class TestPartnerProbes:
+    """ROW_WITNESS: an INSERT into T is disjoint from a join read when
+    no row of the partner table U that the new row joins satisfies the
+    read's equalities on U."""
+
+    CATALOG = Catalog(
+        {
+            "items": ("id", "name", "seller", "category", "end_date"),
+            "users": ("id", "nickname", "region"),
+            "bids": ("id", "item_id", "user_id", "bid"),
+            "categories": ("id", "name"),
+        },
+        {"items": "id", "users": "id", "bids": "id", "categories": "id"},
+    )
+    REGION = (
+        "SELECT items.id, items.name FROM items, users "
+        "WHERE items.seller = users.id AND users.region = ? "
+        "AND items.category = ? ORDER BY items.end_date LIMIT ?"
+    )
+    INSERT_ITEM = "INSERT INTO items (name, seller, category) VALUES (?, ?, ?)"
+    INSERT_USER = "INSERT INTO users (nickname, region) VALUES (?, ?)"
+
+    @pytest.fixture
+    def engine(self):
+        return QueryAnalysisEngine(catalog=self.CATALOG)
+
+    def edges(self, engine, read_sql, write_sql):
+        return pair_of(engine, read_sql, write_sql)[0].partners
+
+    def test_a_new_item_reaches_a_region_page_through_its_seller(self, engine):
+        (edge,) = self.edges(engine, self.REGION, self.INSERT_ITEM)
+        assert edge.probe == ("seller", "users", "id")
+        assert edge.bindings == (EqualityBinding("users", "region", value_index=0),)
+
+    def test_a_new_user_reaches_it_through_the_items_it_sells(self, engine):
+        (edge,) = self.edges(engine, self.REGION, self.INSERT_USER)
+        assert edge.probe == ("id", "items", "seller")
+        assert [b.column for b in edge.bindings] == ["category"]
+
+    def test_a_fresh_key_edge_needs_no_binding_on_the_partner(self, engine):
+        read = (
+            "SELECT items.name FROM items JOIN bids ON items.id = bids.item_id "
+            "WHERE items.category = ?"
+        )
+        (edge,) = self.edges(engine, read, self.INSERT_ITEM)
+        assert (edge.probe, edge.bindings) == (("id", "bids", "item_id"), ())
+
+    def test_a_non_key_column_needs_a_binding_on_the_partner(self, engine):
+        """``items.category`` is no key, and the read binds nothing of
+        ``categories``: the probe would find the category every time."""
+        read = (
+            "SELECT items.name, categories.name FROM items, categories "
+            "WHERE items.category = categories.id AND items.seller = ?"
+        )
+        assert self.edges(engine, read, self.INSERT_ITEM) == ()
+        # The partner's own key is no excuse either: it is not new.
+        read = (
+            "SELECT items.name FROM items, users "
+            "WHERE items.seller = users.id AND items.category = ?"
+        )
+        assert self.edges(engine, read, self.INSERT_ITEM) == ()
+
+    @pytest.mark.parametrize(
+        "read_sql",
+        [
+            # an outer join keeps the new row without a partner
+            "SELECT items.name FROM items LEFT JOIN users "
+            "ON items.seller = users.id WHERE users.region = ?",
+            "SELECT users.nickname FROM users LEFT JOIN items "
+            "ON items.seller = users.id WHERE users.region = ?",
+            # the inserted table bound twice (a self-join)
+            "SELECT a.name FROM items a, items b, users "
+            "WHERE a.seller = users.id AND b.seller = users.id "
+            "AND users.region = ?",
+            # the partner bound twice: whose region is bound?
+            "SELECT items.name FROM items, users a, users b "
+            "WHERE items.seller = a.id AND items.category = b.id "
+            "AND a.region = ?",
+            # a subquery
+            "SELECT items.name FROM items, users WHERE items.seller = users.id "
+            "AND users.region = ? AND items.id IN "
+            "(SELECT item_id FROM bids WHERE bid = ?)",
+            # a disjunction, an inequality
+            "SELECT items.name FROM items, users WHERE items.seller = users.id "
+            "AND (users.region = ? OR items.category = ?)",
+            "SELECT items.name FROM items JOIN users "
+            "ON items.seller > users.id WHERE users.region = ?",
+            # one table only
+            "SELECT name FROM items WHERE seller = ?",
+        ],
+    )
+    def test_no_edge_for_these_reads(self, engine, read_sql):
+        assert self.edges(engine, read_sql, self.INSERT_ITEM) == ()
+
+    def test_a_column_that_spills_is_no_edge(self):
+        """Without a catalog ``seller`` could be either table's."""
+        read = (
+            "SELECT items.name FROM items, users "
+            "WHERE seller = users.id AND users.region = ?"
+        )
+        assert self.edges(QueryAnalysisEngine(), read, self.INSERT_ITEM) == ()
+        assert self.edges(QueryAnalysisEngine(catalog=self.CATALOG), read, self.INSERT_ITEM)
+
+    def test_only_inserts_have_edges(self, engine):
+        for write in (
+            "UPDATE items SET seller = ? WHERE id = ?",
+            "DELETE FROM items WHERE id = ?",
+        ):
+            assert self.edges(engine, self.REGION, write) == ()
+
+    def test_the_probe_plan_is_the_sorted_union_of_the_edges(self, engine):
+        bids = (
+            "SELECT users.nickname, bids.bid FROM bids, users "
+            "WHERE bids.item_id = ? AND bids.user_id = users.id"
+        )
+        def template(sql):
+            return templateize(sql, (0,) * sql.count("?"))[0]
+
+        reads = [template(sql) for sql in (self.REGION, bids, self.REGION)]
+        user = template(self.INSERT_USER)
+        assert probe_plan(engine, reads, user) == (
+            ("id", "bids", "user_id"),
+            ("id", "items", "seller"),
+        )
+        update = template("UPDATE users SET region = ? WHERE id = ?")
+        assert probe_plan(engine, reads, update) == ()
+
+    # -- the run-time test -------------------------------------------------------
+
+    def item(self, seller, partners, image=True):
+        template, values = templateize(self.INSERT_ITEM, ("lamp", seller, 3))
+        stored = ({"id": 50, "name": "lamp", "seller": seller, "category": 3},)
+        return QueryInstance(template, values, stored if image else None, partners)
+
+    @staticmethod
+    def user(id, region):
+        return (("id", id), ("nickname", "n"), ("region", region))
+
+    def excuses(self, engine, write, region=1):
+        pair = pair_of(engine, self.REGION, self.INSERT_ITEM)[0]
+        return partners_excuse(pair, (region, 3, 10), write)
+
+    def test_the_seller_in_another_region_excuses(self, engine):
+        assert self.excuses(engine, self.item(7, (("users", "id", 7, (self.user(7, 2),)),)))
+        assert not self.excuses(
+            engine, self.item(7, (("users", "id", 7, (self.user(7, 1),)),))
+        )
+
+    def test_no_partner_at_all_excuses(self, engine):
+        assert self.excuses(engine, self.item(7, (("users", "id", 7, ()),)))
+
+    def test_a_null_region_contradicts_as_the_engine_compares(self, engine):
+        assert self.excuses(engine, self.item(7, (("users", "id", 7, (self.user(7, None),)),)))
+
+    def test_anything_unknown_leaves_the_doom_standing(self, engine):
+        seller_elsewhere = (("users", "id", 7, (self.user(7, 2),)),)
+        assert not self.excuses(engine, self.item(7, None))  # nothing probed
+        assert not self.excuses(engine, self.item(7, seller_elsewhere, image=False))
+        # a probe for another value, or of another column
+        assert not self.excuses(engine, self.item(8, seller_elsewhere))
+        assert not self.excuses(
+            engine, self.item(7, (("users", "region", 7, (self.user(7, 2),)),))
+        )
+        # a partner row lacking the bound column contradicts nothing
+        assert not self.excuses(engine, self.item(7, (("users", "id", 7, ((("id", 7),),)),)))
+
+    def test_every_inserted_row_must_be_excused(self, engine):
+        pair = pair_of(engine, self.REGION, self.INSERT_ITEM)[0]
+        template, values = templateize(self.INSERT_ITEM, ("lamp", 7, 3))
+        rows = ({"id": 50, "seller": 7}, {"id": 51, "seller": 8})
+        probes = (
+            ("users", "id", 7, (self.user(7, 2),)),
+            ("users", "id", 8, (self.user(8, 1),)),
+        )
+        write = QueryInstance(template, values, rows, probes)
+        assert not partners_excuse(pair, (1, 3, 10), write)
+        assert partners_excuse(pair, (3, 3, 10), write)
+
+    def test_an_edge_without_bindings_excuses_only_an_empty_probe(self):
+        edge = PartnerEdge("id", "bids", "item_id")
+        pair = pair_of(
+            QueryAnalysisEngine(catalog=self.CATALOG),
+            "SELECT items.name FROM items, bids WHERE items.id = bids.item_id "
+            "AND items.category = ?",
+            self.INSERT_ITEM,
+        )[0]
+        assert pair.partners == (edge,)
+        template, values = templateize(self.INSERT_ITEM, ("lamp", 7, 3))
+        stored = ({"id": 50, "seller": 7},)
+        empty = QueryInstance(template, values, stored, (("bids", "item_id", 50, ()),))
+        bid = ((("id", 1), ("item_id", 50)),)
+        found = QueryInstance(template, values, stored, (("bids", "item_id", 50, bid),))
+        assert partners_excuse(pair, (3,), empty)
+        assert not partners_excuse(pair, (3,), found)
+
+    def test_only_the_row_witness_rung_consults_the_probes(self):
+        read, values = templateize(self.REGION, (1, 3, 10))
+        page = PageEntry("/region", "body", dependencies=(QueryInstance(read, values),))
+        write = self.item(7, (("users", "id", 7, (self.user(7, 2),)),))
+        outcome = {}
+        for policy in (EXTRA, InvalidationPolicy.ROW_WITNESS):
+            for indexed in (True, False):
+                pages = PageCache()
+                pages.insert(page)
+                stats = CacheStats()
+                invalidator = Invalidator(
+                    pages,
+                    AnalysisCache(QueryAnalysisEngine(catalog=self.CATALOG)),
+                    stats,
+                    policy,
+                    indexed=indexed,
+                )
+                outcome[policy, indexed] = (
+                    invalidator.affected_pages([write]),
+                    invalidator.intersects_any(list(page.dependencies), [write]),
+                    stats.partner_skips > 0,
+                )
+        for indexed in (True, False):
+            assert outcome[EXTRA, indexed] == ({"/region"}, True, False)
+            assert outcome[InvalidationPolicy.ROW_WITNESS, indexed] == (set(), False, True)

@@ -41,8 +41,10 @@ def test_differential_at_the_row_witness_rung(capsys):
     )
     assert code == 0
     assert "Differential: row witness, indexed vs brute-force" in out
+    assert "Differential: partner probes, indexed vs brute-force" in out
     assert "MISMATCH" not in out
-    assert out.count("row-witness  0     ok") == 3  # indexed, column, witness
+    # indexed, column, witness, partner
+    assert out.count("row-witness  0     ok") == 4
 
 
 def test_run_cell_no_cache(capsys):

@@ -92,7 +92,44 @@ def test_each_read_resolves_on_both_facades(facades, name):
 
 
 def test_the_row_witness_reads_are_among_the_reads():
-    assert {"written_tables", "witness"} <= set(READS)
+    assert {"written_tables", "witness", "probe_plan"} <= set(READS)
+
+
+@pytest.mark.parametrize("cluster", [False, True], ids=["cache", "ring"])
+def test_an_insert_probes_for_the_join_reads_that_are_registered(cluster):
+    """The probe plan lists a partner edge only while a read template
+    with that edge has a registration; on the ring, any node's."""
+    from repro.cache.entry import QueryInstance
+    from repro.sql.lineage import Catalog
+    from repro.sql.template import templateize
+
+    catalog = Catalog(
+        {"items": ("id", "seller", "name"), "users": ("id", "region")},
+        {"items": "id", "users": "id"},
+    )
+    if cluster:
+        facade = ClusterRouter(["n0", "n1", "n2"], make_cache_factory(catalog=catalog))
+    else:
+        facade = Cache(catalog=catalog)
+    join = QueryInstance(
+        *templateize(
+            "SELECT items.name FROM items, users "
+            "WHERE items.seller = users.id AND users.region = ?",
+            (1,),
+        )
+    )
+    write, _values = templateize(
+        "INSERT INTO items (seller, name) VALUES (?, ?)", (1, "x")
+    )
+    try:
+        assert facade.probe_plan(write) == ()
+        facade.insert_key("/region?r=1", "body", [join])
+        assert facade.probe_plan(write) == (("seller", "users", "id"),)
+        facade.invalidate_key("/region?r=1")
+        assert facade.probe_plan(write) == ()
+    finally:
+        if cluster:
+            facade.close()
 
 
 @pytest.mark.parametrize("cluster", [False, True], ids=["cache", "ring"])

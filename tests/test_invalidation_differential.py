@@ -28,6 +28,7 @@ from repro.harness.differential import (
     run_column_differential,
     run_differential,
     run_fragment_differential,
+    run_partner_differential,
     run_witness_differential,
 )
 from repro.web.http import HttpRequest
@@ -144,6 +145,64 @@ def test_fragment_witness_workload_matches_oracle(n_nodes, replication):
     )
     assert result.ok, "\n".join(result.mismatches)
     assert result.entries_doomed > 0 and result.witness_skips > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_partner_probes_match_brute_force(seed):
+    """The partner mix (join reads a probe may excuse, LEFT JOIN /
+    self-join / subquery reads it must never excuse; INSERTs with fresh
+    keys carrying the partner rows of the generator's tables) at
+    ROW_WITNESS: identical doomed sets and intersects_any verdicts, no
+    never-excused read excused, and the probes really excuse."""
+    result = run_partner_differential(seed=seed, rounds=40, n_pages=60)
+    assert result.ok, "\n".join(result.mismatches)
+    assert result.partner_skips_indexed > 0 and result.partner_skips_brute > 0
+
+
+def test_partner_probes_doom_a_subset_of_the_paper_rung():
+    """One population, both rungs: the probes only ever remove dooms
+    the paper's rung makes, and do remove some."""
+    mix = WORKLOADS["partner"]
+    rng = random.Random(4)
+    reader, writer = mix.generators(rng)
+    pages = PageCache()
+    for serial in range(60):
+        reads = tuple(reader(rng) for _ in range(rng.randrange(1, 4)))
+        pages.insert(PageEntry(f"page-{serial}", "body", dependencies=reads))
+    paper, probed = (
+        Invalidator(
+            pages,
+            AnalysisCache(QueryAnalysisEngine(catalog=mix.catalog)),
+            CacheStats(),
+            policy,
+        )
+        for policy in (InvalidationPolicy.EXTRA_QUERY, InvalidationPolicy.ROW_WITNESS)
+    )
+    spared = 0
+    for _ in range(200):
+        batch = [writer(rng) for _ in range(rng.randrange(1, 3))]
+        excused = probed.affected_pages(batch)
+        doomed = paper.affected_pages(batch)
+        assert excused <= doomed
+        spared += len(doomed - excused)
+    assert spared > 0
+
+
+@pytest.mark.parametrize(
+    "n_nodes,replication", [(1, 1), (4, 1), (4, 2)], ids=["1", "4", "4R2"]
+)
+def test_fragment_partner_workload_matches_oracle(n_nodes, replication):
+    """The partner mix through the fragment tier: every shard and
+    replica excuses exactly what the oracle excuses."""
+    result = run_fragment_differential(
+        seed=2,
+        rounds=25,
+        n_nodes=n_nodes,
+        replication=replication,
+        workload="partner",
+    )
+    assert result.ok, "\n".join(result.mismatches)
+    assert result.entries_doomed > 0 and result.partner_skips > 0
 
 
 def _replay_cluster(

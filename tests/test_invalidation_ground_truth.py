@@ -234,6 +234,25 @@ def test_the_row_witness_dooms_no_more_than_the_paper(replays, name):
         assert witness["invalidated_pages"] < extra["invalidated_pages"]
 
 
+def test_partner_probes_spare_what_a_new_row_cannot_join(replays):
+    """On bidding a new user joins no bid, item or comment yet and a
+    new item reaches a region page only through its seller: under
+    ROW_WITNESS no registration dooms a page for nothing, and what
+    unchanged dooms remain are few (new items tying on ``end_date`` on
+    the category pages).  TPC-W has no join a probe could use, so its
+    writes probe nothing."""
+    truth, stats = replays["rubis_bidding", InvalidationPolicy.ROW_WITNESS]
+    users = [cause for cause, _changed in truth.dooms if "INTO users" in cause]
+    assert all(truth.dooms[cause, False] == 0 for cause in users)
+    unchanged = sum(n for (_cause, changed), n in truth.dooms.items() if not changed)
+    assert unchanged <= 0.15 * sum(truth.dooms.values())
+    assert stats["partner_skips"] > 0 and stats["partner_probes"] > 0
+    _truth, ring = replays["tpcw_shopping_ring4", InvalidationPolicy.ROW_WITNESS]
+    assert ring["partner_probes"] == ring["partner_skips"] == 0
+    for policy in (InvalidationPolicy.EXTRA_QUERY, InvalidationPolicy.WHERE_MATCH):
+        assert replays["rubis_bidding", policy][1]["partner_probes"] == 0
+
+
 def test_report(replays):
     """Writes the precision table: dooms per rung and write template,
     and how many of them left every result of the entry unchanged.

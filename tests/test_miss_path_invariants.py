@@ -152,7 +152,9 @@ def test_stats_after_a_fixed_replay_are_the_parents_field_by_field():
     commit, before the row-witness rung existed."""
     golden = _fixture("rubis_bidding_stats.json")
     snapshot = _bidding_replay(policy=InvalidationPolicy.EXTRA_QUERY)
-    assert snapshot.pop("witness_skips") == 0  # counted under ROW_WITNESS only
+    # Counted under ROW_WITNESS only:
+    assert snapshot.pop("witness_skips") == 0
+    assert snapshot.pop("partner_skips") == snapshot.pop("partner_probes") == 0
     assert snapshot.keys() == golden.keys()
     for field, value in golden.items():
         assert snapshot[field] == value, field

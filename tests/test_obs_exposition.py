@@ -190,6 +190,16 @@ class TestClusterExposition:
         assert "# TYPE repro_witness_skips_total counter" in text
         assert "\nrepro_witness_skips_total 3\n" in text
 
+    def test_partner_counters_are_counters(self):
+        text = render_metrics(
+            MetricsHub(),
+            cache_snapshot={"cluster": {"partner_skips": 5, "partner_probes": 2}},
+        )
+        assert "# TYPE repro_partner_skips_total counter" in text
+        assert "\nrepro_partner_skips_total 5\n" in text
+        assert "# TYPE repro_partner_probes_total counter" in text
+        assert "\nrepro_partner_probes_total 2\n" in text
+
     def test_single_node_snapshot_emits_no_cluster_families(self):
         text = render_metrics(
             MetricsHub(), cache_snapshot={"templates_skipped_by_lineage": 2}
