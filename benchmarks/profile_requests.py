@@ -12,10 +12,13 @@ call) and how often the pin-first plan rule fired -- then the same N
 through an *unwoven twin* for the **miss tax**, then N more under
 ``cProfile`` --
 counting ``NamedRLock`` acquisitions (``with`` rounds on the facade's
-lock class) per fast hit, slow GET and write on the way; last, the number of heads the memo holds and, on a ring, how
-many routes the router's placement memo holds and how many it had to
-compute.  A candidate finder, not a gate: confirm with the traced round
-of ``bench/run.py``.
+lock class) per fast hit, slow GET and write on the way; then N more
+under ``tracemalloc`` for **what a resident page costs**: resident
+entries, the page bytes they hold (body text or wire buffer) and the
+bytes the pass left allocated per entry it added; last, the number of
+heads the memo holds and, on a ring, how many routes the router's
+placement memo holds and how many it had to compute.  A candidate
+finder, not a gate: confirm with the traced round of ``bench/run.py``.
 
 The miss tax is what the middleware costs when it cannot answer from
 the cache: the requests the woven run answered on its slow path,
@@ -33,10 +36,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import cProfile
+import gc
 import multiprocessing
 import pstats
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -131,6 +136,52 @@ def count_lock_rounds():
         yield rounds
 
 
+def resident_entries(cache) -> list:
+    """Every entry the facade's page stores hold (each node's on a ring,
+    replica copies included: each costs its own bytes)."""
+    caches = [node.cache for node in cache.nodes()] if hasattr(cache, "nodes") else [cache]
+    return [entry for store in caches for entry in store.pages.entries()]
+
+
+def page_bytes(entry) -> int:
+    """What an entry holds of its page: the body text until a wire
+    buffer is pinned, the buffer after."""
+    return sum(sys.getsizeof(part) for part in (entry._text, entry._wire) if part is not None)
+
+
+def resident_cost(server, cache, requests, carts) -> None:
+    """Print what a resident page costs, replaying ``requests`` under
+    ``tracemalloc``: the bytes the pass left allocated, per entry it
+    added, with and without the page bytes those entries hold.  Only
+    when no entry left the store during the pass (no eviction, no
+    doom): otherwise the freed entries blur the figure."""
+    before = resident_entries(cache)
+    seen = set(map(id, before))  # ``before`` keeps the ids from reuse
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        replay(server, requests, carts)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    after = resident_entries(cache)
+    held = sum(map(page_bytes, after))
+    print(f"resident pages: {len(after)}, holding {held / max(len(after), 1):.0f} B"
+          " of page each (body text or wire buffer)")
+    new = [entry for entry in after if id(entry) not in seen]
+    grown = len(after) - len(before)
+    if not new or grown != len(new):
+        print(f"  {len(requests)} more requests under tracemalloc: {len(before) + len(new) - len(after)}"
+              f" entries left the store, {len(new)} arrived: no per-entry figure")
+        return
+    added = sum(map(page_bytes, new))
+    print(f"  {len(requests)} more requests under tracemalloc: +{grown} entries,"
+          f" {retained / grown:.0f} B retained per entry added,"
+          f" {(retained - added) / grown:.0f} B beyond its page bytes")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workload", default="rubis_browse_churn", choices=sorted(WORKLOADS))
@@ -164,7 +215,7 @@ def main() -> None:
 
     carts: dict[int, str] = {}
     replay(server, generate(workload, args.seed, "warmup", workload.warmup), carts)
-    closed = generate(workload, args.seed, "closed", 2 * args.n)
+    closed = generate(workload, args.seed, "closed", 3 * args.n)
     Database.execute_statement = timed
     woven = replay(server, closed[: args.n], carts)
     Database.execute_statement = execute
@@ -201,16 +252,17 @@ def main() -> None:
 
     profiler = cProfile.Profile()
     with count_lock_rounds() as rounds:
-        profiled = profiler.runcall(replay, server, closed[args.n :], carts, rounds)
+        profiled = profiler.runcall(replay, server, closed[args.n : 2 * args.n], carts, rounds)
     print("NamedRLock rounds per request (the cProfile pass below):")
     classes = {"fast hit": [], "slow GET": [], "write": []}
-    for request, (path, _seconds, taken) in zip(closed[args.n :], profiled):
+    for request, (path, _seconds, taken) in zip(closed[args.n : 2 * args.n], profiled):
         label = "fast hit" if path != SLOW else "write" if request.method == "POST" else "slow GET"
         classes[label].append(taken)
     for label, counts in classes.items():
         mean = f"{sum(counts) / len(counts):.1f}" if counts else "n/a"
         print(f"  {label}: {mean} ({len(counts)} requests)")
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
+    resident_cost(server, awc.cache, closed[2 * args.n :], carts)
     print(f"head memo: {len(server.head_memo)} heads")
     if workload.nodes:
         router = awc.cache

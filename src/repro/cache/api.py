@@ -319,9 +319,7 @@ class Cache:
             key,
             body,
             status,
-            None,  # headers: a cached page serves the response defaults
             tuple(reads),
-            now,
             expiry,
             ttl is not None,
             tuple(fragments),

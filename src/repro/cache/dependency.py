@@ -17,7 +17,7 @@ updated in step with the primary map:
    :meth:`candidate_templates` prunes every disjoint-table template
    without analysing the pair;
 2. a per-template **value index** (``value-vector position -> value ->
-   registrations``), one bucket per equality-bound position of the read
+   page keys``), one bucket per equality-bound position of the read
    template (:attr:`~repro.sql.template.QueryTemplate.
    indexable_positions`).  When the write pins the same column to a
    concrete value set, :meth:`instances_for_values` returns only the
@@ -44,26 +44,45 @@ from typing import Iterable
 from repro.cache.entry import QueryInstance
 from repro.sql.template import QueryTemplate
 
-#: One registration as the indexes see it: (page key, read instance).
+#: One registration as lookups return it: (page key, read instance).
 #: The instance is the page entry's own, so its value vector and row
 #: witness reach the invalidator without a copy or a second lookup.
 Registration = tuple[str, QueryInstance]
 
+#: What the table stores for one page under one template: the read
+#: instance itself, or -- only once the page registers a second
+#: instance of the template -- a list of them.  A ``QueryInstance`` is a
+#: tuple, so the two are told apart by ``type(...) is list``.
+Registered = QueryInstance | list[QueryInstance]
+
+#: What a value-index bucket stores for one value: the key of the one
+#: page registered with it, or -- from the second page on -- an
+#: insertion-ordered dict of page keys (ordered, so the registrations a
+#: lookup returns come in the same order in every process).
+PageKeys = str | dict[str, None]
+
 
 class DependencyTable:
-    """template -> page key -> read instances (plus two indexes)."""
+    """template -> page key -> read instances (plus two indexes).
+
+    Nothing wraps a single registration: most pages register one
+    instance per template, and most indexed values belong to one page,
+    so the table stores the instance and the page key themselves and
+    grows a container only for the second.
+    """
 
     def __init__(self) -> None:
-        #: Instances per (template, page) live in a *list*, deduplicated
-        #: by equality: vectors holding unhashable values (legal for the
-        #: caller, impossible to index) must still be storable, and the
-        #: per-page count is tiny so linear membership is fine.  One
-        #: vector read twice with different results keeps both
-        #: instances: the page is doomed unless both witnesses excuse
-        #: the write, i.e. unless their union does.
-        self._by_template: dict[
-            QueryTemplate, dict[str, list[QueryInstance]]
-        ] = defaultdict(dict)
+        #: A page's instances under one template are deduplicated by
+        #: equality, in a list once there are two: vectors holding
+        #: unhashable values (legal for the caller, impossible to
+        #: index) must still be storable, and the per-page count is tiny
+        #: so linear membership is fine.  One vector read twice with
+        #: different results keeps both instances: the page is doomed
+        #: unless both witnesses excuse the write, i.e. unless their
+        #: union does.
+        self._by_template: dict[QueryTemplate, dict[str, Registered]] = (
+            defaultdict(dict)
+        )
         #: template -> number of (page, instance) registrations under it,
         #: kept in step with ``_by_template`` so no count walks pages.
         self._counts: dict[QueryTemplate, int] = {}
@@ -75,9 +94,10 @@ class DependencyTable:
         self._templates_by_table: dict[
             str, dict[QueryTemplate, None]
         ] = defaultdict(dict)
-        #: template -> position -> value -> {(page key, instance)}.
+        #: template -> position -> value -> page key(s) whose registered
+        #: instance holds that value at that position.
         self._value_index: dict[
-            QueryTemplate, dict[int, dict[object, set[Registration]]]
+            QueryTemplate, dict[int, dict[object, PageKeys]]
         ] = {}
         #: Template texts whose value index was abandoned (unhashable
         #: values); lookups on them fall back to the full scan.
@@ -102,11 +122,15 @@ class DependencyTable:
                     self._templates_by_table[table][template] = None
             registered = pages.get(page_key)
             if registered is None:
-                pages[page_key] = [instance]
-            elif instance in registered:
+                pages[page_key] = instance
+            elif type(registered) is list:
+                if instance in registered:
+                    continue
+                registered.append(instance)
+            elif registered == instance:
                 continue
             else:
-                registered.append(instance)
+                pages[page_key] = [registered, instance]
             self._counts[template] = self._counts.get(template, 0) + 1
             self._index_registration(template, page_key, instance)
 
@@ -118,7 +142,9 @@ class DependencyTable:
             if pages is None:
                 continue
             registered = pages.pop(page_key, None)
-            if registered:
+            if registered is not None:
+                if type(registered) is not list:
+                    registered = (registered,)
                 self._counts[template] -= len(registered)
                 self._unindex_registrations(template, page_key, registered)
             if not pages:
@@ -144,7 +170,6 @@ class DependencyTable:
         index = self._value_index.get(template)
         if index is None:
             index = self._value_index[template] = {}
-        registration = (page_key, instance)
         vector = instance.values
         try:
             for position in positions:
@@ -152,11 +177,13 @@ class DependencyTable:
                 if bucket is None:
                     bucket = index[position] = {}
                 value = vector[position]
-                entries = bucket.get(value)
-                if entries is None:
-                    bucket[value] = {registration}
-                else:
-                    entries.add(registration)
+                keys = bucket.get(value)
+                if keys is None:
+                    bucket[value] = page_key
+                elif type(keys) is dict:
+                    keys[page_key] = None
+                elif keys != page_key:
+                    bucket[value] = {keys: None, page_key: None}
         except (IndexError, TypeError):
             # Short or unhashable vector: demote the template for good
             # (a partially indexed template would answer lookups
@@ -168,8 +195,10 @@ class DependencyTable:
         self,
         template: QueryTemplate,
         page_key: str,
-        registered: list[QueryInstance],
+        registered: tuple[QueryInstance] | list[QueryInstance],
     ) -> None:
+        """Drop ``page_key`` from the buckets of every value its
+        instances held (a page leaves with all its instances at once)."""
         index = self._value_index.get(template)
         if index is None:
             return
@@ -177,13 +206,16 @@ class DependencyTable:
             for instance in registered:
                 try:
                     value = instance.values[position]
-                    entries = bucket.get(value)
+                    keys = bucket.get(value)
                 except TypeError:  # unhashable value: was never indexed
                     continue
-                if entries is None:
+                if keys is None:
                     continue
-                entries.discard((page_key, instance))
-                if not entries:
+                if type(keys) is dict:
+                    keys.pop(page_key, None)
+                    if len(keys) == 1:
+                        bucket[value] = next(iter(keys))
+                elif keys == page_key:
                     del bucket[value]
 
     # -- reads ---------------------------------------------------------------------
@@ -209,12 +241,13 @@ class DependencyTable:
 
     def instances_for(self, template: QueryTemplate) -> list[Registration]:
         """(page key, read instance) pairs registered under ``template``."""
-        pages = self._by_template.get(template, {})
-        return [
-            (page_key, instance)
-            for page_key, registered in pages.items()
-            for instance in registered
-        ]
+        found: list[Registration] = []
+        for page_key, registered in self._by_template.get(template, {}).items():
+            if type(registered) is list:
+                found.extend((page_key, instance) for instance in registered)
+            else:
+                found.append((page_key, registered))
+        return found
 
     def instances_for_values(
         self,
@@ -241,7 +274,20 @@ class DependencyTable:
         candidates: list[Registration] = []
         try:
             for value in values:
-                candidates.extend(bucket.get(value, ()))
+                keys = bucket.get(value)
+                if keys is None:
+                    continue
+                for page_key in keys if type(keys) is dict else (keys,):
+                    registered = pages[page_key]
+                    if type(registered) is not list:
+                        candidates.append((page_key, registered))
+                        continue
+                    # Several instances: only those holding the value
+                    # (matched as the bucket's dict lookup matches).
+                    for instance in registered:
+                        held = instance.values[position]
+                        if held is value or held == value:
+                            candidates.append((page_key, instance))
         except TypeError:
             return None
         return candidates, self._counts[template] - len(candidates)

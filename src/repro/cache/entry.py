@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from repro.sql.template import QueryTemplate
@@ -53,69 +52,85 @@ class QueryInstance(NamedTuple):
         return f"{self.template.text} {self.values!r}"
 
 
-@dataclass(init=False)
 class PageEntry:
     """One cached web page (row of Figure 3's first table).
 
-    Equality and repr are the dataclass's; ``__init__`` is written out
-    because one entry is built per insert: it stores what an insert
-    passes and leaves the bookkeeping fields at their class defaults.
+    A slotted record: one is built per insert and thousands stay
+    resident, so it carries no per-instance ``__dict__`` and no field
+    that nothing reads.  A cached page serves the response defaults
+    (``_HIT_HEADERS`` on the fast path, the response's own on a woven
+    hit), so it stores no headers.  Compared by identity.
+
+    **The body is stored once.**  Until the serving tier pins a wire
+    buffer (:meth:`wire`) the entry holds the body ``str``; pinning
+    keeps the buffer -- head plus the UTF-8 body -- and drops the
+    ``str``, and :attr:`body` decodes the buffer's tail on the rare
+    slow-path hit of such a page.  Fragment entries are never pinned and
+    keep their ``str``.
     """
 
-    key: str
-    body: str
-    status: int = 200
-    headers: dict[str, str] = field(default_factory=dict)
-    #: Read instances the page was generated from (dependency info).
-    dependencies: tuple[QueryInstance, ...] = ()
-    created_at: float = 0.0
-    #: Absolute expiry time for TTL-window pages; None = no expiry.
-    expires_at: float | None = None
-    #: True when cached under an application-semantics TTL window.
-    semantic: bool = False
-    #: Cache keys of the fragments whose cached text this body embeds
-    #: (containment edges: dooming any of them dooms this entry too).
-    fragments: tuple[str, ...] = ()
-    hit_count: int = 0
-    #: Set by :meth:`doom` when the page store removes this entry for a
-    #: consistency reason (invalidation, expiry, eviction).  Serving
-    #: tiers that pinned the wire buffer check it to fall back to a
-    #: fresh render instead of replaying a dead entry.
-    doomed: bool = False
-    #: Precomputed header+body byte buffer for the event-loop hit path,
-    #: pinned by :meth:`wire` and dropped by :meth:`doom`.
-    _wire: bytes | None = field(default=None, repr=False, compare=False)
+    __slots__ = (
+        "key",
+        "status",
+        "dependencies",
+        "expires_at",
+        "semantic",
+        "fragments",
+        "doomed",
+        "_text",
+        "_wire",
+        "_offset",
+    )
 
     def __init__(
         self,
         key: str,
         body: str,
         status: int = 200,
-        headers: dict[str, str] | None = None,
         dependencies: tuple[QueryInstance, ...] = (),
-        created_at: float = 0.0,
         expires_at: float | None = None,
         semantic: bool = False,
         fragments: tuple[str, ...] = (),
-        hit_count: int = 0,
-        doomed: bool = False,
     ) -> None:
         self.key = key
-        self.body = body
         self.status = status
-        self.headers = {} if headers is None else headers
+        #: Read instances the page was generated from (dependency info).
         self.dependencies = dependencies
-        self.created_at = created_at
+        #: Absolute expiry time for TTL-window pages; None = no expiry.
         self.expires_at = expires_at
+        #: True when cached under an application-semantics TTL window.
         self.semantic = semantic
+        #: Cache keys of the fragments whose cached text this body embeds
+        #: (containment edges: dooming any of them dooms this entry too).
         self.fragments = fragments
-        if hit_count:
-            self.hit_count = hit_count
-        if doomed:
-            self.doomed = doomed
+        #: Set by :meth:`doom` when the page store removes this entry for
+        #: a consistency reason (invalidation, expiry, eviction).  Serving
+        #: tiers that pinned the wire buffer check it to fall back to a
+        #: fresh render instead of replaying a dead entry.
+        self.doomed = False
+        #: The body until a wire buffer is pinned, then None.
+        self._text: str | None = body
+        #: The pinned header+body buffer (:meth:`wire`), and the byte
+        #: offset in it where the body starts.
+        self._wire: bytes | None = None
+        self._offset = 0
+
+    def __repr__(self) -> str:
+        return f"PageEntry(key={self.key!r}, status={self.status}, size={self.size})"
+
+    @property
+    def body(self) -> str:
+        """The page text: the stored ``str``, or the pinned buffer's tail
+        decoded (the text is dropped only after buffer and offset are
+        in place, so a reader that finds no text finds both)."""
+        text = self._text
+        if text is None:
+            return str(memoryview(self._wire)[self._offset :], "utf-8")
+        return text
 
     @property
     def size(self) -> int:
+        """Body length in characters (what byte-bounded capacity counts)."""
         return len(self.body)
 
     def expired(self, now: float) -> bool:
@@ -128,29 +143,40 @@ class PageEntry:
         tier owns the wire format; the cache only pins the bytes) and
         every later call returns the same object, so a hot hit costs a
         dict lookup and one attribute read -- no re-render, no string
-        encode.  Once the entry is :meth:`doom`-ed the method returns
-        ``None`` and the caller must re-enter the renderer.
+        encode.  The buffer is an HTTP response: the body starts after
+        the blank line that ends its head, and that offset is recorded
+        from the head, never from the text's length (a non-ASCII body
+        encodes to more bytes than it has characters).  Once the entry
+        is :meth:`doom`-ed the method returns ``None`` and the caller
+        must re-enter the renderer.
 
         Unsynchronized by design: concurrent first calls build identical
-        buffers (``build`` must be pure in the entry), and a doom racing
-        a ``wire`` can at worst hand out a buffer equivalent to a
-        request that finished just before the invalidation -- the same
-        tolerance the insert-time staleness window already grants.
+        buffers (``build`` must be pure in the entry; a call that finds
+        the text already dropped builds from the other call's buffer),
+        and a doom racing a ``wire`` can at worst hand out a buffer
+        equivalent to a request that finished just before the
+        invalidation -- the same tolerance the insert-time staleness
+        window already grants.  Buffer and offset are assigned *before*
+        the text is dropped, so :attr:`body` on another thread (the
+        threaded WSGI tier's woven hit) always finds one or the other.
         """
         if self.doomed:
             return None
         buffer = self._wire
         if buffer is None:
             buffer = build(self)
+            self._offset = buffer.index(b"\r\n\r\n") + 4
             self._wire = buffer
+            self._text = None
         return buffer
 
     def doom(self) -> None:
-        """Kill the pinned buffer along with the entry.
+        """Mark the entry dead.
 
         Called by the page store when the entry is removed for a
         consistency reason; the flag stops the fast path even for
-        threads that grabbed the entry reference before removal.
+        threads that grabbed the entry reference before removal.  The
+        pinned buffer is kept: it may be the only copy of the body,
+        which a woven hit holding this reference may still read.
         """
         self.doomed = True
-        self._wire = None

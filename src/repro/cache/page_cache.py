@@ -70,7 +70,6 @@ class PageCache:
             if entry.expired(now):
                 self._remove(key, reason="expired")
                 return None, "expired"
-            entry.hit_count += 1
             self._policy.on_access(key)
             return entry, "hit"
         return None, self._gone.pop(key, "cold")
@@ -93,7 +92,6 @@ class PageCache:
         if entry.expired(now):
             self._remove(key, reason="expired")
             return None
-        entry.hit_count += 1
         self._policy.on_access(key)
         return entry
 

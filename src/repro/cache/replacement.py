@@ -39,36 +39,31 @@ class ReplacementPolicy:
         """Choose the key to evict; only called when non-empty."""
         raise NotImplementedError
 
-    def __len__(self) -> int:
-        raise NotImplementedError
-
     @property
     def needs_eviction(self) -> bool:
-        return self.capacity is not None and len(self) > self.capacity
+        return False
 
 
 class UnboundedPolicy(ReplacementPolicy):
-    """No eviction; the paper's evaluation configuration."""
+    """No eviction; the paper's evaluation configuration.
+
+    Tracks nothing: the page store already holds every key, and a
+    policy that never chooses a victim has no order to keep.
+    """
 
     capacity = None
 
-    def __init__(self) -> None:
-        self._keys: set[str] = set()
-
     def on_insert(self, key: str) -> None:
-        self._keys.add(key)
+        pass
 
     def on_access(self, key: str) -> None:
         pass
 
     def on_remove(self, key: str) -> None:
-        self._keys.discard(key)
+        pass
 
     def victim(self) -> str:
         raise CacheError("unbounded cache never evicts")
-
-    def __len__(self) -> int:
-        return len(self._keys)
 
 
 class LruPolicy(ReplacementPolicy):
@@ -102,6 +97,10 @@ class LruPolicy(ReplacementPolicy):
 
     def __len__(self) -> int:
         return len(self._order)
+
+    @property
+    def needs_eviction(self) -> bool:
+        return self.capacity is not None and len(self._order) > self.capacity
 
 
 def make_policy(

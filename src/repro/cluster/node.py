@@ -99,9 +99,7 @@ class CacheNode:
                 key=entry.key,
                 body=entry.body,
                 status=entry.status,
-                headers=dict(entry.headers),
                 dependencies=entry.dependencies,
-                created_at=entry.created_at,
                 expires_at=entry.expires_at,
                 semantic=entry.semantic,
                 fragments=entry.fragments,

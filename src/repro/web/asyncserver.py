@@ -56,6 +56,7 @@ rendered fresh through the async slow path.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 
 from repro.errors import RoutingError
@@ -303,7 +304,8 @@ class _HttpConnection(asyncio.Protocol):
                     memo = server.head_memo
                     if len(memo) >= _HEAD_MEMO_LIMIT:
                         memo.clear()
-                    memo[head] = (key, request.uri, close)
+                    # Many heads share a path: they share its string.
+                    memo[head] = (key, sys.intern(request.uri), close)
                 wire = self._fast_hit(key, request.uri)
             if wire is None:
                 server.stats.slow_requests += 1

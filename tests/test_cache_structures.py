@@ -70,7 +70,6 @@ class TestPageCache:
         cache.insert(self.entry("/a"))
         entry, reason = cache.lookup("/a", now=0.0)
         assert entry is not None and reason == "hit"
-        assert entry.hit_count == 1
 
     def test_cold_miss(self):
         cache = PageCache()
@@ -93,7 +92,7 @@ class TestPageCache:
 
     def test_ttl_expiry(self):
         cache = PageCache()
-        cache.insert(self.entry("/a", created_at=0.0, expires_at=30.0, semantic=True))
+        cache.insert(self.entry("/a", expires_at=30.0, semantic=True))
         entry, reason = cache.lookup("/a", now=10.0)
         assert entry is not None
         entry, reason = cache.lookup("/a", now=31.0)
