@@ -159,8 +159,19 @@ class ColumnPruneRule:
         Mirrors the historical ``_columns_overlap`` table-by-table walk:
         a ``("?", col)`` spill matches the column on every shared table
         and a ``"*"`` on either side defeats the proof, so the answer
-        can only be True when disjointness is certain.
+        can only be True when disjointness is certain.  An INSERT or a
+        DELETE is never disjoint from a read of its table: it adds or
+        removes whole rows, so it writes every column -- the generated
+        key and the columns an INSERT leaves out included, which its
+        ``columns_written`` does not list -- and a read that projects
+        none of them (``MAX(o_id)``, ``SELECT 1``) still sees the row
+        count change.  The instance test decides instead.
         """
+        if (
+            write_info.kind in ("insert", "delete")
+            and write_info.write_table in self.tables
+        ):
+            return False
         for table in self.tables & write_info.tables:
             read_columns = self._read_columns[table]
             write_columns = {

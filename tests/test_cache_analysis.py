@@ -93,6 +93,58 @@ class TestPairAnalysis:
         assert pair.possible
 
 
+class TestRowWrites:
+    """An INSERT or a DELETE writes whole rows: every column of its
+    table, the generated key and the columns an INSERT leaves out
+    included, so no read of the table is column-disjoint from it."""
+
+    CATALOG = Catalog(
+        {"orders": ("o_id", "o_c_id", "o_date", "o_total", "o_status")}
+    )
+    INSERT = (
+        "INSERT INTO orders (o_c_id, o_date, o_total, o_status)"
+        " VALUES (?, ?, ?, ?)"
+    )
+    READS = [
+        "SELECT MAX(o_id) FROM orders",
+        "SELECT o_id FROM orders ORDER BY o_id DESC LIMIT 1",
+        "SELECT o_id FROM orders WHERE o_id > 5",
+        "SELECT 1 FROM orders",
+    ]
+
+    @pytest.mark.parametrize("catalog", [None, CATALOG])
+    @pytest.mark.parametrize("read_sql", READS)
+    def test_an_insert_reaches_a_read_of_columns_it_does_not_list(
+        self, read_sql, catalog
+    ):
+        engine = QueryAnalysisEngine(catalog=catalog)
+        pair, read, write = pair_of(engine, read_sql, self.INSERT)
+        assert pair.possible
+        assert not engine.column_rule(read).disjoint(write.info)
+
+    def test_a_delete_reaches_a_read_of_no_column(self, engine):
+        pair, *_ = pair_of(
+            engine, "SELECT 1 FROM orders", "DELETE FROM orders WHERE o_id = ?"
+        )
+        assert pair.possible
+
+    def test_an_update_of_other_columns_stays_disjoint(self, engine):
+        pair, *_ = pair_of(
+            engine,
+            "SELECT MAX(o_id) FROM orders",
+            "UPDATE orders SET o_status = ? WHERE o_id = ?",
+        )
+        assert not pair.possible
+
+    def test_an_insert_elsewhere_stays_disjoint(self, engine):
+        pair, *_ = pair_of(
+            engine,
+            "SELECT MAX(o_id) FROM orders",
+            "INSERT INTO order_line (ol_o_id, ol_qty) VALUES (?, ?)",
+        )
+        assert not pair.possible
+
+
 class TestPolicy2WhereMatch:
     def test_paper_example_2a_different_values_prune(self, engine):
         # "SELECT a FROM T WHERE b=X" vs "UPDATE T SET a=v WHERE b=Y"

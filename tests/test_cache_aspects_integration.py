@@ -12,6 +12,7 @@ from repro.cache.analysis import InvalidationPolicy
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.semantics import SemanticsRegistry
 from repro.errors import CacheError
+from repro.web.servlet import HttpServlet
 
 from tests.conftest import build_notes_app
 
@@ -116,6 +117,54 @@ class TestWritePath:
         dooms = awc.stats.snapshot()["dooms_by_template"]
         assert sum(dooms.values()) >= 1
         assert any("UPDATE notes" in template for template in dooms)
+
+
+class NewestNoteServlet(HttpServlet):
+    """Read handler that projects only the generated key."""
+
+    def __init__(self, connection) -> None:
+        self._connection = connection
+
+    def do_get(self, request, response) -> None:
+        result = self._connection.create_statement().execute_query(
+            "SELECT MAX(id) FROM notes"
+        )
+        response.write(f"<p>newest {result.scalar()}</p>")
+
+
+class PostNoteServlet(HttpServlet):
+    """Write handler that leaves the key to the table."""
+
+    def __init__(self, connection) -> None:
+        self._connection = connection
+
+    def do_post(self, request, response) -> None:
+        self._connection.create_statement().execute_update(
+            "INSERT INTO notes (topic, body, score) VALUES (?, ?, 0)",
+            (request.get_parameter("topic"), request.get_parameter("body")),
+        )
+        response.write("posted")
+
+
+@pytest.mark.parametrize("policy", list(InvalidationPolicy))
+def test_an_insert_dooms_a_page_that_read_only_its_generated_key(policy):
+    """An INSERT writes every column of its table, the generated key it
+    does not list included: a page showing ``MAX(id)`` must not be
+    served after a new row, at every rung."""
+    db, container = build_notes_app()
+    connection = container.servlet_for("/add")._connection
+    container.register("/newest", NewestNoteServlet(connection))
+    container.register("/post", PostNoteServlet(connection))
+    awc = AutoWebCache(policy=policy)
+    awc.install(container.servlet_classes)
+    try:
+        add(container, 1, "a", "x")
+        assert "newest 1" in container.get("/newest").body
+        container.post("/post", {"topic": "b", "body": "y"})
+        assert "newest 2" in container.get("/newest").body
+        assert awc.stats.misses_invalidation == 1
+    finally:
+        awc.uninstall()
 
 
 class TestPolicies:

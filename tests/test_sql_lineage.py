@@ -251,6 +251,28 @@ class TestSoundness:
                             sql, table, column
                         )
 
+    def test_a_row_write_is_never_column_disjoint_from_a_read_of_its_table(self):
+        # INSERT and DELETE add or remove whole rows; the column rule
+        # leaves every read of the table to the instance test.
+        from repro.cache.analysis import QueryAnalysisEngine
+
+        writes = [
+            "INSERT INTO bids (item_id, bidder, amount) VALUES (?, ?, ?)",
+            "INSERT INTO items (name) VALUES (?)",
+            "DELETE FROM users WHERE id = ?",
+        ]
+        for catalog in (None, CATALOG):
+            engine = QueryAnalysisEngine(catalog=catalog)
+            for read_sql in self.STATEMENTS:
+                if not read_sql.startswith("SELECT"):
+                    continue
+                read, _ = templateize(read_sql, (1,) * read_sql.count("?"))
+                rule = engine.column_rule(read)
+                for write_sql in writes:
+                    write, _ = templateize(write_sql, (1,) * write_sql.count("?"))
+                    if write.info.write_table in rule.tables:
+                        assert not rule.disjoint(write.info), (read_sql, write_sql)
+
     def test_unparsed_construct_widens_to_tables(self):
         # A statement shape _compute cannot handle must degrade to the
         # full width of its tables, not raise and not narrow.
