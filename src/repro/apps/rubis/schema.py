@@ -124,7 +124,7 @@ def create_rubis_schema(db: Database) -> None:
                 Column("comment", VARCHAR),
             ],
             primary_key="id",
-            indexes=["to_user_id", "item_id"],
+            indexes=["to_user_id", "item_id", "from_user_id"],
         )
     )
     db.create_table(
