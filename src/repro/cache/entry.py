@@ -115,9 +115,6 @@ class PageEntry:
         self._wire: bytes | None = None
         self._offset = 0
 
-    def __repr__(self) -> str:
-        return f"PageEntry(key={self.key!r}, status={self.status}, size={self.size})"
-
     @property
     def body(self) -> str:
         """The page text: the stored ``str``, or the pinned buffer's tail
