@@ -17,7 +17,7 @@ updated in step with the primary map:
    :meth:`candidate_templates` prunes every disjoint-table template
    without analysing the pair;
 2. a per-template **value index** (``value-vector position -> value ->
-   page keys``), one bucket per equality-bound position of the read
+   registrations``), one bucket per equality-bound position of the read
    template (:attr:`~repro.sql.template.QueryTemplate.
    indexable_positions`).  When the write pins the same column to a
    concrete value set, :meth:`instances_for_values` returns only the
@@ -44,7 +44,7 @@ from typing import Iterable
 from repro.cache.entry import QueryInstance
 from repro.sql.template import QueryTemplate
 
-#: One registration as lookups return it: (page key, read instance).
+#: One registration as the indexes see it: (page key, read instance).
 #: The instance is the page entry's own, so its value vector and row
 #: witness reach the invalidator without a copy or a second lookup.
 Registration = tuple[str, QueryInstance]
@@ -53,13 +53,13 @@ Registration = tuple[str, QueryInstance]
 #: instance itself, or -- only once the page registers a second
 #: instance of the template -- a list of them.  A ``QueryInstance`` is a
 #: tuple, so the two are told apart by ``type(...) is list``.
-Registered = QueryInstance | list[QueryInstance]
+PageInstances = QueryInstance | list[QueryInstance]
 
-#: What a value-index bucket stores for one value: the key of the one
-#: page registered with it, or -- from the second page on -- an
-#: insertion-ordered dict of page keys (ordered, so the registrations a
-#: lookup returns come in the same order in every process).
-PageKeys = str | dict[str, None]
+#: What a value-index bucket stores for one value: the one registration
+#: holding it, or -- from the second on -- an insertion-ordered dict of
+#: registrations (ordered, so a lookup returns them in the same order
+#: in every process; a dict, so a lookup copies them at C speed).
+Registrations = Registration | dict[Registration, None]
 
 
 class DependencyTable:
@@ -67,8 +67,8 @@ class DependencyTable:
 
     Nothing wraps a single registration: most pages register one
     instance per template, and most indexed values belong to one page,
-    so the table stores the instance and the page key themselves and
-    grows a container only for the second.
+    so the table stores the instance and the registration themselves
+    and grows a container only for the second.
     """
 
     def __init__(self) -> None:
@@ -80,7 +80,7 @@ class DependencyTable:
         #: different results keeps both instances: the page is doomed
         #: unless both witnesses excuse the write, i.e. unless their
         #: union does.
-        self._by_template: dict[QueryTemplate, dict[str, Registered]] = (
+        self._by_template: dict[QueryTemplate, dict[str, PageInstances]] = (
             defaultdict(dict)
         )
         #: template -> number of (page, instance) registrations under it,
@@ -94,10 +94,10 @@ class DependencyTable:
         self._templates_by_table: dict[
             str, dict[QueryTemplate, None]
         ] = defaultdict(dict)
-        #: template -> position -> value -> page key(s) whose registered
+        #: template -> position -> value -> the registration(s) whose
         #: instance holds that value at that position.
         self._value_index: dict[
-            QueryTemplate, dict[int, dict[object, PageKeys]]
+            QueryTemplate, dict[int, dict[object, Registrations]]
         ] = {}
         #: Template texts whose value index was abandoned (unhashable
         #: values); lookups on them fall back to the full scan.
@@ -170,6 +170,7 @@ class DependencyTable:
         index = self._value_index.get(template)
         if index is None:
             index = self._value_index[template] = {}
+        registration = (page_key, instance)
         vector = instance.values
         try:
             for position in positions:
@@ -177,13 +178,13 @@ class DependencyTable:
                 if bucket is None:
                     bucket = index[position] = {}
                 value = vector[position]
-                keys = bucket.get(value)
-                if keys is None:
-                    bucket[value] = page_key
-                elif type(keys) is dict:
-                    keys[page_key] = None
-                elif keys != page_key:
-                    bucket[value] = {keys: None, page_key: None}
+                entries = bucket.get(value)
+                if entries is None:
+                    bucket[value] = registration
+                elif type(entries) is dict:
+                    entries[registration] = None
+                else:
+                    bucket[value] = {entries: None, registration: None}
         except (IndexError, TypeError):
             # Short or unhashable vector: demote the template for good
             # (a partially indexed template would answer lookups
@@ -197,8 +198,6 @@ class DependencyTable:
         page_key: str,
         registered: tuple[QueryInstance] | list[QueryInstance],
     ) -> None:
-        """Drop ``page_key`` from the buckets of every value its
-        instances held (a page leaves with all its instances at once)."""
         index = self._value_index.get(template)
         if index is None:
             return
@@ -206,16 +205,17 @@ class DependencyTable:
             for instance in registered:
                 try:
                     value = instance.values[position]
-                    keys = bucket.get(value)
+                    entries = bucket.get(value)
                 except TypeError:  # unhashable value: was never indexed
                     continue
-                if keys is None:
+                if entries is None:
                     continue
-                if type(keys) is dict:
-                    keys.pop(page_key, None)
-                    if len(keys) == 1:
-                        bucket[value] = next(iter(keys))
-                elif keys == page_key:
+                registration = (page_key, instance)
+                if type(entries) is dict:
+                    entries.pop(registration, None)
+                    if len(entries) == 1:
+                        bucket[value] = next(iter(entries))
+                elif entries == registration:
                     del bucket[value]
 
     # -- reads ---------------------------------------------------------------------
@@ -274,20 +274,13 @@ class DependencyTable:
         candidates: list[Registration] = []
         try:
             for value in values:
-                keys = bucket.get(value)
-                if keys is None:
+                entries = bucket.get(value)
+                if entries is None:
                     continue
-                for page_key in keys if type(keys) is dict else (keys,):
-                    registered = pages[page_key]
-                    if type(registered) is not list:
-                        candidates.append((page_key, registered))
-                        continue
-                    # Several instances: only those holding the value
-                    # (matched as the bucket's dict lookup matches).
-                    for instance in registered:
-                        held = instance.values[position]
-                        if held is value or held == value:
-                            candidates.append((page_key, instance))
+                if type(entries) is dict:
+                    candidates.extend(entries)
+                else:
+                    candidates.append(entries)
         except TypeError:
             return None
         return candidates, self._counts[template] - len(candidates)

@@ -127,7 +127,16 @@ class PageEntry:
 
     @property
     def size(self) -> int:
-        """Body length in characters (what byte-bounded capacity counts)."""
+        """Body length in characters (what byte-bounded capacity counts).
+
+        A pinned ASCII buffer answers without a decode: its head is
+        ASCII, so the body's bytes are its characters."""
+        text = self._text
+        if text is not None:
+            return len(text)
+        wire = self._wire
+        if wire.isascii():
+            return len(wire) - self._offset
         return len(self.body)
 
     def expired(self, now: float) -> bool:

@@ -67,7 +67,7 @@ def test_a_doomed_entry_still_reads_its_body():
     entry.wire(build_wire)
     entry.doom()
     assert entry.wire(build_wire) is None
-    assert entry.body == "only copy"
+    assert entry.body == "only copy" and entry.size == len("only copy")
 
 
 def test_a_resident_page_costs_its_bytes_plus_a_small_record():
