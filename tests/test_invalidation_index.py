@@ -108,6 +108,26 @@ class TestValueIndex:
         ]
         assert skipped == 2
 
+    def test_a_shared_value_returns_its_pages_in_registration_order(self):
+        # A bucket of many pages is an ordered dict: the order a write
+        # tests them in (and the counters that depend on it) is the
+        # same under every hash seed.  Removals keep the order of the
+        # rest, down to a bucket of one.
+        table = DependencyTable()
+        template, _ = templateize("SELECT name FROM items WHERE category = ?", (0,))
+        read = QueryInstance(template, (7,))
+        keys = [f"/search?page={k}" for k in range(40)]
+        for key in keys:
+            table.register(key, (read,))
+        for gone in keys[::2]:
+            table.unregister(gone, (read,))
+        for kept in (keys[1::2], keys[-1:]):
+            for gone in keys[1::2]:
+                if gone not in kept:
+                    table.unregister(gone, (read,))
+            candidates, skipped = table.instances_for_values(template, 0, [7])
+            assert [key for key, _read in candidates] == kept and skipped == 0
+
     def test_missing_position_falls_back(self):
         table = DependencyTable()
         # No equality binding -> no indexable positions -> no value index.
