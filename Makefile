@@ -64,10 +64,9 @@ SEED ?= 57
 profile:
 	python benchmarks/profile_requests.py --workload $(WORKLOAD) -n $(N) --seed $(SEED)
 
-# Cluster tier: consistency + node-kill failover stress, the strong
-# 1/2/4/8 curve and the replicated bounded-staleness 1..64-node curve
-# (writes benchmarks/results/cluster_scaling{,_strong}.txt).  Scale with
-# CLUSTER_BENCH_* env knobs for smoke runs.
+# Cluster tier: consistency + node-kill failover stress and the
+# virtual-time 1/2/4/8-node curve (writes
+# benchmarks/results/cluster_scaling_strong.txt).
 bench-cluster:
 	$(ENV) timeout 900 python -m pytest -q benchmarks/test_cluster_stress.py
 

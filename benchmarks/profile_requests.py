@@ -137,8 +137,7 @@ def count_lock_rounds():
 
 
 def resident_entries(cache) -> list:
-    """Every entry the facade's page stores hold (each node's on a ring,
-    replica copies included: each costs its own bytes)."""
+    """Every entry the facade's page stores hold (each node's on a ring)."""
     caches = [node.cache for node in cache.nodes()] if hasattr(cache, "nodes") else [cache]
     return [entry for store in caches for entry in store.pages.entries()]
 

@@ -350,15 +350,14 @@ class Cache:
                 window.entry = entry
         return entry, True
 
-    def adopt(self, entry: PageEntry) -> list[PageEntry]:
-        """Store an entry that was built elsewhere (a replica's
-        write-through copy, a page moved in by rebalancing) with its
-        containment edges; returns the capacity victims.  No staleness
+    def adopt(self, entry: PageEntry) -> None:
+        """Store an entry that was built elsewhere (a page moved in by
+        ring rebalancing) with its containment edges.  No staleness
         check, no statistics: the insert was judged and accounted for
         where it happened.
         """
         with self.lock:
-            return self._store(entry)
+            self._store(entry)
 
     def release(self, moving: Callable[[str], bool]) -> list[PageEntry]:
         """Remove and return the entries whose key ``moving`` selects,

@@ -14,14 +14,6 @@ write event *not* already handled by the woven application (i.e. writes
 issued while no request context is open) into an invalidation pass over
 the page cache, at full AC-extraQuery precision thanks to the trigger
 pre-image.
-
-Because every invalidation path in the system funnels through the cache
-object the bridge holds, the bridge doubles as the **staleness
-oracle**: against a single-node cache or a strong-mode cluster router
-the contract is zero staleness (invalidation-before-response); against
-a bounded-staleness cluster bus it is the configured bound, and
-:meth:`TriggerInvalidationBridge.assert_staleness_bound` checks the
-*measured* maximum delivery lag against it.
 """
 
 from __future__ import annotations
@@ -69,54 +61,3 @@ class TriggerInvalidationBridge:
         self.external_writes += 1
         self._cache.process_write_request(f"<external:{event.table}>", [instance])
 
-    # -- the staleness oracle ----------------------------------------------------------
-
-    @property
-    def staleness_bound(self) -> float:
-        """The staleness contract of the attached cache, in seconds.
-
-        Zero for a single-node cache or a strong-mode cluster (the
-        invalidation-before-response rule); the configured bound for a
-        bounded-staleness cluster bus.
-        """
-        bus = getattr(self._cache, "bus", None)
-        if bus is not None and bus.mode == "bounded":
-            return bus.staleness_bound
-        return 0.0
-
-    def measured_staleness(self) -> float:
-        """The maximum observed publish-to-delivery lag so far.
-
-        Includes the age of any message still queued: staleness is
-        incurred from the moment the write's response could be sent, so
-        an undelivered message is *accruing* lag, not exempt from it.
-        """
-        bus = getattr(self._cache, "bus", None)
-        if bus is None or bus.mode != "bounded":
-            return 0.0
-        return max(bus.stats.max_staleness, bus.oldest_age())
-
-    def assert_staleness_bound(self, flush: bool = True) -> float:
-        """Oracle check: measured staleness never exceeded the contract.
-
-        With ``flush`` (default) queued messages are delivered first, so
-        the residue's lag is measured rather than ignored -- the check
-        then covers every invalidation published over the run.  Returns
-        the measured maximum; raises :class:`AssertionError` on a
-        violation (this is a test oracle: a failure means the
-        bounded-staleness implementation broke its own contract).
-        """
-        bus = getattr(self._cache, "bus", None)
-        if bus is None or bus.mode != "bounded":
-            return 0.0
-        if flush:
-            bus.flush()
-        measured = bus.stats.max_staleness
-        bound = bus.staleness_bound
-        if measured > bound:
-            raise AssertionError(
-                "bounded-staleness contract violated: measured max "
-                f"delivery lag {measured:.6f}s exceeds the configured "
-                f"bound {bound:.6f}s"
-            )
-        return measured

@@ -1,37 +1,29 @@
-"""``repro.cluster``: the sharded, replicated multi-node cache tier.
+"""``repro.cluster``: the sharded multi-node cache tier.
 
 AutoWebCache (the paper) proves page/database consistency on a single
-woven server.  This package scales that guarantee to N nodes:
+woven server.  This package scales that guarantee to N nodes, one copy
+of each page, strongly consistent:
 
 - :mod:`repro.cluster.ring` -- consistent-hash placement of page keys
-  onto nodes (virtual nodes, minimal remapping on join/leave) and
-  successor-placement replica sets (``nodes_for``);
-- :mod:`repro.cluster.bus` -- sequence-numbered invalidation broadcast;
-  strong mode delivers before the write request completes, bounded mode
-  trades that for enqueue-and-return with a measured, bounded delivery
-  lag and shed-to-sync backpressure;
+  onto nodes (virtual nodes, minimal remapping on join/leave) and the
+  clockwise successor walk failover follows (``nodes_for``);
+- :mod:`repro.cluster.bus` -- sequence-numbered invalidation broadcast,
+  delivered to every node before the write request completes;
 - :mod:`repro.cluster.membership` -- gossip heartbeats with suspicion
-  timeouts, so join/leave/crash detection needs no bus quiescence;
-- :mod:`repro.cluster.node` -- per-node cache shard with ordered replay,
-  join/drain/leave lifecycle and replica write-through (``copy_in``);
+  timeouts, so crash detection needs no bus quiescence;
+- :mod:`repro.cluster.node` -- per-node cache shard with ordered replay
+  and the join/drain/leave lifecycle;
 - :mod:`repro.cluster.router` -- the Cache-shaped front-end the caching
-  aspects are woven against (replication, read failover, crash
-  eviction);
+  aspects are woven against (placement, failover, crash eviction);
 - :mod:`repro.cluster.awc` -- the ``ClusterAutoWebCache`` facade.
 
 See ``docs/cluster.md`` for the consistency argument (how PR-1's
-write-sequence staleness window extends across nodes) and
-``docs/replication.md`` for the replication/bounded-staleness half.
+write-sequence staleness window extends across nodes) and for
+membership and failover.
 """
 
 from repro.cluster.awc import ClusterAutoWebCache, default_node_names
-from repro.cluster.bus import (
-    BOUNDED,
-    STRONG,
-    BusMessage,
-    BusStats,
-    InvalidationBus,
-)
+from repro.cluster.bus import BusMessage, BusStats, InvalidationBus
 from repro.cluster.membership import (
     ALIVE,
     DEAD,
@@ -45,7 +37,6 @@ from repro.cluster.router import ClusterRouter, ClusterStats, make_cache_factory
 
 __all__ = [
     "ALIVE",
-    "BOUNDED",
     "BusMessage",
     "BusStats",
     "CacheNode",
@@ -57,7 +48,6 @@ __all__ = [
     "GossipMembership",
     "HashRing",
     "InvalidationBus",
-    "STRONG",
     "SUSPECT",
     "Transition",
     "default_node_names",

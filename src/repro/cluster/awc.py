@@ -41,11 +41,6 @@ class ClusterAutoWebCache(AutoWebCache):
         n_nodes: int = 4,
         node_names: list[str] | None = None,
         vnodes: int = DEFAULT_VNODES,
-        replication: int = 1,
-        bus_mode: str = "strong",
-        staleness_bound: float = 0.5,
-        bus_queue_capacity: int = 512,
-        bus_pump: bool = True,
         **shared,
     ) -> None:
         self._router_kwargs = dict(
@@ -55,11 +50,6 @@ class ClusterAutoWebCache(AutoWebCache):
                 else default_node_names(n_nodes)
             ),
             vnodes=vnodes,
-            replication=replication,
-            bus_mode=bus_mode,
-            staleness_bound=staleness_bound,
-            bus_queue_capacity=bus_queue_capacity,
-            bus_pump=bus_pump,
         )
         super().__init__(**shared)
 
@@ -86,10 +76,3 @@ class ClusterAutoWebCache(AutoWebCache):
         """Aggregate + per-node + bus accounting, one consistent read
         per node (see :meth:`repro.cache.stats.CacheStats.snapshot`)."""
         return self.router.snapshot()
-
-    def uninstall(self) -> None:
-        if self.installed:
-            super().uninstall()
-            # Stop the bounded-mode bus pump (a daemon thread) and
-            # deliver any queued residue; a no-op for the strong bus.
-            self.router.close()

@@ -4,7 +4,7 @@ PR 2's router changed membership only through explicit ``add_node`` /
 ``remove_node`` calls executed under bus quiescence -- fine for planned
 operations, useless for *crashes*: a node that stops responding never
 announces its own death.  This module adds the standard SWIM-flavoured
-detector the replication tier needs:
+detector crash failover needs:
 
 - every node keeps a **heartbeat counter** it increments while alive;
 - counters disseminate **epidemically**: each gossip step, every live
@@ -16,8 +16,8 @@ detector the replication tier needs:
   coordination (and therefore without quiescing the invalidation bus).
 
 The router participates as one more observer (``ROUTER``): its view is
-the authoritative one for routing decisions (read failover, replica
-write-through skips).  Determinism: the gossip peer choice is driven by
+the authoritative one for routing decisions (failover to the ring
+successor, crash eviction).  Determinism: the gossip peer choice is driven by
 a seeded RNG and the clock is injectable, so tests and the simulator
 can replay convergence exactly.
 

@@ -13,16 +13,14 @@ Lifecycle: ``joined -> draining -> left``.  The router drives the
 transitions; ``draining`` exists so a leave can move (rather than drop)
 its entries while lookups still route elsewhere.
 
-The node has no lock of its own: its replay position, lifecycle state
-and replica counters change under its cache's lock, so a delivery's
-sequence check and its doom pass are one critical section.
+The node has no lock of its own: its replay position and lifecycle
+state change under its cache's lock, so a delivery's sequence check and
+its doom pass are one critical section.
 """
 
 from __future__ import annotations
 
-
 from repro.cache.api import Cache
-from repro.cache.entry import PageEntry
 from repro.cluster.bus import BusMessage
 from repro.errors import ClusterError
 
@@ -43,12 +41,6 @@ class CacheNode:
         self.last_applied_seq = 0
         #: Entries drained into this node when it joined the ring.
         self.moved_in = 0
-        #: Replica copies written through to this node (it is a
-        #: secondary for their keys), and the entries those copies
-        #: displaced -- kept separate from ``cache.stats.inserts`` so
-        #: a node's insert count still means "pages computed here".
-        self.replica_copies = 0
-        self.replica_evictions = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -79,35 +71,6 @@ class CacheNode:
         """Adopt the bus position at (re-)subscription time."""
         with self.cache.lock:
             self.last_applied_seq = seq
-
-    # -- replication -------------------------------------------------------------------
-
-    def copy_in(self, entry: PageEntry) -> bool:
-        """Store a replica copy of ``entry`` (write-through replication).
-
-        The copy is an **independent** :class:`PageEntry`: replicas
-        sharing one object would let one node's capacity eviction
-        ``doom()`` the wire buffer out from under every other copy.
-        The page store re-registers the clone's dependencies locally,
-        so later bus messages doom the copy through the normal per-node
-        protocol, and byte accounting stays exact per replica.
-        """
-        with self.cache.lock:
-            if self.state != JOINED:
-                return False
-            clone = PageEntry(
-                key=entry.key,
-                body=entry.body,
-                status=entry.status,
-                dependencies=entry.dependencies,
-                expires_at=entry.expires_at,
-                semantic=entry.semantic,
-                fragments=entry.fragments,
-            )
-            evicted = self.cache.adopt(clone)
-            self.replica_copies += 1
-            self.replica_evictions += len(evicted)
-            return True
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -144,7 +107,5 @@ class CacheNode:
                 "pages": len(self.cache.pages),
                 "bytes": self.cache.pages.total_bytes,
                 "open_flights": self.cache.open_flights,
-                "replica_copies": self.replica_copies,
-                "replica_evictions": self.replica_evictions,
                 "stats": self.cache.stats.snapshot(),
             }

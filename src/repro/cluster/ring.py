@@ -107,16 +107,14 @@ class HashRing:
         return self.nodes_for(key, 1)[0]
 
     def nodes_for(self, key: str, n: int) -> list[str]:
-        """The replica set for ``key``: the first ``n`` *distinct* nodes
-        clockwise from the key's hash (successor placement).
+        """The first ``n`` *distinct* nodes clockwise from ``key``'s
+        hash (the successor walk a failed-over key follows).
 
-        Element 0 is the primary (identical to :meth:`node_for`); the
-        rest are the replicas in ring order.  With fewer than ``n``
-        nodes on the ring every node is returned, so a caller asking
-        for replication factor R degrades gracefully on tiny rings.
-        Successor placement keeps the classic minimal-remapping
-        property per *set member*: a join or leave only touches replica
-        sets whose clockwise walk crosses the changed node's points.
+        Element 0 is the owner (identical to :meth:`node_for`); the
+        rest are its successors in ring order.  With fewer than ``n``
+        nodes on the ring every node is returned.  The walk keeps the
+        classic minimal-remapping property per *member*: a join or
+        leave only touches walks that cross the changed node's points.
         """
         if not self._points:
             raise ClusterError(
@@ -124,18 +122,18 @@ class HashRing:
                 f"key {key!r}"
             )
         if n <= 0:
-            raise ClusterError("a replica set needs at least one node")
+            raise ClusterError("a successor walk needs at least one node")
         start = bisect.bisect(self._points, stable_hash(key))
         total = len(self._points)
         want = min(n, len(self._nodes))
-        replicas: list[str] = []
+        walk: list[str] = []
         for offset in range(total):
             owner = self._owners[(start + offset) % total]
-            if owner not in replicas:
-                replicas.append(owner)
-                if len(replicas) == want:
+            if owner not in walk:
+                walk.append(owner)
+                if len(walk) == want:
                     break
-        return replicas
+        return walk
 
     def spread(self, keys: Iterable[str]) -> Counter:
         """How many of ``keys`` each node owns (balance diagnostics)."""

@@ -39,23 +39,13 @@ opening on a node that keeps hearing the bus (the old owner, after
 as it goes, and the router checks the node's state after each open and
 routes again if it has gone (:meth:`CacheNode.mark_left`).
 
-**Replication** (``replication=R``): each key's entry is written
-through to the first R distinct nodes clockwise on the ring
-(:meth:`HashRing.nodes_for`); reads route to the first *live* member of
-that set, so losing a node degrades the shard to its replicas instead
-of cold-starting it.  Replica copies are independent ``PageEntry``
-objects (one node's eviction must not doom another's wire buffer) with
-their dependencies re-registered locally, so bus-driven invalidation
-dooms every copy through the normal per-node protocol -- the
-consistency argument is per copy, not per key (docs/replication.md).
-
 **Membership** (:class:`~repro.cluster.membership.GossipMembership`):
-join/leave/crash no longer quiesces the bus.  Planned changes migrate
+join/leave/crash does not quiesce the bus.  Planned changes migrate
 entries under a sequence-number audit -- if any publish interleaved
 with the move, the moved keys are conservatively invalidated (a miss,
 never staleness).  Crashes are detected by gossip suspicion; a node the
 router's view declares DEAD is evicted from the ring and its keys fail
-over to their surviving replicas.
+over, cold, to their ring successor.
 """
 
 from __future__ import annotations
@@ -70,8 +60,8 @@ from repro.cache.flight import Flight
 from repro.cache.fragments import FragmentContainment
 from repro.cache.invalidation import dedupe_writes
 from repro.cache.stats import CacheStats
-from repro.cluster.bus import BOUNDED, STRONG, BusMessage, InvalidationBus
-from repro.cluster.membership import GossipMembership
+from repro.cluster.bus import InvalidationBus
+from repro.cluster.membership import DEAD, ROUTER, GossipMembership
 from repro.cluster.node import JOINED, CacheNode
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.errors import ClusterError
@@ -81,10 +71,9 @@ from repro.web.http import HttpRequest
 
 CacheFactory = Callable[[], Cache]
 
-#: A key's placement: its live replica set (primary first) and the node
-#: its computations open on -- the first live replica, or
-#: the failover stand-in when none is live; None when no node is.
-Route = tuple[tuple[CacheNode, ...], CacheNode | None]
+#: A key's placement: the node that serves it -- its ring owner while
+#: that node is live, else the failover stand-in; None when no node is.
+Route = CacheNode | None
 
 #: Most routes the placement memo keeps; a full memo is emptied (the
 #: policy of the server's head memo and the database's plan cache).
@@ -164,16 +153,10 @@ class ClusterStats:
             "nodes": nodes,
             "bus": {
                 "seq": bus.seq,
-                "mode": bus.mode,
                 "published": bus.stats.published,
                 "delivered": bus.stats.delivered,
                 "writes_deduped": bus.stats.writes_deduped,
                 "pages_invalidated": bus.stats.pages_invalidated,
-                "enqueued": bus.stats.enqueued,
-                "sheds": bus.stats.sheds,
-                "max_staleness": bus.stats.max_staleness,
-                "queue_depths": bus.queue_depths(),
-                "delivery_lags": bus.delivery_lags(),
             },
             "membership": self._router.membership.snapshot(),
         }
@@ -199,39 +182,18 @@ class ClusterRouter:
         node_names: list[str],
         cache_factory: CacheFactory,
         vnodes: int = DEFAULT_VNODES,
-        replication: int = 1,
-        bus_mode: str = STRONG,
-        staleness_bound: float = 0.5,
-        bus_queue_capacity: int = 512,
-        bus_pump: bool = True,
         membership: GossipMembership | None = None,
     ) -> None:
         if not node_names:
             raise ClusterError("a cluster needs at least one node")
         if len(set(node_names)) != len(node_names):
             raise ClusterError("duplicate node names")
-        if replication < 1:
-            raise ClusterError("replication factor must be at least 1")
         self._cache_factory = cache_factory
         self._lock = NamedRLock("cluster-router")
         self.ring = HashRing(vnodes=vnodes)
         self._template = cache_factory()  # config donor; serves nothing
         self.semantics = self._template.semantics
-        self.replication = replication
-        self.bus = InvalidationBus(
-            mode=bus_mode,
-            staleness_bound=staleness_bound,
-            queue_capacity=bus_queue_capacity,
-            clock=self._template.clock,
-            pump=bus_pump,
-        )
-        # Bounded mode dooms at delivery, not publish: the router hears
-        # about the casualties through this hook (outside the bus lock)
-        # and runs the cross-shard containment closure then.
-        self.bus.on_delivered = self._on_bus_delivered
-        #: Cumulative keys doomed by asynchronous deliveries, drained by
-        #: :meth:`take_async_doomed` (differential harness, oracles).
-        self._async_doomed: set[str] = set()
+        self.bus = InvalidationBus()
         self.membership = membership or GossipMembership(
             clock=self._template.clock
         )
@@ -244,8 +206,6 @@ class ClusterRouter:
         self._routes: tuple[int, dict[str, Route]] = (-1, {})
         #: Routes computed rather than found in the memo.
         self.routes_computed = 0
-        #: Read-balancing cursor over replica sets (see :meth:`_read_target`).
-        self._read_rotation = 0
         self.stats = ClusterStats(self)
         #: Cluster-wide containment: a page and the fragments it embeds
         #: usually hash to *different* nodes, so no node's containment
@@ -320,10 +280,9 @@ class ClusterRouter:
             # The newcomer has no catalog yet: the next statement
             # re-mirrors it everywhere (a no-op on the other nodes).
             self._catalog_source = None
-            # Drain queued deliveries first (bounded mode): a message
-            # queued-but-undelivered at an old node would never reach
-            # the new one (it subscribes after the message's seq).
-            self.bus.flush()
+            # ``bus.seq`` takes the bus lock, so it also waits out a
+            # delivery pass in progress: the audit below starts from a
+            # sequence number every node has applied.
             seq_before = self.bus.seq
             self.ring.add_node(name)
             self.membership.register(name)
@@ -384,8 +343,7 @@ class ClusterRouter:
             node = self.node(name)
             self._nodes_changed()
             node.mark_draining()  # poisons its open computations
-            self.bus.flush()
-            seq_before = self.bus.seq
+            seq_before = self.bus.seq  # a lock barrier too (add_node)
             self.bus.unsubscribe(name)
             self.ring.remove_node(name)
             self.membership.forget(name)
@@ -426,9 +384,10 @@ class ClusterRouter:
 
     def evict_node(self, name: str) -> CacheNode | None:
         """Drop a crashed node from ring, bus and routing -- no drain
-        (its memory is gone; that is what the replicas are for).  Open
-        computations' tokens still name it: their inserts land in the
-        dead cache and are discarded with it, exactly as for a leave."""
+        (its memory is gone; its keys fail over cold to their ring
+        successor).  Open computations' tokens still name it: their
+        inserts land in the dead cache and are discarded with it,
+        exactly as for a leave."""
         with self._lock:
             node = self._nodes.pop(name, None)
             if node is None:
@@ -478,8 +437,6 @@ class ClusterRouter:
         for name in serving:
             self.membership.beat(name)
         transitions = self.membership.step(now)
-        from repro.cluster.membership import DEAD, ROUTER
-
         for transition in transitions:
             if transition.observer == ROUTER and transition.state == DEAD:
                 self.evict_node(transition.peer)
@@ -533,71 +490,37 @@ class ClusterRouter:
     def _compute_route(self, key: str) -> Route:
         """The placement rule itself (caller holds the router lock).
 
-        Failover is positional: if the primary is down, its first
-        surviving successor serves the key (and receives its inserts),
-        so a crash degrades a shard to its replicas instead of
-        cold-starting it.  If every replica is unreachable the owner is
-        the first joined node further round the ring (detection may
-        simply not have caught up; any consistent stand-in preserves
-        safety -- the bus reaches it too).
+        The key's ring owner serves it while that node is joined and
+        the router's membership view has not declared it dead.
+        Otherwise the first joined node further round the ring stands
+        in, cold (detection may simply not have caught up; any
+        consistent stand-in preserves safety -- the bus reaches it too).
         """
-        live: list[CacheNode] = []
-        for name in self.ring.nodes_for(key, self.replication):
-            node = self._nodes.get(name)
-            if (
-                node is not None
-                and node.state == JOINED
-                and self.membership.is_alive(name)
-            ):
-                live.append(node)
-        if live:
-            return tuple(live), live[0]
+        name = self.ring.node_for(key)
+        node = self._nodes.get(name)
+        if (
+            node is not None
+            and node.state == JOINED
+            and self.membership.is_alive(name)
+        ):
+            return node
         if self._nodes:
             for name in self.ring.nodes_for(key, len(self._nodes)):
                 node = self._nodes.get(name)
                 if node is not None and node.state == JOINED:
-                    return (), node
-        return (), None
+                    return node
+        return None
 
     def _owner(self, key: str) -> CacheNode:
-        """Where ``key``'s computations open (and token-less inserts go)."""
-        owner = self._route(key)[1]
+        """The node ``key``'s probes, computations and inserts go to."""
+        owner = self._route(key)
         if owner is None:
             raise ClusterError(f"no live cache node is reachable for key {key!r}")
         return owner
 
-    def _replica_nodes(self, key: str) -> tuple[CacheNode, ...]:
-        """The live members of ``key``'s replica set, primary first."""
-        return self._route(key)[0]
-
-    def _read_target(self, key: str) -> CacheNode:
-        """The node a *read probe* routes to.
-
-        Replication doubles as read load-balancing: every live replica
-        holds the entry (write-through), hears the bus, and passes the
-        same staleness checks, so a hot key's reads rotate over its
-        whole replica set instead of pinning one node at R times the
-        mean load.  Only the probe rotates -- computations open on their
-        deterministic home (:meth:`_owner`, the first live replica) and
-        insert there, so one request's miss path never straddles
-        replicas and concurrent misses still coalesce on one node.
-        """
-        live, owner = self._route(key)
-        if len(live) > 1:
-            with self._lock:
-                self._read_rotation += 1
-                return live[self._read_rotation % len(live)]
-        return owner or self._owner(key)  # no owner: _owner raises
-
     def owner_name(self, key: str) -> str:
-        """Which node a key's next read routes to (diagnostics, sim,
-        tests).  With replication this rotates like the read path
-        itself, so virtual-time load charging matches real placement."""
-        return self._read_target(key).name
-
-    def replica_names(self, key: str) -> list[str]:
-        """The live replica set for ``key``, read target first."""
-        return [node.name for node in self._replica_nodes(key)]
+        """Which node ``key`` routes to (diagnostics, sim, tests)."""
+        return self._owner(key).name
 
     @property
     def route_memo_size(self) -> int:
@@ -609,7 +532,7 @@ class ClusterRouter:
         """Mirror the schema catalog into every node's analysis engine.
 
         Nodes analyse invalidation independently, so all of them must
-        share the same schema knowledge or two replicas could disagree
+        share the same schema knowledge or two shards could disagree
         on a column-disjointness proof.  The schema-epoch comparison is
         made once here, not once per node: steady-state statements never
         reach the fan-out.
@@ -647,14 +570,14 @@ class ClusterRouter:
         return self.semantics.is_cacheable(request)
 
     def check(self, request: HttpRequest) -> PageEntry | None:
-        entry = self._read_target(request.cache_key()).cache.check(request)
+        entry = self._owner(request.cache_key()).cache.check(request)
         if self._evicted:  # the probe found the entry expired
             self._settle_evictions()
         return entry
 
     def check_key(self, key: str, stat_uri: str) -> PageEntry | None:
         """Fragment-capable check: route by key to a holding shard."""
-        entry = self._read_target(key).cache.check_key(key, stat_uri)
+        entry = self._owner(key).cache.check_key(key, stat_uri)
         if self._evicted:  # the probe found the entry expired
             self._settle_evictions()
         return entry
@@ -666,7 +589,7 @@ class ClusterRouter:
         miss records no statistics and leaves the shard's miss taxonomy
         intact for the woven check that follows.
         """
-        return self._read_target(key).cache.fast_check(key, uri)
+        return self._owner(key).cache.fast_check(key, uri)
 
     def insert(
         self,
@@ -710,32 +633,20 @@ class ClusterRouter:
         Containment edges are recorded in the *router's* table: the
         entry and its fragments typically live on different shards.
         They go in *before* the check that every embedded fragment is
-        still resident on one of its holders (a fragment gone while the
+        still resident on its holder (a fragment gone while the
         body rendered refuses the insert, counted as a stale insert): a
         fragment evicted after the check then finds the container
         through its edge (:meth:`_settle_evictions`), which dooms it or
         poisons its computation.  They are added, never replaced, and
         stay when nothing is stored (:meth:`FragmentContainment.add`);
         the key's next doom or eviction drops them.
-
-        With ``replication > 1`` a stored entry is written through to
-        the other live members of the key's replica set, then the
-        write-through is *audited*: the primary is re-checked after a
-        strong-mode lock barrier (joining any in-flight delivery pass)
-        or a bounded-mode applied-seq watermark comparison -- if an
-        invalidation doomed the primary entry, or reached a secondary
-        ahead of its copy, the copies are doomed too.  See
-        docs/replication.md for the full interleaving argument.
         """
         node = window.node if window is not None else self._owner(key)
         resident = True
         if fragments:
             with self._lock:
                 self.fragments.add(key, fragments)
-                resident = all(
-                    any(fragment in holder.cache for holder in self._all_holders(fragment))
-                    for fragment in fragments
-                )
+                resident = all(self._holds(fragment) for fragment in fragments)
                 if not resident:
                     self.stats.frontend.record_stale_insert()
         if resident:
@@ -751,11 +662,8 @@ class ClusterRouter:
             )
         else:
             entry, stored = PageEntry(key, body, status), False
-        if stored:
-            if self.replication > 1:
-                self._replicate(key, entry, node)
-            if self._evicted:
-                self._settle_evictions()
+        if stored and self._evicted:
+            self._settle_evictions()
         return entry, stored
 
     def _settle_evictions(self) -> None:
@@ -771,50 +679,6 @@ class ClusterRouter:
             except IndexError:  # drained, possibly by another thread
                 return
             self._doom_containers(keys)
-
-    def _replicate(
-        self, key: str, entry: PageEntry, primary: CacheNode
-    ) -> None:
-        """Write ``entry`` through to the rest of the replica set."""
-        secondaries = [
-            replica for replica in self._replica_nodes(key) if replica is not primary
-        ]
-        if not secondaries:
-            return
-        # The hazard: a bus message applied at a secondary *before* its
-        # copy landed (but after the primary stored) would miss the
-        # copy forever.  Bounded mode audits with watermarks -- if the
-        # secondary's applied seq has passed the primary's, the copy
-        # may have escaped one of those deliveries, so it is doomed
-        # conservatively (an extra miss, never staleness).  A global
-        # bus.flush() here would also be sound but collapses bounded
-        # staleness into strong delivery: write-throughs happen at the
-        # cluster miss rate, so every queued invalidation would drain
-        # almost immediately and hot pages would be re-doomed at the
-        # full cluster-wide write rate.
-        primary_applied = (
-            self.bus.applied_seq(primary.name)
-            if self.bus.mode == BOUNDED
-            else None
-        )
-        for replica in secondaries:
-            replica.copy_in(entry)
-            if primary_applied is not None and (
-                self.bus.applied_seq(replica.name) > primary_applied
-            ):
-                replica.cache.invalidate_key(entry.key)
-        if self.bus.mode != BOUNDED:
-            # Strong mode: the flush is a pure lock barrier (nothing is
-            # queued) that joins any in-flight delivery pass, so every
-            # message sequenced before it is applied at the primary by
-            # the time the re-check below runs.
-            self.bus.flush()
-        # A primary that stopped serving no longer hears every write (it
-        # is unsubscribed, or ignores deliveries once LEFT), so its store
-        # proves nothing: the copies go, as for a doomed primary.
-        if primary.state != JOINED or entry.key not in primary.cache:
-            for replica in secondaries:
-                replica.cache.invalidate_key(entry.key)
 
     def record_uncacheable(self, request: HttpRequest) -> None:
         self._owner(request.cache_key()).cache.record_uncacheable(request)
@@ -887,11 +751,6 @@ class ClusterRouter:
         nodes -- a page for the same logical query can only live on its
         owning node, but callers (and the consistency argument) care
         about every casualty, not just the local shard's.
-
-        In bounded bus mode the returned set is empty by construction:
-        publishes return after durable enqueue, and the casualties are
-        observed at delivery (:meth:`take_async_doomed` drains the
-        ledger after a :meth:`InvalidationBus.flush`).
         """
         with self._lock:
             self.stats.frontend.record_write(uri)
@@ -905,64 +764,36 @@ class ClusterRouter:
         _message, doomed = self.bus.publish("router", uri, dedupe_writes(writes))
         return self._doom_containers(doomed)
 
-    def _on_bus_delivered(self, message: BusMessage, doomed: set) -> None:
-        """Bounded-mode delivery observer (runs outside the bus lock).
-
-        Closes the cross-shard containment edges over the keys this
-        delivery doomed and records everything in the asynchronous
-        doomed-key ledger.  Closure distributes over set union, so
-        per-delivery calls compute the same closure a strong-mode
-        publish computes over the whole union.
-        """
-        if not doomed:
-            return
-        closed = self._doom_containers(set(doomed))
-        with self._lock:
-            self._async_doomed |= closed
-
-    def take_async_doomed(self) -> set[str]:
-        """Drain the ledger of keys doomed by asynchronous deliveries.
-
-        Meaningful after quiescing/flushing the bus: the differential
-        harness and the staleness oracles compare doomed sets only at
-        points where delivery has provably caught up.
-        """
-        with self._lock:
-            doomed = self._async_doomed
-            self._async_doomed = set()
-            return doomed
-
     def _doom_containers(self, doomed: set[str]) -> set[str]:
         """Containment closure over freshly doomed keys.
 
         The router's table holds every edge (page on node A built from a
-        fragment on node B, or on A itself).  Routed through every live
-        replica's ``invalidate_key`` so each copy of the container is
-        doomed and its open flights are marked stale exactly as for a
-        direct invalidation.  Runs under the router lock, so no insert
-        can register or check an edge halfway through.
+        fragment on node B, or on A itself).  Routed through the holder's
+        ``invalidate_key`` so the container is doomed and its open
+        flights are marked stale exactly as for a direct invalidation.
+        Runs under the router lock, so no insert can register or check
+        an edge halfway through.
         """
         with self._lock:
             extra = self.fragments.containing(doomed)
             for key in extra:
-                for node in self._all_holders(key):
-                    node.cache.invalidate_key(key)
+                holder = self._route(key)
+                if holder is not None:
+                    holder.cache.invalidate_key(key)
             closed = doomed | extra
             for key in closed:
                 self.fragments.forget(key)
             return closed
 
-    def _all_holders(self, key: str) -> tuple[CacheNode, ...]:
-        """Every node that may hold a copy of ``key`` (replica set plus
-        the failover stand-in reads route to when the set is empty)."""
-        live, owner = self._route(key)
-        return live or ((owner,) if owner is not None else ())
+    def _holds(self, key: str) -> bool:
+        """Is ``key`` resident on the node it routes to?"""
+        holder = self._route(key)
+        return holder is not None and key in holder.cache
 
     def invalidate_key(self, key: str) -> bool:
-        """External single-key invalidation, routed to every replica."""
-        removed = False
-        for node in self._all_holders(key):
-            removed = node.cache.invalidate_key(key) or removed
+        """External single-key invalidation, routed to the key's holder."""
+        holder = self._route(key)
+        removed = holder is not None and holder.cache.invalidate_key(key)
         self._doom_containers({key})
         return removed
 
@@ -971,10 +802,6 @@ class ClusterRouter:
     def clear(self) -> None:
         for node in self.nodes():
             node.cache.clear()
-
-    def close(self) -> None:
-        """Stop the bus pump and deliver any queued residue."""
-        self.bus.close()
 
     def __len__(self) -> int:
         return sum(len(node.cache) for node in self.nodes())

@@ -241,22 +241,11 @@ def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
             result.closure_doomed,
         ]
 
-    rings = (
-        (1, 1, "strong", "default"),
-        (4, 1, "strong", "default"),
-        (4, 2, "strong", "default"),
-        (4, 2, "bounded", "default"),
-        (1, 1, "strong", "column"),
-        (4, 2, "strong", "column"),
-        (4, 2, "bounded", "column"),
-        (1, 1, "strong", "witness"),
-        (4, 1, "strong", "witness"),
-        (4, 2, "strong", "witness"),
-        (1, 1, "strong", "partner"),
-        (4, 1, "strong", "partner"),
-        (4, 2, "strong", "partner"),
-    )
-    ring_keys = ("n_nodes", "replication", "bus_mode", "workload")
+    rings = [
+        dict(n_nodes=n_nodes, workload=workload)
+        for workload in ("default", "column", "witness", "partner")
+        for n_nodes in (1, 4)
+    ]
     # (title, headers, runner, configurations, row)
     tables = (
         (
@@ -286,10 +275,9 @@ def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
         ),
         (
             "Differential: fragment-granular doom vs brute-force closure",
-            ["nodes", "R", "bus", "mix", "seed", "verdict", "writes", "doomed",
-             "via closure"],
+            ["nodes", "mix", "seed", "verdict", "writes", "doomed", "via closure"],
             run_fragment_differential,
-            [dict(zip(ring_keys, ring)) for ring in rings],
+            rings,
             fragment_row,
         ),
         (

@@ -686,8 +686,6 @@ class FragmentDifferentialResult:
     seed: int
     rounds: int
     n_nodes: int
-    replication: int = 1
-    bus_mode: str = "strong"
     workload: str = "default"
     writes_tested: int = 0
     entries_doomed: int = 0
@@ -712,9 +710,6 @@ def run_fragment_differential(
     n_pages: int = 30,
     n_fragments: int = 20,
     n_nodes: int = 1,
-    replication: int = 1,
-    bus_mode: str = "strong",
-    staleness_bound: float = 0.5,
     max_mismatches: int = 5,
     workload: str = "default",
 ) -> FragmentDifferentialResult:
@@ -737,23 +732,13 @@ def run_fragment_differential(
     page's edges linger until its replacement re-registers), so a stale
     edge that re-dooms an absent key is *expected* on both sides.
 
-    With ``replication > 1`` every entry is written through to its full
-    replica set, so each doom message has several physical casualties
-    per logical key -- the returned *key* union must still match the
-    single-copy oracle exactly.  With ``bus_mode="bounded"`` publishes
-    return an empty doomed set; the harness flushes the bus and drains
-    :meth:`~repro.cluster.router.ClusterRouter.take_async_doomed` to
-    observe the casualties at the convergence point, which must again
-    equal the synchronous oracle's set.
-
     With ``workload="column"`` every node's cache and the brute oracle
     share the :func:`column_catalog`, the workload switches to the
     column mix, and the routed path runs with lineage pruning live --
-    proving the column plans stay invisible across sharding,
-    replication and both bus modes.  ``workload="witness"`` runs the
-    witness mix at ``ROW_WITNESS`` on both sides, so the row witnesses
-    the entries carry must excuse the same instances on every shard and
-    replica as in the oracle.
+    proving the column plans stay invisible across sharding.
+    ``workload="witness"`` runs the witness mix at ``ROW_WITNESS`` on
+    both sides, so the row witnesses the entries carry must excuse the
+    same instances on every shard as in the oracle.
     """
     from repro.cluster.router import ClusterRouter, make_cache_factory
 
@@ -764,10 +749,6 @@ def run_fragment_differential(
     router = ClusterRouter(
         [f"node-{i}" for i in range(n_nodes)],
         make_cache_factory(catalog=catalog, invalidation_policy=mix.policy),
-        replication=replication,
-        bus_mode=bus_mode,
-        staleness_bound=staleness_bound,
-        bus_pump=False,
     )
     mirror = PageCache(make_policy("unbounded", None))
     brute = Invalidator(
@@ -788,8 +769,6 @@ def run_fragment_differential(
         seed=seed,
         rounds=rounds,
         n_nodes=n_nodes,
-        replication=replication,
-        bus_mode=bus_mode,
         workload=workload,
     )
 
@@ -856,15 +835,9 @@ def run_fragment_differential(
         closure = reference_closure(base)
         expected = base | closure
         actual = router.process_write_request("/differential", batch)
-        if router.bus.mode == "bounded":
-            # Bounded publishes return before delivery; converge first,
-            # then read the casualties off the asynchronous ledger.
-            router.bus.flush()
-            actual |= router.take_async_doomed()
         if actual != expected:
             result.mismatches.append(
-                f"round {round_no} ({n_nodes} nodes, R={replication}, "
-                f"{bus_mode}): doomed sets differ; "
+                f"round {round_no} ({n_nodes} nodes): doomed sets differ; "
                 f"router-only={sorted(actual - expected)}, "
                 f"reference-only={sorted(expected - actual)}, "
                 f"writes={[str(w.template.text) for w in batch]}"

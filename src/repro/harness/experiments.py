@@ -120,14 +120,13 @@ def _build_cell(
 
 
 def _simulation_config(
-    defaults: ExperimentDefaults, n_clients: int, db_workers: int = 1
+    defaults: ExperimentDefaults, n_clients: int
 ) -> SimulationConfig:
     return SimulationConfig(
         n_clients=n_clients,
         warmup=defaults.warmup,
         duration=defaults.duration,
         seed=defaults.seed,
-        db_workers=db_workers,
         session=SessionConfig(
             think_time_mean=defaults.think_time_mean,
             session_duration=defaults.session_duration,
@@ -223,29 +222,20 @@ def run_cluster_cell(
     mix_name: str = "default",
     defaults: ExperimentDefaults | None = None,
     cost_model: ClusterCostModel | None = None,
-    vnodes: int | None = None,
-    replication: int = 1,
-    bus_mode: str = "strong",
-    staleness_bound: float = 0.5,
-    db_workers: int = 1,
 ) -> ClusterOutcome:
     """Simulate one (node count, client count) cluster cell.
 
     Builds a fresh application, weaves :class:`ClusterAutoWebCache`
     over it, and drives the cluster simulator (per-node app resources,
-    a shared database resource with ``db_workers`` servers, and the
-    invalidation bus in ``bus_mode``).  ``replication`` enables R-way
-    write-through; ``db_workers`` models the database tier's width --
-    the 64-node scaling benchmark scales it with node count, because a
-    single-server database saturates long before the app tier does and
-    would flatten any curve into a measurement of the DB, not the bus.
+    one shared database resource, and the synchronous invalidation
+    bus).
     """
     defaults = defaults or ExperimentDefaults()
     clock = VirtualClock()
     application, mix, base_model, semantics = _build_cell(
         app, mix_name, defaults, window=False
     )
-    awc_kwargs = dict(
+    awc = ClusterAutoWebCache(
         # The ring is not in the paper: cluster cells measure EXTENDED,
         # at the paper's invalidation rung.
         **EXTENDED,
@@ -253,24 +243,14 @@ def run_cluster_cell(
         n_nodes=n_nodes,
         semantics=semantics,
         clock=clock.now,
-        replication=replication,
-        bus_mode=bus_mode,
-        staleness_bound=staleness_bound,
-        # Virtual time: delivery is driven by the simulator's flushes
-        # and the bus's own publish-side shedding, never a wall-clock
-        # pump thread.
-        bus_pump=False,
     )
-    if vnodes is not None:
-        awc_kwargs["vnodes"] = vnodes
-    awc = ClusterAutoWebCache(**awc_kwargs)
     awc.install(application.servlet_classes)
     try:
         simulator = ClusterLoadSimulator(
             container=application.container,
             database=application.database,
             mix=mix,
-            config=_simulation_config(defaults, n_clients, db_workers),
+            config=_simulation_config(defaults, n_clients),
             cost_model=cost_model or ClusterCostModel(base=base_model),
             awc=awc,
             clock=clock,
@@ -287,21 +267,11 @@ def run_cluster_scaling_curve(
     app: str = "rubis",
     defaults: ExperimentDefaults | None = None,
     cost_model: ClusterCostModel | None = None,
-    **cell_kwargs,
 ) -> list[ClusterOutcome]:
-    """Throughput / hit-rate vs node count at a fixed client load.
-
-    Extra keyword arguments (``replication``, ``bus_mode``,
-    ``db_workers``, ...) pass through to :func:`run_cluster_cell`.
-    """
+    """Throughput / hit-rate vs node count at a fixed client load."""
     return [
         run_cluster_cell(
-            n,
-            n_clients,
-            app=app,
-            defaults=defaults,
-            cost_model=cost_model,
-            **cell_kwargs,
+            n, n_clients, app=app, defaults=defaults, cost_model=cost_model
         )
         for n in node_counts
     ]

@@ -26,8 +26,6 @@ LINEAGE_METRIC = "repro_lineage_prune_total"
 WITNESS_METRIC = "repro_witness_skips_total"
 PARTNER_SKIPS_METRIC = "repro_partner_skips_total"
 PARTNER_PROBES_METRIC = "repro_partner_probes_total"
-BUS_DEPTH_METRIC = "repro_bus_queue_depth"
-BUS_LAG_METRIC = "repro_bus_delivery_lag_seconds"
 MEMBERSHIP_METRIC = "repro_membership_state"
 MEMBERSHIP_SILENCE_METRIC = "repro_membership_silence_seconds"
 MEMBERSHIP_STATES = ("alive", "suspect", "dead")
@@ -57,8 +55,7 @@ def render_metrics(
     row-witness skip counter and the partner-probe counters.  A full
     cluster snapshot (the ``{"cluster": ..., "bus": ..., "membership":
     ...}`` shape of ``ClusterRouter.snapshot()``) additionally emits the
-    bounded-staleness bus gauges -- per-node undelivered queue depth and
-    delivery lag -- and the router-view membership state set.
+    router-view membership state set.
     """
     lines = [
         f"# HELP {HISTOGRAM_METRIC} Latency of woven phases by request type.",
@@ -119,67 +116,43 @@ def render_metrics(
             f"# TYPE {PARTNER_PROBES_METRIC} counter",
             f"{PARTNER_PROBES_METRIC} {stats.get('partner_probes', 0)}",
         ]
-        lines += _render_cluster_families(cache_snapshot)
+        lines += _render_membership(cache_snapshot.get("membership"))
     return "\n".join(lines) + "\n"
 
 
-def _render_cluster_families(snapshot: dict) -> list[str]:
-    """Bus backpressure gauges and the membership state set.
+def _render_membership(membership: dict | None) -> list[str]:
+    """The router-view membership state set (empty off a ring).
 
-    Empty for single-node snapshots (no ``bus``/``membership`` keys).
-    The membership family follows the Prometheus *state set* idiom: one
-    series per (node, state) pair, valued 1 on the series matching the
-    node's current router-view state and 0 elsewhere, so dashboards can
-    ``max by (state)`` without string-valued labels.
+    Follows the Prometheus *state set* idiom: one series per (node,
+    state) pair, valued 1 on the series matching the node's current
+    router-view state and 0 elsewhere, so dashboards can ``max by
+    (state)`` without string-valued labels.
     """
-    lines: list[str] = []
-    bus = snapshot.get("bus")
-    if bus is not None and "queue_depths" in bus:
-        lines += [
-            f"# HELP {BUS_DEPTH_METRIC} Undelivered invalidation "
-            "messages queued per node (bounded mode).",
-            f"# TYPE {BUS_DEPTH_METRIC} gauge",
-        ]
-        for node, depth in sorted(bus["queue_depths"].items()):
+    if not membership:
+        return []
+    lines = [
+        f"# HELP {MEMBERSHIP_METRIC} Router-view gossip membership "
+        "(1 on the series matching the node's state).",
+        f"# TYPE {MEMBERSHIP_METRIC} gauge",
+    ]
+    for node, view in sorted(membership.items()):
+        for state in MEMBERSHIP_STATES:
+            value = 1 if view["state"] == state else 0
             lines.append(
-                f'{BUS_DEPTH_METRIC}{{node="{_escape_label(node)}"}} {depth}'
+                f'{MEMBERSHIP_METRIC}{{node="{_escape_label(node)}",'
+                f'state="{state}"}} {value}'
             )
-        lines += [
-            f"# HELP {BUS_LAG_METRIC} Invalidation delivery lag per "
-            "node: enqueue-to-apply seconds (bounded mode).",
-            f"# TYPE {BUS_LAG_METRIC} gauge",
-        ]
-        for node, lags in sorted(bus.get("delivery_lags", {}).items()):
-            for window in ("last", "max"):
-                lines.append(
-                    f'{BUS_LAG_METRIC}{{node="{_escape_label(node)}",'
-                    f'window="{window}"}} {lags[window]:.6f}'
-                )
-    membership = snapshot.get("membership")
-    if membership:
-        lines += [
-            f"# HELP {MEMBERSHIP_METRIC} Router-view gossip membership "
-            "(1 on the series matching the node's state).",
-            f"# TYPE {MEMBERSHIP_METRIC} gauge",
-        ]
-        for node, view in sorted(membership.items()):
-            for state in MEMBERSHIP_STATES:
-                value = 1 if view["state"] == state else 0
-                lines.append(
-                    f'{MEMBERSHIP_METRIC}{{node="{_escape_label(node)}",'
-                    f'state="{state}"}} {value}'
-                )
-        lines += [
-            f"# HELP {MEMBERSHIP_SILENCE_METRIC} Seconds since the "
-            "router last saw the node's heartbeat counter advance.",
-            f"# TYPE {MEMBERSHIP_SILENCE_METRIC} gauge",
-        ]
-        for node, view in sorted(membership.items()):
-            lines.append(
-                f"{MEMBERSHIP_SILENCE_METRIC}"
-                f'{{node="{_escape_label(node)}"}} '
-                f"{view['silence_seconds']:.6f}"
-            )
+    lines += [
+        f"# HELP {MEMBERSHIP_SILENCE_METRIC} Seconds since the "
+        "router last saw the node's heartbeat counter advance.",
+        f"# TYPE {MEMBERSHIP_SILENCE_METRIC} gauge",
+    ]
+    for node, view in sorted(membership.items()):
+        lines.append(
+            f"{MEMBERSHIP_SILENCE_METRIC}"
+            f'{{node="{_escape_label(node)}"}} '
+            f"{view['silence_seconds']:.6f}"
+        )
     return lines
 
 

@@ -58,9 +58,6 @@ class ClusterCostModel:
     #: CPU a node spends replaying one invalidation message.  The
     #: per-intersection cost on top comes from the measured work.
     bus_apply_cost: float = 0.0002
-    #: CPU a secondary spends storing one replica write-through copy
-    #: (clone + page-store insert; no recomputation).
-    replica_copy_cost: float = 0.0002
 
     def demands(self, work: RequestWork) -> tuple[float, float]:
         app, db = self.base.demands(work)
@@ -129,92 +126,36 @@ class ClusterLoadSimulator(LoadSimulator):
             name: Resource(f"app:{name}", config.app_workers)
             for name in awc.router.node_names
         }
-        #: Bounded-staleness bus: writes do not barrier on remote
-        #: replay; the simulator drives delivery from virtual time
-        #: (the bus's own publish-side shedding plus this opportunistic
-        #: flush keep the measured lag under the bound).
-        self._bounded = awc.bus.mode == "bounded"
-        #: Drain cadence sets the staleness/recompute-rate trade: every
-        #: drain re-dooms the hot pages bid on since the last one, and
-        #: each doom buys an expensive recompute on the key's replica
-        #: pair.  0.4x the bound keeps measured lag comfortably inside
-        #: the bound while staying under the bus's own publish-side
-        #: shed threshold (half the bound), so sheds remain an
-        #: exceptional backpressure signal rather than the steady state.
-        self._flush_age = awc.bus.staleness_bound * 0.4
-        #: Asynchronous background CPU owed by each node (bounded-mode
-        #: bus replays, replica write-through copies), folded into the
-        #: node's next scheduled request.  Scheduling this work directly
-        #: at its future completion timestamp would push the target's
-        #: single FCFS timeline past that instant and block its earlier
-        #: arrivals behind pure idle time -- a modelling artefact that
-        #: cascades cluster-wide at large N.  Deferral charges the same
-        #: CPU while keeping each node's arrival stream monotone.
-        self._deferred = {name: 0.0 for name in self.apps}
 
     def _complete(
         self, issue_at: float, request: HttpRequest, work: RequestWork
     ) -> float:
         model = self.cost_model
-        router = self.awc.router
-        owner = router.owner_name(request.cache_key())
-        app_resource = self.apps[owner]
+        app_resource = self.apps[self.awc.router.owner_name(request.cache_key())]
         app_demand, db_demand = model.demands(work)
-        # Settle the background CPU this node owes (bus replays,
-        # replica copies) as a surcharge on its next request.
-        app_demand += self._deferred[owner]
-        self._deferred[owner] = 0.0
         app_done = app_resource.schedule(issue_at, app_demand)
         completed = (
             self.db.schedule(app_done, db_demand) if db_demand > 0 else app_done
         )
         if work.is_write and work.updates > 0 and len(self.apps) > 1:
-            if self._bounded:
-                # Bounded-staleness bus: the replay still costs
-                # every other node CPU, but the write response does
-                # not wait for it -- the barrier (the max() below)
-                # is exactly what this mode removes.
-                for name in self._deferred:
-                    if name != owner:
-                        self._deferred[name] += model.bus_apply_cost
-            else:
-                # Synchronous bus: every other node replays the
-                # invalidation before the write response is sent.
-                completed = max(
-                    completed,
-                    max(
-                        resource.schedule(
-                            completed + model.bus_delay,
-                            model.bus_apply_cost,
-                        )
-                        for resource in self.apps.values()
-                        if resource is not app_resource
-                    ),
-                )
-        if (
-            router.replication > 1
-            and not work.is_write
-            and not work.cache_hit
-            and work.miss_reason is not None
-        ):
-            # Write-through replication: a cacheable miss stores the
-            # recomputed page on its secondaries too.  The copy is a
-            # clone + page-store insert (no recomputation), charged
-            # to each secondary as background work.
-            for name in router.replica_names(request.cache_key())[1:]:
-                if name != owner and name in self._deferred:
-                    self._deferred[name] += model.replica_copy_cost
-        if self._bounded and self.awc.bus.oldest_age(issue_at) >= self._flush_age:
-            self.awc.bus.flush()
+            # Synchronous bus: every other node replays the
+            # invalidation before the write response is sent.
+            completed = max(
+                completed,
+                max(
+                    resource.schedule(
+                        completed + model.bus_delay,
+                        model.bus_apply_cost,
+                    )
+                    for resource in self.apps.values()
+                    if resource is not app_resource
+                ),
+            )
         return completed
 
     def _result(
         self, metrics: MetricsCollector, end_time: float
     ) -> ClusterSimulationResult:
-        if self._bounded:
-            # Deliver the residue so the final snapshot's staleness
-            # accounting covers every published message.
-            self.awc.bus.flush()
         utilisations = {
             name: resource.utilization(end_time)
             for name, resource in self.apps.items()

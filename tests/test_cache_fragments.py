@@ -697,22 +697,19 @@ class TestBookkeepingIsBoundedByResidency:
         router = ClusterRouter(
             ["n0", "n1"], make_cache_factory(replacement="lru", capacity=16)
         )
-        try:
-            for i in range(2_000):
-                router.insert_key(f"frag://f?i={i}", "text", [])
-                router.insert_key(
-                    f"/p?i={i}", "<text>", [], fragments=(f"frag://f?i={i}",)
-                )
-            resident = {key for node in router.nodes() for key in node.cache.pages.keys()}
-            assert 0 < len(resident) <= 32
-            tables = [router.fragments] + [n.cache.fragments for n in router.nodes()]
-            for table in tables:
-                assert set(table._fragments_of) <= resident
-                assert len(table._pages_of) <= 32
-            # Every resident page still has its fragment: evicting one
-            # doomed the other.
-            for key in resident:
-                if key.startswith("/p"):
-                    assert key.replace("/p", "frag://f") in resident
-        finally:
-            router.close()
+        for i in range(2_000):
+            router.insert_key(f"frag://f?i={i}", "text", [])
+            router.insert_key(
+                f"/p?i={i}", "<text>", [], fragments=(f"frag://f?i={i}",)
+            )
+        resident = {key for node in router.nodes() for key in node.cache.pages.keys()}
+        assert 0 < len(resident) <= 32
+        tables = [router.fragments] + [n.cache.fragments for n in router.nodes()]
+        for table in tables:
+            assert set(table._fragments_of) <= resident
+            assert len(table._pages_of) <= 32
+        # Every resident page still has its fragment: evicting one
+        # doomed the other.
+        for key in resident:
+            if key.startswith("/p"):
+                assert key.replace("/p", "frag://f") in resident

@@ -78,6 +78,40 @@ class TestSequencing:
         assert order == list(range(1, 201))  # total order, no gaps, no dupes
 
 
+    def test_reading_seq_waits_out_a_delivery_pass(self):
+        """``seq`` takes the publish lock, so a reader never sees a
+        sequence number some subscriber has not applied yet.  The
+        join/leave audit relies on it in place of a separate barrier."""
+        bus = InvalidationBus()
+        entered, release = threading.Event(), threading.Event()
+        applied = []
+
+        def slow(message):
+            entered.set()
+            assert release.wait(timeout=5)
+            applied.append(message.seq)
+            return set()
+
+        bus.subscribe("n", slow)
+        publisher = threading.Thread(
+            target=bus.publish, args=("router", "/w", [write_instance(1)])
+        )
+        publisher.start()
+        read = []
+        reader = threading.Thread(target=lambda: read.append(bus.seq))
+        try:
+            assert entered.wait(timeout=5)
+            reader.start()
+            reader.join(timeout=0.2)
+            assert reader.is_alive() and read == []  # blocked behind delivery
+        finally:
+            release.set()
+            publisher.join(timeout=5)
+        reader.join(timeout=5)
+        assert not publisher.is_alive() and not reader.is_alive()
+        assert read == [1] and applied == [1]
+
+
 class TestSubscriptionErrors:
     def test_duplicate_subscribe_rejected(self):
         bus = InvalidationBus()

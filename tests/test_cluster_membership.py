@@ -10,7 +10,11 @@ from repro.cluster.membership import (
     GossipMembership,
     Transition,
 )
+from repro.cluster import ClusterAutoWebCache
 from repro.errors import ClusterError
+from repro.web.http import HttpRequest
+
+from tests.conftest import build_notes_app
 
 
 class FakeClock:
@@ -252,3 +256,64 @@ class TestGossipDissemination:
             assert view["state"] == ALIVE
             assert view["counter"] == 0
             assert view["silence_seconds"] == pytest.approx(1.5)
+
+
+class TestRouterHooks:
+    """The router is one more observer, and its verdicts drive routing."""
+
+    TOPICS = [f"topic-{i}" for i in range(12)]
+
+    def build_cluster(self, clock=None):
+        _db, container = build_notes_app()
+        kwargs = {} if clock is None else {"clock": clock}
+        awc = ClusterAutoWebCache(n_nodes=3, **kwargs)
+        awc.install(container.servlet_classes)
+        return container, awc
+
+    def warm(self, container):
+        for topic in self.TOPICS:
+            assert container.get("/view_topic", {"topic": topic}).status == 200
+
+    def test_silent_node_is_detected_and_evicted_by_ticks(self):
+        clock = FakeClock()
+        container, awc = self.build_cluster(clock)
+        try:
+            for i, topic in enumerate(self.TOPICS):
+                container.post(
+                    "/add",
+                    {"id": str(i + 1), "topic": topic, "body": "b", "score": "0"},
+                )
+            self.warm(container)
+            victim = awc.router.node_names[0]
+            awc.router.silence_node(victim)
+            # Routing fails over immediately, before any detection.
+            assert all(
+                awc.router.owner_name(
+                    HttpRequest("GET", "/view_topic", {"topic": t}).cache_key()
+                )
+                != victim
+                for t in self.TOPICS
+            )
+            # Gossip-paced detection: the router's view walks the
+            # silent peer through SUSPECT to DEAD, then evicts it.
+            for _ in range(20):
+                clock.advance(0.5)
+                awc.router.tick()
+                if victim not in awc.router.node_names:
+                    break
+            assert victim not in awc.router.node_names
+            assert awc.router.membership.state(victim) == DEAD
+            assert victim not in awc.bus.subscriber_names
+            self.warm(container)  # the survivors serve everything
+        finally:
+            awc.uninstall()
+
+    def test_membership_appears_in_cluster_snapshot(self):
+        _container, awc = self.build_cluster()
+        try:
+            table = awc.cluster_snapshot()["membership"]
+            assert set(table) == set(awc.router.node_names)
+            for view in table.values():
+                assert view["state"] == ALIVE
+        finally:
+            awc.uninstall()

@@ -85,7 +85,7 @@ class TestRemapping:
 
 
 class TestReplicaSets:
-    """Successor-placement property tests (replication factor R)."""
+    """Successor-walk property tests (the order failover follows)."""
 
     def test_primary_matches_node_for(self):
         ring = HashRing(["a", "b", "c", "d", "e"])

@@ -276,6 +276,47 @@ class TestLifecycle:
             ClusterRouter(["a", "a"], make_cache_factory())
 
 
+def topic_key(topic: str) -> str:
+    return HttpRequest("GET", "/view_topic", {"topic": topic}).cache_key()
+
+
+class TestCrashFailover:
+    """A crashed node's keys fail over, cold, to their ring successor."""
+
+    def test_the_failed_over_owner_still_hears_invalidations(
+        self, cluster_notes_app
+    ):
+        _db, container, awc = cluster_notes_app
+        populate(container)
+        warm(container)
+        key = topic_key(TOPICS[0])
+        victim = awc.router.owner_name(key)
+        awc.router.fail_node(victim)
+        successor = awc.router.node(awc.router.owner_name(key))
+        assert successor.name != victim
+        warm(container)  # the successor computes the key afresh
+        assert key in successor.cache.pages
+        container.post("/score", {"id": "1", "score": "88"})
+        for node in awc.router.nodes():
+            assert key not in node.cache.pages
+        page = container.get("/view_topic", {"topic": TOPICS[0]})
+        assert "(88)" in page.body
+
+    def test_losing_the_owner_falls_back_to_the_ring(self, cluster_notes_app):
+        _db, container, awc = cluster_notes_app
+        populate(container)
+        warm(container)
+        key = topic_key(TOPICS[0])
+        while len(awc.router.node_names) > 1:
+            awc.router.fail_node(awc.router.owner_name(key))
+        # One node left; it serves the key (as a recompute).
+        assert awc.router.owner_name(key) == awc.router.node_names[0]
+        assert container.get("/view_topic", {"topic": TOPICS[0]}).status == 200
+        awc.router.fail_node(awc.router.node_names[0])
+        with pytest.raises(ClusterError, match="reachable|empty"):
+            awc.router.owner_name(key)
+
+
 class TestFlightPinning:
     def test_rehomed_flight_is_poisoned_not_orphaned(self, cluster_notes_app):
         _db, container, awc = cluster_notes_app

@@ -1,15 +1,14 @@
 """The router's placement memo against the placement it memoizes.
 
 :class:`ReferenceRouting` is the router's routing as it was before the
-memo -- ``_replica_nodes`` / ``_owner`` / ``_read_target``, verbatim
-apart from reading the router's state through ``self.router`` and
-keeping its own rotation cursor -- recomputing every answer from the
-ring, the node states and the membership verdicts.  The memoized router
-must give the same answer, rotation order included, after any sequence
-of membership events (the ``reference_executor.py`` /
-``reference_weaver.py`` pattern: a simple implementation as oracle,
-generated inputs).  The focused tests below change one routing-version
-source at a time, so dropping any one bump fails one of them.
+memo -- ``_owner``, verbatim apart from reading the router's state
+through ``self.router`` -- recomputing every answer from the ring, the
+node states and the membership verdicts.  The memoized router must give
+the same answer after any sequence of membership events (the
+``reference_executor.py`` / ``reference_weaver.py`` pattern: a simple
+implementation as oracle, generated inputs).  The focused tests below
+change one routing-version source at a time, so dropping any one bump
+fails one of them.
 """
 
 from __future__ import annotations
@@ -37,22 +36,15 @@ class ReferenceRouting:
 
     def __init__(self, router: ClusterRouter) -> None:
         self.router = router
-        self._read_rotation = 0
-
-    def _replica_nodes(self, key):
-        live = []
-        for name in self.router.ring.nodes_for(key, self.router.replication):
-            node = self.router._nodes.get(name)
-            if (
-                node is not None
-                and node.state == JOINED
-                and self.router.membership.is_alive(name)
-            ):
-                live.append(node)
-        return live
 
     def _owner(self, key):
-        for node in self._replica_nodes(key):
+        name = self.router.ring.node_for(key)
+        node = self.router._nodes.get(name)
+        if (
+            node is not None
+            and node.state == JOINED
+            and self.router.membership.is_alive(name)
+        ):
             return node
         for name in self.router.ring.nodes_for(key, len(self.router._nodes)):
             node = self.router._nodes.get(name)
@@ -60,51 +52,23 @@ class ReferenceRouting:
                 return node
         raise ClusterError(f"no live cache node is reachable for key {key!r}")
 
-    def _read_target(self, key):
-        live = self._replica_nodes(key)
-        if len(live) > 1:
-            self._read_rotation += 1
-            return live[self._read_rotation % len(live)]
-        return self._owner(key)
-
 
 def answer(call, key):
-    """``call(key)`` as node names, or the error type it raised."""
+    """``call(key)`` as a node name, or the error type it raised."""
     try:
-        result = call(key)
+        return call(key).name
     except ClusterError:
         return ClusterError
-    if isinstance(result, (list, tuple)):
-        return [node.name for node in result]
-    return result.name
 
 
 def assert_routes_match(router: ClusterRouter, reference: ReferenceRouting) -> None:
     for key in KEYS:
-        assert answer(router._replica_nodes, key) == answer(
-            reference._replica_nodes, key
-        ), key
         assert answer(router._owner, key) == answer(reference._owner, key), key
-        assert answer(router._read_target, key) == answer(
-            reference._read_target, key
-        ), key
-        holders = answer(router._all_holders, key)
-        replicas = answer(reference._replica_nodes, key)
-        if replicas is ClusterError or replicas:
-            assert holders == replicas, key
-        else:
-            owner = answer(reference._owner, key)
-            assert holders == ([] if owner is ClusterError else [owner]), key
-    assert router._read_rotation == reference._read_rotation
 
 
-def build(n_nodes: int, replication: int) -> tuple[ClusterRouter, FakeClock]:
+def build(n_nodes: int) -> tuple[ClusterRouter, FakeClock]:
     clock = FakeClock()
-    router = ClusterRouter(
-        NAMES[:n_nodes],
-        make_cache_factory(clock=clock),
-        replication=replication,
-    )
+    router = ClusterRouter(NAMES[:n_nodes], make_cache_factory(clock=clock))
     return router, clock
 
 
@@ -142,13 +106,9 @@ def apply(router: ClusterRouter, clock: FakeClock, op) -> None:
 
 class TestAgainstTheReference:
     @settings(max_examples=120, deadline=None)
-    @given(
-        n_nodes=st.integers(1, 5),
-        replication=st.sampled_from([1, 2]),
-        ops=_ops,
-    )
-    def test_every_answer_matches_after_every_event(self, n_nodes, replication, ops):
-        router, clock = build(n_nodes, replication)
+    @given(n_nodes=st.integers(1, 5), ops=_ops)
+    def test_every_answer_matches_after_every_event(self, n_nodes, ops):
+        router, clock = build(n_nodes)
         reference = ReferenceRouting(router)
         assert_routes_match(router, reference)
         for op in ops:
@@ -157,7 +117,7 @@ class TestAgainstTheReference:
             assert_routes_match(router, reference)  # the memo's second answer
 
     def test_a_warm_memo_computes_nothing(self):
-        router, _clock = build(4, 1)
+        router, _clock = build(4)
         reference = ReferenceRouting(router)
         assert_routes_match(router, reference)
         computed = router.routes_computed
@@ -166,7 +126,7 @@ class TestAgainstTheReference:
         assert router.route_memo_size == len(KEYS)
 
     def test_the_memo_stays_bounded(self):
-        router, _clock = build(4, 2)
+        router, _clock = build(4)
         reference = ReferenceRouting(router)
         for i in range(50_000):
             router._route(f"/k?i={i}")
@@ -183,9 +143,8 @@ def warm(router: ClusterRouter, reference: ReferenceRouting) -> None:
 class TestEachVersionSourceAlone:
     """One source changes, nothing else does: the memo must notice."""
 
-    @pytest.mark.parametrize("replication", [1, 2])
-    def test_ring_change(self, replication):
-        router, _clock = build(4, replication)
+    def test_ring_change(self):
+        router, _clock = build(4)
         reference = ReferenceRouting(router)
         warm(router, reference)
         router.ring.remove_node("node-1")
@@ -204,7 +163,7 @@ class TestEachVersionSourceAlone:
     def test_node_state_change(self, operation, transition):
         """The moment a node leaves ``JOINED`` -- before the ring or the
         membership hear of it -- no route may name it any more."""
-        router, _clock = build(4, 2)
+        router, _clock = build(4)
         reference = ReferenceRouting(router)
         warm(router, reference)
         node = router.node("node-2")
@@ -222,7 +181,7 @@ class TestEachVersionSourceAlone:
         assert_routes_match(router, reference)
 
     def test_membership_register_and_forget(self):
-        router, _clock = build(4, 1)
+        router, _clock = build(4)
         reference = ReferenceRouting(router)
         warm(router, reference)
         router.membership.forget("node-3")
@@ -231,7 +190,7 @@ class TestEachVersionSourceAlone:
         assert_routes_match(router, reference)
 
     def test_membership_step_verdict(self):
-        router, clock = build(4, 1)
+        router, clock = build(4)
         reference = ReferenceRouting(router)
         membership = router.membership
         membership.silence("node-0")
@@ -246,7 +205,7 @@ class TestEachVersionSourceAlone:
         assert membership.state("node-0") == DEAD
 
     def test_membership_merge_teaches_the_router_a_peer(self):
-        router, clock = build(4, 1)
+        router, clock = build(4)
         reference = ReferenceRouting(router)
         membership = router.membership
         # A router view that has not heard of node-2 yet (one that came
@@ -262,7 +221,7 @@ class TestEachVersionSourceAlone:
         assert membership.is_alive("node-2")
 
     def test_a_verdict_landing_mid_computation_is_not_kept(self, monkeypatch):
-        router, _clock = build(4, 1)
+        router, _clock = build(4)
         reference = ReferenceRouting(router)
         membership = router.membership
         is_alive = membership.is_alive
@@ -305,7 +264,7 @@ LEAVES = ["evict_node", "remove_node", "silence_node"]
 def test_a_flight_open_on_a_leaving_node_is_poisoned_before_it_goes_deaf(
     operation, deaf_from
 ):
-    router, _clock = build(4, 1)
+    router, _clock = build(4)
     key = KEYS[0]
     flight, is_leader = router.join_flight(key)
     assert is_leader
@@ -347,12 +306,9 @@ class TestLeaveBetweenRouteAndOpen:
 
         setattr(node.cache, opener, leave_then_open)
 
-    @pytest.mark.parametrize("replication", [1, 2])
     @pytest.mark.parametrize("operation", LEAVES)
-    def test_a_waiter_after_a_write_never_gets_the_page_it_doomed(
-        self, operation, replication
-    ):
-        router, _clock = build(4, replication)
+    def test_a_waiter_after_a_write_never_gets_the_page_it_doomed(self, operation):
+        router, _clock = build(4)
         key = KEYS[0]
         self.leave_before_next_open(router, router._owner(key), operation, "join_flight")
         flight, is_leader = router.join_flight(key)
@@ -374,7 +330,7 @@ class TestLeaveBetweenRouteAndOpen:
 
     @pytest.mark.parametrize("operation", LEAVES)
     def test_a_window_on_a_node_that_left_is_reopened_elsewhere(self, operation):
-        router, _clock = build(4, 1)
+        router, _clock = build(4)
         key = KEYS[0]
         self.leave_before_next_open(router, router._owner(key), operation, "begin_window")
         window = router.begin_window(key)
@@ -386,33 +342,3 @@ class TestLeaveBetweenRouteAndOpen:
         finally:
             router.end_window(window)
         assert router.open_flights == 0
-
-    @pytest.mark.parametrize("operation", LEAVES)
-    def test_no_replica_keeps_a_copy_its_departed_primary_cannot_audit(
-        self, operation
-    ):
-        """The primary stores, then leaves while its copy is in transit;
-        a write reaches the secondary before the copy does."""
-        router, _clock = build(4, 2)
-        key = KEYS[0]
-        primary, secondary = router._replica_nodes(key)
-        copy_in = secondary.copy_in
-
-        def leave_write_then_copy(entry):
-            del secondary.copy_in
-            getattr(router, operation)(primary.name)
-            router.process_write_request("/w", [_write()])
-            return copy_in(entry)
-
-        secondary.copy_in = leave_write_then_copy
-        flight, is_leader = router.join_flight(key)
-        assert is_leader
-        try:
-            _entry, stored = router.insert_key(
-                key, "<before the write>", [_read()], window=flight
-            )
-        finally:
-            router.finish_flight(flight)
-        assert stored
-        assert key not in secondary.cache
-        assert router.check_key(key, key) is None

@@ -69,11 +69,7 @@ def test_the_miss_protocol_is_among_the_reads():
 
 @pytest.fixture(scope="module")
 def facades():
-    router = ClusterRouter(["n0", "n1"], make_cache_factory())
-    try:
-        yield Cache(), router
-    finally:
-        router.close()
+    return Cache(), ClusterRouter(["n0", "n1"], make_cache_factory())
 
 
 def _parameter_names(method) -> list[str]:
@@ -121,15 +117,11 @@ def test_an_insert_probes_for_the_join_reads_that_are_registered(cluster):
     write, _values = templateize(
         "INSERT INTO items (seller, name) VALUES (?, ?)", (1, "x")
     )
-    try:
-        assert facade.probe_plan(write) == ()
-        facade.insert_key("/region?r=1", "body", [join])
-        assert facade.probe_plan(write) == (("seller", "users", "id"),)
-        facade.invalidate_key("/region?r=1")
-        assert facade.probe_plan(write) == ()
-    finally:
-        if cluster:
-            facade.close()
+    assert facade.probe_plan(write) == ()
+    facade.insert_key("/region?r=1", "body", [join])
+    assert facade.probe_plan(write) == (("seller", "users", "id"),)
+    facade.invalidate_key("/region?r=1")
+    assert facade.probe_plan(write) == ()
 
 
 @pytest.mark.parametrize("cluster", [False, True], ids=["cache", "ring"])
@@ -166,8 +158,6 @@ def test_a_read_captures_a_witness_only_over_written_tables(cluster):
         ]
     finally:
         awc.uninstall()
-        if cluster:
-            awc.cache.close()
 
 
 def test_before_any_write_nothing_is_captured():

@@ -138,20 +138,6 @@ CLUSTER_CELLS = {
             },
         ),
     ),
-    "2-node R=2 bounded": (
-        dict(n_nodes=2, replication=2, bus_mode="bounded"),
-        dict(
-            total_requests=677,
-            mean_ms=38.451424980619734,
-            hit_rate=0.4580152671755725,
-            db_utilization=0.04651599999999988,
-            bus_messages=103,
-            node_utilizations={
-                "node-0": 0.4399787500000005,
-                "node-1": 0.39399055468750055,
-            },
-        ),
-    ),
 }
 
 

@@ -130,18 +130,12 @@ def test_row_witness_dooms_a_subset_of_the_paper_rung():
     assert spared > 0
 
 
-@pytest.mark.parametrize(
-    "n_nodes,replication", [(1, 1), (4, 1), (4, 2)], ids=["1", "4", "4R2"]
-)
-def test_fragment_witness_workload_matches_oracle(n_nodes, replication):
+@pytest.mark.parametrize("n_nodes", [1, 4])
+def test_fragment_witness_workload_matches_oracle(n_nodes):
     """The witness mix through the fragment tier at ROW_WITNESS: every
-    shard and replica excuses exactly what the oracle excuses."""
+    shard excuses exactly what the oracle excuses."""
     result = run_fragment_differential(
-        seed=2,
-        rounds=25,
-        n_nodes=n_nodes,
-        replication=replication,
-        workload="witness",
+        seed=2, rounds=25, n_nodes=n_nodes, workload="witness"
     )
     assert result.ok, "\n".join(result.mismatches)
     assert result.entries_doomed > 0 and result.witness_skips > 0
@@ -188,18 +182,12 @@ def test_partner_probes_doom_a_subset_of_the_paper_rung():
     assert spared > 0
 
 
-@pytest.mark.parametrize(
-    "n_nodes,replication", [(1, 1), (4, 1), (4, 2)], ids=["1", "4", "4R2"]
-)
-def test_fragment_partner_workload_matches_oracle(n_nodes, replication):
-    """The partner mix through the fragment tier: every shard and
-    replica excuses exactly what the oracle excuses."""
+@pytest.mark.parametrize("n_nodes", [1, 4])
+def test_fragment_partner_workload_matches_oracle(n_nodes):
+    """The partner mix through the fragment tier: every shard excuses
+    exactly what the oracle excuses."""
     result = run_fragment_differential(
-        seed=2,
-        rounds=25,
-        n_nodes=n_nodes,
-        replication=replication,
-        workload="partner",
+        seed=2, rounds=25, n_nodes=n_nodes, workload="partner"
     )
     assert result.ok, "\n".join(result.mismatches)
     assert result.entries_doomed > 0 and result.partner_skips > 0
@@ -264,54 +252,13 @@ def test_fragment_doom_is_topology_invariant():
     assert single.closure_doomed == quad.closure_doomed
 
 
-@pytest.mark.parametrize("bus_mode", ["strong", "bounded"])
-@pytest.mark.parametrize("seed", range(4))
-def test_fragment_doom_matches_oracle_on_replicated_ring(seed, bus_mode):
-    """A 4-node R=2 ring -- every entry written through to two nodes,
-    every doom message with two physical casualties per logical key --
-    must still return exactly the single-copy oracle's key set, in
-    both bus modes.  Bounded mode converges (flush + async ledger
-    drain) before each comparison."""
-    result = run_fragment_differential(
-        seed=seed, rounds=30, n_nodes=4, replication=2, bus_mode=bus_mode
-    )
-    assert result.ok, "\n".join(result.mismatches)
-    assert result.writes_tested > 0 and result.entries_doomed > 0
-    assert result.closure_doomed > 0
-
-
-def test_fragment_doom_is_replication_and_mode_invariant():
-    """R=1 vs R=2 and strong vs bounded must doom identical key sets
-    for the same seed: replication multiplies copies, not casualties,
-    and bounded delivery only moves *when* dooms land, never which."""
-    baseline = run_fragment_differential(seed=9, rounds=25, n_nodes=4)
-    replicated = run_fragment_differential(
-        seed=9, rounds=25, n_nodes=4, replication=2
-    )
-    bounded = run_fragment_differential(
-        seed=9, rounds=25, n_nodes=4, replication=2, bus_mode="bounded"
-    )
-    assert baseline.ok and replicated.ok and bounded.ok
-    assert baseline.entries_doomed == replicated.entries_doomed
-    assert replicated.entries_doomed == bounded.entries_doomed
-    assert baseline.closure_doomed == bounded.closure_doomed
-
-
-@pytest.mark.parametrize(
-    "n_nodes,replication,bus_mode",
-    [(1, 1, "strong"), (4, 2, "strong"), (4, 2, "bounded")],
-)
-def test_fragment_column_workload_matches_oracle(n_nodes, replication, bus_mode):
+@pytest.mark.parametrize("n_nodes", [1, 4])
+def test_fragment_column_workload_matches_oracle(n_nodes):
     """The column workload end-to-end through the fragment tier: the
     catalog-synced, lineage-pruning ring must doom exactly the oracle's
-    key set, including on a replicated ring in bounded mode."""
+    key set."""
     result = run_fragment_differential(
-        seed=3,
-        rounds=25,
-        n_nodes=n_nodes,
-        replication=replication,
-        bus_mode=bus_mode,
-        workload="column",
+        seed=3, rounds=25, n_nodes=n_nodes, workload="column"
     )
     assert result.ok, "\n".join(result.mismatches)
     assert result.writes_tested > 0 and result.entries_doomed > 0

@@ -136,14 +136,7 @@ class TestExpositionServlets:
 #: cluster metric families without spinning up a ring.
 CLUSTER_SNAPSHOT = {
     "cluster": {"templates_skipped_by_lineage": 4, "column_plans_built": 1},
-    "bus": {
-        "mode": "bounded",
-        "queue_depths": {"alpha": 3, "beta": 0},
-        "delivery_lags": {
-            "alpha": {"last": 0.012, "max": 0.25},
-            "beta": {"last": 0.0, "max": 0.0},
-        },
-    },
+    "bus": {"seq": 7, "published": 7, "delivered": 14},
     "membership": {
         "alpha": {"state": "alive", "counter": 9, "silence_seconds": 0.4},
         "beta": {"state": "suspect", "counter": 5, "silence_seconds": 3.2},
@@ -152,20 +145,6 @@ CLUSTER_SNAPSHOT = {
 
 
 class TestClusterExposition:
-    def test_bus_backpressure_gauges(self):
-        text = render_metrics(MetricsHub(), cache_snapshot=CLUSTER_SNAPSHOT)
-        assert "# TYPE repro_bus_queue_depth gauge" in text
-        assert 'repro_bus_queue_depth{node="alpha"} 3' in text
-        assert 'repro_bus_queue_depth{node="beta"} 0' in text
-        assert (
-            'repro_bus_delivery_lag_seconds{node="alpha",window="last"} '
-            "0.012000" in text
-        )
-        assert (
-            'repro_bus_delivery_lag_seconds{node="alpha",window="max"} '
-            "0.250000" in text
-        )
-
     def test_membership_state_set(self):
         # One series per (node, state), 1 only on the current state --
         # the Prometheus state-set idiom.
@@ -205,24 +184,16 @@ class TestClusterExposition:
             MetricsHub(), cache_snapshot={"templates_skipped_by_lineage": 2}
         )
         assert 'event="template_skipped"} 2' in text
-        assert "repro_bus_queue_depth" not in text
         assert "repro_membership_state" not in text
 
     def test_live_cluster_metrics_endpoint(self):
-        # End to end: a bounded-bus replicated cluster serving its own
-        # /_metrics exposes queue depth, lag and membership for every
-        # node, snapshotted at serve time.
+        # End to end: a cluster serving its own /_metrics exposes the
+        # membership of every node, snapshotted at serve time.
         from repro.cluster import ClusterAutoWebCache
         from tests.conftest import build_notes_app
 
         _db, container = build_notes_app()
-        awc = ClusterAutoWebCache(
-            n_nodes=3,
-            replication=2,
-            bus_mode="bounded",
-            staleness_bound=5.0,
-            bus_pump=False,
-        )
+        awc = ClusterAutoWebCache(n_nodes=3)
         awc.install(container.servlet_classes)
         hub = MetricsHub()
         mount_observability(
@@ -239,16 +210,7 @@ class TestClusterExposition:
         assert response.status == 200
         text = response.body
         for node in ("node-0", "node-1", "node-2"):
-            assert f'repro_bus_queue_depth{{node="{node}"}}' in text
             assert (
                 f'repro_membership_state{{node="{node}",state="alive"}} 1'
                 in text
             )
-        # The write enqueued without delivering (no pump, no reads
-        # after), so at least one queue is visibly non-empty.
-        depths = [
-            int(line.rsplit(" ", 1)[1])
-            for line in text.splitlines()
-            if line.startswith("repro_bus_queue_depth{")
-        ]
-        assert sum(depths) > 0

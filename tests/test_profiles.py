@@ -32,11 +32,6 @@ INPUTS = {
     "n_nodes",
     "node_names",
     "vnodes",
-    "replication",
-    "bus_mode",
-    "staleness_bound",
-    "bus_queue_capacity",
-    "bus_pump",
 }
 
 #: Measurement modes no deployment would run.

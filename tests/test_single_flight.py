@@ -369,29 +369,25 @@ def test_a_window_is_judged_by_its_own_start_not_an_older_flight(facade):
         cache = Cache()
     else:
         cache = ClusterRouter(["n0", "n1"], make_cache_factory())
+    flight, is_leader = cache.join_flight("/k")
+    assert is_leader
+    cache.process_write_request("/w", [_note_write()])
+    window = cache.begin_window("/k")
     try:
-        flight, is_leader = cache.join_flight("/k")
-        assert is_leader
-        cache.process_write_request("/w", [_note_write()])
-        window = cache.begin_window("/k")
-        try:
-            entry, stored = cache.insert_key(
-                "/k", "<fresh>", [_note_read()], window=window
-            )
-        finally:
-            cache.end_window(window)
-        assert stored and not window.stale
-        assert flight.entry is None
-        _entry, leader_stored = cache.insert_key(
-            "/k", "<stale>", [_note_read()], window=flight
+        entry, stored = cache.insert_key(
+            "/k", "<fresh>", [_note_read()], window=window
         )
-        cache.finish_flight(flight)
-        assert not leader_stored and flight.stale
-        assert cache.wait_flight(flight) is None
-        assert cache.check_key("/k", "/k") is entry
     finally:
-        if facade == "ring":
-            cache.close()
+        cache.end_window(window)
+    assert stored and not window.stale
+    assert flight.entry is None
+    _entry, leader_stored = cache.insert_key(
+        "/k", "<stale>", [_note_read()], window=flight
+    )
+    cache.finish_flight(flight)
+    assert not leader_stored and flight.stale
+    assert cache.wait_flight(flight) is None
+    assert cache.check_key("/k", "/k") is entry
 
 
 def test_a_stale_insert_stores_nothing():
