@@ -32,7 +32,7 @@ import time
 import pytest
 
 from repro.apps.rubis import RubisDataset, build_rubis
-from repro.cluster import ClusterAutoWebCache
+from repro.cache.autowebcache import AutoWebCache
 from repro.harness.experiments import ExperimentDefaults, run_cluster_scaling_curve
 from repro.harness.loadgen import ClusterTarget
 from repro.harness.reporting import render_table
@@ -50,7 +50,7 @@ def _nb_of_bids(body: str) -> int:
     return int(cells[2])
 
 
-def assert_cluster_accounting_exact(awc: ClusterAutoWebCache) -> None:
+def assert_cluster_accounting_exact(awc: AutoWebCache) -> None:
     """Every node's books balance, and every node saw every message."""
     seq = awc.bus.seq
     for node in awc.router.nodes():
@@ -80,7 +80,7 @@ def assert_cluster_accounting_exact(awc: ClusterAutoWebCache) -> None:
 @pytest.mark.concurrency
 def test_cluster_mixed_read_write_zero_violations(figure_report):
     app = build_rubis(RubisDataset(n_users=50, n_items=60))
-    awc = ClusterAutoWebCache(n_nodes=N_NODES)
+    awc = AutoWebCache(n_nodes=N_NODES)
     awc.install(app.servlet_classes)
     target = ClusterTarget(app.container, awc)
     old_interval = sys.getswitchinterval()
@@ -212,7 +212,7 @@ def test_cluster_node_kill_failover_zero_violations(figure_report):
     fewer), and exact byte/dependency accounting on every survivor.
     """
     app = build_rubis(RubisDataset(n_users=50, n_items=60))
-    awc = ClusterAutoWebCache(n_nodes=N_NODES)
+    awc = AutoWebCache(n_nodes=N_NODES)
     awc.install(app.servlet_classes)
     target = ClusterTarget(app.container, awc)
     old_interval = sys.getswitchinterval()

@@ -46,7 +46,8 @@ def _nb_of_bids(body: str) -> int:
 
 
 def assert_cache_accounting_exact(awc: AutoWebCache) -> None:
-    pages = awc.cache.pages
+    (node,) = awc.router.nodes()
+    pages = node.cache.pages
     entries = pages.entries()
     assert pages.total_bytes == sum(entry.size for entry in entries)
     live = set(pages.keys())

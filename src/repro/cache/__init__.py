@@ -19,8 +19,10 @@ to the paper's sections as follows:
 - :mod:`repro.cache.aspects` -- the weaving rules of Figures 10-12;
 - :mod:`repro.cache.computation` -- the miss protocol (lookup, coalesce,
   compute, insert) every caching aspect shares, written once;
-- :mod:`repro.cache.autowebcache` -- the facade that installs the whole
-  system onto an application with one call.
+- :mod:`repro.cache.autowebcache` -- the installer that weaves the whole
+  system onto an application with one call; the aspects it binds talk
+  to the :class:`~repro.cluster.router.ClusterRouter` facade, over one
+  :class:`~repro.cache.api.Cache` store per node.
 """
 
 from repro.cache.analysis import InvalidationPolicy, QueryAnalysisEngine

@@ -1,20 +1,23 @@
-"""The ``Cache`` facade (Figure 7's jwebcaching.cache.Cache analogue).
+"""The per-node cache store (Figure 7's jwebcaching.cache.Cache analogue).
 
 Bundles the page store, dependency table, analysis engine + cache,
 invalidator, semantics registry and statistics behind the operations the
-aspects call: ``is_cacheable`` / ``check`` / ``insert`` /
-``process_write_request``.
+cluster router routes to a node: ``check`` / ``insert`` / the
+computation tokens / ``apply_writes``.  The aspects never see a
+``Cache``: they talk to the :class:`~repro.cluster.router.ClusterRouter`
+(a single node is the one-node ring), which also owns what spans
+entries -- fragment containment and the front-end counters.
 
 The cache takes a ``clock`` callable so the discrete-event simulator can
 drive TTL windows in virtual time; real deployments use ``time.time``.
 
-Thread model: one lock per cache.  The page store, the dependency
-table inside it, the analysis cache, the statistics and the containment
-table are plain structures this facade owns; it takes its ``lock`` once
-per facade operation -- a lookup, an insert, each flight or window
+Thread model: one lock per node store.  The page store, the dependency
+table inside it, the analysis cache and the statistics are plain
+structures this store owns; it takes its ``lock`` once
+per operation -- a lookup, an insert, each flight or window
 primitive, a write's whole doom pass, an external invalidation -- and
 touches them only under it.  Renders, and a waiter's block on a flight,
-run outside it; nothing called under it enters another facade.
+run outside it; nothing called under it enters another store.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from repro.cache.analysis import InvalidationPolicy, QueryAnalysisEngine, probe_
 from repro.cache.analysis_cache import AnalysisCache
 from repro.cache.entry import PageEntry, QueryInstance
 from repro.cache.flight import Flight
-from repro.cache.fragments import FragmentContainment
 from repro.cache.invalidation import Invalidator
 from repro.cache.page_cache import PageCache
 from repro.cache.replacement import make_policy
@@ -90,13 +92,10 @@ class Cache:
         #: into the engine catalog and its schema epoch at that moment.
         self._catalog_source: tuple[object, int] | None = None
         #: Told the keys that left this store for capacity or expiry.
-        #: The cluster router listens: an evicted fragment's containers
-        #: usually live on other shards.  Runs under the facade lock, so
-        #: a listener may only take note.
+        #: The cluster router listens: it dooms the entries assembled
+        #: from an evicted fragment's text.  Runs under the facade lock,
+        #: so a listener may only take note.
         self.on_evicted: Callable[[set[str]], object] | None = None
-        #: Which cached pages embed which cached fragments: dooming a
-        #: fragment must doom every entry assembled from its text.
-        self.fragments = FragmentContainment()
         # -- open computations + the staleness window
         #: Key -> the tokens of its open computations, oldest first: at
         #: most one published flight, plus private windows (several solo
@@ -112,29 +111,25 @@ class Cache:
     def invalidation_policy(self) -> InvalidationPolicy:
         return self.invalidator.policy
 
-    def sync_catalog(self, database) -> None:
-        """Mirror ``database``'s schemas into the analysis catalog.
+    def sync_catalog(self, database, catalog) -> None:
+        """Mirror ``database``'s schemas, which the router has built into
+        ``catalog`` once for every node, into the analysis catalog.
 
-        Called lazily by the JDBC aspect on statement interception (the
-        woven driver is the first place the application's database
+        Reached lazily from the JDBC aspect on statement interception
+        (the woven driver is the first place the application's database
         becomes visible).  Guarded by the database's schema epoch
-        (every ``create_table`` / ``drop_table`` moves it), so
-        steady-state traffic pays one comparison per statement; a schema
-        the engine has not seen bumps ``catalog_version``, which retires
-        every catalog-derived memo in the analysis cache.  Sound either
-        way: without a catalog (or with a database that reports no
-        epoch) the column analysis simply stays at its conservative
-        wildcard behaviour.
+        (every ``create_table`` / ``drop_table`` moves it), so a node
+        already mirrored pays one comparison; a schema the engine has
+        not seen bumps ``catalog_version``, which retires every
+        catalog-derived memo in the analysis cache.  Sound either way:
+        without a catalog (or with a database that reports no epoch) the
+        column analysis simply stays at its conservative wildcard
+        behaviour.
         """
         epoch = getattr(database, "schema_epoch", None)
-        if epoch is None:
-            return
         source = self._catalog_source
         if source is not None and source[0] is database and source[1] == epoch:
             return
-        from repro.sql.lineage import Catalog
-
-        catalog = Catalog.from_database(database)
         with self.lock:
             self.engine.set_catalog(catalog)
             self._catalog_source = (database, epoch)
@@ -213,8 +208,8 @@ class Cache:
                 self.stats.record_hit(stat_uri, semantic=entry.semantic)
                 return entry
             self.stats.record_miss(stat_uri, reason)
-            if reason == "expired":
-                self._left_the_store({key})
+            if reason == "expired" and self.on_evicted is not None:
+                self.on_evicted({key})
             return None
 
     def fast_check(self, key: str, uri: str) -> PageEntry | None:
@@ -247,7 +242,6 @@ class Cache:
         reads: list[QueryInstance],
         status: int = 200,
         window: Flight | None = None,
-        fragments: Sequence[str] = (),
         guard_reads: Sequence[QueryInstance] = (),
         expires_at: float | None = None,
     ) -> PageEntry:
@@ -268,7 +262,6 @@ class Cache:
             status=status,
             window=window,
             ttl_uri=request.uri,
-            fragments=fragments,
             guard_reads=guard_reads,
             expires_at=expires_at,
         )
@@ -282,7 +275,6 @@ class Cache:
         status: int = 200,
         window: Flight | None = None,
         ttl_uri: str | None = None,
-        fragments: Sequence[str] = (),
         guard_reads: Sequence[QueryInstance] = (),
         expires_at: float | None = None,
     ) -> tuple[PageEntry, bool]:
@@ -290,8 +282,7 @@ class Cache:
 
         ``ttl_uri`` resolves the semantic TTL window (fragments pass
         their stat URI so per-fragment windows and the default TTL
-        apply).  ``fragments`` are the containment edges of the entry:
-        cached fragment bodies this body embeds.  ``guard_reads`` extend
+        apply).  ``guard_reads`` extend
         the insert-time staleness check *without* becoming dependency
         registrations: an embedded fragment's dependencies are carried
         by the fragment entry, but a write that doomed the fragment
@@ -307,23 +298,14 @@ class Cache:
         (which a published token's waiters then serve).
 
         Returns ``(entry, stored)``; ``stored`` is False when the
-        staleness check discarded the insert, or when an embedded
-        fragment is no longer resident.
+        staleness check discarded the insert.
         """
         now = self.clock()
         ttl = self.semantics.ttl_for(ttl_uri) if ttl_uri is not None else None
         expiry = (now + ttl) if ttl is not None else None
         if expires_at is not None and (expiry is None or expires_at < expiry):
             expiry = expires_at
-        entry = PageEntry(
-            key,
-            body,
-            status,
-            tuple(reads),
-            expiry,
-            ttl is not None,
-            tuple(fragments),
-        )
+        entry = PageEntry(key, body, status, tuple(reads), expiry, ttl is not None)
         with self.lock:
             if (
                 window is not None
@@ -335,13 +317,7 @@ class Cache:
                 and self._overlapping_write(window, [*reads, *guard_reads])
             ):
                 window.stale = True
-            if (
-                (window is not None and window.stale)
-                # An embedded fragment left the store (capacity, expiry,
-                # a doom) while this body rendered: nothing could doom
-                # this copy of its text through it any more.
-                or (fragments and not all(f in self.pages for f in fragments))
-            ):
+            if window is not None and window.stale:
                 self.stats.record_stale_insert()
                 return entry, False
             evicted = self._store(entry)
@@ -352,9 +328,8 @@ class Cache:
 
     def adopt(self, entry: PageEntry) -> None:
         """Store an entry that was built elsewhere (a page moved in by
-        ring rebalancing) with its containment edges.  No staleness
-        check, no statistics: the insert was judged and accounted for
-        where it happened.
+        ring rebalancing).  No staleness check, no statistics: the
+        insert was judged and accounted for where it happened.
         """
         with self.lock:
             self._store(entry)
@@ -368,53 +343,13 @@ class Cache:
             return [self.pages.release(key) for key in self.pages.keys() if moving(key)]
 
     def _store(self, entry: PageEntry) -> list[PageEntry]:
-        """Caller holds the lock.  The containment edges go in before the
-        store insert: if it evicts a fragment this body embeds, the
-        eviction hook must find the container.  The only place edges
-        are added, so "no edges, nobody listening" cannot change under
-        the insert and the hook can be left out."""
-        self.fragments.register(entry.key, entry.fragments)
-        hook = (
-            self._victims_left
-            if len(self.fragments) or self.on_evicted is not None
-            else None
-        )
-        return self.pages.insert(entry, hook)
+        """Caller holds the lock."""
+        return self.pages.insert(entry, self._victims_left)
 
     def _victims_left(self, victims: list[PageEntry]) -> None:
         """:meth:`PageCache.insert`'s eviction hook (lock held)."""
-        self._left_the_store({victim.key for victim in victims})
-
-    def _left_the_store(self, keys: set[str]) -> None:
-        """``keys`` left the store for capacity or expiry: whatever was
-        assembled from their text leaves with them.
-
-        A container registers only its own, outside-fragment reads; the
-        reads behind an embedded fragment were registered by the
-        fragment entry and left the dependency table with it.  From
-        here on no write could doom the container's copy of that text,
-        so it is doomed now, exactly as when a write dooms the fragment.
-        """
-        self._close_over(keys)
         if self.on_evicted is not None:
-            self.on_evicted(keys)
-
-    def _close_over(self, keys: set[str]) -> None:
-        """Doom every entry transitively embedding any of ``keys`` (open
-        computations of it marked stale) and drop the containment edges
-        of everything that is now gone: the table describes resident
-        entries, not every key ever stored."""
-        if not len(self.fragments):
-            return  # nothing embeds anything (an application without fragments)
-        containers = self.fragments.containing(keys)
-        if containers:
-            self._mark_flights_stale(containers)
-            for container in containers:
-                if self.pages.invalidate(container):
-                    self.stats.record_invalidated()
-                self.fragments.forget(container)
-        for key in keys:
-            self.fragments.forget(key)
+            self.on_evicted({victim.key for victim in victims})
 
     def _overlapping_write(
         self, flight: Flight, reads: list[QueryInstance]
@@ -594,18 +529,9 @@ class Cache:
                         ):
                             flight.stale = True
             doomed = self.invalidator.process_writes(writes)
-            if doomed:
-                # Containment closure: entries assembled from a doomed
-                # fragment's text are stale copies of it -- doom them too.
-                for key in self.fragments.containing(doomed):
-                    if self.pages.invalidate(key):
-                        self.stats.record_invalidated()
-                    doomed.add(key)
-                # A doomed key with an open flight: the invalidation must
-                # win over the in-flight computation's eventual insert.
-                self._mark_flights_stale(doomed)
-                for key in doomed:
-                    self.fragments.forget(key)
+            # A doomed key with an open flight: the invalidation must
+            # win over the in-flight computation's eventual insert.
+            self._mark_flights_stale(doomed)
             return doomed
 
     # -- management ----------------------------------------------------------------------
@@ -613,21 +539,6 @@ class Cache:
     def record_uncacheable(self, request: HttpRequest) -> None:
         with self.lock:
             self.stats.record_uncacheable(request.uri)
-
-    # The counters the computation driver and the JDBC aspect bump,
-    # under the lock like every other record.
-
-    def record_coalesced(self, uri: str) -> None:
-        with self.lock:
-            self.stats.record_coalesced(uri)
-
-    def record_hole_skip(self) -> None:
-        with self.lock:
-            self.stats.record_hole_skip()
-
-    def record_extra_query(self, rows: int, probe: bool = False) -> None:
-        with self.lock:
-            self.stats.record_extra_query(rows, probe)
 
     def invalidate_key(self, key: str) -> bool:
         """External invalidation API (the DynamicWeb/Weave-style hook the
@@ -638,8 +549,6 @@ class Cache:
             removed = self.pages.invalidate(key)
             if removed:
                 self.stats.record_invalidated()
-            # A doomed fragment dooms every entry embedding its text.
-            self._close_over({key})
             return removed
 
     def clear(self) -> None:

@@ -30,16 +30,20 @@ the cache-enabled system (Figure 2).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.aop import Aspect, around
 from repro.aop.joinpoint import JoinPoint
 from repro.cache.analysis import InvalidationPolicy
-from repro.cache.api import Cache
 from repro.cache.computation import CachedComputation
 from repro.cache.consistency import ConsistencyCollector
 from repro.cache.entry import PageEntry, QueryInstance
 from repro.cache.flight import Flight
 from repro.sql.template import templateize
 from repro.web.http import HttpRequest, HttpResponse
+
+if TYPE_CHECKING:
+    from repro.cluster.router import ClusterRouter
 
 #: Pointcut capturing read-only request handlers (Figure 9/10).  The
 #: ``!cflowbelow`` guard captures only the *top-level* handler when
@@ -139,7 +143,9 @@ class WriteServletAspect(Aspect):
 
     precedence = 10
 
-    def __init__(self, cache: Cache, collector: ConsistencyCollector) -> None:
+    def __init__(
+        self, cache: ClusterRouter, collector: ConsistencyCollector
+    ) -> None:
         self.cache = cache
         self.collector = collector
 
@@ -171,7 +177,9 @@ class JdbcConsistencyAspect(Aspect):
 
     precedence = 20
 
-    def __init__(self, cache: Cache, collector: ConsistencyCollector) -> None:
+    def __init__(
+        self, cache: ClusterRouter, collector: ConsistencyCollector
+    ) -> None:
         self.cache = cache
         self.collector = collector
 
@@ -291,7 +299,7 @@ class JdbcConsistencyAspect(Aspect):
         return update.before_image()
 
     def _partners(self, statement, template, image) -> tuple | None:
-        """Run an INSERT's partner probes (:meth:`Cache.probe_plan`):
+        """Run an INSERT's partner probes (:meth:`ClusterRouter.probe_plan`):
         for each plan edge and inserted row, ``SELECT * FROM <partner>
         WHERE <partner column> = <the row's join value>`` on the write's
         own connection, after the write, so a probe in a transaction

@@ -23,9 +23,10 @@ Dependency granularity: a fragment entry's dependencies are its own
 reads *plus* its embedded fragments' dependencies, so serving a
 fragment hit hands the enclosing computation complete staleness-guard
 information in one lookup.  Page entries stay lean -- their own reads
-only -- with containment edges (``PageEntry.fragments``) closing the
-gap: a write dooms fragments, and the containment closure dooms every
-entry assembled from a doomed fragment's text.
+only -- with containment edges (the router's
+:class:`~repro.cache.fragments.FragmentContainment`) closing the gap: a
+write dooms fragments, and the containment closure dooms every entry
+assembled from a doomed fragment's text.
 
 No pointcut here captures servlet handlers, so precedence only has to
 order this aspect among the JDBC/observability layers on the composer

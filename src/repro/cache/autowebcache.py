@@ -1,28 +1,34 @@
-"""The AutoWebCache facade: one object that installs the whole system.
+"""The AutoWebCache installer: one object that installs the whole system.
 
 Typical use::
 
     awc = AutoWebCache(policy=InvalidationPolicy.ROW_WITNESS)
     awc.semantics.set_ttl_window("/tpcw/best_sellers", 30.0)
     report = awc.install(container.servlet_classes)
-    ...  # serve traffic; awc.cache.stats accumulates
+    ...  # serve traffic; awc.stats accumulates
+    print(awc.cluster_snapshot())
     awc.uninstall()
 
-``install`` weaves the three caching aspects over the given servlet
-classes and the database driver's ``Statement`` class -- the aspect
-weaving step of Figure 2.  ``uninstall`` restores the original,
-cache-free application.
+``install`` weaves the caching aspects over the given servlet classes
+and the database driver's ``Statement`` and ``Connection`` classes --
+the aspect weaving step of Figure 2.  ``uninstall`` restores the
+original, cache-free application.
+
+The aspects talk to one cache object, a
+:class:`~repro.cluster.router.ClusterRouter`: a single server is the
+one-node ring (``n_nodes=1``, the default), and ``n_nodes=4`` shards
+the same cache over four nodes without touching the application --
+sharding, like caching itself, stays a crosscutting concern.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import time
 
 from repro.aop.weaver import WeaveReport, Weaver
 from repro.cache.analysis import InvalidationPolicy
-from repro.cache.api import Cache
 from repro.cache.aspects import (
     JdbcConsistencyAspect,
     ReadServletAspect,
@@ -31,17 +37,19 @@ from repro.cache.aspects import (
 from repro.cache.aspects_fragment import FragmentCacheAspect
 from repro.cache.consistency import ConsistencyCollector
 from repro.cache.semantics import SemanticsRegistry
+from repro.cluster.ring import DEFAULT_VNODES
 from repro.db.dbapi import Connection, Statement
 from repro.errors import CacheError
 
+if TYPE_CHECKING:
+    from repro.cluster.router import ClusterRouter
+
 
 class AutoWebCache:
-    """Bundles cache, collector, aspects and weaver.
+    """Bundles the cache facade, collector, aspects and weaver.
 
-    The one installer: :class:`~repro.cluster.awc.ClusterAutoWebCache`
-    subclasses it and overrides only :meth:`_build_cache` (a router in
-    place of a :class:`Cache`), so every shared option below, the
-    aspect construction and the weaving lifecycle exist once.
+    The first nine options configure every node's cache; ``n_nodes`` /
+    ``node_names`` / ``vnodes`` shape the ring.
     """
 
     def __init__(
@@ -55,17 +63,34 @@ class AutoWebCache:
         forced_miss: bool = False,
         coalesce: bool = True,
         fragments: bool = True,
+        n_nodes: int = 1,
+        node_names: list[str] | None = None,
+        vnodes: int = DEFAULT_VNODES,
     ) -> None:
+        # Imported here: ``repro.cluster`` imports this package.
+        from repro.cluster.router import ClusterRouter, make_cache_factory
+
         #: The facade object the aspects (and work meters) talk to.
-        self.cache = self._build_cache(
-            invalidation_policy=policy,
-            replacement=replacement,
-            capacity=capacity,
-            max_bytes=max_bytes,
-            semantics=semantics,
-            clock=clock,
-            forced_miss=forced_miss,
-            coalesce=coalesce,
+        self.cache = ClusterRouter(
+            node_names=(
+                node_names
+                if node_names is not None
+                else [f"node-{i}" for i in range(n_nodes)]
+            ),
+            cache_factory=make_cache_factory(
+                invalidation_policy=policy,
+                replacement=replacement,
+                capacity=capacity,
+                max_bytes=max_bytes,
+                # One registry, shared by reference: cacheability and
+                # TTL windows are ring-wide policy, the same on every
+                # node.
+                semantics=semantics or SemanticsRegistry(),
+                clock=clock,
+                forced_miss=forced_miss,
+                coalesce=coalesce,
+            ),
+            vnodes=vnodes,
         )
         self.collector = ConsistencyCollector()
         self.read_aspect = ReadServletAspect(self.cache, self.collector)
@@ -81,9 +106,13 @@ class AutoWebCache:
         self._weaver: Weaver | None = None
         self.weave_report: WeaveReport | None = None
 
-    def _build_cache(self, **cache_kwargs):
-        """The facade object for ``cache_kwargs`` (:class:`Cache`'s)."""
-        return Cache(**cache_kwargs)
+    @property
+    def router(self) -> ClusterRouter:
+        return self.cache
+
+    @property
+    def bus(self):
+        return self.cache.bus
 
     @property
     def semantics(self) -> SemanticsRegistry:
@@ -92,6 +121,11 @@ class AutoWebCache:
     @property
     def stats(self):
         return self.cache.stats
+
+    def cluster_snapshot(self) -> dict:
+        """Aggregate + per-node + bus + membership accounting, one
+        consistent read per node (:meth:`ClusterStats.snapshot`)."""
+        return self.cache.snapshot()
 
     @property
     def installed(self) -> bool:

@@ -27,9 +27,9 @@ what differs per tier: the key, the statistics bucket, how to look an
 entry up, how to ``serve(entry)`` and how to ``compute(window)`` (run
 the body and insert, passing the token ``window`` through to the
 insert).  The token primitives themselves -- the synchronisation -- live
-on the facade (:class:`~repro.cache.api.Cache` /
-:class:`~repro.cluster.router.ClusterRouter`); this module is their
-only caller.
+on the facade (:class:`~repro.cluster.router.ClusterRouter`, which opens
+each token on the node :class:`~repro.cache.api.Cache` owning the key);
+this module is their only caller.
 
 A fragment is a computation nested inside another one, so
 :meth:`CachedComputation.cached_nested` adds what nesting needs: the

@@ -75,7 +75,6 @@ class PageEntry:
         "dependencies",
         "expires_at",
         "semantic",
-        "fragments",
         "doomed",
         "_text",
         "_wire",
@@ -90,7 +89,6 @@ class PageEntry:
         dependencies: tuple[QueryInstance, ...] = (),
         expires_at: float | None = None,
         semantic: bool = False,
-        fragments: tuple[str, ...] = (),
     ) -> None:
         self.key = key
         self.status = status
@@ -100,9 +98,6 @@ class PageEntry:
         self.expires_at = expires_at
         #: True when cached under an application-semantics TTL window.
         self.semantic = semantic
-        #: Cache keys of the fragments whose cached text this body embeds
-        #: (containment edges: dooming any of them dooms this entry too).
-        self.fragments = fragments
         #: Set by :meth:`doom` when the page store removes this entry for
         #: a consistency reason (invalidation, expiry, eviction).  Serving
         #: tiers that pinned the wire buffer check it to fall back to a

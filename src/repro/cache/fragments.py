@@ -13,8 +13,8 @@ cache entries.  Two pieces of shared vocabulary live here:
   and must be doomed with it; the table answers that closure.
 
 The containment table is a plain structure: it takes no lock.  Its
-owner -- the cache facade, or on a ring the cluster router, which
-keeps every edge -- calls it only under the owner's lock.
+one owner, the cluster router (a page and its fragments usually live
+on different nodes), calls it only under the router lock.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def fragment_stat_uri(name: str) -> str:
 class FragmentContainment:
     """Bidirectional fragment<->page containment edges.
 
-    ``register`` is called at page-entry insert time with the fragments
-    whose cached text the body embeds; ``containing`` computes the
+    ``add`` is called at insert time with the fragments whose cached
+    text the body embeds; ``containing`` computes the
     transitive closure of entries doomed by a set of doomed keys
     (fragments may nest, so a doomed leaf fragment can doom an outer
     fragment which dooms a page).
@@ -52,23 +52,14 @@ class FragmentContainment:
         self._pages_of: dict[str, set[str]] = {}  # fragment -> containers
         self._fragments_of: dict[str, set[str]] = {}  # container -> fragments
 
-    def register(self, page_key: str, fragment_keys: list[str] | tuple[str, ...]) -> None:
-        """Record that ``page_key``'s cached body embeds ``fragment_keys``.
-
-        Replaces any previous edge set for ``page_key``: a re-insert
-        after invalidation may have assembled from different fragments.
-        """
-        if page_key in self._fragments_of:
-            self.forget(page_key)
-        self.add(page_key, fragment_keys)
-
     def add(self, page_key: str, fragment_keys: list[str] | tuple[str, ...]) -> None:
-        """Record edges, keeping any ``page_key`` already has.
+        """Record that ``page_key``'s cached body embeds ``fragment_keys``,
+        keeping any edges it already has.
 
-        For an owner whose store insert is not atomic with the edge
-        update (the cluster router): two computations of one key may
-        register in either order, and a spare edge costs at most an
-        extra miss where a lost one serves a stale page.
+        The router's store insert is not atomic with the edge update:
+        two computations of one key may register in either order, and a
+        spare edge costs at most an extra miss where a lost one serves a
+        stale page.  The key's next doom or eviction drops them all.
         """
         if not fragment_keys:
             return  # no edges (most entries, every insert)

@@ -1,8 +1,9 @@
-"""``repro.cluster``: the sharded multi-node cache tier.
+"""``repro.cluster``: the cache facade and its ring of node stores.
 
 AutoWebCache (the paper) proves page/database consistency on a single
-woven server.  This package scales that guarantee to N nodes, one copy
-of each page, strongly consistent:
+woven server.  This package is the facade the aspects talk to, over
+N >= 1 nodes -- a single server is the one-node ring -- one copy of
+each page, strongly consistent:
 
 - :mod:`repro.cluster.ring` -- consistent-hash placement of page keys
   onto nodes (virtual nodes, minimal remapping on join/leave) and the
@@ -13,16 +14,19 @@ of each page, strongly consistent:
   timeouts, so crash detection needs no bus quiescence;
 - :mod:`repro.cluster.node` -- per-node cache shard with ordered replay
   and the join/drain/leave lifecycle;
-- :mod:`repro.cluster.router` -- the Cache-shaped front-end the caching
-  aspects are woven against (placement, failover, crash eviction);
-- :mod:`repro.cluster.awc` -- the ``ClusterAutoWebCache`` facade.
+- :mod:`repro.cluster.router` -- the facade the caching aspects are
+  woven against (placement, failover, crash eviction, fragment
+  containment, the front-end counters).
+
+The installer is :class:`repro.cache.autowebcache.AutoWebCache`
+(``n_nodes=``); ``ClusterAutoWebCache`` is another name for it, kept
+for callers written when the ring had its own installer.
 
 See ``docs/cluster.md`` for the consistency argument (how PR-1's
 write-sequence staleness window extends across nodes) and for
 membership and failover.
 """
 
-from repro.cluster.awc import ClusterAutoWebCache, default_node_names
 from repro.cluster.bus import BusMessage, BusStats, InvalidationBus
 from repro.cluster.membership import (
     ALIVE,
@@ -50,7 +54,15 @@ __all__ = [
     "InvalidationBus",
     "SUSPECT",
     "Transition",
-    "default_node_names",
     "make_cache_factory",
     "stable_hash",
 ]
+
+
+def __getattr__(name: str):
+    # Resolved lazily: the installer imports this package's router.
+    if name == "ClusterAutoWebCache":
+        from repro.cache.autowebcache import AutoWebCache
+
+        return AutoWebCache
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -123,6 +123,8 @@ class HashRing:
             )
         if n <= 0:
             raise ClusterError("a successor walk needs at least one node")
+        if len(self._nodes) == 1:
+            return list(self._nodes)  # the one member owns every key
         start = bisect.bisect(self._points, stable_hash(key))
         total = len(self._points)
         want = min(n, len(self._nodes))

@@ -1,16 +1,18 @@
-"""The cluster front-end: a ``Cache``-shaped router over N shards.
+"""The cache facade: a router over N node stores (N >= 1).
 
-:class:`ClusterRouter` implements the exact operation set the caching
-aspects call on a single-node :class:`~repro.cache.api.Cache` --
+:class:`ClusterRouter` is the one object the caching aspects, the
+computation driver and the async server's fast path talk to --
 ``is_cacheable`` / ``check`` / ``insert`` / ``join_flight`` /
-``wait_flight`` / ``finish_flight`` / ``process_write_request`` -- so
-the woven application cannot tell whether it is talking to one cache or
-a cluster.  Reads route by consistent hash to the owning node's cache
-(reusing that node's single-flight machinery untouched); writes are
-broadcast to *every* node through the sequence-numbered invalidation
-bus, which is what extends PR-1's write-sequence staleness window
-cluster-wide: a page computed on node A while a write lands via node B
-is discarded at insert, exactly as intra-node overlapping flights are.
+``wait_flight`` / ``finish_flight`` / ``process_write_request`` -- and
+a single node is simply the one-node ring.  Reads route by consistent
+hash to the owning node's :class:`~repro.cache.api.Cache` (reusing that
+node's single-flight machinery untouched); writes are broadcast to
+*every* node through the sequence-numbered invalidation bus, which is
+what extends the write-sequence staleness window across nodes: a page
+computed on node A while a write lands via node B is discarded at
+insert, exactly as intra-node overlapping flights are.  What spans
+entries lives here and nowhere else: the fragment containment table and
+its closure, and the front-end counters.
 
 Locks: the router's one lock covers its routing state, its containment
 table and its front-end statistics; each node's cache has its own (the
@@ -66,6 +68,7 @@ from repro.cluster.node import JOINED, CacheNode
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.errors import ClusterError
 from repro.locks import NamedRLock
+from repro.sql.lineage import Catalog
 from repro.sql.template import QueryTemplate
 from repro.web.http import HttpRequest
 
@@ -80,13 +83,19 @@ Route = CacheNode | None
 _ROUTE_MEMO_LIMIT = 4096
 
 
+def _add_counts(into: dict, counts: dict) -> None:
+    """Sum a dict of counters into ``into``, key by key."""
+    for key, count in counts.items():
+        into[key] = into.get(key, 0) + count
+
+
 class ClusterStats:
-    """Cluster-wide view over per-node :class:`CacheStats`.
+    """The facade's statistics: a view over per-node :class:`CacheStats`.
 
     Per-node counters stay the source of truth (each node's accounting
     must be exact on its own); this object sums them on read and adds a
     front-end ledger for events that belong to the router rather than
-    any shard: write requests (processed once, broadcast everywhere),
+    any node: write requests (processed once, broadcast everywhere),
     coalesced serves, hole skips and extra queries (recorded by the
     aspects against the facade), and inserts refused because an
     embedded fragment was gone.  The router records them under its
@@ -122,23 +131,28 @@ class ClusterStats:
         return (self.hits + self.semantic_hits) / cacheable
 
     def snapshot(self) -> dict:
-        """Cluster aggregate plus the per-node snapshots it sums."""
+        """The one statistics shape: ``{"cluster": aggregate, "nodes":
+        [...], "bus": {...}, "membership": {...}}``.
+
+        The aggregate is a :meth:`CacheStats.snapshot` dict (per-type
+        breakdown included) summed over the front-end ledger and the
+        per-node snapshots listed beside it, one consistent read per
+        node.
+        """
         nodes = [node.snapshot() for node in self._router.nodes()]
         aggregate = self.frontend.snapshot()
-        aggregate.pop("by_type")
+        by_type = aggregate["by_type"]
         for node_snapshot in nodes:
-            stats = node_snapshot["stats"]
-            for key, value in stats.items():
-                if key in ("by_type", "hit_rate"):
+            for key, value in node_snapshot["stats"].items():
+                if key == "hit_rate":
                     continue
-                if isinstance(value, dict):
-                    # dict-valued counters (dooms_by_template): merge
-                    # by sub-key, never +=.
-                    bucket = aggregate.setdefault(key, {})
-                    for sub_key, count in value.items():
-                        bucket[sub_key] = bucket.get(sub_key, 0) + count
-                    continue
-                aggregate[key] += value
+                if key == "by_type":
+                    for uri, counts in value.items():
+                        _add_counts(by_type.setdefault(uri, {}), counts)
+                elif isinstance(value, dict):  # dooms_by_template
+                    _add_counts(aggregate[key], value)
+                else:
+                    aggregate[key] += value
         cacheable = (
             aggregate["hits"] + aggregate["semantic_hits"] + aggregate["misses"]
         )
@@ -175,7 +189,7 @@ for _field in dataclasses.fields(CacheStats):
 
 
 class ClusterRouter:
-    """Routes the cache facade operations across the ring."""
+    """The cache facade: routes every operation across the ring."""
 
     def __init__(
         self,
@@ -192,11 +206,12 @@ class ClusterRouter:
         self._lock = NamedRLock("cluster-router")
         self.ring = HashRing(vnodes=vnodes)
         self._template = cache_factory()  # config donor; serves nothing
+        #: The nodes' shared configuration, read by the aspects.
         self.semantics = self._template.semantics
+        self.clock = self._template.clock
+        self.invalidation_policy = self._template.invalidation_policy
         self.bus = InvalidationBus()
-        self.membership = membership or GossipMembership(
-            clock=self._template.clock
-        )
+        self.membership = membership or GossipMembership(clock=self.clock)
         self._nodes: dict[str, CacheNode] = {}
         #: Bumped by every change to ``_nodes`` and to a node's lifecycle
         #: state: the router's share of the routing version.
@@ -207,11 +222,12 @@ class ClusterRouter:
         #: Routes computed rather than found in the memo.
         self.routes_computed = 0
         self.stats = ClusterStats(self)
-        #: Cluster-wide containment: a page and the fragments it embeds
-        #: usually hash to *different* nodes, so no node's containment
-        #: table could see the edge.  The router keeps every edge (the
-        #: nodes keep none) and routes closure invalidations to the
-        #: holders.  Guarded by the router lock.
+        #: Which cached entries embed which cached fragments: dooming a
+        #: fragment must doom every entry assembled from its text.  A
+        #: page and its fragments usually hash to *different* nodes, so
+        #: the router keeps every edge (the nodes keep none) and routes
+        #: closure invalidations to the holders.  Guarded by the router
+        #: lock.
         self.fragments = FragmentContainment()
         #: Key sets that left some node's store for capacity or expiry
         #: (:attr:`Cache.on_evicted`), waiting for the containment
@@ -226,16 +242,6 @@ class ClusterRouter:
         self.written_tables = self._template.written_tables
         for name in node_names:
             self.add_node(name)
-
-    # -- facade attributes the aspects read --------------------------------------------
-
-    @property
-    def invalidation_policy(self):
-        return self._template.invalidation_policy
-
-    @property
-    def clock(self) -> Callable[[], float]:
-        return self._template.clock
 
     # -- membership --------------------------------------------------------------------
 
@@ -535,18 +541,21 @@ class ClusterRouter:
         share the same schema knowledge or two shards could disagree
         on a column-disjointness proof.  The schema-epoch comparison is
         made once here, not once per node: steady-state statements never
-        reach the fan-out.
+        reach the fan-out, and the catalog is built once for all of them.
         """
         epoch = getattr(database, "schema_epoch", None)
+        if epoch is None:
+            return
         source = self._catalog_source
         if source is not None and source[0] is database and source[1] == epoch:
             return
         with self._lock:
             nodes = list(self._nodes.values())
             self._catalog_source = (database, epoch)
-        self._template.sync_catalog(database)
+        catalog = Catalog.from_database(database)
+        self._template.sync_catalog(database, catalog)
         for node in nodes:
-            node.cache.sync_catalog(database)
+            node.cache.sync_catalog(database, catalog)
 
     def witness(
         self, template: QueryTemplate, rows: Sequence[Sequence[object]]
@@ -667,18 +676,21 @@ class ClusterRouter:
         return entry, stored
 
     def _settle_evictions(self) -> None:
-        """The eviction rule on a ring.
+        """The eviction rule.
 
-        A node reports what left its store (:meth:`Cache._left_the_store`)
-        but holds no containment edges; the router's table names the
-        containers (and forgets the departed keys' own edges).  Called
-        outside every node lock."""
-        while True:
-            try:
-                keys = self._evicted.pop()
-            except IndexError:  # drained, possibly by another thread
-                return
-            self._doom_containers(keys)
+        A node reports what left its store for capacity or expiry
+        (:attr:`Cache.on_evicted`) but holds no containment edges; the
+        router's table names the containers (and forgets the departed
+        keys' own edges).  A container registers only its own,
+        outside-fragment reads, so once an embedded fragment is gone no
+        write could doom the container's copy of its text: it is doomed
+        now, exactly as when a write dooms the fragment.  Called outside
+        every node lock.  A key set is popped and closed over in one
+        router-lock section, so a write that takes the lock after it
+        finds the closure done (:meth:`process_write_request`)."""
+        with self._lock:
+            while self._evicted:
+                self._doom_containers(self._evicted.pop())
 
     def record_uncacheable(self, request: HttpRequest) -> None:
         self._owner(request.cache_key()).cache.record_uncacheable(request)
@@ -762,7 +774,13 @@ class ClusterRouter:
         # re-analyse each duplicate while the bus publish lock is held,
         # multiplying the redundant work by node count.
         _message, doomed = self.bus.publish("router", uri, dedupe_writes(writes))
-        return self._doom_containers(doomed)
+        with self._lock:
+            # Evictions a concurrent insert has not settled yet: their
+            # containers' copies are beyond this write's reach, so the
+            # write settles them before it responds.
+            while self._evicted:
+                self._doom_containers(self._evicted.pop())
+            return self._doom_containers(doomed)
 
     def _doom_containers(self, doomed: set[str]) -> set[str]:
         """Containment closure over freshly doomed keys.
@@ -771,19 +789,20 @@ class ClusterRouter:
         fragment on node B, or on A itself).  Routed through the holder's
         ``invalidate_key`` so the container is doomed and its open
         flights are marked stale exactly as for a direct invalidation.
-        Runs under the router lock, so no insert can register or check
-        an edge halfway through.
+        The caller holds the router lock, so no insert can register or
+        check an edge halfway through.
         """
-        with self._lock:
-            extra = self.fragments.containing(doomed)
-            for key in extra:
-                holder = self._route(key)
-                if holder is not None:
-                    holder.cache.invalidate_key(key)
-            closed = doomed | extra
-            for key in closed:
-                self.fragments.forget(key)
-            return closed
+        if not len(self.fragments):
+            return doomed  # nothing embeds anything (no fragments cached)
+        extra = self.fragments.containing(doomed)
+        for key in extra:
+            holder = self._route(key)
+            if holder is not None:
+                holder.cache.invalidate_key(key)
+        closed = doomed | extra
+        for key in closed:
+            self.fragments.forget(key)
+        return closed
 
     def _holds(self, key: str) -> bool:
         """Is ``key`` resident on the node it routes to?"""
@@ -794,14 +813,20 @@ class ClusterRouter:
         """External single-key invalidation, routed to the key's holder."""
         holder = self._route(key)
         removed = holder is not None and holder.cache.invalidate_key(key)
-        self._doom_containers({key})
+        with self._lock:
+            self._doom_containers({key})
         return removed
 
     # -- management --------------------------------------------------------------------
 
     def clear(self) -> None:
-        for node in self.nodes():
-            node.cache.clear()
+        """Empty every node, and the containment table with them: an
+        edge outliving its entries would doom a later computation of
+        the container for nothing."""
+        with self._lock:
+            for node in self._nodes.values():
+                node.cache.clear()
+            self.fragments = FragmentContainment()
 
     def __len__(self) -> int:
         return sum(len(node.cache) for node in self.nodes())

@@ -374,7 +374,7 @@ def _obs_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--requests", type=int, default=24,
                    help="scripted request rounds to drive")
     p.add_argument("--nodes", type=int, default=1,
-                   help="cache nodes; >1 uses the sharded cluster tier")
+                   help="cache nodes (one node is the one-node ring)")
     p.add_argument("--traces", type=int, default=8,
                    help="trace ring-buffer capacity / display limit")
     p.add_argument("--view", choices=["summary", "metrics", "traces", "all"],
@@ -403,12 +403,7 @@ def _cmd_obs(args: argparse.Namespace) -> str:
 
     app = build_rubis()
     obs = Observability(capacity=args.traces)
-    if args.nodes > 1:
-        from repro.cluster.awc import ClusterAutoWebCache
-
-        awc = ClusterAutoWebCache(**EXTENDED, n_nodes=args.nodes)
-    else:
-        awc = AutoWebCache(**EXTENDED)
+    awc = AutoWebCache(**EXTENDED, n_nodes=args.nodes)
     awc.install(app.container.servlet_classes, extra_aspects=obs.aspects)
     obs.weave_infrastructure(awc)
     try:
@@ -424,9 +419,7 @@ def _cmd_obs(args: argparse.Namespace) -> str:
     finally:
         obs.unweave_infrastructure()
         awc.uninstall()
-    snapshot = (
-        awc.cluster_snapshot() if args.nodes > 1 else awc.stats.snapshot()
-    )
+    snapshot = awc.cluster_snapshot()
     sections: list[str] = []
     if args.view in ("summary", "all"):
         sections.append(
@@ -438,13 +431,11 @@ def _cmd_obs(args: argparse.Namespace) -> str:
         sections.append(
             render_doom_templates("Invalidation churn by template", snapshot)
         )
-        if "membership" in snapshot:
-            sections.append(
-                render_membership(
-                    "Gossip membership (router view)",
-                    snapshot["membership"],
-                )
+        sections.append(
+            render_membership(
+                "Gossip membership (router view)", snapshot["membership"]
             )
+        )
     if args.view in ("metrics", "all"):
         sections.append(
             render_metrics(
@@ -569,7 +560,7 @@ def _cmd_run(args: argparse.Namespace) -> str:
     if outcome.cache_stats is not None:
         # One lock-consistent read of the cache counters, not a field
         # walk over a live object.
-        cache_snapshot = outcome.cache_stats.snapshot()
+        cache_snapshot = outcome.cache_stats.snapshot()["cluster"]
         rows.append(["pages invalidated", cache_snapshot["invalidated_pages"]])
         rows.append(["stale inserts", cache_snapshot["stale_inserts"]])
         from repro.harness.reporting import PROTOCOL_COUNTERS

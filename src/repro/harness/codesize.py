@@ -25,7 +25,6 @@ COMPONENTS: dict[str, tuple[str, ...]] = {
         "cache/aspects*.py",
         "cache/computation.py",
         "cache/autowebcache.py",
-        "cluster/awc.py",
     ),
     # The reusable cache library (the JWebCaching analogue): the rest
     # of the caching packages (weaving-rules files are subtracted).

@@ -790,7 +790,6 @@ def run_fragment_differential(
                     key=key,
                     body=f"body of {key}",
                     dependencies=tuple(reads),
-                    fragments=embedded,
                 )
             )
             edges[key] = set(embedded)

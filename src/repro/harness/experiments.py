@@ -20,7 +20,6 @@ from repro.apps.tpcw.workload import shopping_mix
 from repro.cache.analysis import InvalidationPolicy
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.semantics import SemanticsRegistry
-from repro.cluster.awc import ClusterAutoWebCache
 from repro.harness.codesize import measure_components
 from repro.harness.profiles import EXTENDED, PAPER
 from repro.sim.clock import VirtualClock
@@ -179,7 +178,8 @@ def run_cell(
         # Samples are taken on a miss; the closing one carries the run's
         # totals, so the last x is lookups processed, not "lookups at
         # the last new entry".
-        analysis = awc.cache.analysis_cache
+        (node,) = awc.router.nodes()
+        analysis = node.cache.analysis_cache
         growth = [
             *analysis.stats.growth,
             (analysis.stats.lookups, analysis.entry_count),
@@ -225,17 +225,17 @@ def run_cluster_cell(
 ) -> ClusterOutcome:
     """Simulate one (node count, client count) cluster cell.
 
-    Builds a fresh application, weaves :class:`ClusterAutoWebCache`
-    over it, and drives the cluster simulator (per-node app resources,
-    one shared database resource, and the synchronous invalidation
-    bus).
+    Builds a fresh application, weaves an ``n_nodes`` ring
+    (:class:`AutoWebCache`) over it, and drives the cluster simulator
+    (per-node app resources, one shared database resource, and the
+    synchronous invalidation bus).
     """
     defaults = defaults or ExperimentDefaults()
     clock = VirtualClock()
     application, mix, base_model, semantics = _build_cell(
         app, mix_name, defaults, window=False
     )
-    awc = ClusterAutoWebCache(
+    awc = AutoWebCache(
         # The ring is not in the paper: cluster cells measure EXTENDED,
         # at the paper's invalidation rung.
         **EXTENDED,
@@ -301,7 +301,7 @@ def run_analysis_cache_experiment(
     (read template, write) pairs the write path considered -- analysed,
     or answered by index / lineage pruning without a lookup."""
     outcome = run_cell(spec, n_clients)
-    counters = outcome.cache_stats.snapshot()
+    counters = outcome.cache_stats.snapshot()["cluster"]
     considered = (
         counters["pair_analyses"]
         + counters["templates_skipped_by_index"]

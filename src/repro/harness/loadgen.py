@@ -46,9 +46,9 @@ class ClusterTarget:
     """A woven N-node cluster as a load-driver target.
 
     Bundles the servlet container with its installed
-    :class:`~repro.cluster.awc.ClusterAutoWebCache` so stress tests
-    can drive the cluster and then audit per-node accounting from one
-    handle.
+    :class:`~repro.cache.autowebcache.AutoWebCache` (``n_nodes > 1``)
+    so stress tests can drive the cluster and then audit per-node
+    accounting from one handle.
     """
 
     container: "object"

@@ -38,11 +38,11 @@ def _fmt(cell: object) -> str:
 def render_doom_templates(title: str, snapshot: dict) -> str:
     """Per-write-template invalidation churn, busiest template first.
 
-    Renders ``dooms_by_template`` from a :meth:`CacheStats.snapshot`
-    dict or a cluster snapshot (its ``"cluster"`` aggregate): which
+    Renders ``dooms_by_template`` from a facade snapshot's
+    ``"cluster"`` aggregate (:meth:`ClusterStats.snapshot`): which
     UPDATE/INSERT/DELETE templates doomed how many cached pages.
     """
-    dooms = snapshot.get("cluster", snapshot).get("dooms_by_template", {})
+    dooms = snapshot["cluster"]["dooms_by_template"]
     if not dooms:
         return f"{title}\n(no invalidations)"
     rows = [
@@ -94,13 +94,12 @@ PROTOCOL_COUNTERS = (
 def render_protocol_counters(title: str, snapshot: dict) -> str:
     """Render the invalidation-protocol work counters as a table.
 
-    Accepts either a :meth:`CacheStats.snapshot` dict or a cluster
-    snapshot (``{"cluster": ..., "nodes": ..., "bus": ...}``);
-    ``writes_deduped`` is a bus-level counter, so for a single-node
-    snapshot (no bus) it renders as 0.
+    Takes a facade snapshot (:meth:`ClusterStats.snapshot`: ``{"cluster":
+    ..., "nodes": ..., "bus": ...}``); ``writes_deduped`` is read from
+    the bus, every other counter from the aggregate, and a counter
+    missing from both renders as 0.
     """
-    counters = snapshot.get("cluster", snapshot)
-    bus = snapshot.get("bus", {})
+    counters, bus = snapshot["cluster"], snapshot["bus"]
     rows = []
     for name in PROTOCOL_COUNTERS:
         value = counters.get(name, bus.get(name, 0))

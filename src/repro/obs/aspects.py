@@ -5,8 +5,8 @@ two aspects inject *visibility* the same way, over the same join points
 plus the cache infrastructure the first concern introduced:
 
 - servlet handlers (``HttpServlet+.do_get``/``do_post``),
-- the cache facade (lookup / insert / invalidate / single-flight wait,
-  on both the single-node ``Cache`` and the ``ClusterRouter``),
+- the cache facade (``ClusterRouter`` lookup / insert / invalidate /
+  single-flight wait),
 - the DB-API driver (``execute_query`` / ``execute_update`` /
   ``commit`` / ``rollback``),
 - the cluster invalidation bus (``publish`` on the front-end,
@@ -53,22 +53,11 @@ SERVLET_WRITE_POINTCUT = (
     "execution(HttpServlet+.do_post(..)) "
     "&& !cflowbelow(execution(HttpServlet+.do_*(..)))"
 )
-#: Cache-facade pointcuts; the ClusterRouter duck-types the Cache, so
-#: both spellings are matched and whichever class is woven reports.
-CACHE_LOOKUP_POINTCUT = (
-    "execution(Cache.check(..)) || execution(ClusterRouter.check(..))"
-)
-CACHE_INSERT_POINTCUT = (
-    "execution(Cache.insert(..)) || execution(ClusterRouter.insert(..))"
-)
-CACHE_INVALIDATE_POINTCUT = (
-    "execution(Cache.process_write_request(..))"
-    " || execution(ClusterRouter.process_write_request(..))"
-)
-CACHE_APPLY_POINTCUT = "execution(Cache.apply_writes(..))"
-FLIGHT_WAIT_POINTCUT = (
-    "execution(Cache.wait_flight(..)) || execution(ClusterRouter.wait_flight(..))"
-)
+#: Cache-facade pointcuts (the router is the one facade).
+CACHE_LOOKUP_POINTCUT = "execution(ClusterRouter.check(..))"
+CACHE_INSERT_POINTCUT = "execution(ClusterRouter.insert(..))"
+CACHE_INVALIDATE_POINTCUT = "execution(ClusterRouter.process_write_request(..))"
+FLIGHT_WAIT_POINTCUT = "execution(ClusterRouter.wait_flight(..))"
 #: Driver pointcuts (the caching aspects' Figure 12 join points).
 SQL_QUERY_POINTCUT = "call(Statement.execute_query(..))"
 SQL_UPDATE_POINTCUT = "call(Statement.execute_update(..))"
@@ -172,18 +161,6 @@ class TracingAspect(SwitchableAspect):
         if not self.enabled:
             return joinpoint.proceed()
         with self.tracer.span("cache.invalidate") as span:
-            doomed = joinpoint.proceed()
-            try:
-                span.set_tag("doomed", len(doomed))
-            except TypeError:  # pragma: no cover - defensive
-                pass
-            return doomed
-
-    @around(CACHE_APPLY_POINTCUT)
-    def trace_cache_apply(self, joinpoint: JoinPoint):
-        if not self.enabled:
-            return joinpoint.proceed()
-        with self.tracer.span("cache.apply_writes") as span:
             doomed = joinpoint.proceed()
             try:
                 span.set_tag("doomed", len(doomed))

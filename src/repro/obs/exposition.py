@@ -49,12 +49,11 @@ def render_metrics(
 ) -> str:
     """The ``/_metrics`` document: Prometheus text exposition format.
 
-    ``cache_snapshot`` (a :meth:`~repro.cache.stats.CacheStats.snapshot`
-    dict, or a cluster aggregate carrying the same keys) adds the
+    ``cache_snapshot`` (the facade's ``{"cluster": ..., "bus": ...,
+    "membership": ...}`` snapshot, :meth:`~repro.cluster.router.
+    ClusterStats.snapshot`) adds, from its ``"cluster"`` aggregate, the
     column-lineage pruning counters as a labelled counter family, the
-    row-witness skip counter and the partner-probe counters.  A full
-    cluster snapshot (the ``{"cluster": ..., "bus": ..., "membership":
-    ...}`` shape of ``ClusterRouter.snapshot()``) additionally emits the
+    row-witness skip counter and the partner-probe counters, and the
     router-view membership state set.
     """
     lines = [
@@ -87,9 +86,7 @@ def render_metrics(
             f"repro_tracer_traces_evicted_total {tracer.traces_evicted}",
         ]
     if cache_snapshot is not None:
-        # A cluster snapshot nests the aggregate counters under
-        # "cluster"; a single-node CacheStats snapshot *is* the counters.
-        stats = cache_snapshot.get("cluster", cache_snapshot)
+        stats = cache_snapshot["cluster"]
         lines += [
             f"# HELP {LINEAGE_METRIC} Column-lineage pruning: candidate "
             "templates skipped and prune rules built.",
@@ -116,12 +113,12 @@ def render_metrics(
             f"# TYPE {PARTNER_PROBES_METRIC} counter",
             f"{PARTNER_PROBES_METRIC} {stats.get('partner_probes', 0)}",
         ]
-        lines += _render_membership(cache_snapshot.get("membership"))
+        lines += _render_membership(cache_snapshot["membership"])
     return "\n".join(lines) + "\n"
 
 
-def _render_membership(membership: dict | None) -> list[str]:
-    """The router-view membership state set (empty off a ring).
+def _render_membership(membership: dict) -> list[str]:
+    """The router-view membership state set (empty with no members).
 
     Follows the Prometheus *state set* idiom: one series per (node,
     state) pair, valued 1 on the series matching the node's current

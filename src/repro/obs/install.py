@@ -7,11 +7,11 @@ by one weaver:
    driver) are *shared* with the caching aspects, so the observability
    aspects must ride the same :class:`~repro.aop.weaver.Weaver` -- pass
    :attr:`Observability.aspects` as ``extra_aspects`` to
-   ``AutoWebCache.install`` / ``ClusterAutoWebCache.install``.  Aspect
+   ``AutoWebCache.install``.  Aspect
    precedence (-10/-5 vs the cache aspects' 10/20) then makes tracing
    the outermost layer regardless of registration order.
-2. The cache infrastructure classes (``Cache`` facade, or the cluster's
-   router/bus/nodes) are never touched by the caching weaver, so
+2. The cache infrastructure classes (the router facade, the bus and the
+   node class) are never touched by the caching weaver, so
    :meth:`Observability.weave_infrastructure` wraps them with a second,
    private weaver.
 
@@ -38,28 +38,15 @@ from repro.obs.histogram import DEFAULT_BOUNDS, MetricsHub
 from repro.obs.tracer import Tracer
 
 
-def infrastructure_classes(facade) -> tuple[type, ...]:
-    """The cache-infrastructure classes behind ``facade``.
-
-    ``facade`` is an ``AutoWebCache`` or ``ClusterAutoWebCache`` (or
-    anything exposing ``.cache``).  A cluster facade contributes the
-    router, the bus and the node class -- so publish/deliver join
-    points are observable -- while a single-node facade contributes the
-    ``Cache`` class alone.
-    """
-    from repro.cache.api import Cache
+def infrastructure_classes() -> tuple[type, ...]:
+    """The cache-infrastructure classes: the router facade, the bus and
+    the node class, so lookup/insert/invalidate and publish/deliver
+    join points are observable on one node as on many."""
     from repro.cluster.bus import InvalidationBus
     from repro.cluster.node import CacheNode
     from repro.cluster.router import ClusterRouter
 
-    core = getattr(facade, "cache", facade)
-    if isinstance(core, ClusterRouter):
-        return (ClusterRouter, InvalidationBus, CacheNode)
-    if isinstance(core, Cache):
-        return (Cache,)
-    raise WeavingError(
-        f"cannot derive infrastructure classes from {type(core).__name__}"
-    )
+    return (ClusterRouter, InvalidationBus, CacheNode)
 
 
 class Observability:
@@ -112,16 +99,16 @@ class Observability:
     ) -> WeaveReport:
         """Weave the aspects over the cache infrastructure classes.
 
-        Give either a cache ``facade`` (classes are derived via
-        :func:`infrastructure_classes`) or an explicit ``classes``
-        iterable.
+        Give either a cache ``facade`` (an installed ``AutoWebCache``:
+        its :func:`infrastructure_classes` are woven) or an explicit
+        ``classes`` iterable.
         """
         if self._infra_weaver is not None:
             raise WeavingError("observability infrastructure is already woven")
         if classes is None:
             if facade is None:
                 raise WeavingError("weave_infrastructure needs a facade or classes")
-            classes = infrastructure_classes(facade)
+            classes = infrastructure_classes()
         weaver = Weaver()
         weaver.add_aspect(self.tracing_aspect)
         weaver.add_aspect(self.metrics_aspect)

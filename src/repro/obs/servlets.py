@@ -23,9 +23,9 @@ TRACES_URI = "/_traces"
 class MetricsServlet(HttpServlet):
     """Serves the Prometheus text exposition of the metrics hub.
 
-    ``stats`` (anything with a lock-consistent ``snapshot()`` -- a
-    :class:`~repro.cache.stats.CacheStats` or a cluster aggregate) adds
-    the column-lineage pruning counters, snapshotted at serve time.
+    ``stats`` (the facade's :class:`~repro.cluster.router.ClusterStats`,
+    ``awc.stats``) adds the column-lineage pruning counters and the
+    membership state set, snapshotted at serve time.
     """
 
     def __init__(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.awc import ClusterAutoWebCache
+from repro.cache.autowebcache import AutoWebCache
 from repro.db.engine import Database
 from repro.errors import SimulationError
 from repro.sim.clock import VirtualClock
@@ -98,7 +98,7 @@ class ClusterLoadSimulator(LoadSimulator):
     """Drives emulated clients through a sharded cache cluster.
 
     The event loop is :class:`LoadSimulator`'s; this class only prices a
-    request on a ring.  ``awc`` must be a :class:`ClusterAutoWebCache`
+    request on a ring.  ``awc`` must be an :class:`AutoWebCache`
     already installed over the container's servlet classes: the
     simulator asks its router which node owns each request so
     virtual-time capacity matches the real placement.
@@ -111,7 +111,7 @@ class ClusterLoadSimulator(LoadSimulator):
         mix: InteractionMix,
         config: SimulationConfig,
         cost_model: ClusterCostModel,
-        awc: ClusterAutoWebCache,
+        awc: AutoWebCache,
         clock: VirtualClock | None = None,
     ) -> None:
         if not awc.router.node_names:

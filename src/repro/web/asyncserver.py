@@ -13,7 +13,7 @@ refactor that fixes it without touching the servlet/WSGI API:
   per-request connect cost.
 
 * **Precomputed hit path.** A cacheable GET with no cookies probes the
-  cache *on the loop thread* via :meth:`Cache.fast_check` (hit-or-
+  cache *on the loop thread* via :meth:`ClusterRouter.fast_check` (hit-or-
   nothing; misses record no statistics and leave the miss taxonomy
   untouched for the woven check that follows).  On a hit the entry's
   pinned wire buffer -- status line + headers + body, rendered once by
@@ -339,8 +339,10 @@ class _HttpConnection(asyncio.Protocol):
 class AsyncCachedServer:
     """The event-loop serving tier around one container (+ cache).
 
-    ``cache`` is anything with the facade's ``fast_check`` --
-    :class:`repro.cache.api.Cache` or a cluster router; ``None``
+    ``cache`` is anything with the facade's ``fast_check`` -- the
+    installed facade (``awc.cache``, a
+    :class:`~repro.cluster.router.ClusterRouter`), or one node's
+    :class:`~repro.cache.api.Cache`; ``None``
     disables the fast path entirely (every request renders, which is
     still a working HTTP server).  The fast path is also disabled when
     the container has sessions enabled: session resolution and

@@ -210,3 +210,10 @@ def cached_notes_app():
         yield db, container, awc
     finally:
         awc.uninstall()
+
+
+def node_store(awc):
+    """The :class:`~repro.cache.api.Cache` of a one-node facade: the
+    node's page store, flights and lock, which the facade routes to."""
+    (node,) = awc.router.nodes()
+    return node.cache

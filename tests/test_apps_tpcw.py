@@ -11,6 +11,8 @@ from repro.apps.tpcw.app import (
 )
 from repro.cache.autowebcache import AutoWebCache
 
+from tests.conftest import node_store
+
 
 def small_dataset():
     return TpcwDataset(n_items=60, n_customers=30, n_orders=40, seed=11)
@@ -253,7 +255,7 @@ def test_fragments_recover_hits_on_hidden_state_pages():
         assert first != second  # the banner hole still rotates
         assert awc.stats.uncacheable == 2  # pages never cached whole
         assert awc.stats.hits >= 1  # the greeting fragment hit
-        assert fragment_key("tpcw/greeting", {"c_id": "1"}) in awc.cache.pages
+        assert fragment_key("tpcw/greeting", {"c_id": "1"}) in node_store(awc).pages
         hits_before = awc.stats.hits
         container.get("/tpcw/search_request")
         container.get("/tpcw/search_request")

@@ -38,7 +38,7 @@ from repro.web.container import ServletContainer
 from repro.web.http import HttpRequest, HttpResponse
 from repro.web.servlet import HttpServlet
 
-from tests.conftest import build_notes_app
+from tests.conftest import build_notes_app, node_store
 from tests.test_single_flight import _spin_until
 
 
@@ -272,9 +272,7 @@ class TestFastCheck:
         assert cache.check(request).body == "body"
 
     def test_ring_probe_routes_to_the_owner(self):
-        from repro.cluster import ClusterAutoWebCache
-
-        router = ClusterAutoWebCache(n_nodes=2).cache
+        router = AutoWebCache(n_nodes=2).cache
         requests = [HttpRequest("GET", "/page", {"id": str(i)}) for i in range(16)]
         for request in requests:
             router.insert(request, f"body {request.params['id']}", [])
@@ -1016,7 +1014,7 @@ class TestRunToCompletion:
             )
             leader.start()
             assert view.entered.wait(timeout=5)
-            flight = awc.cache.flight_for("/stall")
+            flight = node_store(awc).flight_for("/stall")
             with start_async_server(container, cache=awc.cache) as server:
                 answer: list[bytes] = []
                 client = threading.Thread(

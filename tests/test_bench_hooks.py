@@ -7,7 +7,8 @@ reaches for still resolves (no sockets, nothing is patched), that the
 one hook patched on an *instance* -- ``server.executor.submit`` -- is
 still what a slow request goes through, and that a fast hit answered
 through the head memo still passes the patched ``fast_check`` and
-``build_wire`` (patched for that test only, then restored).
+``build_wire`` (patched for that test only, then restored).  It also
+pins what ``bench/server.py`` reads from every workload's facade.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import repro.db.engine as engine
 import repro.sql.template as template
 import repro.web.asyncserver as asyncserver
 from bench import tracing
+from bench.workloads import WORKLOADS, build_facade
 from repro.apps.html import PageComposer
 from repro.cache.api import Cache
 from repro.cluster.bus import InvalidationBus
@@ -120,6 +122,27 @@ def test_a_remembered_fast_hit_still_emits_its_spans():
         assert server.stats.fast_hits == 1
     assert sorted(span[3] for span in recorder.spans) == [
         "cache.fast_check",
+        "cluster.fast_check",
         "web.build_wire",
         "web.request",
     ]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_the_bench_server_finds_what_it_reads_on_every_facade(name):
+    """``bench/server.py`` picks its counter branch with ``hasattr(awc,
+    "cluster_snapshot")`` -- every workload's facade is a ring, so every
+    one takes the ring branch -- and then reads these by name.  A gap
+    there would crash the benchmark instead of failing a test."""
+    awc = build_facade(WORKLOADS[name])
+    snapshot = awc.cluster_snapshot()
+    assert isinstance(snapshot["cluster"], dict)
+    assert {"published", "delivered", "pages_invalidated"} <= set(snapshot["bus"])
+    nodes = awc.router.nodes()
+    assert len(nodes) == len(snapshot["nodes"]) == max(WORKLOADS[name].nodes, 1)
+    for node, node_snapshot in zip(nodes, snapshot["nodes"]):
+        assert node_snapshot["stats"]["lookups"] == 0
+        pages = node.cache.pages
+        assert (pages.total_bytes, len(pages)) == (0, 0)
+    assert callable(awc.install)
+    assert callable(awc.cache.fast_check)

@@ -14,7 +14,7 @@ from repro.cache.semantics import SemanticsRegistry
 from repro.errors import CacheError
 from repro.web.servlet import HttpServlet
 
-from tests.conftest import build_notes_app
+from tests.conftest import build_notes_app, node_store
 
 
 def add(container, note_id, topic, body, score=0):
@@ -114,7 +114,7 @@ class TestWritePath:
         add(container, 1, "a", "x")
         container.get("/view_topic", {"topic": "a"})
         container.post("/score", {"id": "1", "score": "9"})
-        dooms = awc.stats.snapshot()["dooms_by_template"]
+        dooms = awc.stats.snapshot()["cluster"]["dooms_by_template"]
         assert sum(dooms.values()) >= 1
         assert any("UPDATE notes" in template for template in dooms)
 
@@ -318,7 +318,7 @@ class TestCatalogMirror:
 
         db, container, awc = cached_notes_app
         built = self.count_mirrors(monkeypatch)
-        engine = awc.cache.engine
+        engine = node_store(awc).engine
         assert engine.catalog is None
         add(container, 1, "a", "x")
         assert built == [1]
@@ -342,18 +342,17 @@ class TestCatalogMirror:
         self, monkeypatch
     ):
         from repro.cache.api import Cache
-        from repro.cluster import ClusterAutoWebCache
 
         db, container = build_notes_app()
-        awc = ClusterAutoWebCache(n_nodes=3)
+        awc = AutoWebCache(n_nodes=3)
         awc.install(container.servlet_classes)
         try:
             node_syncs = [0]
             original = Cache.sync_catalog
 
-            def counted(self, database):
+            def counted(self, database, catalog):
                 node_syncs[0] += 1
-                return original(self, database)
+                return original(self, database, catalog)
 
             monkeypatch.setattr(Cache, "sync_catalog", counted)
             # Three nodes plus the router's config donor, whose engine

@@ -8,7 +8,7 @@ from repro.cache.page_cache import PageCache
 from repro.cache.replacement import LruPolicy, make_policy, UnboundedPolicy
 from repro.errors import CacheError
 
-from tests.conftest import build_notes_app
+from tests.conftest import build_notes_app, node_store
 
 
 def entry(key, size):
@@ -104,7 +104,7 @@ class TestEndToEndByteBound:
                 )
             for i in range(6):
                 container.get("/view_topic", {"topic": f"t{i}"})
-            assert awc.cache.pages.total_bytes <= 200
+            assert node_store(awc).pages.total_bytes <= 200
             assert awc.stats.evictions > 0
             # The cache still serves correct content for live entries.
             key_topic = "t5"

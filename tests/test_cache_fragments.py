@@ -14,14 +14,18 @@ import pytest
 
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.fragments import FragmentContainment, fragment_key
-from repro.cluster import ClusterAutoWebCache
 from repro.apps.html import fragment, hole
 from repro.db import connect
 from repro.web.container import ServletContainer
 from repro.web.http import HttpRequest, HttpResponse
 from repro.web.servlet import HttpServlet
 
-from tests.conftest import AddNoteServlet, ScoreNoteServlet, make_notes_db
+from tests.conftest import (
+    AddNoteServlet,
+    ScoreNoteServlet,
+    make_notes_db,
+    node_store,
+)
 
 TOPIC_FRAGMENT = "notes/topic"
 PAGE_KEY = "/topic_page?topic=a"
@@ -186,13 +190,13 @@ class TestFragmentEntries:
         try:
             add(container, 1, "a", "x")
             container.get("/topic_page", {"topic": "a"})
-            assert PAGE_KEY in awc.cache.pages
-            assert FRAG_KEY in awc.cache.pages
-            page = awc.cache.pages.peek(PAGE_KEY)
-            assert page.fragments == (FRAG_KEY,)
+            assert PAGE_KEY in node_store(awc).pages
+            assert FRAG_KEY in node_store(awc).pages
+            page = node_store(awc).pages.peek(PAGE_KEY)
+            assert awc.router.fragments._fragments_of[PAGE_KEY] == {FRAG_KEY}
             # The fragment's dependencies belong to the fragment entry,
             # not the page's own read set.
-            frag = awc.cache.pages.peek(FRAG_KEY)
+            frag = node_store(awc).pages.peek(FRAG_KEY)
             assert len(frag.dependencies) == 1
             assert page.dependencies == ()
         finally:
@@ -219,13 +223,14 @@ class TestFragmentEntries:
             # Doom only the page: its body is gone but the fragment
             # entry survives (containment edges point upward only).
             awc.cache.invalidate_key(PAGE_KEY)
-            assert FRAG_KEY in awc.cache.pages
+            assert FRAG_KEY in node_store(awc).pages
             queries_before = db.stats.queries
             rebuilt = container.get("/topic_page", {"topic": "a"})
             assert rebuilt.body == first.body
             assert db.stats.queries == queries_before  # fragment hit
             # The rebuild re-cached the page with its containment edge.
-            assert awc.cache.pages.peek(PAGE_KEY).fragments == (FRAG_KEY,)
+            assert PAGE_KEY in node_store(awc).pages
+            assert awc.router.fragments._fragments_of[PAGE_KEY] == {FRAG_KEY}
         finally:
             awc.uninstall()
 
@@ -236,8 +241,8 @@ class TestFragmentEntries:
             add(container, 1, "a", "old")
             container.get("/topic_page", {"topic": "a"})
             add(container, 2, "a", "new")
-            assert FRAG_KEY not in awc.cache.pages
-            assert PAGE_KEY not in awc.cache.pages
+            assert FRAG_KEY not in node_store(awc).pages
+            assert PAGE_KEY not in node_store(awc).pages
             page = container.get("/topic_page", {"topic": "a"})
             assert "new" in page.body
         finally:
@@ -271,8 +276,8 @@ class TestHoles:
             # ...while the fragment text served from cache.
             assert awc.stats.hits == 1
             assert awc.stats.hole_skips == 2  # page skipped twice
-            assert "/stamped?topic=a" not in awc.cache.pages
-            assert FRAG_KEY in awc.cache.pages
+            assert "/stamped?topic=a" not in node_store(awc).pages
+            assert FRAG_KEY in node_store(awc).pages
         finally:
             awc.uninstall()
 
@@ -367,18 +372,17 @@ class TestNestedFragments:
             leaf_a = fragment_key(TOPIC_FRAGMENT, {"topic": "a"})
             leaf_b = fragment_key(TOPIC_FRAGMENT, {"topic": "b"})
             for key in ("/digest", digest_key, leaf_a, leaf_b):
-                assert key in awc.cache.pages, key
+                assert key in node_store(awc).pages, key
             # The digest entry embeds the leaves; the page embeds the
             # digest (direct edges only -- the closure walks the rest).
-            assert set(awc.cache.pages.peek(digest_key).fragments) == {
-                leaf_a, leaf_b,
-            }
-            assert awc.cache.pages.peek("/digest").fragments == (digest_key,)
+            edges = awc.router.fragments._fragments_of
+            assert edges[digest_key] == {leaf_a, leaf_b}
+            assert edges["/digest"] == {digest_key}
             # The digest's dependencies absorb the leaves' (a hit must
             # hand the parent the full transitive guard set)...
-            assert len(awc.cache.pages.peek(digest_key).dependencies) == 2
+            assert len(node_store(awc).pages.peek(digest_key).dependencies) == 2
             # ...while the page entry stays lean.
-            assert awc.cache.pages.peek("/digest").dependencies == ()
+            assert node_store(awc).pages.peek("/digest").dependencies == ()
         finally:
             awc.uninstall()
 
@@ -393,10 +397,10 @@ class TestNestedFragments:
             digest_key = fragment_key("notes/digest", {})
             leaf_a = fragment_key(TOPIC_FRAGMENT, {"topic": "a"})
             leaf_b = fragment_key(TOPIC_FRAGMENT, {"topic": "b"})
-            assert leaf_a not in awc.cache.pages
-            assert digest_key not in awc.cache.pages
-            assert "/digest" not in awc.cache.pages
-            assert leaf_b in awc.cache.pages  # untouched sibling
+            assert leaf_a not in node_store(awc).pages
+            assert digest_key not in node_store(awc).pages
+            assert "/digest" not in node_store(awc).pages
+            assert leaf_b in node_store(awc).pages  # untouched sibling
             rebuilt = container.get("/digest")
             assert "<p>a:3</p>" in rebuilt.body
         finally:
@@ -404,25 +408,37 @@ class TestNestedFragments:
 
 
 class TestContainmentTable:
-    def test_register_replaces_previous_edges(self):
-        table = FragmentContainment()
-        table.register("page", ["f1", "f2"])
-        table.register("page", ["f2", "f3"])
-        assert table.containing({"f1"}) == set()
-        assert table.containing({"f3"}) == {"page"}
-
     def test_containing_is_transitive_and_excludes_inputs(self):
         table = FragmentContainment()
-        table.register("outer", ["leaf"])
-        table.register("page", ["outer"])
+        table.add("outer", ["leaf"])
+        table.add("page", ["outer"])
         assert table.containing({"leaf"}) == {"outer", "page"}
         assert table.containing({"outer"}) == {"page"}
 
     def test_forget_drops_edges(self):
         table = FragmentContainment()
-        table.register("page", ["leaf"])
+        table.add("page", ["leaf"])
         table.forget("page")
         assert table.containing({"leaf"}) == set()
+
+    def test_clear_drops_the_edges_with_the_entries(self):
+        """An edge outliving ``clear`` would doom a fresh computation of
+        its container when the fragment is next invalidated, and edges
+        would pile up clear after clear."""
+        from repro.cluster.router import ClusterRouter, make_cache_factory
+
+        router = ClusterRouter(["n0"], make_cache_factory())
+        for i in range(3):
+            router.insert_key(f"frag://f?i={i}", "text", [])
+            router.insert_key(f"/page?i={i}", "<text>", [], fragments=(f"frag://f?i={i}",))
+            assert len(router.fragments) == 1
+            router.clear()
+            assert len(router) == 0
+            assert len(router.fragments) == 0
+        window = router.begin_window("/page?i=2")
+        router.invalidate_key("frag://f?i=2")
+        assert not window.stale
+        router.end_window(window)
 
 
 class TestClusterFragments:
@@ -430,7 +446,7 @@ class TestClusterFragments:
         """The fragment and its containing page hash to arbitrary
         nodes; a write must doom both cluster-wide."""
         db, container = build_fragment_app()
-        awc = ClusterAutoWebCache(n_nodes=4)
+        awc = AutoWebCache(n_nodes=4)
         awc.install(container.servlet_classes)
         try:
             add(container, 1, "a", "old")
@@ -449,7 +465,7 @@ class TestClusterFragments:
 
     def test_cluster_hole_page_fragment_hits(self):
         db, container = build_fragment_app()
-        awc = ClusterAutoWebCache(n_nodes=4)
+        awc = AutoWebCache(n_nodes=4)
         awc.install(container.servlet_classes)
         try:
             add(container, 1, "a", "x")
@@ -464,7 +480,7 @@ class TestClusterFragments:
 
     def test_cluster_nested_doom_crosses_shards(self):
         db, container = build_fragment_app()
-        awc = ClusterAutoWebCache(n_nodes=4)
+        awc = AutoWebCache(n_nodes=4)
         awc.install(container.servlet_classes)
         try:
             add(container, 1, "a", "x")
@@ -501,31 +517,65 @@ class TestEvictionClimbsContainment:
     it is gone no write could doom their copy of its text."""
 
     def test_facade_sequence_from_the_issue(self):
-        from repro.cache.api import Cache
         from repro.cache.entry import QueryInstance
+        from repro.cluster.router import ClusterRouter, make_cache_factory
         from repro.sql.template import templateize
 
-        cache = Cache(replacement="lru", capacity=2)
+        router = ClusterRouter(
+            ["n0"], make_cache_factory(replacement="lru", capacity=2)
+        )
+        (node,) = router.nodes()
         read = QueryInstance(*templateize("SELECT name FROM categories WHERE id = ?", (1,)))
-        cache.insert_key("frag://cat?id=1", "old name", [read])
-        cache.insert_key(
+        router.insert_key("frag://cat?id=1", "old name", [read])
+        router.insert_key(
             "/page?x=1", "<p>old name</p>", [],
             fragments=("frag://cat?id=1",), guard_reads=(read,),
         )
-        assert cache.check_key("/page?x=1", "/page") is not None
+        assert router.check_key("/page?x=1", "/page") is not None
         # LRU evicts the fragment (the page was just touched) ...
-        cache.insert_key("/other?y=1", "other", [])
-        assert "frag://cat?id=1" not in cache.pages
+        router.insert_key("/other?y=1", "other", [])
+        assert "frag://cat?id=1" not in node.cache.pages
         # ... and the page, which nothing could doom any more, with it.
-        assert "/page?x=1" not in cache.pages
-        assert cache.stats.invalidated_pages == 1
+        assert "/page?x=1" not in node.cache.pages
+        assert router.stats.invalidated_pages == 1
         write = QueryInstance(
             *templateize("UPDATE categories SET name = ? WHERE id = ?", ("new", 1))
         )
-        cache.apply_writes([write])
-        assert cache.check_key("/page?x=1", "/page") is None
+        router.process_write_request("/write", [write])
+        assert router.check_key("/page?x=1", "/page") is None
         # Nothing about the departed keys lingers in the edge tables.
-        assert len(cache.fragments) == 0 and cache.fragments._pages_of == {}
+        assert len(router.fragments) == 0 and router.fragments._pages_of == {}
+
+    def test_a_write_settles_an_eviction_an_insert_left_pending(self, monkeypatch):
+        """An insert's evictions are settled once it is out of the node
+        lock.  A write landing in that gap must still doom the pages
+        built from the evicted fragment before it returns."""
+        from repro.cache.entry import QueryInstance
+        from repro.cluster.router import ClusterRouter, make_cache_factory
+        from repro.sql.template import templateize
+
+        router = ClusterRouter(
+            ["n0"], make_cache_factory(replacement="lru", capacity=2)
+        )
+        (node,) = router.nodes()
+        read = QueryInstance(*templateize("SELECT name FROM categories WHERE id = ?", (1,)))
+        router.insert_key("frag://cat?id=1", "old name", [read])
+        router.insert_key(
+            "/page?x=1", "<p>old name</p>", [],
+            fragments=("frag://cat?id=1",), guard_reads=(read,),
+        )
+        assert router.check_key("/page?x=1", "/page") is not None
+        settle = ClusterRouter._settle_evictions
+        monkeypatch.setattr(ClusterRouter, "_settle_evictions", lambda self: None)
+        router.insert_key("/other?y=1", "other", [])  # evicts the fragment
+        monkeypatch.setattr(ClusterRouter, "_settle_evictions", settle)
+        assert "frag://cat?id=1" not in node.cache.pages
+        assert "/page?x=1" in node.cache.pages  # not settled yet
+        write = QueryInstance(
+            *templateize("UPDATE categories SET name = ? WHERE id = ?", ("new", 1))
+        )
+        router.process_write_request("/write", [write])
+        assert "/page?x=1" not in node.cache.pages
 
     def test_woven_page_is_not_served_past_its_evicted_fragment(self):
         db, container = build_bounded_app()
@@ -536,7 +586,7 @@ class TestEvictionClimbsContainment:
             assert container.get("/topic_page", {"topic": "a"}).body.count("old") == 1
             assert awc.stats.hits == 1  # the page is now the recent entry
             container.get("/view_note", {"id": "1"})  # evicts the fragment
-            assert FRAG_KEY not in awc.cache.pages
+            assert FRAG_KEY not in node_store(awc).pages
             add(container, 2, "a", "new")
             assert "new" in container.get("/topic_page", {"topic": "a"}).body
         finally:
@@ -547,7 +597,7 @@ class TestEvictionClimbsContainment:
         node evicts the fragment, the router's cross-shard table finds
         the page."""
         db, container = build_bounded_app()
-        awc = ClusterAutoWebCache(n_nodes=2, replacement="lru", capacity=2)
+        awc = AutoWebCache(n_nodes=2, replacement="lru", capacity=2)
         awc.install(container.servlet_classes)
         try:
             add(container, 1, "a", "old")
@@ -571,7 +621,7 @@ class TestEvictionClimbsContainment:
 
     def test_a_crashed_shard_takes_the_pages_built_from_its_fragments(self):
         db, container = build_fragment_app()
-        awc = ClusterAutoWebCache(n_nodes=4)
+        awc = AutoWebCache(n_nodes=4)
         awc.install(container.servlet_classes)
         try:
             add(container, 1, "a", "old")
@@ -604,7 +654,7 @@ class TestEvictionClimbsContainment:
             # Another page probes the fragment, finds it expired and
             # re-renders it: the first page's copy of the old text goes.
             assert "new" in container.get("/stamped", {"topic": "a"}).body
-            assert PAGE_KEY not in awc.cache.pages
+            assert PAGE_KEY not in node_store(awc).pages
             assert "new" in container.get("/topic_page", {"topic": "a"}).body
         finally:
             awc.uninstall()
@@ -614,16 +664,12 @@ class TestEvictionClimbsContainment:
 #: One node and a 2-node ring, built with the same keywords.
 FACADES = {
     "node": AutoWebCache,
-    "ring": lambda **options: ClusterAutoWebCache(n_nodes=2, **options),
+    "ring": lambda **options: AutoWebCache(n_nodes=2, **options),
 }
 
 
 def resident_entry(awc, key):
-    caches = (
-        [node.cache for node in awc.router.nodes()]
-        if isinstance(awc, ClusterAutoWebCache)
-        else [awc.cache]
-    )
+    caches = [node.cache for node in awc.router.nodes()]
     return next(cache.pages.peek(key) for cache in caches if key in cache.pages)
 
 
@@ -673,13 +719,17 @@ class TestNoEntryOutlivesWhatItEmbeds:
 class TestBookkeepingIsBoundedByResidency:
     def test_unique_keys_through_a_small_store(self, monkeypatch):
         import repro.cache.page_cache as page_cache
-        from repro.cache.api import Cache
+        from repro.cluster.router import ClusterRouter, make_cache_factory
 
         monkeypatch.setattr(page_cache, "_GONE_LIMIT", 4096)
-        cache = Cache(replacement="lru", capacity=64)
+        router = ClusterRouter(
+            ["n0"], make_cache_factory(replacement="lru", capacity=64)
+        )
+        (node,) = router.nodes()
+        cache = node.cache
         for i in range(25_000):  # 50 000 unique keys
-            cache.insert_key(f"frag://f?i={i}", "text", [])
-            cache.insert_key(f"/p?i={i}", "<text>", [], fragments=(f"frag://f?i={i}",))
+            router.insert_key(f"frag://f?i={i}", "text", [])
+            router.insert_key(f"/p?i={i}", "<text>", [], fragments=(f"frag://f?i={i}",))
         assert len(cache.pages) == 64
         gone = cache.pages._gone
         assert len(gone) == 4096
@@ -687,7 +737,7 @@ class TestBookkeepingIsBoundedByResidency:
         # recent ones kept.
         assert cache.pages.lookup("/p?i=0", 0.0) == (None, "cold")
         assert cache.pages.lookup("/p?i=24900", 0.0)[1] in ("capacity", "invalidation")
-        table = cache.fragments
+        table = router.fragments
         assert len(table._fragments_of) <= 64 and len(table._pages_of) <= 64
         assert set(table._fragments_of) <= set(cache.pages.keys())
 
@@ -704,10 +754,9 @@ class TestBookkeepingIsBoundedByResidency:
             )
         resident = {key for node in router.nodes() for key in node.cache.pages.keys()}
         assert 0 < len(resident) <= 32
-        tables = [router.fragments] + [n.cache.fragments for n in router.nodes()]
-        for table in tables:
-            assert set(table._fragments_of) <= resident
-            assert len(table._pages_of) <= 32
+        table = router.fragments
+        assert set(table._fragments_of) <= resident
+        assert len(table._pages_of) <= 32
         # Every resident page still has its fragment: evicting one
         # doomed the other.
         for key in resident:

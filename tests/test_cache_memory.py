@@ -21,6 +21,8 @@ from bench.workloads import WORKLOADS, build_app, build_facade, generate
 from repro.cache.entry import PageEntry
 from repro.web.asyncserver import AsyncCachedServer, _HttpConnection, build_wire
 
+from tests.conftest import node_store
+
 #: Bytes a new resident page may retain beyond its body and wire buffer.
 OVERHEAD_BOUND = 1500
 
@@ -78,7 +80,7 @@ def test_a_resident_page_costs_its_bytes_plus_a_small_record():
         server = AsyncCachedServer(app.container, cache=awc.cache)  # never started
         requests = generate(workload, 57, "closed", 4000)
         _replay(server, requests[:1000])  # plans, memos, first pages
-        pages = awc.cache.pages
+        pages = node_store(awc).pages
         before = set(pages.keys())
         gc.collect()
         tracemalloc.start()

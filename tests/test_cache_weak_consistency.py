@@ -12,7 +12,7 @@ import pytest
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.semantics import SemanticsRegistry
 
-from tests.conftest import build_notes_app
+from tests.conftest import build_notes_app, node_store
 
 
 def make_weak_app(ttl=30.0):
@@ -75,7 +75,7 @@ def test_weak_mode_skips_dependency_bookkeeping():
     try:
         container.post("/add", {"id": "1", "topic": "a", "body": "x"})
         container.get("/view_topic", {"topic": "a"})
-        assert awc.cache.pages.dependencies.template_count == 0
+        assert node_store(awc).pages.dependencies.template_count == 0
         assert awc.stats.intersection_tests == 0
     finally:
         awc.uninstall()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache.autowebcache import AutoWebCache
 from repro.cluster.membership import (
     ALIVE,
     DEAD,
@@ -10,7 +11,6 @@ from repro.cluster.membership import (
     GossipMembership,
     Transition,
 )
-from repro.cluster import ClusterAutoWebCache
 from repro.errors import ClusterError
 from repro.web.http import HttpRequest
 
@@ -266,7 +266,7 @@ class TestRouterHooks:
     def build_cluster(self, clock=None):
         _db, container = build_notes_app()
         kwargs = {} if clock is None else {"clock": clock}
-        awc = ClusterAutoWebCache(n_nodes=3, **kwargs)
+        awc = AutoWebCache(n_nodes=3, **kwargs)
         awc.install(container.servlet_classes)
         return container, awc
 

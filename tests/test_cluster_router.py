@@ -5,9 +5,10 @@ import dataclasses
 
 import pytest
 
+from repro.cache.autowebcache import AutoWebCache
 from repro.cache.entry import QueryInstance
 from repro.cache.stats import CacheStats
-from repro.cluster import ClusterAutoWebCache, ClusterRouter, make_cache_factory
+from repro.cluster import ClusterRouter, make_cache_factory
 from repro.errors import ClusterError
 from repro.sql.template import templateize
 from repro.web.http import HttpRequest
@@ -21,7 +22,7 @@ TOPICS = [f"topic-{i}" for i in range(12)]
 def cluster_notes_app():
     """(database, container, cluster awc over 3 nodes); always unweaves."""
     db, container = build_notes_app()
-    awc = ClusterAutoWebCache(n_nodes=3)
+    awc = AutoWebCache(n_nodes=3)
     awc.install(container.servlet_classes)
     try:
         yield db, container, awc
@@ -43,7 +44,7 @@ def warm(container, topics=TOPICS):
         assert container.get("/view_topic", {"topic": topic}).status == 200
 
 
-def assert_node_accounting_exact(awc: ClusterAutoWebCache) -> None:
+def assert_node_accounting_exact(awc: AutoWebCache) -> None:
     """Per-node byte and dependency-table accounting must be exact."""
     for node in awc.router.nodes():
         pages = node.cache.pages
@@ -466,7 +467,7 @@ class TestExternalBridge:
         from repro.cache.external import TriggerInvalidationBridge
 
         db, container = build_notes_app()
-        awc = ClusterAutoWebCache(n_nodes=3)
+        awc = AutoWebCache(n_nodes=3)
         bridge = TriggerInvalidationBridge(awc.router, awc.collector).attach(db)
         awc.install(container.servlet_classes)
         try:

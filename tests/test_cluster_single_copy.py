@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from repro.cluster import ClusterAutoWebCache
+from repro.cache.autowebcache import AutoWebCache
 from repro.cluster.node import JOINED
 from repro.web.http import HttpRequest
 
@@ -41,7 +41,7 @@ LEAVES = {
 def cluster(request):
     """(container, awc) over ``request.param`` nodes; always unweaves."""
     _db, container = build_notes_app()
-    awc = ClusterAutoWebCache(n_nodes=request.param)
+    awc = AutoWebCache(n_nodes=request.param)
     awc.install(container.servlet_classes)
     try:
         yield container, awc
@@ -67,11 +67,11 @@ def topic_key(topic: str) -> str:
     return HttpRequest("GET", "/view_topic", {"topic": topic}).cache_key()
 
 
-def holders(awc: ClusterAutoWebCache, key: str) -> list[str]:
+def holders(awc: AutoWebCache, key: str) -> list[str]:
     return [node.name for node in awc.router.nodes() if key in node.cache.pages]
 
 
-def hits_by_node(awc: ClusterAutoWebCache) -> dict[str, int]:
+def hits_by_node(awc: AutoWebCache) -> dict[str, int]:
     return {node.name: node.cache.stats.hits for node in awc.router.nodes()}
 
 
@@ -145,7 +145,7 @@ class TestLeaving:
     def left(self, operation):
         """(container, awc, departed node) after the leave."""
         _db, container = build_notes_app()
-        awc = ClusterAutoWebCache(n_nodes=4)
+        awc = AutoWebCache(n_nodes=4)
         awc.install(container.servlet_classes)
         try:
             populate(container)

@@ -17,7 +17,6 @@ import pytest
 
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.external import TriggerInvalidationBridge
-from repro.cluster import ClusterAutoWebCache
 
 from tests.conftest import build_notes_app
 
@@ -126,7 +125,7 @@ def test_direct_writes_racing_woven_reads_cluster():
     the invalidation bus, so the doomed page dies on whichever shard
     owns it before the writer's update() returns."""
     db, container = build_notes_app()
-    awc = ClusterAutoWebCache(n_nodes=3)
+    awc = AutoWebCache(n_nodes=3)
     bridge = TriggerInvalidationBridge(awc.router, awc.collector).attach(db)
     awc.install(container.servlet_classes)
     try:

@@ -1,12 +1,13 @@
 """The facade contract: what the woven tiers read from a cache exists on
-both facades.
+the facade.
 
-The caching aspects and the async server's fast path talk to their cache
-without knowing whether it is a :class:`Cache` or a
-:class:`ClusterRouter`.  This test collects, from their source, every
-attribute read through a cache reference -- ``self.cache.X``, a local
-``cache.X``, ``server.cache.X`` -- and checks that each resolves on both
-facades, with the same parameter names where it is a method.
+The caching aspects and the async server's fast path talk to one cache
+object, the :class:`ClusterRouter` that :class:`AutoWebCache` builds --
+a single node is the one-node ring.  This test collects, from their
+source, every attribute read through a cache reference --
+``self.cache.X``, a local ``cache.X``, ``server.cache.X`` -- and checks
+that each resolves on both facades a deployment builds: the one-node
+ring and a two-node one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import inspect
 import pytest
 
 from repro.cache import aspects, aspects_fragment, computation
-from repro.cache.api import Cache
+from repro.cache.autowebcache import AutoWebCache
 from repro.cluster.router import ClusterRouter, make_cache_factory
 from repro.web import asyncserver
 
@@ -69,22 +70,14 @@ def test_the_miss_protocol_is_among_the_reads():
 
 @pytest.fixture(scope="module")
 def facades():
-    return Cache(), ClusterRouter(["n0", "n1"], make_cache_factory())
-
-
-def _parameter_names(method) -> list[str]:
-    return list(inspect.signature(method).parameters)
+    return AutoWebCache().cache, AutoWebCache(n_nodes=2).cache
 
 
 @pytest.mark.parametrize("name", READS)
 def test_each_read_resolves_on_both_facades(facades, name):
-    cache, router = facades
-    assert hasattr(cache, name), f"Cache has no {name}"
-    assert hasattr(router, name), f"ClusterRouter has no {name}"
-    on_cache, on_router = getattr(cache, name), getattr(router, name)
-    assert inspect.ismethod(on_cache) == inspect.ismethod(on_router), name
-    if inspect.ismethod(on_cache):
-        assert _parameter_names(on_cache) == _parameter_names(on_router), name
+    for facade in facades:
+        assert isinstance(facade, ClusterRouter)
+        assert hasattr(facade, name), f"ClusterRouter has no {name}"
 
 
 def test_the_row_witness_reads_are_among_the_reads():
@@ -94,7 +87,8 @@ def test_the_row_witness_reads_are_among_the_reads():
 @pytest.mark.parametrize("cluster", [False, True], ids=["cache", "ring"])
 def test_an_insert_probes_for_the_join_reads_that_are_registered(cluster):
     """The probe plan lists a partner edge only while a read template
-    with that edge has a registration; on the ring, any node's."""
+    with that edge has a registration; on a three-node ring, any
+    node's."""
     from repro.cache.entry import QueryInstance
     from repro.sql.lineage import Catalog
     from repro.sql.template import templateize
@@ -103,10 +97,8 @@ def test_an_insert_probes_for_the_join_reads_that_are_registered(cluster):
         {"items": ("id", "seller", "name"), "users": ("id", "region")},
         {"items": "id", "users": "id"},
     )
-    if cluster:
-        facade = ClusterRouter(["n0", "n1", "n2"], make_cache_factory(catalog=catalog))
-    else:
-        facade = Cache(catalog=catalog)
+    names = ["n0", "n1", "n2"] if cluster else ["n0"]
+    facade = ClusterRouter(names, make_cache_factory(catalog=catalog))
     join = QueryInstance(
         *templateize(
             "SELECT items.name FROM items, users "
@@ -129,19 +121,14 @@ def test_a_read_captures_a_witness_only_over_written_tables(cluster):
     """Before a table's first woven write nothing is captured (a
     read-only workload pays nothing); after it, a read projecting the
     table's key remembers the keys it showed."""
-    from repro.cache.autowebcache import AutoWebCache
-    from repro.cluster import ClusterAutoWebCache
-
     from tests.conftest import build_notes_app
 
     db, container = build_notes_app()
-    awc = ClusterAutoWebCache(n_nodes=2) if cluster else AutoWebCache()
+    awc = AutoWebCache(n_nodes=2 if cluster else 1)
     awc.install(container.servlet_classes)
 
     def reads_of(key):
-        caches = (
-            [node.cache for node in awc.router.nodes()] if cluster else [awc.cache]
-        )
+        caches = [node.cache for node in awc.router.nodes()]
         (entry,) = [c.pages.peek(key) for c in caches if key in c.pages]
         return entry.dependencies
 
@@ -161,9 +148,7 @@ def test_a_read_captures_a_witness_only_over_written_tables(cluster):
 
 
 def test_before_any_write_nothing_is_captured():
-    from repro.cache.autowebcache import AutoWebCache
-
-    from tests.conftest import build_notes_app
+    from tests.conftest import build_notes_app, node_store
 
     db, container = build_notes_app()
     db.update("INSERT INTO notes (id, topic, body, score) VALUES (1, 'a', 'x', 1)")
@@ -171,7 +156,7 @@ def test_before_any_write_nothing_is_captured():
     awc.install(container.servlet_classes)
     try:
         container.get("/view_topic", {"topic": "a"})
-        (entry,) = awc.cache.pages.entries()
+        (entry,) = node_store(awc).pages.entries()
         assert awc.cache.written_tables == set()
         assert [read.witness for read in entry.dependencies] == [None]
     finally:

@@ -21,7 +21,6 @@ import pytest
 from repro.apps.html import fragment
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.external import TriggerInvalidationBridge
-from repro.cluster import ClusterAutoWebCache
 from repro.db import connect
 from repro.web.container import ServletContainer
 from repro.web.http import HttpRequest, HttpResponse
@@ -168,7 +167,7 @@ def test_partial_fragment_doom_never_serves_mixed_page_cluster():
     hash to different shards, so the doom must climb the router-level
     containment closure before the writer's update() returns."""
     db, container = build_pair_app()
-    awc = ClusterAutoWebCache(n_nodes=4)
+    awc = AutoWebCache(n_nodes=4)
     TriggerInvalidationBridge(awc.router, awc.collector).attach(db)
     awc.install(container.servlet_classes)
     try:

@@ -36,7 +36,6 @@ from repro.cache.api import Cache
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.invalidation import Invalidator
 from repro.cache.page_cache import PageCache
-from repro.cluster import ClusterAutoWebCache
 from repro.harness.reporting import render_table
 from repro.web.http import HttpRequest
 
@@ -163,16 +162,11 @@ def facade_for(workload, policy: InvalidationPolicy):
         from repro.apps.tpcw.app import standard_semantics
 
         kwargs["semantics"] = standard_semantics()
-    if workload.nodes:
-        return ClusterAutoWebCache(n_nodes=workload.nodes, **kwargs)
-    return AutoWebCache(**kwargs)
+    return AutoWebCache(n_nodes=workload.nodes or 1, **kwargs)
 
 
 def caches_of(awc) -> list:
-    router = getattr(awc, "router", None)
-    if router is None:
-        return [awc.cache]
-    return [node.cache for node in router.nodes()]
+    return [node.cache for node in awc.router.nodes()]
 
 
 def replay(name: str, seed: int, count: int, policy: InvalidationPolicy):
@@ -330,7 +324,7 @@ def test_a_page_for_a_user_not_yet_registered_dies_with_the_registration(policy)
                 {"firstname": "Z", "lastname": "Z", "nickname": "zz_new_user",
                  "region": "1"},
             )
-            truth.after_write_request([awc.cache])
+            truth.after_write_request(caches_of(awc))
             page = app.container.get(uri, {"item": "1", "user": str(future)})
     finally:
         awc.uninstall()

@@ -26,7 +26,7 @@ from repro.cache.analysis import InvalidationPolicy
 from repro.cache.api import Cache
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.entry import QueryInstance
-from repro.cluster import ClusterAutoWebCache
+from repro.cluster.router import ClusterRouter
 from repro.sql.template import templateize
 from repro.web.http import HttpRequest
 
@@ -135,7 +135,7 @@ def _bidding_replay(**facade) -> dict:
             app.container.handle(
                 HttpRequest(request.method, request.uri, dict(request.params))
             )
-        return json.loads(json.dumps(awc.stats.snapshot()))
+        return json.loads(json.dumps(awc.stats.snapshot()["cluster"]))
     finally:
         awc.uninstall()
 
@@ -180,7 +180,7 @@ def test_a_woven_fast_hit_takes_one_lock_round(lock_rounds):
         assert lock_rounds[0] == 1
 
 
-RING = {"facade": ClusterAutoWebCache, "n_nodes": 4}
+RING = {"facade": AutoWebCache, "n_nodes": 4}
 
 
 def test_a_ring_fast_hit_takes_one_lock_round(lock_rounds):
@@ -229,10 +229,11 @@ LOCK_FREE_CALLS = {"is_cacheable", "sync_catalog"}
 def test_a_woven_page_miss_takes_one_lock_round_per_facade_call(
     cached_notes_app, lock_rounds, monkeypatch
 ):
-    _db, container, _awc = cached_notes_app
+    _db, container, awc = cached_notes_app
     for note_id in ("1", "2"):
         container.post("/add", {"id": note_id, "topic": "a", "body": "x"})
     container.get("/view_note", {"id": "1"})  # warm: catalog, plans
+    awc.router.owner_name("/view_note?id=2")  # warm: the key's route
     calls: list[str] = []
     depth = [0]
 
@@ -251,7 +252,9 @@ def test_a_woven_page_miss_takes_one_lock_round_per_facade_call(
     for name in ("is_cacheable", "check", "check_key", "join_flight",
                  "wait_flight", "finish_flight", "begin_window", "end_window",
                  "insert", "insert_key", "sync_catalog", "record_uncacheable"):
-        monkeypatch.setattr(Cache, name, outermost(name, getattr(Cache, name)))
+        monkeypatch.setattr(
+            ClusterRouter, name, outermost(name, getattr(ClusterRouter, name))
+        )
     lock_rounds[0] = 0
     assert container.get("/view_note", {"id": "2"}).status == 200
     locking = [name for name in calls if name not in LOCK_FREE_CALLS]

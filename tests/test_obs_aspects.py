@@ -8,8 +8,8 @@ aspects (shared weaver) and over the cache facade (infra weaver).
 
 import pytest
 
-from repro.cache.api import Cache
 from repro.cache.autowebcache import AutoWebCache
+from repro.cluster.router import ClusterRouter
 from repro.obs import Observability
 from repro.web.http import HttpRequest, HttpResponse
 from repro.web.servlet import HttpServlet
@@ -166,9 +166,9 @@ class TestRuntimeSwitch:
 
     def test_unweave_restores_cache_facade(self, observed_app):
         _db, _container, _awc, obs = observed_app
-        assert getattr(vars(Cache)["check"], "__aw_woven__", False)
+        assert getattr(vars(ClusterRouter)["check"], "__aw_woven__", False)
         obs.unweave_infrastructure()
-        assert not getattr(vars(Cache)["check"], "__aw_woven__", False)
+        assert not getattr(vars(ClusterRouter)["check"], "__aw_woven__", False)
         # Idempotent: a second unweave is a no-op.
         obs.unweave_infrastructure()
 
@@ -180,13 +180,13 @@ class TestInstallFacade:
             (jp.class_name, jp.method_name)
             for jp in obs.infra_report.join_points
         }
-        assert ("Cache", "check") in woven
-        assert ("Cache", "insert") in woven
-        assert ("Cache", "process_write_request") in woven
+        assert ("ClusterRouter", "check") in woven
+        assert ("ClusterRouter", "insert") in woven
+        assert ("ClusterRouter", "process_write_request") in woven
 
     def test_double_infra_weave_rejected(self, observed_app):
         from repro.errors import WeavingError
 
         _db, _container, _awc, obs = observed_app
         with pytest.raises(WeavingError):
-            obs.weave_infrastructure(classes=(Cache,))
+            obs.weave_infrastructure(classes=(ClusterRouter,))

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.cluster.awc import ClusterAutoWebCache
+from repro.cache.autowebcache import AutoWebCache
 from repro.cluster.bus import BusMessage
 from repro.obs import Observability
 from repro.web.http import HttpRequest, HttpResponse
@@ -54,7 +54,7 @@ def observed_cluster():
 
     container.register("/visited_topic", VisitedTopicServlet(connect(db)))
     obs = Observability()
-    awc = ClusterAutoWebCache(n_nodes=4)
+    awc = AutoWebCache(n_nodes=4)
     awc.install(container.servlet_classes, extra_aspects=obs.aspects)
     obs.weave_infrastructure(awc)
     try:

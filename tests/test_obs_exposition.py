@@ -132,6 +132,16 @@ class TestExpositionServlets:
         assert TRACES_URI in semantics.uncacheable_uris
 
 
+def snapshot_of(aggregate: dict, membership: dict | None = None) -> dict:
+    """The facade's one snapshot shape around hand-built counters."""
+    return {
+        "cluster": aggregate,
+        "nodes": [],
+        "bus": {},
+        "membership": membership or {},
+    }
+
+
 #: A hand-built ClusterRouter.snapshot() shape: enough keys for the
 #: cluster metric families without spinning up a ring.
 CLUSTER_SNAPSHOT = {
@@ -165,23 +175,26 @@ class TestClusterExposition:
         assert 'repro_lineage_prune_total{event="plan_built"} 1' in text
 
     def test_witness_skips_are_a_counter(self):
-        text = render_metrics(MetricsHub(), cache_snapshot={"witness_skips": 3})
+        text = render_metrics(
+            MetricsHub(), cache_snapshot=snapshot_of({"witness_skips": 3})
+        )
         assert "# TYPE repro_witness_skips_total counter" in text
         assert "\nrepro_witness_skips_total 3\n" in text
 
     def test_partner_counters_are_counters(self):
         text = render_metrics(
             MetricsHub(),
-            cache_snapshot={"cluster": {"partner_skips": 5, "partner_probes": 2}},
+            cache_snapshot=snapshot_of({"partner_skips": 5, "partner_probes": 2}),
         )
         assert "# TYPE repro_partner_skips_total counter" in text
         assert "\nrepro_partner_skips_total 5\n" in text
         assert "# TYPE repro_partner_probes_total counter" in text
         assert "\nrepro_partner_probes_total 2\n" in text
 
-    def test_single_node_snapshot_emits_no_cluster_families(self):
+    def test_a_snapshot_without_members_emits_no_state_set(self):
         text = render_metrics(
-            MetricsHub(), cache_snapshot={"templates_skipped_by_lineage": 2}
+            MetricsHub(),
+            cache_snapshot=snapshot_of({"templates_skipped_by_lineage": 2}),
         )
         assert 'event="template_skipped"} 2' in text
         assert "repro_membership_state" not in text
@@ -189,11 +202,11 @@ class TestClusterExposition:
     def test_live_cluster_metrics_endpoint(self):
         # End to end: a cluster serving its own /_metrics exposes the
         # membership of every node, snapshotted at serve time.
-        from repro.cluster import ClusterAutoWebCache
+        from repro.cache.autowebcache import AutoWebCache
         from tests.conftest import build_notes_app
 
         _db, container = build_notes_app()
-        awc = ClusterAutoWebCache(n_nodes=3)
+        awc = AutoWebCache(n_nodes=3)
         awc.install(container.servlet_classes)
         hub = MetricsHub()
         mount_observability(

@@ -21,7 +21,6 @@ from repro.apps.rubis import RubisDataset, build_rubis
 from repro.cache.analysis import InvalidationPolicy
 from repro.cache.aspects import JdbcConsistencyAspect
 from repro.cache.autowebcache import AutoWebCache
-from repro.cluster import ClusterAutoWebCache
 from repro.web.http import HttpRequest, HttpResponse
 from repro.web.servlet import HttpServlet
 
@@ -33,7 +32,7 @@ REGION = "2"
 
 FACADES = {
     "cache": AutoWebCache,
-    "ring": lambda **kw: ClusterAutoWebCache(n_nodes=4, **kw),
+    "ring": lambda **kw: AutoWebCache(n_nodes=4, **kw),
 }
 
 

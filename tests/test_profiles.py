@@ -8,12 +8,13 @@ import pytest
 
 from bench.workloads import WORKLOADS
 from repro.cache.autowebcache import AutoWebCache
-from repro.cluster.awc import ClusterAutoWebCache
 from repro.harness import experiments
 from repro.harness.profiles import EXTENDED, PAPER
 
+from tests.conftest import node_store
+
 # Every constructor keyword belongs to exactly one class.  A keyword
-# added to either facade fails `test_every_keyword_is_classified_once`
+# added to the installer fails `test_every_keyword_is_classified_once`
 # until it is placed here -- and a tier switch must then also be given
 # a value in both profiles.
 
@@ -47,7 +48,7 @@ def _keywords(cls: type) -> dict[str, inspect.Parameter]:
 
 
 def test_every_keyword_is_classified_once():
-    keywords = set(_keywords(AutoWebCache)) | set(_keywords(ClusterAutoWebCache))
+    keywords = set(_keywords(AutoWebCache))
     classes = (TIER_SWITCHES, INPUTS, EXPERIMENT_MODES)
     assert keywords == set().union(*classes)
     assert sum(len(c) for c in classes) == len(keywords)
@@ -83,9 +84,10 @@ def test_profiles_are_frozen(profile):
 
 def test_profiles_reach_the_cache():
     paper, extended = AutoWebCache(**PAPER), AutoWebCache(**EXTENDED)
-    assert paper.fragment_aspect is None and not paper.cache.coalesce
-    assert extended.fragment_aspect is not None and extended.cache.coalesce
-    assert paper.cache.invalidator.indexed and extended.cache.invalidator.indexed
+    assert paper.fragment_aspect is None and not node_store(paper).coalesce
+    assert extended.fragment_aspect is not None and node_store(extended).coalesce
+    assert node_store(paper).invalidator.indexed
+    assert node_store(extended).invalidator.indexed
 
 
 def test_run_cell_builds_paper(monkeypatch):

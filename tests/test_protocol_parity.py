@@ -24,7 +24,6 @@ import pytest
 
 from repro.apps.html import fragment
 from repro.cache.autowebcache import AutoWebCache
-from repro.cluster import ClusterAutoWebCache
 from repro.db import connect
 from repro.web.container import ServletContainer
 from repro.web.http import HttpRequest, HttpResponse
@@ -90,7 +89,7 @@ TIERS = {
 }
 FACADES = {
     "cache": AutoWebCache,
-    "ring": lambda **kwargs: ClusterAutoWebCache(n_nodes=2, **kwargs),
+    "ring": lambda **kwargs: AutoWebCache(n_nodes=2, **kwargs),
 }
 
 

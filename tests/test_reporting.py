@@ -76,11 +76,12 @@ class TestProtocolCounters:
             render_protocol_counters,
         )
 
-        text = render_protocol_counters("Protocol", self.snapshot())
+        single = {"cluster": self.snapshot(), "nodes": [], "bus": {}}
+        text = render_protocol_counters("Protocol", single)
         for counter in PROTOCOL_COUNTERS:
             assert counter in text
         assert "12" in text and "44" in text
-        # writes_deduped is bus-level; absent from a cache snapshot.
+        # writes_deduped is bus-level; absent from the aggregate.
         assert "writes_deduped" in text
 
     def test_cluster_snapshot_pulls_bus_counters(self):

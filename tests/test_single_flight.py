@@ -20,7 +20,7 @@ from repro.web.container import ServletContainer
 from repro.web.http import HttpRequest, HttpResponse
 from repro.web.servlet import HttpServlet
 
-from tests.conftest import make_notes_db
+from tests.conftest import make_notes_db, node_store
 
 
 class GatedViewServlet(HttpServlet):
@@ -116,7 +116,7 @@ def test_concurrent_misses_execute_servlet_once():
         # flight.  Release the gate only once all 7 are waiting, so the
         # coalescing is forced, not lucky.
         assert view.entered.wait(timeout=5)
-        flight = awc.cache.flight_for("/view?id=0")
+        flight = node_store(awc).flight_for("/view?id=0")
         assert flight is not None
         assert _spin_until(lambda: flight.waiters == n - 1)
         view.gate.set()
@@ -149,7 +149,7 @@ def test_invalidation_during_computation_forces_recompute():
         leader_thread = threading.Thread(target=leader)
         leader_thread.start()
         assert view.entered.wait(timeout=5)  # leader read score=5, parked
-        flight = awc.cache.flight_for("/view?id=0")
+        flight = node_store(awc).flight_for("/view?id=0")
         assert flight is not None
         waiter_thread = threading.Thread(target=waiter)
         waiter_thread.start()
@@ -170,7 +170,7 @@ def test_invalidation_during_computation_forces_recompute():
         assert awc.stats.coalesced_hits == 0
         assert view.executions == 2
         # The recomputed (fresh) page is what the cache holds now.
-        cached = awc.cache.pages.peek("/view?id=0")
+        cached = node_store(awc).pages.peek("/view?id=0")
         assert cached is not None and "|6" in cached.body
     finally:
         awc.uninstall()
@@ -188,7 +188,7 @@ def test_write_during_solo_computation_discards_insert():
     awc = AutoWebCache(coalesce=False)
     awc.install(container.servlet_classes)
     try:
-        assert awc.cache.coalesce is False
+        assert node_store(awc).coalesce is False
         results: dict[str, str] = {}
 
         def solo() -> None:
@@ -197,7 +197,7 @@ def test_write_during_solo_computation_discards_insert():
         thread = threading.Thread(target=solo)
         thread.start()
         assert view.entered.wait(timeout=5)  # read score=5, parked
-        assert awc.cache.open_flight_keys() == ["/view?id=0"]
+        assert node_store(awc).open_flight_keys() == ["/view?id=0"]
         # The write lands mid-computation; the parked page is stale.
         response = container.post("/score", {"id": "0", "score": "6"})
         assert response.status == 200
@@ -207,11 +207,11 @@ def test_write_during_solo_computation_discards_insert():
         # finishing just before the write) but must NOT cache it.
         assert results["solo"] == "<p>x|5</p>"
         assert awc.stats.stale_inserts == 1
-        assert awc.cache.pages.peek("/view?id=0") is None
-        assert awc.cache.open_flight_keys() == []
+        assert node_store(awc).pages.peek("/view?id=0") is None
+        assert node_store(awc).open_flight_keys() == []
         # The next read recomputes and caches the fresh page.
         assert container.get("/view", {"id": "0"}).body == "<p>x|6</p>"
-        cached = awc.cache.pages.peek("/view?id=0")
+        cached = node_store(awc).pages.peek("/view?id=0")
         assert cached is not None and "|6" in cached.body
     finally:
         awc.uninstall()
@@ -223,7 +223,7 @@ def test_forced_miss_mode_disables_coalescing():
     awc = AutoWebCache(forced_miss=True)
     awc.install(container.servlet_classes)
     try:
-        assert awc.cache.coalesce is False
+        assert node_store(awc).coalesce is False
         for _ in range(3):
             response = container.get("/view", {"id": "0"})
             assert response.status == 200
@@ -278,7 +278,7 @@ def test_failed_leader_does_not_strand_waiters():
         leader_thread = threading.Thread(target=worker)
         leader_thread.start()
         assert FlakyServlet.entered.wait(timeout=5)
-        flight = awc.cache.flight_for("/flaky")
+        flight = node_store(awc).flight_for("/flaky")
         assert flight is not None
         waiter_thread = threading.Thread(target=worker)
         waiter_thread.start()

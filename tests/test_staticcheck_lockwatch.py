@@ -16,6 +16,8 @@ import pytest
 
 from repro.locks import VIOLATIONS, CheckedRLock, LockOrderError, NamedRLock
 
+from tests.conftest import node_store
+
 pytestmark = [pytest.mark.staticcheck]
 
 
@@ -149,9 +151,9 @@ def test_production_lock_is_a_c_rlock_with_a_name(monkeypatch):
 
 
 def test_router_join_under_a_node_cache_lock_is_refused(provoked):
-    from repro.cluster import ClusterAutoWebCache
+    from repro.cache.autowebcache import AutoWebCache
 
-    awc = ClusterAutoWebCache(n_nodes=2)
+    awc = AutoWebCache(n_nodes=2)
     node = awc.router.nodes()[0]
     with node.cache.lock:
         with pytest.raises(LockOrderError, match="'cluster-router'"):
@@ -169,7 +171,7 @@ def test_threaded_woven_cache_traffic_takes_no_bad_edges(provoked):
 
     app = build_rubis()
     awc = AutoWebCache()
-    assert isinstance(awc.cache.lock, CheckedRLock)
+    assert isinstance(node_store(awc).lock, CheckedRLock)
     awc.install(app.container.servlet_classes)
     try:
         def client(offset: int) -> None:

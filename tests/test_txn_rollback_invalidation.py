@@ -19,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.autowebcache import AutoWebCache
-from repro.cluster import ClusterAutoWebCache
 from repro.db import connect
 from repro.web.container import ServletContainer
 from repro.web.http import HttpRequest, HttpResponse
@@ -181,7 +180,7 @@ def test_autocommit_write_unaffected_by_staging(txn_app):
 
 
 class TestOnTwoNodeRing:
-    """The same tests through ``ClusterAutoWebCache``: the installer is
+    """The same tests on a two-node ring: the installer is
     shared, so ``Connection.commit``/``rollback`` are woven on a ring
     too.  (The cluster facade used to weave ``Statement`` only: staged
     writes were never discarded, and a rolled-back write doomed pages.)
@@ -192,7 +191,7 @@ class TestOnTwoNodeRing:
 
     @pytest.fixture
     def txn_app(self):
-        yield from _installed(ClusterAutoWebCache(n_nodes=2))
+        yield from _installed(AutoWebCache(n_nodes=2))
 
     test_rolled_back_write_invalidates_nothing = staticmethod(
         test_rolled_back_write_invalidates_nothing
