@@ -87,7 +87,7 @@ def _woven(app, enabled: bool):
     obs = Observability()
     awc = AutoWebCache()
     awc.install(app.container.servlet_classes, extra_aspects=obs.aspects)
-    obs.weave_infrastructure(awc)
+    obs.weave_infrastructure()
     if not enabled:
         obs.disable()
 

@@ -216,9 +216,11 @@ class ClusterRouter:
         #: Bumped by every change to ``_nodes`` and to a node's lifecycle
         #: state: the router's share of the routing version.
         self._nodes_version = 0
-        #: The placement memo: (routing version, key -> :data:`Route`),
-        #: one tuple so a lock-free reader sees a consistent pair.
-        self._routes: tuple[int, dict[str, Route]] = (-1, {})
+        #: The placement memo: (routing version, the route of every key
+        #: or None, key -> :data:`Route`), one tuple so a lock-free
+        #: reader sees a consistent triple.  A one-member ring routes
+        #: every key to its member, so it memoizes that one route.
+        self._routes: tuple[int, Route, dict[str, Route]] = (-1, None, {})
         #: Routes computed rather than found in the memo.
         self.routes_computed = 0
         self.stats = ClusterStats(self)
@@ -472,8 +474,10 @@ class ClusterRouter:
         (:meth:`evict_node`); a flight or window opened there is caught
         by the state check in :meth:`join_flight` / :meth:`begin_window`.
         """
-        version, routes = self._routes
+        version, every, routes = self._routes
         if version == self._routing_version():
+            if every is not None:
+                return every
             route = routes.get(key)
             if route is not None:
                 return route
@@ -486,10 +490,15 @@ class ClusterRouter:
                 # Membership moved mid-computation (a gossip step runs
                 # outside this lock): answer this once, keep nothing.
                 return route
-            memo_version, routes = self._routes
+            if len(self.ring) == 1:
+                # The one member owns every key (:meth:`_compute_route`
+                # reads the key only through the ring).
+                self._routes = (version, route, {})
+                return route
+            memo_version, _every, routes = self._routes
             if memo_version != version or len(routes) >= _ROUTE_MEMO_LIMIT:
                 routes = {}
-                self._routes = (version, routes)
+                self._routes = (version, None, routes)
             routes[key] = route
             return route
 
@@ -531,8 +540,10 @@ class ClusterRouter:
     @property
     def route_memo_size(self) -> int:
         """Routes the placement memo holds for the current version."""
-        version, routes = self._routes
-        return len(routes) if version == self._routing_version() else 0
+        version, every, routes = self._routes
+        if version != self._routing_version():
+            return 0
+        return 1 if every is not None else len(routes)
 
     def sync_catalog(self, database) -> None:
         """Mirror the schema catalog into every node's analysis engine.

@@ -405,7 +405,7 @@ def _cmd_obs(args: argparse.Namespace) -> str:
     obs = Observability(capacity=args.traces)
     awc = AutoWebCache(**EXTENDED, n_nodes=args.nodes)
     awc.install(app.container.servlet_classes, extra_aspects=obs.aspects)
-    obs.weave_infrastructure(awc)
+    obs.weave_infrastructure()
     try:
         for i in range(args.requests):
             item = str(i % 5 + 1)

@@ -20,7 +20,7 @@ Typical use::
     obs = Observability()
     awc = AutoWebCache()
     awc.install(container.servlet_classes, extra_aspects=obs.aspects)
-    obs.weave_infrastructure(awc)
+    obs.weave_infrastructure()
     obs.mount(container, semantics=awc.semantics)
     ...  # serve traffic
     obs.unweave_infrastructure()
@@ -95,19 +95,13 @@ class Observability:
     # -- infrastructure weaving --------------------------------------------------------
 
     def weave_infrastructure(
-        self, facade=None, classes: Iterable[type] | None = None
+        self, classes: Iterable[type] | None = None
     ) -> WeaveReport:
-        """Weave the aspects over the cache infrastructure classes.
-
-        Give either a cache ``facade`` (an installed ``AutoWebCache``:
-        its :func:`infrastructure_classes` are woven) or an explicit
-        ``classes`` iterable.
-        """
+        """Weave the aspects over the cache infrastructure classes:
+        ``classes``, by default :func:`infrastructure_classes`."""
         if self._infra_weaver is not None:
             raise WeavingError("observability infrastructure is already woven")
         if classes is None:
-            if facade is None:
-                raise WeavingError("weave_infrastructure needs a facade or classes")
             classes = infrastructure_classes()
         weaver = Weaver()
         weaver.add_aspect(self.tracing_aspect)

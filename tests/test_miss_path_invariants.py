@@ -30,6 +30,7 @@ from repro.cluster.router import ClusterRouter
 from repro.sql.template import templateize
 from repro.web.http import HttpRequest
 
+from tests.conftest import build_notes_app
 from tests.test_async_server import (
     deliver,
     get,
@@ -226,40 +227,75 @@ def test_a_ring_page_miss_takes_as_many_lock_rounds_as_one_node(
 LOCK_FREE_CALLS = {"is_cacheable", "sync_catalog"}
 
 
+def miss_calls_and_rounds(
+    lock_rounds, monkeypatch, n_nodes: int, warm_route: bool
+) -> tuple[list[str], int]:
+    """The facade calls that take a lock, and the lock rounds, of a
+    woven GET missing on a page never requested before (warm plans and
+    catalog; the key's route warm only with ``warm_route``)."""
+    _db, container = build_notes_app()
+    awc = AutoWebCache(n_nodes=n_nodes)
+    awc.install(container.servlet_classes)
+    try:
+        for note_id in ("1", "2"):
+            container.post("/add", {"id": note_id, "topic": "a", "body": "x"})
+        container.get("/view_note", {"id": "1"})  # warm: catalog, plans
+        if warm_route:
+            awc.router.owner_name("/view_note?id=2")
+        calls: list[str] = []
+        depth = [0]
+
+        def outermost(name, original):
+            def traced(self, *args, **kwargs):
+                if not depth[0]:
+                    calls.append(name)
+                depth[0] += 1
+                try:
+                    return original(self, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            return traced
+
+        for name in ("is_cacheable", "check", "check_key", "join_flight",
+                     "wait_flight", "finish_flight", "begin_window",
+                     "end_window", "insert", "insert_key", "sync_catalog",
+                     "record_uncacheable"):
+            monkeypatch.setattr(
+                ClusterRouter, name,
+                outermost(name, getattr(ClusterRouter, name)),
+            )
+        lock_rounds[0] = 0
+        assert container.get("/view_note", {"id": "2"}).status == 200
+        locking = [name for name in calls if name not in LOCK_FREE_CALLS]
+        return locking, lock_rounds[0]
+    finally:
+        awc.uninstall()
+
+
 def test_a_woven_page_miss_takes_one_lock_round_per_facade_call(
-    cached_notes_app, lock_rounds, monkeypatch
+    lock_rounds, monkeypatch
 ):
-    _db, container, awc = cached_notes_app
-    for note_id in ("1", "2"):
-        container.post("/add", {"id": note_id, "topic": "a", "body": "x"})
-    container.get("/view_note", {"id": "1"})  # warm: catalog, plans
-    awc.router.owner_name("/view_note?id=2")  # warm: the key's route
-    calls: list[str] = []
-    depth = [0]
-
-    def outermost(name, original):
-        def traced(self, *args, **kwargs):
-            if not depth[0]:
-                calls.append(name)
-            depth[0] += 1
-            try:
-                return original(self, *args, **kwargs)
-            finally:
-                depth[0] -= 1
-
-        return traced
-
-    for name in ("is_cacheable", "check", "check_key", "join_flight",
-                 "wait_flight", "finish_flight", "begin_window", "end_window",
-                 "insert", "insert_key", "sync_catalog", "record_uncacheable"):
-        monkeypatch.setattr(
-            ClusterRouter, name, outermost(name, getattr(ClusterRouter, name))
-        )
-    lock_rounds[0] = 0
-    assert container.get("/view_note", {"id": "2"}).status == 200
-    locking = [name for name in calls if name not in LOCK_FREE_CALLS]
+    """One node, a key never routed before: the one-member ring's single
+    route answers it, so routing adds no lock round."""
+    locking, rounds = miss_calls_and_rounds(
+        lock_rounds, monkeypatch, n_nodes=1, warm_route=False
+    )
     assert locking == ["check", "join_flight", "insert", "finish_flight"]
-    assert lock_rounds[0] == len(locking)
+    assert rounds == len(locking)
+
+
+@pytest.mark.parametrize("warm_route", [True, False])
+def test_a_ring_page_miss_adds_one_lock_round_to_route_a_new_key(
+    lock_rounds, monkeypatch, warm_route
+):
+    """Four nodes: a key never routed before fills its slot in the
+    placement memo under the router lock, once; a warm key does not."""
+    locking, rounds = miss_calls_and_rounds(
+        lock_rounds, monkeypatch, n_nodes=4, warm_route=warm_route
+    )
+    assert locking == ["check", "join_flight", "insert", "finish_flight"]
+    assert rounds == len(locking) + (0 if warm_route else 1)
 
 
 def test_a_write_takes_as_many_lock_rounds_with_50_read_templates_as_with_1(

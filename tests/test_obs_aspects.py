@@ -35,7 +35,7 @@ def observed_app():
     obs = Observability()
     awc = AutoWebCache()
     awc.install(container.servlet_classes, extra_aspects=obs.aspects)
-    obs.weave_infrastructure(awc)
+    obs.weave_infrastructure()
     try:
         yield db, container, awc, obs
     finally:

@@ -56,7 +56,7 @@ def observed_cluster():
     obs = Observability()
     awc = AutoWebCache(n_nodes=4)
     awc.install(container.servlet_classes, extra_aspects=obs.aspects)
-    obs.weave_infrastructure(awc)
+    obs.weave_infrastructure()
     try:
         yield db, container, awc, obs
     finally:
