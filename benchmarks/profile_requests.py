@@ -50,9 +50,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from bench.workloads import WORKLOADS, build_app, build_facade, generate  # noqa: E402
-from repro.cache.api import Cache  # noqa: E402
 from repro.db.engine import Database  # noqa: E402
 from repro.db.executor import PIN_FIRST  # noqa: E402
+from repro.locks import NamedRLock  # noqa: E402
 from repro.sql import ast_nodes as ast  # noqa: E402
 from repro.web.asyncserver import AsyncCachedServer, _HttpConnection  # noqa: E402
 
@@ -125,7 +125,7 @@ def count_lock_rounds():
     Every lock round in ``src/`` is a ``with`` statement, so this wraps
     ``__enter__`` on the class the facade's lock actually is (the C lock,
     or its order-checked subclass under ``REPRO_LOCKWATCH=1``)."""
-    lock_class = type(Cache().lock)
+    lock_class = type(NamedRLock("cache-facade"))
     rounds, enter = [0], lock_class.__enter__
 
     def counted(self):

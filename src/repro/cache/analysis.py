@@ -194,31 +194,44 @@ class QueryAnalysisEngine:
     ``catalog`` is an optional :class:`~repro.sql.lineage.Catalog`
     sharpening column lineage (``SELECT *`` expansion, ambiguous-column
     resolution); without one, lineage degrades to exactly the column
-    facts the engine has always used.  ``catalog_version`` increments on
-    every :meth:`set_catalog` so downstream memos (the analysis cache)
-    can key their entries by the schema knowledge they were computed
-    under.
+    facts the engine has always used.  ``catalog_version`` moves on
+    every :meth:`set_catalog` so memos -- the engine's own and the
+    analysis cache's -- key their entries by the schema knowledge they
+    were computed under.  A memo reads the version before it computes,
+    so what it stores was computed under that catalog or a newer one.
+
+    One engine serves a whole ring: every node analyses through it,
+    each under its own lock, and the router swaps its catalog.  It
+    takes no lock: memo fills are idempotent (two nodes filling one key
+    store equal answers), and the version-keyed memos make a swap safe.
     """
 
     def __init__(self, catalog: Catalog | None = None) -> None:
-        self._lineage_cache: dict[str, LineageInfo] = {}
-        self._column_rule_cache: dict[str, ColumnPruneRule] = {}
-        self._info_cache: dict[str, StatementInfo] = {}
-        self._partner_cache: dict[tuple[str, str], tuple[PartnerEdge, ...]] = {}
-        self._catalog = catalog
-        self.catalog_version = 0 if catalog is None else 1
-        self.extra_query_lookups = 0
+        # Memos keyed by (template text(s), catalog version).
+        self._lineage_cache: dict[tuple[str, int], LineageInfo] = {}
+        self._column_rule_cache: dict[tuple[str, int], ColumnPruneRule] = {}
+        self._info_cache: dict[tuple[str, int], StatementInfo] = {}
+        self._partner_cache: dict[tuple[str, str, int], tuple[PartnerEdge, ...]] = {}
+        #: (catalog, its version), read as one pair: a memo fill that
+        #: finishes after :meth:`set_catalog` lands under the old
+        #: version, where no lookup under the new catalog looks.
+        self._state: tuple[Catalog | None, int] = (catalog, 0 if catalog is None else 1)
 
     # -- static info -------------------------------------------------------------
 
     @property
     def catalog(self) -> Catalog | None:
-        return self._catalog
+        return self._state[0]
+
+    @property
+    def catalog_version(self) -> int:
+        return self._state[1]
 
     def set_catalog(self, catalog: Catalog | None) -> None:
-        """Swap the schema catalog, invalidating catalog-derived memos."""
-        self._catalog = catalog
-        self.catalog_version += 1
+        """Swap the schema catalog, retiring catalog-derived memos.
+        Callers serialise swaps (the ring's router swaps under its
+        lock), so every swap takes a new, higher version."""
+        self._state = (catalog, self._state[1] + 1)
         self._lineage_cache.clear()
         self._column_rule_cache.clear()
         self._info_cache.clear()
@@ -227,10 +240,12 @@ class QueryAnalysisEngine:
     def read_info(self, template: QueryTemplate) -> StatementInfo:
         """``template``'s static facts under the current catalog (the
         template's own ``info`` is the catalog-free one)."""
-        cached = self._info_cache.get(template.text)
+        catalog, version = self._state
+        key = (template.text, version)
+        cached = self._info_cache.get(key)
         if cached is None:
-            cached = extract_info(template.statement, self._catalog)
-            self._info_cache[template.text] = cached
+            cached = extract_info(template.statement, catalog)
+            self._info_cache[key] = cached
         return cached
 
     def key_positions(self, template: QueryTemplate) -> tuple[tuple[str, int], ...]:
@@ -246,15 +261,18 @@ class QueryAnalysisEngine:
 
     def lineage(self, template: QueryTemplate) -> LineageInfo:
         """Column lineage for ``template`` under the current catalog."""
-        cached = self._lineage_cache.get(template.text)
+        catalog, version = self._state
+        key = (template.text, version)
+        cached = self._lineage_cache.get(key)
         if cached is None:
-            cached = compute_lineage(template.statement, self._catalog)
-            self._lineage_cache[template.text] = cached
+            cached = compute_lineage(template.statement, catalog)
+            self._lineage_cache[key] = cached
         return cached
 
     def column_rule(self, template: QueryTemplate) -> ColumnPruneRule:
         """The memoised column-disjointness rule for a read template."""
-        cached = self._column_rule_cache.get(template.text)
+        key = (template.text, self.catalog_version)
+        cached = self._column_rule_cache.get(key)
         if cached is None:
             lineage = self.lineage(template)
             cached = ColumnPruneRule(
@@ -262,7 +280,7 @@ class QueryAnalysisEngine:
                 tables=lineage.tables,
                 exact=lineage.exact,
             )
-            self._column_rule_cache[template.text] = cached
+            self._column_rule_cache[key] = cached
         return cached
 
     # -- component 1: template-pair analysis ----------------------------------------
@@ -332,10 +350,11 @@ class QueryAnalysisEngine:
     ) -> tuple[PartnerEdge, ...]:
         """:meth:`_partner_edges`, memoised per template pair under the
         current catalog."""
-        key = (read.text, write.text)
+        catalog, version = self._state
+        key = (read.text, write.text, version)
         edges = self._partner_cache.get(key)
         if edges is None:
-            edges = self._partner_edges(read, write.info)
+            edges = self._partner_edges(read, write.info, catalog)
             self._partner_cache[key] = edges
         return edges
 
@@ -353,10 +372,11 @@ class QueryAnalysisEngine:
         the rows the read returns, and their order, stay as they were;
         only the displayed values of rows the update touched can change.
         """
-        if write_info.kind != "update" or self._catalog is None:
+        catalog = self.catalog
+        if write_info.kind != "update" or catalog is None:
             return None, None
         table = write_info.write_table
-        key = self._catalog.primary_key_of(table)
+        key = catalog.primary_key_of(table)
         info = self.read_info(read)
         position = dict(info.key_positions).get(table)
         if key is None or position is None:
@@ -369,7 +389,7 @@ class QueryAnalysisEngine:
         return position, key
 
     def _partner_edges(
-        self, read: QueryTemplate, write_info: StatementInfo
+        self, read: QueryTemplate, write_info: StatementInfo, catalog: Catalog | None
     ) -> tuple[PartnerEdge, ...]:
         """The join edges through which a partner probe can excuse an
         INSERT into T from ``read``; empty when there are none.
@@ -396,7 +416,7 @@ class QueryAnalysisEngine:
         joins = self.read_info(read).joins
         if joins is None or table not in joins.once:
             return ()
-        key = None if self._catalog is None else self._catalog.primary_key_of(table)
+        key = None if catalog is None else catalog.primary_key_of(table)
         edges: list[PartnerEdge] = []
         for left, right in joins.equalities:
             for (mine, column), (partner, partner_column) in (
@@ -505,7 +525,6 @@ class QueryAnalysisEngine:
             return True
         if write.pre_image is None:
             return True
-        self.extra_query_lookups += 1
         for row in write.pre_image:
             if check.column not in row:
                 return True  # column missing from capture: be safe

@@ -10,9 +10,16 @@ with a (read template, write template) -> :class:`PairAnalysis` map and
 records the time series of cache size vs. requests processed, which the
 Figure 4 benchmark replays.
 
-A plain structure: it takes no lock.  Its owner, the
-:class:`~repro.cache.api.Cache` facade, serialises every call under its
-lock (through the invalidator).
+One analysis cache serves a whole ring: the
+:class:`~repro.cluster.router.ClusterRouter` builds it, with the one
+engine, and every node's invalidator analyses through it, so a
+template pair is analysed once per ring, not once per node.  It takes
+no lock.  Each node calls it under its own store lock, so calls from
+two nodes may interleave: a memo fill is idempotent (both store the
+same answer), and every memo keys by the catalog version.  The Figure-4
+counters (``stats``) are exact only single-threaded, as in the
+discrete-event simulator that prints Figure 4; under threads two
+nodes may count one miss twice or lose an increment.
 """
 
 from __future__ import annotations
@@ -107,8 +114,9 @@ class AnalysisCache:
         """The lineage column rule for ``read``, plus whether it was new.
 
         The second element is True exactly once per (template, catalog
-        version), letting the invalidator count distinct column plans
-        built without a separate bookkeeping structure.
+        version) in the ring (single-threaded), letting the invalidators
+        count distinct column plans built without a separate bookkeeping
+        structure.
         """
         key = (read.text, self.engine.catalog_version)
         cached = self._column_rules.get(key)

@@ -1,23 +1,28 @@
 """The per-node cache store (Figure 7's jwebcaching.cache.Cache analogue).
 
-Bundles the page store, dependency table, analysis engine + cache,
-invalidator, semantics registry and statistics behind the operations the
-cluster router routes to a node: ``check`` / ``insert`` / the
-computation tokens / ``apply_writes``.  The aspects never see a
-``Cache``: they talk to the :class:`~repro.cluster.router.ClusterRouter`
-(a single node is the one-node ring), which also owns what spans
-entries -- fragment containment and the front-end counters.
+Bundles the page store, dependency table, invalidator, semantics
+registry and statistics behind the operations the cluster router routes
+to a node: ``check`` / ``insert`` / the computation tokens /
+``apply_writes``.  The aspects never see a ``Cache``: they talk to the
+:class:`~repro.cluster.router.ClusterRouter` (a single node is the
+one-node ring), which also owns what spans entries -- fragment
+containment and the front-end counters -- and the SQL analysis: the
+one engine and analysis cache every node's invalidator analyses
+through, the schema catalog, the row witness and the partner-probe
+plan.  A node holds pages.
 
 The cache takes a ``clock`` callable so the discrete-event simulator can
 drive TTL windows in virtual time; real deployments use ``time.time``.
 
 Thread model: one lock per node store.  The page store, the dependency
-table inside it, the analysis cache and the statistics are plain
-structures this store owns; it takes its ``lock`` once
-per operation -- a lookup, an insert, each flight or window
-primitive, a write's whole doom pass, an external invalidation -- and
-touches them only under it.  Renders, and a waiter's block on a flight,
-run outside it; nothing called under it enters another store.
+table inside it and the statistics are plain structures this store
+owns; it takes its ``lock`` once per operation -- a lookup, an insert,
+each flight or window primitive, a write's whole doom pass, an external
+invalidation -- and touches them only under it.  The shared analysis
+cache is reached under it too, and under every other node's lock
+(:mod:`repro.cache.analysis_cache` says why that is safe).  Renders,
+and a waiter's block on a flight, run outside it; nothing called under
+it enters another store.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
-from repro.cache.analysis import InvalidationPolicy, QueryAnalysisEngine, probe_plan
+from repro.cache.analysis import InvalidationPolicy
 from repro.cache.analysis_cache import AnalysisCache
 from repro.cache.entry import PageEntry, QueryInstance
 from repro.cache.flight import Flight
@@ -35,15 +40,16 @@ from repro.cache.replacement import make_policy
 from repro.cache.semantics import SemanticsRegistry
 from repro.cache.stats import CacheStats
 from repro.locks import NamedRLock
-from repro.sql.template import QueryTemplate
 from repro.web.http import HttpRequest
 
 
 class Cache:
-    """AutoWebCache's cache object."""
+    """One node's page store.  ``analysis_cache`` is the ring's (the
+    router builds it): the store analyses through it and builds none."""
 
     def __init__(
         self,
+        analysis_cache: AnalysisCache,
         invalidation_policy: InvalidationPolicy = InvalidationPolicy.EXTRA_QUERY,
         replacement: str = "unbounded",
         capacity: int | None = None,
@@ -52,7 +58,6 @@ class Cache:
         clock: Callable[[], float] = time.time,
         forced_miss: bool = False,
         coalesce: bool = True,
-        catalog: object | None = None,
     ) -> None:
         self.semantics = semantics or SemanticsRegistry()
         self.clock = clock
@@ -69,28 +74,14 @@ class Cache:
             replacement, capacity, order_only=max_bytes is not None
         )
         self.pages = PageCache(policy, max_bytes=max_bytes)
-        self.engine = QueryAnalysisEngine(catalog=catalog)
-        self.analysis_cache = AnalysisCache(self.engine)
         self.stats = CacheStats()
         self.stats.guard = self.lock
         self.invalidator = Invalidator(
             self.pages,
-            self.analysis_cache,
+            analysis_cache,
             self.stats,
             invalidation_policy,
         )
-        #: Tables a woven write has reached.  A read captures its row
-        #: witness (:meth:`witness`) only over these: before a table's
-        #: first write nothing could use one, so a read-only workload
-        #: captures nothing.  Only ever grows; one ``set.add`` by the
-        #: JDBC aspect per write, read without the lock.
-        self.written_tables: set[str] = set()
-        #: Write template text -> ((template-set version, catalog
-        #: version), its probe plan): :meth:`probe_plan`'s memo.
-        self._probe_plans: dict[str, tuple[tuple[int, int], tuple]] = {}
-        #: Guard for :meth:`sync_catalog`: the database last mirrored
-        #: into the engine catalog and its schema epoch at that moment.
-        self._catalog_source: tuple[object, int] | None = None
         #: Told the keys that left this store for capacity or expiry.
         #: The cluster router listens: it dooms the entries assembled
         #: from an evicted fragment's text.  Runs under the facade lock,
@@ -107,77 +98,12 @@ class Cache:
         #: (seq, write instance) buffer, kept only while tokens are open.
         self._recent_writes: list[tuple[int, QueryInstance]] = []
 
-    @property
-    def invalidation_policy(self) -> InvalidationPolicy:
-        return self.invalidator.policy
-
-    def sync_catalog(self, database, catalog) -> None:
-        """Mirror ``database``'s schemas, which the router has built into
-        ``catalog`` once for every node, into the analysis catalog.
-
-        Reached lazily from the JDBC aspect on statement interception
-        (the woven driver is the first place the application's database
-        becomes visible).  Guarded by the database's schema epoch
-        (every ``create_table`` / ``drop_table`` moves it), so a node
-        already mirrored pays one comparison; a schema the engine has
-        not seen bumps ``catalog_version``, which retires every
-        catalog-derived memo in the analysis cache.  Sound either way:
-        without a catalog (or with a database that reports no epoch) the
-        column analysis simply stays at its conservative wildcard
-        behaviour.
-        """
-        epoch = getattr(database, "schema_epoch", None)
-        source = self._catalog_source
-        if source is not None and source[0] is database and source[1] == epoch:
-            return
-        with self.lock:
-            self.engine.set_catalog(catalog)
-            self._catalog_source = (database, epoch)
-
-    def witness(
-        self, template: QueryTemplate, rows: Sequence[Sequence[object]]
-    ) -> tuple[tuple[int, tuple[object, ...]], ...] | None:
-        """The row witness of a read that returned ``rows``: for each
-        written table whose primary key the read projects, its output
-        position and the keys shown (None when there is none)."""
-        positions = self.engine.key_positions(template)
-        if not positions:
-            return None
-        written = self.written_tables
-        found = tuple(
-            (position, tuple([row[position] for row in rows]))
-            for table, position in positions
-            if table in written
-        )
-        return found or None
-
-    def probe_plan(self, template: QueryTemplate) -> tuple[tuple[str, str, str], ...]:
-        """The partner probes an INSERT of ``template`` must run under
-        ``ROW_WITNESS``: ``(column, partner table, partner column)`` for
-        every partner edge it has with a read template that has a
-        registration here (:func:`~repro.cache.analysis.probe_plan`).
-        Memoised per (template-set version, catalog version), so a write
-        with nothing to spare probes nothing and a steady template set
-        costs one dict lookup.
-
-        The memo is read without the lock.  A plan that misses a
-        template registered a moment ago only leaves that template's
-        pages unexcused (a write never probed for an edge cannot use
-        it); one listing a template just retired probes for nothing.
-        """
-        dependencies = self.pages.dependencies
-        memo = self._probe_plans.get(template.text)
-        if memo is not None and memo[0] == (
-            dependencies.version,
-            self.engine.catalog_version,
-        ):
-            return memo[1]
-        with self.lock:
-            version = (dependencies.version, self.engine.catalog_version)
-            reads, _skipped = dependencies.candidate_templates(template.tables)
-            plan = probe_plan(self.engine, reads, template)
-            self._probe_plans[template.text] = (version, plan)
-            return plan
+    def sync_catalog(self, database) -> None:
+        """Nothing to do: the router mirrors the schema catalog into the
+        one engine every node analyses through
+        (:meth:`ClusterRouter.sync_catalog`).  Kept for the benchmark's
+        tracing hook, which wraps every facade method name on ``Cache``
+        (``bench/tracing.py``, ``FACADE_METHODS``)."""
 
     # -- read path -------------------------------------------------------------------
 

@@ -68,7 +68,7 @@ class AutoWebCache:
         vnodes: int = DEFAULT_VNODES,
     ) -> None:
         # Imported here: ``repro.cluster`` imports this package.
-        from repro.cluster.router import ClusterRouter, make_cache_factory
+        from repro.cluster.router import ClusterRouter
 
         #: The facade object the aspects (and work meters) talk to.
         self.cache = ClusterRouter(
@@ -77,20 +77,15 @@ class AutoWebCache:
                 if node_names is not None
                 else [f"node-{i}" for i in range(n_nodes)]
             ),
-            cache_factory=make_cache_factory(
-                invalidation_policy=policy,
-                replacement=replacement,
-                capacity=capacity,
-                max_bytes=max_bytes,
-                # One registry, shared by reference: cacheability and
-                # TTL windows are ring-wide policy, the same on every
-                # node.
-                semantics=semantics or SemanticsRegistry(),
-                clock=clock,
-                forced_miss=forced_miss,
-                coalesce=coalesce,
-            ),
             vnodes=vnodes,
+            invalidation_policy=policy,
+            replacement=replacement,
+            capacity=capacity,
+            max_bytes=max_bytes,
+            semantics=semantics,
+            clock=clock,
+            forced_miss=forced_miss,
+            coalesce=coalesce,
         )
         self.collector = ConsistencyCollector()
         self.read_aspect = ReadServletAspect(self.cache, self.collector)

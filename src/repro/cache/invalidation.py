@@ -106,7 +106,7 @@ class Invalidator:
         lineage_pruning: bool = True,
     ) -> None:
         self._pages = page_cache
-        self._analysis = analysis_cache
+        self.analysis = analysis_cache
         self._stats = stats
         self.policy = policy
         #: Use the dependency-table indexes; False restores the paper's
@@ -121,7 +121,7 @@ class Invalidator:
 
     @property
     def engine(self) -> QueryAnalysisEngine:
-        return self._analysis.engine
+        return self.analysis.engine
 
     def process_writes(self, writes: list[QueryInstance]) -> set[str]:
         """Invalidate every page affected by ``writes``; returns the keys.
@@ -172,7 +172,7 @@ class Invalidator:
         affected: set[str] = set()
         for read_template in self._pages.dependencies.read_templates():
             self._stats.record_pair_analysis()
-            pair = self._analysis.analyse(read_template, write.template)
+            pair = self.analysis.analyse(read_template, write.template)
             if not pair.possible:
                 continue
             for page_key, read in self._pages.dependencies.instances_for(
@@ -200,10 +200,10 @@ class Invalidator:
             ):
                 continue
             self._stats.record_pair_analysis()
-            pair = self._analysis.analyse(read_template, write.template)
+            pair = self.analysis.analyse(read_template, write.template)
             if not pair.possible:
                 continue
-            plan = self._analysis.plan_for(
+            plan = self.analysis.plan_for(
                 read_template, write.template, pair, self.policy
             )
             instances = None
@@ -273,7 +273,7 @@ class Invalidator:
                 ):
                     continue
                 self._stats.record_pair_analysis()
-                pair = self._analysis.analyse(read.template, write.template)
+                pair = self.analysis.analyse(read.template, write.template)
                 if not pair.possible:
                     continue
                 if use_index and self._value_filtered(pair, read, write):
@@ -312,7 +312,7 @@ class Invalidator:
         column check, so skipping here never changes the doomed set --
         it only avoids the counted pair-analysis protocol op.
         """
-        rule, built = self._analysis.column_rule_for(read_template)
+        rule, built = self.analysis.column_rule_for(read_template)
         if built:
             self._stats.record_column_plan()
         if rule.disjoint(write_info):
@@ -324,7 +324,7 @@ class Invalidator:
         self, pair, read: QueryInstance, write: QueryInstance
     ) -> bool:
         """True when the pruning plan proves ``read`` disjoint from ``write``."""
-        plan = self._analysis.plan_for(
+        plan = self.analysis.plan_for(
             read.template, write.template, pair, self.policy
         )
         if not plan:

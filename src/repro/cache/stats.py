@@ -98,8 +98,9 @@ class CacheStats:
     #: (write columns provably disjoint from the template's lineage
     #: read set -- no pair analysis performed).
     templates_skipped_by_lineage: int = 0
-    #: Distinct (template, catalog version) column-disjointness rules
-    #: materialised by the analysis cache.
+    #: Distinct (template, catalog) column-disjointness rules this
+    #: node materialised in the analysis cache (the ring's, shared: a
+    #: rule another node built first is not counted again).
     column_plans_built: int = 0
     #: Pre-images the JDBC aspect captured under the EXTRA_QUERY policy:
     #: the paper's extra query per UPDATE/DELETE.  The write's own plan

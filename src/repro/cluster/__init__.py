@@ -37,7 +37,7 @@ from repro.cluster.membership import (
 )
 from repro.cluster.node import CacheNode
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, stable_hash
-from repro.cluster.router import ClusterRouter, ClusterStats, make_cache_factory
+from repro.cluster.router import ClusterRouter, ClusterStats
 
 __all__ = [
     "ALIVE",
@@ -54,7 +54,6 @@ __all__ = [
     "InvalidationBus",
     "SUSPECT",
     "Transition",
-    "make_cache_factory",
     "stable_hash",
 ]
 

@@ -1,8 +1,9 @@
 """One cluster member: a per-node ``Cache`` plus bus replay state.
 
-A :class:`CacheNode` owns a full PR-1 cache stack -- page store,
-dependency table, analysis cache, invalidator, single-flight table,
-statistics -- for the slice of the key space the ring assigns to it.
+A :class:`CacheNode` holds pages: its store -- page table, dependency
+table, invalidator, single-flight table, statistics -- serves the slice
+of the key space the ring assigns to it.  It analyses SQL through the
+ring's one engine and analysis cache, which the router owns.
 The node subscribes to the invalidation bus and replays every message
 in sequence order through :meth:`apply`, which funnels into
 ``Cache.apply_writes`` so the node-local staleness window (open flights

@@ -12,7 +12,12 @@ what extends the write-sequence staleness window across nodes: a page
 computed on node A while a write lands via node B is discarded at
 insert, exactly as intra-node overlapping flights are.  What spans
 entries lives here and nowhere else: the fragment containment table and
-its closure, and the front-end counters.
+its closure, and the front-end counters.  So does the SQL analysis:
+the router builds the one :class:`~repro.cache.analysis.
+QueryAnalysisEngine` and :class:`~repro.cache.analysis_cache.
+AnalysisCache` every node's invalidator analyses through, mirrors the
+schema catalog into it once per schema epoch, captures the row witness
+and plans an INSERT's partner probes.  A node holds pages.
 
 Locks: the router's one lock covers its routing state, its containment
 table and its front-end statistics; each node's cache has its own (the
@@ -54,13 +59,16 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
+from repro.cache.analysis import InvalidationPolicy, QueryAnalysisEngine, probe_plan
+from repro.cache.analysis_cache import AnalysisCache
 from repro.cache.api import Cache
 from repro.cache.entry import PageEntry, QueryInstance
 from repro.cache.flight import Flight
 from repro.cache.fragments import FragmentContainment
 from repro.cache.invalidation import dedupe_writes
+from repro.cache.semantics import SemanticsRegistry
 from repro.cache.stats import CacheStats
 from repro.cluster.bus import InvalidationBus
 from repro.cluster.membership import DEAD, ROUTER, GossipMembership
@@ -71,8 +79,6 @@ from repro.locks import NamedRLock
 from repro.sql.lineage import Catalog
 from repro.sql.template import QueryTemplate
 from repro.web.http import HttpRequest
-
-CacheFactory = Callable[[], Cache]
 
 #: A key's placement: the node that serves it -- its ring owner while
 #: that node is live, else the failover stand-in; None when no node is.
@@ -189,27 +195,51 @@ for _field in dataclasses.fields(CacheStats):
 
 
 class ClusterRouter:
-    """The cache facade: routes every operation across the ring."""
+    """The cache facade: routes every operation across the ring.
+
+    ``catalog`` seeds the ring's analysis engine; every other keyword is
+    a :class:`~repro.cache.api.Cache` option, the same for every node.
+    """
 
     def __init__(
         self,
         node_names: list[str],
-        cache_factory: CacheFactory,
         vnodes: int = DEFAULT_VNODES,
         membership: GossipMembership | None = None,
+        catalog: Catalog | None = None,
+        **cache_options,
     ) -> None:
         if not node_names:
             raise ClusterError("a cluster needs at least one node")
         if len(set(node_names)) != len(node_names):
             raise ClusterError("duplicate node names")
-        self._cache_factory = cache_factory
         self._lock = NamedRLock("cluster-router")
         self.ring = HashRing(vnodes=vnodes)
-        self._template = cache_factory()  # config donor; serves nothing
-        #: The nodes' shared configuration, read by the aspects.
-        self.semantics = self._template.semantics
-        self.clock = self._template.clock
-        self.invalidation_policy = self._template.invalidation_policy
+        # The nodes' shared configuration, read by the aspects.  One
+        # semantics registry, shared by reference: cacheability and TTL
+        # windows are ring-wide policy, not per-shard state.
+        self.semantics = cache_options.get("semantics") or SemanticsRegistry()
+        self.clock = cache_options.setdefault("clock", time.time)
+        self.invalidation_policy = cache_options.setdefault(
+            "invalidation_policy", InvalidationPolicy.EXTRA_QUERY
+        )
+        self._cache_options = dict(cache_options, semantics=self.semantics)
+        #: The ring's one analysis stack: every node's invalidator
+        #: analyses through it, so a template pair is analysed once.
+        self.engine = QueryAnalysisEngine(catalog=catalog)
+        self.analysis_cache = AnalysisCache(self.engine)
+        #: Tables a woven write has reached.  A read captures its row
+        #: witness (:meth:`witness`) only over these: before a table's
+        #: first write nothing could use one, so a read-only workload
+        #: captures nothing.  Only ever grows; one ``set.add`` by the
+        #: JDBC aspect per write, read without the lock.
+        self.written_tables: set[str] = set()
+        #: Guard for :meth:`sync_catalog`: the database last mirrored
+        #: into the engine's catalog and its schema epoch at that moment.
+        self._catalog_source: tuple[object, int] | None = None
+        #: Write template text -> (memo key, its probe plan):
+        #: :meth:`probe_plan`'s memo.
+        self._probe_plans: dict[str, tuple[tuple, tuple]] = {}
         self.bus = InvalidationBus()
         self.membership = membership or GossipMembership(clock=self.clock)
         self._nodes: dict[str, CacheNode] = {}
@@ -236,12 +266,6 @@ class ClusterRouter:
         #: closure: :meth:`_settle_evictions` runs it once the operation
         #: that caused them is out of the node's lock.
         self._evicted: list[set[str]] = []
-        #: Guard for :meth:`sync_catalog` (see :meth:`Cache.sync_catalog`).
-        self._catalog_source: tuple[object, int] | None = None
-        #: Tables a woven write has reached (see :attr:`Cache.
-        #: written_tables`).  The config donor's set: its engine, which
-        #: :meth:`sync_catalog` keeps current, captures the witnesses.
-        self.written_tables = self._template.written_tables
         for name in node_names:
             self.add_node(name)
 
@@ -280,14 +304,11 @@ class ClusterRouter:
         pass ran, so every moved key is conservatively invalidated --
         an extra miss, never a stale page.
         """
-        node = CacheNode(name, self._cache_factory())
+        node = CacheNode(name, Cache(self.analysis_cache, **self._cache_options))
         node.cache.on_evicted = self._evicted.append
         with self._lock:
             if name in self._nodes:
                 raise ClusterError(f"node {name!r} already joined")
-            # The newcomer has no catalog yet: the next statement
-            # re-mirrors it everywhere (a no-op on the other nodes).
-            self._catalog_source = None
             # ``bus.seq`` takes the bus lock, so it also waits out a
             # delivery pass in progress: the audit below starts from a
             # sequence number every node has applied.
@@ -546,13 +567,20 @@ class ClusterRouter:
         return 1 if every is not None else len(routes)
 
     def sync_catalog(self, database) -> None:
-        """Mirror the schema catalog into every node's analysis engine.
+        """Mirror ``database``'s schemas into the ring's analysis engine.
 
-        Nodes analyse invalidation independently, so all of them must
-        share the same schema knowledge or two shards could disagree
-        on a column-disjointness proof.  The schema-epoch comparison is
-        made once here, not once per node: steady-state statements never
-        reach the fan-out, and the catalog is built once for all of them.
+        Reached lazily from the JDBC aspect on statement interception
+        (the woven driver is the first place the application's database
+        becomes visible).  Guarded by the database's schema epoch
+        (every ``create_table`` / ``drop_table`` moves it), so a
+        steady-state statement pays one comparison and takes no lock,
+        and the catalog is built once per epoch for the whole ring: the
+        nodes, a late joiner included, analyse through the one engine.
+        A new catalog retires every catalog-derived memo (they key by
+        the catalog they were computed under).  Sound either way:
+        without a catalog (or with a database that reports no epoch)
+        the column analysis simply stays at its conservative wildcard
+        behaviour.
         """
         epoch = getattr(database, "schema_epoch", None)
         if epoch is None:
@@ -561,28 +589,68 @@ class ClusterRouter:
         if source is not None and source[0] is database and source[1] == epoch:
             return
         with self._lock:
-            nodes = list(self._nodes.values())
-            self._catalog_source = (database, epoch)
-        catalog = Catalog.from_database(database)
-        self._template.sync_catalog(database, catalog)
-        for node in nodes:
-            node.cache.sync_catalog(database, catalog)
+            self._catalog_source = source = (database, epoch)
+        catalog = Catalog.from_database(database)  # takes the database lock
+        with self._lock:
+            # Swaps are serialised here; a sync for a later epoch that
+            # overtook this one has installed the newer catalog.
+            if self._catalog_source is source:
+                self.engine.set_catalog(catalog)
 
     def witness(
         self, template: QueryTemplate, rows: Sequence[Sequence[object]]
     ) -> tuple[tuple[int, tuple[object, ...]], ...] | None:
-        """A read's row witness (:meth:`Cache.witness`), captured once
-        at the front end: every node tests the same instance."""
-        return self._template.witness(template, rows)
+        """The row witness of a read that returned ``rows``: for each
+        written table whose primary key the read projects, its output
+        position and the keys shown (None when there is none).  Captured
+        once, at the front end: every node tests the same instance."""
+        positions = self.engine.key_positions(template)
+        if not positions:
+            return None
+        written = self.written_tables
+        found = tuple(
+            (position, tuple([row[position] for row in rows]))
+            for table, position in positions
+            if table in written
+        )
+        return found or None
 
     def probe_plan(self, template: QueryTemplate) -> tuple[tuple[str, str, str], ...]:
-        """An INSERT's partner probes (:meth:`Cache.probe_plan`) for
-        the whole ring: the union of every node's plan, so one probe per
-        write serves every node the bus delivers it to."""
-        plans = {node.cache.probe_plan(template) for node in self.nodes()}
-        if len(plans) == 1:
-            return plans.pop()  # the usual case: the nodes agree
-        return tuple(sorted(set().union(*plans)))
+        """The partner probes an INSERT of ``template`` must run under
+        ``ROW_WITNESS``: ``(column, partner table, partner column)`` for
+        every partner edge it has with a read template registered on any
+        node (:func:`~repro.cache.analysis.probe_plan`), so one probe per
+        write serves every node the bus delivers it to.
+
+        One memo per ring, keyed on the node set, every node's
+        template-set version and the catalog: a steady template set
+        costs the router-lock round that reads the node set.  The
+        versions are read without the node locks.  A plan that misses a
+        template registered a moment ago only leaves that template's
+        pages unexcused (a write never probed for an edge cannot use
+        it); one listing a template just retired probes for nothing.
+        """
+        with self._lock:
+            nodes = list(self._nodes.values())
+            nodes_version = self._nodes_version
+        key = (
+            nodes_version,
+            self.engine.catalog,
+            *[node.cache.pages.dependencies.version for node in nodes],
+        )
+        memo = self._probe_plans.get(template.text)
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        # Versions read before the candidates: a template registered in
+        # between only makes the next call recompute.
+        reads = set()
+        for node in nodes:
+            with node.cache.lock:
+                dependencies = node.cache.pages.dependencies
+                reads.update(dependencies.candidate_templates(template.tables)[0])
+        plan = probe_plan(self.engine, reads, template)
+        self._probe_plans[template.text] = (key, plan)
+        return plan
 
     # -- read path ---------------------------------------------------------------------
 
@@ -845,13 +913,3 @@ class ClusterRouter:
     def snapshot(self) -> dict:
         return self.stats.snapshot()
 
-
-def make_cache_factory(**cache_kwargs) -> CacheFactory:
-    """A factory of identically configured per-node caches.
-
-    The semantics registry (if given) is shared by reference: TTL
-    windows and cacheability rules are cluster-wide policy, not
-    per-shard state.
-    """
-    cache_kwargs.setdefault("clock", time.time)
-    return lambda: Cache(**cache_kwargs)

@@ -732,7 +732,7 @@ def run_fragment_differential(
     page's edges linger until its replacement re-registers), so a stale
     edge that re-dooms an absent key is *expected* on both sides.
 
-    With ``workload="column"`` every node's cache and the brute oracle
+    With ``workload="column"`` the ring's engine and the brute oracle's
     share the :func:`column_catalog`, the workload switches to the
     column mix, and the routed path runs with lineage pruning live --
     proving the column plans stay invisible across sharding.
@@ -740,7 +740,7 @@ def run_fragment_differential(
     both sides, so the row witnesses the entries carry must excuse the
     same instances on every shard as in the oracle.
     """
-    from repro.cluster.router import ClusterRouter, make_cache_factory
+    from repro.cluster.router import ClusterRouter
 
     mix = WORKLOADS[workload]
     catalog = mix.catalog
@@ -748,7 +748,8 @@ def run_fragment_differential(
     reader, writer = mix.generators(rng)
     router = ClusterRouter(
         [f"node-{i}" for i in range(n_nodes)],
-        make_cache_factory(catalog=catalog, invalidation_policy=mix.policy),
+        catalog=catalog,
+        invalidation_policy=mix.policy,
     )
     mirror = PageCache(make_policy("unbounded", None))
     brute = Invalidator(

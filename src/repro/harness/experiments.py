@@ -178,8 +178,7 @@ def run_cell(
         # Samples are taken on a miss; the closing one carries the run's
         # totals, so the last x is lookups processed, not "lookups at
         # the last new entry".
-        (node,) = awc.router.nodes()
-        analysis = node.cache.analysis_cache
+        analysis = awc.router.analysis_cache
         growth = [
             *analysis.stats.growth,
             (analysis.stats.lookups, analysis.entry_count),

@@ -66,7 +66,7 @@ class QueryTemplate(tuple):
     below are computed once per template and shared by every instance.
     Anything that depends on the schema catalog (column lineage) is
     *not* here: a catalog can be swapped under a live template, so those
-    facts live in the analysis engine keyed by catalog version.
+    facts live in the analysis engine keyed by catalog.
     """
 
     def __new__(cls, text: str, statement: ast.Statement) -> "QueryTemplate":

@@ -12,6 +12,9 @@ import os
 
 import pytest
 
+from repro.cache.analysis import QueryAnalysisEngine
+from repro.cache.analysis_cache import AnalysisCache
+from repro.cache.api import Cache
 from repro.cache.autowebcache import AutoWebCache
 from repro.db import Column, ColumnType, Database, TableSchema, connect
 from repro.db.dbapi import Connection, Statement
@@ -210,6 +213,12 @@ def cached_notes_app():
         yield db, container, awc
     finally:
         awc.uninstall()
+
+
+def bare_store(**options) -> Cache:
+    """A node store outside any ring, with an analysis stack of its own
+    (a ring's nodes share the router's)."""
+    return Cache(AnalysisCache(QueryAnalysisEngine()), **options)
 
 
 def node_store(awc):

@@ -38,7 +38,7 @@ from repro.web.container import ServletContainer
 from repro.web.http import HttpRequest, HttpResponse
 from repro.web.servlet import HttpServlet
 
-from tests.conftest import build_notes_app, node_store
+from tests.conftest import bare_store, build_notes_app, node_store
 from tests.test_single_flight import _spin_until
 
 
@@ -222,7 +222,7 @@ class TestFastCheck:
         return HttpRequest("GET", "/page", {"id": "1"})
 
     def test_hit_is_recorded_like_check(self):
-        cache = Cache()
+        cache = bare_store()
         request = self.request()
         cache.insert(request, "body", [])
         entry = cache.fast_check(request.cache_key(), request.uri)
@@ -231,7 +231,7 @@ class TestFastCheck:
         assert cache.stats.lookups == 1
 
     def test_miss_records_nothing_and_preserves_taxonomy(self):
-        cache = Cache()
+        cache = bare_store()
         request = self.request()
         cache.insert(request, "body", [])
         cache.invalidate_key(request.cache_key())
@@ -246,14 +246,14 @@ class TestFastCheck:
         assert cache.stats.lookups == 1
 
     def test_forced_miss_mode_disables_fast_path(self):
-        cache = Cache(forced_miss=True)
+        cache = bare_store(forced_miss=True)
         request = self.request()
         assert cache.fast_check(request.cache_key(), request.uri) is None
         assert cache.stats.lookups == 0
 
     def test_uncacheable_uri_is_not_probed(self):
         semantics = SemanticsRegistry().mark_uncacheable("/page")
-        cache = Cache(semantics=semantics)
+        cache = bare_store(semantics=semantics)
         request = self.request()
         assert cache.fast_check(request.cache_key(), request.uri) is None
         assert cache.stats.lookups == 0
@@ -264,7 +264,7 @@ class TestFastCheck:
         semantics = SemanticsRegistry().mark_uncacheable_when(
             lambda request: request.get_parameter("fresh") == "1"
         )
-        cache = Cache(semantics=semantics)
+        cache = bare_store(semantics=semantics)
         request = self.request()
         cache.insert(request, "body", [])
         assert cache.fast_check(request.cache_key(), request.uri) is None

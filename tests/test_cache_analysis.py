@@ -659,3 +659,114 @@ class TestPartnerProbes:
         for indexed in (True, False):
             assert outcome[EXTRA, indexed] == ({"/region"}, True, False)
             assert outcome[InvalidationPolicy.ROW_WITNESS, indexed] == (set(), False, True)
+
+
+class TestCatalogSwap:
+    """One engine serves a whole ring and the router swaps its catalog
+    while nodes analyse: a result computed under the old catalog must
+    never be served once the new one is in."""
+
+    OLD = Catalog({"t": ("a", "b")})
+    NEW = Catalog({"t": ("a", "b", "c")}, {"t": "a"})
+
+    def swap_midway(self, monkeypatch, name, sql):
+        """Make ``repro.cache.analysis.<name>`` swap the engine's catalog
+        to NEW after computing under OLD, before the engine memoises."""
+        import repro.cache.analysis as analysis
+
+        engine = QueryAnalysisEngine(catalog=self.OLD)
+        real = getattr(analysis, name)
+
+        def swapping(statement, catalog):
+            result = real(statement, catalog)
+            if catalog is self.OLD:
+                engine.set_catalog(self.NEW)
+            return result
+
+        monkeypatch.setattr(analysis, name, swapping)
+        template, _ = templateize(sql, (1,))
+        return engine, template, real(template.statement, self.NEW)
+
+    def test_a_lineage_finished_after_a_swap_is_not_served(self, monkeypatch):
+        engine, template, expected = self.swap_midway(
+            monkeypatch, "compute_lineage", "SELECT * FROM t WHERE b = ?"
+        )
+        stale = engine.lineage(template)  # computed under OLD
+        assert ("t", "c") not in stale.read_set
+        assert engine.catalog is self.NEW
+        assert engine.lineage(template) == expected
+        assert ("t", "c") in engine.lineage(template).read_set
+
+    def test_statement_facts_finished_after_a_swap_are_not_served(
+        self, monkeypatch
+    ):
+        engine, template, expected = self.swap_midway(
+            monkeypatch, "extract_info", "SELECT a, b FROM t WHERE b = ?"
+        )
+        assert engine.read_info(template).key_positions == ()  # OLD: no key
+        assert engine.catalog is self.NEW
+        assert engine.read_info(template) == expected
+        assert engine.read_info(template).key_positions == (("t", 0),)
+
+    @pytest.mark.concurrency
+    def test_threads_analysing_across_swaps_keep_no_old_answer(self):
+        """Four threads analyse through one engine and analysis cache, as
+        a ring's nodes do under their own locks, while the catalog is
+        swapped back and forth; once the swaps stop, every memo answers
+        under the last catalog."""
+        import sys
+        import threading
+        import time
+
+        from repro.sql.analysis_info import extract_info
+        from repro.sql.lineage import compute_lineage
+
+        tables = [f"t{i}" for i in range(30)]
+        known = Catalog(
+            {table: ("a", "b", "c") for table in tables},
+            {table: "a" for table in tables},
+        )
+        blind = Catalog({})
+        engine = QueryAnalysisEngine()
+        cache = AnalysisCache(engine)
+        stars = [templateize(f"SELECT * FROM {t} WHERE b = ?", (1,))[0] for t in tables]
+        keyed = [templateize(f"SELECT a, b FROM {t} WHERE b = ?", (1,))[0] for t in tables]
+        write, _ = templateize("UPDATE t0 SET c = ? WHERE a = ?", (1, 2))
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def analyse() -> None:
+            try:
+                while not stop.is_set():
+                    for star, key in zip(stars, keyed):
+                        engine.read_info(key)
+                        cache.column_rule_for(star)
+                        cache.analyse(star, write)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=analyse) for _ in range(4)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for swap in range(100):
+                engine.set_catalog(blind if swap % 2 else known)
+                time.sleep(0.0005)  # the workers are always mid-refill
+            engine.set_catalog(known)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            stop.set()
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        fresh = QueryAnalysisEngine(catalog=known)
+        for star, key in zip(stars, keyed):
+            assert engine.read_info(key) == extract_info(key.statement, known)
+            assert engine.lineage(star) == compute_lineage(star.statement, known)
+            rule, _built = cache.column_rule_for(star)
+            assert rule == fresh.column_rule(star)
+            assert cache.analyse(star, write) == fresh.analyse_pair(star, write)

@@ -14,7 +14,7 @@ from repro.cache.semantics import SemanticsRegistry
 from repro.errors import CacheError
 from repro.web.servlet import HttpServlet
 
-from tests.conftest import build_notes_app, node_store
+from tests.conftest import build_notes_app
 
 
 def add(container, note_id, topic, body, score=0):
@@ -318,7 +318,7 @@ class TestCatalogMirror:
 
         db, container, awc = cached_notes_app
         built = self.count_mirrors(monkeypatch)
-        engine = node_store(awc).engine
+        engine = awc.router.engine
         assert engine.catalog is None
         add(container, 1, "a", "x")
         assert built == [1]
@@ -338,40 +338,35 @@ class TestCatalogMirror:
         assert engine.catalog.columns_of("labels") == {"id"}
         assert engine.catalog.columns_of("topics") is None
 
-    def test_a_ring_compares_once_and_fans_out_only_when_the_epoch_moved(
-        self, monkeypatch
-    ):
-        from repro.cache.api import Cache
+    def test_a_ring_mirrors_once_per_schema_epoch(self, monkeypatch):
+        """Three nodes analyse through the router's one engine: the
+        catalog is built once per schema epoch for the ring, and a node
+        that joins later analyses under the current catalog with no new
+        mirror."""
+        from repro.db import Column, ColumnType, TableSchema
 
         db, container = build_notes_app()
         awc = AutoWebCache(n_nodes=3)
         awc.install(container.servlet_classes)
         try:
-            node_syncs = [0]
-            original = Cache.sync_catalog
-
-            def counted(self, database, catalog):
-                node_syncs[0] += 1
-                return original(self, database, catalog)
-
-            monkeypatch.setattr(Cache, "sync_catalog", counted)
-            # Three nodes plus the router's config donor, whose engine
-            # places the row witnesses the front end captures.
+            built = self.count_mirrors(monkeypatch)
             add(container, 1, "a", "x")
-            assert node_syncs == [4]
+            assert built == [1]
             for note_id in (2, 3, 4):
                 container.get("/view_note", {"id": "1"})
                 add(container, note_id, "a", "y")
-            assert node_syncs == [4]
-            # A node that joins later has no catalog yet: the next
-            # statement mirrors it (the others compare and return).
+            assert built == [1]
             joined = awc.router.add_node("late")
-            assert joined.cache.engine.catalog is None
+            assert joined.cache.invalidator.engine is awc.router.engine
+            assert awc.router.engine.catalog.columns_of("notes") is not None
             container.get("/view_topic", {"topic": "a"})
-            assert node_syncs == [9]
-            assert all(
-                node.cache.engine.catalog.columns_of("notes") is not None
-                for node in awc.router.nodes()
+            add(container, 5, "b", "z")
+            assert built == [1]
+            db.create_table(
+                TableSchema("labels", [Column("id", ColumnType.INT)], primary_key="id")
             )
+            container.get("/view_topic", {"topic": "b"})
+            assert built == [2]
+            assert awc.router.engine.catalog.columns_of("labels") == {"id"}
         finally:
             awc.uninstall()

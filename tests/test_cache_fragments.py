@@ -425,9 +425,9 @@ class TestContainmentTable:
         """An edge outliving ``clear`` would doom a fresh computation of
         its container when the fragment is next invalidated, and edges
         would pile up clear after clear."""
-        from repro.cluster.router import ClusterRouter, make_cache_factory
+        from repro.cluster.router import ClusterRouter
 
-        router = ClusterRouter(["n0"], make_cache_factory())
+        router = ClusterRouter(["n0"])
         for i in range(3):
             router.insert_key(f"frag://f?i={i}", "text", [])
             router.insert_key(f"/page?i={i}", "<text>", [], fragments=(f"frag://f?i={i}",))
@@ -518,11 +518,11 @@ class TestEvictionClimbsContainment:
 
     def test_facade_sequence_from_the_issue(self):
         from repro.cache.entry import QueryInstance
-        from repro.cluster.router import ClusterRouter, make_cache_factory
+        from repro.cluster.router import ClusterRouter
         from repro.sql.template import templateize
 
         router = ClusterRouter(
-            ["n0"], make_cache_factory(replacement="lru", capacity=2)
+            ["n0"], replacement="lru", capacity=2
         )
         (node,) = router.nodes()
         read = QueryInstance(*templateize("SELECT name FROM categories WHERE id = ?", (1,)))
@@ -551,11 +551,11 @@ class TestEvictionClimbsContainment:
         lock.  A write landing in that gap must still doom the pages
         built from the evicted fragment before it returns."""
         from repro.cache.entry import QueryInstance
-        from repro.cluster.router import ClusterRouter, make_cache_factory
+        from repro.cluster.router import ClusterRouter
         from repro.sql.template import templateize
 
         router = ClusterRouter(
-            ["n0"], make_cache_factory(replacement="lru", capacity=2)
+            ["n0"], replacement="lru", capacity=2
         )
         (node,) = router.nodes()
         read = QueryInstance(*templateize("SELECT name FROM categories WHERE id = ?", (1,)))
@@ -719,11 +719,11 @@ class TestNoEntryOutlivesWhatItEmbeds:
 class TestBookkeepingIsBoundedByResidency:
     def test_unique_keys_through_a_small_store(self, monkeypatch):
         import repro.cache.page_cache as page_cache
-        from repro.cluster.router import ClusterRouter, make_cache_factory
+        from repro.cluster.router import ClusterRouter
 
         monkeypatch.setattr(page_cache, "_GONE_LIMIT", 4096)
         router = ClusterRouter(
-            ["n0"], make_cache_factory(replacement="lru", capacity=64)
+            ["n0"], replacement="lru", capacity=64
         )
         (node,) = router.nodes()
         cache = node.cache
@@ -742,10 +742,10 @@ class TestBookkeepingIsBoundedByResidency:
         assert set(table._fragments_of) <= set(cache.pages.keys())
 
     def test_ring_tables_follow_the_shards(self):
-        from repro.cluster.router import ClusterRouter, make_cache_factory
+        from repro.cluster.router import ClusterRouter
 
         router = ClusterRouter(
-            ["n0", "n1"], make_cache_factory(replacement="lru", capacity=16)
+            ["n0", "n1"], replacement="lru", capacity=16
         )
         for i in range(2_000):
             router.insert_key(f"frag://f?i={i}", "text", [])

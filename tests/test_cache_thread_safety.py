@@ -15,11 +15,12 @@ import threading
 
 import pytest
 
-from repro.cache.api import Cache
 from repro.cache.entry import QueryInstance
 from repro.cache.page_cache import PageCache
 from repro.sql.template import templateize
 from repro.web.http import HttpRequest
+
+from tests.conftest import bare_store
 
 
 def _instance(note_id: int) -> QueryInstance:
@@ -48,7 +49,7 @@ def assert_accounting_exact(pages: PageCache) -> None:
 
 @pytest.mark.concurrency
 def test_invalidate_racing_lookup_and_insert_keeps_bytes_exact():
-    cache = Cache()
+    cache = bare_store()
     n_threads = 8
     rounds = 300
     keys = [f"/page?id={i}" for i in range(16)]
@@ -86,7 +87,7 @@ def test_invalidate_racing_lookup_and_insert_keeps_bytes_exact():
 
 @pytest.mark.concurrency
 def test_cache_facade_threaded_insert_invalidate_consistent():
-    cache = Cache()
+    cache = bare_store()
     n_threads = 8
     rounds = 150
     barrier = threading.Barrier(n_threads)
@@ -136,7 +137,7 @@ def test_stats_counters_exact_under_threads():
     # third round, so at most 8 x 3 inserts land between two hits --
     # far fewer than the 63 it takes to age it out.
     capacity = 64
-    cache = Cache(replacement="lru", capacity=capacity)
+    cache = bare_store(replacement="lru", capacity=capacity)
     for i in range(capacity - 1):
         cache.insert_key(f"/warm{i}", "w", [])
     cache.insert_key("/hot", "h", [])
@@ -175,7 +176,7 @@ def test_stats_counters_exact_under_threads():
 
 def test_bounded_cache_eviction_accounting_threaded():
     """Byte-bounded cache under threads: bound respected, bytes exact."""
-    cache = Cache(replacement="lru", max_bytes=500)
+    cache = bare_store(replacement="lru", max_bytes=500)
     errors: list[Exception] = []
 
     def worker(index: int) -> None:

@@ -4,12 +4,13 @@ import threading
 
 import pytest
 
-from repro.cache.api import Cache
 from repro.cache.entry import QueryInstance
 from repro.cluster.bus import BusMessage, InvalidationBus
 from repro.cluster.node import CacheNode
 from repro.errors import ClusterError
 from repro.sql.template import templateize
+
+from tests.conftest import bare_store
 
 
 def write_instance(value: int) -> QueryInstance:
@@ -133,7 +134,7 @@ class TestSubscriptionErrors:
 
 class TestNodeReplay:
     def test_node_rejects_replayed_or_reordered_messages(self):
-        node = CacheNode("n", Cache())
+        node = CacheNode("n", bare_store())
         message = BusMessage(seq=3, origin="router", uri="/w",
                              writes=(write_instance(1),))
         node.apply(message)
@@ -145,7 +146,7 @@ class TestNodeReplay:
                                   writes=(write_instance(2),)))
 
     def test_left_node_absorbs_messages_without_applying(self):
-        node = CacheNode("n", Cache())
+        node = CacheNode("n", bare_store())
         node.mark_left()
         doomed = node.apply(
             BusMessage(seq=1, origin="router", uri="/w",
@@ -155,14 +156,14 @@ class TestNodeReplay:
         assert node.last_applied_seq == 1
 
     def test_rebase_adopts_bus_position(self):
-        node = CacheNode("n", Cache())
+        node = CacheNode("n", bare_store())
         node.rebase(41)
         node.apply(BusMessage(seq=42, origin="router", uri="/w",
                               writes=(write_instance(1),)))
         assert node.last_applied_seq == 42
 
     def test_lifecycle_transitions(self):
-        node = CacheNode("n", Cache())
+        node = CacheNode("n", bare_store())
         node.mark_draining()
         with pytest.raises(ClusterError, match="cannot drain"):
             node.mark_draining()

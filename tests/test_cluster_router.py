@@ -8,7 +8,7 @@ import pytest
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.entry import QueryInstance
 from repro.cache.stats import CacheStats
-from repro.cluster import ClusterRouter, make_cache_factory
+from repro.cluster import ClusterRouter
 from repro.errors import ClusterError
 from repro.sql.template import templateize
 from repro.web.http import HttpRequest
@@ -135,6 +135,42 @@ class TestWriteUnion:
         assert awc.stats.write_requests == 1  # still recorded
 
 
+class TestOneAnalysisStack:
+    """The router owns the SQL analysis and a node holds pages: every
+    node's invalidator analyses through the router's one analysis
+    cache, so a template pair is analysed once per ring."""
+
+    @pytest.mark.parametrize("n_nodes", [1, 4])
+    def test_every_node_shares_the_routers_analysis_late_joiners_too(
+        self, n_nodes
+    ):
+        db, container = build_notes_app()
+        awc = AutoWebCache(n_nodes=n_nodes)
+        awc.install(container.servlet_classes)
+        try:
+            router = awc.router
+            populate(container)
+            warm(container)
+            container.post("/score", {"id": "1", "score": "7"})
+            analysed = router.analysis_cache.stats.misses
+            assert analysed > 0
+            router.add_node("late")
+            warm(container)
+            container.post("/score", {"id": "1", "score": "8"})
+            nodes = router.nodes()
+            assert len(nodes) == n_nodes + 1
+            assert router.analysis_cache.engine is router.engine
+            for node in nodes:
+                assert node.cache.invalidator.analysis is router.analysis_cache
+                for name in ("engine", "analysis_cache", "witness", "probe_plan"):
+                    assert not hasattr(node.cache, name)
+            # The late joiner's pages were analysed before it joined.
+            assert any(len(node.cache) for node in nodes if node.name == "late")
+            assert router.analysis_cache.stats.misses == analysed
+        finally:
+            awc.uninstall()
+
+
 class TestSoloWindows:
     """Solo-computation staleness windows routed through the cluster."""
 
@@ -255,14 +291,14 @@ class TestLifecycle:
         assert victim.last_applied_seq == seq_before
 
     def test_removing_every_node_empties_the_ring(self):
-        router = ClusterRouter(["a", "b"], make_cache_factory())
+        router = ClusterRouter(["a", "b"])
         router.remove_node("a")
         router.remove_node("b")
         with pytest.raises(ClusterError):
             router.process_write_request("/w", [object()])
 
     def test_unknown_node_operations_raise(self):
-        router = ClusterRouter(["a"], make_cache_factory())
+        router = ClusterRouter(["a"])
         with pytest.raises(ClusterError, match="no node named"):
             router.node("ghost")
         with pytest.raises(ClusterError):
@@ -272,9 +308,9 @@ class TestLifecycle:
 
     def test_cluster_needs_a_node(self):
         with pytest.raises(ClusterError, match="at least one node"):
-            ClusterRouter([], make_cache_factory())
+            ClusterRouter([])
         with pytest.raises(ClusterError, match="duplicate"):
-            ClusterRouter(["a", "a"], make_cache_factory())
+            ClusterRouter(["a", "a"])
 
 
 def topic_key(topic: str) -> str:

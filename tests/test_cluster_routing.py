@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.entry import QueryInstance
-from repro.cluster import ClusterRouter, make_cache_factory
+from repro.cluster import ClusterRouter
 from repro.cluster.membership import DEAD, ROUTER
 from repro.cluster.node import JOINED
 from repro.cluster.router import _ROUTE_MEMO_LIMIT
@@ -68,7 +68,7 @@ def assert_routes_match(router: ClusterRouter, reference: ReferenceRouting) -> N
 
 def build(n_nodes: int) -> tuple[ClusterRouter, FakeClock]:
     clock = FakeClock()
-    router = ClusterRouter(NAMES[:n_nodes], make_cache_factory(clock=clock))
+    router = ClusterRouter(NAMES[:n_nodes], clock=clock)
     return router, clock
 
 

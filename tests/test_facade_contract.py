@@ -18,7 +18,7 @@ import pytest
 
 from repro.cache import aspects, aspects_fragment, computation
 from repro.cache.autowebcache import AutoWebCache
-from repro.cluster.router import ClusterRouter, make_cache_factory
+from repro.cluster.router import ClusterRouter
 from repro.web import asyncserver
 
 #: Module -> the classes whose cache reads are collected
@@ -97,7 +97,7 @@ def test_an_insert_probes_for_the_join_reads_that_are_registered(cluster):
         {"items": "id", "users": "id"},
     )
     names = ["n0", "n1", "n2"] if cluster else ["n0"]
-    facade = ClusterRouter(names, make_cache_factory(catalog=catalog))
+    facade = ClusterRouter(names, catalog=catalog)
     join = QueryInstance(
         *templateize(
             "SELECT items.name FROM items, users "

@@ -20,7 +20,7 @@ from repro.cache.entry import PageEntry
 from repro.cache.invalidation import Invalidator
 from repro.cache.page_cache import PageCache
 from repro.cache.stats import CacheStats
-from repro.cluster import ClusterRouter, make_cache_factory
+from repro.cluster import ClusterRouter
 from repro.harness.differential import (
     WORKLOADS,
     random_read,
@@ -196,7 +196,7 @@ def test_fragment_partner_workload_matches_oracle(n_nodes):
 def _replay_cluster(
     node_names: list[str], indexed: bool, pages, batches
 ) -> list[set[str]]:
-    router = ClusterRouter(node_names, make_cache_factory())
+    router = ClusterRouter(node_names)
     # The facade always indexes; the brute-force ring runs the paper's
     # full-scan oracle on each node's own invalidator.
     for node in router.nodes():
@@ -267,7 +267,7 @@ def test_fragment_column_workload_matches_oracle(n_nodes):
 
 def test_cluster_stats_aggregate_pruning_counters():
     rng = random.Random(11)
-    router = ClusterRouter(["a", "b"], make_cache_factory())
+    router = ClusterRouter(["a", "b"])
     for i in range(20):
         reads = [random_read(rng) for _ in range(2)]
         router.insert(HttpRequest("GET", f"/p/{i}", {}), "x", reads)

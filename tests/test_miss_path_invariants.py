@@ -23,14 +23,14 @@ from bench.workloads import WORKLOADS, build_app, generate
 from repro.aop.joinpoint import JoinPoint
 from repro.apps.rubis import RubisDataset, build_rubis
 from repro.cache.analysis import InvalidationPolicy
-from repro.cache.api import Cache
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.entry import QueryInstance
 from repro.cluster.router import ClusterRouter
+from repro.locks import NamedRLock
 from repro.sql.template import templateize
 from repro.web.http import HttpRequest
 
-from tests.conftest import build_notes_app
+from tests.conftest import bare_store, build_notes_app
 from tests.test_async_server import (
     deliver,
     get,
@@ -71,7 +71,7 @@ def lock_rounds(monkeypatch) -> list[int]:
     round in ``src/`` is a ``with`` statement, so this counts
     ``__enter__`` on the class the facade's lock actually is (the C
     lock or its order-checked subclass)."""
-    return count_calls(monkeypatch, type(Cache().lock), "__enter__")
+    return count_calls(monkeypatch, type(NamedRLock("cache-facade")), "__enter__")
 
 
 def test_a_warm_hit_and_miss_match_no_patterns_and_build_one_joinpoint_per_layer(
@@ -302,7 +302,7 @@ def test_a_write_takes_as_many_lock_rounds_with_50_read_templates_as_with_1(
     lock_rounds,
 ):
     def write_over(n_templates: int) -> tuple[int, int]:
-        cache = Cache()
+        cache = bare_store()
         for k in range(n_templates):
             sql = f"SELECT body AS b{k} FROM notes WHERE id = ?"
             cache.insert_key(f"/p{k}", "body", [QueryInstance(*templateize(sql, (k,)))])

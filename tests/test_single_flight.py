@@ -20,7 +20,7 @@ from repro.web.container import ServletContainer
 from repro.web.http import HttpRequest, HttpResponse
 from repro.web.servlet import HttpServlet
 
-from tests.conftest import make_notes_db, node_store
+from tests.conftest import bare_store, make_notes_db, node_store
 
 
 class GatedViewServlet(HttpServlet):
@@ -297,9 +297,8 @@ def test_failed_leader_does_not_strand_waiters():
 
 def test_flight_api_leader_and_waiter_lifecycle():
     """Cache-level single-flight API, single-threaded sanity."""
-    from repro.cache.api import Cache
 
-    cache = Cache()
+    cache = bare_store()
     flight, is_leader = cache.join_flight("/k")
     assert is_leader
     again, second_leader = cache.join_flight("/k")
@@ -316,9 +315,8 @@ def test_flight_api_leader_and_waiter_lifecycle():
 
 
 def test_external_invalidate_key_marks_flight_stale():
-    from repro.cache.api import Cache
 
-    cache = Cache()
+    cache = bare_store()
     flight, _ = cache.join_flight("/k")
     cache.invalidate_key("/k")
     assert flight.stale
@@ -332,10 +330,9 @@ def test_external_invalidate_key_marks_flight_stale():
 
 def test_waiter_timeout_returns_none(monkeypatch):
     from repro.cache import flight as flight_module
-    from repro.cache.api import Cache
 
     monkeypatch.setattr(flight_module, "FLIGHT_TIMEOUT", 0.05)
-    cache = Cache()
+    cache = bare_store()
     flight, _ = cache.join_flight("/k")
     other, is_leader = cache.join_flight("/k")
     assert not is_leader
@@ -362,13 +359,12 @@ def test_a_window_is_judged_by_its_own_start_not_an_older_flight(facade):
     only then does a private window open on ``/k``.  The window overlaps
     no write, so its insert is stored -- and the entry is not handed to
     the leader's waiters, whose leader the write still refuses."""
-    from repro.cache.api import Cache
-    from repro.cluster import ClusterRouter, make_cache_factory
+    from repro.cluster import ClusterRouter
 
     if facade == "cache":
-        cache = Cache()
+        cache = bare_store()
     else:
-        cache = ClusterRouter(["n0", "n1"], make_cache_factory())
+        cache = ClusterRouter(["n0", "n1"])
     flight, is_leader = cache.join_flight("/k")
     assert is_leader
     cache.process_write_request("/w", [_note_write()])
@@ -394,9 +390,8 @@ def test_a_stale_insert_stores_nothing():
     """The staleness check runs before the store: a stale token's insert
     leaves no entry, bytes or dependency rows, and hands its waiters
     nothing."""
-    from repro.cache.api import Cache
 
-    cache = Cache()
+    cache = bare_store()
     window = cache.begin_window("/k")
     window.stale = True
     _entry, stored = cache.insert_key("/k", "body", [_note_read()], window=window)
@@ -412,9 +407,8 @@ def test_a_flight_entry_evicted_before_close_is_refused_by_a_later_write():
     closes; a write then finds no dependency rows to doom it by.  A
     waiter joining after that write must still recompute, never be
     handed the pre-write body."""
-    from repro.cache.api import Cache
 
-    cache = Cache(replacement="lru", capacity=1)
+    cache = bare_store(replacement="lru", capacity=1)
     flight, is_leader = cache.join_flight("/p")
     assert is_leader
     entry, stored = cache.insert_key(
