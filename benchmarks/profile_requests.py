@@ -17,7 +17,11 @@ under ``tracemalloc`` for **what a resident page costs**: resident
 entries, the page bytes they hold (body text or wire buffer) and the
 bytes the pass left allocated per entry it added; last, the number of
 heads the memo holds and, on a ring, how many routes the router's
-placement memo holds and how many it had to compute.  A candidate
+placement memo holds and how many it had to compute.  On a ring it also
+prints the write path per write request: us in ``process_write_request``
+(the un-profiled pass), pair analyses counted (summed over the nodes, so
+equal to a one-node ring's when each write is analysed once per ring)
+and lock rounds taken inside it (the cProfile pass).  A candidate
 finder, not a gate: confirm with the traced round of ``bench/run.py``.
 
 The miss tax is what the middleware costs when it cannot answer from
@@ -136,6 +140,33 @@ def count_lock_rounds():
         yield rounds
 
 
+class WriteWatch:
+    """Per ``process_write_request`` call on ``router``: its seconds and
+    the lock rounds taken inside it (from :attr:`rounds`, the running
+    count :func:`count_lock_rounds` yields; a dummy outside it).  Set on
+    the router instance, which the woven aspects call."""
+
+    def __init__(self, router) -> None:
+        self.calls: list[tuple[float, int]] = []
+        self.rounds = [0]
+        original = router.process_write_request
+
+        def watched(*args, **kwargs):
+            rounds = self.rounds
+            before, started = rounds[0], time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                self.calls.append((time.perf_counter() - started, rounds[0] - before))
+
+        router.process_write_request = watched
+
+    def take(self) -> list[tuple[float, int]]:
+        """The calls recorded since the last take."""
+        calls, self.calls = self.calls, []
+        return calls
+
+
 def resident_entries(cache) -> list:
     """Every entry the facade's page stores hold (each node's on a ring)."""
     caches = [node.cache for node in cache.nodes()] if hasattr(cache, "nodes") else [cache]
@@ -215,9 +246,13 @@ def main() -> None:
     carts: dict[int, str] = {}
     replay(server, generate(workload, args.seed, "warmup", workload.warmup), carts)
     closed = generate(workload, args.seed, "closed", 3 * args.n)
+    watch = WriteWatch(awc.cache) if workload.nodes else None
+    pairs_before = awc.stats.pair_analyses
     Database.execute_statement = timed
     woven = replay(server, closed[: args.n], carts)
     Database.execute_statement = execute
+    pairs = awc.stats.pair_analyses - pairs_before
+    timed_writes = watch.take() if watch else []
     wall = sum(seconds for _path, seconds, _rounds in woven)
     print(f"{args.workload} seed {args.seed}: {wall / args.n * 1e6:.1f} us/request"
           f" un-profiled, execute_select share {select_s / wall:.1%}")
@@ -251,6 +286,8 @@ def main() -> None:
 
     profiler = cProfile.Profile()
     with count_lock_rounds() as rounds:
+        if watch:
+            watch.rounds = rounds
         profiled = profiler.runcall(replay, server, closed[args.n : 2 * args.n], carts, rounds)
     print("NamedRLock rounds per request (the cProfile pass below):")
     classes = {"fast hit": [], "slow GET": [], "write": []}
@@ -260,6 +297,16 @@ def main() -> None:
     for label, counts in classes.items():
         mean = f"{sum(counts) / len(counts):.1f}" if counts else "n/a"
         print(f"  {label}: {mean} ({len(counts)} requests)")
+    if watch:
+        counted_writes = watch.take()
+        if timed_writes and counted_writes:
+            us = sum(seconds for seconds, _rounds in timed_writes) / len(timed_writes) * 1e6
+            taken = sum(rounds for _seconds, rounds in counted_writes) / len(counted_writes)
+            print(f"ring write path, per write request: {us:.1f} us in"
+                  f" process_write_request, {pairs / len(timed_writes):.2f} pair analyses,"
+                  f" {taken:.1f} lock rounds ({len(timed_writes)} writes)")
+        else:
+            print("ring write path: no write request in the pass")
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
     resident_cost(server, awc.cache, closed[2 * args.n :], carts)
     print(f"head memo: {len(server.head_memo)} heads")

@@ -34,7 +34,7 @@ from repro.cache.analysis import InvalidationPolicy
 from repro.cache.analysis_cache import AnalysisCache
 from repro.cache.entry import PageEntry, QueryInstance
 from repro.cache.flight import Flight
-from repro.cache.invalidation import Invalidator
+from repro.cache.invalidation import Invalidator, VerdictCells
 from repro.cache.page_cache import PageCache
 from repro.cache.replacement import make_policy
 from repro.cache.semantics import SemanticsRegistry
@@ -412,7 +412,11 @@ class Cache:
             self.stats.record_write(uri)
         return self.apply_writes(writes)
 
-    def apply_writes(self, writes: list[QueryInstance]) -> set[str]:
+    def apply_writes(
+        self,
+        writes: Sequence[QueryInstance],
+        verdicts: Sequence[VerdictCells] | None = None,
+    ) -> set[str]:
         """Invalidate everything ``writes`` affects, without recording a
         write request.
 
@@ -420,9 +424,11 @@ class Cache:
         buffer the invalidation information for open flights (so the
         staleness window covers computations overlapping the write),
         doom affected pages, and mark doomed in-flight computations
-        stale.  The cluster invalidation bus calls this on every node --
-        the write *request* happened once, but its invalidation pass
-        must run everywhere.
+        stale.  The cluster invalidation bus calls this on every node
+        with the message's unique writes and its verdict table
+        (:meth:`Invalidator.process_writes`) -- the write *request*
+        happened once, and its template-level analysis runs once per
+        ring, but its shard pass must run everywhere.
         """
         if not writes:
             return set()
@@ -454,7 +460,7 @@ class Cache:
                             )
                         ):
                             flight.stale = True
-            doomed = self.invalidator.process_writes(writes)
+            doomed = self.invalidator.process_writes(writes, verdicts)
             # A doomed key with an open flight: the invalidation must
             # win over the in-flight computation's eventual insert.
             self._mark_flights_stale(doomed)

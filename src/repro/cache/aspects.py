@@ -102,13 +102,17 @@ class ReadServletAspect(CachedComputation):
                 joinpoint.proceed()
             finally:
                 self.collector.end()
-            if context.aborted or response.status != 200:
-                return  # aborted read query or error page: do not cache
             if context.writes:
                 # The handler wrote after all; keep the cache consistent
-                # and treat the page as uncacheable for this round.
-                self.cache.process_write_request(request.uri, context.writes)
+                # (an error page or aborted read does not undo a write
+                # that completed) and treat the page as uncacheable for
+                # this round.
+                self.cache.process_write_request(
+                    request.uri, context.writes, context.extra_queries
+                )
                 return
+            if context.aborted or response.status != 200:
+                return  # aborted read query or error page: do not cache
             if context.has_hole:
                 # A declared hole rendered into this body: it embeds
                 # per-request state, so the whole page must never be
@@ -160,7 +164,9 @@ class WriteServletAspect(Aspect):
         # Failed write queries were never recorded; whatever completed
         # successfully must invalidate affected entries even if the
         # handler later failed.
-        self.cache.process_write_request(request.uri, context.writes)
+        self.cache.process_write_request(
+            request.uri, context.writes, context.extra_queries
+        )
 
 
 class JdbcConsistencyAspect(Aspect):
@@ -189,9 +195,11 @@ class JdbcConsistencyAspect(Aspect):
         now read off the write's own result, see :meth:`_image`).
 
         Kept for observability; the counter itself lives in
-        :class:`~repro.cache.stats.CacheStats`, recorded under the
-        facade lock, since an unsynchronized attribute on the shared
-        aspect instance lost increments under the threaded container.
+        :class:`~repro.cache.stats.CacheStats`: each request tallies its
+        own on its context, and the facade records the tally with the
+        write request under its lock, since an unsynchronized attribute
+        on the shared aspect instance lost increments under the threaded
+        container.
         """
         return self.cache.stats.extra_queries
 
@@ -218,7 +226,10 @@ class JdbcConsistencyAspect(Aspect):
             # An aborted read query poisons the page (Section 4.2).
             self.collector.mark_aborted()
             raise
-        if self.collector.current() is not None:
+        context = self.collector.current()
+        if context is not None and context.is_read:
+            # A write request's own SELECTs are not dependencies: only a
+            # read (or fragment) context records them.
             template, values = templateize(sql, params)
             witness = None
             if self.cache.written_tables:
@@ -295,7 +306,7 @@ class JdbcConsistencyAspect(Aspect):
             return update.after_image()
         if not self.cache.invalidation_policy.pre_images:
             return None
-        self.cache.record_extra_query(update.rows_examined)
+        self.collector.record_extra_query(update.rows_examined)
         return update.before_image()
 
     def _partners(self, statement, template, image) -> tuple | None:
@@ -322,7 +333,7 @@ class JdbcConsistencyAspect(Aspect):
                 if probe in found:
                     continue
                 result = database.query(sql, (value,))
-                self.cache.record_extra_query(result.rows_examined, probe=True)
+                self.collector.record_extra_query(result.rows_examined, probe=True)
                 found[probe] = tuple(
                     tuple(zip(result.columns, values)) for values in result.rows
                 )

@@ -172,7 +172,9 @@ class CachedComputation(Aspect):
             if context.writes:
                 # Root computation (uncacheable page, no enclosing
                 # context) that wrote: invalidation must still run.
-                self.cache.process_write_request(key, context.writes)
+                self.cache.process_write_request(
+                    key, context.writes, context.extra_queries
+                )
             return
         if entry is not None:
             parent.fragment_keys.append(key)
@@ -183,5 +185,6 @@ class CachedComputation(Aspect):
             parent.fragment_keys.extend(context.fragment_keys)
         parent.fragment_reads.extend(context.fragment_reads)
         parent.writes.extend(context.writes)
+        parent.add_extra_queries(*context.extra_queries)
         if context.aborted:
             parent.aborted = True

@@ -66,6 +66,11 @@ class RequestContext:
     #: required for the insert-time staleness check -- a write that
     #: doomed an embedded fragment mid-render doomed this body too.
     fragment_reads: list[QueryInstance] = field(default_factory=list)
+    #: The extra queries this context's writes ran: ``(queries, rows
+    #: examined, partner probes)``.  Recorded with the write request
+    #: (:meth:`ClusterRouter.process_write_request`), in the section
+    #: that records the write, not under a lock round per query.
+    extra_queries: tuple[int, int, int] = (0, 0, 0)
 
     def __init__(
         self, kind: str, page_key: str, parent: "RequestContext | None" = None
@@ -82,6 +87,10 @@ class RequestContext:
     @property
     def is_read(self) -> bool:
         return self.kind in ("read", "fragment")
+
+    def add_extra_queries(self, queries: int, rows: int, probes: int) -> None:
+        done, examined, probed = self.extra_queries
+        self.extra_queries = (done + queries, examined + rows, probed + probes)
 
     def cap_expiry(self, expires_at: float | None) -> None:
         """This body embeds text that expires at ``expires_at``.
@@ -205,6 +214,13 @@ class ConsistencyCollector:
         context = self._current.get()
         if context is not None:
             context.writes.append(instance)
+
+    def record_extra_query(self, rows: int, probe: bool = False) -> None:
+        """Count one extra query a write of the current request ran (a
+        pre-image capture, or a partner probe), examining ``rows``."""
+        context = self._current.get()
+        if context is not None:
+            context.add_extra_queries(1, rows, int(probe))
 
     def stage_write(self, connection: object, instance: QueryInstance) -> None:
         """Record invalidation information pending ``connection``'s commit."""

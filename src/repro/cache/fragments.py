@@ -80,6 +80,13 @@ class FragmentContainment:
         """How many entries embed a fragment; 0 means no edge at all."""
         return len(self._fragments_of)
 
+    def touches(self, keys: set[str]) -> bool:
+        """Has any of ``keys`` a containment edge, as a fragment or as a
+        container?  A key without one leaves nothing to close or forget."""
+        return bool(self._fragments_of) and any(
+            key in self._pages_of or key in self._fragments_of for key in keys
+        )
+
     def containing(self, keys: set[str]) -> set[str]:
         """Every container transitively embedding any of ``keys``.
 

@@ -35,15 +35,34 @@ doing sub-linear work:
   (:meth:`Invalidator._dooms`): an instance either excuses is spared,
   the same way on every path.
 
+On a ring every node runs this protocol over its own shard, but only
+the value-index probes and the instance tests depend on the shard: the
+lineage skip, the pair analysis and the bound instance filter are the
+same for one write and one read template on every node.  So the indexed
+path splits in two (:meth:`Invalidator._verdict` and the shard walk),
+and the template-level half is written to a **verdict table**
+(:func:`verdict_table`) that the bus message carries: one dict per
+write, read template -> ``(catalog version, verdict)``.  The first node
+whose candidates include a template fills its cell; later nodes read it
+and only probe.  A cell filled under an older catalog is recomputed,
+never reused.  Each node still walks its *own* candidate templates under
+its own lock, so a template registered while the message is being
+delivered is never missed.
+
 Pruned work is surfaced in :class:`~repro.cache.stats.CacheStats`
 (``templates_skipped_by_index`` / ``instances_skipped_by_index`` /
-``templates_skipped_by_lineage``); the brute-force path is kept
-(``indexed=False``) as the differential-test oracle, and
-``lineage_pruning=False`` restores equality-only pruning for the
-benchmark comparison.
+``templates_skipped_by_lineage``).  The template-level counters --
+pair analyses, lineage skips, column plans -- are counted by the node
+that fills a cell, so once per ring; index skips, witness and partner
+skips and intersection tests are shard work, counted per node.  The
+brute-force path is kept (``indexed=False``) as the differential-test
+oracle and uses no table, and ``lineage_pruning=False`` restores
+equality-only pruning for the benchmark comparison.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.cache.analysis import (
     InvalidationPolicy,
@@ -57,40 +76,54 @@ from repro.cache.analysis_cache import AnalysisCache
 from repro.cache.entry import QueryInstance
 from repro.cache.page_cache import PageCache
 from repro.cache.stats import CacheStats
+from repro.sql.template import QueryTemplate
+
+#: A verdict for a (write, read template) pair no instance can meet:
+#: lineage-disjoint, or an impossible pair.
+NEVER = "never"
+
+#: What a node decides for one write and one read template, alike on
+#: every shard: :data:`NEVER`, or the pair analysis with the write's
+#: bound instance filter (:func:`~repro.cache.analysis.instance_filter`'s
+#: answer; None when no rule applies).
+Verdict = str | tuple[PairAnalysis, tuple[int | None, frozenset] | None]
+
+#: One write's cells: read template -> (catalog version, verdict).
+VerdictCells = dict[QueryTemplate, tuple[int, Verdict]]
 
 
-def dedupe_writes(writes: list[QueryInstance]) -> list[QueryInstance]:
+def dedupe_writes(writes: Sequence[QueryInstance]) -> list[QueryInstance]:
     """Drop repeated identical write instances, preserving order.
 
     Two writes are identical when template text, value vector,
     pre-image and partner probes coincide -- the exact inputs of the
-    instance test, so duplicates provably doom the same pages.
-    Unhashable values keep the instance as unique (no dedup, no
-    behaviour change).
+    instance test, so duplicates provably doom the same pages.  Only
+    writes that share text and values have their images compared, by
+    equality.  Unhashable bound values keep the instance as unique (no
+    dedup, no behaviour change).
     """
     unique: list[QueryInstance] = []
-    seen: set = set()
+    kept: dict[tuple, list[QueryInstance]] = {}
     for write in writes:
         try:
-            pre = write.pre_image
-            frozen_pre = (
-                None
-                if pre is None
-                else tuple(tuple(sorted(row.items())) for row in pre)
-            )
-            key = (
-                write.template.text,
-                tuple(write.values),
-                frozen_pre,
-                write.partners,
-            )
-            if key in seen:
-                continue
-            seen.add(key)
+            same = kept.setdefault((write.template.text, tuple(write.values)), [])
         except TypeError:
-            pass
+            unique.append(write)
+            continue
+        if any(
+            write.pre_image == other.pre_image and write.partners == other.partners
+            for other in same
+        ):
+            continue
+        same.append(write)
         unique.append(write)
     return unique
+
+
+def verdict_table(writes) -> tuple[VerdictCells, ...]:
+    """An empty verdict table for a batch of unique writes: one cell
+    dict per write, in batch order."""
+    return tuple({} for _ in writes)
 
 
 class Invalidator:
@@ -123,21 +156,35 @@ class Invalidator:
     def engine(self) -> QueryAnalysisEngine:
         return self.analysis.engine
 
-    def process_writes(self, writes: list[QueryInstance]) -> set[str]:
+    def process_writes(
+        self,
+        writes: Sequence[QueryInstance],
+        verdicts: Sequence[VerdictCells] | None = None,
+    ) -> set[str]:
         """Invalidate every page affected by ``writes``; returns the keys.
+
+        ``verdicts`` is a bus message's verdict table (module
+        docstring): its writes arrive deduplicated, and every verdict
+        another node already reached is read, not recomputed.  Without
+        one the batch is deduplicated here and analysed afresh.
 
         Dooms are attributed to the (first) write template that caused
         them, feeding the per-template churn counters
         (``CacheStats.dooms_by_template``); the doomed set is identical
         to a single :meth:`affected_pages` pass over the batch.
         """
+        if verdicts is None:
+            writes = dedupe_writes(writes)
+            verdicts = verdict_table(writes)
         doomed: set[str] = set()
-        for write in dedupe_writes(writes):
+        for write, cells in zip(writes, verdicts):
             affected = (
-                self._affected_pages_indexed(write)
+                self._affected_pages_indexed(write, cells)
                 if self.indexed
                 else self._affected_pages(write)
             )
+            if not affected:
+                continue
             removed = 0
             for key in affected - doomed:
                 if self._pages.invalidate(key):
@@ -162,7 +209,7 @@ class Invalidator:
         affected: set[str] = set()
         for write in dedupe_writes(writes):
             if use_index:
-                affected |= self._affected_pages_indexed(write)
+                affected |= self._affected_pages_indexed(write, {})
             else:
                 affected |= self._affected_pages(write)
         return affected
@@ -184,51 +231,47 @@ class Invalidator:
                     affected.add(page_key)
         return affected
 
-    def _affected_pages_indexed(self, write: QueryInstance) -> set[str]:
-        """Index-pruned protocol: candidate templates, candidate instances."""
+    def _affected_pages_indexed(
+        self, write: QueryInstance, cells: VerdictCells
+    ) -> set[str]:
+        """Index-pruned protocol: candidate templates, candidate instances.
+
+        ``cells`` is the write's row of a verdict table; a template's
+        cell is filled here when no node has reached it yet under the
+        current catalog.
+        """
         affected: set[str] = set()
         dependencies = self._pages.dependencies
         candidates, skipped = dependencies.candidate_templates(
             write.template.tables
         )
-        if skipped:
-            self._stats.record_index_pruning(templates_skipped=skipped)
-        write_info = write.template.info if self.lineage_pruning else None
+        pruned_instances = 0
+        version = self.analysis.engine.catalog_version
         for read_template in candidates:
-            if write_info is not None and self._lineage_skip(
-                read_template, write_info
-            ):
+            cell = cells.get(read_template)
+            if cell is None or cell[0] != version:
+                cell = cells[read_template] = (
+                    version,
+                    self._verdict(read_template, write),
+                )
+            verdict = cell[1]
+            if verdict is NEVER:
                 continue
-            self._stats.record_pair_analysis()
-            pair = self.analysis.analyse(read_template, write.template)
-            if not pair.possible:
-                continue
-            plan = self.analysis.plan_for(
-                read_template, write.template, pair, self.policy
-            )
+            pair, selected = verdict
             instances = None
-            if plan:
-                selected = instance_filter(plan, write)
-                if selected is not None:
-                    position, allowed = selected
-                    if position is None:
-                        # Literal read binding outside the allowed set:
-                        # the whole template is disjoint from this write.
-                        count = dependencies.instance_count(read_template)
-                        if count:
-                            self._stats.record_index_pruning(
-                                instances_skipped=count
-                            )
-                        continue
-                    found = dependencies.instances_for_values(
-                        read_template, position, allowed
-                    )
-                    if found is not None:
-                        instances, pruned = found
-                        if pruned:
-                            self._stats.record_index_pruning(
-                                instances_skipped=pruned
-                            )
+            if selected is not None:
+                position, allowed = selected
+                if position is None:
+                    # Literal read binding outside the allowed set: the
+                    # whole template is disjoint from this write.
+                    pruned_instances += dependencies.instance_count(read_template)
+                    continue
+                found = dependencies.instances_for_values(
+                    read_template, position, allowed
+                )
+                if found is not None:
+                    instances, pruned = found
+                    pruned_instances += pruned
             if instances is None:
                 # No usable rule (or unindexable template): full scan,
                 # identical to the brute-force inner loop.
@@ -238,7 +281,25 @@ class Invalidator:
                     continue
                 if self._dooms(pair, read, write):
                     affected.add(page_key)
+        if skipped or pruned_instances:
+            self._stats.record_index_pruning(skipped, pruned_instances)
         return affected
+
+    def _verdict(self, read_template: QueryTemplate, write: QueryInstance) -> Verdict:
+        """The template-level half of the indexed protocol: the lineage
+        skip, the pair analysis and the write's bound instance filter.
+        Depends on no shard, so a ring computes it once per write and
+        template (and counts it here, once)."""
+        if self.lineage_pruning and self._lineage_skip(
+            read_template, write.template.info
+        ):
+            return NEVER
+        self._stats.record_pair_analysis()
+        pair = self.analysis.analyse(read_template, write.template)
+        if not pair.possible:
+            return NEVER
+        plan = self.analysis.plan_for(read_template, write.template, pair, self.policy)
+        return pair, (instance_filter(plan, write) if plan else None)
 
     def intersects_any(
         self,

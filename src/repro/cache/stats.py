@@ -231,11 +231,12 @@ class CacheStats:
     def record_column_plan(self, count: int = 1) -> None:
         self.column_plans_built += count
 
-    def record_extra_query(self, rows: int, probe: bool = False) -> None:
-        self.extra_queries += 1
+    def record_extra_queries(self, queries: int, rows: int, probes: int) -> None:
+        """A request's extra queries, rows they examined and partner
+        probes among them (each probe is also an extra query)."""
+        self.extra_queries += queries
         self.extra_query_rows += rows
-        if probe:
-            self.partner_probes += 1
+        self.partner_probes += probes
 
     def record_witness_skip(self) -> None:
         self.witness_skips += 1

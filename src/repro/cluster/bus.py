@@ -23,15 +23,23 @@ Two properties matter for the consistency argument (docs/cluster.md):
    computations overlapping the write are handled by each node's own
    staleness window (``Cache.apply_writes`` buffers the message for its
    open flights).
+
+A message also carries the write's **verdict table**
+(:func:`~repro.cache.invalidation.verdict_table`): the template-level
+verdicts -- lineage skip, pair analysis, bound instance filter -- that
+do not depend on the shard.  The first node to reach a (write, read
+template) cell fills it and the nodes after it read it, so a ring
+analyses each write once and every node runs only its own probes.  The
+bus lock serialises deliveries, so the table needs no lock of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from repro.cache.entry import QueryInstance
-from repro.cache.invalidation import dedupe_writes
+from repro.cache.invalidation import VerdictCells, verdict_table
 from repro.errors import ClusterError
 from repro.locks import NamedRLock
 
@@ -42,7 +50,16 @@ Subscriber = Callable[["BusMessage"], set]
 
 @dataclass(frozen=True)
 class BusMessage:
-    """One broadcast invalidation event."""
+    """One broadcast invalidation event.
+
+    Besides what the write changed it carries :attr:`verdicts`, the
+    verdict table its subscribers fill and share during the one
+    delivery pass (module docstring).  The table lives for that pass:
+    :meth:`InvalidationBus.publish` empties it afterwards, so the tail
+    of recent messages holds no verdicts.  Cells key by the catalog
+    version they were computed under, so a cell is never read under
+    another catalog.
+    """
 
     #: Cluster-wide sequence number (1-based, gap-free).
     seq: int
@@ -50,7 +67,8 @@ class BusMessage:
     origin: str
     #: Request URI the write arrived under (statistics only).
     uri: str
-    #: The write's invalidation information.
+    #: The write's invalidation information, without duplicates (the
+    #: router dedupes before it publishes).
     writes: tuple[QueryInstance, ...]
     #: Opaque trace propagation ids ``(trace_id, span_id)`` stamped by
     #: the publisher's observability advice, if any is woven.  The bus
@@ -58,6 +76,14 @@ class BusMessage:
     #: use the pair to stitch their invalidation work into the
     #: originating request's trace.
     trace: tuple[str, str] | None = None
+    #: One cell dict per write, filled by the first node to reach a
+    #: read template (:func:`~repro.cache.invalidation.verdict_table`).
+    verdicts: tuple[VerdictCells, ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "verdicts", verdict_table(self.writes))
 
 
 @dataclass
@@ -69,9 +95,6 @@ class BusStats:
     delivered: int = 0
     #: Union-size of page keys doomed per publish, accumulated.
     pages_invalidated: int = 0
-    #: Duplicate write instances dropped before broadcast (each would
-    #: have been re-analysed by every subscriber under the bus lock).
-    writes_deduped: int = 0
 
 
 class InvalidationBus:
@@ -128,7 +151,7 @@ class InvalidationBus:
         self,
         origin: str,
         uri: str,
-        writes: list[QueryInstance],
+        writes: Sequence[QueryInstance],
         trace: tuple[str, str] | None = None,
     ) -> tuple[BusMessage, set]:
         """Broadcast one write's invalidation information.
@@ -137,19 +160,21 @@ class InvalidationBus:
         invalidated across all subscribers; delivery runs under the bus
         lock, so sequence order equals delivery order on every node,
         and the write response cannot be sent before the cluster is
-        consistent.  Duplicate write instances are dropped before
-        broadcast -- the publish lock serialises every write in the
-        cluster, so each duplicate would add a full per-node
-        invalidation pass to the bus hold time for provably identical
-        doomed sets.
+        consistent.  ``writes`` must hold no duplicates: the publish
+        lock serialises every write in the cluster, and each node walks
+        the batch as given.  The message's verdict table is filled by
+        the subscribers as they run, in subscription order, and emptied
+        once the last has run.
         """
-        unique = tuple(dedupe_writes(writes))
         with self._lock:
             self._seq += 1
-            self.stats.writes_deduped += len(writes) - len(unique)
             self.stats.published += 1
             message = BusMessage(
-                seq=self._seq, origin=origin, uri=uri, writes=unique, trace=trace
+                seq=self._seq,
+                origin=origin,
+                uri=uri,
+                writes=tuple(writes),
+                trace=trace,
             )
             self._recent.append(message)
             del self._recent[: -self._recent_limit]
@@ -157,6 +182,8 @@ class InvalidationBus:
             for subscriber in self._subscribers.values():
                 self.stats.delivered += 1
                 doomed |= subscriber(message)
+            for cells in message.verdicts:
+                cells.clear()  # read by this pass only; the tail keeps none
             self.stats.pages_invalidated += len(doomed)
             return message, doomed
 

@@ -56,6 +56,10 @@ class CacheNode:
 
         Rejecting out-of-order or replayed sequence numbers turns any
         bus-ordering bug into a loud error instead of silent staleness.
+        The doom pass walks this node's own candidate templates, under
+        its lock, and reads or fills the message's verdict table: a
+        template another node already judged costs only this shard's
+        value-index probes and instance tests.
         """
         with self.cache.lock:
             if message.seq <= self.last_applied_seq:
@@ -66,7 +70,7 @@ class CacheNode:
             self.last_applied_seq = message.seq
             if self.state == LEFT:
                 return set()
-            return self.cache.apply_writes(list(message.writes))
+            return self.cache.apply_writes(message.writes, message.verdicts)
 
     def rebase(self, seq: int) -> None:
         """Adopt the bus position at (re-)subscription time."""

@@ -17,7 +17,10 @@ the router builds the one :class:`~repro.cache.analysis.
 QueryAnalysisEngine` and :class:`~repro.cache.analysis_cache.
 AnalysisCache` every node's invalidator analyses through, mirrors the
 schema catalog into it once per schema epoch, captures the row witness
-and plans an INSERT's partner probes.  A node holds pages.
+and plans an INSERT's partner probes.  A node holds pages.  A write's
+instances are deduplicated here, once; its template-level verdicts are
+reached once per ring too, by the first node to need each one, and
+shared through the bus message (:mod:`repro.cluster.bus`).
 
 Locks: the router's one lock covers its routing state, its containment
 table and its front-end statistics; each node's cache has its own (the
@@ -101,11 +104,12 @@ class ClusterStats:
     Per-node counters stay the source of truth (each node's accounting
     must be exact on its own); this object sums them on read and adds a
     front-end ledger for events that belong to the router rather than
-    any node: write requests (processed once, broadcast everywhere),
-    coalesced serves, hole skips and extra queries (recorded by the
-    aspects against the facade), and inserts refused because an
-    embedded fragment was gone.  The router records them under its
-    lock, which the ledger's snapshot takes too.
+    any node: write requests (processed once, broadcast everywhere) and
+    the extra queries their request ran, coalesced serves and hole
+    skips (recorded by the aspects against the facade), inserts refused
+    because an embedded fragment was gone, and duplicate writes dropped
+    before broadcast.  The router records them under its lock, which
+    the ledger's snapshot takes too.
     """
 
     def __init__(self, router: "ClusterRouter") -> None:
@@ -113,6 +117,9 @@ class ClusterStats:
         #: Front-end events (class docstring).
         self.frontend = CacheStats()
         self.frontend.guard = router._lock
+        #: Duplicate write instances the router dropped before
+        #: broadcast; reported with the bus counters.
+        self.writes_deduped = 0
 
     def _sum(self, attribute: str) -> int:
         total = getattr(self.frontend, attribute)
@@ -175,7 +182,7 @@ class ClusterStats:
                 "seq": bus.seq,
                 "published": bus.stats.published,
                 "delivered": bus.stats.delivered,
-                "writes_deduped": bus.stats.writes_deduped,
+                "writes_deduped": self.writes_deduped,
                 "pages_invalidated": bus.stats.pages_invalidated,
             },
             "membership": self._router.membership.snapshot(),
@@ -305,7 +312,7 @@ class ClusterRouter:
         an extra miss, never a stale page.
         """
         node = CacheNode(name, Cache(self.analysis_cache, **self._cache_options))
-        node.cache.on_evicted = self._evicted.append
+        node.cache.on_evicted = self._note_evicted
         with self._lock:
             if name in self._nodes:
                 raise ClusterError(f"node {name!r} already joined")
@@ -351,7 +358,7 @@ class ClusterRouter:
             if self.bus.seq != seq_before:
                 for key in moved_keys:
                     node.cache.invalidate_key(key)
-            self._evicted.append(dropped)
+            self._note_evicted(dropped)
         self._settle_evictions()
         return node
 
@@ -392,7 +399,7 @@ class ClusterRouter:
             if self.bus.seq != seq_before:
                 for target, key in moved:
                     target.cache.invalidate_key(key)
-            self._evicted.append(dropped)
+            self._note_evicted(dropped)
         self._settle_evictions()
         return node
 
@@ -437,7 +444,7 @@ class ClusterRouter:
             # that probe into a miss.  What the node held is gone for
             # good, so whatever other shards assembled from its
             # fragments goes with it, as for a capacity eviction.
-            self._evicted.append(
+            self._note_evicted(
                 {entry.key for entry in node.cache.release(lambda key: True)}
             )
         self._settle_evictions()
@@ -754,6 +761,24 @@ class ClusterRouter:
             self._settle_evictions()
         return entry, stored
 
+    def _note_evicted(self, keys: set[str]) -> None:
+        """:attr:`Cache.on_evicted`: note ``keys`` for the containment
+        closure (:meth:`_settle_evictions`), which runs once the
+        reporting node's lock is released.
+
+        Keys without a containment edge -- every key, while no entry
+        embeds a fragment -- leave nothing to close, so they are not
+        noted and no router lock is taken for them.  The edge table is
+        read without the router lock, which is safe under any
+        interleaving with an insert: the insert adds its edge before its
+        :meth:`_holds` check, and a store removes an entry before it
+        reports it.  So either this sees the edge (and the key is
+        noted), or the edge came after the removal and the insert's
+        check finds the fragment gone and refuses the insert.
+        """
+        if self.fragments.touches(keys):
+            self._evicted.append(keys)
+
     def _settle_evictions(self) -> None:
         """The eviction rule.
 
@@ -784,10 +809,6 @@ class ClusterRouter:
     def record_hole_skip(self) -> None:
         with self._lock:
             self.stats.frontend.record_hole_skip()
-
-    def record_extra_query(self, rows: int, probe: bool = False) -> None:
-        with self._lock:
-            self.stats.frontend.record_extra_query(rows, probe)
 
     # -- computations (each on the node its token records) ----------------------------
 
@@ -834,7 +855,10 @@ class ClusterRouter:
     # -- write path --------------------------------------------------------------------
 
     def process_write_request(
-        self, uri: str, writes: list[QueryInstance]
+        self,
+        uri: str,
+        writes: list[QueryInstance],
+        extra_queries: tuple[int, int, int] = (0, 0, 0),
     ) -> set[str]:
         """Broadcast one write's invalidation information cluster-wide.
 
@@ -842,18 +866,24 @@ class ClusterRouter:
         nodes -- a page for the same logical query can only live on its
         owning node, but callers (and the consistency argument) care
         about every casualty, not just the local shard's.
+
+        ``extra_queries`` is the request's tally of extra queries
+        (:attr:`RequestContext.extra_queries`: queries, rows examined,
+        partner probes), recorded with the write in one router-lock
+        section.  The writes are deduplicated here, once per ring: the
+        bus and every node take the message's writes as unique.
         """
         with self._lock:
             self.stats.frontend.record_write(uri)
+            self.stats.frontend.record_extra_queries(*extra_queries)
         if not writes:
             return set()
         if not len(self.ring):
             raise ClusterError("cannot process a write on an empty cluster")
-        # Dedupe once at the front-end: every node would otherwise
-        # re-analyse each duplicate while the bus publish lock is held,
-        # multiplying the redundant work by node count.
-        _message, doomed = self.bus.publish("router", uri, dedupe_writes(writes))
+        unique = dedupe_writes(writes)
+        _message, doomed = self.bus.publish("router", uri, unique)
         with self._lock:
+            self.stats.writes_deduped += len(writes) - len(unique)
             # Evictions a concurrent insert has not settled yet: their
             # containers' copies are beyond this write's reach, so the
             # write settles them before it responds.

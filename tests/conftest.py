@@ -18,7 +18,7 @@ from repro.cache.api import Cache
 from repro.cache.autowebcache import AutoWebCache
 from repro.db import Column, ColumnType, Database, TableSchema, connect
 from repro.db.dbapi import Connection, Statement
-from repro.locks import VIOLATIONS
+from repro.locks import VIOLATIONS, NamedRLock
 from repro.web.container import ServletContainer
 from repro.web.http import HttpRequest, HttpResponse
 from repro.web.servlet import HttpServlet
@@ -213,6 +213,29 @@ def cached_notes_app():
         yield db, container, awc
     finally:
         awc.uninstall()
+
+
+def count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """Replace ``owner.name`` with a counting pass-through."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.fixture
+def lock_rounds(monkeypatch) -> list[int]:
+    """Running count of ``NamedRLock`` acquisitions, reentrant ones
+    included (reset it to 0 before the part being counted).  Every lock
+    round in ``src/`` is a ``with`` statement, so this counts
+    ``__enter__`` on the class the facade's lock actually is (the C
+    lock or its order-checked subclass)."""
+    return count_calls(monkeypatch, type(NamedRLock("cache-facade")), "__enter__")
 
 
 def bare_store(**options) -> Cache:

@@ -577,6 +577,83 @@ class TestEvictionClimbsContainment:
         router.process_write_request("/write", [write])
         assert "/page?x=1" not in node.cache.pages
 
+    def test_an_eviction_reported_after_the_edge_dooms_the_container(
+        self, monkeypatch
+    ):
+        """The fragment leaves its store just after the container's
+        insert checked it was resident: the container's edge is in the
+        table when the eviction is reported, so the report is noted and
+        the settle dooms the container the insert goes on to store."""
+        from repro.cluster.router import ClusterRouter
+
+        router = ClusterRouter(["n0"], replacement="lru", capacity=2)
+        (node,) = router.nodes()
+        router.insert_key("frag://cat?id=1", "old name", [])
+        window, _leader = router.join_flight("/page?x=1")
+        holds = ClusterRouter._holds
+
+        def holds_then_evicted(self, key):
+            held = holds(self, key)
+            node.cache.insert_key("/a", "a", [])
+            node.cache.insert_key("/b", "b", [])  # evicts the fragment
+            return held
+
+        monkeypatch.setattr(ClusterRouter, "_holds", holds_then_evicted)
+        _entry, stored = router.insert_key(
+            "/page?x=1", "<p>old name</p>", [],
+            window=window, fragments=("frag://cat?id=1",),
+        )
+        router.finish_flight(window)
+        assert stored and "frag://cat?id=1" not in node.cache.pages
+        assert "/page?x=1" not in node.cache.pages
+        assert router._evicted == [] and len(router.fragments) == 0
+
+    def test_an_eviction_before_the_edge_is_not_noted_and_refuses_the_insert(
+        self, lock_rounds
+    ):
+        """The fragment leaves its store while no entry embeds anything:
+        the report is dropped without a lock round, and the container's
+        insert, which adds its edge and then checks, finds the fragment
+        gone and is refused."""
+        from repro.cluster.router import ClusterRouter
+
+        router = ClusterRouter(["n0"], replacement="lru", capacity=2)
+        (node,) = router.nodes()
+        router.insert_key("frag://cat?id=1", "old name", [])
+        router.insert_key("/a", "a", [])
+        lock_rounds[0] = 0
+        router.insert_key("/b", "b", [])  # evicts the fragment
+        assert "frag://cat?id=1" not in node.cache.pages
+        assert router._evicted == []
+        assert lock_rounds[0] == 1  # the store's own
+        window, _leader = router.join_flight("/page?x=1")
+        _entry, stored = router.insert_key(
+            "/page?x=1", "<p>old name</p>", [],
+            window=window, fragments=("frag://cat?id=1",),
+        )
+        router.finish_flight(window)
+        assert not stored and "/page?x=1" not in node.cache.pages
+        assert router.stats.stale_inserts == 1
+
+    def test_an_eviction_of_a_key_without_edges_takes_no_router_lock(
+        self, lock_rounds
+    ):
+        """Other entries embed fragments, but the evicted key has no
+        containment edge: nothing to close, so nothing is noted."""
+        from repro.cluster.router import ClusterRouter
+
+        router = ClusterRouter(["n0"], replacement="lru", capacity=3)
+        (node,) = router.nodes()
+        router.insert_key("/a", "a", [])
+        router.insert_key("frag://cat?id=1", "name", [])
+        router.insert_key("/page?x=1", "<p>name</p>", [], fragments=("frag://cat?id=1",))
+        lock_rounds[0] = 0
+        router.insert_key("/b", "b", [])  # evicts /a
+        assert "/a" not in node.cache.pages and len(router.fragments) == 1
+        assert router._evicted == [] and lock_rounds[0] == 1
+        router.insert_key("/c", "c", [])  # evicts the fragment, and its page
+        assert "/page?x=1" not in node.cache.pages and len(router.fragments) == 0
+
     def test_woven_page_is_not_served_past_its_evicted_fragment(self):
         db, container = build_bounded_app()
         awc = install(AutoWebCache(replacement="lru", capacity=2), container)

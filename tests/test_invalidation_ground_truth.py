@@ -106,13 +106,13 @@ class GroundTruth:
                 )
             return entry, stored
 
-        def attributed(self, write):
+        def attributed(self, write, *verdicts):
             truth.cause = write.template.text
-            return affected(self, write)
+            return affected(self, write, *verdicts)
 
-        def then_containment(self, writes):
+        def then_containment(self, writes, *verdicts):
             try:
-                return process(self, writes)
+                return process(self, writes, *verdicts)
             finally:
                 truth.cause = CONTAINMENT
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro.aop.weaver as weaver
+import repro.cache.aspects as aspects
 from bench.workloads import WORKLOADS, build_app, generate
 from repro.aop.joinpoint import JoinPoint
 from repro.apps.rubis import RubisDataset, build_rubis
@@ -26,11 +27,12 @@ from repro.cache.analysis import InvalidationPolicy
 from repro.cache.autowebcache import AutoWebCache
 from repro.cache.entry import QueryInstance
 from repro.cluster.router import ClusterRouter
-from repro.locks import NamedRLock
+from repro.db import connect
 from repro.sql.template import templateize
 from repro.web.http import HttpRequest
+from repro.web.servlet import HttpServlet
 
-from tests.conftest import bare_store, build_notes_app
+from tests.conftest import bare_store, build_notes_app, count_calls
 from tests.test_async_server import (
     deliver,
     get,
@@ -49,29 +51,6 @@ def woven_rubis():
         yield app, awc
     finally:
         awc.uninstall()
-
-
-def count_calls(monkeypatch, owner, name: str) -> list[int]:
-    """Replace ``owner.name`` with a counting pass-through."""
-    calls = [0]
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
-@pytest.fixture
-def lock_rounds(monkeypatch) -> list[int]:
-    """Running count of ``NamedRLock`` acquisitions, reentrant ones
-    included (reset it to 0 before the part being counted).  Every lock
-    round in ``src/`` is a ``with`` statement, so this counts
-    ``__enter__`` on the class the facade's lock actually is (the C
-    lock or its order-checked subclass)."""
-    return count_calls(monkeypatch, type(NamedRLock("cache-facade")), "__enter__")
 
 
 def test_a_warm_hit_and_miss_match_no_patterns_and_build_one_joinpoint_per_layer(
@@ -316,3 +295,159 @@ def test_a_write_takes_as_many_lock_rounds_with_50_read_templates_as_with_1(
     one, fifty = write_over(1), write_over(50)
     assert fifty[1] == 50 * one[1]  # the analysis work does grow ...
     assert fifty[0] == one[0] == 2  # ... the lock rounds do not
+
+
+def evicting_miss_rounds(lock_rounds, **facade) -> tuple[int, int]:
+    """Lock rounds of a woven GET missing on a page never requested
+    before, and the evictions it caused, on a fragment-free facade."""
+    _db, container = build_notes_app()
+    awc = AutoWebCache(**facade)
+    awc.install(container.servlet_classes)
+    try:
+        for note_id in ("1", "2"):
+            container.post("/add", {"id": note_id, "topic": "a", "body": "x"})
+        container.get("/view_note", {"id": "1"})  # warm: catalog, plans
+        evictions = awc.stats.evictions
+        lock_rounds[0] = 0
+        assert container.get("/view_note", {"id": "2"}).status == 200
+        return lock_rounds[0], awc.stats.evictions - evictions
+    finally:
+        awc.uninstall()
+
+
+def test_a_miss_that_evicts_takes_no_lock_round_to_settle_without_fragments(
+    lock_rounds,
+):
+    """Nothing embeds a fragment, so an eviction has no containment to
+    close: it is not even noted, and takes no router-lock round."""
+    rounds, evictions = evicting_miss_rounds(lock_rounds)
+    assert evictions == 0
+    assert evicting_miss_rounds(lock_rounds, replacement="lru", capacity=1) == (
+        rounds,
+        1,
+    )
+
+
+class RescoreServlet(HttpServlet):
+    """A write request that reads first: one SELECT, then ``updates``
+    UPDATEs of the same note."""
+
+    def __init__(self, connection, updates: int) -> None:
+        self._connection = connection
+        self._updates = updates
+
+    def do_post(self, request, response) -> None:
+        note_id = int(request.get_parameter("id"))
+        statement = self._connection.create_statement()
+        result = statement.execute_query(
+            "SELECT score FROM notes WHERE id = ?", (note_id,)
+        )
+        score = result.get("score") if result.next() else 0
+        for step in range(self._updates):
+            statement.execute_update(
+                "UPDATE notes SET score = ? WHERE id = ?", (score + step + 1, note_id)
+            )
+        response.write("rescored")
+
+
+def rescoring_app(**facade):
+    db, container = build_notes_app()
+    connection = connect(db)
+    container.register("/rescore1", RescoreServlet(connection, 1))
+    container.register("/rescore3", RescoreServlet(connection, 3))
+    awc = AutoWebCache(**facade)
+    awc.install(container.servlet_classes)
+    container.post("/add", {"id": "1", "topic": "a", "body": "x"})
+    return container, awc
+
+
+def test_a_write_requests_own_select_is_neither_templateized_nor_witnessed(
+    monkeypatch,
+):
+    """Only a read (or fragment) context records dependencies, so a
+    write request's SELECT skips both; its UPDATE is still templateized."""
+    container, awc = rescoring_app()
+    try:
+        templateized: list[str] = []
+        original = aspects.templateize
+
+        def noted(sql, params=()):
+            templateized.append(sql.split()[0])
+            return original(sql, params)
+
+        monkeypatch.setattr(aspects, "templateize", noted)
+        witnessed = count_calls(monkeypatch, ClusterRouter, "witness")
+        assert container.get("/view_note", {"id": "1"}).status == 200
+        assert (templateized, witnessed) == (["SELECT"], [1])  # hooks are live
+        templateized.clear()
+        assert container.post("/rescore1", {"id": "1"}).status == 200
+        assert templateized == ["UPDATE"]
+        assert witnessed == [1]
+        assert awc.stats.invalidated_pages == 1
+    finally:
+        awc.uninstall()
+
+
+class CountingLock:
+    """Counts the ``with`` rounds taken on the lock it stands in for."""
+
+    def __init__(self, lock) -> None:
+        self.lock, self.rounds = lock, 0
+
+    def __enter__(self):
+        self.rounds += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc) -> None:
+        self.lock.__exit__(*exc)
+
+
+@pytest.mark.parametrize(
+    "policy", [InvalidationPolicy.EXTRA_QUERY, InvalidationPolicy.ROW_WITNESS]
+)
+def test_a_write_records_its_extra_queries_in_one_router_lock_round(policy):
+    """Each UPDATE's pre-image is an extra query; a request's tally is
+    recorded with the write, so three cost the router lock what one does."""
+    container, awc = rescoring_app(policy=policy)
+    try:
+        router_lock = awc.router._lock = CountingLock(awc.router._lock)
+        counted = []
+        for uri in ("/rescore1", "/rescore3"):
+            before = (router_lock.rounds, awc.stats.extra_queries)
+            assert container.post(uri, {"id": "1"}).status == 200
+            counted.append(
+                (router_lock.rounds - before[0], awc.stats.extra_queries - before[1])
+            )
+        (one, one_queries), (three, three_queries) = counted
+        assert (one_queries, three_queries) == (1, 3)
+        assert one == three
+    finally:
+        awc.uninstall()
+
+
+class BumpThenFailServlet(HttpServlet):
+    """A read handler that writes, then answers with an error page."""
+
+    def __init__(self, connection) -> None:
+        self._connection = connection
+
+    def do_get(self, request, response) -> None:
+        self._connection.create_statement().execute_update(
+            "UPDATE notes SET score = score + 1 WHERE id = ?",
+            (int(request.get_parameter("id")),),
+        )
+        response.set_status(500)
+
+
+def test_a_read_handler_that_wrote_invalidates_even_when_it_fails():
+    db, container = build_notes_app()
+    container.register("/bump", BumpThenFailServlet(connect(db)))
+    awc = AutoWebCache()
+    awc.install(container.servlet_classes)
+    try:
+        container.post("/add", {"id": "1", "topic": "a", "body": "x", "score": "3"})
+        assert container.get("/view_note", {"id": "1"}).body == "<p>x|3</p>"
+        assert container.get("/bump", {"id": "1"}).status == 500
+        assert container.get("/view_note", {"id": "1"}).body == "<p>x|4</p>"
+    finally:
+        awc.uninstall()
