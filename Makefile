@@ -94,8 +94,12 @@ bench-obs:
 bench-hitpath:
 	$(ENV) timeout 600 python -m pytest -q benchmarks/test_hitpath_throughput.py
 
-# Equivalence check: indexed and brute-force invalidators must produce
-# identical doomed sets over randomized workloads (exit 1 on mismatch).
+# Equivalence check: a ring's invalidation (indexes, verdicts, lineage,
+# witnesses, probes, containment closure) must doom exactly what the
+# brute-force invalidator plus a reference containment BFS dooms, over
+# one seeded generator's rounds executed on a real database through the
+# woven driver; one row per rung x ring size plus a catalog-free arm
+# (exit 1 on a mismatch, a topology difference or an unmet guard).
 differential:
 	$(ENV) python -m repro differential
 

@@ -85,9 +85,19 @@ class ReadServletAspect(CachedComputation):
     def cache_check_and_insert(self, joinpoint: JoinPoint) -> None:
         request, response = _request_response(joinpoint)
         if not self.cache.is_cacheable(request):
-            # Hidden-state page: execute normally, never cache.
+            # Hidden-state page: execute normally, never cache.  A
+            # write context records what the page writes (not what it
+            # reads, which no entry needs); its writes must invalidate.
             self.cache.record_uncacheable(request)
-            joinpoint.proceed()
+            context = self.collector.begin("write", request.uri)
+            try:
+                joinpoint.proceed()
+            finally:
+                self.collector.end()
+                if context.writes:
+                    self.cache.process_write_request(
+                        request.uri, context.writes, context.extra_queries
+                    )
             return
         key = request.cache_key()
 
@@ -102,14 +112,15 @@ class ReadServletAspect(CachedComputation):
                 joinpoint.proceed()
             finally:
                 self.collector.end()
+                if context.writes:
+                    # The handler wrote after all; keep the cache
+                    # consistent (an error page, an aborted read or a
+                    # raise does not undo a write that completed) and
+                    # treat the page as uncacheable for this round.
+                    self.cache.process_write_request(
+                        request.uri, context.writes, context.extra_queries
+                    )
             if context.writes:
-                # The handler wrote after all; keep the cache consistent
-                # (an error page or aborted read does not undo a write
-                # that completed) and treat the page as uncacheable for
-                # this round.
-                self.cache.process_write_request(
-                    request.uri, context.writes, context.extra_queries
-                )
                 return
             if context.aborted or response.status != 200:
                 return  # aborted read query or error page: do not cache
@@ -161,12 +172,12 @@ class WriteServletAspect(Aspect):
             joinpoint.proceed()
         finally:
             self.collector.end()
-        # Failed write queries were never recorded; whatever completed
-        # successfully must invalidate affected entries even if the
-        # handler later failed.
-        self.cache.process_write_request(
-            request.uri, context.writes, context.extra_queries
-        )
+            # Failed write queries were never recorded; whatever
+            # completed successfully must invalidate affected entries
+            # even if the handler later raised.
+            self.cache.process_write_request(
+                request.uri, context.writes, context.extra_queries
+            )
 
 
 class JdbcConsistencyAspect(Aspect):

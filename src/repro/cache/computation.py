@@ -121,8 +121,14 @@ class CachedComputation(Aspect):
             context = self.collector.begin_fragment(key)
             try:
                 value = proceed()
-            finally:
+            except BaseException:
+                # Nothing is stored, but what the render read and wrote
+                # before it raised still reaches the enclosing
+                # computation: its writes must invalidate.
                 self.collector.end_fragment()
+                self._merge(context, key, None)
+                raise
+            self.collector.end_fragment()
             entry = None
             if context.has_hole:
                 # Per-request state inside: never cached whole.
@@ -161,21 +167,23 @@ class CachedComputation(Aspect):
         parent is still rendering dooms this entry, so the parent's
         insert-time staleness check must see it).
 
-        Not stored (aborted, hole-bearing, wrote, or discarded by the
-        staleness check): the result is part of the parent's body with
-        no entry of its own backing it, so its reads become the
+        Not stored (aborted, hole-bearing, wrote, raised, or discarded
+        by the staleness check): the result is part of the parent's body
+        with no entry of its own backing it, so its reads become the
         parent's *own* dependencies -- and any nested containment edges
         climb to the parent.
+
+        Every woven request handler -- an uncacheable page's included --
+        opens a context, so a fragment rendered by one has a parent; one
+        rendered outside any woven handler has nothing to fold into.
         """
         parent = context.parent
         if parent is None:
-            if context.writes:
-                # Root computation (uncacheable page, no enclosing
-                # context) that wrote: invalidation must still run.
-                self.cache.process_write_request(
-                    key, context.writes, context.extra_queries
-                )
             return
+        parent.writes.extend(context.writes)
+        parent.add_extra_queries(*context.extra_queries)
+        if not parent.is_read:
+            return  # an uncacheable page keeps only what was written
         if entry is not None:
             parent.fragment_keys.append(key)
             parent.fragment_reads.extend(context.reads)
@@ -184,7 +192,5 @@ class CachedComputation(Aspect):
             parent.reads.extend(context.reads)
             parent.fragment_keys.extend(context.fragment_keys)
         parent.fragment_reads.extend(context.fragment_reads)
-        parent.writes.extend(context.writes)
-        parent.add_extra_queries(*context.extra_queries)
         if context.aborted:
             parent.aborted = True

@@ -154,8 +154,9 @@ class ConsistencyCollector:
         Unlike :meth:`begin`, an enclosing context is allowed (and
         usual): the fragment's reads must be collected separately from
         the page's so they register against the fragment entry.  A
-        fragment on an *uncacheable* page has no enclosing context at
-        all -- that is fine; it simply becomes the root.
+        fragment on an *uncacheable* page is enclosed by that page's
+        write context; one rendered outside every woven handler has no
+        enclosing context and simply becomes the root.
         """
         context = RequestContext(
             kind="fragment", page_key=page_key, parent=self._current.get()

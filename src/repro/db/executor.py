@@ -30,6 +30,7 @@ in :attr:`Executor.last_plan` name the rule when it fired.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 import re
 from dataclasses import dataclass
@@ -157,6 +158,9 @@ class Executor:
         return compile_write(statement, table)
 
     def _compile_select(self, select: ast.Select) -> Callable[[tuple], QueryResult]:
+        where = self._with_subqueries(select.where)
+        if where is not select.where:
+            select = dataclasses.replace(select, where=where)
         env: Env = {}
         steps: list[Step] = []
         sources = [(ref, None) for ref in select.tables]
@@ -203,6 +207,26 @@ class Executor:
             return QueryResult(columns=columns, rows=out, rows_examined=examined)
 
         return run
+
+    def _with_subqueries(self, expr: ast.Expression | None) -> ast.Expression | None:
+        """``expr`` with every ``[NOT] IN (SELECT ...)`` predicate in its
+        AND/OR/NOT tree bound to the inner SELECT's own plan.  The inner
+        SELECT is uncorrelated (it sees only its own FROM list), runs on
+        an executor of its own (the outer EXPLAIN stays the outer
+        plan's) and its rows examined are not added to the outer's."""
+        if isinstance(expr, ast.InSubquery):
+            inner = Executor(self._tables)._compile_select(expr.select)
+            return _Subquery(expr.operand, inner, expr.negated)
+        if isinstance(expr, ast.BinaryOp) and expr.op in ("AND", "OR"):
+            left = self._with_subqueries(expr.left)
+            right = self._with_subqueries(expr.right)
+            if left is not expr.left or right is not expr.right:
+                return ast.BinaryOp(expr.op, left, right)
+        if isinstance(expr, ast.UnaryOp) and expr.op == "NOT":
+            operand = self._with_subqueries(expr.operand)
+            if operand is not expr.operand:
+                return ast.UnaryOp(expr.op, operand)
+        return expr
 
     def _compile_insert(
         self, insert: ast.Insert, table: Table
@@ -1071,6 +1095,18 @@ def _compile_expr(expr: ast.Expression, env: Env) -> Compiled:
             return (not found) if negated else found
 
         return in_list
+    if isinstance(expr, _Subquery):
+        operand = _compile_expr(expr.operand, env)
+        inner, negated = expr.inner, expr.negated
+
+        def in_subquery(rows: object, params: tuple) -> bool:
+            # Membership as IN (list) evaluates it, against the inner
+            # SELECT's first column, run afresh for each outer row.
+            values = [row[0] for row in inner(params).rows]
+            found = operand(rows, params) in values
+            return (not found) if negated else found
+
+        return in_subquery
     if isinstance(expr, ast.Between):
         operand = _compile_expr(expr.operand, env)
         low, high = _compile_expr(expr.low, env), _compile_expr(expr.high, env)
@@ -1091,6 +1127,16 @@ def _compile_expr(expr: ast.Expression, env: Env) -> Compiled:
     if isinstance(expr, ast.Star):
         return _raises(ExecutionError, "* is not a scalar expression")
     return _raises(ExecutionError, f"cannot evaluate {type(expr).__name__}")
+
+
+@dataclass(frozen=True)
+class _Subquery(ast.Expression):
+    """``operand [NOT] IN (SELECT ...)`` with the inner SELECT compiled
+    (:meth:`Executor._with_subqueries`); never leaves the executor."""
+
+    operand: ast.Expression
+    inner: Callable[[tuple], QueryResult]
+    negated: bool = False
 
 
 def _compile_placeholder(index: int) -> Compiled:

@@ -149,159 +149,57 @@ def _differential_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pages", type=int, default=80)
     p.add_argument("--policy", choices=sorted(_POLICIES),
                    default=None,
-                   help="one policy (default: every rung; the witness "
-                        "table runs row-witness)")
+                   help="one policy (default: every rung; the "
+                        "catalog-free arm runs row-witness)")
 
 
 def _cmd_differential(args: argparse.Namespace) -> tuple[str, int]:
-    from repro.harness.differential import (
-        run_column_differential,
-        run_differential,
-        run_fragment_differential,
-        run_partner_differential,
-        run_witness_differential,
+    from repro.harness.differential import run_differential
+
+    policies = [_POLICIES[args.policy]] if args.policy else list(InvalidationPolicy)
+    # One arm per policy and ring size, plus one catalog-free arm.
+    arms = [(policy, n_nodes, True) for policy in policies for n_nodes in (1, 4)]
+    arms.append((_POLICIES.get(args.policy, InvalidationPolicy.ROW_WITNESS), 1, False))
+    rows, problems, ring_of_one = [], [], {}
+    for policy, n_nodes, catalog in arms:
+        for seed in range(args.seed, args.seed + args.seeds):
+            result = run_differential(
+                seed, args.rounds, args.pages, policy, n_nodes, catalog
+            )
+            arm = f"{policy.value}, {n_nodes} nodes, catalog {catalog}, seed {seed}"
+            failed = result.mismatches + [
+                f"guard unmet: {name}" for name in result.unmet_guards()
+            ]
+            # Sharding must be invisible: same seed, same dooms.
+            counts = (result.pages_doomed, result.closure_doomed)
+            one = ring_of_one.setdefault((policy, catalog, seed), counts)
+            if counts != one:
+                failed.append(f"dooms {counts} differ from 1 node's {one}")
+            problems += [f"{arm}: {text}" for text in failed]
+            rows.append([
+                policy.value, n_nodes, "yes" if catalog else "no", seed,
+                "ok" if not failed else "MISMATCH" if not result.ok else "FAILED",
+                result.writes_tested, result.pages_doomed, result.closure_doomed,
+                f"{result.templates_skipped}/{result.instances_skipped}",
+                result.templates_skipped_by_lineage,
+                f"{result.never_read_probes}/{result.never_read_doomed}",
+                f"{result.witness_skips_brute}/{result.witness_skips_indexed}",
+                f"{result.partner_skips_brute}/{result.partner_skips_indexed}",
+                result.never_excused_checked,
+                "/".join(str(count) for count in result.perturbed.values()),
+                f"{result.pair_analyses_brute}/{result.pair_analyses_indexed}",
+            ])
+    table = render_table(
+        "Differential: executed rounds, ring vs brute force + reference closure",
+        ["policy", "nodes", "catalog", "seed", "verdict", "writes", "doomed",
+         "via closure", "skipped (tmpl/inst)", "lineage skipped",
+         "probes (fired/doomed)", "witness skips (brute/ring)",
+         "partner skips (brute/ring)", "never-excused checked",
+         "perturbed (image/incomplete/off-key/probe)",
+         "pair analyses (brute/ring)"],
+        rows,
     )
-
-    policies = (
-        [_POLICIES[args.policy]] if args.policy else list(InvalidationPolicy)
-    )
-    by_policy = [dict(policy=policy, n_pages=args.pages) for policy in policies]
-    witness_policies = (
-        [_POLICIES[args.policy]] if args.policy else [InvalidationPolicy.ROW_WITNESS]
-    )
-
-    def verdict(passed: bool) -> str:
-        return "ok" if passed else "MISMATCH"
-
-    def indexed_row(config, seed, result):
-        return result.ok, [
-            config["policy"].value,
-            seed,
-            verdict(result.ok),
-            result.writes_tested,
-            result.pages_doomed,
-            result.templates_skipped,
-            result.instances_skipped,
-            f"{result.pair_analyses_brute}/{result.pair_analyses_indexed}",
-        ]
-
-    def column_row(config, seed, result):
-        # Vacuity guard: a column-mix run that never exercised the
-        # lineage prune proves nothing.
-        passed = result.ok and result.templates_skipped_by_lineage > 0
-        return passed, [
-            config["policy"].value,
-            seed,
-            verdict(passed),
-            result.writes_tested,
-            result.pages_doomed,
-            result.templates_skipped_by_lineage,
-            result.column_plans_built,
-            f"{result.never_read_probes}/{result.never_read_doomed}",
-            f"{result.pair_analyses_brute}/{result.pair_analyses_indexed}",
-        ]
-
-    def witness_row(config, seed, result):
-        # Vacuity guard: a witness run where no witness excused anything
-        # compared nothing the other tables do not.
-        passed = result.ok and result.witness_skips_indexed > 0
-        return passed, [
-            config["policy"].value,
-            seed,
-            verdict(passed),
-            result.writes_tested,
-            result.pages_doomed,
-            f"{result.witness_skips_brute}/{result.witness_skips_indexed}",
-            f"{result.pair_analyses_brute}/{result.pair_analyses_indexed}",
-        ]
-
-    def partner_row(config, seed, result):
-        # Vacuity guard, as for the witness table.
-        passed = result.ok and result.partner_skips_indexed > 0
-        return passed, [
-            config["policy"].value,
-            seed,
-            verdict(passed),
-            result.writes_tested,
-            result.pages_doomed,
-            f"{result.partner_skips_brute}/{result.partner_skips_indexed}",
-            f"{result.pair_analyses_brute}/{result.pair_analyses_indexed}",
-        ]
-
-    def fragment_row(config, seed, result):
-        # Vacuity guard for the rows of the witness and partner mixes.
-        skips = {"witness": result.witness_skips, "partner": result.partner_skips}
-        passed = result.ok and skips.get(config["workload"], 1) > 0
-        return passed, [
-            *config.values(),
-            seed,
-            verdict(passed),
-            result.writes_tested,
-            result.entries_doomed,
-            result.closure_doomed,
-        ]
-
-    rings = [
-        dict(n_nodes=n_nodes, workload=workload)
-        for workload in ("default", "column", "witness", "partner")
-        for n_nodes in (1, 4)
-    ]
-    # (title, headers, runner, configurations, row)
-    tables = (
-        (
-            "Differential: indexed vs brute-force invalidation",
-            ["policy", "seed", "verdict", "writes", "doomed",
-             "tmpl skipped", "inst skipped", "pair analyses (brute/indexed)"],
-            run_differential,
-            by_policy,
-            indexed_row,
-        ),
-        (
-            "Differential: column mix, lineage-pruned vs brute-force",
-            ["policy", "seed", "verdict", "writes", "doomed",
-             "lineage skipped", "plans", "probes (fired/doomed)",
-             "pair analyses (brute/indexed)"],
-            run_column_differential,
-            by_policy,
-            column_row,
-        ),
-        (
-            "Differential: row witness, indexed vs brute-force",
-            ["policy", "seed", "verdict", "writes", "doomed",
-             "witness skips (brute/indexed)", "pair analyses (brute/indexed)"],
-            run_witness_differential,
-            [dict(policy=policy, n_pages=args.pages) for policy in witness_policies],
-            witness_row,
-        ),
-        (
-            "Differential: fragment-granular doom vs brute-force closure",
-            ["nodes", "mix", "seed", "verdict", "writes", "doomed", "via closure"],
-            run_fragment_differential,
-            rings,
-            fragment_row,
-        ),
-        (
-            "Differential: partner probes, indexed vs brute-force",
-            ["policy", "seed", "verdict", "writes", "doomed",
-             "partner skips (brute/indexed)", "pair analyses (brute/indexed)"],
-            run_partner_differential,
-            [dict(policy=policy, n_pages=args.pages) for policy in witness_policies],
-            partner_row,
-        ),
-    )
-    rendered = []
-    failures = 0
-    for title, headers, runner, configurations, row in tables:
-        rows = []
-        for config in configurations:
-            for seed in range(args.seed, args.seed + args.seeds):
-                result = runner(seed=seed, rounds=args.rounds, **config)
-                passed, cells = row(config, seed, result)
-                if not passed:
-                    failures += 1
-                rows.append(cells)
-        rendered.append(render_table(title, headers, rows))
-    return "\n\n".join(rendered), (1 if failures else 0)
+    return "\n".join([table, *problems]), (1 if problems else 0)
 
 
 def _cmd_codesize(_args: argparse.Namespace) -> str:

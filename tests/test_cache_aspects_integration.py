@@ -370,3 +370,106 @@ class TestCatalogMirror:
             assert awc.router.engine.catalog.columns_of("labels") == {"id"}
         finally:
             awc.uninstall()
+
+
+class _ScoreThenFail(HttpServlet):
+    """POST: sets note ``id``'s score, then raises."""
+
+    def __init__(self, connection) -> None:
+        self._connection = connection
+
+    def do_post(self, request, response) -> None:
+        self._connection.create_statement().execute_update(
+            "UPDATE notes SET score = ? WHERE id = ?",
+            (int(request.get_parameter("score")), int(request.get_parameter("id"))),
+        )
+        raise RuntimeError("failed after the write committed")
+
+
+class _BumpOnGet(HttpServlet):
+    """GET (served uncacheable): adds one to note ``id``'s score."""
+
+    def __init__(self, connection) -> None:
+        self._connection = connection
+
+    def do_get(self, request, response) -> None:
+        self._connection.create_statement().execute_update(
+            "UPDATE notes SET score = score + 1 WHERE id = ?",
+            (int(request.get_parameter("id")),),
+        )
+        response.write("bumped")
+
+
+class _FragmentThatWritesThenFails(HttpServlet):
+    """GET: renders a fragment that sets note ``id``'s score, then raises."""
+
+    def __init__(self, connection) -> None:
+        self._connection = connection
+
+    def do_get(self, request, response) -> None:
+        from repro.apps.html import fragment
+
+        def render() -> None:
+            self._connection.create_statement().execute_update(
+                "UPDATE notes SET score = ? WHERE id = ?",
+                (int(request.get_parameter("score")), int(request.get_parameter("id"))),
+            )
+            raise RuntimeError("fragment failed after its write")
+
+        fragment(response, "scorer", {"id": request.get_parameter("id")}, render)
+
+
+class TestWritesThatEscapeTheHandler:
+    """A write that committed dooms what it changed, whatever the
+    handler did next and whether or not its page is cacheable."""
+
+    @pytest.fixture
+    def app(self):
+        from repro.db import connect
+
+        db, container = build_notes_app()
+        connection = connect(db)
+        container.register("/score_then_fail", _ScoreThenFail(connection))
+        container.register("/bump", _BumpOnGet(connection))
+        container.register("/fragment_fails", _FragmentThatWritesThenFails(connection))
+        awc = AutoWebCache()
+        awc.semantics.mark_uncacheable("/bump")
+        awc.install(container.servlet_classes)
+        try:
+            add(container, 1, "a", "hello", score=3)
+            assert container.get("/view_note", {"id": "1"}).body == "<p>hello|3</p>"
+            assert "|3" in container.get("/view_note", {"id": "1"}).body  # a hit
+            yield db, container, awc
+        finally:
+            awc.uninstall()
+
+    def test_a_write_handler_that_raises_after_its_write_still_dooms(self, app):
+        db, container, _awc = app
+        response = container.post("/score_then_fail", {"id": "1", "score": "9"})
+        assert response.status == 500
+        assert db.query("SELECT score FROM notes WHERE id = ?", (1,)).scalar() == 9
+        assert container.get("/view_note", {"id": "1"}).body == "<p>hello|9</p>"
+
+    def test_an_uncacheable_get_that_writes_invalidates(self, app):
+        db, container, awc = app
+        uncacheable = awc.stats.uncacheable
+        assert container.get("/bump", {"id": "1"}).body == "bumped"
+        assert db.query("SELECT score FROM notes WHERE id = ?", (1,)).scalar() == 4
+        assert container.get("/view_note", {"id": "1"}).body == "<p>hello|4</p>"
+        assert awc.stats.uncacheable == uncacheable + 1
+
+    def test_an_uncacheable_get_that_reads_only_records_no_write(self, app):
+        _db, container, awc = app
+        awc.semantics.mark_uncacheable("/view_topic")
+        published = awc.cluster_snapshot()["bus"]["published"]
+        container.get("/view_topic", {"topic": "a"})
+        counts = awc.stats.snapshot()["cluster"]["by_type"]["/view_topic"]
+        assert (counts["uncacheable"], counts["writes"]) == (1, 0)
+        assert awc.cluster_snapshot()["bus"]["published"] == published
+
+    def test_a_raising_fragment_s_write_reaches_its_root(self, app):
+        db, container, _awc = app
+        response = container.get("/fragment_fails", {"id": "1", "score": "7"})
+        assert response.status == 500
+        assert db.query("SELECT score FROM notes WHERE id = ?", (1,)).scalar() == 7
+        assert container.get("/view_note", {"id": "1"}).body == "<p>hello|7</p>"

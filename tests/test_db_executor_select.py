@@ -104,6 +104,24 @@ class TestWhere:
         )
         assert len(result.rows) == 3
 
+    def test_in_and_not_in_subquery(self, db):
+        """An uncorrelated ``[NOT] IN (SELECT ...)`` reads the inner
+        SELECT's live rows, its placeholders numbered with the outer's;
+        the outer plan and its EXPLAIN are the outer statement's."""
+        sql = (
+            "SELECT name FROM emp WHERE dept = ? AND boss {} "
+            "(SELECT id FROM emp WHERE salary > ?) ORDER BY id"
+        )
+        assert db.query(sql.format("IN"), (20, 100)).rows == [("cal",)]
+        assert db.query(sql.format("NOT IN"), (20, 100)).rows == [("dee",)]
+        db.update("UPDATE emp SET salary = ? WHERE id = ?", (150.0, 3))
+        assert db.query(sql.format("IN"), (20, 100)).rows == [("cal",), ("dee",)]
+        assert db.explain(sql.format("IN"), (20, 100)) == ["emp: index eq dept"]
+        result = db.query(
+            "SELECT COUNT(*) FROM emp WHERE NOT id IN (SELECT boss FROM emp)"
+        )
+        assert result.scalar() == 3
+
     def test_like(self, db):
         result = db.query("SELECT name FROM emp WHERE name LIKE 'a%'")
         assert result.rows == [("ann",)]

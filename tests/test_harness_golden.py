@@ -10,9 +10,12 @@ default that leaks into ``run_cell`` moves at least one of them.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
-from repro.harness.differential import run_column_differential, run_differential
+from repro.cache.analysis import InvalidationPolicy
+from repro.harness.differential import run_differential
 from repro.harness.experiments import (
     ExperimentDefaults,
     RunSpec,
@@ -22,25 +25,28 @@ from repro.harness.experiments import (
 )
 from repro.sim.cluster import CLUSTER_SCALING_COST_MODEL
 
-# Both records were re-captured when an INSERT or a DELETE stopped
-# being column-disjoint from the reads of its table (docs/lineage.md,
-# rule 4): the pages those writes now doom change every draw after them.
-# ``intersection_tests_indexed`` is left out of both records: the
-# indexed ``intersects_any`` stops at the first intersecting candidate
-# of a *set*, so the count moves with PYTHONHASHSEED (2489..2504 seen).
+# Both records were re-captured when the five hand-written mixes became
+# one executed generator (``DIFFERENTIAL_SEED_0``: the catalog-free arm
+# of ``make differential``, at row-witness, the rung where keys and
+# partner edges need the catalog; ``COLUMN_DIFFERENTIAL_SEED_0``: the
+# catalog arm at extra-query), earlier when an
+# INSERT or a DELETE stopped being column-disjoint from the reads of its
+# table (docs/lineage.md, rule 4).  ``intersection_tests_indexed`` is
+# left out of both records: the indexed ``intersects_any`` stops at the
+# first intersecting candidate, so the count follows candidate order.
 DIFFERENTIAL_SEED_0 = dict(
     seed=0,
     rounds=60,
-    policy="extra-query",
-    writes_tested=149,
-    pages_doomed=995,
+    policy="row-witness",
+    writes_tested=143,
+    pages_doomed=1872,
     intersects_checks=60,
-    templates_skipped=22620,
-    instances_skipped=2620,
-    pair_analyses_indexed=4096,
-    pair_analyses_brute=14115,
-    intersection_tests_brute=2517,
-    never_read_probes=0,
+    templates_skipped=5527,
+    instances_skipped=888,
+    pair_analyses_indexed=820,
+    pair_analyses_brute=12298,
+    intersection_tests_brute=4247,
+    never_read_probes=60,
     mismatches=[],
 )
 
@@ -48,17 +54,17 @@ COLUMN_DIFFERENTIAL_SEED_0 = dict(
     seed=0,
     rounds=60,
     policy="extra-query",
-    writes_tested=134,
-    pages_doomed=987,
+    writes_tested=139,
+    pages_doomed=1881,
     intersects_checks=60,
-    templates_skipped=21550,
-    instances_skipped=1990,
-    pair_analyses_indexed=3692,
-    pair_analyses_brute=14723,
-    intersection_tests_brute=2180,
-    templates_skipped_by_lineage=1789,
-    column_plans_built=690,
-    never_read_probes=9,
+    templates_skipped=5355,
+    instances_skipped=947,
+    pair_analyses_indexed=796,
+    pair_analyses_brute=11968,
+    intersection_tests_brute=4388,
+    templates_skipped_by_lineage=918,
+    column_plans_built=47,
+    never_read_probes=60,
     never_read_doomed=0,
     mismatches=[],
 )
@@ -67,8 +73,15 @@ COLUMN_DIFFERENTIAL_SEED_0 = dict(
 @pytest.mark.parametrize(
     "runner, golden",
     [
-        (run_differential, DIFFERENTIAL_SEED_0),
-        (run_column_differential, COLUMN_DIFFERENTIAL_SEED_0),
+        (
+            partial(
+                run_differential,
+                policy=InvalidationPolicy.ROW_WITNESS,
+                catalog=False,
+            ),
+            DIFFERENTIAL_SEED_0,
+        ),
+        (run_differential, COLUMN_DIFFERENTIAL_SEED_0),
     ],
     ids=["default", "column"],
 )
