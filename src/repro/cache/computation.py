@@ -181,7 +181,8 @@ class CachedComputation(Aspect):
         if parent is None:
             return
         parent.writes.extend(context.writes)
-        parent.add_extra_queries(*context.extra_queries)
+        if context.extra_queries[0]:
+            parent.add_extra_queries(*context.extra_queries)
         if not parent.is_read:
             return  # an uncacheable page keeps only what was written
         if entry is not None:

@@ -76,6 +76,10 @@ class RequestContext:
         self, kind: str, page_key: str, parent: "RequestContext | None" = None
     ) -> None:
         self.kind = kind
+        #: Whether reads are recorded ("read" and "fragment" contexts):
+        #: an attribute, not a property, as every intercepted query and
+        #: every fragment hit asks it.
+        self.is_read = kind != "write"
         self.page_key = page_key
         self.reads = []
         self.writes = []
@@ -83,10 +87,6 @@ class RequestContext:
         self.parent = parent
         self.fragment_keys = []
         self.fragment_reads = []
-
-    @property
-    def is_read(self) -> bool:
-        return self.kind in ("read", "fragment")
 
     def add_extra_queries(self, queries: int, rows: int, probes: int) -> None:
         done, examined, probed = self.extra_queries
@@ -137,9 +137,10 @@ class ConsistencyCollector:
         context = self._current.get()
         if context is None:
             raise ConsistencyError("no open request context")
-        for staged in context.staged_writes.values():
-            context.writes.extend(staged)
-        context.staged_writes.clear()
+        if context.staged_writes:
+            for staged in context.staged_writes.values():
+                context.writes.extend(staged)
+            context.staged_writes.clear()
         self._current.set(None)
         return context
 
@@ -176,9 +177,10 @@ class ConsistencyCollector:
         context = self._current.get()
         if context is None or context.kind != "fragment":
             raise ConsistencyError("no open fragment context")
-        for staged in context.staged_writes.values():
-            context.writes.extend(staged)
-        context.staged_writes.clear()
+        if context.staged_writes:
+            for staged in context.staged_writes.values():
+                context.writes.extend(staged)
+            context.staged_writes.clear()
         self._current.set(context.parent)
         return context
 

@@ -1089,22 +1089,20 @@ def _compile_expr(expr: ast.Expression, env: Env) -> Compiled:
         items = [_compile_expr(item, env) for item in expr.items]
         negated = expr.negated
 
-        def in_list(rows: object, params: tuple) -> bool:
-            value = operand(rows, params)
-            found = value in [item(rows, params) for item in items]
-            return (not found) if negated else found
+        def in_list(rows: object, params: tuple) -> bool | None:
+            values = [item(rows, params) for item in items]
+            return _membership(operand(rows, params), values, negated)
 
         return in_list
     if isinstance(expr, _Subquery):
         operand = _compile_expr(expr.operand, env)
         inner, negated = expr.inner, expr.negated
 
-        def in_subquery(rows: object, params: tuple) -> bool:
+        def in_subquery(rows: object, params: tuple) -> bool | None:
             # Membership as IN (list) evaluates it, against the inner
             # SELECT's first column, run afresh for each outer row.
             values = [row[0] for row in inner(params).rows]
-            found = operand(rows, params) in values
-            return (not found) if negated else found
+            return _membership(operand(rows, params), values, negated)
 
         return in_subquery
     if isinstance(expr, ast.Between):
@@ -1127,6 +1125,19 @@ def _compile_expr(expr: ast.Expression, env: Env) -> Compiled:
     if isinstance(expr, ast.Star):
         return _raises(ExecutionError, "* is not a scalar expression")
     return _raises(ExecutionError, f"cannot evaluate {type(expr).__name__}")
+
+
+def _membership(value: object, values: list, negated: bool) -> bool | None:
+    """``value [NOT] IN values`` in SQL's three-valued logic: None
+    (unknown, which selects no row) when ``value`` is NULL, or when it
+    matches no value and one of them is NULL."""
+    if value is None:
+        return None
+    if value in values:
+        return not negated
+    if None in values:
+        return None
+    return negated
 
 
 @dataclass(frozen=True)
@@ -1215,7 +1226,10 @@ def _binary(op: str, left: Compiled, right: Compiled) -> Compiled:
 
 def _unary(op: str, operand: Compiled) -> Compiled:
     if op == "NOT":
-        return lambda x, params: not operand(x, params)
+        # NOT unknown is unknown (only [NOT] IN yields None so far).
+        return lambda x, params: (
+            None if (value := operand(x, params)) is None else not value
+        )
     if op == "-":
         return (
             lambda x, params: None

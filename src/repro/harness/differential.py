@@ -49,7 +49,7 @@ from repro.cache.stats import CacheStats
 from repro.db import connect
 from repro.db.engine import Database
 from repro.db.schema import Column, ColumnType, TableSchema
-from repro.errors import DatabaseError
+from repro.errors import IntegrityError
 from repro.sql.lineage import Catalog
 from repro.sql.template import templateize
 
@@ -375,7 +375,7 @@ class Generator:
             for sql, params in statements:
                 try:
                     self.statement.execute_update(sql, params)
-                except DatabaseError:
+                except IntegrityError:
                     pass
         finally:
             collector.end()

@@ -12,6 +12,10 @@ the production undo of an UPDATE that raises part-way, so a failing
 statement leaves the twin tables equal.  :func:`oracle_database` builds a
 ``Database`` running on it.
 
+``[NOT] IN`` and ``NOT`` follow the plan executor into SQL's
+three-valued logic: membership with a NULL operand, or a NULL member
+and no match, is unknown (None), and NOT of unknown is unknown.
+
 Known, intended divergence: ``_like`` here still lets ``.`` stop at a
 newline (the bug the plan executor fixed), so differential inputs keep
 newlines out of LIKE operands.
@@ -620,8 +624,11 @@ class Executor:
         if isinstance(expr, ast.InList):
             value = self._eval(expr.operand, scope, params)
             members = [self._eval(item, scope, params) for item in expr.items]
-            found = value in members
-            return (not found) if expr.negated else found
+            if value is None:
+                return None
+            if value in members:
+                return not expr.negated
+            return None if None in members else expr.negated
         if isinstance(expr, ast.Between):
             value = self._eval(expr.operand, scope, params)
             low = self._eval(expr.low, scope, params)
@@ -715,7 +722,7 @@ def _apply_binary(op: str, left: object, right: object) -> object:
 
 def _apply_unary(op: str, operand: object) -> object:
     if op == "NOT":
-        return not _truthy(operand)
+        return None if operand is None else not _truthy(operand)
     if op == "-":
         if operand is None:
             return None

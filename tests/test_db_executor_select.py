@@ -107,7 +107,10 @@ class TestWhere:
     def test_in_and_not_in_subquery(self, db):
         """An uncorrelated ``[NOT] IN (SELECT ...)`` reads the inner
         SELECT's live rows, its placeholders numbered with the outer's;
-        the outer plan and its EXPLAIN are the outer statement's."""
+        the outer plan and its EXPLAIN are the outer statement's.  Like
+        ``[NOT] IN (list)`` it is three-valued: a NULL on either side is
+        unknown unless a value matches, and unknown selects no row, under
+        NOT too."""
         sql = (
             "SELECT name FROM emp WHERE dept = ? AND boss {} "
             "(SELECT id FROM emp WHERE salary > ?) ORDER BY id"
@@ -118,9 +121,25 @@ class TestWhere:
         assert db.query(sql.format("IN"), (20, 100)).rows == [("cal",), ("dee",)]
         assert db.explain(sql.format("IN"), (20, 100)) == ["emp: index eq dept"]
         result = db.query(
-            "SELECT COUNT(*) FROM emp WHERE NOT id IN (SELECT boss FROM emp)"
+            "SELECT COUNT(*) FROM emp WHERE NOT id IN "
+            "(SELECT boss FROM emp WHERE boss IS NOT NULL)"
         )
         assert result.scalar() == 3
+
+        def names(where):
+            return db.query(f"SELECT name FROM emp WHERE {where} ORDER BY id").rows
+
+        assert names("boss IN (NULL)") == []
+        assert names("id NOT IN (1, NULL)") == []
+        assert names("id IN (1, NULL)") == [("ann",)]
+        assert names("boss NOT IN (SELECT id FROM emp WHERE dept = 30)") == [
+            ("bob",), ("cal",), ("dee",), ("eli",)
+        ]
+        assert names("id NOT IN (SELECT boss FROM emp)") == []
+        assert names("NOT id IN (SELECT boss FROM emp)") == []
+        assert names("boss IN (SELECT id FROM emp WHERE dept = 20)") == [
+            ("dee",), ("eli",)
+        ]
 
     def test_like(self, db):
         result = db.query("SELECT name FROM emp WHERE name LIKE 'a%'")
