@@ -17,12 +17,16 @@ under ``tracemalloc`` for **what a resident page costs**: resident
 entries, the page bytes they hold (body text or wire buffer) and the
 bytes the pass left allocated per entry it added; last, the number of
 heads the memo holds and, on a ring, how many routes the router's
-placement memo holds and how many it had to compute.  On a ring it also
-prints the write path per write request: us in ``process_write_request``
-(the un-profiled pass), pair analyses counted (summed over the nodes, so
-equal to a one-node ring's when each write is analysed once per ring)
-and lock rounds taken inside it (the cProfile pass).  A candidate
-finder, not a gate: confirm with the traced round of ``bench/run.py``.
+placement memo holds and how many it had to compute.  On a workload
+with writes it also prints the write path per write request: us in
+``process_write_request`` (the un-profiled pass), lock rounds taken
+inside it (the cProfile pass), every node's ``Cache.apply_writes`` as a
+share of replay time, the pair cells the analysis cache filled against
+the pair analyses counted (summed over the nodes, so equal to a one-node
+ring's when each write is analysed once per ring), and the instances
+the doom walks visited, the row witness and the partner probes excused
+and the intersection test judged.  A candidate finder, not a gate:
+confirm with the traced round of ``bench/run.py``.
 
 The miss tax is what the middleware costs when it cannot answer from
 the cache: the requests the woven run answered on its slow path,
@@ -54,6 +58,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from bench.workloads import WORKLOADS, build_app, build_facade, generate  # noqa: E402
+from repro.cache.api import Cache  # noqa: E402
+from repro.cache.invalidation import Invalidator  # noqa: E402
 from repro.db.engine import Database  # noqa: E402
 from repro.db.executor import PIN_FIRST  # noqa: E402
 from repro.locks import NamedRLock  # noqa: E402
@@ -144,11 +150,17 @@ class WriteWatch:
     """Per ``process_write_request`` call on ``router``: its seconds and
     the lock rounds taken inside it (from :attr:`rounds`, the running
     count :func:`count_lock_rounds` yields; a dummy outside it).  Set on
-    the router instance, which the woven aspects call."""
+    the router instance, which the woven aspects call.
+
+    :meth:`walks` also times every node's ``Cache.apply_writes`` and
+    counts the instances the doom walks visit (the registrations handed
+    to ``Invalidator._walk``) while its block runs."""
 
     def __init__(self, router) -> None:
         self.calls: list[tuple[float, int]] = []
         self.rounds = [0]
+        self.apply_seconds = 0.0
+        self.visited = 0
         original = router.process_write_request
 
         def watched(*args, **kwargs):
@@ -161,10 +173,42 @@ class WriteWatch:
 
         router.process_write_request = watched
 
+    @contextlib.contextmanager
+    def walks(self):
+        apply_writes, walk = Cache.apply_writes, Invalidator._walk
+
+        def timed_apply(cache, *args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return apply_writes(cache, *args, **kwargs)
+            finally:
+                self.apply_seconds += time.perf_counter() - started
+
+        def counted_walk(invalidator, plan, instances, *args, **kwargs):
+            self.visited += len(instances)
+            return walk(invalidator, plan, instances, *args, **kwargs)
+
+        with mock.patch.object(Cache, "apply_writes", timed_apply), mock.patch.object(
+            Invalidator, "_walk", counted_walk
+        ):
+            yield
+
     def take(self) -> list[tuple[float, int]]:
         """The calls recorded since the last take."""
         calls, self.calls = self.calls, []
         return calls
+
+
+#: The write-path counters ``make profile`` reports per write request.
+WALK_COUNTERS = ("pair_analyses", "witness_skips", "partner_skips", "intersection_tests")
+
+
+def walk_counters(awc) -> dict[str, int]:
+    """The facade's write-path counters now, plus the pair cells the
+    ring's analysis cache holds."""
+    counters = {name: getattr(awc.stats, name) for name in WALK_COUNTERS}
+    counters["pair_cells"] = awc.router.analysis_cache.cell_count
+    return counters
 
 
 def resident_entries(cache) -> list:
@@ -246,12 +290,15 @@ def main() -> None:
     carts: dict[int, str] = {}
     replay(server, generate(workload, args.seed, "warmup", workload.warmup), carts)
     closed = generate(workload, args.seed, "closed", 3 * args.n)
-    watch = WriteWatch(awc.cache) if workload.nodes else None
-    pairs_before = awc.stats.pair_analyses
+    watch = WriteWatch(awc.cache) if workload.writes else None
+    counters_before = walk_counters(awc)
     Database.execute_statement = timed
-    woven = replay(server, closed[: args.n], carts)
+    with watch.walks() if watch else contextlib.nullcontext():
+        woven = replay(server, closed[: args.n], carts)
     Database.execute_statement = execute
-    pairs = awc.stats.pair_analyses - pairs_before
+    counters = walk_counters(awc)
+    for name, before in counters_before.items():
+        counters[name] -= before
     timed_writes = watch.take() if watch else []
     wall = sum(seconds for _path, seconds, _rounds in woven)
     print(f"{args.workload} seed {args.seed}: {wall / args.n * 1e6:.1f} us/request"
@@ -300,13 +347,22 @@ def main() -> None:
     if watch:
         counted_writes = watch.take()
         if timed_writes and counted_writes:
-            us = sum(seconds for seconds, _rounds in timed_writes) / len(timed_writes) * 1e6
+            writes = len(timed_writes)
+            us = sum(seconds for seconds, _rounds in timed_writes) / writes * 1e6
             taken = sum(rounds for _seconds, rounds in counted_writes) / len(counted_writes)
-            print(f"ring write path, per write request: {us:.1f} us in"
-                  f" process_write_request, {pairs / len(timed_writes):.2f} pair analyses,"
-                  f" {taken:.1f} lock rounds ({len(timed_writes)} writes)")
+            print(f"write path, per write request ({writes} writes, the un-profiled pass):"
+                  f" {us:.1f} us in process_write_request, {taken:.1f} lock rounds"
+                  " (the cProfile pass)")
+            print(f"  node apply_writes: {watch.apply_seconds / wall:.1%} of replay time")
+            print(f"  pair cells filled: {counters['pair_cells']} for"
+                  f" {counters['pair_analyses']} pair analyses counted"
+                  f" ({counters['pair_analyses'] / writes:.2f} per write)")
+            print(f"  instances per write: {watch.visited / writes:.1f} visited,"
+                  f" {counters['witness_skips'] / writes:.1f} witness-excused,"
+                  f" {counters['partner_skips'] / writes:.1f} partner-excused,"
+                  f" {counters['intersection_tests'] / writes:.1f} intersection-tested")
         else:
-            print("ring write path: no write request in the pass")
+            print("write path: no write request in the pass")
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
     resident_cost(server, awc.cache, closed[2 * args.n :], carts)
     print(f"head memo: {len(server.head_memo)} heads")

@@ -701,6 +701,40 @@ def build_pruning_plan(
     return tuple(rules)
 
 
+def written_keys(pair: PairAnalysis, write: QueryInstance) -> frozenset | None:
+    """The write's side of the row-witness test, bound once per write
+    and read template: the keys of the rows ``write`` touched, when the
+    pair admits a witness and every pre-image row carries the key.  None
+    when nothing may be concluded -- no witness, no pre-image, a key
+    missing from a row (or an unhashable one)."""
+    key = pair.witness_key
+    if pair.witness is None or write.pre_image is None:
+        return None
+    keys = []
+    for row in write.pre_image:
+        if key not in row:
+            return None
+        keys.append(row[key])
+    try:
+        return frozenset(keys)
+    except TypeError:
+        return None
+
+
+def witness_spares(
+    position: int | None,
+    written: frozenset,
+    witness: tuple[tuple[int, tuple], ...] | None,
+) -> bool:
+    """The read's side: did the read capture keys at ``position`` and
+    show none of the ``written`` ones?"""
+    if witness is not None:
+        for captured, keys in witness:
+            if captured == position:
+                return written.isdisjoint(keys)
+    return False
+
+
 def witness_excuses(
     pair: PairAnalysis,
     witness: tuple[tuple[int, tuple], ...] | None,
@@ -715,20 +749,10 @@ def witness_excuses(
     read showed.  Anything unknown -- no witness (the read ran before
     its table's first write), no pre-image, a key missing from a
     pre-image row -- answers False and leaves the doom standing.
+    :func:`written_keys` and :func:`witness_spares` are its two halves.
     """
-    position = pair.witness
-    if position is None or witness is None or write.pre_image is None:
-        return False
-    for captured, keys in witness:
-        if captured == position:
-            break
-    else:
-        return False
-    key = pair.witness_key
-    for row in write.pre_image:
-        if key not in row or row[key] in keys:
-            return False
-    return True
+    written = written_keys(pair, write)
+    return written is not None and witness_spares(pair.witness, written, witness)
 
 
 def probe_plan(
@@ -753,6 +777,76 @@ def probe_plan(
     )
 
 
+#: One partner edge bound to a write (:func:`probed_partners`): the
+#: read's equality bindings on the partner table, and the partner rows
+#: the inserted rows can join, as dicts.
+ProbedEdge = tuple[tuple[EqualityBinding, ...], tuple[dict, ...]]
+
+
+def probed_partners(pair: PairAnalysis, write: QueryInstance) -> tuple[ProbedEdge, ...]:
+    """The write's side of the partner test, bound once per write and
+    read template: each edge of the pair for which every inserted row
+    was probed, with the partner rows found.  An edge with a row never
+    probed, or a row without the join column, excuses nothing and is
+    left out.  An edge with no partner row at all excuses every read."""
+    if not pair.partners or write.partners is None or write.pre_image is None:
+        return ()
+    probed = []
+    for edge in pair.partners:
+        rows = _probed_rows(edge, write)
+        if rows is not None:
+            probed.append((edge.bindings, rows))
+    return tuple(probed)
+
+
+def _probed_rows(edge: PartnerEdge, write: QueryInstance) -> tuple[dict, ...] | None:
+    found: list[dict] = []
+    for row in write.pre_image:
+        if edge.column not in row:
+            return None
+        value = row[edge.column]
+        for table, partner_column, probed, rows in write.partners:
+            if (
+                table == edge.table
+                and partner_column == edge.partner_column
+                and probed == value
+            ):
+                found.extend(map(dict, rows))
+                break
+        else:
+            return None  # never probed
+    return tuple(found)
+
+
+#: A partner row without the column a binding names (never the case for
+#: a ``SELECT *`` probe): it contradicts nothing.
+_MISSING = object()
+
+
+def partners_spare(probed: tuple[ProbedEdge, ...], read_values: tuple[object, ...]) -> bool:
+    """The read's side: for some probed edge, does every partner row
+    contradict an equality the read puts on the partner table?  A
+    binding the read values cannot resolve makes its edge excuse
+    nothing."""
+    for bindings, rows in probed:
+        try:
+            bound = [(b.column, b.resolve(read_values)) for b in bindings]
+        except IndexError:
+            continue
+        if all(
+            any(
+                # The read's ``c = v`` holds, as the engine evaluates
+                # it, only for two equal non-NULL values.
+                (found := row.get(column, _MISSING)) is not _MISSING
+                and (found is None or wanted is None or found != wanted)
+                for column, wanted in bound
+            )
+            for row in rows
+        ):
+            return True
+    return False
+
+
 def partners_excuse(
     pair: PairAnalysis, read_values: tuple[object, ...], write: QueryInstance
 ) -> bool:
@@ -764,51 +858,10 @@ def partners_excuse(
     each contradict an equality the read puts on the partner table --
     or there are none.  Anything unknown -- no probe for a row, a row
     without the join column, a binding the read values cannot resolve
-    -- leaves the doom standing.
+    -- leaves the doom standing.  :func:`probed_partners` and
+    :func:`partners_spare` are its two halves.
     """
-    if not pair.partners or write.partners is None or write.pre_image is None:
-        return False
-    return any(
-        _edge_excuses(edge, read_values, write) for edge in pair.partners
-    )
-
-
-#: A partner row without the column a binding names (never the case for
-#: a ``SELECT *`` probe): it contradicts nothing.
-_MISSING = object()
-
-
-def _edge_excuses(
-    edge: PartnerEdge, read_values: tuple[object, ...], write: QueryInstance
-) -> bool:
-    try:
-        bound = [(b.column, b.resolve(read_values)) for b in edge.bindings]
-    except IndexError:
-        return False
-    for row in write.pre_image:
-        if edge.column not in row:
-            return False
-        value = row[edge.column]
-        for table, partner_column, probed, rows in write.partners:
-            if (
-                table == edge.table
-                and partner_column == edge.partner_column
-                and probed == value
-            ):
-                break
-        else:
-            return False  # never probed
-        for partner in rows:
-            partner = dict(partner)
-            if not any(
-                # The read's ``c = v`` holds, as the engine evaluates
-                # it, only for two equal non-NULL values.
-                (found := partner.get(column, _MISSING)) is not _MISSING
-                and (found is None or wanted is None or found != wanted)
-                for column, wanted in bound
-            ):
-                return False
-    return True
+    return partners_spare(probed_partners(pair, write), read_values)
 
 
 def instance_filter(

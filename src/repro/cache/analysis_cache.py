@@ -8,7 +8,11 @@ templates, thus, the query analysis cache stabilizes very quickly."
 This module wraps :class:`~repro.cache.analysis.QueryAnalysisEngine`
 with a (read template, write template) -> :class:`PairAnalysis` map and
 records the time series of cache size vs. requests processed, which the
-Figure 4 benchmark replays.
+Figure 4 benchmark replays.  On top of it sit the *pair cells*
+(:meth:`AnalysisCache.pair_cells`): everything a write decides about one
+read template that depends on the two templates alone -- the lineage
+skip, the pair analysis, the pruning plan -- decided once per pair and
+policy under a catalog, so a write pays one dict read per candidate.
 
 One analysis cache serves a whole ring: the
 :class:`~repro.cluster.router.ClusterRouter` builds it, with the one
@@ -35,6 +39,17 @@ from repro.cache.analysis import (
     build_pruning_plan,
 )
 from repro.sql.template import QueryTemplate
+
+#: A pair the read's column rule proves disjoint: decided without a
+#: pair analysis.
+LINEAGE_DISJOINT = (None, ())
+
+#: A pair cell's verdict: :data:`LINEAGE_DISJOINT`, or the pair
+#: analysis with its pruning plan.
+PairVerdict = tuple[PairAnalysis | None, tuple[PruneRule, ...]]
+
+#: One write template's row of pair cells: read template -> verdict.
+PairCells = dict[QueryTemplate, PairVerdict]
 
 
 @dataclass
@@ -67,12 +82,10 @@ class AnalysisCache:
         # a pair analysed under old schema knowledge must never be mixed
         # with a column rule built under new knowledge (or vice versa).
         self._pairs: dict[tuple[str, str, int], PairAnalysis] = {}
-        # Pruning plans derived from pair analyses, keyed by (read text,
-        # write text, policy).  Plans are pure functions of the pair
-        # analysis, so they are memoised alongside it rather than
-        # recomputed by every write.
-        self._plans: dict[tuple[str, str, str, int], tuple[PruneRule, ...]] = {}
         self._column_rules: dict[tuple[str, int], ColumnPruneRule] = {}
+        #: The pair cells, one row per (write text, policy, lineage
+        #: pruning, catalog version) (:meth:`pair_cells`).
+        self._cells: dict[tuple[str, str, bool, int], PairCells] = {}
         self.stats = AnalysisCacheStats()
 
     def analyse(self, read: QueryTemplate, write: QueryTemplate) -> PairAnalysis:
@@ -87,26 +100,6 @@ class AnalysisCache:
         self._pairs[key] = analysis
         self.stats.growth.append((self.stats.lookups, len(self._pairs)))
         return analysis
-
-    def plan_for(
-        self,
-        read: QueryTemplate,
-        write: QueryTemplate,
-        pair: PairAnalysis,
-        policy: InvalidationPolicy,
-    ) -> tuple[PruneRule, ...]:
-        """Memoised pruning plan for an already-analysed pair.
-
-        Takes the pair analysis as an argument (rather than calling
-        :meth:`analyse` itself) so plan lookups never inflate the
-        Figure 4 hit/miss counters.
-        """
-        key = (read.text, write.text, policy.value, self.engine.catalog_version)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = build_pruning_plan(pair, policy)
-            self._plans[key] = plan
-        return plan
 
     def column_rule_for(
         self, read: QueryTemplate
@@ -126,11 +119,69 @@ class AnalysisCache:
         self._column_rules[key] = rule
         return rule, True
 
+    def pair_cells(
+        self,
+        write: QueryTemplate,
+        policy: InvalidationPolicy,
+        lineage_pruning: bool = True,
+    ) -> PairCells:
+        """``write``'s row of *pair cells* under ``policy`` and the
+        current catalog: read template -> the template-level verdict on
+        the pair, which every write of ``write`` reads for every
+        candidate read template.  A write looks its row up once; each
+        candidate then costs one dict read, and :meth:`decide` fills a
+        cell no write has read yet.  The row keys by the catalog
+        version it was looked up under, so a swap starts a new row."""
+        key = (write.text, policy.value, lineage_pruning, self.engine.catalog_version)
+        cells = self._cells.get(key)
+        if cells is None:
+            cells = self._cells[key] = {}
+        return cells
+
+    def decide(
+        self,
+        cells: PairCells,
+        read: QueryTemplate,
+        write: QueryTemplate,
+        policy: InvalidationPolicy,
+        lineage_pruning: bool = True,
+    ) -> tuple[PairVerdict, bool]:
+        """Fill ``read``'s cell in ``write``'s row ``cells``
+        (:meth:`pair_cells`); returns the verdict and whether this call
+        built ``read``'s column rule.
+
+        The verdict is :data:`LINEAGE_DISJOINT` when the column rule
+        proves the pair disjoint (consulted only with
+        ``lineage_pruning``), else the pair analysis with its pruning
+        plan (empty for an impossible pair).
+        """
+        built = False
+        verdict = None
+        if lineage_pruning:
+            rule, built = self.column_rule_for(read)
+            if rule.disjoint(write.info):
+                verdict = LINEAGE_DISJOINT
+        if verdict is None:
+            pair = self.analyse(read, write)
+            verdict = (pair, build_pruning_plan(pair, policy))
+        cells[read] = verdict
+        return verdict, built
+
+    def record_cell_reads(self, count: int) -> None:
+        """``count`` pair-cell reads that each stood in for an analysis
+        lookup: Figure 4 counts them as the hits they replaced."""
+        self.stats.hits += count
+
     @property
     def entry_count(self) -> int:
         return len(self._pairs)
 
+    @property
+    def cell_count(self) -> int:
+        """Pair cells filled (each catalog version's count apart)."""
+        return sum(map(len, self._cells.values()))
+
     def clear(self) -> None:
         self._pairs.clear()
-        self._plans.clear()
         self._column_rules.clear()
+        self._cells.clear()

@@ -89,7 +89,7 @@ class ReadServletAspect(CachedComputation):
             # write context records what the page writes (not what it
             # reads, which no entry needs); its writes must invalidate.
             self.cache.record_uncacheable(request)
-            context = self.collector.begin("write", request.uri)
+            context = self.collector.begin("write")
             try:
                 joinpoint.proceed()
             finally:
@@ -107,7 +107,7 @@ class ReadServletAspect(CachedComputation):
             response.set_status(entry.status)
 
         def compute(window: Flight) -> None:
-            context = self.collector.begin("read", key)
+            context = self.collector.begin("read")
             try:
                 joinpoint.proceed()
             finally:
@@ -167,7 +167,7 @@ class WriteServletAspect(Aspect):
     @around(WRITE_HANDLER_POINTCUT)
     def invalidate_after(self, joinpoint: JoinPoint) -> None:
         request, _response = _request_response(joinpoint)
-        context = self.collector.begin("write", request.cache_key())
+        context = self.collector.begin("write")
         try:
             joinpoint.proceed()
         finally:

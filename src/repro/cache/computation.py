@@ -118,7 +118,7 @@ class CachedComputation(Aspect):
             return decode(entry.body)
 
         def compute(window: Flight):
-            context = self.collector.begin_fragment(key)
+            context = self.collector.begin_fragment()
             try:
                 value = proceed()
             except BaseException:

@@ -38,7 +38,6 @@ class RequestContext:
     """
 
     kind: str  # "read" | "write" | "fragment"
-    page_key: str
     reads: list[QueryInstance] = field(default_factory=list)
     writes: list[QueryInstance] = field(default_factory=list)
     #: Writes executed inside a still-open transaction, keyed by the
@@ -72,15 +71,12 @@ class RequestContext:
     #: that records the write, not under a lock round per query.
     extra_queries: tuple[int, int, int] = (0, 0, 0)
 
-    def __init__(
-        self, kind: str, page_key: str, parent: "RequestContext | None" = None
-    ) -> None:
+    def __init__(self, kind: str, parent: "RequestContext | None" = None) -> None:
         self.kind = kind
         #: Whether reads are recorded ("read" and "fragment" contexts):
         #: an attribute, not a property, as every intercepted query and
         #: every fragment hit asks it.
         self.is_read = kind != "write"
-        self.page_key = page_key
         self.reads = []
         self.writes = []
         self.staged_writes = {}
@@ -117,11 +113,11 @@ class ConsistencyCollector:
             contextvars.ContextVar("autowebcache_context", default=None)
         )
 
-    def begin(self, kind: str, page_key: str) -> RequestContext:
+    def begin(self, kind: str) -> RequestContext:
         """Open a context for a request; nesting is rejected."""
         if self._current.get() is not None:
             raise ConsistencyError("a request context is already open")
-        context = RequestContext(kind=kind, page_key=page_key)
+        context = RequestContext(kind)
         self._current.set(context)
         return context
 
@@ -149,7 +145,7 @@ class ConsistencyCollector:
 
     # -- fragment contexts (nested) ------------------------------------------
 
-    def begin_fragment(self, page_key: str) -> RequestContext:
+    def begin_fragment(self) -> RequestContext:
         """Open a *nested* context for one fragment render.
 
         Unlike :meth:`begin`, an enclosing context is allowed (and
@@ -159,9 +155,7 @@ class ConsistencyCollector:
         write context; one rendered outside every woven handler has no
         enclosing context and simply becomes the root.
         """
-        context = RequestContext(
-            kind="fragment", page_key=page_key, parent=self._current.get()
-        )
+        context = RequestContext("fragment", parent=self._current.get())
         self._current.set(context)
         return context
 

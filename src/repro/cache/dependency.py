@@ -289,6 +289,19 @@ class DependencyTable:
         """Number of registrations currently held under ``template``."""
         return self._counts.get(template, 0)
 
+    def registrations_on(self, template: QueryTemplate, page_keys: Iterable[str]) -> int:
+        """Number of registrations under ``template`` whose page is one
+        of ``page_keys``: a walk over the keys, not the template."""
+        pages = self._by_template.get(template)
+        if not pages:
+            return 0
+        count = 0
+        for page_key in page_keys:
+            registered = pages.get(page_key)
+            if registered is not None:
+                count += len(registered) if type(registered) is list else 1
+        return count
+
     def clear(self) -> None:
         self.version += 1
         self._by_template.clear()

@@ -19,74 +19,114 @@ doing sub-linear work:
 - the dependency table's inverted table index supplies only the read
   templates sharing a table with the write -- every skipped template is
   one whose pair analysis would have answered ``possible=False``;
-- the memoised column-lineage rule (:class:`~repro.cache.analysis.
-  ColumnPruneRule`, built from :mod:`repro.sql.lineage`) skips the
-  remaining candidates whose written columns are provably disjoint from
-  the template's lineage read set -- again exactly the pairs whose
-  analysis would have answered ``possible=False``, but without paying
-  for the analysis;
-- a pruning plan (:func:`~repro.cache.analysis.build_pruning_plan`)
-  derived from the pair analysis converts the write's bound values into
-  the set of read-side values it could intersect, and the per-template
-  value index returns only the registrations carrying such a value --
-  every skipped instance is one ``intersects`` would have rejected;
-- under ``ROW_WITNESS`` every loop asks the row witness, then the
-  write's partner probes, before the intersection test
-  (:meth:`Invalidator._dooms`): an instance either excuses is spared,
-  the same way on every path.
+- each candidate costs one dict read: the **pair cell** (:meth:`~repro.
+  cache.analysis_cache.AnalysisCache.pair_cells`) holds everything that
+  depends on the two templates alone, decided once per (read template,
+  write template, policy, catalog version) -- :data:`~repro.cache.
+  analysis_cache.LINEAGE_DISJOINT` when the memoised column-lineage
+  rule (:class:`~repro.cache.analysis.ColumnPruneRule`) proves the
+  written columns disjoint from the template's lineage read set, else
+  the pair analysis with its pruning plan (:func:`~repro.cache.
+  analysis.build_pruning_plan`); a disjoint or impossible pair is
+  :data:`NEVER`;
+- the write then binds its own side once per read template
+  (:class:`DoomPlan`): the plan turns its values into the set of
+  read-side values it could intersect, and the per-template value index
+  returns only the registrations carrying such a value (every skipped
+  instance is one ``intersects`` would have rejected); under
+  ``ROW_WITNESS`` it also binds the keys of the rows it wrote and the
+  partner rows its probes found;
+- when an INSERT's probes found no partner row on some edge, the probes
+  excuse every instance of the template: none is visited, and each is
+  counted as the partner skip the walk would have counted;
+- the walk (:meth:`Invalidator._walk`) tests each remaining instance:
+  under ``ROW_WITNESS`` a set lookup in the written keys (the row
+  witness), then the bound partner rows, may spare it; the rest take
+  the intersection test -- the same way on every path.
 
 On a ring every node runs this protocol over its own shard, but only
 the value-index probes and the instance tests depend on the shard: the
-lineage skip, the pair analysis and the bound instance filter are the
-same for one write and one read template on every node.  So the indexed
-path splits in two (:meth:`Invalidator._verdict` and the shard walk),
-and the template-level half is written to a **verdict table**
+pair cell and the write's bound side are the same for one write and one
+read template on every node.  Pair cells live in the ring's one
+analysis cache, so a second write of a template decides nothing again;
+the bound :class:`DoomPlan` is written to a **verdict table**
 (:func:`verdict_table`) that the bus message carries: one dict per
 write, read template -> ``(catalog version, verdict)``.  The first node
 whose candidates include a template fills its cell; later nodes read it
 and only probe.  A cell filled under an older catalog is recomputed,
 never reused.  Each node still walks its *own* candidate templates under
 its own lock, so a template registered while the message is being
-delivered is never missed.
+delivered is never missed.  Candidates come from each shard's table
+index on every write; nothing keys by the registered template set.
 
 Pruned work is surfaced in :class:`~repro.cache.stats.CacheStats`
 (``templates_skipped_by_index`` / ``instances_skipped_by_index`` /
-``templates_skipped_by_lineage``).  The template-level counters --
-pair analyses, lineage skips, column plans -- are counted by the node
-that fills a cell, so once per ring; index skips, witness and partner
-skips and intersection tests are shard work, counted per node.  The
-brute-force path is kept (``indexed=False``) as the differential-test
-oracle and uses no table, and ``lineage_pruning=False`` restores
-equality-only pruning for the benchmark comparison.
+``templates_skipped_by_lineage``), recorded in one call per write
+(:class:`~repro.cache.stats.WalkTally`).  The template-level counters
+-- pair analyses and Figure 4's analysis-cache lookups, one per consult
+of a pair cell, lineage skips, column plans -- are counted by the node
+that binds a write to a template, so once per ring; index skips,
+witness and partner skips and intersection tests are shard work,
+counted per instance, per node.  The brute-force path is kept
+(``indexed=False``) as the differential-test oracle: it uses no table
+and no pair cell and tests every instance in full.
+``lineage_pruning=False`` restores equality-only pruning for the
+benchmark comparison.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.cache.analysis import (
     InvalidationPolicy,
     PairAnalysis,
+    ProbedEdge,
+    PruneRule,
     QueryAnalysisEngine,
     instance_filter,
-    partners_excuse,
-    witness_excuses,
+    partners_spare,
+    probed_partners,
+    witness_spares,
+    written_keys,
 )
-from repro.cache.analysis_cache import AnalysisCache
+from repro.cache.analysis_cache import LINEAGE_DISJOINT, AnalysisCache, PairCells
+from repro.cache.dependency import Registration
 from repro.cache.entry import QueryInstance
 from repro.cache.page_cache import PageCache
-from repro.cache.stats import CacheStats
+from repro.cache.stats import CacheStats, WalkTally
 from repro.sql.template import QueryTemplate
 
 #: A verdict for a (write, read template) pair no instance can meet:
 #: lineage-disjoint, or an impossible pair.
 NEVER = "never"
 
+
+class DoomPlan(NamedTuple):
+    """One write bound to one read template it may doom: the write's
+    side of every instance test, decided once per write and template
+    and alike on every shard."""
+
+    pair: PairAnalysis
+    #: The write's bound instance filter (:func:`~repro.cache.analysis.
+    #: instance_filter`'s answer; None when no rule applies).
+    selected: tuple[int | None, frozenset] | None
+    #: ``ROW_WITNESS``: the keys of the rows an UPDATE touched, when the
+    #: pair admits a row witness (:func:`~repro.cache.analysis.
+    #: written_keys`); else None.
+    written: frozenset | None
+    #: ``ROW_WITNESS``: an INSERT's probed partner edges
+    #: (:func:`~repro.cache.analysis.probed_partners`); else empty.
+    partners: tuple[ProbedEdge, ...]
+    #: Some probed edge found no partner row: the probes excuse every
+    #: instance of the template (each binds all of its template's
+    #: placeholders, so every binding resolves), so none is visited.
+    excused: bool
+
+
 #: What a node decides for one write and one read template, alike on
-#: every shard: :data:`NEVER`, or the pair analysis with the write's
-#: bound instance filter (:func:`~repro.cache.analysis.instance_filter`'s
-#: answer; None when no rule applies).
-Verdict = str | tuple[PairAnalysis, tuple[int | None, frozenset] | None]
+#: every shard: :data:`NEVER`, or the bound :class:`DoomPlan`.
+Verdict = str | DoomPlan
 
 #: One write's cells: read template -> (catalog version, verdict).
 VerdictCells = dict[QueryTemplate, tuple[int, Verdict]]
@@ -102,6 +142,8 @@ def dedupe_writes(writes: Sequence[QueryInstance]) -> list[QueryInstance]:
     equality.  Unhashable bound values keep the instance as unique (no
     dedup, no behaviour change).
     """
+    if len(writes) < 2:
+        return list(writes)
     unique: list[QueryInstance] = []
     kept: dict[tuple, list[QueryInstance]] = {}
     for write in writes:
@@ -215,20 +257,18 @@ class Invalidator:
         return affected
 
     def _affected_pages(self, write: QueryInstance) -> set[str]:
-        """Brute force: every template, every instance (the paper's loop)."""
+        """Brute force: every template, every instance (the paper's loop),
+        each instance tested in full."""
         affected: set[str] = set()
-        for read_template in self._pages.dependencies.read_templates():
-            self._stats.record_pair_analysis()
+        tally = WalkTally()
+        dependencies = self._pages.dependencies
+        for read_template in dependencies.read_templates():
+            tally.pair_analyses += 1
             pair = self.analysis.analyse(read_template, write.template)
-            if not pair.possible:
-                continue
-            for page_key, read in self._pages.dependencies.instances_for(
-                read_template
-            ):
-                if page_key in affected:
-                    continue
-                if self._dooms(pair, read, write):
-                    affected.add(page_key)
+            if pair.possible:
+                plan = self._bind(pair, (), write)
+                self._walk(plan, dependencies.instances_for(read_template), affected, write, tally)
+        self._record(tally)
         return affected
 
     def _affected_pages_indexed(
@@ -242,64 +282,147 @@ class Invalidator:
         """
         affected: set[str] = set()
         dependencies = self._pages.dependencies
-        candidates, skipped = dependencies.candidate_templates(
+        tally = WalkTally()
+        candidates, tally.templates_skipped = dependencies.candidate_templates(
             write.template.tables
         )
-        pruned_instances = 0
         version = self.analysis.engine.catalog_version
+        pair_cells = None
         for read_template in candidates:
             cell = cells.get(read_template)
             if cell is None or cell[0] != version:
+                if pair_cells is None:
+                    pair_cells = self._pair_cells(write)
                 cell = cells[read_template] = (
                     version,
-                    self._verdict(read_template, write),
+                    self._verdict(read_template, write, pair_cells, tally),
                 )
-            verdict = cell[1]
-            if verdict is NEVER:
+            plan = cell[1]
+            if plan is NEVER:
                 continue
-            pair, selected = verdict
             instances = None
-            if selected is not None:
-                position, allowed = selected
+            if plan.selected is not None:
+                position, allowed = plan.selected
                 if position is None:
                     # Literal read binding outside the allowed set: the
                     # whole template is disjoint from this write.
-                    pruned_instances += dependencies.instance_count(read_template)
+                    tally.instances_skipped += dependencies.instance_count(read_template)
                     continue
                 found = dependencies.instances_for_values(
                     read_template, position, allowed
                 )
                 if found is not None:
                     instances, pruned = found
-                    pruned_instances += pruned
+                    tally.instances_skipped += pruned
+            if plan.excused:
+                # Every instance the walk would visit is a partner skip.
+                tally.partner_skips += (
+                    dependencies.instance_count(read_template)
+                    - dependencies.registrations_on(read_template, affected)
+                    if instances is None
+                    else sum(key not in affected for key, _read in instances)
+                )
+                continue
             if instances is None:
                 # No usable rule (or unindexable template): full scan,
                 # identical to the brute-force inner loop.
                 instances = dependencies.instances_for(read_template)
-            for page_key, read in instances:
-                if page_key in affected:
-                    continue
-                if self._dooms(pair, read, write):
-                    affected.add(page_key)
-        if skipped or pruned_instances:
-            self._stats.record_index_pruning(skipped, pruned_instances)
+            if instances:
+                self._walk(plan, instances, affected, write, tally)
+        self._record(tally)
         return affected
 
-    def _verdict(self, read_template: QueryTemplate, write: QueryInstance) -> Verdict:
-        """The template-level half of the indexed protocol: the lineage
-        skip, the pair analysis and the write's bound instance filter.
-        Depends on no shard, so a ring computes it once per write and
-        template (and counts it here, once)."""
-        if self.lineage_pruning and self._lineage_skip(
-            read_template, write.template.info
-        ):
+    def _pair_cells(self, write: QueryInstance) -> PairCells:
+        """``write``'s row of the ring's pair cells (:meth:`~repro.cache.
+        analysis_cache.AnalysisCache.pair_cells`)."""
+        return self.analysis.pair_cells(write.template, self.policy, self.lineage_pruning)
+
+    def _verdict(
+        self,
+        read_template: QueryTemplate,
+        write: QueryInstance,
+        pair_cells: PairCells,
+        tally: WalkTally,
+    ) -> Verdict:
+        """The template-level half of the indexed protocol: the pair
+        cell, bound to ``write``.  Depends on no shard, so a ring
+        computes it once per write and template (and counts it here,
+        once): a lineage skip, or a pair analysis."""
+        verdict = pair_cells.get(read_template)
+        if verdict is None:
+            verdict, built = self.analysis.decide(
+                pair_cells, read_template, write.template, self.policy, self.lineage_pruning
+            )
+            tally.column_plans += built
+        elif verdict is not LINEAGE_DISJOINT:
+            tally.cell_reads += 1
+        if verdict is LINEAGE_DISJOINT:
+            tally.lineage_skips += 1
             return NEVER
-        self._stats.record_pair_analysis()
-        pair = self.analysis.analyse(read_template, write.template)
+        tally.pair_analyses += 1
+        pair, plan = verdict
         if not pair.possible:
             return NEVER
-        plan = self.analysis.plan_for(read_template, write.template, pair, self.policy)
-        return pair, (instance_filter(plan, write) if plan else None)
+        return self._bind(pair, plan, write)
+
+    def _bind(
+        self, pair: PairAnalysis, plan: tuple[PruneRule, ...], write: QueryInstance
+    ) -> DoomPlan:
+        """``write``'s side of the instance tests against one read
+        template: the instance filter ``plan`` yields for it and, under
+        ``ROW_WITNESS``, the keys it wrote and the partner rows it
+        probed."""
+        selected = instance_filter(plan, write) if plan else None
+        written, partners, excused = None, (), False
+        if self.policy is InvalidationPolicy.ROW_WITNESS:
+            if pair.witness is not None:
+                written = written_keys(pair, write)
+            if pair.partners:
+                partners = probed_partners(pair, write)
+                excused = any(not rows for _bindings, rows in partners)
+        # tuple.__new__: one is built per write and candidate template,
+        # and the named tuple's own __new__ is a Python function.
+        return tuple.__new__(DoomPlan, (pair, selected, written, partners, excused))
+
+    def _walk(
+        self,
+        plan: DoomPlan,
+        instances: list[Registration],
+        affected: set[str],
+        write: QueryInstance,
+        tally: WalkTally,
+    ) -> None:
+        """The instance test every path shares, over ``instances`` in
+        order: a page already doomed is not visited again; under
+        ``ROW_WITNESS`` the row witness, then the write's partner
+        probes, may spare an instance; the rest take the intersection
+        test at the configured rung and join ``affected`` when it says
+        yes."""
+        pair, _selected, written, partners, _excused = plan
+        position, policy = pair.witness, self.policy
+        intersects = self.engine.intersects
+        witness_skips = partner_skips = tests = 0
+        for page_key, read in instances:
+            if page_key in affected:
+                continue
+            if written is not None and witness_spares(position, written, read.witness):
+                witness_skips += 1
+            elif partners and partners_spare(partners, read.values):
+                partner_skips += 1
+            else:
+                tests += 1
+                if intersects(pair, read.values, write, policy):
+                    affected.add(page_key)
+        tally.witness_skips += witness_skips
+        tally.partner_skips += partner_skips
+        tally.intersection_tests += tests
+
+    def _record(self, tally: WalkTally) -> None:
+        """One statistics call per write: the node's counters, and the
+        pair-cell reads Figure 4 counts as analysis-cache hits."""
+        self._stats.record_walk(tally)
+        if tally.cell_reads:
+            self.analysis.record_cell_reads(tally.cell_reads)
 
     def intersects_any(
         self,
@@ -314,93 +437,53 @@ class Invalidator:
         overlapped an invalidating write (single-flight staleness
         check), since an in-flight page has no dependency-table
         registrations for the normal protocol to hit.  The indexed path
-        applies the same pruning (table disjointness, per-pair value
-        filter) directly to the prospective read instances.
+        reads the same pair cells and applies the same pruning (table
+        disjointness, the bound instance filter) directly to the
+        prospective read instances.
         """
-        use_index = self.indexed
-        for write in dedupe_writes(writes) if use_index else writes:
-            write_tables = write.template.tables if use_index else None
-            write_info = (
-                write.template.info
-                if use_index and self.lineage_pruning
-                else None
-            )
+        tally = WalkTally()
+        try:
+            return self._intersects_any(reads, writes, tally)
+        finally:
+            self._record(tally)
+
+    def _intersects_any(
+        self, reads: list[QueryInstance], writes: list[QueryInstance], tally: WalkTally
+    ) -> bool:
+        for write in dedupe_writes(writes) if self.indexed else writes:
+            pair_cells = self._pair_cells(write) if self.indexed else None
             for read in reads:
-                if use_index and not (read.template.tables & write_tables):
-                    self._stats.record_index_pruning(templates_skipped=1)
-                    continue
-                if write_info is not None and self._lineage_skip(
-                    read.template, write_info
-                ):
-                    continue
-                self._stats.record_pair_analysis()
-                pair = self.analysis.analyse(read.template, write.template)
-                if not pair.possible:
-                    continue
-                if use_index and self._value_filtered(pair, read, write):
-                    continue
-                if self._dooms(pair, read, write):
+                if self.indexed:
+                    if not (read.template.tables & write.template.tables):
+                        tally.templates_skipped += 1
+                        continue
+                    plan = self._verdict(read.template, write, pair_cells, tally)
+                    if plan is NEVER:
+                        continue
+                    if self._filtered(plan.selected, read):
+                        tally.instances_skipped += 1
+                        continue
+                else:
+                    tally.pair_analyses += 1
+                    pair = self.analysis.analyse(read.template, write.template)
+                    if not pair.possible:
+                        continue
+                    plan = self._bind(pair, (), write)
+                affected: set[str] = set()
+                self._walk(plan, [("", read)], affected, write, tally)
+                if affected:
                     return True
         return False
 
-    def _dooms(
-        self, pair: PairAnalysis, read: QueryInstance, write: QueryInstance
-    ) -> bool:
-        """The instance test all three loops share: under ROW_WITNESS
-        the row witness first (:func:`~repro.cache.analysis.
-        witness_excuses`; excusals counted in ``CacheStats.
-        witness_skips``), then the write's partner probes
-        (:func:`~repro.cache.analysis.partners_excuse`; ``partner_skips``),
-        then the intersection test at the configured rung.  Any proof
-        spares the instance; the two excuses go first because they are
-        cheap and, for the instances the value index selected, the
-        intersection test rarely says no."""
-        if self.policy is InvalidationPolicy.ROW_WITNESS:
-            if witness_excuses(pair, read.witness, write):
-                self._stats.record_witness_skip()
-                return False
-            if partners_excuse(pair, read.values, write):
-                self._stats.record_partner_skip()
-                return False
-        self._stats.record_intersection_test()
-        return self.engine.intersects(pair, tuple(read.values), write, self.policy)
-
-    def _lineage_skip(self, read_template, write_info) -> bool:
-        """Skip a candidate whose pair analysis is doomed to say no.
-
-        The column rule's :meth:`~repro.cache.analysis.ColumnPruneRule.
-        disjoint` is the very predicate ``analyse_pair`` uses for its
-        column check, so skipping here never changes the doomed set --
-        it only avoids the counted pair-analysis protocol op.
-        """
-        rule, built = self.analysis.column_rule_for(read_template)
-        if built:
-            self._stats.record_column_plan()
-        if rule.disjoint(write_info):
-            self._stats.record_lineage_skip()
-            return True
-        return False
-
-    def _value_filtered(
-        self, pair, read: QueryInstance, write: QueryInstance
-    ) -> bool:
-        """True when the pruning plan proves ``read`` disjoint from ``write``."""
-        plan = self.analysis.plan_for(
-            read.template, write.template, pair, self.policy
-        )
-        if not plan:
-            return False
-        selected = instance_filter(plan, write)
+    @staticmethod
+    def _filtered(selected: tuple[int | None, frozenset] | None, read: QueryInstance) -> bool:
+        """True when the bound instance filter proves ``read`` disjoint."""
         if selected is None:
             return False
         position, allowed = selected
         if position is None:
-            self._stats.record_index_pruning(instances_skipped=1)
             return True
         try:
-            if read.values[position] in allowed:
-                return False
+            return read.values[position] not in allowed
         except (IndexError, TypeError):
             return False
-        self._stats.record_index_pruning(instances_skipped=1)
-        return True

@@ -65,6 +65,25 @@ class RequestTypeStats:
         return (self.hits + self.semantic_hits) / self.reads
 
 
+@dataclass(slots=True)
+class WalkTally:
+    """What one doom pass counted, summed into :class:`CacheStats` by
+    :meth:`CacheStats.record_walk` (the invalidator's counters, under
+    their ``CacheStats`` meaning) in one call."""
+
+    pair_analyses: int = 0
+    lineage_skips: int = 0
+    column_plans: int = 0
+    templates_skipped: int = 0
+    instances_skipped: int = 0
+    witness_skips: int = 0
+    partner_skips: int = 0
+    intersection_tests: int = 0
+    #: Pair-cell reads that stood in for an analysis-cache lookup
+    #: (Figure 4's hits, not a ``CacheStats`` counter).
+    cell_reads: int = 0
+
+
 @dataclass
 class CacheStats:
     """Global counters plus the per-type breakdown."""
@@ -213,23 +232,16 @@ class CacheStats:
                 self.dooms_by_template.get(template, 0) + pages
             )
 
-    def record_intersection_test(self) -> None:
-        self.intersection_tests += 1
-
-    def record_pair_analysis(self, count: int = 1) -> None:
-        self.pair_analyses += count
-
-    def record_index_pruning(
-        self, templates_skipped: int = 0, instances_skipped: int = 0
-    ) -> None:
-        self.templates_skipped_by_index += templates_skipped
-        self.instances_skipped_by_index += instances_skipped
-
-    def record_lineage_skip(self, count: int = 1) -> None:
-        self.templates_skipped_by_lineage += count
-
-    def record_column_plan(self, count: int = 1) -> None:
-        self.column_plans_built += count
+    def record_walk(self, tally: WalkTally) -> None:
+        """One write's doom pass (or one staleness check), in one call."""
+        self.pair_analyses += tally.pair_analyses
+        self.templates_skipped_by_lineage += tally.lineage_skips
+        self.column_plans_built += tally.column_plans
+        self.templates_skipped_by_index += tally.templates_skipped
+        self.instances_skipped_by_index += tally.instances_skipped
+        self.witness_skips += tally.witness_skips
+        self.partner_skips += tally.partner_skips
+        self.intersection_tests += tally.intersection_tests
 
     def record_extra_queries(self, queries: int, rows: int, probes: int) -> None:
         """A request's extra queries, rows they examined and partner
@@ -237,12 +249,6 @@ class CacheStats:
         self.extra_queries += queries
         self.extra_query_rows += rows
         self.partner_probes += probes
-
-    def record_witness_skip(self) -> None:
-        self.witness_skips += 1
-
-    def record_partner_skip(self) -> None:
-        self.partner_skips += 1
 
     def record_coalesced(self, uri: str) -> None:
         self.coalesced_hits += 1

@@ -984,24 +984,28 @@ def _sorted(items: list, order: list[tuple[Compiled, bool]], params: tuple) -> l
     return [items[i] for i in indices]
 
 
-def _compile_group_expr(expr: ast.Expression, env: Env) -> Compiled:
+def _compile_group_expr(expr: ast.Expression, env: Env, unknown: bool = False) -> Compiled:
     """Compile ``expr`` to ``g(members, params)`` over one group.
 
     Aggregates fold the members; operators combine sub-results (without
     short-circuit: AND/OR are not operators here, as in the
     interpreter); anything else is read from the group's first member.
+    Beneath a NOT a comparison with NULL is unknown, as in
+    :func:`_compile_expr`.
     """
     if isinstance(expr, ast.FunctionCall) and expr.name in _AGGREGATES:
         return _compile_aggregate(expr, env)
     if isinstance(expr, ast.BinaryOp):
         return _binary(
             expr.op,
-            _compile_group_expr(expr.left, env),
-            _compile_group_expr(expr.right, env),
+            _compile_group_expr(expr.left, env, unknown),
+            _compile_group_expr(expr.right, env, unknown),
+            unknown,
         )
     if isinstance(expr, ast.UnaryOp):
-        return _unary(expr.op, _compile_group_expr(expr.operand, env))
-    scalar = _compile_expr(expr, env)
+        operand = _compile_group_expr(expr.operand, env, unknown or expr.op == "NOT")
+        return _unary(expr.op, operand)
+    scalar = _compile_expr(expr, env, unknown)
     return lambda members, params: scalar(members[0], params) if members else None
 
 
@@ -1053,8 +1057,16 @@ def _has_aggregate(select: ast.Select) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _compile_expr(expr: ast.Expression, env: Env) -> Compiled:
-    """Compile ``expr`` to ``f(rows, params)`` over the bindings in ``env``."""
+def _compile_expr(expr: ast.Expression, env: Env, unknown: bool = False) -> Compiled:
+    """Compile ``expr`` to ``f(rows, params)`` over the bindings in ``env``.
+
+    SQL's logic is three-valued, but a WHERE or ON keeps a row only when
+    its condition is true, so unknown and false select alike and the
+    plans answer False for unknown -- except beneath a ``NOT``, where
+    ``NOT unknown`` must stay unknown rather than become true.  There
+    (``unknown``) comparisons, LIKE, BETWEEN, AND and OR answer None
+    for unknown; ``[NOT] IN`` always does.
+    """
     if isinstance(expr, ast.Literal):
         constant = expr.value
         return lambda rows, params: constant
@@ -1063,39 +1075,46 @@ def _compile_expr(expr: ast.Expression, env: Env) -> Compiled:
     if isinstance(expr, ast.ColumnRef):
         return _compile_column(expr, env)
     if isinstance(expr, ast.BinaryOp):
-        left, right = _compile_expr(expr.left, env), _compile_expr(expr.right, env)
+        left = _compile_expr(expr.left, env, unknown)
+        right = _compile_expr(expr.right, env, unknown)
         if expr.op == "AND":
+            if unknown:
+                return _and_unknown(left, right)
             return lambda rows, params: (
                 True if left(rows, params) and right(rows, params) else False
             )
         if expr.op == "OR":
+            if unknown:
+                return _or_unknown(left, right)
             return lambda rows, params: (
                 True if left(rows, params) or right(rows, params) else False
             )
-        if expr.op in ("LIKE", "NOT LIKE") and isinstance(
-            expr.right, (ast.Literal, ast.Placeholder)
+        if (
+            expr.op in ("LIKE", "NOT LIKE")
+            and isinstance(expr.right, (ast.Literal, ast.Placeholder))
+            and not unknown
         ):
             return _compile_like(left, right, negated=expr.op == "NOT LIKE")
-        return _binary(expr.op, left, right)
+        return _binary(expr.op, left, right, unknown)
     if isinstance(expr, ast.UnaryOp):
-        return _unary(expr.op, _compile_expr(expr.operand, env))
+        return _unary(expr.op, _compile_expr(expr.operand, env, unknown or expr.op == "NOT"))
     if isinstance(expr, ast.IsNull):
-        operand = _compile_expr(expr.operand, env)
+        operand = _compile_expr(expr.operand, env, unknown)
         if expr.negated:
             return lambda rows, params: operand(rows, params) is not None
         return lambda rows, params: operand(rows, params) is None
     if isinstance(expr, ast.InList):
-        operand = _compile_expr(expr.operand, env)
-        items = [_compile_expr(item, env) for item in expr.items]
+        operand = _compile_expr(expr.operand, env, unknown)
+        items = [_compile_expr(item, env, unknown) for item in expr.items]
         negated = expr.negated
 
         def in_list(rows: object, params: tuple) -> bool | None:
-            values = [item(rows, params) for item in items]
-            return _membership(operand(rows, params), values, negated)
+            value = operand(rows, params)  # first, as the interpreter does
+            return _membership(value, [item(rows, params) for item in items], negated)
 
         return in_list
     if isinstance(expr, _Subquery):
-        operand = _compile_expr(expr.operand, env)
+        operand = _compile_expr(expr.operand, env, unknown)
         inner, negated = expr.inner, expr.negated
 
         def in_subquery(rows: object, params: tuple) -> bool | None:
@@ -1106,14 +1125,15 @@ def _compile_expr(expr: ast.Expression, env: Env) -> Compiled:
 
         return in_subquery
     if isinstance(expr, ast.Between):
-        operand = _compile_expr(expr.operand, env)
-        low, high = _compile_expr(expr.low, env), _compile_expr(expr.high, env)
-        negated = expr.negated
+        operand = _compile_expr(expr.operand, env, unknown)
+        low = _compile_expr(expr.low, env, unknown)
+        high = _compile_expr(expr.high, env, unknown)
+        negated, on_null = expr.negated, None if unknown else False
 
-        def between(rows: object, params: tuple) -> bool:
+        def between(rows: object, params: tuple) -> bool | None:
             value, lo, hi = operand(rows, params), low(rows, params), high(rows, params)
             if value is None or lo is None or hi is None:
-                return False
+                return on_null
             inside = lo <= value <= hi  # type: ignore[operator]
             return (not inside) if negated else inside
 
@@ -1211,22 +1231,55 @@ def _compile_like(left: Compiled, right: Compiled, negated: bool) -> Compiled:
     return like
 
 
-def _binary(op: str, left: Compiled, right: Compiled) -> Compiled:
-    """``left <op> right`` with SQL NULL handling (both sides evaluated)."""
-    if op == "=":
+def _binary(op: str, left: Compiled, right: Compiled, unknown: bool = False) -> Compiled:
+    """``left <op> right`` with SQL NULL handling (both sides evaluated);
+    ``unknown``: a comparison with NULL answers None, not False."""
+    if op == "=" and not unknown:
 
         def equals(x: object, params: tuple) -> object:
             a, b = left(x, params), right(x, params)
             return False if a is None or b is None else a == b
 
         return equals
-    apply = _BINARY_OPS.get(op) or _unknown_operator(op)
+    apply = (_UNKNOWN_OPS if unknown else _BINARY_OPS).get(op) or _unknown_operator(op)
     return lambda x, params: apply(left(x, params), right(x, params))
+
+
+def _and_unknown(left: Compiled, right: Compiled) -> Compiled:
+    """Three-valued AND: false if either side is, else unknown if
+    either is, else true."""
+
+    def both(x: object, params: tuple) -> bool | None:
+        a = left(x, params)
+        if a is not None and not a:
+            return False
+        b = right(x, params)
+        if b is not None and not b:
+            return False
+        return None if a is None or b is None else True
+
+    return both
+
+
+def _or_unknown(left: Compiled, right: Compiled) -> Compiled:
+    """Three-valued OR: true if either side is, else unknown if either
+    is, else false."""
+
+    def either(x: object, params: tuple) -> bool | None:
+        a = left(x, params)
+        if a:
+            return True
+        b = right(x, params)
+        if b:
+            return True
+        return None if a is None or b is None else False
+
+    return either
 
 
 def _unary(op: str, operand: Compiled) -> Compiled:
     if op == "NOT":
-        # NOT unknown is unknown (only [NOT] IN yields None so far).
+        # NOT unknown is unknown (its operand was compiled to keep it).
         return lambda x, params: (
             None if (value := operand(x, params)) is None else not value
         )
@@ -1289,6 +1342,16 @@ _BINARY_OPS: dict[str, Callable[[object, object], object]] = {
     "NOT LIKE": lambda a, b: False if a is None or b is None else not _like(a, b),
     **{op: _operator(op, fn, "compare", False) for op, fn in _COMPARISONS.items()},
     **{op: _operator(op, fn, "apply", None) for op, fn in _ARITHMETIC.items()},
+}
+#: The same beneath a NOT, where a comparison with NULL is unknown (None);
+#: ``=`` included.
+_UNKNOWN_OPS: dict[str, Callable[[object, object], object]] = {
+    **_BINARY_OPS,
+    "=": lambda a, b: None if a is None or b is None else a == b,
+    "<>": lambda a, b: None if a is None or b is None else a != b,
+    "LIKE": lambda a, b: None if a is None or b is None else _like(a, b),
+    "NOT LIKE": lambda a, b: None if a is None or b is None else not _like(a, b),
+    **{op: _operator(op, fn, "compare", None) for op, fn in _COMPARISONS.items()},
 }
 
 

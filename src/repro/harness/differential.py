@@ -350,11 +350,11 @@ class Generator:
             values[0] = 0 if top is None else top + 1
         return sql, tuple(values)
 
-    def reads(self, key: str, least: int = 1) -> list[QueryInstance]:
-        """Execute ``least`` to three of the run's read templates as
-        ``key``'s render."""
+    def reads(self, least: int = 1) -> list[QueryInstance]:
+        """Execute ``least`` to three of the run's read templates as one
+        entry's render."""
         rng, collector = self.rng, self.awc.collector
-        context = collector.begin("read", key)
+        context = collector.begin("read")
         try:
             for _ in range(rng.randrange(least, 4)):
                 sql = rng.choice(self.read_templates)
@@ -370,7 +370,7 @@ class Generator:
         database refuses (a duplicate key) changed nothing and is not
         recorded, as on the serving path."""
         collector = self.awc.collector
-        context = collector.begin("write", "/differential")
+        context = collector.begin("write")
         try:
             for sql, params in statements:
                 try:
@@ -621,7 +621,7 @@ def _run(
         # fragment is not resident is refused (a stale insert).
         for key in sorted(keys, key=position.__getitem__):
             embedded = embedded_for(key)
-            reads = generator.reads(key, least=0 if embedded else 1)
+            reads = generator.reads(least=0 if embedded else 1)
             router.insert_key(key, f"body of {key}", reads, fragments=embedded)
             mirror.insert(PageEntry(key, f"body of {key}", dependencies=tuple(reads)))
             edges[key] = set(embedded)
@@ -652,7 +652,7 @@ def _run(
     ])
     register(position)
     for round_no in range(result.rounds):
-        prospective = generator.reads("prospective")
+        prospective = generator.reads()
         batch = generator.batch()
         result.writes_tested += len(batch)
         base = brute.affected_pages(batch)

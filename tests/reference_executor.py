@@ -15,6 +15,8 @@ statement leaves the twin tables equal.  :func:`oracle_database` builds a
 ``[NOT] IN`` and ``NOT`` follow the plan executor into SQL's
 three-valued logic: membership with a NULL operand, or a NULL member
 and no match, is unknown (None), and NOT of unknown is unknown.
+Beneath a ``NOT`` (``unknown``) comparisons, LIKE, BETWEEN, AND and OR
+are three-valued too; elsewhere unknown and false select alike.
 
 Known, intended divergence: ``_like`` here still lets ``.`` stop at a
 newline (the bug the plan executor fixed), so differential inputs keep
@@ -490,7 +492,11 @@ class Executor:
         return columns, rows
 
     def _eval_aggregate(
-        self, expr: ast.Expression, members: list[_Scope], params: tuple[object, ...]
+        self,
+        expr: ast.Expression,
+        members: list[_Scope],
+        params: tuple[object, ...],
+        unknown: bool = False,
     ) -> object:
         """Evaluate ``expr`` over a group of scopes."""
         if isinstance(expr, ast.FunctionCall) and expr.name in (
@@ -502,14 +508,16 @@ class Executor:
         ):
             return self._apply_aggregate(expr, members, params)
         if isinstance(expr, ast.BinaryOp):
-            left = self._eval_aggregate(expr.left, members, params)
-            right = self._eval_aggregate(expr.right, members, params)
-            return _apply_binary(expr.op, left, right)
+            left = self._eval_aggregate(expr.left, members, params, unknown)
+            right = self._eval_aggregate(expr.right, members, params, unknown)
+            return _apply_binary(expr.op, left, right, unknown)
         if isinstance(expr, ast.UnaryOp):
-            operand = self._eval_aggregate(expr.operand, members, params)
+            operand = self._eval_aggregate(
+                expr.operand, members, params, unknown or expr.op == "NOT"
+            )
             return _apply_unary(expr.op, operand)
         if members:
-            return self._eval(expr, members[0], params)
+            return self._eval(expr, members[0], params, unknown)
         return None
 
     def _apply_aggregate(
@@ -588,7 +596,11 @@ class Executor:
     # -- scalar expression evaluation ----------------------------------------------
 
     def _eval(
-        self, expr: ast.Expression, scope: _Scope, params: tuple[object, ...]
+        self,
+        expr: ast.Expression,
+        scope: _Scope,
+        params: tuple[object, ...],
+        unknown: bool = False,
     ) -> object:
         if isinstance(expr, ast.Literal):
             return expr.value
@@ -603,38 +615,46 @@ class Executor:
             return scope.resolve(expr)
         if isinstance(expr, ast.BinaryOp):
             if expr.op == "AND":
-                left = self._eval(expr.left, scope, params)
-                if not _truthy(left):
+                left = self._eval(expr.left, scope, params, unknown)
+                if not _truthy(left) and not (unknown and left is None):
                     return False
-                return _truthy(self._eval(expr.right, scope, params))
+                right = self._eval(expr.right, scope, params, unknown)
+                if unknown and (left is None or right is None):
+                    return False if right is not None and not right else None
+                return _truthy(right)
             if expr.op == "OR":
-                left = self._eval(expr.left, scope, params)
+                left = self._eval(expr.left, scope, params, unknown)
                 if _truthy(left):
                     return True
-                return _truthy(self._eval(expr.right, scope, params))
-            left = self._eval(expr.left, scope, params)
-            right = self._eval(expr.right, scope, params)
-            return _apply_binary(expr.op, left, right)
+                right = self._eval(expr.right, scope, params, unknown)
+                if unknown and not _truthy(right) and (left is None or right is None):
+                    return None
+                return _truthy(right)
+            left = self._eval(expr.left, scope, params, unknown)
+            right = self._eval(expr.right, scope, params, unknown)
+            return _apply_binary(expr.op, left, right, unknown)
         if isinstance(expr, ast.UnaryOp):
-            operand = self._eval(expr.operand, scope, params)
+            operand = self._eval(
+                expr.operand, scope, params, unknown or expr.op == "NOT"
+            )
             return _apply_unary(expr.op, operand)
         if isinstance(expr, ast.IsNull):
-            value = self._eval(expr.operand, scope, params)
+            value = self._eval(expr.operand, scope, params, unknown)
             return (value is not None) if expr.negated else (value is None)
         if isinstance(expr, ast.InList):
-            value = self._eval(expr.operand, scope, params)
-            members = [self._eval(item, scope, params) for item in expr.items]
+            value = self._eval(expr.operand, scope, params, unknown)
+            members = [self._eval(item, scope, params, unknown) for item in expr.items]
             if value is None:
                 return None
             if value in members:
                 return not expr.negated
             return None if None in members else expr.negated
         if isinstance(expr, ast.Between):
-            value = self._eval(expr.operand, scope, params)
-            low = self._eval(expr.low, scope, params)
-            high = self._eval(expr.high, scope, params)
+            value = self._eval(expr.operand, scope, params, unknown)
+            low = self._eval(expr.low, scope, params, unknown)
+            high = self._eval(expr.high, scope, params, unknown)
             if value is None or low is None or high is None:
-                return False
+                return None if unknown else False
             inside = low <= value <= high  # type: ignore[operator]
             return (not inside) if expr.negated else inside
         if isinstance(expr, ast.FunctionCall):
@@ -680,10 +700,10 @@ def _truthy(value: object) -> bool:
     return bool(value)
 
 
-def _apply_binary(op: str, left: object, right: object) -> object:
+def _apply_binary(op: str, left: object, right: object, unknown: bool = False) -> object:
     if op in ("=", "<>", "<", "<=", ">", ">=", "LIKE", "NOT LIKE"):
         if left is None or right is None:
-            return False
+            return None if unknown else False
         if op == "=":
             return left == right
         if op == "<>":

@@ -18,7 +18,7 @@ def instance(sql, params):
 class TestCollector:
     def test_read_context_records_reads(self):
         collector = ConsistencyCollector()
-        context = collector.begin("read", "/p")
+        context = collector.begin("read")
         collector.record_read(instance("SELECT a FROM t WHERE b = ?", (1,)))
         assert collector.end() is context
         assert len(context.reads) == 1
@@ -26,7 +26,7 @@ class TestCollector:
 
     def test_write_context_ignores_reads(self):
         collector = ConsistencyCollector()
-        context = collector.begin("write", "/p")
+        context = collector.begin("write")
         collector.record_read(instance("SELECT a FROM t WHERE b = ?", (1,)))
         collector.record_write(instance("DELETE FROM t WHERE b = ?", (1,)))
         collector.end()
@@ -36,7 +36,7 @@ class TestCollector:
     def test_read_context_records_writes_too(self):
         # A "read" handler that writes must still trigger invalidation.
         collector = ConsistencyCollector()
-        context = collector.begin("read", "/p")
+        context = collector.begin("read")
         collector.record_write(instance("DELETE FROM t", ()))
         collector.end()
         assert len(context.writes) == 1
@@ -49,9 +49,9 @@ class TestCollector:
 
     def test_nested_begin_rejected(self):
         collector = ConsistencyCollector()
-        collector.begin("read", "/p")
+        collector.begin("read")
         with pytest.raises(ConsistencyError):
-            collector.begin("read", "/q")
+            collector.begin("read")
         collector.end()
 
     def test_end_without_begin_rejected(self):
@@ -60,7 +60,7 @@ class TestCollector:
 
     def test_mark_aborted(self):
         collector = ConsistencyCollector()
-        context = collector.begin("read", "/p")
+        context = collector.begin("read")
         collector.mark_aborted()
         collector.end()
         assert context.aborted

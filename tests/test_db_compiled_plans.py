@@ -225,7 +225,7 @@ class Scope:
             op = draw(st.sampled_from(["AND", "AND", "OR"]))
             return ast.BinaryOp(op, self.predicate(depth - 1), self.predicate(depth - 1))
         if self.chance(5):
-            return ast.UnaryOp("NOT", self.pin())
+            return ast.UnaryOp("NOT", self.predicate(max(depth - 1, 0)))
         shape = draw(st.integers(0, 7))
         if shape == 0:
             return self.pin()
@@ -581,6 +581,44 @@ class TestExplicitJoinAccessPath:
         twins.run("SELECT a.id FROM a JOIN b ON b.t = a.s WHERE a.k = 99")
         assert twins.last_plan == ["a: index eq k", "b: INNER join full scan"]
         assert twins.plan.table("b").scan_count == scans + 1
+
+
+class TestNotOverNull:
+    """Beneath a NOT a comparison with NULL is unknown, and so is NOT of
+    it: the row is not selected.  The plan and the interpreter agree
+    with SQL (and with each other) on ``a`` holding ``k`` NULL and 1."""
+
+    @pytest.fixture
+    def twins(self) -> Twins:
+        return Twins({"a": [dict(A_ROWS[0], k=None, g=1), dict(A_ROWS[1], k=1, g=2)]})
+
+    @pytest.mark.parametrize(
+        "where, ids",
+        [
+            ("NOT k = 2", [2]),
+            ("NOT k > 0", []),
+            ("NOT (k = 2 OR k = 3)", [2]),
+            ("NOT (k = 1 AND id = 1)", [2]),
+            ("NOT (k = 2 OR id = 1)", [2]),
+            ("NOT NOT k = 1", [2]),
+            ("NOT k <> 1", [2]),
+            ("NOT k BETWEEN 5 AND 6", [2]),
+            ("NOT s LIKE 'x%' AND NOT k = 5", [2]),
+            ("NOT (k IS NULL)", [2]),
+            ("NOT k = 2 OR id = 1", [1, 2]),
+        ],
+    )
+    def test_unknown_is_not_selected(self, twins, where, ids):
+        result = twins.run(f"SELECT id FROM a WHERE {where} ORDER BY id")
+        assert result.rows == [(i,) for i in ids]
+
+    def test_a_having_over_a_null_aggregate(self, twins):
+        sql = "SELECT g FROM a GROUP BY g HAVING NOT MAX(k) > 5 ORDER BY g"
+        assert twins.run(sql).rows == [(2,)]
+
+    def test_outside_a_not_unknown_and_false_select_alike(self, twins):
+        assert twins.run("SELECT id FROM a WHERE k = 2 OR id = 1").rows == [(1,)]
+        assert twins.run("SELECT k = 1 FROM a ORDER BY id").rows == [(False,), (True,)]
 
 
 class TestLazyErrors:

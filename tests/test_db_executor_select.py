@@ -159,6 +159,26 @@ class TestWhere:
         result = db.query("SELECT COUNT(*) FROM emp WHERE NOT dept = 10")
         assert result.scalar() == 3
 
+    @pytest.mark.parametrize(
+        "where, ids",
+        [
+            ("NOT b = 2", [(2,)]),
+            ("NOT b > 0", []),
+            ("NOT (b = 2 OR b = 3)", [(2,)]),
+        ],
+    )
+    def test_not_of_a_comparison_with_null_selects_nothing(self, where, ids):
+        """``NOT unknown`` is unknown: on ``t(id, b)`` holding ``(1,
+        NULL)`` and ``(2, 1)`` the NULL row is never selected."""
+        database = Database()
+        database.create_table(
+            TableSchema(
+                "t", [Column("id", ColumnType.INT), Column("b", ColumnType.INT)], primary_key="id"
+            )
+        )
+        database.insert_rows("t", [{"id": 1, "b": None}, {"id": 2, "b": 1}])
+        assert database.query(f"SELECT id FROM t WHERE {where}").rows == ids
+
 
 class TestJoins:
     def test_implicit_join(self, db):

@@ -120,7 +120,7 @@ def _paper_and_row_witness(seed: int) -> tuple[int, int, CacheStats]:
             generator.batch()  # written tables: later reads carry witnesses
         pages = PageCache()
         for serial in range(60):
-            reads = generator.reads(f"page-{serial}")
+            reads = generator.reads()
             pages.insert(PageEntry(f"page-{serial}", "body", dependencies=tuple(reads)))
             # The ring's templates decide which partners an INSERT probes.
             generator.router.insert_key(f"page-{serial}", "body", reads)
@@ -220,7 +220,7 @@ def test_cluster_indexed_matches_brute_force(n_nodes):
     per-node indexed invalidators must doom exactly the brute-force
     union at every step."""
     with Generator(7) as generator:
-        pages = [(f"/page/{i}", generator.reads(f"/page/{i}")) for i in range(40)]
+        pages = [(f"/page/{i}", generator.reads()) for i in range(40)]
         batches = [generator.batch() for _ in range(20)]
     names = [f"node-{i}" for i in range(n_nodes)]
     doomed_indexed = _replay_cluster(names, True, pages, batches)
@@ -268,7 +268,7 @@ def test_cluster_stats_aggregate_pruning_counters():
     router = ClusterRouter(["a", "b"])
     with Generator(11) as generator:
         for i in range(20):
-            reads = generator.reads(f"/p/{i}")
+            reads = generator.reads()
             router.insert(HttpRequest("GET", f"/p/{i}", {}), "x", reads)
         for _ in range(10):
             router.process_write_request("/w", generator.batch())
@@ -306,7 +306,7 @@ def test_reads_and_writes_come_from_the_engine():
             "SELECT * FROM items WHERE id = ?", (write.pre_image[0]["id"],)
         )
         assert stored.dicts() == list(write.pre_image)
-        context = generator.awc.collector.begin("read", "k")
+        context = generator.awc.collector.begin("read")
         try:
             generator.statement.execute_query("SELECT id, price FROM items", ())
         finally:

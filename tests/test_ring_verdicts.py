@@ -117,8 +117,8 @@ def test_each_cell_is_filled_by_the_first_node_that_reaches_it():
     # Only the first reads ``score``; the other three are lineage-disjoint.
     for text in (READS[1], READS[2], READS[4]):
         assert judged[page(text, 0).template] is NEVER
-    pair, selected = judged[page(READS[0], 0).template]
-    assert pair.possible and selected == (0, frozenset({3}))
+    plan = judged[page(READS[0], 0).template]
+    assert plan.pair.possible and plan.selected == (0, frozenset({3}))
     # Counted once per ring, by whichever node filled the cell.
     assert router.stats.pair_analyses == 1
     assert router.stats.templates_skipped_by_lineage == 3
