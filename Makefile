@@ -1,6 +1,6 @@
 ENV := PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: test stress check bench bench-figures bench-e2e profile bench-cluster bench-invalidation bench-fragments bench-obs bench-hitpath differential results
+.PHONY: test stress check bench bench-figures bench-e2e profile bench-calls bench-cluster bench-invalidation bench-fragments bench-obs bench-hitpath differential results
 
 # Tier-1: the full unit/integration/property suite (what CI gates on).
 test:
@@ -55,7 +55,8 @@ bench-e2e:
 # unwoven, cache-less twin in a child process: woven us / unwoven us),
 # the top cProfile rows, the lock rounds per fast hit / slow GET / write
 # (counted on the facade lock class's `__enter__`: every lock round is
-# a `with`) and the head memo's size.  A candidate finder (the numbers ROADMAP
+# a `with`), the exact call ledger (`make bench-calls`) and the head
+# memo's size.  A candidate finder (the numbers ROADMAP
 # items 1 and 4 rank layers by), not a gate: confirm with the traced
 # round of bench/run.py.  `make profile N=500` is the CI smoke run.
 WORKLOAD ?= rubis_browse_churn
@@ -63,6 +64,14 @@ N ?= 6000
 SEED ?= 57
 profile:
 	python benchmarks/profile_requests.py --workload $(WORKLOAD) -n $(N) --seed $(SEED)
+
+# The exact call ledger of every bench workload: calls into cache/,
+# cluster/, aop/ and sql/ (counted with sys.setprofile, <...> code
+# objects skipped) and lock rounds per fast hit, slow GET and write,
+# over 2 000 requests after each warm-up (writes
+# benchmarks/results/miss_calls.txt; exact, so CI diffs it).
+bench-calls:
+	python benchmarks/call_ledger.py
 
 # Cluster tier: consistency + node-kill failover stress and the
 # virtual-time 1/2/4/8-node curve (writes

@@ -15,7 +15,10 @@ counting ``NamedRLock`` acquisitions (``with`` rounds on the facade's
 lock class) per fast hit, slow GET and write on the way; then N more
 under ``tracemalloc`` for **what a resident page costs**: resident
 entries, the page bytes they hold (body text or wire buffer) and the
-bytes the pass left allocated per entry it added; last, the number of
+bytes the pass left allocated per entry it added; then N more under
+``sys.setprofile`` for the **call ledger** (:func:`call_ledger`: exact
+calls into ``cache/``, ``cluster/``, ``aop/`` and ``sql/`` and lock
+rounds, per fast hit, slow GET and write); last, the number of
 heads the memo holds and, on a ring, how many routes the router's
 placement memo holds and how many it had to compute.  On a workload
 with writes it also prints the write path per write request: us in
@@ -144,6 +147,106 @@ def count_lock_rounds():
 
     with mock.patch.object(lock_class, "__enter__", counted):
         yield rounds
+
+
+#: The middleware packages the call ledger counts calls into.
+MIDDLEWARE = ("cache", "cluster", "aop", "sql")
+#: Request classes of the call ledger and the lock-round counts.
+FAST_HIT, SLOW_GET, WRITE = "fast hit", "slow GET", "write"
+
+
+def request_class(request, path: str) -> str:
+    if path != SLOW:
+        return FAST_HIT
+    return WRITE if request.method == "POST" else SLOW_GET
+
+
+def _package(filename: str) -> str | None:
+    """The middleware package a code object's file belongs to, if any."""
+    parts = Path(filename).parts
+    if len(parts) > 2 and parts[-3] == "repro" and parts[-2] in MIDDLEWARE:
+        return parts[-2]
+    return None
+
+
+def call_ledger(server, requests, carts) -> dict[str, dict[str, float]]:
+    """The exact column: per request class, the mean calls into each
+    middleware package and the mean lock rounds, over ``requests``.
+
+    Calls are counted with ``sys.setprofile``: every ``call`` event
+    whose code lives in ``src/repro/<package>/``, generator resumes
+    included.  Code objects named ``<...>`` (comprehensions, generator
+    expressions, lambdas) are skipped: Python 3.12 inlines
+    comprehensions, so counting them would make the column depend on
+    the interpreter."""
+    packages: dict[str, str | None] = {}
+    counts: Counter[str] = Counter()
+
+    def profiler(frame, event, _arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code.co_name[0] == "<":
+            return
+        filename = code.co_filename
+        package = packages.get(filename, "")
+        if package == "":
+            package = packages[filename] = _package(filename)
+        if package is not None:
+            counts[package] += 1
+
+    per_request = []
+    with count_lock_rounds() as rounds:
+        transport = RecordingTransport()
+        connection = _HttpConnection(server)
+        connection.connection_made(transport)
+        for request in requests:
+            wire = request.wire_for(carts)
+            fast_before, rounds_before = server.stats.fast_hits, rounds[0]
+            counts.clear()
+            sys.setprofile(profiler)
+            try:
+                connection.data_received(wire)
+            finally:
+                sys.setprofile(None)
+            path = SLOW if server.stats.fast_hits == fast_before else MEMO_HIT
+            per_request.append(
+                (request_class(request, path), dict(counts), rounds[0] - rounds_before)
+            )
+            request.observe(transport.payload.partition(b"\r\n\r\n")[2], carts)
+        connection.connection_lost(None)
+    table: dict[str, dict[str, float]] = {}
+    for label in (FAST_HIT, SLOW_GET, WRITE):
+        rows = [(calls, taken) for kind, calls, taken in per_request if kind == label]
+        if not rows:
+            continue
+        n = len(rows)
+        row = {"requests": n}
+        for package in MIDDLEWARE:
+            row[package] = sum(calls.get(package, 0) for calls, _taken in rows) / n
+        row["total"] = sum(row[package] for package in MIDDLEWARE)
+        row["lock rounds"] = sum(taken for _calls, taken in rows) / n
+        table[label] = row
+    return table
+
+
+def ledger_lines(table: dict[str, dict[str, float]], prefix: str = "") -> list[str]:
+    """The ledger as aligned text rows, one per request class."""
+    lines = []
+    for label, row in table.items():
+        calls = "  ".join(f"{row[package]:7.1f}" for package in MIDDLEWARE)
+        lines.append(
+            f"{prefix}{label:9s} {row['requests']:6d}  {calls}  {row['total']:7.1f}"
+            f"  {row['lock rounds']:11.2f}"
+        )
+    return lines
+
+
+LEDGER_HEADER = (
+    f"{'class':9s} {'reqs':>6s}  "
+    + "  ".join(f"{package:>7s}" for package in MIDDLEWARE)
+    + f"  {'total':>7s}  {'lock rounds':>11s}"
+)
 
 
 class WriteWatch:
@@ -289,7 +392,7 @@ def main() -> None:
 
     carts: dict[int, str] = {}
     replay(server, generate(workload, args.seed, "warmup", workload.warmup), carts)
-    closed = generate(workload, args.seed, "closed", 3 * args.n)
+    closed = generate(workload, args.seed, "closed", 4 * args.n)
     watch = WriteWatch(awc.cache) if workload.writes else None
     counters_before = walk_counters(awc)
     Database.execute_statement = timed
@@ -337,10 +440,9 @@ def main() -> None:
             watch.rounds = rounds
         profiled = profiler.runcall(replay, server, closed[args.n : 2 * args.n], carts, rounds)
     print("NamedRLock rounds per request (the cProfile pass below):")
-    classes = {"fast hit": [], "slow GET": [], "write": []}
+    classes = {FAST_HIT: [], SLOW_GET: [], WRITE: []}
     for request, (path, _seconds, taken) in zip(closed[args.n : 2 * args.n], profiled):
-        label = "fast hit" if path != SLOW else "write" if request.method == "POST" else "slow GET"
-        classes[label].append(taken)
+        classes[request_class(request, path)].append(taken)
     for label, counts in classes.items():
         mean = f"{sum(counts) / len(counts):.1f}" if counts else "n/a"
         print(f"  {label}: {mean} ({len(counts)} requests)")
@@ -364,7 +466,11 @@ def main() -> None:
         else:
             print("write path: no write request in the pass")
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
-    resident_cost(server, awc.cache, closed[2 * args.n :], carts)
+    resident_cost(server, awc.cache, closed[2 * args.n : 3 * args.n], carts)
+    print("middleware calls per request, exact (sys.setprofile; N more requests):")
+    print(f"  {LEDGER_HEADER}")
+    for line in ledger_lines(call_ledger(server, closed[3 * args.n :], carts), "  "):
+        print(line)
     print(f"head memo: {len(server.head_memo)} heads")
     if workload.nodes:
         router = awc.cache

@@ -34,6 +34,7 @@ import pytest
 
 from repro.apps.rubis import RubisDataset, build_rubis
 from repro.cache.autowebcache import AutoWebCache
+from repro.cache.flight import Flight
 from repro.harness.loadgen import ThreadedLoadDriver, hot_key_factory
 from repro.web.http import HttpRequest
 
@@ -87,13 +88,13 @@ def test_hot_key_dogpile_coalesces(figure_report):
 def _rendezvous_dogpile() -> int:
     """All waiters provably parked before the leader computes.
 
-    The flight is the rendezvous point: ``join_flight`` is wrapped (on
-    the cache instance; the aspects call it through the facade) so the
-    leader blocks after opening the flight until ``flight.waiters``
-    shows every other thread joined.  Each waiter joined only after its
-    own cache check missed, so when the leader finally computes and
-    publishes, exactly N_THREADS-1 coalesced serves follow -- not
-    "usually", but as an invariant.
+    The flight is the rendezvous point: ``check`` and ``join_flight``
+    are wrapped (on the cache instance; the aspects call them through
+    the facade) so the leader, whose check opened the flight, blocks
+    until ``flight.waiters`` shows every other thread joined.  Each
+    waiter joined only after its own cache check missed, so when the
+    leader finally computes and publishes, exactly N_THREADS-1
+    coalesced serves follow -- not "usually", but as an invariant.
     """
     app = build_rubis(RubisDataset(n_users=50, n_items=60))
     awc = AutoWebCache()
@@ -103,18 +104,22 @@ def _rendezvous_dogpile() -> int:
         hot_uri, hot_params = "/rubis/view_item", {"item": "1"}
         hot_key = HttpRequest("GET", hot_uri, dict(hot_params)).cache_key()
         release = threading.Event()
-        original_join = cache.join_flight
+        original_check, original_join = cache.check, cache.join_flight
+
+        def rendezvous_check(request):
+            found = original_check(request)
+            if type(found) is Flight and found.key == hot_key:
+                parked = release.wait(timeout=30.0)
+                assert parked, "waiters never all parked on the flight"
+            return found
 
         def rendezvous_join(key: str):
             flight, is_leader = original_join(key)
-            if key == hot_key:
-                if is_leader:
-                    parked = release.wait(timeout=30.0)
-                    assert parked, "waiters never all parked on the flight"
-                elif flight.waiters >= N_THREADS - 1:
-                    release.set()
+            if key == hot_key and not is_leader and flight.waiters >= N_THREADS - 1:
+                release.set()
             return flight, is_leader
 
+        cache.check = rendezvous_check
         cache.join_flight = rendezvous_join
         try:
             driver = ThreadedLoadDriver(
@@ -125,7 +130,7 @@ def _rendezvous_dogpile() -> int:
             )
             result = driver.run(timeout=60.0)
         finally:
-            del cache.join_flight  # drop the instance-level wrapper
+            del cache.check, cache.join_flight  # drop the instance-level wrappers
         assert result.errors == []
         assert result.server_errors == 0
         assert result.requests == N_THREADS

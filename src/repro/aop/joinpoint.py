@@ -27,10 +27,9 @@ class JoinPoint:
     """
 
     # Class-level defaults: one is built per around layer of every
-    # advised call, and most advice never touches these three.
+    # advised call, and most advice never touches these two.
     result: Any = None
     exception: BaseException | None = None
-    proceeded = False
 
     def __init__(
         self,
@@ -53,7 +52,6 @@ class JoinPoint:
         entirely -- how the cache-hit path works), once (the normal
         case), or multiple times.
         """
-        self.proceeded = True
         return self._invoke(self.target, *self.args, **self.kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -319,7 +319,10 @@ def _build_dispatcher(
 
     def build_chain(active: list[BoundAdvice]) -> Any:
         """``active`` composed over the original method: around advice
-        nests outside-in; before/after advice, if any, brackets it."""
+        nests outside-in; before/after advice, if any, brackets it.
+        Around advice alone comes back as ``(outermost advice, what its
+        join point proceeds to)``: the dispatcher enters that layer
+        itself, one frame fewer per advised call."""
 
         def make_layer(next_invoke: Any, method: Any) -> Any:
             def layer(target: object, *args: Any, **kwargs: Any) -> Any:
@@ -332,15 +335,18 @@ def _build_dispatcher(
         by_kind: dict[AdviceKind, list[Any]] = {kind: [] for kind in AdviceKind}
         for advice in active:
             by_kind[advice.spec.kind].append(advice.method)
+        arounds = by_kind[AdviceKind.AROUND]
         chain = original
-        for method in reversed(by_kind[AdviceKind.AROUND]):
+        for method in reversed(arounds[1:]):
             chain = make_layer(chain, method)
         befores = by_kind[AdviceKind.BEFORE]
         after_returnings = by_kind[AdviceKind.AFTER_RETURNING][::-1]
         after_throwings = by_kind[AdviceKind.AFTER_THROWING][::-1]
         afters = by_kind[AdviceKind.AFTER][::-1]
         if not (befores or after_returnings or after_throwings or afters):
-            return chain  # around-only: entered directly
+            return arounds[0], chain  # around-only: entered by the dispatcher
+        if arounds:
+            chain = make_layer(chain, arounds[0])
 
         def advised(target: object, *args: Any, **kwargs: Any) -> Any:
             joinpoint = JoinPoint(signature, target, args, kwargs, _no_proceed)
@@ -425,6 +431,9 @@ def _build_dispatcher(
             return original(target, *args, **kwargs)
         token = _CFLOW.set((stack + (method_target,), mask | frame_bits, version))
         try:
+            if type(chain) is tuple:
+                advice, proceed_to = chain
+                return advice(JoinPoint(signature, target, args, kwargs, proceed_to))
             return chain(target, *args, **kwargs)
         finally:
             _CFLOW.reset(token)

@@ -85,7 +85,8 @@ class Cache:
         #: Told the keys that left this store for capacity or expiry.
         #: The cluster router listens: it dooms the entries assembled
         #: from an evicted fragment's text.  Runs under the facade lock,
-        #: so a listener may only take note.
+        #: so a listener may only take note.  Set it before the first
+        #: insert: :meth:`PageCache.insert` is handed it as it stands.
         self.on_evicted: Callable[[set[str]], object] | None = None
         # -- open computations + the staleness window
         #: Key -> the tokens of its open computations, oldest first: at
@@ -121,22 +122,45 @@ class Cache:
 
     def check_key(self, key: str, stat_uri: str) -> PageEntry | None:
         """Cache check by key (pages *and* fragments; statistics bucket
-        under ``stat_uri``)."""
+        under ``stat_uri``) that leads nothing."""
+        return self.check_or_lead(key, stat_uri, lead=False)
+
+    def check_or_lead(
+        self, key: str, stat_uri: str, lead: bool = True
+    ) -> PageEntry | Flight | None:
+        """The woven cache check, which also starts the computation a
+        miss calls for in the same lock round: the entry on a hit; on a
+        miss the token of a computation the caller now leads (published
+        when ``coalesce`` is on), or None when a published one is
+        already open -- the caller then joins it with
+        :meth:`join_flight` -- or when ``lead`` is off.  Pass the token
+        to :meth:`insert_key`, which closes it; close it with
+        :meth:`finish_flight` on every path that inserts nothing."""
         with self.lock:
             if self.forced_miss:
                 # Overhead-measurement mode: pay the lookup, report a
                 # miss, execute the request normally (Section 6, TPC-W
                 # overhead).
                 self.stats.record_miss(stat_uri, "cold")
+            else:
+                entry, reason = self.pages.lookup(key, self.clock())
+                if entry is not None:
+                    self.stats.record_hit(stat_uri, semantic=entry.semantic)
+                    return entry
+                self.stats.record_miss(stat_uri, reason)
+                if reason == "expired" and self.on_evicted is not None:
+                    self.on_evicted({key})
+            if not lead:
                 return None
-            entry, reason = self.pages.lookup(key, self.clock())
-            if entry is not None:
-                self.stats.record_hit(stat_uri, semantic=entry.semantic)
-                return entry
-            self.stats.record_miss(stat_uri, reason)
-            if reason == "expired" and self.on_evicted is not None:
-                self.on_evicted({key})
-            return None
+            tokens = self._open.get(key)
+            if tokens is None:
+                tokens = self._open[key] = []
+            elif self.coalesce and any(flight.published for flight in tokens):
+                return None
+            # :meth:`_open_token`, inline: every miss comes here.
+            flight = Flight(key, self._write_seq, self.coalesce)
+            tokens.append(flight)
+            return flight
 
     def fast_check(self, key: str, uri: str) -> PageEntry | None:
         """Hit-or-nothing probe for the event-loop fast path, by the
@@ -151,7 +175,13 @@ class Cache:
         and is recorded here, identically to :meth:`check`.  While the
         semantics registry holds a request predicate every probe
         misses, so the woven check evaluates it on the real request.
+
+        An absent key misses without the lock: one dict membership test,
+        atomic on its own, and an insert racing it only sends the request
+        down the slow path, whose check takes the lock.
         """
+        if key not in self.pages:
+            return None
         if self.forced_miss or not self.semantics.is_cacheable_uri(uri):
             return None
         with self.lock:
@@ -221,7 +251,9 @@ class Cache:
 
         ``window`` is judged alone: only writes processed after it
         opened can refuse the insert, and only it is handed the entry
-        (which a published token's waiters then serve).
+        (which a published token's waiters then serve).  The insert
+        closes it, in the same lock round: a computation ends with its
+        insert, so no stored entry outlives its open token.
 
         Returns ``(entry, stored)``; ``stored`` is False when the
         staleness check discarded the insert.
@@ -232,25 +264,32 @@ class Cache:
         if expires_at is not None and (expiry is None or expires_at < expiry):
             expiry = expires_at
         entry = PageEntry(key, body, status, tuple(reads), expiry, ttl is not None)
+        stats = self.stats
         with self.lock:
-            if (
-                window is not None
-                and not window.stale
+            if window is not None and (
+                window.stale
                 # Only with buffered writes is there anything the
                 # computation could have overlapped; the guard list is
                 # built for that case alone.
-                and self._recent_writes
-                and self._overlapping_write(window, [*reads, *guard_reads])
+                or self._recent_writes
+                and self._overlapping_write(window, [*entry.dependencies, *guard_reads])
             ):
                 window.stale = True
-            if window is not None and window.stale:
-                self.stats.record_stale_insert()
-                return entry, False
-            evicted = self._store(entry)
-            self.stats.record_insert(evictions=len(evicted))
-            if window is not None:
-                window.entry = entry
-        return entry, True
+                self._close(window)
+                stats.record_stale_insert()
+                stored = False
+            else:
+                evicted = self.pages.insert(entry, self.on_evicted)
+                stats.inserts += 1
+                stats.evictions += len(evicted)
+                stored = True
+                if window is not None:
+                    window.entry = entry
+                    self._close(window)
+        if window is not None and window.waiters:
+            # Closed: no one joins any more, so ``waiters`` is final.
+            window.wake()
+        return entry, stored
 
     def adopt(self, entry: PageEntry) -> None:
         """Store an entry that was built elsewhere (a page moved in by
@@ -258,7 +297,7 @@ class Cache:
         insert was judged and accounted for where it happened.
         """
         with self.lock:
-            self._store(entry)
+            self.pages.insert(entry, self.on_evicted)
 
     def release(self, moving: Callable[[str], bool]) -> list[PageEntry]:
         """Remove and return the entries whose key ``moving`` selects,
@@ -267,15 +306,6 @@ class Cache:
         plain cold miss."""
         with self.lock:
             return [self.pages.release(key) for key in self.pages.keys() if moving(key)]
-
-    def _store(self, entry: PageEntry) -> list[PageEntry]:
-        """Caller holds the lock."""
-        return self.pages.insert(entry, self._victims_left)
-
-    def _victims_left(self, victims: list[PageEntry]) -> None:
-        """:meth:`PageCache.insert`'s eviction hook (lock held)."""
-        if self.on_evicted is not None:
-            self.on_evicted({victim.key for victim in victims})
 
     def _overlapping_write(
         self, flight: Flight, reads: list[QueryInstance]
@@ -302,8 +332,9 @@ class Cache:
 
         Returns ``(flight, is_leader)``.  With ``coalesce`` off the token
         is private and the caller always leads.  The leader passes the
-        token to its insert and must call :meth:`finish_flight` on every
-        exit path; waiters call :meth:`wait_flight`.
+        token to its insert, which closes it, and calls
+        :meth:`finish_flight` on every path that inserts nothing;
+        waiters call :meth:`wait_flight`.
         """
         with self.lock:
             flight = self._published(key)
@@ -315,8 +346,8 @@ class Cache:
     def begin_window(self, key: str) -> Flight:
         """Open a private token for a solo computation (a waiter out of
         flight attempts): the same staleness window as a flight, never
-        joined by anyone.  Pass it to :meth:`insert` and close it with
-        :meth:`end_window` on every exit path.
+        joined by anyone.  Pass it to :meth:`insert`, which closes it, or
+        close it with :meth:`end_window`.
         """
         with self.lock:
             return self._open_token(key, False)
@@ -352,19 +383,25 @@ class Cache:
             return flight.entry
 
     def finish_flight(self, flight: Flight) -> None:
-        """Close a token and wake its waiters (the computation's
-        finally-block)."""
+        """Close a token that inserted nothing and wake its waiters (the
+        computation's exit path; closing a closed token does nothing)."""
         with self.lock:
-            tokens = self._open.get(flight.key)
-            if tokens is not None and flight in tokens:
-                tokens.remove(flight)
-                if not tokens:
-                    del self._open[flight.key]
-            if not self._open:
-                # No open computations: the staleness window is empty.
-                self._recent_writes.clear()
-            flight.finished = True
+            self._close(flight)
         flight.wake()
+
+    def _close(self, flight: Flight) -> None:
+        """Caller holds the lock."""
+        if flight.finished:
+            return
+        tokens = self._open.get(flight.key)
+        if tokens is not None and flight in tokens:
+            tokens.remove(flight)
+            if not tokens:
+                del self._open[flight.key]
+        if not self._open:
+            # No open computations: the staleness window is empty.
+            self._recent_writes.clear()
+        flight.finished = True
 
     #: A window closes exactly like a flight.
     end_window = finish_flight
@@ -439,27 +476,6 @@ class Cache:
                 self._write_seq += 1
                 seq = self._write_seq
                 self._recent_writes.extend((seq, write) for write in writes)
-                # Evicted flight entries: a stored insert can leave the
-                # store before its flight closes (a later insert evicts
-                # it, taking its dependency rows along), so the doom
-                # pass below cannot see it -- but the flight still hands
-                # it to waiters, including ones that join after this
-                # write.  An intersecting write must mark the flight
-                # stale here, or a waiter could serve a body staler
-                # than the write's commit point.
-                for tokens in self._open.values():
-                    for flight in tokens:
-                        entry = flight.entry
-                        if (
-                            entry is not None
-                            and flight.published
-                            and not flight.stale
-                            and entry.key not in self.pages
-                            and self.invalidator.intersects_any(
-                                list(entry.dependencies), writes
-                            )
-                        ):
-                            flight.stale = True
             doomed = self.invalidator.process_writes(writes, verdicts)
             # A doomed key with an open flight: the invalidation must
             # win over the in-flight computation's eventual insert.

@@ -36,7 +36,7 @@ from repro.aop import Aspect, around
 from repro.aop.joinpoint import JoinPoint
 from repro.cache.analysis import InvalidationPolicy
 from repro.cache.computation import CachedComputation
-from repro.cache.consistency import ConsistencyCollector
+from repro.cache.consistency import ConsistencyCollector, RequestContext
 from repro.cache.entry import PageEntry, QueryInstance
 from repro.cache.flight import Flight
 from repro.sql.template import templateize
@@ -83,7 +83,8 @@ class ReadServletAspect(CachedComputation):
 
     @around(READ_HANDLER_POINTCUT)
     def cache_check_and_insert(self, joinpoint: JoinPoint) -> None:
-        request, response = _request_response(joinpoint)
+        args = joinpoint.args
+        request, response = args[0], args[1]
         if not self.cache.is_cacheable(request):
             # Hidden-state page: execute normally, never cache.  A
             # write context records what the page writes (not what it
@@ -99,58 +100,71 @@ class ReadServletAspect(CachedComputation):
                         request.uri, context.writes, context.extra_queries
                     )
             return
-        key = request.cache_key()
-
-        def serve(entry: PageEntry) -> None:
-            # Serve the cached document, bypassing the servlet.
-            response.replace_body(entry.body)
-            response.set_status(entry.status)
-
-        def compute(window: Flight) -> None:
-            context = self.collector.begin("read")
-            try:
-                joinpoint.proceed()
-            finally:
-                self.collector.end()
-                if context.writes:
-                    # The handler wrote after all; keep the cache
-                    # consistent (an error page, an aborted read or a
-                    # raise does not undo a write that completed) and
-                    # treat the page as uncacheable for this round.
-                    self.cache.process_write_request(
-                        request.uri, context.writes, context.extra_queries
-                    )
-            if context.writes:
-                return
-            if context.aborted or response.status != 200:
-                return  # aborted read query or error page: do not cache
-            if context.has_hole:
-                # A declared hole rendered into this body: it embeds
-                # per-request state, so the whole page must never be
-                # cached even if the URI was not marked uncacheable (the
-                # hidden-state trap fragment declarations now close).
-                # The fragments cached their own spans; only the
-                # stitched whole is discarded.
-                self.cache.record_hole_skip()
-                return
-            self.cache.insert(
-                request,
-                response.body,
-                context.reads,
-                response.status,
-                window=window,
-                fragments=context.fragment_keys,
-                guard_reads=context.fragment_reads,
-                expires_at=context.expires_at,
+        cache = self.cache
+        found = cache.check(request)
+        if found is None:
+            self.join(
+                request.cache_key(), request.uri, _serve_page, self._compute,
+                joinpoint, request, response,
             )
+        elif type(found) is PageEntry:
+            _serve_page(found, joinpoint, request, response)
+        else:
+            # A miss: ``found`` is the record of the computation this
+            # request now leads.  Its insert closes it; so does this,
+            # on every path that inserts nothing.
+            try:
+                self._compute(found, joinpoint, request, response)
+            finally:
+                if not found.finished:
+                    cache.finish_flight(found)
 
-        self.cached(
-            key,
-            request.uri,
-            lambda: self.cache.check(request),
-            serve,
-            compute,
+    def _compute(
+        self, window: Flight, joinpoint: JoinPoint, request: HttpRequest, response: HttpResponse
+    ) -> None:
+        """Run the servlet under ``window`` and insert what it rendered."""
+        context = self.collector.begin("read")
+        try:
+            joinpoint.proceed()
+        finally:
+            self.collector.end()
+            if context.writes:
+                # The handler wrote after all; keep the cache consistent
+                # (an error page, an aborted read or a raise does not
+                # undo a write that completed) and treat the page as
+                # uncacheable for this round.
+                self.cache.process_write_request(
+                    request.uri, context.writes, context.extra_queries
+                )
+        if context.writes or context.aborted or response.status != 200:
+            return  # wrote, aborted read query or error page: do not cache
+        if context.has_hole:
+            # A declared hole rendered into this body: it embeds
+            # per-request state, so the whole page must never be cached
+            # even if the URI was not marked uncacheable (the
+            # hidden-state trap fragment declarations now close).  The
+            # fragments cached their own spans; only the stitched whole
+            # is discarded.
+            self.cache.record_hole_skip()
+            return
+        self.cache.insert(
+            request,
+            response.body,
+            context.reads,
+            response.status,
+            window=window,
+            fragments=context.fragment_keys,
+            guard_reads=context.fragment_reads,
+            expires_at=context.expires_at,
         )
+
+
+def _serve_page(
+    entry: PageEntry, _joinpoint: JoinPoint, _request: HttpRequest, response: HttpResponse
+) -> None:
+    """Serve the cached document, bypassing the servlet."""
+    response.replace_body(entry.body)
+    response.set_status(entry.status)
 
 
 class WriteServletAspect(Aspect):
@@ -166,7 +180,7 @@ class WriteServletAspect(Aspect):
 
     @around(WRITE_HANDLER_POINTCUT)
     def invalidate_after(self, joinpoint: JoinPoint) -> None:
-        request, _response = _request_response(joinpoint)
+        request = joinpoint.args[0]
         context = self.collector.begin("write")
         try:
             joinpoint.proceed()
@@ -214,8 +228,10 @@ class JdbcConsistencyAspect(Aspect):
         """
         return self.cache.stats.extra_queries
 
-    def _sync_catalog(self, joinpoint: JoinPoint) -> None:
-        """Mirror the intercepted statement's database schemas.
+    def _sync_catalog(self, joinpoint: JoinPoint, context: RequestContext | None) -> None:
+        """Mirror the intercepted statement's database schemas, once per
+        request: the advice calls this while the request's context has
+        not (every statement outside one).
 
         The woven driver is the consistency layer's only sight of the
         application's database; feeding its schemas to the analysis
@@ -223,38 +239,49 @@ class JdbcConsistencyAspect(Aspect):
         columns into exact lineage.  Cheap after the first call (one
         schema-epoch comparison inside ``sync_catalog``).
         """
+        if context is not None:
+            context.catalog_synced = True
         connection = getattr(joinpoint.target, "connection", None)
         if connection is not None:
             self.cache.sync_catalog(getattr(connection, "database", None))
 
     @around(QUERY_POINTCUT)
     def collect_dependency_info(self, joinpoint: JoinPoint) -> object:
-        sql, params = _sql_and_params(joinpoint)
-        self._sync_catalog(joinpoint)
+        context = self.collector.current()
+        if context is None or not context.catalog_synced:
+            self._sync_catalog(joinpoint, context)
         try:
             result = joinpoint.proceed()
         except Exception:
             # An aborted read query poisons the page (Section 4.2).
-            self.collector.mark_aborted()
+            if context is not None:
+                context.aborted = True
             raise
-        context = self.collector.current()
         if context is not None and context.is_read:
             # A write request's own SELECTs are not dependencies: only a
             # read (or fragment) context records them.
-            template, values = templateize(sql, params)
+            args = joinpoint.args
+            template, values = templateize(
+                args[0], args[1] if len(args) > 1 else joinpoint.kwargs.get("params", ())
+            )
             witness = None
             if self.cache.written_tables:
                 witness = self.cache.witness(template, result.query_result.rows)
-            self.collector.record_read(QueryInstance(template, values, None, witness))
+            # tuple.__new__: one is built per intercepted read, and the
+            # named tuple's own __new__ is a Python function.
+            context.reads.append(
+                tuple.__new__(QueryInstance, (template, values, None, witness))
+            )
         return result
 
     @around(UPDATE_POINTCUT)
     def collect_invalidation_info(self, joinpoint: JoinPoint) -> object:
-        sql, params = _sql_and_params(joinpoint)
-        self._sync_catalog(joinpoint)
+        context = self.collector.current()
+        if context is None or not context.catalog_synced:
+            self._sync_catalog(joinpoint, context)
         template = None
-        if self.collector.current() is not None:
-            template, values = templateize(sql, params)
+        if context is not None:
+            template, values = templateize(*_sql_and_params(joinpoint))
         # A failed write changed nothing (the plan undoes a part-applied
         # UPDATE) and is not considered for invalidation.
         result = joinpoint.proceed()
@@ -349,16 +376,6 @@ class JdbcConsistencyAspect(Aspect):
                     tuple(zip(result.columns, values)) for values in result.rows
                 )
         return tuple((*probe, rows) for probe, rows in found.items())
-
-
-def _request_response(joinpoint: JoinPoint) -> tuple[HttpRequest, HttpResponse]:
-    """Extract the (request, response) arguments of a servlet handler."""
-    args = joinpoint.args
-    if len(args) < 2:  # pragma: no cover - defensive
-        raise TypeError(
-            f"{joinpoint.signature} does not look like a servlet handler"
-        )
-    return args[0], args[1]
 
 
 def _sql_and_params(

@@ -4,17 +4,27 @@ Both caching tiers -- whole pages (:class:`~repro.cache.aspects.
 ReadServletAspect`) and fragments (:class:`~repro.cache.aspects_fragment.
 FragmentCacheAspect`) -- answer a request for ``key`` the same way:
 
-1. **lookup**: a hit is served and nothing else happens;
-2. **lead or wait**: up to ``max_flight_attempts`` rounds of
-   ``join_flight`` -- the leader computes under the token it opened
-   (``finish_flight`` on every exit path), waiters ``wait_flight`` and
-   serve the leader's entry, recording a coalesced serve; a failed,
-   uncacheable or invalidated-in-flight leader sends the waiter round
-   again (a new leader may already exist).  With ``cache.coalesce`` off
-   the token is private and the caller always leads;
-3. **solo**: a waiter out of attempts computes under a private
-   ``begin_window``/``end_window`` token, so one crashing leader cannot
-   starve the queue.
+1. **check**: one facade call, one lock round on the key's owner.  A hit
+   is served and nothing else happens.  A miss returns the **miss
+   record**: the token (:class:`~repro.cache.flight.Flight`) of the
+   computation the caller now leads, opened in the same lock round and
+   naming the node it was opened on -- published for later misses to
+   join unless ``cache.coalesce`` is off;
+2. **lead**: the leader computes and inserts, passing the record; the
+   insert closes it in its own lock round (staleness check, store,
+   statistics and close together), and every path that inserts nothing
+   closes it once with ``finish_flight``.  Two facade calls, two lock
+   rounds, whatever the outcome;
+3. **join**: when the check found a computation of the key already open
+   it returns None, and the caller rides that flight: up to
+   ``max_flight_attempts`` rounds of ``join_flight`` -- a waiter blocks
+   in ``wait_flight`` and serves the leader's entry, recording a
+   coalesced serve; a failed, uncacheable or invalidated-in-flight
+   leader sends the waiter round again, and a round that finds no
+   flight leads one;
+4. **solo**: a waiter out of attempts computes under a private
+   ``begin_window`` token, so one crashing leader cannot starve the
+   queue.
 
 Every computation passes its own token to its insert, so a write
 landing between the computation's database reads and its insert still
@@ -22,14 +32,15 @@ discards the insert -- without the token that write is invisible (no
 dependency registrations yet) and the stale entry would be served until
 the *next* write touching the same data.
 
-:meth:`CachedComputation.cached` is that protocol, parameterised only by
-what differs per tier: the key, the statistics bucket, how to look an
-entry up, how to ``serve(entry)`` and how to ``compute(window)`` (run
-the body and insert, passing the token ``window`` through to the
-insert).  The token primitives themselves -- the synchronisation -- live
-on the facade (:class:`~repro.cluster.router.ClusterRouter`, which opens
-each token on the node :class:`~repro.cache.api.Cache` owning the key);
-this module is their only caller.
+What differs per tier is passed as methods, not closures: ``serve(entry,
+*args)`` and ``compute(window, *args)`` (run the body and insert,
+passing the token through), with the tier's own ``args``.  The leader's
+path is straight-line code in each tier; :meth:`CachedComputation.join`
+is the shared rest.  The token primitives themselves -- the
+synchronisation -- live on the facade (:class:`~repro.cluster.router.
+ClusterRouter`, which opens each token on the node
+:class:`~repro.cache.api.Cache` owning the key); this module is their
+only caller.
 
 A fragment is a computation nested inside another one, so
 :meth:`CachedComputation.cached_nested` adds what nesting needs: the
@@ -42,11 +53,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.aop import Aspect
+from repro.cache.flight import Flight
 
 if TYPE_CHECKING:  # hint-only
     from repro.cache.consistency import ConsistencyCollector, RequestContext
     from repro.cache.entry import PageEntry
-    from repro.cache.flight import Flight
 
 
 class CachedComputation(Aspect):
@@ -59,37 +70,29 @@ class CachedComputation(Aspect):
         self.cache = cache
         self.collector = collector
 
-    def cached(
-        self,
-        key: str,
-        stat_uri: str,
-        lookup: Callable[[], PageEntry | None],
-        serve: Callable[[PageEntry], object],
-        compute: Callable[[Flight], object],
-    ):
-        """Serve ``key`` from the cache, a concurrent computation of it,
-        or ``compute`` -- whichever comes first (module docstring)."""
+    def join(self, key: str, stat_uri: str, serve: Callable, compute: Callable, *args):
+        """The check found a computation of ``key`` open: ride it, or
+        lead or compute solo when it fails (module docstring)."""
         cache = self.cache
-        entry = lookup()
-        if entry is not None:
-            return serve(entry)
         for _attempt in range(self.max_flight_attempts):
             flight, is_leader = cache.join_flight(key)
             if is_leader:
                 try:
-                    return compute(flight)
+                    return compute(flight, *args)
                 finally:
-                    cache.finish_flight(flight)
+                    if not flight.finished:
+                        cache.finish_flight(flight)
             entry = cache.wait_flight(flight)
             if entry is not None:
-                result = serve(entry)
+                result = serve(entry, *args)
                 cache.record_coalesced(stat_uri)
                 return result
         window = cache.begin_window(key)
         try:
-            return compute(window)
+            return compute(window, *args)
         finally:
-            cache.end_window(window)
+            if not window.finished:
+                cache.end_window(window)
 
     def cached_nested(
         self,
@@ -104,57 +107,62 @@ class CachedComputation(Aspect):
         ``encode(value)`` turns what ``proceed()`` returned into the
         entry body; ``decode(body)`` is its inverse, applied to hits.
         """
+        cache = self.cache
+        found = cache.check_key(key, stat_uri)
+        if found is None:
+            return self.join(
+                key, stat_uri, self._serve_nested, self._compute_nested,
+                key, stat_uri, proceed, encode, decode,
+            )
+        if type(found) is not Flight:
+            return self._serve_nested(found, key, stat_uri, proceed, encode, decode)
+        try:
+            return self._compute_nested(found, key, stat_uri, proceed, encode, decode)
+        finally:
+            if not found.finished:
+                cache.finish_flight(found)
 
-        def serve(entry: PageEntry):
-            # The enclosing computation absorbs the entry's dependencies
-            # -- complete by construction, nested entries included -- as
-            # guard information, plus the containment edge and the
-            # entry's expiry.
-            parent = self.collector.current()
-            if parent is not None and parent.is_read:
-                parent.fragment_keys.append(key)
-                parent.fragment_reads.extend(entry.dependencies)
-                parent.cap_expiry(entry.expires_at)
-            return decode(entry.body)
+    def _serve_nested(self, entry: PageEntry, key: str, _stat_uri, _proceed, _encode, decode):
+        # The enclosing computation absorbs the entry's dependencies --
+        # complete by construction, nested entries included -- as guard
+        # information, plus the containment edge and the entry's expiry.
+        parent = self.collector.current()
+        if parent is not None and parent.is_read:
+            parent.fragment_keys.append(key)
+            parent.fragment_reads.extend(entry.dependencies)
+            parent.cap_expiry(entry.expires_at)
+        return decode(entry.body)
 
-        def compute(window: Flight):
-            context = self.collector.begin_fragment()
-            try:
-                value = proceed()
-            except BaseException:
-                # Nothing is stored, but what the render read and wrote
-                # before it raised still reaches the enclosing
-                # computation: its writes must invalidate.
-                self.collector.end_fragment()
-                self._merge(context, key, None)
-                raise
+    def _compute_nested(self, window: Flight, key: str, stat_uri: str, proceed, encode, _decode):
+        context = self.collector.begin_fragment()
+        try:
+            value = proceed()
+        except BaseException:
+            # Nothing is stored, but what the render read and wrote
+            # before it raised still reaches the enclosing computation:
+            # its writes must invalidate.
             self.collector.end_fragment()
-            entry = None
-            if context.has_hole:
-                # Per-request state inside: never cached whole.
-                self.cache.record_hole_skip()
-            elif not (context.aborted or context.writes):
-                entry, stored = self.cache.insert_key(
-                    key,
-                    encode(value),
-                    context.reads + context.fragment_reads,
-                    window=window,
-                    ttl_uri=stat_uri,
-                    fragments=context.fragment_keys,
-                    expires_at=context.expires_at,
-                )
-                if not stored:
-                    entry = None
-            self._merge(context, key, entry)
-            return value
-
-        return self.cached(
-            key,
-            stat_uri,
-            lambda: self.cache.check_key(key, stat_uri),
-            serve,
-            compute,
-        )
+            self._merge(context, key, None)
+            raise
+        self.collector.end_fragment()
+        entry = None
+        if context.has_hole:
+            # Per-request state inside: never cached whole.
+            self.cache.record_hole_skip()
+        elif not (context.aborted or context.writes):
+            entry, stored = self.cache.insert_key(
+                key,
+                encode(value),
+                context.reads + context.fragment_reads,
+                window=window,
+                ttl_uri=stat_uri,
+                fragments=context.fragment_keys,
+                expires_at=context.expires_at,
+            )
+            if not stored:
+                entry = None
+        self._merge(context, key, entry)
+        return value
 
     def _merge(
         self, context: RequestContext, key: str, entry: PageEntry | None

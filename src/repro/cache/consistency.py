@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextvars
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.cache.entry import QueryInstance
 from repro.errors import ConsistencyError
@@ -70,6 +71,10 @@ class RequestContext:
     #: (:meth:`ClusterRouter.process_write_request`), in the section
     #: that records the write, not under a lock round per query.
     extra_queries: tuple[int, int, int] = (0, 0, 0)
+    #: Whether the JDBC aspect has mirrored the database's schemas into
+    #: the analysis catalog for this request (its guard runs once per
+    #: request, not per statement; a fragment inherits its parent's).
+    catalog_synced: bool = False
 
     def __init__(self, kind: str, parent: "RequestContext | None" = None) -> None:
         self.kind = kind
@@ -83,6 +88,7 @@ class RequestContext:
         self.parent = parent
         self.fragment_keys = []
         self.fragment_reads = []
+        self.catalog_synced = parent is not None and parent.catalog_synced
 
     def add_extra_queries(self, queries: int, rows: int, probes: int) -> None:
         done, examined, probed = self.extra_queries
@@ -112,6 +118,9 @@ class ConsistencyCollector:
         self._current: contextvars.ContextVar[RequestContext | None] = (
             contextvars.ContextVar("autowebcache_context", default=None)
         )
+        #: The open context, or None: the context variable's own getter,
+        #: so the per-statement read costs no Python call.
+        self.current: Callable[[], RequestContext | None] = self._current.get
 
     def begin(self, kind: str) -> RequestContext:
         """Open a context for a request; nesting is rejected."""
@@ -139,9 +148,6 @@ class ConsistencyCollector:
             context.staged_writes.clear()
         self._current.set(None)
         return context
-
-    def current(self) -> RequestContext | None:
-        return self._current.get()
 
     # -- fragment contexts (nested) ------------------------------------------
 

@@ -71,6 +71,7 @@ class PageEntry:
 
     __slots__ = (
         "key",
+        "size",
         "status",
         "dependencies",
         "expires_at",
@@ -91,6 +92,10 @@ class PageEntry:
         semantic: bool = False,
     ) -> None:
         self.key = key
+        #: Body length in characters (what byte-bounded capacity
+        #: counts), fixed for the entry's life: pinning a wire buffer
+        #: changes how the body is held, not what it is.
+        self.size = len(body)
         self.status = status
         #: Read instances the page was generated from (dependency info).
         self.dependencies = dependencies
@@ -119,20 +124,6 @@ class PageEntry:
         if text is None:
             return str(memoryview(self._wire)[self._offset :], "utf-8")
         return text
-
-    @property
-    def size(self) -> int:
-        """Body length in characters (what byte-bounded capacity counts).
-
-        A pinned ASCII buffer answers without a decode: its head is
-        ASCII, so the body's bytes are its characters."""
-        text = self._text
-        if text is not None:
-            return len(text)
-        wire = self._wire
-        if wire.isascii():
-            return len(wire) - self._offset
-        return len(self.body)
 
     def expired(self, now: float) -> bool:
         return self.expires_at is not None and now >= self.expires_at

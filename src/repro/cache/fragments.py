@@ -83,8 +83,9 @@ class FragmentContainment:
     def touches(self, keys: set[str]) -> bool:
         """Has any of ``keys`` a containment edge, as a fragment or as a
         container?  A key without one leaves nothing to close or forget."""
-        return bool(self._fragments_of) and any(
-            key in self._pages_of or key in self._fragments_of for key in keys
+        return bool(self._fragments_of) and not (
+            self._pages_of.keys().isdisjoint(keys)
+            and self._fragments_of.keys().isdisjoint(keys)
         )
 
     def containing(self, keys: set[str]) -> set[str]:

@@ -13,6 +13,7 @@ serving.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable
 
 from repro.cache.dependency import DependencyTable
@@ -24,6 +25,8 @@ from repro.cache.replacement import ReplacementPolicy, UnboundedPolicy
 #: ``"cold"``) rather than letting the table grow with every key ever
 #: evicted.
 _GONE_LIMIT = 65536
+
+_key_of = attrgetter("key")
 
 
 class PageCache:
@@ -110,11 +113,11 @@ class PageCache:
     def insert(
         self,
         entry: PageEntry,
-        on_evicted: Callable[[list[PageEntry]], object] | None = None,
+        on_evicted: Callable[[set[str]], object] | None = None,
     ) -> list[PageEntry]:
         """Store ``entry`` and return the entries evicted to make room.
 
-        ``on_evicted`` sees the victims before the insert returns:
+        ``on_evicted`` sees the victims' keys before the insert returns:
         whatever else must leave with them (the facade dooms the entries
         assembled from an evicted fragment's text) is gone within the
         same facade operation, before any lookup can run.
@@ -122,29 +125,30 @@ class PageCache:
         if entry.key in self._entries:
             # Refresh: replace in place (dependencies re-registered).
             self._remove(entry.key, reason="refresh")
-        self._entries[entry.key] = entry
+        entries = self._entries
+        entries[entry.key] = entry
         self.total_bytes += entry.size
         self._gone.pop(entry.key, None)
-        self._policy.on_insert(entry.key)
+        policy = self._policy
+        policy.on_insert(entry.key)
         if entry.dependencies and not entry.semantic:
             self.dependencies.register(entry.key, entry.dependencies)
         evicted: list[PageEntry] = []
-        while self._over_capacity():
-            victim = self._policy.victim()
-            if victim == entry.key and len(self._entries) == 1:
+        # Over capacity: more entries than the policy's count bound, or
+        # more body bytes than ``max_bytes``.
+        capacity, max_bytes = policy.capacity, self.max_bytes
+        while (capacity is not None and len(entries) > capacity) or (
+            max_bytes is not None and self.total_bytes > max_bytes
+        ):
+            victim = policy.victim()
+            if victim == entry.key and len(entries) == 1:
                 break  # never evict the sole, just-inserted entry
-            victim_entry = self._entries[victim]
+            evicted.append(entries[victim])
             self._remove(victim, reason="capacity")
             self.eviction_count += 1
-            evicted.append(victim_entry)
         if evicted and on_evicted is not None:
-            on_evicted(evicted)
+            on_evicted(set(map(_key_of, evicted)))
         return evicted
-
-    def _over_capacity(self) -> bool:
-        if self._policy.needs_eviction:
-            return True
-        return self.max_bytes is not None and self.total_bytes > self.max_bytes
 
     def release(self, key: str) -> PageEntry | None:
         """Remove and return ``key`` without recording a miss reason.
@@ -187,8 +191,8 @@ class PageCache:
             # references grabbed before this removal.  "refresh" covers
             # in-place replacement and cluster rebalancing, where the
             # entry (or its successor) is still live and must keep its
-            # buffer.
-            entry.doom()
+            # buffer (:meth:`PageEntry.doom`).
+            entry.doomed = True
             gone = self._gone
             gone[key] = reason
             if len(gone) > _GONE_LIMIT:

@@ -89,7 +89,10 @@ class SemanticsRegistry:
     def is_cacheable(self, request: HttpRequest) -> bool:
         if request.uri in self._uncacheable:
             return False
-        return not any(predicate(request) for predicate in self._predicates)
+        for predicate in self._predicates:  # a loop: no generator per request
+            if predicate(request):
+                return False
+        return True
 
     def is_cacheable_uri(self, uri: str) -> bool:
         """The verdict that needs no request object: False for an

@@ -186,16 +186,18 @@ class CacheStats:
 
     def record_hit(self, uri: str, semantic: bool) -> None:
         self.lookups += 1
+        stats = self.by_type.get(uri) or self.type_stats(uri)
         if semantic:
             self.semantic_hits += 1
-            self.type_stats(uri).semantic_hits += 1
+            stats.semantic_hits += 1
         else:
             self.hits += 1
-            self.type_stats(uri).hits += 1
+            stats.hits += 1
 
     def record_miss(self, uri: str, reason: str) -> None:
+        """One lookup that missed, for ``reason``: one call per miss."""
         self.lookups += 1
-        stats = self.type_stats(uri)
+        stats = self.by_type.get(uri) or self.type_stats(uri)
         if reason == "cold":
             self.misses_cold += 1
             stats.misses_cold += 1
@@ -219,11 +221,6 @@ class CacheStats:
     def record_write(self, uri: str) -> None:
         self.write_requests += 1
         self.type_stats(uri).writes += 1
-
-    def record_insert(self, evictions: int) -> None:
-        """One stored insert and the capacity victims it evicted."""
-        self.inserts += 1
-        self.evictions += evictions
 
     def record_invalidated(self, pages: int = 1, template: str | None = None) -> None:
         self.invalidated_pages += pages

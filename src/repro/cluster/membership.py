@@ -106,8 +106,18 @@ class GossipMembership:
         #: Bumped (under the lock) whenever a view may have gained,
         #: lost or re-judged a peer: register, forget, silence, a step
         #: that produced a transition, a merge that taught a peer.  The
-        #: router's placement memo is keyed on it.
+        #: router's placement snapshot is replaced by every move.
         self.version = 0
+        #: Called (under the lock) whenever ``version`` moves; the router
+        #: swaps its placement snapshot here, so a warm route reads no
+        #: version.
+        self.on_change: Callable[[], object] | None = None
+
+    def _changed(self) -> None:
+        """A view may have gained, lost or re-judged a peer (lock held)."""
+        self.version += 1
+        if self.on_change is not None:
+            self.on_change()
 
     # -- membership of the membership -------------------------------------------------
 
@@ -125,7 +135,7 @@ class GossipMembership:
             for observer in self._views:
                 if observer != name:
                     self._views[observer][name] = PeerView(0, now)
-            self.version += 1
+            self._changed()
 
     def forget(self, name: str) -> None:
         """Remove ``name`` entirely (a planned leave, not a death)."""
@@ -134,7 +144,7 @@ class GossipMembership:
             self._views.pop(name, None)
             for table in self._views.values():
                 table.pop(name, None)
-            self.version += 1
+            self._changed()
 
     def members(self) -> list[str]:
         with self._lock:
@@ -173,7 +183,7 @@ class GossipMembership:
         with self._lock:
             self._counters.pop(name, None)
             self._views.pop(name, None)
-            self.version += 1
+            self._changed()
 
     def step(self, now: float | None = None) -> list[Transition]:
         """One protocol round: gossip exchange, then suspicion sweep.
@@ -244,7 +254,7 @@ class GossipMembership:
                         view.state = DEAD
                         transitions.append(Transition(observer, peer, DEAD))
             if transitions:
-                self.version += 1
+                self._changed()
         return transitions
 
     def _merge(self, source: str, target: str, now: float) -> None:
@@ -257,7 +267,7 @@ class GossipMembership:
             mine = target_table.get(peer)
             if mine is None:
                 target_table[peer] = PeerView(seen.counter, now, seen.state)
-                self.version += 1
+                self._changed()
             elif seen.counter > mine.counter:
                 mine.counter = seen.counter
                 mine.last_advance = now

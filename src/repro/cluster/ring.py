@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from collections import Counter
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.errors import ClusterError
 
@@ -53,9 +53,11 @@ class HashRing:
         #: Sorted ring positions and the node owning each.
         self._points: list[int] = []
         self._owners: list[str] = []
-        #: Bumped by every membership change: placement memos keyed on
-        #: it (the router's) know when their answers went out of date.
+        #: Bumped by every membership change.
         self.version = 0
+        #: Called after every membership change: the router replaces
+        #: its placement snapshot, whose answers just went out of date.
+        self.on_change: Callable[[], object] | None = None
         for node in nodes:
             self.add_node(node)
 
@@ -82,7 +84,7 @@ class HashRing:
             # (both orders are valid placements).
             self._points.insert(index, point)
             self._owners.insert(index, node)
-        self.version += 1
+        self._changed()
 
     def remove_node(self, node: str) -> None:
         if node not in self._nodes:
@@ -95,7 +97,12 @@ class HashRing:
         ]
         self._points = [point for point, _owner in keep]
         self._owners = [owner for _point, owner in keep]
+        self._changed()
+
+    def _changed(self) -> None:
         self.version += 1
+        if self.on_change is not None:
+            self.on_change()
 
     def _points_for(self, node: str) -> list[int]:
         return [stable_hash(f"{node}#{i}") for i in range(self.vnodes)]

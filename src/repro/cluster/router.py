@@ -28,12 +28,14 @@ facade lock).  Router -> bus -> node cache is the only nesting, and no
 two node caches are ever held at once.
 
 **Routing** is a pure function of (key, ring, node states, membership
-verdicts), so it is decided once per key per *routing version* -- the
-sum of the ring's, the membership's and the router's own node-set
-counters, each bumped by every change it makes -- and memoized.  A
-memo hit is one dict lookup with no lock and no hash; a fill takes the
-router lock and keeps its answer only if the version did not move while
-it was computed (docs/cluster.md, "Routing").
+verdicts), so it is decided once per key per *placement* and memoized
+in a snapshot that every change to those inputs replaces: the router's
+own node-set changes, and the ring's and the membership's through
+their change hooks.  A
+warm route is one read of the snapshot and one dict lookup, with no
+lock and no hash; a fill takes the router lock and keeps its answer only
+if no change replaced the snapshot while it was computed
+(docs/cluster.md, "Routing").
 
 **Computations** open on the key's owner, and their token
 (:class:`~repro.cache.flight.Flight`) records that node: a computation
@@ -250,14 +252,17 @@ class ClusterRouter:
         self.bus = InvalidationBus()
         self.membership = membership or GossipMembership(clock=self.clock)
         self._nodes: dict[str, CacheNode] = {}
-        #: Bumped by every change to ``_nodes`` and to a node's lifecycle
-        #: state: the router's share of the routing version.
-        self._nodes_version = 0
-        #: The placement memo: (routing version, the route of every key
-        #: or None, key -> :data:`Route`), one tuple so a lock-free
-        #: reader sees a consistent triple.  A one-member ring routes
-        #: every key to its member, so it memoizes that one route.
-        self._routes: tuple[int, Route, dict[str, Route]] = (-1, None, {})
+        #: The placement snapshot: (the route of every key or None,
+        #: key -> :data:`Route`), one tuple so a lock-free reader sees a
+        #: consistent pair; replaced, never cleared, by every change to
+        #: the node set, a node's lifecycle state or a membership
+        #: verdict.  A one-member ring routes every key to its member, so
+        #: it memoizes that one route.
+        self._placement: tuple[Route, dict[str, Route]] = (None, {})
+        #: Moved by every replacement of the snapshot: a fill that saw it
+        #: move while it computed or stored keeps nothing.
+        self._generation = 0
+        self.ring.on_change = self.membership.on_change = self._placement_changed
         #: Routes computed rather than found in the memo.
         self.routes_computed = 0
         self.stats = ClusterStats(self)
@@ -353,7 +358,7 @@ class ClusterRouter:
                 }
                 other.cache.poison_flights(poisoned)
             self._nodes[name] = node
-            self._nodes_changed()
+            self._placement_changed()
             node.moved_in = moved
             if self.bus.seq != seq_before:
                 for key in moved_keys:
@@ -377,7 +382,7 @@ class ClusterRouter:
         """
         with self._lock:
             node = self.node(name)
-            self._nodes_changed()
+            self._placement_changed()
             node.mark_draining()  # poisons its open computations
             seq_before = self.bus.seq  # a lock barrier too (add_node)
             self.bus.unsubscribe(name)
@@ -395,7 +400,7 @@ class ClusterRouter:
                 moved.append((target, key))
             node.mark_left()
             del self._nodes[name]
-            self._nodes_changed()
+            self._placement_changed()
             if self.bus.seq != seq_before:
                 for target, key in moved:
                     target.cache.invalidate_key(key)
@@ -413,7 +418,7 @@ class ClusterRouter:
         """
         with self._lock:
             node = self.node(name)
-            self._nodes_changed()
+            self._placement_changed()
             node.mark_left()
             self.membership.silence(name)
         return node
@@ -428,7 +433,7 @@ class ClusterRouter:
             node = self._nodes.pop(name, None)
             if node is None:
                 return None
-            self._nodes_changed()
+            self._placement_changed()
             node.mark_left()  # poisons its open computations
             if name in self.bus.subscriber_names:
                 self.bus.unsubscribe(name)
@@ -480,54 +485,52 @@ class ClusterRouter:
 
     # -- routing ---------------------------------------------------------------------
 
-    def _nodes_changed(self) -> None:
-        """``_nodes`` or a node's lifecycle state changes: retire every
-        memoized route (caller holds the router lock).  Called *before*
-        a node leaves ``JOINED``, so whoever sees the new state also
-        sees the new version and routes afresh."""
-        self._nodes_version += 1
-
-    def _routing_version(self) -> int:
-        # Each term only grows, so the sum moves whenever any term does.
-        return self.ring.version + self.membership.version + self._nodes_version
+    def _placement_changed(self) -> None:
+        """The node set, a node's lifecycle state, the ring or a
+        membership verdict changes: replace the placement snapshot with
+        an empty one.  The router calls it under its lock, *before* a
+        node leaves ``JOINED``, so whoever sees the new state also sees
+        the new snapshot and routes afresh; the ring and the membership
+        call it as their change hook (under the membership's lock: it
+        only swaps attributes)."""
+        self._generation += 1
+        self._placement = (None, {})
 
     def _route(self, key: str) -> Route:
-        """``key``'s placement, from the memo while the routing version
-        has not moved since it was computed.
+        """``key``'s placement, from the snapshot while no change has
+        replaced it.
 
-        A memo hit takes no lock.  Reading a route that a membership
+        A snapshot hit takes no lock.  Reading a route that a membership
         change is about to retire is the race routing always had -- the
         router lock was released before the node was called.  A probe
         that reaches a node after it was evicted finds an empty store
-        (:meth:`evict_node`); a flight or window opened there is caught
-        by the state check in :meth:`join_flight` / :meth:`begin_window`.
+        (:meth:`evict_node`); a computation opened there is caught by
+        the state check in :meth:`check_key` / :meth:`_open_on_owner`.
         """
-        version, every, routes = self._routes
-        if version == self._routing_version():
-            if every is not None:
-                return every
-            route = routes.get(key)
-            if route is not None:
-                return route
+        every, routes = self._placement
+        if every is not None:
+            return every
+        route = routes.get(key)
+        if route is not None:
+            return route
         with self._lock:
-            before = self._routing_version()
+            generation = self._generation
             route = self._compute_route(key)
             self.routes_computed += 1
-            version = self._routing_version()
-            if version != before:
-                # Membership moved mid-computation (a gossip step runs
-                # outside this lock): answer this once, keep nothing.
-                return route
             if len(self.ring) == 1:
                 # The one member owns every key (:meth:`_compute_route`
                 # reads the key only through the ring).
-                self._routes = (version, route, {})
-                return route
-            memo_version, _every, routes = self._routes
-            if memo_version != version or len(routes) >= _ROUTE_MEMO_LIMIT:
-                routes = {}
-                self._routes = (version, None, routes)
-            routes[key] = route
+                self._placement = (route, {})
+            else:
+                every, routes = self._placement
+                if every is not None or len(routes) >= _ROUTE_MEMO_LIMIT:
+                    routes = {}
+                    self._placement = (None, routes)
+                routes[key] = route
+            if self._generation != generation:
+                # Membership moved while this was computed or stored (a
+                # gossip step runs outside this lock): keep nothing.
+                self._placement_changed()
             return route
 
     def _compute_route(self, key: str) -> Route:
@@ -555,8 +558,10 @@ class ClusterRouter:
         return None
 
     def _owner(self, key: str) -> CacheNode:
-        """The node ``key``'s probes, computations and inserts go to."""
-        owner = self._route(key)
+        """The node ``key``'s probes, computations and inserts go to
+        (a warm route read inline: the snapshot, then :meth:`_route`)."""
+        every, routes = self._placement
+        owner = every or routes.get(key) or self._route(key)
         if owner is None:
             raise ClusterError(f"no live cache node is reachable for key {key!r}")
         return owner
@@ -567,10 +572,8 @@ class ClusterRouter:
 
     @property
     def route_memo_size(self) -> int:
-        """Routes the placement memo holds for the current version."""
-        version, every, routes = self._routes
-        if version != self._routing_version():
-            return 0
+        """Routes the placement snapshot holds."""
+        every, routes = self._placement
         return 1 if every is not None else len(routes)
 
     def sync_catalog(self, database) -> None:
@@ -639,9 +642,9 @@ class ClusterRouter:
         """
         with self._lock:
             nodes = list(self._nodes.values())
-            nodes_version = self._nodes_version
+            generation = self._generation
         key = (
-            nodes_version,
+            generation,
             self.engine.catalog,
             *[node.cache.pages.dependencies.version for node in nodes],
         )
@@ -664,18 +667,31 @@ class ClusterRouter:
     def is_cacheable(self, request: HttpRequest) -> bool:
         return self.semantics.is_cacheable(request)
 
-    def check(self, request: HttpRequest) -> PageEntry | None:
-        entry = self._owner(request.cache_key()).cache.check(request)
-        if self._evicted:  # the probe found the entry expired
-            self._settle_evictions()
-        return entry
+    def check(self, request: HttpRequest) -> PageEntry | Flight | None:
+        """The woven cache check, on the key's owner: the entry on a
+        hit.  On a miss, the **miss record** -- the token of the
+        computation the caller now leads there, opened in the check's
+        lock round and naming the node -- which :meth:`insert` consumes;
+        or None when a computation of the key is open already (join it
+        with :meth:`join_flight`)."""
+        return self.check_key(request.cache_key(), request.uri)
 
-    def check_key(self, key: str, stat_uri: str) -> PageEntry | None:
-        """Fragment-capable check: route by key to a holding shard."""
-        entry = self._owner(key).cache.check_key(key, stat_uri)
+    def check_key(self, key: str, stat_uri: str) -> PageEntry | Flight | None:
+        """:meth:`check` by key (pages and fragments)."""
+        every, routes = self._placement  # a warm route, inline
+        node = every or routes.get(key) or self._owner(key)
+        found = node.cache.check_or_lead(key, stat_uri)
         if self._evicted:  # the probe found the entry expired
             self._settle_evictions()
-        return entry
+        if type(found) is Flight:
+            found.node = node
+            if node.state != JOINED:
+                # Opened from a route a leave was retiring: nothing
+                # would doom this computation.  Close it; the caller
+                # joins through :meth:`join_flight`, which routes again.
+                node.cache.finish_flight(found)
+                return None
+        return found
 
     def fast_check(self, key: str, uri: str) -> PageEntry | None:
         """Event-loop fast-path probe, routed to the owning shard.
@@ -684,7 +700,8 @@ class ClusterRouter:
         miss records no statistics and leaves the shard's miss taxonomy
         intact for the woven check that follows.
         """
-        return self._owner(key).cache.fast_check(key, uri)
+        every, routes = self._placement  # a warm route, inline
+        return (every or routes.get(key) or self._owner(key)).cache.fast_check(key, uri)
 
     def insert(
         self,
@@ -697,16 +714,10 @@ class ClusterRouter:
         guard_reads: Sequence[QueryInstance] = (),
         expires_at: float | None = None,
     ) -> PageEntry:
+        # Positional: the miss path's every insert passes here.
         entry, _stored = self.insert_key(
-            request.cache_key(),
-            body,
-            reads,
-            status=status,
-            window=window,
-            ttl_uri=request.uri,
-            fragments=fragments,
-            guard_reads=guard_reads,
-            expires_at=expires_at,
+            request.cache_key() if window is None else window.key,
+            body, reads, status, window, request.uri, fragments, guard_reads, expires_at,
         )
         return entry
 
@@ -735,28 +746,24 @@ class ClusterRouter:
         poisons its computation.  They are added, never replaced, and
         stay when nothing is stored (:meth:`FragmentContainment.add`);
         the key's next doom or eviction drops them.
+
+        The insert consumes ``window``: it closes it, stored or not, in
+        its own lock round (a refused insert's close included).
         """
         node = window.node if window is not None else self._owner(key)
-        resident = True
         if fragments:
             with self._lock:
                 self.fragments.add(key, fragments)
                 resident = all(self._holds(fragment) for fragment in fragments)
                 if not resident:
                     self.stats.frontend.record_stale_insert()
-        if resident:
-            entry, stored = node.cache.insert_key(
-                key,
-                body,
-                reads,
-                status=status,
-                window=window,
-                ttl_uri=ttl_uri,
-                guard_reads=guard_reads,
-                expires_at=expires_at,
-            )
-        else:
-            entry, stored = PageEntry(key, body, status), False
+            if not resident:
+                if window is not None:
+                    node.cache.finish_flight(window)
+                return PageEntry(key, body, status), False
+        entry, stored = node.cache.insert_key(
+            key, body, reads, status, window, ttl_uri, guard_reads, expires_at
+        )
         if stored and self._evicted:
             self._settle_evictions()
         return entry, stored

@@ -1133,7 +1133,9 @@ def _compile_expr(expr: ast.Expression, env: Env, unknown: bool = False) -> Comp
         def between(rows: object, params: tuple) -> bool | None:
             value, lo, hi = operand(rows, params), low(rows, params), high(rows, params)
             if value is None or lo is None or hi is None:
-                return on_null
+                if _between_unknown(value, lo, hi):
+                    return on_null
+                return negated  # a known side is false: not inside
             inside = lo <= value <= hi  # type: ignore[operator]
             return (not inside) if negated else inside
 
@@ -1147,10 +1149,22 @@ def _compile_expr(expr: ast.Expression, env: Env, unknown: bool = False) -> Comp
     return _raises(ExecutionError, f"cannot evaluate {type(expr).__name__}")
 
 
+def _between_unknown(value: object, lo: object, hi: object) -> bool:
+    """``lo <= value AND value <= hi`` with a NULL among the three, in
+    SQL's three-valued logic: unknown (True here) unless the side with no
+    NULL is false, which makes the conjunction false."""
+    if value is None or (lo is None and hi is None):
+        return True
+    return value <= hi if lo is None else lo <= value  # type: ignore[operator]
+
+
 def _membership(value: object, values: list, negated: bool) -> bool | None:
     """``value [NOT] IN values`` in SQL's three-valued logic: None
     (unknown, which selects no row) when ``value`` is NULL, or when it
-    matches no value and one of them is NULL."""
+    matches no value and one of them is NULL.  No row is in an empty
+    set, so an empty one answers ``negated`` whatever ``value`` is."""
+    if not values:
+        return negated
     if value is None:
         return None
     if value in values:

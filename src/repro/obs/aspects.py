@@ -39,6 +39,7 @@ import time
 from repro.aop import Aspect, around
 from repro.aop.joinpoint import JoinPoint
 from repro.aop.weaver import notify_aspect_switch
+from repro.cache.entry import PageEntry
 from repro.obs.histogram import NO_REQUEST, MetricsHub
 from repro.obs.trace import SpanContext
 from repro.obs.tracer import Tracer
@@ -145,9 +146,10 @@ class TracingAspect(SwitchableAspect):
         if not self.enabled:
             return joinpoint.proceed()
         with self.tracer.span("cache.lookup") as span:
-            entry = joinpoint.proceed()
-            span.set_tag("outcome", "hit" if entry is not None else "miss")
-            return entry
+            found = joinpoint.proceed()
+            # A miss returns a miss record (or None), never an entry.
+            span.set_tag("outcome", "hit" if type(found) is PageEntry else "miss")
+            return found
 
     @around(CACHE_INSERT_POINTCUT)
     def trace_cache_insert(self, joinpoint: JoinPoint):

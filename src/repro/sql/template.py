@@ -215,7 +215,12 @@ def templateize(
     vector in left-to-right order, merged with any explicitly supplied
     parameters at their placeholder positions.
     """
-    return prepare(sql).bind(params or ())
+    # :func:`prepare` and the common case of :meth:`PreparedStatement.
+    # bind`, read inline: every intercepted statement comes here.
+    prepared = _PARAMETERISED.get(sql) or _INLINE.get(sql) or _prepare_unseen(sql)
+    if prepared._identity and type(params) is tuple and len(params) >= prepared.parameter_count:
+        return prepared.template, params[: prepared.parameter_count]
+    return prepared.bind(params or ())
 
 
 def _prepare_unseen(sql: str) -> PreparedStatement:

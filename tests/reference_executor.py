@@ -654,6 +654,14 @@ class Executor:
             low = self._eval(expr.low, scope, params, unknown)
             high = self._eval(expr.high, scope, params, unknown)
             if value is None or low is None or high is None:
+                # ``low <= value AND value <= high``, three-valued: false
+                # when the side with no NULL is false, else unknown.
+                if not (
+                    value is None
+                    or (low is None and high is None)
+                    or (value <= high if low is None else low <= value)  # type: ignore[operator]
+                ):
+                    return expr.negated
                 return None if unknown else False
             inside = low <= value <= high  # type: ignore[operator]
             return (not inside) if expr.negated else inside

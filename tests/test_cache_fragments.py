@@ -13,6 +13,7 @@ import itertools
 import pytest
 
 from repro.cache.autowebcache import AutoWebCache
+from repro.cache.flight import Flight
 from repro.cache.fragments import FragmentContainment, fragment_key
 from repro.apps.html import fragment, hole
 from repro.db import connect
@@ -542,7 +543,10 @@ class TestEvictionClimbsContainment:
             *templateize("UPDATE categories SET name = ? WHERE id = ?", ("new", 1))
         )
         router.process_write_request("/write", [write])
-        assert router.check_key("/page?x=1", "/page") is None
+        # A miss: the check opened the record of a computation it leads.
+        found = router.check_key("/page?x=1", "/page")
+        assert type(found) is Flight and found.key == "/page?x=1"
+        router.finish_flight(found)
         # Nothing about the departed keys lingers in the edge tables.
         assert len(router.fragments) == 0 and router.fragments._pages_of == {}
 

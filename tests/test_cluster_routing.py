@@ -329,6 +329,24 @@ class TestLeaveBetweenRouteAndOpen:
         assert router.open_flights == 0
 
     @pytest.mark.parametrize("operation", LEAVES)
+    def test_a_miss_record_on_a_node_that_left_is_closed_and_led_elsewhere(
+        self, operation
+    ):
+        """The woven check opens its record in the node's lock round; on a
+        node that left in between, the router closes it and answers
+        None, and the join that follows routes again."""
+        router, _clock = build(4)
+        key = KEYS[0]
+        old = router._owner(key)
+        self.leave_before_next_open(router, old, operation, "check_or_lead")
+        assert router.check_key(key, "/k") is None
+        assert old.cache.open_flight_keys() == []
+        flight, is_leader = router.join_flight(key)
+        assert is_leader and flight.node is not old and flight.node.state == JOINED
+        router.finish_flight(flight)
+        assert router.open_flights == 0
+
+    @pytest.mark.parametrize("operation", LEAVES)
     def test_a_window_on_a_node_that_left_is_reopened_elsewhere(self, operation):
         router, _clock = build(4)
         key = KEYS[0]

@@ -179,6 +179,50 @@ class TestWhere:
         database.insert_rows("t", [{"id": 1, "b": None}, {"id": 2, "b": 1}])
         assert database.query(f"SELECT id FROM t WHERE {where}").rows == ids
 
+    @pytest.mark.parametrize(
+        "where",
+        ["b NOT IN (SELECT id FROM u)", "NOT (b IN (SELECT id FROM u))"],
+    )
+    def test_not_in_an_empty_subquery_selects_every_row(self, where):
+        """No row is in an empty set, a NULL included: on ``t(id, b)``
+        holding ``(1, NULL)`` and ``(2, 1)``, with ``u`` empty, both
+        spellings select both rows."""
+        database = Database()
+        int_column = lambda name: Column(name, ColumnType.INT)  # noqa: E731
+        database.create_table(
+            TableSchema("t", [int_column("id"), int_column("b")], primary_key="id")
+        )
+        database.create_table(TableSchema("u", [int_column("id")], primary_key="id"))
+        database.insert_rows("t", [{"id": 1, "b": None}, {"id": 2, "b": 1}])
+        assert database.query(f"SELECT id FROM t WHERE {where} ORDER BY id").rows == [
+            (1,),
+            (2,),
+        ]
+
+    def test_not_between_with_a_null_bound_and_a_false_side_selects(self):
+        """``c NOT BETWEEN a AND b`` is ``NOT (a <= c AND c <= b)``: with
+        ``a`` NULL and ``c <= b`` false the conjunction is false, so on
+        ``v(id, a, b, c)`` holding ``(1, NULL, 1, 2)`` the row is
+        selected; with ``c <= b`` true it stays unknown."""
+        database = Database()
+        database.create_table(
+            TableSchema(
+                "v",
+                [Column(name, ColumnType.INT) for name in ("id", "a", "b", "c")],
+                primary_key="id",
+            )
+        )
+        database.insert_rows(
+            "v",
+            [{"id": 1, "a": None, "b": 1, "c": 2}, {"id": 2, "a": None, "b": 3, "c": 2}],
+        )
+        query = database.query
+        assert query("SELECT id FROM v WHERE c NOT BETWEEN a AND b").rows == [(1,)]
+        assert query("SELECT id FROM v WHERE NOT (c BETWEEN a AND b)").rows == [(1,)]
+        assert query("SELECT id FROM v WHERE c BETWEEN a AND b").rows == []
+        # Bounds swapped: row 2's known side, 3 <= 2, is the false one.
+        assert query("SELECT id FROM v WHERE c NOT BETWEEN b AND a").rows == [(2,)]
+
 
 class TestJoins:
     def test_implicit_join(self, db):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import fnmatch
 import json
+import sys
 import threading
 from pathlib import Path
 
@@ -163,6 +164,55 @@ def test_a_woven_fast_hit_takes_one_lock_round(lock_rounds):
 RING = {"facade": AutoWebCache, "n_nodes": 4}
 
 
+#: The middleware packages the call ledger counts
+#: (``benchmarks/profile_requests.py``, ``call_ledger``).
+MIDDLEWARE = ("cache", "cluster", "aop", "sql")
+
+
+def middleware_calls(run) -> int:
+    """Calls into ``src/repro/{cache,cluster,aop,sql}/`` while ``run()``
+    runs, counted as the call ledger counts them: every ``call`` event,
+    code objects named ``<...>`` skipped."""
+    count = [0]
+
+    def profiler(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name[0] != "<":
+            parts = Path(frame.f_code.co_filename).parts
+            if len(parts) > 2 and parts[-3] == "repro" and parts[-2] in MIDDLEWARE:
+                count[0] += 1
+
+    sys.setprofile(profiler)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count[0]
+
+
+def test_a_warm_slow_get_makes_at_most_50_middleware_calls(woven_rubis):
+    """A page miss is one record from check to insert: no second route,
+    token lookup or statistics call, one catalog guard per request
+    (75 calls when the miss took four facade calls)."""
+    app, awc = woven_rubis
+    app.container.get("/rubis/view_item", {"item": "1"})  # warm: plans, catalog
+    calls = middleware_calls(
+        lambda: app.container.get("/rubis/view_item", {"item": "2"})
+    )
+    assert awc.stats.misses == 2 and awc.stats.inserts == 2
+    assert calls <= 50
+
+
+@pytest.mark.parametrize("facade", [{}, RING], ids=["one node", "ring"])
+def test_a_fast_hit_makes_no_more_middleware_calls(facade):
+    """The fast path is untouched: a warm route read inline, one probe
+    (13 calls before the placement snapshot)."""
+    with notes_server(start=False, **facade) as (server, _container, _awc):
+        deliver(server, [get("/view_note?id=1")])  # the miss that stores it
+        calls = middleware_calls(lambda: deliver(server, [get("/view_note?id=1")]))
+        assert server.stats.fast_hits == 1
+        assert calls <= 10
+
+
 def test_a_ring_fast_hit_takes_one_lock_round(lock_rounds):
     """The owning shard's lock and nothing else: a warm route is one
     dict lookup, taken without the router lock."""
@@ -197,7 +247,9 @@ def test_a_ring_page_miss_takes_as_many_lock_rounds_as_one_node(
     lock_rounds, coalesce
 ):
     one_node = slow_get_rounds(lock_rounds, coalesce=coalesce)
-    assert one_node == 5  # fast_check, check, flight or window (3)
+    # check (opens the record), insert (closes it); the fast probe of an
+    # absent key takes no lock.
+    assert one_node == 2
     assert slow_get_rounds(lock_rounds, coalesce=coalesce, **RING) == one_node
 
 
@@ -260,7 +312,7 @@ def test_a_woven_page_miss_takes_one_lock_round_per_facade_call(
     locking, rounds = miss_calls_and_rounds(
         lock_rounds, monkeypatch, n_nodes=1, warm_route=False
     )
-    assert locking == ["check", "join_flight", "insert", "finish_flight"]
+    assert locking == ["check", "insert"]
     assert rounds == len(locking)
 
 
@@ -273,7 +325,7 @@ def test_a_ring_page_miss_adds_one_lock_round_to_route_a_new_key(
     locking, rounds = miss_calls_and_rounds(
         lock_rounds, monkeypatch, n_nodes=4, warm_route=warm_route
     )
-    assert locking == ["check", "join_flight", "insert", "finish_flight"]
+    assert locking == ["check", "insert"]
     assert rounds == len(locking) + (0 if warm_route else 1)
 
 

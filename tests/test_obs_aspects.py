@@ -76,6 +76,8 @@ class TestTracingAspect:
         assert root.parent_id is None
         assert all(s.parent_id == root.span_id for s in spans[1:])
         assert root.tags["status"] == "200"
+        # The check returned a miss record, not an entry: a miss.
+        assert spans[1].tags["outcome"] == "miss"
 
     def test_hit_is_still_a_traced_event(self, observed_app):
         _db, container, _awc, obs = observed_app

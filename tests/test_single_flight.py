@@ -402,11 +402,12 @@ def test_a_stale_insert_stores_nothing():
     assert (cache.stats.stale_inserts, cache.stats.inserts) == (1, 0)
 
 
-def test_a_flight_entry_evicted_before_close_is_refused_by_a_later_write():
-    """A stored flight entry can leave the store before its flight
-    closes; a write then finds no dependency rows to doom it by.  A
-    waiter joining after that write must still recompute, never be
-    handed the pre-write body."""
+def test_an_insert_closes_its_flight_so_no_joiner_gets_an_evicted_entry():
+    """The insert closes its token in the lock round that stores the
+    entry.  The entry may then leave the store (here by eviction) and a
+    write land that no dependency row can doom it by, but nobody can
+    join the finished flight and be handed the pre-write body: the next
+    miss leads afresh."""
 
     cache = bare_store(replacement="lru", capacity=1)
     flight, is_leader = cache.join_flight("/p")
@@ -414,15 +415,16 @@ def test_a_flight_entry_evicted_before_close_is_refused_by_a_later_write():
     entry, stored = cache.insert_key(
         "/p", "<pre-write>", [_note_read()], window=flight
     )
-    assert stored and flight.entry is entry
+    assert stored and flight.entry is entry and flight.finished
+    assert cache.open_flights == 0
     cache.insert_key("/q", "<other>", [])  # evicts /p and its rows
     assert "/p" not in cache
     cache.process_write_request("/w", [_note_write()])
-    waiter, is_leader = cache.join_flight("/p")
-    assert waiter is flight and not is_leader
-    cache.finish_flight(flight)
-    assert flight.stale
-    assert cache.wait_flight(waiter) is None
+    fresh, is_leader = cache.join_flight("/p")
+    assert fresh is not flight and is_leader
+    cache.finish_flight(fresh)
+    cache.finish_flight(flight)  # closing a closed token does nothing
+    assert cache.open_flights == 0 and cache.open_flight_keys() == []
 
 
 @pytest.mark.concurrency
