@@ -1,6 +1,6 @@
 ENV := PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: test stress check bench bench-figures bench-e2e profile bench-calls bench-cluster bench-invalidation bench-fragments bench-obs bench-hitpath differential results
+.PHONY: test stress check bench bench-figures bench-e2e profile ab bench-calls bench-cluster bench-invalidation bench-fragments bench-obs bench-hitpath differential results
 
 # Tier-1: the full unit/integration/property suite (what CI gates on).
 test:
@@ -64,6 +64,19 @@ N ?= 6000
 SEED ?= 57
 profile:
 	python benchmarks/profile_requests.py --workload $(WORKLOAD) -n $(N) --seed $(SEED)
+
+# Interleaved in-process A/B: the working tree against git revision BASE
+# (default HEAD), both loaded in one process as renamed packages,
+# alternating segments of N requests of WORKLOAD (order flipped every
+# segment, time.thread_time per request); prints us per request class on
+# each side, the ratio, segments won and process_write_request us per
+# write.  UNWOVEN=1 compares the working tree woven against its unwoven
+# twin instead (the middleware's per-class tax).  `make ab N=500` is the
+# CI smoke run; not a gate.
+BASE ?= HEAD
+ab:
+	python benchmarks/ab_interleaved.py --workload $(WORKLOAD) -n $(N) --seed $(SEED) \
+		--base $(BASE) $(if $(UNWOVEN),--unwoven)
 
 # The exact call ledger of every bench workload: calls into cache/,
 # cluster/, aop/ and sql/ (counted with sys.setprofile, <...> code

@@ -264,6 +264,17 @@ class WriteWatch:
         self.rounds = [0]
         self.apply_seconds = 0.0
         self.visited = 0
+        self.router = router
+        #: ``probe_plan`` calls (the JDBC advice's, one per INSERT under
+        #: ``ROW_WITNESS``); ``router.probe_plans_built`` counts rebuilds.
+        self.plans = 0
+        plan = router.probe_plan
+
+        def counted_plan(template):
+            self.plans += 1
+            return plan(template)
+
+        router.probe_plan = counted_plan
         original = router.process_write_request
 
         def watched(*args, **kwargs):
@@ -287,9 +298,9 @@ class WriteWatch:
             finally:
                 self.apply_seconds += time.perf_counter() - started
 
-        def counted_walk(invalidator, plan, instances, *args, **kwargs):
+        def counted_walk(invalidator, pair, written, partners, instances, *args, **kwargs):
             self.visited += len(instances)
-            return walk(invalidator, plan, instances, *args, **kwargs)
+            return walk(invalidator, pair, written, partners, instances, *args, **kwargs)
 
         with mock.patch.object(Cache, "apply_writes", timed_apply), mock.patch.object(
             Invalidator, "_walk", counted_walk
@@ -395,6 +406,7 @@ def main() -> None:
     closed = generate(workload, args.seed, "closed", 4 * args.n)
     watch = WriteWatch(awc.cache) if workload.writes else None
     counters_before = walk_counters(awc)
+    plans_built = awc.router.probe_plans_built
     Database.execute_statement = timed
     with watch.walks() if watch else contextlib.nullcontext():
         woven = replay(server, closed[: args.n], carts)
@@ -403,6 +415,7 @@ def main() -> None:
     for name, before in counters_before.items():
         counters[name] -= before
     timed_writes = watch.take() if watch else []
+    plans = (watch.plans, awc.router.probe_plans_built - plans_built) if watch else (0, 0)
     wall = sum(seconds for _path, seconds, _rounds in woven)
     print(f"{args.workload} seed {args.seed}: {wall / args.n * 1e6:.1f} us/request"
           f" un-profiled, execute_select share {select_s / wall:.1%}")
@@ -456,6 +469,7 @@ def main() -> None:
                   f" {us:.1f} us in process_write_request, {taken:.1f} lock rounds"
                   " (the cProfile pass)")
             print(f"  node apply_writes: {watch.apply_seconds / wall:.1%} of replay time")
+            print(f"  probe plans: {plans[1]} rebuilt of {plans[0]} calls (the un-profiled pass)")
             print(f"  pair cells filled: {counters['pair_cells']} for"
                   f" {counters['pair_analyses']} pair analyses counted"
                   f" ({counters['pair_analyses'] / writes:.2f} per write)")

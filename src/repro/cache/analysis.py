@@ -59,10 +59,10 @@ class InvalidationPolicy(enum.Enum):
     EXTRA_QUERY = "extra-query"  # the paper's AC-extraQuery strategy
     ROW_WITNESS = "row-witness"  # AC-extraQuery + the rows a read showed
 
-    @property
-    def pre_images(self) -> bool:
-        """Does this rung capture and consult write pre-images?"""
-        return self in (InvalidationPolicy.EXTRA_QUERY, InvalidationPolicy.ROW_WITNESS)
+    def __init__(self, value: str) -> None:
+        #: Does this rung capture and consult write pre-images?  An
+        #: attribute, not a property: every intersection test asks.
+        self.pre_images = value in ("extra-query", "row-witness")
 
 
 @dataclass(frozen=True)
@@ -216,6 +216,9 @@ class QueryAnalysisEngine:
         #: finishes after :meth:`set_catalog` lands under the old
         #: version, where no lookup under the new catalog looks.
         self._state: tuple[Catalog | None, int] = (catalog, 0 if catalog is None else 1)
+        #: ``_state``'s version, an attribute: every write's doom pass
+        #: on every node reads it.
+        self.catalog_version = self._state[1]
 
     # -- static info -------------------------------------------------------------
 
@@ -223,15 +226,12 @@ class QueryAnalysisEngine:
     def catalog(self) -> Catalog | None:
         return self._state[0]
 
-    @property
-    def catalog_version(self) -> int:
-        return self._state[1]
-
     def set_catalog(self, catalog: Catalog | None) -> None:
         """Swap the schema catalog, retiring catalog-derived memos.
         Callers serialise swaps (the ring's router swaps under its
         lock), so every swap takes a new, higher version."""
         self._state = (catalog, self._state[1] + 1)
+        self.catalog_version = self._state[1]
         self._lineage_cache.clear()
         self._column_rule_cache.clear()
         self._info_cache.clear()
@@ -592,28 +592,29 @@ class PruneRule:
         incomplete pre-image, unresolvable or unhashable values) and the
         caller must try the next rule or fall back to the full scan.
         """
+        source, values = self.source, write.values
         try:
-            if self.source == "insert":
-                stored = _pre_image_values(self.column, write)
-                if stored is not None or self.set_binding is None:
-                    return stored
-                return frozenset((self.set_binding.resolve(write.values),))
-            if self.source == "write":
-                assert self.write_binding is not None
-                return frozenset((self.write_binding.resolve(write.values),))
-            if self.source == "set+preimage":
-                assert self.set_binding is not None
-                old = _pre_image_values(self.column, write)
-                if old is None:
-                    return None
-                return old | frozenset(
-                    (self.set_binding.resolve(write.values),)
-                )
-            if self.source == "preimage":
+            if source == "write":
+                binding = self.write_binding
+            elif source == "preimage":
                 return _pre_image_values(self.column, write)
+            else:
+                old = _pre_image_values(self.column, write)
+                binding = self.set_binding
+                if source == "insert":
+                    if old is not None or binding is None:
+                        return old
+                    old = frozenset()
+                elif old is None:  # "set+preimage": rows may leave
+                    return None
+            # ``binding.resolve(values)``, inline: one per write side.
+            index = binding.value_index
+            value = binding.literal if index is None else values[index]
+            if source == "write":
+                return frozenset((value,))
+            return old | {value}
         except (IndexError, TypeError):
             return None
-        raise AssertionError(f"unknown prune source {self.source!r}")
 
 
 def _image_column(column: str, write: QueryInstance) -> list | None:
@@ -637,8 +638,13 @@ def _pre_image_values(column: str, write: QueryInstance) -> frozenset | None:
     """:func:`_image_column` as a set -- the exact cases
     ``_pre_image_may_contain`` treats as "may contain anything" give
     ``None``, where pruning would be unsound."""
-    values = _image_column(column, write)
-    return None if values is None else frozenset(values)
+    image = write.pre_image
+    if image is None:
+        return None
+    try:
+        return frozenset([row[column] for row in image])
+    except KeyError:
+        return None
 
 
 def build_pruning_plan(
@@ -721,20 +727,6 @@ def written_keys(pair: PairAnalysis, write: QueryInstance) -> frozenset | None:
         return None
 
 
-def witness_spares(
-    position: int | None,
-    written: frozenset,
-    witness: tuple[tuple[int, tuple], ...] | None,
-) -> bool:
-    """The read's side: did the read capture keys at ``position`` and
-    show none of the ``written`` ones?"""
-    if witness is not None:
-        for captured, keys in witness:
-            if captured == position:
-                return written.isdisjoint(keys)
-    return False
-
-
 def witness_excuses(
     pair: PairAnalysis,
     witness: tuple[tuple[int, tuple], ...] | None,
@@ -749,10 +741,16 @@ def witness_excuses(
     read showed.  Anything unknown -- no witness (the read ran before
     its table's first write), no pre-image, a key missing from a
     pre-image row -- answers False and leaves the doom standing.
-    :func:`written_keys` and :func:`witness_spares` are its two halves.
+    :func:`written_keys` is the write's half; ``Invalidator._walk``
+    runs the read's half inline.
     """
     written = written_keys(pair, write)
-    return written is not None and witness_spares(pair.witness, written, witness)
+    if written is None or witness is None:
+        return False
+    for captured, keys in witness:
+        if captured == pair.witness:
+            return written.isdisjoint(keys)
+    return False
 
 
 def probe_plan(
@@ -793,13 +791,16 @@ def probed_partners(pair: PairAnalysis, write: QueryInstance) -> tuple[ProbedEdg
         return ()
     probed = []
     for edge in pair.partners:
-        rows = _probed_rows(edge, write)
+        rows = probed_rows(edge, write)
         if rows is not None:
             probed.append((edge.bindings, rows))
     return tuple(probed)
 
 
-def _probed_rows(edge: PartnerEdge, write: QueryInstance) -> tuple[dict, ...] | None:
+def probed_rows(edge: PartnerEdge, write: QueryInstance) -> tuple[dict, ...] | None:
+    """The partner rows ``write``'s probes found for ``edge``, or None
+    when some inserted row was never probed for it (or lacks the join
+    column).  Depends on the edge's probe alone, not on the read."""
     found: list[dict] = []
     for row in write.pre_image:
         if edge.column not in row:
@@ -862,40 +863,6 @@ def partners_excuse(
     :func:`partners_spare` are its two halves.
     """
     return partners_spare(probed_partners(pair, write), read_values)
-
-
-def instance_filter(
-    plan: tuple[PruneRule, ...], write: QueryInstance
-) -> tuple[int | None, frozenset] | None:
-    """Resolve ``plan`` against one write into an instance filter.
-
-    Returns:
-
-    - ``None`` -- no rule applies to this write; scan every instance;
-    - ``(position, allowed)`` -- only instances whose value-vector entry
-      at ``position`` is in ``allowed`` can intersect; the rest are
-      provably disjoint and may be skipped unexamined;
-    - ``(None, frozenset())`` -- the read side pins the column to a
-      *literal* outside the allowed set, so every instance of the
-      template is disjoint: skip the template wholesale.
-    """
-    for rule in plan:
-        allowed = rule.allowed_values(write)
-        if allowed is None:
-            continue
-        position = rule.read_binding.value_index
-        if position is None:
-            # Literal read binding: one in/out decision for the whole
-            # template rather than a per-instance discrimination.
-            try:
-                pinned = rule.read_binding.literal in allowed
-            except TypeError:
-                continue
-            if pinned:
-                continue  # this rule cannot prune; maybe the next can
-            return None, frozenset()
-        return position, allowed
-    return None
 
 
 # ---------------------------------------------------------------------------

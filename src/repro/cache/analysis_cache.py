@@ -28,6 +28,7 @@ nodes may count one miss twice or lose an increment.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro.cache.analysis import (
@@ -38,18 +39,34 @@ from repro.cache.analysis import (
     QueryAnalysisEngine,
     build_pruning_plan,
 )
+from repro.sql.analysis_info import EqualityBinding
 from repro.sql.template import QueryTemplate
 
 #: A pair the read's column rule proves disjoint: decided without a
 #: pair analysis.
 LINEAGE_DISJOINT = (None, ())
 
+#: A pruning plan with each rule's *write side*: the id the analysis
+#: cache gives every distinct (source, column, SET binding, write
+#: binding), on which the rule's allowed set alone depends, so a write
+#: resolves it once for every read template (:func:`~repro.cache.
+#: invalidation.instance_filter`).
+SidedPlan = tuple[tuple[int, PruneRule], ...]
+
 #: A pair cell's verdict: :data:`LINEAGE_DISJOINT`, or the pair
-#: analysis with its pruning plan.
-PairVerdict = tuple[PairAnalysis | None, tuple[PruneRule, ...]]
+#: analysis with its sided pruning plan.
+PairVerdict = tuple[PairAnalysis | None, SidedPlan]
 
 #: One write template's row of pair cells: read template -> verdict.
 PairCells = dict[QueryTemplate, PairVerdict]
+
+
+def _binding_key(binding: EqualityBinding | None) -> tuple | None:
+    """``binding``'s fields as a plain tuple (its dataclass hash and
+    equality are Python code)."""
+    if binding is None:
+        return None
+    return binding.table, binding.column, binding.value_index, binding.literal
 
 
 @dataclass
@@ -86,6 +103,9 @@ class AnalysisCache:
         #: The pair cells, one row per (write text, policy, lineage
         #: pruning, catalog version) (:meth:`pair_cells`).
         self._cells: dict[tuple[str, str, bool, int], PairCells] = {}
+        #: A pruning rule's write side -> its id (:data:`SidedPlan`).
+        self._sides: dict[tuple, int] = {}
+        self._side_ids = itertools.count()
         self.stats = AnalysisCacheStats()
 
     def analyse(self, read: QueryTemplate, write: QueryTemplate) -> PairAnalysis:
@@ -152,8 +172,8 @@ class AnalysisCache:
 
         The verdict is :data:`LINEAGE_DISJOINT` when the column rule
         proves the pair disjoint (consulted only with
-        ``lineage_pruning``), else the pair analysis with its pruning
-        plan (empty for an impossible pair).
+        ``lineage_pruning``), else the pair analysis with its sided
+        pruning plan (empty for an impossible pair).
         """
         built = False
         verdict = None
@@ -163,7 +183,19 @@ class AnalysisCache:
                 verdict = LINEAGE_DISJOINT
         if verdict is None:
             pair = self.analyse(read, write)
-            verdict = (pair, build_pruning_plan(pair, policy))
+            sides, plan = self._sides, []
+            for rule in build_pruning_plan(pair, policy):
+                # Built-in values only, so ``setdefault`` runs no Python
+                # code: two nodes deciding at once get one id per side,
+                # and never one id for two sides.
+                side = (
+                    rule.source,
+                    rule.column,
+                    _binding_key(rule.set_binding),
+                    _binding_key(rule.write_binding),
+                )
+                plan.append((sides.setdefault(side, next(self._side_ids)), rule))
+            verdict = (pair, tuple(plan))
         cells[read] = verdict
         return verdict, built
 
@@ -185,3 +217,4 @@ class AnalysisCache:
         self._pairs.clear()
         self._column_rules.clear()
         self._cells.clear()
+        self._sides.clear()

@@ -34,7 +34,7 @@ from repro.cache.analysis import InvalidationPolicy
 from repro.cache.analysis_cache import AnalysisCache
 from repro.cache.entry import PageEntry, QueryInstance
 from repro.cache.flight import Flight
-from repro.cache.invalidation import Invalidator, VerdictCells
+from repro.cache.invalidation import Invalidator, WriteBinding
 from repro.cache.page_cache import PageCache
 from repro.cache.replacement import make_policy
 from repro.cache.semantics import SemanticsRegistry
@@ -447,25 +447,25 @@ class Cache:
         """Run invalidation for a completed write request."""
         with self.lock:
             self.stats.record_write(uri)
-        return self.apply_writes(writes)
+            return self.apply_writes(writes)
 
     def apply_writes(
         self,
         writes: Sequence[QueryInstance],
-        verdicts: Sequence[VerdictCells] | None = None,
+        bindings: Sequence[WriteBinding] | None = None,
     ) -> set[str]:
         """Invalidate everything ``writes`` affects, without recording a
-        write request.
+        write request, in one lock round.
 
         This is the consistency half of :meth:`process_write_request`:
         buffer the invalidation information for open flights (so the
         staleness window covers computations overlapping the write),
         doom affected pages, and mark doomed in-flight computations
         stale.  The cluster invalidation bus calls this on every node
-        with the message's unique writes and its verdict table
+        with the message's unique writes and their bindings
         (:meth:`Invalidator.process_writes`) -- the write *request*
-        happened once, and its template-level analysis runs once per
-        ring, but its shard pass must run everywhere.
+        happened once, and its bound side is computed once per ring,
+        but its shard pass must run everywhere.
         """
         if not writes:
             return set()
@@ -476,10 +476,12 @@ class Cache:
                 self._write_seq += 1
                 seq = self._write_seq
                 self._recent_writes.extend((seq, write) for write in writes)
-            doomed = self.invalidator.process_writes(writes, verdicts)
-            # A doomed key with an open flight: the invalidation must
-            # win over the in-flight computation's eventual insert.
-            self._mark_flights_stale(doomed)
+            doomed = self.invalidator.process_writes(writes, bindings)
+            if doomed and self._open:
+                # A doomed key with an open flight: the invalidation
+                # must win over the in-flight computation's eventual
+                # insert.
+                self._mark_flights_stale(doomed)
             return doomed
 
     # -- management ----------------------------------------------------------------------

@@ -217,7 +217,8 @@ class JdbcConsistencyAspect(Aspect):
     @property
     def extra_queries(self) -> int:
         """Pre-images captured (AC-extraQuery's extra queries; each is
-        now read off the write's own result, see :meth:`_image`).
+        now read off the write's own result, see
+        :meth:`collect_invalidation_info`).
 
         Kept for observability; the counter itself lives in
         :class:`~repro.cache.stats.CacheStats`: each request tallies its
@@ -279,30 +280,51 @@ class JdbcConsistencyAspect(Aspect):
         context = self.collector.current()
         if context is None or not context.catalog_synced:
             self._sync_catalog(joinpoint, context)
-        template = None
-        if context is not None:
-            template, values = templateize(*_sql_and_params(joinpoint))
+        if context is None:
+            return joinpoint.proceed()
+        args = joinpoint.args
+        template, values = templateize(
+            args[0], args[1] if len(args) > 1 else joinpoint.kwargs.get("params", ())
+        )
         # A failed write changed nothing (the plan undoes a part-applied
         # UPDATE) and is not considered for invalidation.
         result = joinpoint.proceed()
-        if template is not None:
-            self.cache.written_tables.add(template.info.write_table)
-            statement = joinpoint.target
-            image = self._image(statement)
-            partners = None
+        cache = self.cache
+        cache.written_tables.add(template.info.write_table)
+        statement = joinpoint.target
+        # The rows the write's intersection test reads.  For an UPDATE
+        # or DELETE, under the pre-image rungs: what the paper's extra
+        # query fetched, the rows it touched as they were before it ran,
+        # so missing column values can be tested at invalidation time.
+        # The write's own plan took this before-image while it changed
+        # the rows, under the same database lock, so no second statement
+        # runs and no other writer can come between image and write; it
+        # is still counted as one extra query (plus the rows the write
+        # examined), which is what the simulator charges for it.  For an
+        # INSERT, under every rung: the row as stored (generated key,
+        # coerced values, NULLs), which the plan returns as JDBC's
+        # ``getGeneratedKeys`` would -- no query, none counted.
+        image = partners = None
+        update = getattr(statement, "last_update", None)
+        if update is not None and update.before is None:
+            image = update.after_image()
             if (
-                image is not None
-                and template.info.kind == "insert"
-                and self.cache.invalidation_policy is InvalidationPolicy.ROW_WITNESS
+                template.info.kind == "insert"
+                and cache.invalidation_policy is InvalidationPolicy.ROW_WITNESS
             ):
-                partners = self._partners(statement, template, image)
-            instance = QueryInstance(template, values, image, partners)
-            connection = getattr(statement, "connection", None)
-            if connection is not None and connection.in_transaction:
-                # Outcome unknown until commit/rollback: stage it.
-                self.collector.stage_write(connection, instance)
-            else:
-                self.collector.record_write(instance)
+                partners = self._partners(statement, template, image, context)
+        elif update is not None and cache.invalidation_policy.pre_images:
+            context.add_extra_queries(1, update.rows_examined, 0)
+            image = update.before_image()
+        # tuple.__new__: one is built per intercepted write, and the
+        # named tuple's own __new__ is a Python function.
+        instance = tuple.__new__(QueryInstance, (template, values, image, partners))
+        connection = getattr(statement, "connection", None)
+        if connection is not None and connection.in_transaction:
+            # Outcome unknown until commit/rollback: stage it.
+            context.staged_writes.setdefault(connection, []).append(instance)
+        else:
+            context.writes.append(instance)
         return result
 
     @around(COMMIT_POINTCUT)
@@ -322,32 +344,7 @@ class JdbcConsistencyAspect(Aspect):
             # did not commit): they must not invalidate anything.
             self.collector.rollback_staged(joinpoint.target)
 
-    def _image(self, statement: object) -> tuple[dict[str, object], ...] | None:
-        """The rows the write's intersection test reads.
-
-        For an UPDATE or DELETE, under the pre-image rungs: what the
-        paper's extra query fetched, the rows it touched as they were
-        before it ran, so missing column values can be tested at
-        invalidation time.  The write's own plan took this before-image
-        while it changed the rows, under the same database lock, so no
-        second statement runs and no other writer can come between image
-        and write; it is still counted as one extra query (plus the rows
-        the write examined), which is what the simulator charges for it.
-
-        For an INSERT, under every rung: the row as stored (generated
-        key, coerced values, NULLs), which the plan returns as JDBC's
-        ``getGeneratedKeys`` would -- no query, none counted."""
-        update = getattr(statement, "last_update", None)
-        if update is None:
-            return None
-        if update.before is None:
-            return update.after_image()
-        if not self.cache.invalidation_policy.pre_images:
-            return None
-        self.collector.record_extra_query(update.rows_examined)
-        return update.before_image()
-
-    def _partners(self, statement, template, image) -> tuple | None:
+    def _partners(self, statement, template, image, context: RequestContext) -> tuple | None:
         """Run an INSERT's partner probes (:meth:`ClusterRouter.probe_plan`):
         for each plan edge and inserted row, ``SELECT * FROM <partner>
         WHERE <partner column> = <the row's join value>`` on the write's
@@ -371,19 +368,8 @@ class JdbcConsistencyAspect(Aspect):
                 if probe in found:
                     continue
                 result = database.query(sql, (value,))
-                self.collector.record_extra_query(result.rows_examined, probe=True)
+                context.add_extra_queries(1, result.rows_examined, 1)
                 found[probe] = tuple(
                     tuple(zip(result.columns, values)) for values in result.rows
                 )
         return tuple((*probe, rows) for probe, rows in found.items())
-
-
-def _sql_and_params(
-    joinpoint: JoinPoint,
-) -> tuple[str, tuple[object, ...] | list[object]]:
-    """Extract (sql, params) from an execute_query/execute_update call
-    (``templateize`` copies a parameter list into the value vector)."""
-    args = joinpoint.args
-    if len(args) > 1:
-        return args[0], args[1]
-    return args[0], joinpoint.kwargs.get("params", ())

@@ -218,19 +218,6 @@ class ConsistencyCollector:
         if context is not None:
             context.writes.append(instance)
 
-    def record_extra_query(self, rows: int, probe: bool = False) -> None:
-        """Count one extra query a write of the current request ran (a
-        pre-image capture, or a partner probe), examining ``rows``."""
-        context = self._current.get()
-        if context is not None:
-            context.add_extra_queries(1, rows, int(probe))
-
-    def stage_write(self, connection: object, instance: QueryInstance) -> None:
-        """Record invalidation information pending ``connection``'s commit."""
-        context = self._current.get()
-        if context is not None:
-            context.staged_writes.setdefault(connection, []).append(instance)
-
     def commit_staged(self, connection: object) -> None:
         """Promote ``connection``'s staged writes: the transaction committed."""
         context = self._current.get()

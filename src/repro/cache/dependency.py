@@ -32,18 +32,24 @@ answers ``None`` and the invalidator falls back to the full scan,
 trading speed for the exact brute-force behaviour.
 
 Registration is an append and removal is O(1).  :meth:`register`
-appends to a pending list that the first reader takes in (a page
-evicted before any write looks is never taken in at all).  A page's
+appends to a pending list that the first reader needing it takes in (a
+page evicted before any write looks is never taken in at all; a write
+whose tables no template shares takes nothing in).  A page's
 registrations are one record: the list of its ``(page key, instance)``
 tuples the table keeps under the page's key, the very tuples the
-template lists and value-index buckets hold.  Removing a page drops its
-key, moves a counter per instance and notes each tuple's identity as
-dead; nothing is searched.  The readers skip dead references and
-count nothing for them, and a template's references are compacted once
-the dead outnumber the live, and are more than a few (a template whose
-last page goes is dropped whole, at once).  Live registrations keep their registration order, so a
-write visits them -- and counts what depends on that order -- exactly as
-if the dead had been removed eagerly.
+template maps and value-index buckets hold.  Those maps key each tuple
+by its identity, so removing a page deletes its tuples from them one
+dict deletion each (one per indexed position in the value index), and
+a reader returns what they hold as it stands: nothing is searched,
+filtered or compacted.  Live registrations keep their registration
+order, so a write visits them -- and counts what depends on that
+order -- in the order they were registered.
+
+Every table carries a **stamp** (:meth:`stamp`) that moves when a
+template on it gains its first registration or loses its last: a memo
+over the templates a write's tables reach (the invalidator's doom
+programs, the router's probe plans) is current while the stamps of
+those tables stand still.
 
 A plain structure: it takes no lock.  The page store mutates it and the
 invalidator reads it, both only inside a facade operation of their
@@ -64,13 +70,6 @@ from repro.sql.template import QueryTemplate
 Registration = tuple[str, QueryInstance]
 
 
-#: Dead references a template keeps before the dead outnumbering the
-#: live compacts it: a template of a few pages is not rebuilt per
-#: eviction.
-_COMPACT_FLOOR = 8
-
-
-
 class DependencyTable:
     """template -> registrations in order (plus two indexes).
 
@@ -86,14 +85,10 @@ class DependencyTable:
         #: page key -> its record: its registrations, one per read
         #: instance (deduplicated by equality).
         self._pages: dict[str, list[Registration]] = {}
-        #: template -> its registrations, live and dead, in registration
-        #: order.  A template is here exactly while it has a live one.
-        self._by_template: dict[QueryTemplate, list[Registration]] = {}
-        #: template -> live registrations under it (no count walks pages).
-        self._counts: dict[QueryTemplate, int] = {}
-        #: template -> the ``id`` of each dead registration still in its
-        #: list and buckets (held there, so no id is reused meanwhile).
-        self._dead: dict[QueryTemplate, set[int]] = {}
+        #: template -> its live registrations by identity, in
+        #: registration order.  A template is here exactly while it has
+        #: one.
+        self._by_template: dict[QueryTemplate, dict[int, Registration]] = {}
         #: Inverted index: table name -> templates referencing it, in
         #: registration order (a dict, not a set: a write then visits its
         #: candidates in the same order in every process, so counters
@@ -103,23 +98,58 @@ class DependencyTable:
             str, dict[QueryTemplate, None]
         ] = defaultdict(dict)
         #: template -> position -> value -> the registrations whose
-        #: instance holds that value at that position, in order.
-        #: Built for a template by the first write that probes it.
+        #: instance holds that value at that position, by identity, in
+        #: order.  Built for a template by the first write that probes it.
         self._value_index: dict[
-            QueryTemplate, dict[int, dict[object, list[Registration]]]
+            QueryTemplate, dict[int, dict[object, dict[int, Registration]]]
         ] = {}
         #: Template texts whose value index was abandoned (unhashable
         #: values); lookups on them fall back to the full scan.
         self._unindexable: set[str] = set()
-        #: Moves whenever a template gains its first registration or
-        #: loses its last (or may: :meth:`register`): a memo over the
-        #: registered templates (the facade's probe plans) is current
-        #: while it stands still.
-        self.version = 0
+        #: table -> its stamp (:meth:`stamp`); ``_clock`` hands them out.
+        self._stamps: dict[str, int] = {}
+        self._clock = 0
         #: Registrations not taken in yet, in order: (page key, its
         #: instances, its record).  The first reader takes them in
         #: (:meth:`_settle`), skipping pages already gone.
         self._pending: list[tuple[str, tuple[QueryInstance, ...], list[Registration]]] = []
+        #: Templates a pending registration may register first: their
+        #: tables' stamps have moved already.  Empty, every pending
+        #: registration is of a registered template.
+        self._arriving: set[QueryTemplate] = set()
+
+    def stamp(self, tables: Iterable[str]) -> int:
+        """The latest stamp of ``tables``: it moves whenever a template
+        on one of them gains its first registration (at :meth:`register`,
+        before it is taken in) or loses its last, and at :meth:`clear`.
+        A plain read: it takes nothing in."""
+        stamps, latest = self._stamps, 0
+        for table in tables:
+            stamp = stamps.get(table, 0)
+            if stamp > latest:
+                latest = stamp
+        return latest
+
+    def census(self, tables: Iterable[str]) -> tuple[int, int]:
+        """``tables``' :meth:`stamp` and how many templates are
+        registered: what a write's doom pass reads before anything else.
+        The pending registrations are taken in first only when one may
+        register a template (the count would miss it); otherwise the
+        first reader that needs them takes them in, and a pass with
+        nothing to probe takes in nothing."""
+        if self._arriving:
+            self._settle()
+        stamps, latest = self._stamps, 0  # :meth:`stamp`, inline
+        for table in tables:
+            stamp = stamps.get(table, 0)
+            if stamp > latest:
+                latest = stamp
+        return latest, len(self._by_template)
+
+    def _restamp(self, template: QueryTemplate) -> None:
+        self._clock += 1
+        for table in template.tables:
+            self._stamps[table] = self._clock
 
     def register(self, page_key: str, instances: tuple[QueryInstance, ...]) -> None:
         """Record that ``page_key`` depends on each read instance: an
@@ -130,14 +160,18 @@ class DependencyTable:
             record = self._pages[page_key] = []
         pending = self._pending
         pending.append((page_key, instances, record))
-        by_template = self._by_template
+        by_template, arriving = self._by_template, self._arriving
         for instance in instances:
-            if instance.template not in by_template:
-                # It may register a template first: move the version
-                # now, so a memo read before the next reader runs is
-                # never current without it.
-                self.version += 1
-                break
+            template = instance.template
+            if template not in by_template and template not in arriving:
+                # It may register the template first: move its tables'
+                # stamps now, so a memo read before the next reader
+                # runs is never current without it (:meth:`_restamp`,
+                # inline: a miss's insert comes here).
+                arriving.add(template)
+                self._clock = clock = self._clock + 1
+                for table in template.tables:
+                    self._stamps[table] = clock
         if len(pending) > 2 * len(self._pages) + 64:
             pages = self._pages
             self._pending = [entry for entry in pending if pages.get(entry[0]) is entry[2]]
@@ -145,6 +179,7 @@ class DependencyTable:
     def _settle(self) -> None:
         """Take the pending registrations in, in their order."""
         pending, self._pending = self._pending, []
+        self._arriving = set()
         pages = self._pages
         for page_key, instances, record in pending:
             if pages.get(page_key) is record:
@@ -153,7 +188,7 @@ class DependencyTable:
     def _take(
         self, page_key: str, instances: tuple[QueryInstance, ...], record: list[Registration]
     ) -> None:
-        by_template, counts, value_index = self._by_template, self._counts, self._value_index
+        by_template, value_index = self._by_template, self._value_index
         indexable: list[Registration] = []
         for instance in instances:
             if type(instance.values) is not tuple:
@@ -165,16 +200,12 @@ class DependencyTable:
                 template = instance.template
                 registrations = by_template.get(template)
                 if registrations is None:
-                    registrations = by_template[template] = []
-                    counts[template] = 0
-                    self._dead[template] = set()
-                    self.version += 1
+                    registrations = by_template[template] = {}
                     for table in template.tables:
                         self._templates_by_table[table][template] = None
                 registration = (page_key, instance)
                 record.append(registration)
-                registrations.append(registration)
-                counts[template] += 1
+                registrations[id(registration)] = registration
                 if template in value_index:
                     indexable.append(registration)
         if indexable:
@@ -182,30 +213,34 @@ class DependencyTable:
 
     def unregister(self, page_key: str, instances: tuple[QueryInstance, ...] = ()) -> None:
         """Remove ``page_key``'s registrations (on eviction/invalidation):
-        its record goes, and every registration in it is dead."""
+        its record goes, and each of its registrations leaves the
+        template map and the value index."""
         record = self._pages.pop(page_key, None)
         if record is None:
             return
-        counts, dead = self._counts, self._dead
+        by_template, value_index = self._by_template, self._value_index
         for registration in record:
             template = registration[1].template
-            if template not in counts:
-                continue  # dropped with an earlier instance of the page
-            counts[template] -= 1
-            if counts[template]:
-                dead[template].add(id(registration))
-            else:
+            registrations = by_template[template]
+            del registrations[id(registration)]
+            if not registrations:
                 self._drop(template)
-        for registration in record:
-            template = registration[1].template
-            gone = dead.get(template)
-            if gone is not None and len(gone) > max(counts[template], _COMPACT_FLOOR):
-                self._compact(template)
+                continue
+            index = value_index.get(template)
+            if index is not None:
+                vector = registration[1].values
+                for position in template.indexable_positions:
+                    bucket = index[position]
+                    value = vector[position]
+                    found = bucket[value]
+                    del found[id(registration)]
+                    if not found:
+                        del bucket[value]
 
     # -- index maintenance ---------------------------------------------------------
 
-    def _index(self, registrations: list[Registration]) -> None:
-        """Append ``registrations`` to their templates' value indexes."""
+    def _index(self, registrations: Iterable[Registration]) -> None:
+        """Add ``registrations`` to their templates' value indexes."""
         value_index, unindexable = self._value_index, self._unindexable
         for registration in registrations:
             template = registration[1].template
@@ -221,9 +256,9 @@ class DependencyTable:
                     value = vector[position]
                     found = bucket.get(value)
                     if found is None:
-                        bucket[value] = [registration]
+                        bucket[value] = {id(registration): registration}
                     else:
-                        found.append(registration)
+                        found[id(registration)] = registration
             except (IndexError, TypeError):
                 # Short or unhashable vector: demote the template for
                 # good (a partially indexed template would answer
@@ -233,11 +268,13 @@ class DependencyTable:
                 value_index.pop(template, None)
 
     def _drop(self, template: QueryTemplate) -> None:
-        """``template`` lost its last live registration: forget it."""
-        self.version += 1
+        """``template`` lost its last live registration: forget it.  A
+        pending registration of it would register it again, so it is
+        arriving once more."""
+        self._restamp(template)
+        if self._pending:
+            self._arriving.add(template)
         del self._by_template[template]
-        del self._counts[template]
-        del self._dead[template]
         self._value_index.pop(template, None)
         for table in template.tables:
             remaining = self._templates_by_table.get(table)
@@ -245,17 +282,6 @@ class DependencyTable:
                 remaining.pop(template, None)
                 if not remaining:
                     del self._templates_by_table[table]
-
-    def _compact(self, template: QueryTemplate) -> None:
-        """Rebuild ``template``'s list and value index from its live
-        registrations, in their order."""
-        dead = self._dead[template]
-        live = [each for each in self._by_template[template] if id(each) not in dead]
-        self._by_template[template] = live
-        self._dead[template] = set()
-        if template in self._value_index:
-            self._value_index[template] = {}
-            self._index(live)
 
     # -- reads ---------------------------------------------------------------------
 
@@ -271,9 +297,11 @@ class DependencyTable:
         """Templates sharing a table with ``tables``, plus the skipped count.
 
         The skipped count is how many registered templates the inverted
-        table index proved irrelevant without a pair analysis.
+        table index proved irrelevant without a pair analysis.  Pending
+        registrations are taken in only when one may register a
+        template (:meth:`census`).
         """
-        if self._pending:
+        if self._arriving:
             self._settle()
         candidates: dict[QueryTemplate, None] = {}
         for table in tables:
@@ -286,11 +314,8 @@ class DependencyTable:
         """(page key, read instance) pairs registered under ``template``."""
         if self._pending:
             self._settle()
-        registrations = self._by_template.get(template, ())
-        dead = self._dead.get(template)
-        if dead:
-            return [each for each in registrations if id(each) not in dead]
-        return list(registrations)
+        registrations = self._by_template.get(template)
+        return [] if registrations is None else list(registrations.values())
 
     def instances_for_values(
         self,
@@ -307,40 +332,39 @@ class DependencyTable:
         """
         if self._pending:
             self._settle()
-        if template.text in self._unindexable:
+        unindexable = self._unindexable
+        if unindexable and template.text in unindexable:
             return None
-        if template not in self._by_template:
+        registrations = self._by_template.get(template)
+        if registrations is None:
             return [], 0
         index = self._value_index.get(template)
         if index is None and template.indexable_positions:
             # Built on the first write that asks, and kept in step from
             # then on: a template no write probes never pays for one.
             self._value_index[template] = {}
-            self._index(self._by_template[template])
+            self._index(registrations.values())
             if template.text in self._unindexable:
                 return None
             index = self._value_index[template]
-        if index is None or position not in index:
+        bucket = None if index is None else index.get(position)
+        if bucket is None:
             return None
-        bucket, dead = index[position], self._dead[template]
         candidates: list[Registration] = []
         try:
             for value in values:
                 found = bucket.get(value)
                 if found is not None:
-                    if dead:
-                        candidates.extend([each for each in found if id(each) not in dead])
-                    else:
-                        candidates.extend(found)
+                    candidates.extend(found.values())
         except TypeError:
             return None
-        return candidates, self._counts[template] - len(candidates)
+        return candidates, len(registrations) - len(candidates)
 
     def instance_count(self, template: QueryTemplate) -> int:
         """Number of registrations currently held under ``template``."""
         if self._pending:
             self._settle()
-        return self._counts.get(template, 0)
+        return len(self._by_template.get(template, ()))
 
     def registrations_on(self, template: QueryTemplate, page_keys: Iterable[str]) -> int:
         """Number of registrations under ``template`` whose page is one
@@ -356,12 +380,12 @@ class DependencyTable:
         return count
 
     def clear(self) -> None:
-        self.version += 1
+        for template in (*self._by_template, *self._arriving):
+            self._restamp(template)
         self._pending = []
+        self._arriving = set()
         self._pages.clear()
         self._by_template.clear()
-        self._counts.clear()
-        self._dead.clear()
         self._templates_by_table.clear()
         self._value_index.clear()
         self._unindexable.clear()
@@ -376,4 +400,4 @@ class DependencyTable:
     def registration_count(self) -> int:
         if self._pending:
             self._settle()
-        return sum(self._counts.values())
+        return sum(map(len, self._by_template.values()))

@@ -24,22 +24,24 @@ Two properties matter for the consistency argument (docs/cluster.md):
    staleness window (``Cache.apply_writes`` buffers the message for its
    open flights).
 
-A message also carries the write's **verdict table**
-(:func:`~repro.cache.invalidation.verdict_table`): the template-level
-verdicts -- lineage skip, pair analysis, bound instance filter -- that
-do not depend on the shard.  The first node to reach a (write, read
-template) cell fills it and the nodes after it read it, so a ring
-analyses each write once and every node runs only its own probes.  The
-bus lock serialises deliveries, so the table needs no lock of its own.
+A message also carries each write's **binding**
+(:class:`~repro.cache.invalidation.WriteBinding`): the write's side of
+every instance test -- a pruning rule's allowed set, the keys it wrote,
+the partner rows it probed -- which does not depend on the shard or on
+the read template.  The first node to need a bound value computes it
+and the nodes after it read it, so a ring binds each write once and
+every node runs only its own probes; the binding also records which
+read templates the write's template-level work was counted for.  The
+bus lock serialises deliveries, so a binding needs no lock of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from repro.cache.entry import QueryInstance
-from repro.cache.invalidation import VerdictCells, verdict_table
+from repro.cache.invalidation import WriteBinding
 from repro.errors import ClusterError
 from repro.locks import NamedRLock
 
@@ -48,17 +50,13 @@ from repro.locks import NamedRLock
 Subscriber = Callable[["BusMessage"], set]
 
 
-@dataclass(frozen=True)
-class BusMessage:
-    """One broadcast invalidation event.
+class BusMessage(NamedTuple):
+    """One broadcast invalidation event: a plain immutable record.
 
-    Besides what the write changed it carries :attr:`verdicts`, the
-    verdict table its subscribers fill and share during the one
-    delivery pass (module docstring).  The table lives for that pass:
-    :meth:`InvalidationBus.publish` empties it afterwards, so the tail
-    of recent messages holds no verdicts.  Cells key by the catalog
-    version they were computed under, so a cell is never read under
-    another catalog.
+    Besides what the write changed it carries :attr:`bindings`, one
+    per write, which its subscribers fill and share during the delivery
+    pass (module docstring).  A message built without them (a test, a
+    replay) is bound by each node on its own.
     """
 
     #: Cluster-wide sequence number (1-based, gap-free).
@@ -76,14 +74,8 @@ class BusMessage:
     #: use the pair to stitch their invalidation work into the
     #: originating request's trace.
     trace: tuple[str, str] | None = None
-    #: One cell dict per write, filled by the first node to reach a
-    #: read template (:func:`~repro.cache.invalidation.verdict_table`).
-    verdicts: tuple[VerdictCells, ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "verdicts", verdict_table(self.writes))
+    #: One binding per write, in batch order.
+    bindings: tuple[WriteBinding, ...] | None = None
 
 
 @dataclass
@@ -162,29 +154,28 @@ class InvalidationBus:
         and the write response cannot be sent before the cluster is
         consistent.  ``writes`` must hold no duplicates: the publish
         lock serialises every write in the cluster, and each node walks
-        the batch as given.  The message's verdict table is filled by
-        the subscribers as they run, in subscription order, and emptied
-        once the last has run.
+        the batch as given.  The message's bindings are filled by the
+        subscribers as they run, in subscription order.
         """
+        writes = tuple(writes)
+        bindings = tuple(map(WriteBinding, writes))
         with self._lock:
             self._seq += 1
-            self.stats.published += 1
-            message = BusMessage(
-                seq=self._seq,
-                origin=origin,
-                uri=uri,
-                writes=tuple(writes),
-                trace=trace,
-            )
-            self._recent.append(message)
-            del self._recent[: -self._recent_limit]
+            stats = self.stats
+            stats.published += 1
+            # tuple.__new__: the named tuple's own __new__ is Python.
+            message = tuple.__new__(BusMessage, (self._seq, origin, uri, writes, trace, bindings))
+            recent = self._recent
+            recent.append(message)
+            if len(recent) > self._recent_limit:
+                del recent[0]
             doomed: set = set()
             for subscriber in self._subscribers.values():
-                self.stats.delivered += 1
-                doomed |= subscriber(message)
-            for cells in message.verdicts:
-                cells.clear()  # read by this pass only; the tail keeps none
-            self.stats.pages_invalidated += len(doomed)
+                stats.delivered += 1
+                found = subscriber(message)
+                if found:
+                    doomed |= found
+            stats.pages_invalidated += len(doomed)
             return message, doomed
 
     def recent(self) -> list[BusMessage]:

@@ -14,9 +14,10 @@ Lifecycle: ``joined -> draining -> left``.  The router drives the
 transitions; ``draining`` exists so a leave can move (rather than drop)
 its entries while lookups still route elsewhere.
 
-The node has no lock of its own: its replay position and lifecycle
-state change under its cache's lock, so a delivery's sequence check and
-its doom pass are one critical section.
+The node has no lock of its own.  Its lifecycle state changes under its
+cache's lock; its replay position changes only in a delivery, which the
+bus lock serialises, so a delivery checks it without a lock round and
+takes the cache's lock once, for the doom pass.
 """
 
 from __future__ import annotations
@@ -57,20 +58,22 @@ class CacheNode:
         Rejecting out-of-order or replayed sequence numbers turns any
         bus-ordering bug into a loud error instead of silent staleness.
         The doom pass walks this node's own candidate templates, under
-        its lock, and reads or fills the message's verdict table: a
-        template another node already judged costs only this shard's
-        value-index probes and instance tests.
+        its cache's lock (one round, in ``Cache.apply_writes``), and
+        reads or fills the message's write bindings: a value another
+        node already bound costs this shard nothing.  A node that has
+        left dooms nothing: nothing routes to it (a leave or a crash
+        releases its entries, a crash at eviction).
         """
-        with self.cache.lock:
-            if message.seq <= self.last_applied_seq:
-                raise ClusterError(
-                    f"node {self.name}: bus message {message.seq} arrived "
-                    f"after {self.last_applied_seq} was already applied"
-                )
-            self.last_applied_seq = message.seq
-            if self.state == LEFT:
-                return set()
-            return self.cache.apply_writes(message.writes, message.verdicts)
+        seq = message.seq
+        if seq <= self.last_applied_seq:
+            raise ClusterError(
+                f"node {self.name}: bus message {seq} arrived "
+                f"after {self.last_applied_seq} was already applied"
+            )
+        self.last_applied_seq = seq
+        if self.state == LEFT:
+            return set()
+        return self.cache.apply_writes(message.writes, message.bindings)
 
     def rebase(self, seq: int) -> None:
         """Adopt the bus position at (re-)subscription time."""

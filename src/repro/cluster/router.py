@@ -18,9 +18,9 @@ QueryAnalysisEngine` and :class:`~repro.cache.analysis_cache.
 AnalysisCache` every node's invalidator analyses through, mirrors the
 schema catalog into it once per schema epoch, captures the row witness
 and plans an INSERT's partner probes.  A node holds pages.  A write's
-instances are deduplicated here, once; its template-level verdicts are
-reached once per ring too, by the first node to need each one, and
-shared through the bus message (:mod:`repro.cluster.bus`).
+instances are deduplicated here, once; its bound side is computed once
+per ring too, by the first node to need each value, and shared through
+the bus message (:mod:`repro.cluster.bus`).
 
 Locks: the router's one lock covers its routing state, its containment
 table and its front-end statistics; each node's cache has its own (the
@@ -249,9 +249,16 @@ class ClusterRouter:
         #: Write template text -> (memo key, its probe plan):
         #: :meth:`probe_plan`'s memo.
         self._probe_plans: dict[str, tuple[tuple, tuple]] = {}
+        #: Probe plans computed rather than found in the memo (counted
+        #: without a lock: exact single-threaded, as ``make profile``
+        #: reads it).
+        self.probe_plans_built = 0
         self.bus = InvalidationBus()
         self.membership = membership or GossipMembership(clock=self.clock)
         self._nodes: dict[str, CacheNode] = {}
+        #: The nodes as a tuple, replaced (under the router lock) with
+        #: every change to ``_nodes``: read without the lock.
+        self._members: tuple[CacheNode, ...] = ()
         #: The placement snapshot: (the route of every key or None,
         #: key -> :data:`Route`), one tuple so a lock-free reader sees a
         #: consistent pair; replaced, never cleared, by every change to
@@ -358,6 +365,7 @@ class ClusterRouter:
                 }
                 other.cache.poison_flights(poisoned)
             self._nodes[name] = node
+            self._members = tuple(self._nodes.values())
             self._placement_changed()
             node.moved_in = moved
             if self.bus.seq != seq_before:
@@ -400,6 +408,7 @@ class ClusterRouter:
                 moved.append((target, key))
             node.mark_left()
             del self._nodes[name]
+            self._members = tuple(self._nodes.values())
             self._placement_changed()
             if self.bus.seq != seq_before:
                 for target, key in moved:
@@ -433,6 +442,7 @@ class ClusterRouter:
             node = self._nodes.pop(name, None)
             if node is None:
                 return None
+            self._members = tuple(self._nodes.values())
             self._placement_changed()
             node.mark_left()  # poisons its open computations
             if name in self.bus.subscriber_names:
@@ -632,34 +642,32 @@ class ClusterRouter:
         node (:func:`~repro.cache.analysis.probe_plan`), so one probe per
         write serves every node the bus delivers it to.
 
-        One memo per ring, keyed on the node set, every node's
-        template-set version and the catalog: a steady template set
-        costs the router-lock round that reads the node set.  The
-        versions are read without the node locks.  A plan that misses a
-        template registered a moment ago only leaves that template's
-        pages unexcused (a write never probed for an edge cannot use
-        it); one listing a template just retired probes for nothing.
+        One memo per ring, keyed on the node set, the catalog version
+        and, per node, the stamp of the template's tables (:meth:`~repro.cache.
+        dependency.DependencyTable.stamp`): a steady set of templates on
+        those tables costs no lock round.  The key is read without any
+        lock.  A stamp moves when a template is registered, before any
+        reader takes it in, and is read before the candidates, so a plan
+        never misses a template registered before it was read; one
+        listing a template just retired probes for nothing.
         """
-        with self._lock:
-            nodes = list(self._nodes.values())
-            generation = self._generation
+        nodes, tables = self._members, template.tables
         key = (
-            generation,
-            self.engine.catalog,
-            *[node.cache.pages.dependencies.version for node in nodes],
+            nodes,
+            self.engine.catalog_version,
+            *[node.cache.pages.dependencies.stamp(tables) for node in nodes],
         )
         memo = self._probe_plans.get(template.text)
         if memo is not None and memo[0] == key:
             return memo[1]
-        # Versions read before the candidates: a template registered in
-        # between only makes the next call recompute.
         reads = set()
         for node in nodes:
             with node.cache.lock:
                 dependencies = node.cache.pages.dependencies
-                reads.update(dependencies.candidate_templates(template.tables)[0])
+                reads.update(dependencies.candidate_templates(tables)[0])
         plan = probe_plan(self.engine, reads, template)
         self._probe_plans[template.text] = (key, plan)
+        self.probe_plans_built += 1
         return plan
 
     # -- read path ---------------------------------------------------------------------
@@ -876,21 +884,24 @@ class ClusterRouter:
 
         ``extra_queries`` is the request's tally of extra queries
         (:attr:`RequestContext.extra_queries`: queries, rows examined,
-        partner probes), recorded with the write in one router-lock
-        section.  The writes are deduplicated here, once per ring: the
-        bus and every node take the message's writes as unique.
+        partner probes), recorded with the write.  The writes are
+        deduplicated here, once per ring: the bus and every node take
+        the message's writes as unique.  The whole write -- recording
+        it, the publish and the containment closure -- is one
+        router-lock section (router -> bus -> node cache is the lock
+        order).
         """
         with self._lock:
-            self.stats.frontend.record_write(uri)
-            self.stats.frontend.record_extra_queries(*extra_queries)
-        if not writes:
-            return set()
-        if not len(self.ring):
-            raise ClusterError("cannot process a write on an empty cluster")
-        unique = dedupe_writes(writes)
-        _message, doomed = self.bus.publish("router", uri, unique)
-        with self._lock:
+            frontend = self.stats.frontend
+            frontend.record_write(uri)
+            frontend.record_extra_queries(*extra_queries)
+            if not writes:
+                return set()
+            if not self._members:
+                raise ClusterError("cannot process a write on an empty cluster")
+            unique = dedupe_writes(writes)
             self.stats.writes_deduped += len(writes) - len(unique)
+            _message, doomed = self.bus.publish("router", uri, unique)
             # Evictions a concurrent insert has not settled yet: their
             # containers' copies are beyond this write's reach, so the
             # write settles them before it responds.
@@ -908,8 +919,8 @@ class ClusterRouter:
         The caller holds the router lock, so no insert can register or
         check an edge halfway through.
         """
-        if not len(self.fragments):
-            return doomed  # nothing embeds anything (no fragments cached)
+        if not self.fragments.touches(doomed):
+            return doomed  # no doomed key embeds or is embedded
         extra = self.fragments.containing(doomed)
         for key in extra:
             holder = self._route(key)

@@ -2,7 +2,7 @@
 
 The indexed invalidation engine is only admissible if it is *invisible*:
 for any population of cached entries and any write, the keys a ring
-dooms -- through its sharding, bus, verdict table, value indexes,
+dooms -- through its sharding, bus, doom programs, value indexes,
 lineage skips, row witnesses, partner probes and containment closure --
 must equal what the paper's brute-force protocol
 (``Invalidator(indexed=False)`` over a mirror of every entry's reads)

@@ -351,10 +351,10 @@ class TestRowWitnessRegistrations:
         assert table.registration_count == 0 and table._value_index == {}
 
 
-class TestDeadRegistrations:
-    """Removing a page marks its registrations dead; they stay in the
-    template list and the value index until a compaction drops them,
-    and nothing a write does sees or counts them meanwhile."""
+class TestRemovedRegistrations:
+    """Removing a page removes its registrations from the template map
+    and the value index at once, each by identity, so nothing a write
+    does sees or counts them, and the live keep their order."""
 
     REGION = "SELECT name FROM users WHERE region = ?"
 
@@ -372,22 +372,22 @@ class TestDeadRegistrations:
             assert table.instance_count(template) == min(k + 1, 4)  # taken in
         assert "/p0" not in pages  # evicted by /p4 (capacity 4)
         assert pages.invalidate("/p1")  # doomed
-        # Both dead references are still held, outnumbered by the live.
-        assert (len(table._by_template[template]), table.instance_count(template)) == (5, 3)
+        assert (len(table._by_template[template]), table.instance_count(template)) == (3, 3)
         visited: list[str] = []
         walk = Invalidator._walk
 
-        def recorded(self, plan, instances, *args):
+        def recorded(self, pair, written, partners, instances, *args):
             visited.extend(key for key, _read in instances)
-            return walk(self, plan, instances, *args)
+            return walk(self, pair, written, partners, instances, *args)
 
         monkeypatch.setattr(Invalidator, "_walk", recorded)
         stats = invalidator._stats
-        # A value-index probe: region 0 holds /p0 (dead), /p2 and /p4.
+        # A value-index probe: region 0 held /p0 (evicted), /p2 and /p4.
         invalidator.process_writes([_write("UPDATE users SET name = ? WHERE region = ?", ("n", 0))])
         assert visited == ["/p2", "/p4"]
         assert (stats.intersection_tests, stats.instances_skipped_by_index) == (2, 1)
         assert not ({"/p2", "/p4"} & set(pages.keys()))  # that write doomed both
+        assert list(table._value_index[template][0]) == [1]  # region 0's bucket went
         # A full scan over every registration of the template: only /p3
         # is live.
         visited.clear()
@@ -408,7 +408,7 @@ class TestDeadRegistrations:
         ]
         assert table._pending == [] and len(table._by_template[template]) == 2
 
-    def test_compaction_keeps_the_live_registrations_in_their_order(self):
+    def test_removal_keeps_the_live_registrations_in_their_order(self):
         table = DependencyTable()
         template, _ = templateize(self.REGION, (0,))
         read = QueryInstance(template, (7,))
@@ -417,19 +417,15 @@ class TestDeadRegistrations:
             table.register(key, (read,))
         assert template not in table._value_index  # no write has probed it
         assert len(table.instances_for_values(template, 0, [7])[0]) == 20
-        gone = keys[1::2] + keys[:1]  # ten dead, ten live: no compaction yet
-        for key in gone[:10]:
+        gone = keys[1::2] + keys[:1]
+        for key in gone:
             table.unregister(key)
-        assert (len(table._by_template[template]), len(table._dead[template])) == (20, 10)
-        assert len(table._value_index[template][0][7]) == 20
-        table.unregister(gone[10])  # eleven dead, nine live: compacted
         live = [key for key in keys if key not in gone]
-        assert table._dead[template] == set()
-        assert [key for key, _read in table._by_template[template]] == live
-        assert [key for key, _read in table._value_index[template][0][7]] == live
+        assert [key for key, _read in table._by_template[template].values()] == live
+        assert [key for key, _read in table._value_index[template][0][7].values()] == live
         candidates, skipped = table.instances_for_values(template, 0, [7])
         assert [key for key, _read in candidates] == live and skipped == 0
-        # A page registered after the compaction comes after the rest.
+        # A page registered again comes after the rest.
         table.register(keys[0], (read,))
         candidates, _skipped = table.instances_for_values(template, 0, [7])
         assert [key for key, _read in candidates] == [*live, keys[0]]

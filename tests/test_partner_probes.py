@@ -121,7 +121,7 @@ def test_a_user_and_the_item_it_sells_doom_the_region_page(rubis, monkeypatch, f
         original = JdbcConsistencyAspect._partners
         pending = [second]
 
-        def hooked(self, statement, template, image):
+        def hooked(self, statement, template, image, context):
             def interleave():
                 if pending:
                     thread = threading.Thread(target=pending.pop())
@@ -131,7 +131,7 @@ def test_a_user_and_the_item_it_sells_doom_the_region_page(rubis, monkeypatch, f
 
             if hook == "before its probes":
                 interleave()
-            found = original(self, statement, template, image)
+            found = original(self, statement, template, image, context)
             if hook == "after its probes":
                 interleave()
             return found

@@ -1,23 +1,27 @@
-"""A ring analyses each write once: verdicts ride the bus message.
+"""A ring analyses and binds each write once: bindings ride the bus message.
 
-A write's template-level work -- the lineage skip, the pair analysis,
-the bound instance filter -- is the same on every shard, so the first
-node to reach a (write, read template) cell of the message's verdict
-table fills it and the nodes after it read it.  These tests pin that a
-four-node ring then dooms what a one-node ring dooms, counting the same
-template-level work, and that a cell filled under one catalog is never
-read under another.
+A write's side of the instance tests -- a rule's allowed set, the keys
+it wrote, the partner rows it probed -- is the same on every shard and
+for every read template, so the message carries one binding per write
+that the first node to need a value fills and the nodes after it read.
+The template-level counters are counted by the first node whose
+candidates include a template.  These tests pin that a four-node ring
+then dooms what a one-node ring dooms, counting the same
+template-level work, and that what was judged under one catalog is
+judged again under another.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cache.analysis import PruneRule
 from repro.cache.entry import QueryInstance
-from repro.cache.invalidation import NEVER
 from repro.cluster.router import ClusterRouter
 from repro.sql.lineage import Catalog
 from repro.sql.template import templateize
+
+from tests.conftest import count_calls
 
 CATALOG = Catalog(
     {"notes": ("id", "topic", "body", "score"), "topics": ("id", "name")},
@@ -87,39 +91,41 @@ def test_a_four_node_ring_dooms_and_analyses_what_one_node_does():
     assert one["templates_skipped_by_lineage"] > 0
 
 
-def delivered_cells(router: ClusterRouter) -> list[list[dict]]:
-    """Each message's verdict cells as the last subscriber saw them:
-    the bus empties a table once its delivery pass is over."""
-    seen: list[list[dict]] = []
+def delivered_bindings(router: ClusterRouter) -> list:
+    """Each message's bindings as the last subscriber saw them."""
+    seen: list = []
     router.bus.subscribe(
         "after-the-nodes",
-        lambda message: seen.append([dict(c) for c in message.verdicts]) or set(),
+        lambda message: seen.append(
+            [
+                (binding.judged_under, set(binding.judged), dict(binding.allowed))
+                for binding in message.bindings
+            ]
+        )
+        or set(),
     )
     return seen
 
 
-def test_each_cell_is_filled_by_the_first_node_that_reaches_it():
+def test_each_write_is_bound_once_and_judged_by_the_first_node_to_reach_a_template(
+    monkeypatch,
+):
     router = ClusterRouter(["n0", "n1", "n2", "n3"], catalog=CATALOG)
     populate(router)
-    seen = delivered_cells(router)
+    seen = delivered_bindings(router)
+    allowed_values = count_calls(monkeypatch, PruneRule, "allowed_values")
     router.process_write_request("/w", [write(*WRITES[0])])
-    ((cells,),) = seen
-    (message,) = router.bus.recent()
-    assert message.verdicts == ({},)  # the pass is over: nothing retained
+    (((version, judged, allowed),),) = seen
     # Every read template shares the notes or topics table; only the
     # notes templates are candidates for an UPDATE of notes.
-    version = router.engine.catalog_version
-    judged = {template: verdict for template, (v, verdict) in cells.items()}
-    assert all(v == version for v, _verdict in cells.values())
-    assert set(judged) == {
-        page(text, 0).template for text in READS if "FROM notes" in text
-    }
-    # Only the first reads ``score``; the other three are lineage-disjoint.
-    for text in (READS[1], READS[2], READS[4]):
-        assert judged[page(text, 0).template] is NEVER
-    plan = judged[page(READS[0], 0).template]
-    assert plan.pair.possible and plan.selected == (0, frozenset({3}))
-    # Counted once per ring, by whichever node filled the cell.
+    assert version == router.engine.catalog_version
+    assert judged == {page(text, 0).template for text in READS if "FROM notes" in text}
+    # Only the first reads ``score``, so only its rule is bound: once,
+    # for the four nodes.
+    assert list(allowed.values()) == [frozenset({3})]
+    assert allowed_values == [1]
+    # Counted once per ring, by whichever node judged the template
+    # first; the other three are lineage-disjoint.
     assert router.stats.pair_analyses == 1
     assert router.stats.templates_skipped_by_lineage == 3
 
@@ -138,8 +144,8 @@ def pages_on_both(router: ClusterRouter, text: str) -> None:
 
 @pytest.mark.parametrize("swap", [False, True], ids=["same-catalog", "swapped"])
 def test_a_catalog_swap_between_two_deliveries_makes_the_later_node_recompute(swap):
-    """Node ``a`` fills the cell; a subscriber between ``a`` and ``b``
-    swaps the catalog; ``b`` must analyse afresh, not read ``a``'s cell."""
+    """Node ``a`` judges the write; a subscriber between ``a`` and ``b``
+    swaps the catalog; ``b`` must judge it again, under the new one."""
     router = ClusterRouter(["a"], catalog=CATALOG)
 
     def between(message) -> set:
@@ -154,7 +160,7 @@ def test_a_catalog_swap_between_two_deliveries_makes_the_later_node_recompute(sw
 
     router.bus.subscribe("between", between)
     router.add_node("b")
-    seen = delivered_cells(router)
+    seen = delivered_bindings(router)
     read = READS[0]
     pages_on_both(router, read)
     before = router.engine.catalog_version
@@ -162,6 +168,6 @@ def test_a_catalog_swap_between_two_deliveries_makes_the_later_node_recompute(sw
     a, b = router.node("a").cache.stats, router.node("b").cache.stats
     assert a.pair_analyses == 1
     assert b.pair_analyses == (1 if swap else 0)
-    ((cells,),) = seen
-    ((version, _verdict),) = cells.values()
+    (((version, judged, _allowed),),) = seen
+    assert judged == {page(read, 0).template}
     assert version == router.engine.catalog_version == before + swap
